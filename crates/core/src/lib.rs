@@ -23,7 +23,7 @@
 //! * event recording and `wait_for_event` matching — [`event_log`],
 //! * actor-to-node resolution (abstract nodes → platform nodes → simulator
 //!   nodes) — [`binding`],
-//! * crash recovery by resuming aborted runs — level-2 completion markers
+//! * crash recovery by resuming aborted runs — the level-2 run journal
 //!   consulted by [`master`].
 
 pub mod binding;

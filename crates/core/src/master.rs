@@ -11,7 +11,7 @@
 //!
 //! Lifecycle: `experiment_init` → (`run_init` → preparation / execution /
 //! clean-up → `run_exit`)* → `experiment_exit`, with crash recovery by
-//! resuming at the first run without a level-2 completion marker.
+//! resuming at the first run the level-2 journal does not confirm.
 
 use crate::binding::{PlatformBinding, ResolvedActors};
 use crate::error::EngineError;
@@ -226,7 +226,8 @@ pub struct EngineConfig {
     pub l2_root: Option<PathBuf>,
     /// Keep the level-2 hierarchy after packaging (default: remove).
     pub keep_l2: bool,
-    /// Resume an aborted experiment from its level-2 completion markers.
+    /// Resume an aborted experiment at the first run its level-2 journal does
+    /// not confirm.
     pub resume: bool,
     /// Execute only the first `n` runs of the plan (tests, examples).
     pub max_runs: Option<u64>,
@@ -327,7 +328,7 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Resumes an aborted experiment from its completion markers.
+    /// Resumes an aborted experiment from its level-2 journal.
     pub fn resume(mut self, resume: bool) -> Self {
         self.cfg.resume = resume;
         self
@@ -694,10 +695,10 @@ fn measurements_from_json(v: &JsonValue) -> Option<Vec<(String, String, Vec<u8>)
         .collect()
 }
 
-/// Serialized form of a [`RunOutcome`] as journalled to level 2
-/// (`runs/<id>/_master/outcome.json`), written before the run's completion
-/// marker so a resumed master can restore the summaries of runs it never
-/// executed and [`ExperimentOutcome::digest`] stays crash-invariant.
+/// Serialized form of a [`RunOutcome`] as journalled to level 2 (entry
+/// `_master`/`outcome.json` of the run's sealed record), so a resumed
+/// master can restore the summaries of runs it never executed and
+/// [`ExperimentOutcome::digest`] stays crash-invariant.
 fn outcome_to_json(o: &RunOutcome) -> JsonValue {
     JsonValue::Object(vec![
         ("run_id".into(), JsonValue::Int(o.run_id as i64)),
@@ -1351,6 +1352,7 @@ impl ExperiMaster {
         let total = plan.runs.len() as u64;
         let first = if self.cfg.resume {
             l2.first_incomplete_run(total)
+                .map_err(|e| EngineError::Storage(e.to_string()))?
         } else {
             0
         };
@@ -1362,22 +1364,20 @@ impl ExperiMaster {
 
         // Restore the summaries of runs completed by earlier incarnations:
         // the outcome vector of a resumed campaign must equal the
-        // uninterrupted one (the digest covers it). Trees written before
-        // the outcome journal existed lack the file; those runs stay
-        // restored-but-unsummarised rather than failing the resume.
+        // uninterrupted one (the digest covers it).
         let mut outcomes = Vec::new();
-        let mut restored_runs = 0u64;
         for run_id in 0..first {
-            let Ok(raw) = l2.get_run(run_id, "_master", "outcome.json") else {
-                continue;
-            };
-            let outcome = JsonValue::parse_bytes(&raw)
-                .ok()
+            let outcome = l2
+                .load_run(run_id)
+                .map_err(|e| EngineError::Storage(e.to_string()))?
+                .get("_master", "outcome.json")
+                .and_then(|raw| JsonValue::parse_bytes(raw).ok())
                 .as_ref()
                 .and_then(outcome_from_json)
-                .ok_or_else(|| EngineError::Storage(format!("run {run_id}: bad outcome.json")))?;
+                .ok_or_else(|| {
+                    EngineError::Storage(format!("run {run_id}: missing or bad outcome.json"))
+                })?;
             outcomes.push(outcome);
-            restored_runs += 1;
         }
         for run in &plan.runs[first as usize..last as usize] {
             let outcome = self.execute_run(run, &l2)?;
@@ -1414,7 +1414,7 @@ impl ExperiMaster {
         Ok(ExperimentOutcome {
             database,
             runs: outcomes,
-            restored_runs,
+            restored_runs: first,
             l2_root,
             control_retries: self.control_retries.load(Ordering::Relaxed),
             dispatcher: self.cfg.dispatcher,
@@ -1777,9 +1777,9 @@ impl ExperiMaster {
             packets: packets_total,
             duration: run_end.saturating_since(run_start),
         };
-        // The summary journal must land before the completion marker: a
-        // run is only "complete" once a resumed master can restore its
-        // outcome without re-executing it.
+        // The summary is staged before the seal, so it is inside the
+        // record the journal confirms: a run is only "complete" once a
+        // resumed master can restore its outcome without re-executing it.
         l2.put_run(
             run.run_id,
             "_master",
@@ -1833,20 +1833,39 @@ impl ExperiMaster {
             }
         }
 
+        // Logs: the raw per-node action log (one row per node, §IV-F),
+        // reassembled from the per-run segments each run drained into
+        // level 2. Reading level 2 instead of the NodeManagers' live
+        // memory makes the table identical whether the campaign ran in
+        // one master incarnation or was killed and resumed: the in-memory
+        // log dies with a crashed master, the journalled segments do not.
+        let managed = self.binding.managed_platform_ids();
+        let mut logs: Vec<String> = managed
+            .iter()
+            .map(|pid| {
+                format!(
+                    "node {pid}: experiment '{}' executed by {EE_VERSION}\n",
+                    self.desc.name
+                )
+            })
+            .collect();
+
         for run_id in l2
             .run_ids()
             .map_err(|e| EngineError::Storage(e.to_string()))?
         {
-            let sync: HashMap<String, i64> = l2
-                .get_run(run_id, "_master", "sync.json")
-                .ok()
-                .and_then(|d| JsonValue::parse_bytes(&d).ok())
+            // One read per run: every table below borrows from this record.
+            let record = l2
+                .load_run(run_id)
+                .map_err(|e| EngineError::Storage(e.to_string()))?;
+            let sync: HashMap<String, i64> = record
+                .get("_master", "sync.json")
+                .and_then(|d| JsonValue::parse_bytes(d).ok())
                 .and_then(|v| sync_from_json(&v))
                 .unwrap_or_default();
-            let start_ns: u64 = l2
-                .get_run(run_id, "_master", "start.json")
-                .ok()
-                .and_then(|d| JsonValue::parse_bytes(&d).ok())
+            let start_ns: u64 = record
+                .get("_master", "start.json")
+                .and_then(|d| JsonValue::parse_bytes(d).ok())
                 .and_then(|v| v.as_u64())
                 .unwrap_or(0);
             // Sorted node order: map iteration order must never leak into
@@ -1864,8 +1883,8 @@ impl ExperiMaster {
                 .map_err(|e| EngineError::Storage(e.to_string()))?;
             }
             // Events: condition local node stamps to the common base.
-            if let Ok(raw) = l2.get_run(run_id, "_master", "events.json") {
-                let events: Vec<RecordedEvent> = JsonValue::parse_bytes(&raw)
+            if let Some(raw) = record.get("_master", "events.json") {
+                let events: Vec<RecordedEvent> = JsonValue::parse_bytes(raw)
                     .ok()
                     .as_ref()
                     .and_then(events_from_json)
@@ -1886,8 +1905,8 @@ impl ExperiMaster {
                 }
             }
             // Custom (plugin) measurements -> ExtraRunMeasurements.
-            if let Ok(raw) = l2.get_run(run_id, "_plugins", "measurements.json") {
-                let ms: Vec<(String, String, Vec<u8>)> = JsonValue::parse_bytes(&raw)
+            if let Some(raw) = record.get("_plugins", "measurements.json") {
+                let ms: Vec<(String, String, Vec<u8>)> = JsonValue::parse_bytes(raw)
                     .ok()
                     .as_ref()
                     .and_then(measurements_from_json)
@@ -1908,24 +1927,18 @@ impl ExperiMaster {
                 }
             }
             // Packets likewise.
-            for (node, file) in l2
-                .run_entries(run_id)
-                .map_err(|e| EngineError::Storage(e.to_string()))?
-            {
+            for (node, file, raw) in record.entries() {
                 if file != "captures.json" {
                     continue;
                 }
-                let raw = l2
-                    .get_run(run_id, &node, &file)
-                    .map_err(|e| EngineError::Storage(e.to_string()))?;
-                let captures: Vec<CaptureSer> = JsonValue::parse_bytes(&raw)
+                let captures: Vec<CaptureSer> = JsonValue::parse_bytes(raw)
                     .ok()
                     .as_ref()
                     .and_then(captures_from_json)
                     .ok_or_else(|| {
                         EngineError::Storage(format!("run {run_id}: bad captures.json"))
                     })?;
-                let offset = sync.get(&node).copied().unwrap_or(0);
+                let offset = sync.get(node).copied().unwrap_or(0);
                 for c in captures {
                     // Raw packet data as on the wire: the 2-byte tagger id
                     // precedes the payload (the prototype writes the tag
@@ -1936,7 +1949,7 @@ impl ExperiMaster {
                     data.extend_from_slice(&c.data);
                     PacketRow {
                         run_id,
-                        node_id: node.clone(),
+                        node_id: node.to_string(),
                         common_time_ns: c.local_time_ns as i64 - offset,
                         src_node_id: c.src,
                         data,
@@ -1945,28 +1958,15 @@ impl ExperiMaster {
                     .map_err(|e| EngineError::Storage(e.to_string()))?;
                 }
             }
-        }
-
-        // Logs: the raw per-node action log (one row per node, §IV-F),
-        // reassembled from the per-run segments each run drained into
-        // level 2. Reading level 2 instead of the NodeManagers' live
-        // memory makes the table identical whether the campaign ran in
-        // one master incarnation or was killed and resumed: the in-memory
-        // log dies with a crashed master, the journalled segments do not.
-        let run_ids = l2
-            .run_ids()
-            .map_err(|e| EngineError::Storage(e.to_string()))?;
-        for pid in self.binding.managed_platform_ids() {
-            let mut content = format!(
-                "node {pid}: experiment '{}' executed by {EE_VERSION}\n",
-                self.desc.name
-            );
-            for &run_id in &run_ids {
-                if let Ok(segment) = l2.get_run(run_id, pid, "node_log.txt") {
-                    content.push_str(&String::from_utf8_lossy(&segment));
+            for (pid, content) in managed.iter().zip(&mut logs) {
+                if let Some(segment) = record.get(pid, "node_log.txt") {
+                    content.push_str(&String::from_utf8_lossy(segment));
                 }
             }
-            db.insert("Logs", vec![pid.into(), content.into_bytes().into()])
+        }
+
+        for (pid, content) in managed.iter().zip(logs) {
+            db.insert("Logs", vec![(*pid).into(), content.into_bytes().into()])
                 .map_err(|e| EngineError::Storage(e.to_string()))?;
         }
         Ok(db)

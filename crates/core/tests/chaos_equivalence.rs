@@ -9,9 +9,11 @@
 //!
 //! Likewise, killing a master mid-campaign and resuming under a fresh
 //! epoch must reproduce exactly the runs that were incomplete, and only
-//! those: a run whose completion marker landed is never executed again.
+//! those: a run the level-2 journal confirms is never executed again.
 
-use excovery_core::{DispatcherKind, EngineConfig, ExperiMaster, ExperimentOutcome, RetryPolicy};
+use excovery_core::{
+    DispatcherKind, EngineConfig, EngineError, ExperiMaster, ExperimentOutcome, RetryPolicy,
+};
 use excovery_desc::process::{EventSelector, ProcessAction};
 use excovery_desc::ExperimentDescription;
 use excovery_netsim::link::LinkModel;
@@ -199,7 +201,7 @@ fn kill_and_resume_reproduces_the_incomplete_runs_exactly() {
     let reference = execute(desc_with_seed(4, seed), ref_cfg);
     assert_eq!(reference.runs.len(), 4);
 
-    // "Crashed" master: dies (max_runs) after landing 2 completion markers.
+    // "Crashed" master: dies (max_runs) after sealing 2 runs.
     let root = unique_root("killed");
     let mut cfg = base_config("half");
     cfg.l2_root = Some(root.clone());
@@ -221,8 +223,8 @@ fn kill_and_resume_reproduces_the_incomplete_runs_exactly() {
     cfg.retry = ample_retry(&chaos);
     let resumed = execute(desc_with_seed(4, seed), cfg);
 
-    // Only the incomplete runs were executed — nothing re-ran after its
-    // completion marker landed. The summaries of the two pre-crash runs
+    // Only the incomplete runs were executed — nothing re-ran after the
+    // journal confirmed it. The summaries of the two pre-crash runs
     // were restored from the level-2 outcome journal, so the outcome
     // vector is the uninterrupted one.
     assert_eq!(resumed.restored_runs, 2);
@@ -247,13 +249,13 @@ fn kill_and_resume_reproduces_the_incomplete_runs_exactly() {
     // killed-and-resumed campaign is bit-equal to the uninterrupted one.
     assert_eq!(resumed.digest(), reference.digest());
 
-    // The level-2 trees hold identical per-run entries, and every run is
+    // The level-2 stores hold identical per-run entries, and every run is
     // journalled complete.
     let ref_l2 = Level2Store::open(&reference.l2_root).unwrap();
     let res_l2 = Level2Store::open(&root).unwrap();
     assert_eq!(res_l2.run_ids().unwrap(), vec![0, 1, 2, 3]);
     for run in 0..4 {
-        assert!(res_l2.is_run_complete(run));
+        assert!(res_l2.is_run_complete(run).unwrap());
         let mut want = ref_l2.run_entries(run).unwrap();
         let mut got = res_l2.run_entries(run).unwrap();
         want.sort();
@@ -270,6 +272,54 @@ fn kill_and_resume_reproduces_the_incomplete_runs_exactly() {
     assert_eq!(res_l2.journal_runs().unwrap(), vec![0, 1, 2, 3]);
 
     std::fs::remove_dir_all(&reference.l2_root).ok();
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// Damaged level-2 state reaches the caller of `execute` as a storage
+/// error naming the file — a resume never reads it as "nothing completed"
+/// and silently restarts the campaign from run 0.
+#[test]
+fn resume_over_damaged_level2_state_is_an_error_not_a_restart() {
+    let root = unique_root("damaged");
+    let mut cfg = base_config("damaged-half");
+    cfg.l2_root = Some(root.clone());
+    cfg.max_runs = Some(2);
+    cfg.keep_l2 = true;
+    assert_eq!(execute(desc_with_seed(4, 5), cfg).runs.len(), 2);
+
+    let resume = || {
+        let mut cfg = base_config("damaged-resume");
+        cfg.l2_root = Some(root.clone());
+        cfg.resume = true;
+        cfg.keep_l2 = true;
+        cfg.epoch = 1;
+        ExperiMaster::new(desc_with_seed(4, 5), cfg)
+            .unwrap()
+            .execute()
+    };
+    let journal = root.join("runs").join("journal.log");
+    let record = root.join("runs").join("0.run");
+    let good_journal = std::fs::read(&journal).unwrap();
+    let good_record = std::fs::read(&record).unwrap();
+
+    let storage_error = |outcome: Result<ExperimentOutcome, EngineError>| match outcome {
+        Err(EngineError::Storage(detail)) => detail,
+        Err(other) => panic!("expected EngineError::Storage, got {other:?}"),
+        Ok(outcome) => panic!("resumed with {} runs restored", outcome.restored_runs),
+    };
+    std::fs::write(&journal, b"0\nnot a run id\n").unwrap();
+    let detail = storage_error(resume());
+    assert!(detail.contains("journal.log"), "{detail}");
+
+    std::fs::write(&journal, &good_journal).unwrap();
+    std::fs::write(&record, &good_record[..good_record.len() - 1]).unwrap();
+    let detail = storage_error(resume());
+    assert!(detail.contains("0.run"), "{detail}");
+
+    // Undamaged again, the same directory resumes where it stopped.
+    std::fs::write(&record, &good_record).unwrap();
+    let resumed = resume().unwrap();
+    assert_eq!((resumed.restored_runs, resumed.runs.len()), (2, 4));
     std::fs::remove_dir_all(&root).ok();
 }
 

@@ -129,6 +129,7 @@ fn digest_is_identical_with_observability_on_and_off() {
     // experiment snapshot, both readable by the JSONL parser — and the
     // digest parity above proves none of it leaked into level 3.
     let l2 = Level2Store::open(&on_plain.l2_root).unwrap();
+    let mut summaries = Vec::new();
     for run in [0u64, 1] {
         assert!(
             l2.run_entries(run)
@@ -139,7 +140,33 @@ fn digest_is_identical_with_observability_on_and_off() {
         let raw = l2.get_run(run, "_obs", "summary.jsonl").unwrap();
         let (s, _spans) = excovery_obs::jsonl::parse(std::str::from_utf8(&raw).unwrap()).unwrap();
         assert!(!s.counters.is_empty());
+        summaries.push(s);
     }
+    // The level-2 cost of a run is pinned: each summary is taken just
+    // before its run seals, so run 1's minus run 0's is the seal of run 0
+    // and nothing else — one record, one journal line.
+    let between_summaries = |name: &str, labels: &[(&str, &str)]| {
+        let at = |s: &excovery_obs::Snapshot| {
+            let labelled = |c: &&excovery_obs::MetricValue<u64>| {
+                let have = c.labels.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+                c.name == name && have.eq(labels.iter().copied())
+            };
+            s.counters.iter().find(labelled).map_or(0, |c| c.value)
+        };
+        at(&summaries[1]) - at(&summaries[0])
+    };
+    assert_eq!(
+        between_summaries("store_writes_total", &[("level", "2")]),
+        2
+    );
+    assert_eq!(between_summaries("store_journal_commits_total", &[]), 1);
+    let seals = |s: &excovery_obs::Snapshot| {
+        s.histograms
+            .iter()
+            .find(|h| h.name == "store_run_seal_duration_ns")
+            .map_or(0, |h| h.value.count)
+    };
+    assert_eq!((seals(&summaries[0]), seals(&summaries[1])), (0, 1));
     let raw = l2.get_experiment("_obs", "snapshot.jsonl").unwrap();
     excovery_obs::jsonl::parse(std::str::from_utf8(&raw).unwrap()).unwrap();
 

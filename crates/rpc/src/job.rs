@@ -194,7 +194,7 @@ pub struct JobStatus {
     pub state: JobState,
     /// Total runs in the campaign's plan.
     pub runs_total: u64,
-    /// Runs whose completion marker has landed.
+    /// Runs the level-2 journal confirms as sealed.
     pub runs_completed: u64,
     /// `ExperimentOutcome::digest()` once completed.
     pub digest: Option<u64>,

@@ -17,8 +17,8 @@
 //! every state transition, so a SIGKILL at any instant leaves either the
 //! old or the new journal — never a torn one. What the journal does
 //! *not* record — how many runs of a `Running` job actually finished —
-//! is recovered on [`ServerRepo::open`] from the level-2 completion
-//! markers, the same journal a resuming `ExperiMaster` trusts.
+//! is recovered on [`ServerRepo::open`] from the level-2 run journal,
+//! the same journal a resuming `ExperiMaster` trusts.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -64,7 +64,7 @@ pub struct JobRecord {
     pub epochs: u64,
     /// Total runs in the campaign's treatment plan.
     pub runs_total: u64,
-    /// Runs whose level-2 completion marker has landed.
+    /// Runs the level-2 journal confirms as sealed.
     pub runs_completed: u64,
     /// `ExperimentOutcome::digest()` once completed.
     pub digest: Option<u64>,
@@ -99,8 +99,9 @@ pub struct ServerRepo {
 impl ServerRepo {
     /// Opens (or initializes) the repository at `root`, replaying the
     /// journal. For every non-terminal job the completed-run count is
-    /// recovered from its level-2 completion markers, so a repository
-    /// killed mid-campaign reports accurate progress immediately.
+    /// recovered from its level-2 run journal, so a repository killed
+    /// mid-campaign reports accurate progress immediately; a damaged
+    /// journal fails the open instead of reading as "no progress".
     pub fn open(root: impl Into<PathBuf>) -> Result<Self, ServerError> {
         let root = root.into();
         std::fs::create_dir_all(root.join("jobs"))
@@ -132,7 +133,7 @@ impl ServerRepo {
                     continue;
                 }
                 let l2 = Level2Store::open(repo.l2_root(repo.jobs[i].job_id))?;
-                let done = l2.journal_runs().map(|r| r.len() as u64).unwrap_or(0);
+                let done = l2.journal_runs()?.len() as u64;
                 repo.jobs[i].runs_completed = done;
                 repo.jobs[i].state = if done > 0 {
                     JobState::Running

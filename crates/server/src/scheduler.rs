@@ -11,7 +11,7 @@
 //! fairness is a property of the pick, not of the parallelism.
 //!
 //! Crash safety leans entirely on the engine's resume model: every run
-//! is journalled in level 2 before its completion marker lands, outcomes
+//! is sealed in level 2 before the journal confirms it, outcomes
 //! are resume-invariant, and each slice runs under a freshly journalled
 //! master epoch ([`ServerRepo::begin_slice`]). A server killed at any
 //! point — even mid-run — resumes the campaign bit-exactly, and the

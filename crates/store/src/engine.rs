@@ -25,7 +25,6 @@ pub fn atomic_write(path: &Path, data: &[u8]) -> Result<(), StoreError> {
     let parent = path
         .parent()
         .ok_or_else(|| err(format!("no parent directory for {path:?}")))?;
-    std::fs::create_dir_all(parent).map_err(|e| err(format!("mkdir {parent:?}: {e}")))?;
     let file_name = path
         .file_name()
         .and_then(|n| n.to_str())
@@ -35,7 +34,16 @@ pub fn atomic_write(path: &Path, data: &[u8]) -> Result<(), StoreError> {
         std::process::id(),
         TEMP_COUNTER.fetch_add(1, Ordering::Relaxed)
     ));
-    std::fs::write(&tmp, data).map_err(|e| err(format!("write {tmp:?}: {e}")))?;
+    // The parent almost always exists already; it is created only when
+    // the temp file's own create reports it missing.
+    match std::fs::write(&tmp, data) {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+            std::fs::create_dir_all(parent).map_err(|e| err(format!("mkdir {parent:?}: {e}")))?;
+            std::fs::write(&tmp, data)
+        }
+        written => written,
+    }
+    .map_err(|e| err(format!("write {tmp:?}: {e}")))?;
     std::fs::rename(&tmp, path).map_err(|e| {
         std::fs::remove_file(&tmp).ok();
         err(format!("rename {tmp:?} -> {path:?}: {e}"))

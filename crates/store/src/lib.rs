@@ -5,8 +5,8 @@
 //! * **Level 1** — the abstract experiment description itself (an XML
 //!   document, exchanged and loaded for execution and analysis).
 //! * **Level 2** — intermediate storage of all concrete experiment data:
-//!   per-node, per-run log files and measurements in a file-system
-//!   hierarchy ([`level2`]).
+//!   per-node, per-run log files and measurements, one sealed record
+//!   file per run under an append-only journal ([`level2`]).
 //! * **Level 3** — one package per experiment: a single relational database
 //!   with the schema of Table I ([`schema`]), containing all conditioned
 //!   measurements, logs and the complete experiment plan. The paper uses

@@ -4,7 +4,7 @@
 
 use excovery_store::engine::{Column, ColumnType, Database, SqlValue};
 use excovery_store::level2::Level2Store;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn unique_root(tag: &str) -> PathBuf {
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -14,6 +14,21 @@ fn unique_root(tag: &str) -> PathBuf {
         std::process::id(),
         N.fetch_add(1, Ordering::Relaxed)
     ))
+}
+
+/// Seals `run` with one entry whose payload names the attempt.
+fn seal(l2: &Level2Store, run: u64, attempt: &[u8]) {
+    l2.put_run(run, "node-a", "events.json", attempt).unwrap();
+    l2.mark_run_complete(run).unwrap();
+}
+
+fn runs_dir_listing(root: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(root.join("runs"))
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
 }
 
 /// The resume decision (`first_incomplete_run`) must be derivable purely
@@ -28,57 +43,118 @@ fn resume_point_survives_reopen() {
         }
         l2.mark_run_complete(0).unwrap();
         l2.mark_run_complete(1).unwrap();
-        // run 2 has data but no marker: the crash landed mid-run.
+        // run 2 collected data but never sealed: the crash landed mid-run.
     }
     let l2 = Level2Store::open(&root).unwrap();
-    assert_eq!(l2.run_ids().unwrap(), vec![0, 1, 2]);
-    assert_eq!(l2.first_incomplete_run(3), 2);
+    assert_eq!(l2.run_ids().unwrap(), vec![0, 1]);
+    assert_eq!(l2.first_incomplete_run(3).unwrap(), 2);
     assert_eq!(l2.journal_runs().unwrap(), vec![0, 1]);
-    // The half-written run's data is still there for inspection, it is
-    // simply not *complete* — a resumed master overwrites it.
-    assert!(!l2.run_entries(2).unwrap().is_empty());
+    // What the unsealed run had staged died with the process; nothing of
+    // it is on disk for a later pass to mistake for data.
+    assert!(l2.run_entries(2).unwrap().is_empty());
+    assert_eq!(
+        runs_dir_listing(&root),
+        vec!["0.run", "1.run", "journal.log"]
+    );
     l2.destroy().unwrap();
 }
 
-/// A marker whose journal confirmation is missing (crash between the two
-/// writes of `mark_run_complete`) counts as incomplete after reopen.
-#[test]
-fn unconfirmed_marker_is_incomplete_after_reopen() {
-    let root = unique_root("unconfirmed");
-    {
-        let l2 = Level2Store::open(&root).unwrap();
-        l2.mark_run_complete(0).unwrap();
-        // Simulate the crash: run 1 gets its marker file but the journal
-        // write never happens.
-        l2.put_run(1, "_master", "complete", b"1").unwrap();
+type DamageFn = fn(&Path);
+
+/// The four on-disk states a crash inside the seal of run 1 can leave,
+/// built by construction on top of a cleanly sealed run 0. `prepare`
+/// receives the root after run 1 was sealed too and damages it.
+fn crashed_seal_states() -> Vec<(&'static str, DamageFn)> {
+    fn record(root: &Path) -> PathBuf {
+        root.join("runs").join("1.run")
     }
-    let l2 = Level2Store::open(&root).unwrap();
-    assert!(l2.is_run_complete(0));
-    assert!(!l2.is_run_complete(1), "unjournalled marker must not count");
-    assert_eq!(l2.first_incomplete_run(2), 1);
-    l2.destroy().unwrap();
+    fn journal(root: &Path) -> PathBuf {
+        root.join("runs").join("journal.log")
+    }
+    vec![
+        // Killed while writing the temp file: no record, no journal line.
+        ("temp record only", |root| {
+            std::fs::rename(record(root), root.join("runs").join(".1.run.tmp-999-0")).unwrap();
+            std::fs::write(journal(root), b"0\n").unwrap();
+        }),
+        // Killed between the rename and the journal append.
+        ("record without journal line", |root| {
+            std::fs::write(journal(root), b"0\n").unwrap();
+        }),
+        // Killed inside the journal append: the line lacks its newline.
+        ("record with torn journal line", |root| {
+            std::fs::write(journal(root), b"0\n1").unwrap();
+        }),
+        // Not reachable by a crash of the seal itself (the record lands
+        // first), but what a lost record file looks like.
+        ("journal line whose record is missing", |root| {
+            std::fs::remove_file(record(root)).unwrap();
+        }),
+    ]
 }
 
-/// Re-running a crashed run and completing it heals the hierarchy: the
-/// marker becomes confirmed and nothing from the aborted attempt leaks.
+/// Each of those states reads as "run 1 is incomplete" after reopen,
+/// leaves run 0 alone, and is healed by re-executing and re-sealing run 1
+/// — with nothing of the aborted attempt leaking into the new record.
 #[test]
-fn recompleting_a_crashed_run_heals_the_journal() {
-    let root = unique_root("heal");
+fn every_crashed_seal_state_is_incomplete_and_heals() {
+    for (state, prepare) in crashed_seal_states() {
+        let root = unique_root("seal-crash");
+        {
+            let l2 = Level2Store::open(&root).unwrap();
+            seal(&l2, 0, b"[0]");
+            l2.put_run(1, "node-a", "aborted-only.json", b"stale")
+                .unwrap();
+            seal(&l2, 1, b"[1]");
+        }
+        prepare(&root);
+
+        let l2 = Level2Store::open(&root).unwrap();
+        assert!(l2.is_run_complete(0).unwrap(), "{state}");
+        assert!(!l2.is_run_complete(1).unwrap(), "{state}");
+        assert_eq!(l2.run_ids().unwrap(), vec![0], "{state}");
+        assert_eq!(l2.first_incomplete_run(3).unwrap(), 1, "{state}");
+
+        // The resumed master re-executes run 1 and seals it again.
+        seal(&l2, 1, b"[2]");
+        assert!(l2.is_run_complete(1).unwrap(), "{state}");
+        assert_eq!(l2.journal_runs().unwrap(), vec![0, 1], "{state}");
+        assert_eq!(l2.first_incomplete_run(3).unwrap(), 2, "{state}");
+        assert_eq!(
+            l2.run_entries(1).unwrap(),
+            vec![("node-a".to_string(), "events.json".to_string())],
+            "{state}"
+        );
+        assert_eq!(l2.get_run(1, "node-a", "events.json").unwrap(), b"[2]");
+        assert_eq!(l2.get_run(0, "node-a", "events.json").unwrap(), b"[0]");
+        // And it stays healed through another process boundary.
+        drop(l2);
+        let l2 = Level2Store::open(&root).unwrap();
+        assert_eq!(l2.first_incomplete_run(3).unwrap(), 2, "{state}");
+        l2.destroy().unwrap();
+    }
+}
+
+/// A journal damaged anywhere but in its unterminated tail is reported,
+/// not read as "nothing completed" (which would silently restart the
+/// campaign from run 0).
+#[test]
+fn damaged_journal_is_reported_after_reopen() {
+    let root = unique_root("damaged");
     {
         let l2 = Level2Store::open(&root).unwrap();
-        l2.mark_run_complete(0).unwrap();
-        l2.put_run(1, "node-a", "events.json", b"[1]").unwrap();
-        l2.put_run(1, "_master", "complete", b"1").unwrap(); // unconfirmed
+        seal(&l2, 0, b"[0]");
+        seal(&l2, 1, b"[1]");
     }
+    std::fs::write(
+        root.join("runs").join("journal.log"),
+        b"0\n{\"completed\":[1]}\n",
+    )
+    .unwrap();
     let l2 = Level2Store::open(&root).unwrap();
-    assert_eq!(l2.first_incomplete_run(2), 1);
-    // The resumed master re-executes run 1, overwriting the old attempt.
-    l2.put_run(1, "node-a", "events.json", b"[2]").unwrap();
-    l2.mark_run_complete(1).unwrap();
-    assert!(l2.is_run_complete(1));
-    assert_eq!(l2.journal_runs().unwrap(), vec![0, 1]);
-    assert_eq!(l2.get_run(1, "node-a", "events.json").unwrap(), b"[2]");
-    assert_eq!(l2.first_incomplete_run(2), 2);
+    let e = l2.first_incomplete_run(2).unwrap_err();
+    assert!(e.0.contains("line 2 is not a run id"), "{e}");
+    assert!(l2.is_run_complete(0).is_err());
     l2.destroy().unwrap();
 }
 
@@ -130,13 +206,15 @@ fn database_save_leaves_no_temp_files_and_roundtrips() {
 fn stranded_temp_files_never_surface_as_measurements() {
     let root = unique_root("stranded");
     let l2 = Level2Store::open(&root).unwrap();
-    l2.put_run(0, "node-a", "events.json", b"[]").unwrap();
+    seal(&l2, 0, b"[]");
     // A crash mid-atomic-write leaves a dot-prefixed temp file behind.
-    let node_dir = root.join("runs").join("0").join("node-a");
-    std::fs::write(node_dir.join(".events.json.tmp-999-0"), b"torn").unwrap();
+    std::fs::write(root.join("runs").join(".0.run.tmp-999-0"), b"torn").unwrap();
+    std::fs::write(root.join("runs").join(".1.run.tmp-999-1"), b"torn").unwrap();
+    assert_eq!(l2.run_ids().unwrap(), vec![0]);
     assert_eq!(
         l2.run_entries(0).unwrap(),
         vec![("node-a".to_string(), "events.json".to_string())]
     );
+    assert!(l2.run_entries(1).unwrap().is_empty());
     l2.destroy().unwrap();
 }

@@ -17,6 +17,7 @@
 //! excovery events <results.expdb> --run N
 //! excovery timeline <results.expdb> --run N [--svg out.svg]
 //! excovery responsiveness <results.expdb> [--k N]
+//! excovery l2 <dir> [<run> [<node> <name>]]
 //! ```
 
 use excovery::analysis::responsiveness::{format_curve, responsiveness_curve};
@@ -59,6 +60,7 @@ fn dispatch(args: &[String]) -> Result<(), String> {
         "responsiveness" => cmd_responsiveness(rest),
         "report" => cmd_report(rest),
         "repo" => cmd_repo(rest),
+        "l2" => cmd_l2(rest),
         "schema" => {
             print!("{}", excovery::desc::schema_doc::schema_text());
             Ok(())
@@ -97,6 +99,9 @@ fn print_usage() {
          \x20 excovery repo <dir> list\n\
          \x20 excovery repo <dir> add <id> <results.expdb>\n\
          \x20 excovery repo <dir> compare\n\
+         \x20 excovery l2 <dir>                    # sealed runs of a kept level-2 dir\n\
+         \x20 excovery l2 <dir> <run>              # node, name, bytes of its entries\n\
+         \x20 excovery l2 <dir> <run> <node> <name>   # one entry to stdout\n\
          \x20 excovery schema                      # print the description XSD\n\
          \x20 excovery model --hops H --loss P     # analytic responsiveness\n\
          \x20 excovery serve <root> [--addr H:P] [--workers N] [--slice-runs N]\n\
@@ -423,6 +428,46 @@ fn cmd_repo(args: &[String]) -> Result<(), String> {
         }
         other => Err(format!("unknown repo subcommand '{other}'")),
     }
+}
+
+/// Reads a level-2 directory kept with `--keep-l2`: its sealed runs, one
+/// run's entries, or the bytes of one entry.
+fn cmd_l2(args: &[String]) -> Result<(), String> {
+    use excovery::store::level2::Level2Store;
+    use std::io::Write;
+    let dir = positional(args, "level-2 directory")?;
+    // `open` would create the directories it expects.
+    if !std::path::Path::new(dir).join("runs").is_dir() {
+        return Err(format!("{dir}: not a level-2 directory"));
+    }
+    let l2 = Level2Store::open(dir).map_err(|e| e.to_string())?;
+    let load = |run: &String| {
+        let run_id = run.parse().map_err(|_| format!("bad run id '{run}'"))?;
+        l2.load_run(run_id).map_err(|e| e.to_string())
+    };
+    match &args[1..] {
+        [] => {
+            for run_id in l2.run_ids().map_err(|e| e.to_string())? {
+                println!("{run_id}");
+            }
+        }
+        [run] => {
+            for (node, name, data) in load(run)?.entries() {
+                println!("{node}\t{name}\t{}", data.len());
+            }
+        }
+        [run, node, name] => {
+            let record = load(run)?;
+            let data = record
+                .get(node, name)
+                .ok_or_else(|| format!("run {run}: no entry {node}/{name}"))?;
+            std::io::stdout()
+                .write_all(data)
+                .map_err(|e| format!("write stdout: {e}"))?;
+        }
+        _ => return Err("usage: excovery l2 <dir> [<run> [<node> <name>]]".into()),
+    }
+    Ok(())
 }
 
 fn cmd_responsiveness(args: &[String]) -> Result<(), String> {

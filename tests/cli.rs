@@ -51,6 +51,7 @@ fn help_lists_all_commands() {
         "responsiveness",
         "report",
         "repo",
+        "l2",
     ] {
         assert!(text.contains(cmd), "usage lacks {cmd}");
     }
@@ -163,6 +164,60 @@ fn full_run_inspect_analyze_cycle() {
     let out = cli(&["repo", repo.to_str().unwrap(), "compare"]);
     assert!(out.status.success());
     assert!(stdout(&out).contains("R(1s)"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn l2_lists_runs_entries_and_prints_one_entry() {
+    let dir = workdir("l2");
+    let desc = write_description(&dir);
+    let l2 = dir.join("l2");
+    let l2 = l2.to_str().unwrap();
+    let out = cli(&[
+        "run",
+        desc.to_str().unwrap(),
+        "--max-runs",
+        "2",
+        "--out",
+        dir.join("results.expdb").to_str().unwrap(),
+        "--l2",
+        l2,
+        "--keep-l2",
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+
+    let out = cli(&["l2", l2]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert_eq!(stdout(&out), "0\n1\n");
+
+    let out = cli(&["l2", l2, "1"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let listing = stdout(&out);
+    let outcome_line = listing
+        .lines()
+        .find(|l| l.starts_with("_master\toutcome.json\t"))
+        .unwrap_or_else(|| panic!("no outcome entry in:\n{listing}"));
+    let listed_len: usize = outcome_line.rsplit('\t').next().unwrap().parse().unwrap();
+
+    // What the verb prints is what the library reads, byte for byte.
+    let out = cli(&["l2", l2, "1", "_master", "outcome.json"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let store = excovery::store::level2::Level2Store::open(l2).unwrap();
+    assert_eq!(
+        out.stdout,
+        store.get_run(1, "_master", "outcome.json").unwrap()
+    );
+    assert_eq!(out.stdout.len(), listed_len);
+
+    let out = cli(&["l2", l2, "1", "_master", "absent"]);
+    assert!(!out.status.success());
+    assert!(stderr(&out).contains("no entry _master/absent"));
+    let out = cli(&["l2", l2, "7"]);
+    assert!(!out.status.success());
+    let out = cli(&["l2", dir.join("nowhere").to_str().unwrap()]);
+    assert!(!out.status.success());
+    assert!(stderr(&out).contains("not a level-2 directory"));
+    assert!(!dir.join("nowhere").exists());
     std::fs::remove_dir_all(&dir).ok();
 }
 
