@@ -18,10 +18,8 @@
 //! `SdConfig`; `cs6_model_vs_experiment` overlays its predictions on
 //! measured curves.
 
-use serde::Serialize;
-
 /// Protocol schedule parameters (mirror `excovery_sd::SdConfig` defaults).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ProtocolSchedule {
     /// Delay of the first unsolicited announcement after publish, seconds.
     pub first_announce_delay_s: f64,
@@ -60,7 +58,7 @@ impl Default for ProtocolSchedule {
 }
 
 /// One discovery opportunity of the model.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Attempt {
     /// Instant (seconds after search start) the evidence would arrive.
     pub completes_at_s: f64,
@@ -71,7 +69,7 @@ pub struct Attempt {
 }
 
 /// The closed-form model for an `h`-hop path with per-link loss `p`.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ResponsivenessModel {
     /// Hop count between SU and SM.
     pub hops: u32,

@@ -10,7 +10,6 @@ use crate::error::AnalysisError;
 use excovery_netsim::tagger::{analyze_stream, StreamStats};
 use excovery_store::records::PacketRow;
 use excovery_store::{Database, StoreError};
-use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// Splits the stored raw packet data into the 16-bit tagger id and the
@@ -57,7 +56,7 @@ pub fn tag_loss_stats(
 }
 
 /// Loss/delay summary for one (source, observer) pair.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PathStats {
     /// Originating node.
     pub src: String,

@@ -14,11 +14,10 @@ use crate::error::AnalysisError;
 use crate::runs::DiscoveryEpisode;
 use crate::stats::wilson_interval;
 use excovery_store::Database;
-use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// One point of a responsiveness curve.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResponsivenessPoint {
     /// Deadline in seconds.
     pub deadline_s: f64,

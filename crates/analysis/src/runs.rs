@@ -7,11 +7,10 @@
 
 use excovery_store::records::EventRow;
 use excovery_store::{Database, StoreError};
-use serde::Serialize;
 use std::collections::HashMap;
 
 /// One discovered service within an episode.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Discovery {
     /// Service identifier (the SM's platform id in engine-run experiments).
     pub service: String,
@@ -22,7 +21,7 @@ pub struct Discovery {
 }
 
 /// One search episode of one SU in one run.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiscoveryEpisode {
     /// Run the episode belongs to.
     pub run_id: u64,

@@ -1,9 +1,7 @@
 //! Summary statistics for metric extraction.
 
-use serde::Serialize;
-
 /// Summary of a sample of numeric observations.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Summary {
     /// Number of observations.
     pub n: usize,

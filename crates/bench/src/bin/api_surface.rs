@@ -85,10 +85,14 @@ fn surface(root: &Path) -> String {
         rust_sources(&root.join(crate_dir), &mut files);
     }
     files.retain(|p| {
-        // Only library surface: skip examples, benches, bins and tests.
+        // Only library surface: skip examples, bins, tests and the
+        // test-support crate (a dev-dependency, never linked into a library).
         let rel = p.strip_prefix(root).unwrap_or(p);
         let parts: Vec<&str> = rel.iter().filter_map(|c| c.to_str()).collect();
-        parts.contains(&"src") && !parts.contains(&"bin") && !parts.contains(&"tests")
+        parts.contains(&"src")
+            && !parts.contains(&"bin")
+            && !parts.contains(&"tests")
+            && !parts.contains(&"proptest-lite")
     });
     let mut lines = Vec::new();
     for path in files {

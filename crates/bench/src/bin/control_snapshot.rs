@@ -26,11 +26,11 @@
 use excovery_core::{DispatcherKind, EngineConfig, ExperiMaster};
 use excovery_desc::process::{EventSelector, ProcessAction};
 use excovery_desc::ExperimentDescription;
+use excovery_obs::sync::Mutex;
 use excovery_rpc::{
     relay_registry, Channel, NodeCall, NodeProxy, Reactor, ReactorEndpoint, RetryConfig,
     ServerRegistry, Value,
 };
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;

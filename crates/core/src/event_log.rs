@@ -9,10 +9,9 @@
 use crate::binding::ResolvedActors;
 use excovery_desc::process::EventSelector;
 use excovery_netsim::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// One recorded event.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecordedEvent {
     /// Master-assigned, strictly increasing sequence number.
     pub seq: u64,

@@ -10,8 +10,8 @@
 use excovery_desc::factors::LevelValue;
 use excovery_netsim::rng::derive_rng;
 use excovery_netsim::{SimDuration, SimTime};
+use excovery_rng::Rng;
 use excovery_rpc::Value;
-use rand::Rng;
 use std::collections::HashMap;
 
 /// The temporal envelope of a fault action.

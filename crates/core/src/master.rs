@@ -30,6 +30,7 @@ use excovery_netsim::sim::SimulatorConfig;
 use excovery_netsim::topology::Topology;
 use excovery_netsim::traffic::{PairChoice, TrafficGenerator, TrafficSpec};
 use excovery_netsim::{NodeId, SimDuration, SimTime, Simulator};
+use excovery_obs::sync::Mutex;
 use excovery_rpc::{
     relay_registry, Channel, ChaosOptions, ChaosTransport, NodeCall, NodeProxy, Reactor,
     ReactorEndpoint, RetryConfig, RpcError, ServerRegistry, TcpOptions, TcpRpcServer, TcpTransport,
@@ -40,8 +41,6 @@ use excovery_store::level2::Level2Store;
 use excovery_store::records::{EventRow, ExperimentInfo, PacketRow, RunInfoRow};
 use excovery_store::schema::{create_level3_database, EE_VERSION};
 use excovery_store::{Database, JsonValue, SqlValue};
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -575,7 +574,7 @@ impl ExperimentOutcome {
 }
 
 /// Per-node packet capture as stored on level 2.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct CaptureSer {
     local_time_ns: u64,
     src: String,
@@ -1341,7 +1340,20 @@ impl ExperiMaster {
             std::fs::remove_dir_all(&l2_root).map_err(|e| EngineError::Storage(e.to_string()))?;
         }
         let l2 = Level2Store::open(&l2_root).map_err(|e| EngineError::Storage(e.to_string()))?;
+        let outcome = self.execute_in(&l2, l2_root);
+        // A failed execution keeps an explicit root (it is what `resume`
+        // continues from); a defaulted one has no name anyone could resume.
+        if !self.cfg.keep_l2 && (outcome.is_ok() || self.cfg.l2_root.is_none()) {
+            l2.destroy().ok();
+        }
+        outcome
+    }
 
+    fn execute_in(
+        &mut self,
+        l2: &Level2Store,
+        l2_root: PathBuf,
+    ) -> Result<ExperimentOutcome, EngineError> {
         // ---- experiment_init -------------------------------------------------
         let participants = self.binding.managed_sim_nodes();
         let topo_before = self.topology_measurement(&participants);
@@ -1380,7 +1392,7 @@ impl ExperiMaster {
             outcomes.push(outcome);
         }
         for run in &plan.runs[first as usize..last as usize] {
-            let outcome = self.execute_run(run, &l2)?;
+            let outcome = self.execute_run(run, l2)?;
             outcomes.push(outcome);
         }
 
@@ -1389,7 +1401,7 @@ impl ExperiMaster {
         l2.put_experiment("master", "topology_after.json", topo_after.as_bytes())
             .map_err(|e| EngineError::Storage(e.to_string()))?;
 
-        let database = self.package(&l2)?;
+        let database = self.package(l2)?;
         // Tear the node side down everywhere (concurrently, like the other
         // lifecycle phases).
         let managed: Vec<String> = self
@@ -1407,9 +1419,6 @@ impl ExperiMaster {
             let snapshot = excovery_obs::jsonl::render(&excovery_obs::global().snapshot(), &spans);
             l2.put_experiment("_obs", "snapshot.jsonl", snapshot.as_bytes())
                 .map_err(|e| EngineError::Storage(e.to_string()))?;
-        }
-        if !self.cfg.keep_l2 {
-            l2.destroy().ok();
         }
         Ok(ExperimentOutcome {
             database,
@@ -2143,6 +2152,16 @@ mod tests {
     use excovery_desc::ExperimentDescription;
     use excovery_netsim::link::LinkModel;
 
+    /// A path no other test of this process, and no other process, uses.
+    fn unique_temp_dir(prefix: &str) -> PathBuf {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        std::env::temp_dir().join(format!(
+            "{prefix}-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ))
+    }
+
     fn small_config() -> EngineConfig {
         EngineConfig {
             topology: Topology::grid(3, 2),
@@ -2154,11 +2173,7 @@ mod tests {
                 ..SimulatorConfig::default()
             },
             run_timeout: SimDuration::from_secs(60),
-            l2_root: Some(std::env::temp_dir().join(format!(
-                "excovery-master-test-{}-{}",
-                std::process::id(),
-                rand::random::<u32>()
-            ))),
+            l2_root: Some(unique_temp_dir("excovery-master-test")),
             ..EngineConfig::grid_default()
         }
     }
@@ -2294,11 +2309,7 @@ mod tests {
     #[test]
     fn resume_skips_completed_runs() {
         let desc = paper_desc(4);
-        let l2_root = std::env::temp_dir().join(format!(
-            "excovery-resume-test-{}-{}",
-            std::process::id(),
-            rand::random::<u32>()
-        ));
+        let l2_root = unique_temp_dir("excovery-resume-test");
         // First pass: 2 of 4 runs, keeping level 2.
         let mut cfg = small_config();
         cfg.l2_root = Some(l2_root.clone());
@@ -2325,6 +2336,28 @@ mod tests {
             vec![0, 1, 2, 3]
         );
         std::fs::remove_dir_all(&l2_root).ok();
+    }
+
+    #[test]
+    fn failed_execution_removes_its_defaulted_level2_root() {
+        let mut desc = paper_desc(1);
+        desc.name = "l2-leak-probe".into();
+        let mut cfg = small_config();
+        cfg.l2_root = None;
+        cfg.retry = RetryPolicy::none();
+        cfg.chaos = Some(ChaosOptions {
+            crash_windows: vec![(0, u64::MAX)],
+            ..ChaosOptions::quiet(11)
+        });
+        let mut master = ExperiMaster::new(desc, cfg).unwrap();
+        assert!(master.execute().is_err());
+        let ours = format!("-p{}-", std::process::id());
+        let left: Vec<String> = std::fs::read_dir(std::env::temp_dir())
+            .unwrap()
+            .filter_map(|e| e.ok()?.file_name().into_string().ok())
+            .filter(|n| n.starts_with("excovery-l2-leak-probe-") && n.contains(&ours))
+            .collect();
+        assert!(left.is_empty(), "left behind: {left:?}");
     }
 
     #[test]

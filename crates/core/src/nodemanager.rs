@@ -14,11 +14,11 @@
 use crate::binding::PlatformBinding;
 use excovery_netsim::filter::{Direction, FilterRule, RuleId};
 use excovery_netsim::{EventParams, NodeId, SimDuration, Simulator};
+use excovery_obs::sync::Mutex;
 use excovery_rpc::{Channel, Fault, NodeProxy, ServerRegistry, Value};
 use excovery_sd::{
     sd_command, Role, SdAgent, SdCommand, SdConfig, ServiceDescription, ServiceType, SD_PORT,
 };
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 

@@ -165,6 +165,8 @@ fn member_crash_mid_batch_surfaces_as_transport_error_naming_the_node() {
         crash_windows: vec![(0, u64::MAX)],
         ..ChaosOptions::quiet(11)
     });
+    // An explicit root outlives a failed execution; this one is ours.
+    let l2_root = cfg.l2_root.clone().expect("base_config names a root");
     let mut master = ExperiMaster::new(desc_with_seed(1, 5), cfg).unwrap();
     let managed = master.node_ids();
     let started = Instant::now();
@@ -172,6 +174,7 @@ fn member_crash_mid_batch_surfaces_as_transport_error_naming_the_node() {
         Ok(_) => panic!("a crashed member must fail the run"),
         Err(e) => e,
     };
+    std::fs::remove_dir_all(&l2_root).ok();
     assert!(
         started.elapsed() < Duration::from_secs(20),
         "diagnosis took {:?}",

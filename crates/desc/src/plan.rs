@@ -8,8 +8,7 @@
 //! all random sequences can be reproduced."
 
 use crate::factors::{FactorList, FactorUsage, Level};
-use excovery_netsim::rng::derive_rng;
-use rand::seq::SliceRandom;
+use excovery_rng::{derive_rng, SliceRandom};
 use std::collections::BTreeMap;
 
 /// How treatments are ordered over the experiment.

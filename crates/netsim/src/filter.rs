@@ -8,7 +8,7 @@
 
 use crate::sim::NodeId;
 use crate::time::SimDuration;
-use rand::Rng;
+use excovery_rng::Rng;
 
 /// Traffic direction a rule applies to, relative to the filtered node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -188,8 +188,7 @@ impl FilterSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use excovery_rng::StdRng;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(1)

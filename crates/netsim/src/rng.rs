@@ -1,101 +1,4 @@
-//! Seeded, stream-splittable randomness.
-//!
-//! The paper (§IV-C1) requires that *"all random sequences can be
-//! reproduced"* from seeds named in the experiment description. To keep
-//! independent subsystems (link loss, traffic pair choice, fault activation
-//! windows, clock assignment) statistically independent yet individually
-//! reproducible, each obtains its own PRNG derived from the master seed and
-//! a stream label via [`derive_rng`].
+//! Seeded, stream-splittable randomness: the seed derivation of
+//! [`excovery_rng`], under the path the simulator's users know it by.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-/// Derives a deterministic sub-seed from a master seed and a stream label.
-///
-/// Uses the FNV-1a construction followed by two rounds of SplitMix64
-/// finalization, which is cheap, stable across platforms, and mixes label
-/// bits thoroughly so `"link"` and `"lin k"` produce unrelated streams.
-pub fn derive_seed(master: u64, label: &str) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-    const FNV_PRIME: u64 = 0x100000001b3;
-    let mut h = FNV_OFFSET ^ master;
-    for b in label.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    splitmix(splitmix(h))
-}
-
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e3779b97f4a7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
-
-/// Creates a [`StdRng`] for the given master seed and stream label.
-pub fn derive_rng(master: u64, label: &str) -> StdRng {
-    StdRng::seed_from_u64(derive_seed(master, label))
-}
-
-/// Derives a seed that additionally depends on an index (e.g. a run number),
-/// used for per-run replication streams such as traffic pair switching.
-pub fn derive_seed_indexed(master: u64, label: &str, index: u64) -> u64 {
-    splitmix(derive_seed(master, label) ^ splitmix(index))
-}
-
-/// Creates a [`StdRng`] bound to a master seed, stream label and index.
-pub fn derive_rng_indexed(master: u64, label: &str, index: u64) -> StdRng {
-    StdRng::seed_from_u64(derive_seed_indexed(master, label, index))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rand::Rng;
-
-    #[test]
-    fn same_inputs_same_stream() {
-        let mut a = derive_rng(42, "link");
-        let mut b = derive_rng(42, "link");
-        let va: Vec<u64> = (0..8).map(|_| a.gen()).collect();
-        let vb: Vec<u64> = (0..8).map(|_| b.gen()).collect();
-        assert_eq!(va, vb);
-    }
-
-    #[test]
-    fn different_labels_differ() {
-        assert_ne!(derive_seed(42, "link"), derive_seed(42, "clock"));
-        assert_ne!(derive_seed(42, "link"), derive_seed(43, "link"));
-    }
-
-    #[test]
-    fn similar_labels_are_uncorrelated() {
-        // Single-character changes must flip roughly half the bits.
-        let a = derive_seed(1, "stream_a");
-        let b = derive_seed(1, "stream_b");
-        let differing = (a ^ b).count_ones();
-        assert!(
-            (16..=48).contains(&differing),
-            "only {differing} bits differ"
-        );
-    }
-
-    #[test]
-    fn indexed_streams_are_distinct_per_index() {
-        let s0 = derive_seed_indexed(7, "traffic", 0);
-        let s1 = derive_seed_indexed(7, "traffic", 1);
-        assert_ne!(s0, s1);
-        // ... but reproducible.
-        assert_eq!(s1, derive_seed_indexed(7, "traffic", 1));
-    }
-
-    #[test]
-    fn zero_master_seed_is_usable() {
-        let mut r = derive_rng(0, "x");
-        let v: u64 = r.gen();
-        // SplitMix finalization must not map the zero state to zero output.
-        assert_ne!(derive_seed(0, ""), 0);
-        let _ = v;
-    }
-}
+pub use excovery_rng::{derive_rng, derive_rng_indexed, derive_seed, derive_seed_indexed};

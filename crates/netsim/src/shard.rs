@@ -45,7 +45,7 @@ use crate::sim::{NodeId, ProtocolEvent, SimStats};
 use crate::tagger::Tagger;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
-use rand::rngs::StdRng;
+use excovery_rng::StdRng;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 

@@ -46,8 +46,7 @@ use crate::shard::{run_windows, Shard, ShardMap, SimNode};
 use crate::tagger::Tagger;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{RoutingTable, Topology};
-use rand::rngs::StdRng;
-use rand::Rng;
+use excovery_rng::{Rng, StdRng};
 use std::fmt;
 use std::sync::Arc;
 
@@ -741,7 +740,16 @@ impl Shard {
         // Probe with a max-output RNG: `gen::<f64>()` yields ≈1.0, so
         // probabilistic loss rules (p < 1) never fire and only deterministic
         // blocks (InterfaceDown, total loss) force a Drop verdict.
-        let mut probe_rng = rand::rngs::mock::StepRng::new(u64::MAX, 0);
+        struct MaxRng;
+        impl Rng for MaxRng {
+            fn next_u32(&mut self) -> u32 {
+                u32::MAX
+            }
+            fn next_u64(&mut self) -> u64 {
+                u64::MAX
+            }
+        }
+        let mut probe_rng = MaxRng;
         n.drop_all
             || matches!(
                 n.filters

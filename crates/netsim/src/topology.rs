@@ -9,6 +9,7 @@
 //! implement the anticipated "more advanced topology recording".
 
 use crate::sim::NodeId;
+use excovery_rng::Rng;
 use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
 
@@ -99,7 +100,7 @@ impl Topology {
 
     /// A random geometric graph: `n` nodes uniform in a `side × side` square
     /// with the given radio `range`, positions drawn from `rng`.
-    pub fn random_geometric(n: usize, side: f64, range: f64, rng: &mut impl rand::Rng) -> Self {
+    pub fn random_geometric(n: usize, side: f64, range: f64, rng: &mut impl Rng) -> Self {
         let positions = (0..n)
             .map(|_| (rng.gen::<f64>() * side, rng.gen::<f64>() * side))
             .collect();
@@ -345,7 +346,6 @@ impl RoutingTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn chain_hop_counts_are_index_distance() {
@@ -414,8 +414,8 @@ mod tests {
 
     #[test]
     fn random_geometric_is_reproducible() {
-        let mut r1 = rand::rngs::StdRng::seed_from_u64(9);
-        let mut r2 = rand::rngs::StdRng::seed_from_u64(9);
+        let mut r1 = excovery_rng::StdRng::seed_from_u64(9);
+        let mut r2 = excovery_rng::StdRng::seed_from_u64(9);
         let t1 = Topology::random_geometric(20, 5.0, 1.5, &mut r1);
         let t2 = Topology::random_geometric(20, 5.0, 1.5, &mut r2);
         assert_eq!(t1.edges(), t2.edges());
@@ -437,7 +437,7 @@ mod tests {
 
     #[test]
     fn routing_table_matches_per_packet_bfs() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let mut rng = excovery_rng::StdRng::seed_from_u64(7);
         for topo in [
             Topology::chain(6),
             Topology::grid(5, 5),

@@ -15,8 +15,7 @@
 
 use crate::rng::derive_rng_indexed;
 use crate::sim::{NodeId, Simulator};
-use rand::seq::SliceRandom;
-use rand::Rng;
+use excovery_rng::{Rng, SliceRandom};
 
 /// From which population the traffic pairs are drawn (Fig. 7 `choice`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,8 +114,8 @@ impl TrafficGenerator {
         for _ in 0..count {
             // Draw two distinct endpoints; duplicates across pairs are
             // allowed (several flows may share endpoints, as in iperf runs).
-            let picks: Vec<NodeId> = cand.choose_multiple(rng, 2).copied().collect();
-            pairs.push((picks[0], picks[1]));
+            let picks = cand.choose_multiple(rng, 2);
+            pairs.push((*picks[0], *picks[1]));
         }
         pairs
     }

@@ -14,7 +14,7 @@ use excovery_netsim::{
     run_replications, run_replications_serial, Agent, AgentCtx, CampaignConfig, Destination,
     EventParams, NodeId, Packet, Port, SimDuration,
 };
-use rand::Rng;
+use excovery_rng::Rng;
 use std::hash::{DefaultHasher, Hash, Hasher};
 
 const PORT: Port = 7;

@@ -9,7 +9,6 @@ use excovery_netsim::time::SimTime;
 use excovery_netsim::topology::Topology;
 use excovery_netsim::{Destination, NodeId, Payload};
 use proptest::prelude::*;
-use rand::SeedableRng;
 use std::collections::BTreeMap;
 
 /// Reference model: a `BTreeMap` keyed `(time, key)` pops in exactly the
@@ -120,7 +119,7 @@ proptest! {
     /// triangle inequality.
     #[test]
     fn topology_metric_properties(seed in any::<u64>(), n in 3usize..12) {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut rng = excovery_rng::StdRng::seed_from_u64(seed);
         let t = Topology::random_geometric(n, 3.0, 1.2, &mut rng);
         for a in t.nodes() {
             for b in t.nodes() {

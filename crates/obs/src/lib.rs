@@ -49,6 +49,7 @@ pub mod metrics;
 pub mod prometheus;
 pub mod scrape;
 pub mod span;
+pub mod sync;
 
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricValue, Registry, Snapshot};
 pub use span::{Clock, ManualClock, SpanRecord, SpanTimer, Tracer, WallClock};

@@ -1,0 +1,303 @@
+//! The repository's random stream, and seed derivation from it.
+//!
+//! The paper (§IV-C1) requires that *"all random sequences can be
+//! reproduced"* from seeds named in the experiment description. Every
+//! golden digest, `BENCH_*.json` row and blessed results table of the
+//! repository is a function of exactly the algorithms below; changing any
+//! of them moves every pinned value, so each is pinned by a test here.
+//!
+//! * [`StdRng`] is PCG-XSH-RS 64/32. `seed_from_u64(k)` sets
+//!   `state = splitmix64(k)`, `inc = k | 1`. A step advances first
+//!   (`state = state * 6364136223846793005 + inc`) and then outputs
+//!   `(((s >> 22) ^ s) >> ((s >> 61) + 22)) as u32`. `next_u64` is two
+//!   `next_u32`s, low word first.
+//! * `gen::<f64>()` is `(next_u64() >> 11) as f64 * 2^-53`; `gen::<u64>()`
+//!   is `next_u64()`.
+//! * Integer `gen_range` is the modulo of ONE `next_u64` (the modulo bias
+//!   is part of the stream); an inclusive span is `high - low + 1`, and a
+//!   span that wraps to 0 returns the raw `next_u64`.
+//! * Float `gen_range` returns the midpoint `(low + high) / 2` and
+//!   consumes NO stream values (the blessed platform-diversity results
+//!   rely on zero clock drift).
+//! * `gen_bool(p)` is `gen::<f64>() < p`; `shuffle` is the descending
+//!   Fisher–Yates via `gen_range(0..i + 1)`; `choose_multiple` is Floyd's
+//!   algorithm in its order-randomising form.
+//!
+//! To keep independent subsystems (link loss, traffic pair choice, fault
+//! activation windows, clock assignment) statistically independent yet
+//! individually reproducible, each obtains its own generator derived from
+//! the master seed and a stream label via [`derive_rng`].
+
+use std::ops::{Range, RangeInclusive};
+
+/// A source of random words, and the sampling methods built on them.
+pub trait Rng {
+    fn next_u32(&mut self) -> u32;
+
+    fn next_u64(&mut self) -> u64;
+
+    fn gen<T: Standard>(&mut self) -> T {
+        T::draw(self)
+    }
+
+    fn gen_range<T, S: SampleRange<T>>(&mut self, range: S) -> T {
+        range.sample_single(self)
+    }
+
+    fn gen_bool(&mut self, p: f64) -> bool {
+        self.gen::<f64>() < p
+    }
+}
+
+/// A type [`Rng::gen`] can produce.
+pub trait Standard: Sized {
+    fn draw<R: Rng + ?Sized>(rng: &mut R) -> Self;
+}
+
+impl Standard for u64 {
+    fn draw<R: Rng + ?Sized>(rng: &mut R) -> Self {
+        rng.next_u64()
+    }
+}
+
+impl Standard for f64 {
+    fn draw<R: Rng + ?Sized>(rng: &mut R) -> Self {
+        (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+}
+
+/// A range [`Rng::gen_range`] can sample from.
+pub trait SampleRange<T> {
+    fn sample_single<R: Rng + ?Sized>(self, rng: &mut R) -> T;
+}
+
+macro_rules! int_ranges {
+    ($($t:ty),*) => {$(
+        impl SampleRange<$t> for Range<$t> {
+            fn sample_single<R: Rng + ?Sized>(self, rng: &mut R) -> $t {
+                assert!(self.start < self.end, "cannot sample empty range");
+                let span = self.end.wrapping_sub(self.start) as u64;
+                self.start.wrapping_add((rng.next_u64() % span) as $t)
+            }
+        }
+        impl SampleRange<$t> for RangeInclusive<$t> {
+            fn sample_single<R: Rng + ?Sized>(self, rng: &mut R) -> $t {
+                let (low, high) = self.into_inner();
+                assert!(low <= high, "cannot sample empty range");
+                let span = (high.wrapping_sub(low) as u64).wrapping_add(1);
+                let x = rng.next_u64();
+                if span == 0 {
+                    return x as $t;
+                }
+                low.wrapping_add((x % span) as $t)
+            }
+        }
+    )*};
+}
+
+int_ranges!(u64, usize, i64);
+
+impl SampleRange<f64> for RangeInclusive<f64> {
+    fn sample_single<R: Rng + ?Sized>(self, _rng: &mut R) -> f64 {
+        (self.start() + self.end()) / 2.0
+    }
+}
+
+/// PCG-XSH-RS 64/32 (see the crate documentation).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StdRng {
+    state: u64,
+    inc: u64,
+}
+
+impl StdRng {
+    pub fn seed_from_u64(k: u64) -> Self {
+        Self {
+            state: splitmix(k),
+            inc: k | 1,
+        }
+    }
+}
+
+impl Rng for StdRng {
+    fn next_u32(&mut self) -> u32 {
+        self.state = self
+            .state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(self.inc);
+        let s = self.state;
+        (((s >> 22) ^ s) >> ((s >> 61) + 22)) as u32
+    }
+
+    fn next_u64(&mut self) -> u64 {
+        let low = u64::from(self.next_u32());
+        let high = u64::from(self.next_u32());
+        (high << 32) | low
+    }
+}
+
+/// Random operations on slices.
+pub trait SliceRandom {
+    type Item;
+
+    /// `amount` distinct elements (all of them when the slice is
+    /// shorter), in random order.
+    fn choose_multiple<R: Rng + ?Sized>(&self, rng: &mut R, amount: usize) -> Vec<&Self::Item>;
+
+    fn shuffle<R: Rng + ?Sized>(&mut self, rng: &mut R);
+}
+
+impl<T> SliceRandom for [T] {
+    type Item = T;
+
+    fn choose_multiple<R: Rng + ?Sized>(&self, rng: &mut R, amount: usize) -> Vec<&T> {
+        let amount = amount.min(self.len());
+        let mut indices: Vec<usize> = Vec::with_capacity(amount);
+        for j in self.len() - amount..self.len() {
+            let t = rng.gen_range(0..=j);
+            match indices.iter().position(|&x| x == t) {
+                Some(pos) => indices.insert(pos, j),
+                None => indices.push(t),
+            }
+        }
+        indices.into_iter().map(|i| &self[i]).collect()
+    }
+
+    fn shuffle<R: Rng + ?Sized>(&mut self, rng: &mut R) {
+        for i in (1..self.len()).rev() {
+            self.swap(i, rng.gen_range(0..i + 1));
+        }
+    }
+}
+
+/// Derives a deterministic sub-seed from a master seed and a stream label.
+///
+/// Uses the FNV-1a construction followed by two rounds of SplitMix64
+/// finalization, which is cheap, stable across platforms, and mixes label
+/// bits thoroughly so `"link"` and `"lin k"` produce unrelated streams.
+pub fn derive_seed(master: u64, label: &str) -> u64 {
+    const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+    const FNV_PRIME: u64 = 0x100000001b3;
+    let mut h = FNV_OFFSET ^ master;
+    for b in label.as_bytes() {
+        h ^= u64::from(*b);
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    splitmix(splitmix(h))
+}
+
+fn splitmix(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9e3779b97f4a7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+    z ^ (z >> 31)
+}
+
+/// Creates a [`StdRng`] for the given master seed and stream label.
+pub fn derive_rng(master: u64, label: &str) -> StdRng {
+    StdRng::seed_from_u64(derive_seed(master, label))
+}
+
+/// Derives a seed that additionally depends on an index (e.g. a run number),
+/// used for per-run replication streams such as traffic pair switching.
+pub fn derive_seed_indexed(master: u64, label: &str, index: u64) -> u64 {
+    splitmix(derive_seed(master, label) ^ splitmix(index))
+}
+
+/// Creates a [`StdRng`] bound to a master seed, stream label and index.
+pub fn derive_rng_indexed(master: u64, label: &str, index: u64) -> StdRng {
+    StdRng::seed_from_u64(derive_seed_indexed(master, label, index))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The stream that reproduces `golden_outcomes` and `BENCH_netsim.json`:
+    /// the constants of `benchmark/src/selfcheck.rs`.
+    #[test]
+    fn first_16_outputs_of_seed_1() {
+        const SEED_1_FIRST_16: [u32; 16] = [
+            1938234732, 2936923417, 1986630524, 217192590, 3471879574, 709059067, 2998672916,
+            232411887, 463471075, 1815433497, 2898125177, 3235061255, 4278747799, 745515711,
+            2036528685, 1998724623,
+        ];
+        let mut rng = StdRng::seed_from_u64(1);
+        let got: Vec<u32> = (0..16).map(|_| rng.next_u32()).collect();
+        assert_eq!(got, SEED_1_FIRST_16);
+    }
+
+    /// Seed 1 again, as `next_u64`: 12613990028809805164,
+    /// 932835072970167164, 3045385507169152406, 998201456865320468,
+    /// 7797227498141385187, 13894482293679841657.
+    #[test]
+    fn integer_ranges_take_one_draw_and_keep_the_modulo() {
+        let mut rng = StdRng::seed_from_u64(1);
+        assert_eq!(rng.gen_range(0..1_000u64), 164);
+        assert_eq!(rng.gen_range(-2..=2i64), 2);
+        assert_eq!(rng.gen_range(-2..=2i64), -1);
+        assert_eq!(rng.gen_range(0..=u64::MAX), 998201456865320468);
+        assert_eq!(rng.gen_range(0..7usize), 2);
+        assert_eq!(rng.next_u64(), 13894482293679841657);
+    }
+
+    #[test]
+    fn float_ranges_return_the_midpoint_and_draw_nothing() {
+        let mut rng = StdRng::seed_from_u64(1);
+        assert_eq!(rng.gen_range(-4.0..=4.0), 0.0);
+        assert_eq!(rng.gen_range(1.0..=2.0), 1.5);
+        assert_eq!(rng.next_u32(), 1938234732);
+    }
+
+    #[test]
+    fn unit_floats_and_gen_bool() {
+        let mut rng = StdRng::seed_from_u64(1);
+        assert_eq!(rng.gen::<f64>().to_bits(), 0x3fe5_e1bc_a32e_70e3);
+        let got: Vec<bool> = (0..8).map(|_| rng.gen_bool(0.5)).collect();
+        assert_eq!(got, [true, true, true, true, false, true, true, true]);
+    }
+
+    #[test]
+    fn shuffle_and_choose_multiple() {
+        let mut v: Vec<u32> = (0..10).collect();
+        v.shuffle(&mut StdRng::seed_from_u64(9));
+        assert_eq!(v, [3, 7, 5, 6, 4, 0, 8, 2, 1, 9]);
+
+        let all: Vec<u32> = (0..10).collect();
+        let mut rng = StdRng::seed_from_u64(3);
+        assert_eq!(all.choose_multiple(&mut rng, 4), [&9, &3, &8, &1]);
+        assert_eq!(all.choose_multiple(&mut rng, 99).len(), 10);
+    }
+
+    #[test]
+    fn derive_seed_is_pinned_and_label_sensitive() {
+        assert_eq!(derive_seed(42, "link"), 0xafcb_f646_d1cd_e770);
+        assert_ne!(derive_seed(42, "link"), derive_seed(42, "clock"));
+        assert_ne!(derive_seed(42, "link"), derive_seed(43, "link"));
+        // Single-character changes must flip roughly half the bits.
+        let differing = (derive_seed(1, "stream_a") ^ derive_seed(1, "stream_b")).count_ones();
+        assert!(
+            (16..=48).contains(&differing),
+            "only {differing} bits differ"
+        );
+        // SplitMix finalization must not map the zero state to zero output.
+        assert_ne!(derive_seed(0, ""), 0);
+    }
+
+    #[test]
+    fn derived_streams_repeat_and_differ_per_index() {
+        let mut a = derive_rng(42, "link");
+        let mut b = derive_rng(42, "link");
+        let va: Vec<u64> = (0..8).map(|_| a.gen()).collect();
+        let vb: Vec<u64> = (0..8).map(|_| b.gen()).collect();
+        assert_eq!(va, vb);
+        let s0 = derive_seed_indexed(7, "traffic", 0);
+        let s1 = derive_seed_indexed(7, "traffic", 1);
+        assert_ne!(s0, s1);
+        assert_eq!(s1, derive_seed_indexed(7, "traffic", 1));
+        assert_eq!(
+            derive_rng_indexed(7, "traffic", 1),
+            StdRng::seed_from_u64(s1)
+        );
+    }
+}

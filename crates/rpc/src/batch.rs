@@ -21,7 +21,7 @@ use crate::error::{RpcError, FAULT_NO_SUCH_METHOD, FAULT_PARSE_ERROR};
 use crate::message::{Fault, MethodCall};
 use crate::transport::{ServerRegistry, IDEMPOTENCY_MEMBER};
 use crate::value::Value;
-use parking_lot::Mutex;
+use excovery_obs::sync::Mutex;
 use std::sync::Arc;
 
 /// Wire name of the batched-dispatch procedure exposed by relays.

@@ -40,7 +40,7 @@ use crate::message::{MethodCall, MethodResponse};
 use crate::tcp::{TcpOptions, MAX_FRAME_BYTES};
 use crate::transport::{response_to_result, ServerRegistry, IDEMPOTENCY_MEMBER};
 use crate::value::Value;
-use parking_lot::Mutex;
+use excovery_obs::sync::Mutex;
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};

@@ -20,7 +20,7 @@ use crate::error::RpcError;
 use crate::message::{MethodCall, MethodResponse};
 use crate::transport::{ServerRegistry, Transport};
 use excovery_obs::frame::{read_frame, write_frame};
-use parking_lot::Mutex;
+use excovery_obs::sync::Mutex;
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};

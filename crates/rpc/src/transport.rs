@@ -12,8 +12,8 @@
 use crate::error::{RpcError, FAULT_INTERNAL_ERROR, FAULT_NO_SUCH_METHOD, FAULT_PARSE_ERROR};
 use crate::message::{Fault, MethodCall, MethodResponse};
 use crate::value::Value;
+use excovery_obs::sync::Mutex;
 use excovery_obs::{Counter, Histogram};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;

@@ -6,11 +6,11 @@
 //! key executes every logical call exactly once server-side — even when
 //! responses are lost after execution.
 
+use excovery_obs::sync::Mutex;
 use excovery_rpc::{
     fault_at, Channel, ChaosOptions, ChaosTransport, FaultAction, NodeProxy, RpcError,
     ServerRegistry, TcpOptions, TcpRpcServer, TcpTransport, Value,
 };
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 

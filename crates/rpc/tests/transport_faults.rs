@@ -5,9 +5,9 @@
 //! actually elapse, servers that vanish mid-call, peers that speak
 //! garbage, and the parallel fan-out the engine relies on.
 
+use excovery_obs::sync::Mutex;
 use excovery_rpc::tcp::{TcpOptions, TcpRpcServer, TcpTransport};
 use excovery_rpc::{Fault, NodeProxy, RpcError, ServerRegistry, Value};
-use parking_lot::Mutex;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;

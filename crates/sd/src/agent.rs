@@ -15,7 +15,7 @@ use crate::wire::SdMessage;
 use excovery_netsim::{
     Agent, AgentCtx, Destination, EventParams, NodeId, Packet, Port, SimDuration,
 };
-use rand::Rng;
+use excovery_rng::Rng;
 use std::collections::HashMap;
 
 /// Counters of protocol activity (for tests and the ablation benches).

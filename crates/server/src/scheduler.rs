@@ -27,9 +27,9 @@ use std::sync::Arc;
 use excovery_core::master::{EngineConfig, ExperiMaster};
 use excovery_desc::xmlio;
 use excovery_netsim::campaign::{run_indexed, workers_from_env};
+use excovery_obs::sync::Mutex;
 use excovery_obs::{global, Counter, Gauge, Histogram};
 use excovery_rpc::{JobId, JobState};
-use parking_lot::Mutex;
 
 use crate::repo::{is_terminal, ServerRepo, SliceOutcome};
 use crate::standing::StandingRegistry;

@@ -5,13 +5,13 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
+use excovery_obs::sync::Mutex;
 use excovery_rpc::{
     job, pack_frame, pack_results_page, pack_status, pack_status_list, pack_submit_response,
     unpack_plan, unpack_submit, Fault, JobId, JobState, MethodCall, ResultsPage, ServerRegistry,
     TcpRpcServer, Value, FAULT_INTERNAL_ERROR, FAULT_PARSE_ERROR,
 };
 use excovery_store::{atomic_write, Database};
-use parking_lot::Mutex;
 
 use crate::convert::run_plan;
 use crate::repo::ServerRepo;

@@ -17,10 +17,10 @@
 
 use std::collections::HashMap;
 
+use excovery_obs::sync::Mutex;
 use excovery_query::StandingQuery;
 use excovery_rpc::{pack_plan, JobId, MethodCall, PlanSpec, WireFrame};
 use excovery_store::Database;
-use parking_lot::Mutex;
 
 use crate::convert::frame_to_wire;
 use crate::ServerError;

@@ -19,12 +19,12 @@ use std::sync::Arc;
 use excovery_core::{EngineConfig, ExperiMaster};
 use excovery_desc::process::{EventSelector, ProcessAction};
 use excovery_desc::{xmlio, ExperimentDescription};
+use excovery_obs::sync::Mutex;
 use excovery_rpc::{JobState, PlanSpec, SubmitRequest};
 use excovery_server::{
     preset_config, ExperimentServer, Scheduler, SchedulerConfig, ServerClient, ServerConfig,
     ServerRepo,
 };
-use parking_lot::Mutex;
 
 /// The paper's two-party SD experiment, trimmed for test speed (no
 /// traffic factors) and reseeded per scenario — the same abbreviation

@@ -8,7 +8,6 @@
 //! data access", §IV-F).
 
 use crate::json::JsonValue;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
@@ -67,7 +66,7 @@ fn err(msg: impl Into<String>) -> StoreError {
 }
 
 /// Column type affinity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ColumnType {
     /// 64-bit signed integers.
     Integer,
@@ -80,7 +79,7 @@ pub enum ColumnType {
 }
 
 /// A typed cell value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SqlValue {
     /// SQL NULL.
     Null,
@@ -269,7 +268,7 @@ impl From<Vec<u8>> for SqlValue {
 }
 
 /// A column definition.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Column {
     /// Column name.
     pub name: String,
@@ -364,15 +363,13 @@ impl Predicate {
 /// A table: schema plus rows in insertion order, with optional hash
 /// indexes on integer/text columns ("accelerate data access and
 /// extraction methods", §IV-F).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table {
     /// Column definitions.
     pub columns: Vec<Column>,
     rows: Vec<Row>,
-    #[serde(default)]
     indexed_columns: Vec<String>,
     /// column index → key → row positions; rebuilt after deserialization.
-    #[serde(skip)]
     indexes: std::collections::HashMap<usize, std::collections::HashMap<IndexKey, Vec<usize>>>,
 }
 
@@ -684,7 +681,7 @@ pub enum Aggregate {
 }
 
 /// A named collection of tables — one experiment package (level 3).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Database {
     tables: BTreeMap<String, Table>,
 }

@@ -9,7 +9,7 @@ use excovery::netsim::topology::Topology;
 use excovery::netsim::{NodeId, SimDuration, Simulator};
 use excovery::rpc::{MethodCall, MethodResponse, Value};
 use excovery::sd::SdConfig;
-use parking_lot::Mutex;
+use excovery_obs::sync::Mutex;
 use std::sync::Arc;
 
 fn platform() -> excovery::desc::PlatformSpec {
