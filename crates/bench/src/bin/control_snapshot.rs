@@ -1,7 +1,8 @@
 //! Bench smoke runner for the control plane: times one lifecycle
-//! fan-out over a 1,000-NodeManager fleet on the thread-per-node path
-//! versus the multiplexed reactor — flat and through sub-master relays —
-//! and writes `BENCH_control.json`.
+//! fan-out over a 1,000-NodeManager fleet on the multiplexed reactor —
+//! flat and through sub-master relays — against a thread-per-node
+//! reference model (the dispatcher the engine used to default to), and
+//! writes `BENCH_control.json`.
 //!
 //! Same contract as `bench_snapshot` and `query_snapshot`: wall times
 //! come from plain `Instant` medians and vary by machine; the
@@ -14,16 +15,16 @@
 //!    (one shared result digest),
 //! 2. the reactor's per-phase dispatch latency is at least 5× better
 //!    than the threaded path at 1,000 nodes,
-//! 3. a full experiment produces digest-equal [`ExperimentOutcome`]s on
-//!    the threaded, reactor and fan-out-tree dispatchers (the seed-1
-//!    `grid_default` cell of the golden table, so drift is also caught
-//!    against `golden_outcomes`).
+//! 3. a full experiment produces digest-equal [`ExperimentOutcome`]s
+//!    flat and through a fan-out tree (the seed-1 `grid_default` cell of
+//!    the golden table, so drift is also caught against
+//!    `golden_outcomes`).
 //!
 //! Usage: `control_snapshot [output-path]` (default `BENCH_control.json`).
 //!
 //! [`ExperimentOutcome`]: excovery_core::ExperimentOutcome
 
-use excovery_core::{DispatcherKind, EngineConfig, ExperiMaster};
+use excovery_core::{EngineConfig, ExperiMaster};
 use excovery_desc::process::{EventSelector, ProcessAction};
 use excovery_desc::ExperimentDescription;
 use excovery_obs::sync::Mutex;
@@ -84,9 +85,9 @@ fn values_digest(values: &[Value]) -> u64 {
     h
 }
 
-/// The threaded dispatcher's shape: one scoped thread per node, each
-/// pushing one idempotent frame through the full in-memory channel
-/// (XML encode, dispatch, XML decode — the same cost the engine pays).
+/// The thread-per-node reference model: one scoped thread per node, each
+/// pushing one idempotent frame through the full in-memory channel (XML
+/// encode, dispatch, XML decode).
 fn threaded_phase(proxies: &[NodeProxy]) -> u64 {
     let keys: Vec<String> = proxies.iter().map(|_| key()).collect();
     let values = std::thread::scope(|scope| {
@@ -172,9 +173,8 @@ fn golden_desc(seed: u64) -> ExperimentDescription {
     d
 }
 
-fn engine_digest(dispatcher: DispatcherKind, fanout: Option<usize>) -> u64 {
+fn engine_digest(fanout: Option<usize>) -> u64 {
     let mut cfg = EngineConfig::grid_default();
-    cfg.dispatcher = dispatcher;
     cfg.fanout_tree = fanout;
     let mut master = ExperiMaster::new(golden_desc(1), cfg).expect("engine config rejected");
     master.execute().expect("experiment failed").digest()
@@ -293,21 +293,16 @@ fn main() -> Result<(), String> {
         samples[1].ns_per_iter,
     );
 
-    // Invariant 3: dispatcher choice is invisible to a real experiment.
-    let threaded_engine = engine_digest(DispatcherKind::Threaded, None);
-    let reactor_engine = engine_digest(DispatcherKind::Reactor, None);
-    let tree_engine = engine_digest(DispatcherKind::Reactor, Some(2));
+    // Invariant 3: the fan-out shape is invisible to a real experiment.
+    let flat_engine = engine_digest(None);
     assert_eq!(
-        threaded_engine, reactor_engine,
-        "reactor dispatcher changed the experiment outcome"
-    );
-    assert_eq!(
-        threaded_engine, tree_engine,
+        flat_engine,
+        engine_digest(Some(2)),
         "fan-out tree changed the experiment outcome"
     );
 
     let speedup = samples[0].ns_per_iter as f64 / samples[1].ns_per_iter as f64;
-    let json = render(&samples, relays, speedup, threaded_engine);
+    let json = render(&samples, relays, speedup, flat_engine);
     print!("{json}");
     std::fs::write(&path, &json).map_err(|e| format!("write {path}: {e}"))?;
     eprintln!("wrote {path}");

@@ -86,7 +86,7 @@ fn run_package(exp: i64, run_key: i64) -> Database {
     for f in 0..FACTS_PER_RUN as i64 {
         // Response times 1 ms .. ~2 s with an experiment-dependent
         // offset so per-experiment means differ; quantised in bursts.
-        if f as usize % BURST == 0 {
+        if (f as usize).is_multiple_of(BURST) {
             t_r = 1_000_000 + (rng.next() % 2_000_000_000) / (exp as u64 + 1);
         }
         db.insert(

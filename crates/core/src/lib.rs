@@ -39,6 +39,6 @@ pub use binding::{PlatformBinding, ResolvedActors};
 pub use error::EngineError;
 pub use event_log::{EventLog, RecordedEvent};
 pub use master::{
-    DispatcherKind, EngineConfig, EngineConfigBuilder, ExperiMaster, ExperimentOutcome,
-    RetryPolicy, RunOutcome, TransportKind,
+    EngineConfig, EngineConfigBuilder, ExperiMaster, ExperimentOutcome, RetryPolicy, RunOutcome,
+    TransportKind,
 };

@@ -110,41 +110,6 @@ impl std::fmt::Display for TransportKind {
     }
 }
 
-/// Control-plane dispatch model for the per-phase lifecycle fan-out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[non_exhaustive]
-pub enum DispatcherKind {
-    /// One scoped thread per node per phase (the original model; simple
-    /// and fine at small node counts).
-    #[default]
-    Threaded,
-    /// Every NodeManager link multiplexed on the calling thread by a
-    /// non-blocking readiness loop ([`excovery_rpc::Reactor`]), with
-    /// batched frames through sub-master relays when
-    /// [`EngineConfig::fanout_tree`] is set — the testbed-scale path.
-    Reactor,
-}
-
-impl DispatcherKind {
-    /// Parses a CLI-style name (`threaded` or `reactor`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "threaded" => Some(DispatcherKind::Threaded),
-            "reactor" => Some(DispatcherKind::Reactor),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for DispatcherKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DispatcherKind::Threaded => write!(f, "threaded"),
-            DispatcherKind::Reactor => write!(f, "reactor"),
-        }
-    }
-}
-
 /// Bounded retry policy for control-channel calls.
 ///
 /// Every lifecycle call the master issues carries an idempotency key and
@@ -232,13 +197,10 @@ pub struct EngineConfig {
     pub max_runs: Option<u64>,
     /// Control-channel backend between master and NodeManagers.
     pub transport: TransportKind,
-    /// Control-plane dispatch model for the per-phase lifecycle fan-out.
-    pub dispatcher: DispatcherKind,
     /// Width of the hierarchical fan-out tree: `Some(w)` groups the
     /// NodeManagers under sub-master relays of at most `w` members each
-    /// and sends one batched lifecycle frame per relay and phase.
-    /// Requires [`DispatcherKind::Reactor`]; `None` keeps the flat
-    /// per-node fan-out.
+    /// and sends one batched lifecycle frame per relay and phase; `None`
+    /// keeps the flat per-node fan-out.
     pub fanout_tree: Option<usize>,
     /// Socket options for the TCP backend (ignored by the memory channel).
     pub tcp: TcpOptions,
@@ -345,14 +307,8 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Selects the control-plane dispatch model.
-    pub fn dispatcher(mut self, d: DispatcherKind) -> Self {
-        self.cfg.dispatcher = d;
-        self
-    }
-
     /// Enables the hierarchical fan-out tree with relays of at most
-    /// `width` members (requires the reactor dispatcher).
+    /// `width` members.
     pub fn fanout_tree(mut self, width: usize) -> Self {
         self.cfg.fanout_tree = Some(width);
         self
@@ -410,7 +366,6 @@ impl EngineConfig {
             resume: false,
             max_runs: None,
             transport: TransportKind::default(),
-            dispatcher: DispatcherKind::default(),
             fanout_tree: None,
             tcp: TcpOptions::default(),
             retry: RetryPolicy::default(),
@@ -498,11 +453,6 @@ pub struct ExperimentOutcome {
     /// trace here — and **only** here: the experiment data must not
     /// depend on it (see [`Self::digest`]).
     pub control_retries: u64,
-    /// Dispatch model the control plane ran on. Metadata like
-    /// [`Self::control_retries`]: deliberately excluded from
-    /// [`Self::digest`], because the dispatcher must not influence what
-    /// the experiment recorded.
-    pub dispatcher: DispatcherKind,
 }
 
 impl ExperimentOutcome {
@@ -772,46 +722,6 @@ fn captures_from_json(v: &JsonValue) -> Option<Vec<CaptureSer>> {
         .collect()
 }
 
-/// One logical control-channel call against a single node: idempotency key,
-/// bounded retry with exponential backoff on transient failures.
-///
-/// The key is reused across every retry of this call, so a retry of a call
-/// that already executed (only its response was lost) replays the node's
-/// recorded response instead of executing the handler twice. Only errors
-/// [`RpcError::is_retryable`] classifies as transient are retried; a node
-/// *rejecting* the call (fault, codec error) fails immediately — repeating
-/// it could not succeed and would only mask the bug.
-fn retry_call_on(
-    proxy: &NodeProxy,
-    policy: RetryPolicy,
-    key: &str,
-    retries: &AtomicU64,
-    method: &str,
-    params: Vec<Value>,
-) -> Result<Value, RpcError> {
-    let mut backoff = policy.backoff_initial;
-    let mut attempt = 0u32;
-    loop {
-        attempt += 1;
-        match proxy.call_idempotent(method, params.clone(), key) {
-            Ok(v) => return Ok(v),
-            Err(e) if e.is_retryable() && attempt < policy.max_attempts.max(1) => {
-                retries.fetch_add(1, Ordering::Relaxed);
-                // Control-plane rate: one registry lookup per retry (not per
-                // call) is cheap enough to skip pre-resolved handles.
-                if excovery_obs::enabled() {
-                    excovery_obs::global()
-                        .counter("rpc_client_retries_total", &[("method", method)])
-                        .inc();
-                }
-                std::thread::sleep(backoff);
-                backoff = backoff.saturating_mul(2).min(policy.backoff_max);
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
 struct FaultWindow {
     platform_id: String,
     spec: Value,
@@ -850,10 +760,9 @@ pub struct ExperiMaster {
     /// The registry behind each TCP server, shared so a halted node can be
     /// revived with its state (including the idempotency cache) intact.
     tcp_registries: HashMap<String, Arc<Mutex<ServerRegistry>>>,
-    /// The multiplexed dispatcher when `cfg.dispatcher` is
-    /// [`DispatcherKind::Reactor`] (behind a lock only because the
-    /// lifecycle fan-out takes `&self`; dispatches never overlap).
-    reactor: Option<Mutex<Reactor>>,
+    /// The lifecycle fan-out dispatcher (behind a lock only because
+    /// [`Self::fan_out`] takes `&self`; dispatches never overlap).
+    reactor: Mutex<Reactor>,
     /// Running sub-master relay servers for a TCP fan-out tree (dropping
     /// them stops the accept loops).
     #[allow(dead_code)]
@@ -875,7 +784,6 @@ pub struct ExperiMaster {
     traffic: Option<TrafficGenerator>,
     cbr_flows: Vec<(NodeId, u16)>,
     fault_windows: Vec<FaultWindow>,
-    run_events_offset: usize,
     run_measurements: Vec<(String, String, Vec<u8>)>,
 }
 
@@ -883,17 +791,10 @@ impl ExperiMaster {
     /// Builds a master for a validated description on the given platform.
     pub fn new(desc: ExperimentDescription, cfg: EngineConfig) -> Result<Self, EngineError> {
         validate_strict(&desc).map_err(|e| EngineError::Config(e.to_string()))?;
-        if let Some(width) = cfg.fanout_tree {
-            if width == 0 {
-                return Err(EngineError::Config(
-                    "fanout_tree width must be at least 1".into(),
-                ));
-            }
-            if cfg.dispatcher != DispatcherKind::Reactor {
-                return Err(EngineError::Config(
-                    "fanout_tree requires the reactor dispatcher".into(),
-                ));
-            }
+        if cfg.fanout_tree == Some(0) {
+            return Err(EngineError::Config(
+                "fanout_tree width must be at least 1".into(),
+            ));
         }
         let binding = Arc::new(
             PlatformBinding::new(&desc.platform, cfg.topology.len())
@@ -968,69 +869,63 @@ impl ExperiMaster {
         }
         // The reactor reuses the per-node registries (memory) or server
         // addresses (TCP) the proxies were built on, so dedup caches and
-        // kill/revive semantics are shared between both dispatchers.
-        let mut relay_servers = Vec::new();
-        let reactor = match cfg.dispatcher {
-            DispatcherKind::Reactor => {
-                let node_registry = |pid: &String| match cfg.transport {
-                    TransportKind::Tcp => Arc::clone(&tcp_registries[pid]),
-                    _ => Arc::clone(&mem_registries[pid]),
-                };
-                let mut reactor = Reactor::new();
-                let mut pids: Vec<String> = proxies.keys().cloned().collect();
-                pids.sort();
-                match cfg.fanout_tree {
-                    Some(width) => {
-                        for group in pids.chunks(width) {
-                            let children: Vec<(String, Arc<Mutex<ServerRegistry>>)> = group
-                                .iter()
-                                .map(|pid| (pid.clone(), node_registry(pid)))
-                                .collect();
-                            let members: Vec<(String, Option<ChaosOptions>)> = group
-                                .iter()
-                                .map(|pid| (pid.clone(), node_chaos(pid)))
-                                .collect();
-                            let relay = Arc::new(Mutex::new(relay_registry(children)));
-                            let endpoint = match cfg.transport {
-                                // A TCP tree binds one loopback server per
-                                // relay, so the batch frames travel a real
-                                // socket like any other lifecycle call.
-                                TransportKind::Tcp => {
-                                    let server =
-                                        TcpRpcServer::bind("127.0.0.1:0", Arc::clone(&relay))
-                                            .map_err(|e| EngineError::Transport {
-                                                node: group[0].clone(),
-                                                detail: format!("relay bind: {e}"),
-                                            })?;
-                                    let addr = server.local_addr();
-                                    relay_servers.push(server);
-                                    ReactorEndpoint::Tcp {
-                                        addr,
-                                        opts: cfg.tcp.clone(),
-                                    }
-                                }
-                                _ => ReactorEndpoint::Memory(relay),
-                            };
-                            reactor.add_relay(endpoint, members);
-                        }
-                    }
-                    None => {
-                        for pid in &pids {
-                            let endpoint = match cfg.transport {
-                                TransportKind::Tcp => ReactorEndpoint::Tcp {
-                                    addr: tcp_addrs[pid],
-                                    opts: cfg.tcp.clone(),
-                                },
-                                _ => ReactorEndpoint::Memory(node_registry(pid)),
-                            };
-                            reactor.add_node(pid.clone(), endpoint, node_chaos(pid));
-                        }
-                    }
-                }
-                Some(Mutex::new(reactor))
-            }
-            _ => None,
+        // kill/revive semantics are shared between fan-outs and single
+        // calls.
+        let node_registry = |pid: &String| match cfg.transport {
+            TransportKind::Tcp => Arc::clone(&tcp_registries[pid]),
+            _ => Arc::clone(&mem_registries[pid]),
         };
+        let mut relay_servers = Vec::new();
+        let mut reactor = Reactor::new();
+        let mut pids: Vec<String> = proxies.keys().cloned().collect();
+        pids.sort();
+        match cfg.fanout_tree {
+            Some(width) => {
+                for group in pids.chunks(width) {
+                    let children: Vec<(String, Arc<Mutex<ServerRegistry>>)> = group
+                        .iter()
+                        .map(|pid| (pid.clone(), node_registry(pid)))
+                        .collect();
+                    let members: Vec<(String, Option<ChaosOptions>)> = group
+                        .iter()
+                        .map(|pid| (pid.clone(), node_chaos(pid)))
+                        .collect();
+                    let relay = Arc::new(Mutex::new(relay_registry(children)));
+                    let endpoint = match cfg.transport {
+                        // A TCP tree binds one loopback server per relay, so
+                        // the batch frames travel a real socket like any
+                        // other lifecycle call.
+                        TransportKind::Tcp => {
+                            let server = TcpRpcServer::bind("127.0.0.1:0", Arc::clone(&relay))
+                                .map_err(|e| EngineError::Transport {
+                                    node: group[0].clone(),
+                                    detail: format!("relay bind: {e}"),
+                                })?;
+                            let addr = server.local_addr();
+                            relay_servers.push(server);
+                            ReactorEndpoint::Tcp {
+                                addr,
+                                opts: cfg.tcp.clone(),
+                            }
+                        }
+                        _ => ReactorEndpoint::Memory(relay),
+                    };
+                    reactor.add_relay(endpoint, members);
+                }
+            }
+            None => {
+                for pid in &pids {
+                    let endpoint = match cfg.transport {
+                        TransportKind::Tcp => ReactorEndpoint::Tcp {
+                            addr: tcp_addrs[pid],
+                            opts: cfg.tcp.clone(),
+                        },
+                        _ => ReactorEndpoint::Memory(node_registry(pid)),
+                    };
+                    reactor.add_node(pid.clone(), endpoint, node_chaos(pid));
+                }
+            }
+        }
         Ok(Self {
             desc,
             cfg,
@@ -1040,7 +935,7 @@ impl ExperiMaster {
             tcp_servers,
             tcp_addrs,
             tcp_registries,
-            reactor,
+            reactor: Mutex::new(reactor),
             relay_servers,
             call_seq: AtomicU64::new(0),
             control_retries: AtomicU64::new(0),
@@ -1054,7 +949,6 @@ impl ExperiMaster {
             traffic: None,
             cbr_flows: Vec::new(),
             fault_windows: Vec::new(),
-            run_events_offset: 0,
             run_measurements: Vec::new(),
         })
     }
@@ -1095,38 +989,51 @@ impl ExperiMaster {
             .proxies
             .get(pid)
             .ok_or_else(|| RpcError::Io(format!("no NodeManager for '{pid}'")))?;
-        let key = format!(
+        let key = self.next_idem_key();
+        let policy = self.cfg.retry;
+        let mut backoff = policy.backoff_initial;
+        let mut attempt = 0u32;
+        loop {
+            attempt += 1;
+            match proxy.call_idempotent(method, params.clone(), &key) {
+                Ok(v) => return Ok(v),
+                Err(e) if e.is_retryable() && attempt < policy.max_attempts.max(1) => {
+                    self.control_retries.fetch_add(1, Ordering::Relaxed);
+                    // Control-plane rate: one registry lookup per retry (not
+                    // per call) is cheap enough to skip pre-resolved handles.
+                    if excovery_obs::enabled() {
+                        excovery_obs::global()
+                            .counter("rpc_client_retries_total", &[("method", method)])
+                            .inc();
+                    }
+                    std::thread::sleep(backoff);
+                    backoff = backoff.saturating_mul(2).min(policy.backoff_max);
+                }
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// Draws the idempotency key (`run:epoch:seq`) of the next logical call.
+    fn next_idem_key(&self) -> String {
+        format!(
             "{}:{}:{}",
             self.run_id,
             self.cfg.epoch,
             self.call_seq.fetch_add(1, Ordering::Relaxed)
-        );
-        retry_call_on(
-            proxy,
-            self.cfg.retry,
-            &key,
-            &self.control_retries,
-            method,
-            params,
         )
     }
 
     /// Dispatches one lifecycle procedure to every node in `nodes` and
     /// waits for all of them (the per-phase barrier). Every per-node call
     /// is idempotent (key `run:epoch:seq`, drawn in `nodes` order) and
-    /// retried under the engine [`RetryPolicy`] by the dispatcher
-    /// [`EngineConfig::dispatcher`] selects:
-    ///
-    /// * [`DispatcherKind::Threaded`] — [`Self::dispatch_threaded`], one
-    ///   scoped thread per node per phase;
-    /// * [`DispatcherKind::Reactor`] — [`Self::dispatch_reactor`], every
-    ///   link multiplexed on this thread, batched through relays when a
-    ///   fan-out tree is configured.
+    /// retried under the engine [`RetryPolicy`]; the whole fan-out runs on
+    /// this thread in the [`Reactor`], every link multiplexed, batched
+    /// through sub-master relays when a fan-out tree is configured.
     ///
     /// Results come back in `nodes` order; so does error reporting — the
     /// first failing node in that deterministic order wins, regardless of
-    /// scheduling, keeping engine behaviour reproducible across both
-    /// dispatchers.
+    /// which link finished first.
     fn fan_out(
         &self,
         nodes: &[String],
@@ -1136,10 +1043,32 @@ impl ExperiMaster {
         let phase_timer = excovery_obs::enabled().then(|| {
             excovery_obs::span::SpanTimer::start(&self.obs_clock, format!("fan_out:{method}"))
         });
-        let results = match self.cfg.dispatcher {
-            DispatcherKind::Reactor => self.dispatch_reactor(nodes, method, params),
-            _ => self.dispatch_threaded(nodes, method, params),
+        let calls: Vec<NodeCall> = nodes
+            .iter()
+            .map(|pid| NodeCall {
+                node_id: pid.clone(),
+                method: method.to_string(),
+                params: params.to_vec(),
+                idem_key: self.next_idem_key(),
+            })
+            .collect();
+        let retry = RetryConfig {
+            max_attempts: self.cfg.retry.max_attempts,
+            backoff_initial: self.cfg.retry.backoff_initial,
+            backoff_max: self.cfg.retry.backoff_max,
         };
+        let outcomes = self.reactor.lock().dispatch(calls, &retry);
+        for o in &outcomes {
+            self.control_retries.fetch_add(o.retries, Ordering::Relaxed);
+            if excovery_obs::enabled() {
+                excovery_obs::global()
+                    .histogram(
+                        "master_node_call_duration_ns",
+                        &[("node", o.node_id.as_str())],
+                    )
+                    .observe(o.duration_ns);
+            }
+        }
         if let Some(timer) = phase_timer {
             let dur = timer.finish(&self.obs_clock, excovery_obs::global_tracer());
             excovery_obs::global()
@@ -1148,120 +1077,20 @@ impl ExperiMaster {
         }
         nodes
             .iter()
-            .zip(results)
-            .map(|(pid, r)| {
-                r.map_err(|e| match EngineError::from_rpc(pid.clone(), e) {
-                    EngineError::Node { node, detail } => EngineError::Node {
-                        node,
-                        detail: format!("{method}: {detail}"),
-                    },
-                    EngineError::Transport { node, detail } => EngineError::Transport {
-                        node,
-                        detail: format!("{method}: {detail}"),
-                    },
-                    other => other,
-                })
-            })
-            .collect()
-    }
-
-    /// The original dispatcher: one scoped thread per node, joined as the
-    /// phase barrier.
-    fn dispatch_threaded(
-        &self,
-        nodes: &[String],
-        method: &str,
-        params: &[Value],
-    ) -> Vec<Result<Value, RpcError>> {
-        // Borrow only the thread-shareable pieces: plugin closures (in
-        // `self`) are not `Sync`, so the spawned threads must not capture
-        // the master itself. Keys are drawn in `nodes` order *before*
-        // spawning, keeping the key sequence deterministic.
-        let policy = self.cfg.retry;
-        let run_id = self.run_id;
-        let epoch = self.cfg.epoch;
-        let retries = &self.control_retries;
-        let proxies = &self.proxies;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = nodes
-                .iter()
-                .map(|pid| {
-                    let key = format!(
-                        "{run_id}:{epoch}:{}",
-                        self.call_seq.fetch_add(1, Ordering::Relaxed)
-                    );
-                    let params = params.to_vec();
-                    let proxy = &proxies[pid];
-                    scope.spawn(move || {
-                        let started = excovery_obs::enabled().then(std::time::Instant::now);
-                        let r = retry_call_on(proxy, policy, &key, retries, method, params);
-                        if let Some(t0) = started {
-                            excovery_obs::global()
-                                .histogram("master_node_call_duration_ns", &[("node", pid)])
-                                .observe(t0.elapsed().as_nanos() as u64);
-                        }
-                        r
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .unwrap_or_else(|_| Err(RpcError::Io("dispatch thread panicked".into())))
-                })
-                .collect()
-        })
-    }
-
-    /// The multiplexed dispatcher: one [`NodeCall`] per node with its key
-    /// drawn from the shared sequence, the whole fan-out driven by the
-    /// [`Reactor`] on this thread. Retries the reactor absorbed are
-    /// folded into `control_retries` exactly like the threaded path's.
-    fn dispatch_reactor(
-        &self,
-        nodes: &[String],
-        method: &str,
-        params: &[Value],
-    ) -> Vec<Result<Value, RpcError>> {
-        let calls: Vec<NodeCall> = nodes
-            .iter()
-            .map(|pid| NodeCall {
-                node_id: pid.clone(),
-                method: method.to_string(),
-                params: params.to_vec(),
-                idem_key: format!(
-                    "{}:{}:{}",
-                    self.run_id,
-                    self.cfg.epoch,
-                    self.call_seq.fetch_add(1, Ordering::Relaxed)
-                ),
-            })
-            .collect();
-        let retry = RetryConfig {
-            max_attempts: self.cfg.retry.max_attempts,
-            backoff_initial: self.cfg.retry.backoff_initial,
-            backoff_max: self.cfg.retry.backoff_max,
-        };
-        let outcomes = self
-            .reactor
-            .as_ref()
-            .expect("reactor built for this dispatcher")
-            .lock()
-            .dispatch(calls, &retry);
-        outcomes
-            .into_iter()
-            .map(|o| {
-                self.control_retries.fetch_add(o.retries, Ordering::Relaxed);
-                if excovery_obs::enabled() {
-                    excovery_obs::global()
-                        .histogram(
-                            "master_node_call_duration_ns",
-                            &[("node", o.node_id.as_str())],
-                        )
-                        .observe(o.duration_ns);
-                }
+            .zip(outcomes)
+            .map(|(pid, o)| {
                 o.result
+                    .map_err(|e| match EngineError::from_rpc(pid.clone(), e) {
+                        EngineError::Node { node, detail } => EngineError::Node {
+                            node,
+                            detail: format!("{method}: {detail}"),
+                        },
+                        EngineError::Transport { node, detail } => EngineError::Transport {
+                            node,
+                            detail: format!("{method}: {detail}"),
+                        },
+                        other => other,
+                    })
             })
             .collect()
     }
@@ -1426,7 +1255,6 @@ impl ExperiMaster {
             restored_runs: first,
             l2_root,
             control_retries: self.control_retries.load(Ordering::Relaxed),
-            dispatcher: self.cfg.dispatcher,
         })
     }
 
@@ -1543,8 +1371,11 @@ impl ExperiMaster {
         self.fault_windows.clear();
         self.run_measurements.clear();
         self.sim.lock().reset_for_run(run.run_id);
+        // The log holds only this run: level 2 already has every earlier
+        // run's events, and aligned sequence numbers keep a stale marker
+        // from matching anything recorded now.
+        self.log.clear();
         self.log.align_for_run(run.run_id);
-        self.run_events_offset = self.log.len();
         let run_start = self.sim.lock().now();
 
         // Each preparation procedure fans out to all nodes concurrently,
@@ -1667,12 +1498,11 @@ impl ExperiMaster {
         );
 
         // ---- collection into level 2 ---------------------------------------------
-        let run_events: Vec<RecordedEvent> = self.log.events()[self.run_events_offset..].to_vec();
         l2.put_run(
             run.run_id,
             "_master",
             "events.json",
-            events_to_json(&run_events).to_string().as_bytes(),
+            events_to_json(self.log.events()).to_string().as_bytes(),
         )
         .map_err(|e| EngineError::Storage(e.to_string()))?;
         l2.put_run(
@@ -1741,7 +1571,7 @@ impl ExperiMaster {
         }
         // Drain each node's action-log segment for this run into level 2
         // (a fan-out like the other lifecycle phases, so it rides the
-        // configured dispatcher). Draining per run — rather than reading
+        // reactor and any relay tree). Draining per run — rather than reading
         // the cumulative log at packaging time — makes the Logs table
         // crash-durable: a master killed after this run's completion
         // marker lands can be resumed by a fresh incarnation — with
@@ -1782,7 +1612,7 @@ impl ExperiMaster {
             treatment_key: run.treatment.key(),
             completed: failures.is_empty(),
             failures,
-            events: run_events.len(),
+            events: self.log.len(),
             packets: packets_total,
             duration: run_end.saturating_since(run_start),
         };
@@ -2304,6 +2134,19 @@ mod tests {
         let mut master = ExperiMaster::new(desc, cfg).unwrap();
         let outcome = master.execute().unwrap();
         assert_eq!(outcome.runs.len(), 3);
+    }
+
+    #[test]
+    fn event_log_holds_only_the_current_run() {
+        let mut cfg = small_config();
+        cfg.max_runs = Some(3);
+        let mut master = ExperiMaster::new(paper_desc(3), cfg).unwrap();
+        let outcome = master.execute().unwrap();
+        assert_eq!(outcome.runs.len(), 3);
+        let last = outcome.runs.last().unwrap();
+        assert!(last.events > 0);
+        assert_eq!(master.log.len(), last.events);
+        assert!(master.log.events().iter().all(|e| e.run_id == last.run_id));
     }
 
     #[test]

@@ -5,48 +5,15 @@
 //! plus the run summaries into one 64-bit FNV value, so *any* behavioural
 //! drift in the engine, the simulator, the interpreter or the packaging
 //! shows up here as a one-line failure. Changes that intentionally alter
-//! results must re-bless the table: run the suite with
+//! results must re-bless the table in `golden/mod.rs`: run the suite with
 //! `EXCOVERY_BLESS=1` and paste the printed rows.
+//!
+//! [`ExperimentOutcome::digest`]: excovery_core::ExperimentOutcome::digest
+
+mod golden;
 
 use excovery_core::{EngineConfig, ExperiMaster};
-use excovery_desc::process::{EventSelector, ProcessAction};
-use excovery_desc::ExperimentDescription;
-
-const SEEDS: [u64; 3] = [1, 7, 1914];
-
-/// One golden row: name, preset constructor, pinned digests in `SEEDS`
-/// order.
-type GoldenRow = (&'static str, fn() -> EngineConfig, [u64; 3]);
-
-fn golden_table() -> Vec<GoldenRow> {
-    vec![
-        ("grid_default", EngineConfig::grid_default, GRID_DEFAULT),
-        ("wired_lan", EngineConfig::wired_lan, WIRED_LAN),
-        ("lossy_mesh", EngineConfig::lossy_mesh, LOSSY_MESH),
-    ]
-}
-
-// ---- pinned values (re-bless with EXCOVERY_BLESS=1) ------------------------
-const GRID_DEFAULT: [u64; 3] = [0xabfeecf0a2ffaf15, 0x9da8297dda673ad9, 0xab676a0b69a97463];
-const WIRED_LAN: [u64; 3] = [0x7a74adffb6d6169b, 0xd8456fca5013c922, 0xc8e6be9bdaf76fd7];
-const LOSSY_MESH: [u64; 3] = [0x21b4ed745ffd3001, 0x87ef967beb1384cb, 0xbbe78361466ab0ce];
-
-/// The paper's two-party SD experiment trimmed to a single factor so one
-/// preset × seed cell finishes in well under a second.
-fn desc(seed: u64) -> ExperimentDescription {
-    let mut d = ExperimentDescription::paper_two_party_sd(2);
-    d.factors
-        .factors
-        .retain(|f| f.id != "fact_bw" && f.id != "fact_pairs");
-    d.env_processes[0].actions = vec![
-        ProcessAction::EventFlag {
-            value: "ready_to_init".into(),
-        },
-        ProcessAction::WaitForEvent(EventSelector::named("done")),
-    ];
-    d.seed = seed;
-    d
-}
+use golden::{desc, golden_table, SEEDS};
 
 fn digest_of(preset: fn() -> EngineConfig, seed: u64) -> u64 {
     let mut master = ExperiMaster::new(desc(seed), preset()).unwrap();
@@ -79,7 +46,7 @@ fn preset_digests_match_the_golden_table() {
     }
     assert!(
         !bless,
-        "blessing mode: paste the table above into golden_outcomes.rs"
+        "blessing mode: paste the table above into tests/golden/mod.rs"
     );
     assert!(
         drifted.is_empty(),

@@ -4,9 +4,7 @@
 //! time (no hang, no silent loss), and once the server is back the same
 //! master reconnects and completes the experiment.
 
-use excovery_core::{
-    DispatcherKind, EngineConfig, EngineError, ExperiMaster, RetryPolicy, TransportKind,
-};
+use excovery_core::{EngineConfig, EngineError, ExperiMaster, RetryPolicy, TransportKind};
 use excovery_desc::process::{EventSelector, ProcessAction};
 use excovery_desc::ExperimentDescription;
 use excovery_netsim::link::LinkModel;
@@ -56,8 +54,11 @@ fn tcp_config() -> EngineConfig {
     }
 }
 
-fn kill_then_recover(cfg: EngineConfig) {
-    let mut master = ExperiMaster::new(desc(), cfg).unwrap();
+/// The reactor's bounded non-blocking reconnect diagnoses the dead node,
+/// and its lazily-reconnected link recovers once the server is revived.
+#[test]
+fn dead_server_surfaces_as_transport_error_then_recovery_completes() {
+    let mut master = ExperiMaster::new(desc(), tcp_config()).unwrap();
     let victim = master.node_ids().into_iter().next().unwrap();
     assert!(master.halt_node_server(&victim), "no server to halt");
 
@@ -92,21 +93,6 @@ fn kill_then_recover(cfg: EngineConfig) {
     let outcome = master.execute().expect("revived server must complete");
     assert!(outcome.runs.iter().all(|r| r.completed));
     assert_eq!(outcome.runs.len(), 1);
-}
-
-#[test]
-fn dead_server_surfaces_as_transport_error_then_recovery_completes() {
-    kill_then_recover(tcp_config());
-}
-
-/// Same contract on the multiplexed dispatcher: the reactor's bounded
-/// non-blocking reconnect diagnoses the dead node just as fast, and its
-/// lazily-reconnected link recovers once the server is revived.
-#[test]
-fn reactor_dispatcher_diagnoses_and_recovers_from_a_killed_server() {
-    let mut cfg = tcp_config();
-    cfg.dispatcher = DispatcherKind::Reactor;
-    kill_then_recover(cfg);
 }
 
 #[test]

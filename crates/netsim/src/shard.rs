@@ -23,7 +23,7 @@
 //! the window end. Each shard may thus drain its own queue through the
 //! window without observing the others, which is the classical conservative
 //! (CMB-style) synchronization argument. Cross-shard events wait in
-//! [`crate::mailbox::MailboxGrid`] cells and are drained after the barrier
+//! `mailbox::MailboxGrid` cells and are drained after the barrier
 //! that ends the window, strictly before the next window's start is
 //! chosen, so the "all pending events are at `≥ W`" precondition is
 //! re-established every round.

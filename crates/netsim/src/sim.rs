@@ -1197,7 +1197,7 @@ impl Simulator {
         for sh in &mut self.shards {
             all.append(&mut sh.protocol_events);
         }
-        all.sort_unstable_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
+        all.sort_unstable_by_key(|e| (e.0, e.1));
         all.into_iter().map(|(_, _, e)| e).collect()
     }
 
@@ -1285,8 +1285,7 @@ impl Simulator {
 
     /// Moves every mailed event into its destination shard's queue.
     fn drain_mail(shards: &mut [Shard], mail: &MailboxGrid<Ev>) {
-        for dst in 0..shards.len() {
-            let shard = &mut shards[dst];
+        for (dst, shard) in shards.iter_mut().enumerate() {
             let q = &mut shard.queue;
             let depth = mail.drain_to(dst, |o| q.schedule_with_key(o.due, o.key, o.payload));
             if depth > 0 {
@@ -1301,7 +1300,7 @@ impl Simulator {
         let mut best: Option<((SimTime, u64), usize)> = None;
         for (i, sh) in shards.iter().enumerate() {
             if let Some(tk) = sh.queue.peek() {
-                if best.map_or(true, |(b, _)| tk < b) {
+                if best.is_none_or(|(b, _)| tk < b) {
                     best = Some((tk, i));
                 }
             }

@@ -264,10 +264,14 @@ fn dist(a: (f64, f64), b: (f64, f64)) -> f64 {
 pub struct RoutingTable {
     n: usize,
     /// One lazily-built row per source node: `rows[src][dst]`.
-    rows: Vec<OnceLock<Box<[Option<Arc<[NodeId]>>]>>>,
+    rows: Vec<OnceLock<RouteRow>>,
     /// Shared adjacency lists, same order as [`Topology::neighbors`].
     neighbors: Vec<Arc<[NodeId]>>,
 }
+
+/// The routes from one source: `row[dst]` is the path, `None` if
+/// unreachable.
+type RouteRow = Box<[Option<Arc<[NodeId]>>]>;
 
 impl RoutingTable {
     /// Builds the table shell; per-source BFS rows are computed on demand.
@@ -284,7 +288,7 @@ impl RoutingTable {
     }
 
     /// One full BFS from `src`, reconstructing the path to every node.
-    fn build_row(&self, src: NodeId) -> Box<[Option<Arc<[NodeId]>>]> {
+    fn build_row(&self, src: NodeId) -> RouteRow {
         let n = self.n;
         let s = src.0 as usize;
         let mut parent: Vec<Option<NodeId>> = vec![None; n];

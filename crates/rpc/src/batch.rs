@@ -103,11 +103,15 @@ pub fn unpack_entries(params: &[Value]) -> Result<Vec<BatchEntry>, Fault> {
     Ok(entries)
 }
 
+/// One entry's result in a batch response: the node it addressed and
+/// what its handler returned.
+pub type BatchResult = (String, Result<Value, Fault>);
+
 /// Encodes per-entry results as the batch response value: an array of
 /// structs, each carrying `node` plus either `value` (success) or `fault`
 /// (a `faultCode`/`faultString` struct, mirroring the XML-RPC fault
 /// shape). Order matches the request's entry order.
-pub fn pack_batch_response(results: &[(String, Result<Value, Fault>)]) -> Value {
+pub fn pack_batch_response(results: &[BatchResult]) -> Value {
     Value::Array(
         results
             .iter()
@@ -132,9 +136,7 @@ pub fn pack_batch_response(results: &[(String, Result<Value, Fault>)]) -> Value 
 /// Inverse of [`pack_batch_response`]; malformed shapes surface as
 /// [`RpcError::Codec`] so the dispatcher treats them as a wire problem,
 /// not a per-node fault.
-pub fn unpack_batch_response(
-    value: &Value,
-) -> Result<Vec<(String, Result<Value, Fault>)>, RpcError> {
+pub fn unpack_batch_response(value: &Value) -> Result<Vec<BatchResult>, RpcError> {
     let items = value
         .as_array()
         .ok_or_else(|| RpcError::Codec("batch response is not an array".into()))?;

@@ -280,7 +280,7 @@ pub struct JobResults {
 
 /// Default page size for [`JOB_RESULTS`] downloads. Real packages run
 /// to tens of megabytes, and the frame codec rejects frames above
-/// [`crate::MAX_FRAME_BYTES`] (16 MiB) — so the package ships in pages.
+/// [`crate::tcp::MAX_FRAME_BYTES`] (16 MiB) — so the package ships in pages.
 /// 8 MiB of payload is ~10.7 MiB after Base64, comfortably under the
 /// cap with the XML envelope around it.
 pub const RESULTS_PAGE_BYTES: u64 = 8 * 1024 * 1024;

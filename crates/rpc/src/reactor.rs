@@ -1,14 +1,14 @@
-//! Non-blocking multiplexed dispatcher for the master's per-phase fan-out.
+//! Non-blocking multiplexed dispatcher: the master's one path for the
+//! per-phase lifecycle fan-out.
 //!
-//! The threaded dispatcher spawns one scoped thread per NodeManager per
-//! lifecycle phase — fine at 8 nodes, a wall at 1k+. The [`Reactor`]
-//! replaces that with a hand-rolled readiness loop on the *calling*
+//! The [`Reactor`] is a hand-rolled readiness loop on the *calling*
 //! thread: every node link (in-memory registry or framed-TCP socket) is
 //! driven as a small state machine, TCP sockets run non-blocking with
 //! partial-write/partial-read resumption, and at most one wire operation
 //! is in flight per link at a time (mirroring `NodeProxy`'s per-node call
-//! lock). No poll/mio, no extra threads: one sweep services every link
-//! that is ready and sleeps only when nothing can progress.
+//! lock). No poll/mio, no threads: one sweep services every link that is
+//! ready and sleeps only when nothing can progress — so a phase costs the
+//! same whether it reaches 2 nodes or 1,000.
 //!
 //! Links come in two shapes:
 //!
@@ -24,21 +24,27 @@
 //!   their per-node `__idem` keys, so a retried batch re-runs only the
 //!   entries that never executed.
 //!
-//! Retry and chaos semantics match the threaded path call for call: the
-//! per-node chaos verdict is drawn from the same pure
-//! [`fault_at`] schedule (one draw per attempt, injected error strings
-//! identical to `ChaosTransport`), retries are bounded with the same
-//! exponential backoff shape, and each retry reuses the call's idempotency
-//! key so a replayed request is exactly-once per node. Backoffs and chaos
-//! delays are deadlines inside the loop, not sleeps — other nodes keep
-//! making progress while one backs off.
+//! Retry and chaos semantics match a blocking `NodeProxy` over
+//! `ChaosTransport` call for call: the per-node chaos verdict is drawn
+//! from the same pure [`fault_at`] schedule (one draw per attempt,
+//! injected error strings identical to `ChaosTransport`), retries are
+//! bounded with the same exponential backoff shape, and each retry reuses
+//! the call's idempotency key so a replayed request is exactly-once per
+//! node. Backoffs and chaos delays are deadlines inside the loop, not
+//! sleeps — other nodes keep making progress while one backs off.
+//!
+//! Every wire op that reaches a link records the client series a
+//! transport would: `rpc_client_calls_total` and
+//! `rpc_client_call_latency_ns` labelled `transport=memory|tcp`, plus
+//! `rpc_client_errors_total` on failure. `rpc_client_bytes_*` count only
+//! frames actually encoded, i.e. on TCP links.
 
 use crate::batch::{pack_batch, unpack_batch_response, BatchEntry};
 use crate::chaos::{fault_at, ChaosOptions, FaultAction};
 use crate::error::RpcError;
 use crate::message::{MethodCall, MethodResponse};
 use crate::tcp::{TcpOptions, MAX_FRAME_BYTES};
-use crate::transport::{response_to_result, ServerRegistry, IDEMPOTENCY_MEMBER};
+use crate::transport::{response_to_result, ClientObs, ServerRegistry, IDEMPOTENCY_MEMBER};
 use crate::value::Value;
 use excovery_obs::sync::Mutex;
 use std::collections::HashMap;
@@ -140,6 +146,28 @@ enum Link {
 struct Group {
     relay: bool,
     link: Link,
+    obs: ClientObs,
+}
+
+impl Group {
+    fn new(relay: bool, endpoint: ReactorEndpoint) -> Self {
+        let (link, transport) = match endpoint {
+            ReactorEndpoint::Memory(registry) => (Link::Memory(registry), "memory"),
+            ReactorEndpoint::Tcp { addr, opts } => (
+                Link::Tcp {
+                    addr,
+                    opts,
+                    stream: None,
+                },
+                "tcp",
+            ),
+        };
+        Self {
+            relay,
+            link,
+            obs: ClientObs::new(transport),
+        }
+    }
 }
 
 /// The multiplexed dispatcher: node → link routing plus per-node chaos
@@ -181,6 +209,9 @@ struct CallState {
 
 struct WireOp {
     group: usize,
+    /// When the op's first step ran — the start of its call latency. Set
+    /// only while observability records (see [`ClientObs::start`]).
+    started: Option<Instant>,
     /// `(call index, chaos post-action)` for every entry riding this op.
     entries: Vec<(usize, Post)>,
     call: MethodCall,
@@ -196,8 +227,7 @@ struct WireOp {
 
 enum Step {
     Pending,
-    Complete(MethodResponse),
-    Failed(RpcError),
+    Done(Result<MethodResponse, RpcError>),
 }
 
 fn finish(state: &mut CallState, result: Result<Value, RpcError>) {
@@ -206,8 +236,8 @@ fn finish(state: &mut CallState, result: Result<Value, RpcError>) {
 }
 
 /// One attempt failed: retry retryable errors while budget remains (same
-/// predicate and backoff shape as the master's `retry_call_on`), otherwise
-/// the error is final.
+/// predicate and backoff shape as the master's blocking `retry_call`),
+/// otherwise the error is final.
 fn fail_attempt(state: &mut CallState, method: &str, err: RpcError, retry: &RetryConfig) {
     state.attempts += 1;
     if err.is_retryable() && state.attempts < retry.max_attempts.max(1) {
@@ -266,37 +296,42 @@ fn apply_post(
 }
 
 /// Tries to decode one length-prefixed response frame from the read
-/// buffer. `None` means more bytes are needed.
-fn decode_frame(in_buf: &[u8]) -> Option<Step> {
+/// buffer, counting its payload as received. `None` means more bytes are
+/// needed.
+fn decode_frame(in_buf: &[u8], obs: &ClientObs) -> Option<Step> {
     if in_buf.len() < 4 {
         return None;
     }
     let len = u32::from_be_bytes([in_buf[0], in_buf[1], in_buf[2], in_buf[3]]);
     if len > MAX_FRAME_BYTES {
-        return Some(Step::Failed(RpcError::Codec(format!(
+        return Some(Step::Done(Err(RpcError::Codec(format!(
             "frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"
-        ))));
+        )))));
     }
     let len = len as usize;
     if in_buf.len() < 4 + len {
         return None;
     }
-    Some(match std::str::from_utf8(&in_buf[4..4 + len]) {
-        Ok(xml) => match MethodResponse::from_xml(xml) {
-            Ok(response) => Step::Complete(response),
-            Err(e) => Step::Failed(RpcError::Codec(e.to_string())),
-        },
-        Err(_) => Step::Failed(RpcError::Codec("response frame is not UTF-8".into())),
-    })
+    obs.add_bytes_received(len);
+    Some(Step::Done(match std::str::from_utf8(&in_buf[4..4 + len]) {
+        Ok(xml) => MethodResponse::from_xml(xml).map_err(|e| RpcError::Codec(e.to_string())),
+        Err(_) => Err(RpcError::Codec("response frame is not UTF-8".into())),
+    }))
 }
 
 /// Advances one wire op as far as it can go without blocking.
-fn step_op(link: &mut Link, op: &mut WireOp, now: Instant) -> Step {
+fn step_op(link: &mut Link, obs: &ClientObs, op: &mut WireOp, now: Instant) -> Step {
+    // Ops of one sweep are stepped in turn and a memory op completes in
+    // its first step, so its latency starts here, not when the op was made.
+    if op.started.is_none() {
+        op.started = obs.start();
+    }
+    let failed = |e| Step::Done(Err(e));
     match link {
-        Link::Memory(registry) => Step::Complete(registry.lock().dispatch(&op.call)),
+        Link::Memory(registry) => Step::Done(Ok(registry.lock().dispatch(&op.call))),
         Link::Tcp { addr, opts, stream } => {
             if now >= op.deadline {
-                return Step::Failed(RpcError::Timeout {
+                return failed(RpcError::Timeout {
                     method: op.method.clone(),
                     after_ms: opts.call_timeout.as_millis() as u64,
                 });
@@ -309,14 +344,14 @@ fn step_op(link: &mut Link, op: &mut WireOp, now: Instant) -> Step {
                     Ok(s) => {
                         let _ = s.set_nodelay(true);
                         if let Err(e) = s.set_nonblocking(true) {
-                            return Step::Failed(RpcError::Io(format!("set_nonblocking: {e}")));
+                            return failed(RpcError::Io(format!("set_nonblocking: {e}")));
                         }
                         *stream = Some(s);
                     }
                     Err(e) => {
                         op.connect_attempts += 1;
                         if op.connect_attempts >= opts.max_connect_attempts.max(1) {
-                            return Step::Failed(RpcError::Disconnected(format!(
+                            return failed(RpcError::Disconnected(format!(
                                 "{addr} unreachable after {} attempts: {e}",
                                 op.connect_attempts
                             )));
@@ -332,34 +367,37 @@ fn step_op(link: &mut Link, op: &mut WireOp, now: Instant) -> Step {
             while op.sent < op.frame.len() {
                 match s.write(&op.frame[op.sent..]) {
                     Ok(0) => {
-                        return Step::Failed(RpcError::Disconnected(
+                        return failed(RpcError::Disconnected(
                             "server closed the connection mid-call".into(),
                         ))
                     }
-                    Ok(n) => op.sent += n,
+                    Ok(n) => {
+                        op.sent += n;
+                        if op.sent == op.frame.len() {
+                            obs.add_bytes_sent(op.frame.len() - 4);
+                        }
+                    }
                     Err(e) if e.kind() == ErrorKind::WouldBlock => return Step::Pending,
                     Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                     Err(e) => {
-                        return Step::Failed(RpcError::Disconnected(format!(
-                            "write to {addr}: {e}"
-                        )))
+                        return failed(RpcError::Disconnected(format!("write to {addr}: {e}")))
                     }
                 }
             }
-            if let Some(step) = decode_frame(&op.in_buf) {
+            if let Some(step) = decode_frame(&op.in_buf, obs) {
                 return step;
             }
             let mut buf = [0u8; 4096];
             loop {
                 match s.read(&mut buf) {
                     Ok(0) => {
-                        return Step::Failed(RpcError::Disconnected(
+                        return failed(RpcError::Disconnected(
                             "server closed the connection mid-call".into(),
                         ))
                     }
                     Ok(n) => {
                         op.in_buf.extend_from_slice(&buf[..n]);
-                        if let Some(step) = decode_frame(&op.in_buf) {
+                        if let Some(step) = decode_frame(&op.in_buf, obs) {
                             return step;
                         }
                     }
@@ -370,9 +408,7 @@ fn step_op(link: &mut Link, op: &mut WireOp, now: Instant) -> Step {
                     }
                     Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                     Err(e) => {
-                        return Step::Failed(RpcError::Disconnected(format!(
-                            "read from {addr}: {e}"
-                        )))
+                        return failed(RpcError::Disconnected(format!("read from {addr}: {e}")))
                     }
                 }
             }
@@ -401,10 +437,7 @@ impl Reactor {
         chaos: Option<ChaosOptions>,
     ) {
         let node_id = node_id.into();
-        self.groups.push(Group {
-            relay: false,
-            link: Self::link(endpoint),
-        });
+        self.groups.push(Group::new(false, endpoint));
         self.node_group
             .insert(node_id.clone(), self.groups.len() - 1);
         if let Some(opts) = chaos {
@@ -421,10 +454,7 @@ impl Reactor {
         endpoint: ReactorEndpoint,
         members: Vec<(String, Option<ChaosOptions>)>,
     ) {
-        self.groups.push(Group {
-            relay: true,
-            link: Self::link(endpoint),
-        });
+        self.groups.push(Group::new(true, endpoint));
         let g = self.groups.len() - 1;
         for (node_id, chaos) in members {
             self.node_group.insert(node_id.clone(), g);
@@ -432,17 +462,6 @@ impl Reactor {
                 self.chaos
                     .insert(node_id, ChaosState { opts, next_call: 0 });
             }
-        }
-    }
-
-    fn link(endpoint: ReactorEndpoint) -> Link {
-        match endpoint {
-            ReactorEndpoint::Memory(registry) => Link::Memory(registry),
-            ReactorEndpoint::Tcp { addr, opts } => Link::Tcp {
-                addr,
-                opts,
-                stream: None,
-            },
         }
     }
 
@@ -556,6 +575,7 @@ impl Reactor {
         }
         Ok(WireOp {
             group: g,
+            started: None,
             entries,
             call,
             method,
@@ -680,21 +700,22 @@ impl Reactor {
             let mut k = 0;
             while k < ops.len() {
                 let g = ops[k].group;
-                match step_op(&mut self.groups[g].link, &mut ops[k], now) {
-                    Step::Pending => k += 1,
-                    Step::Complete(response) => {
-                        let op = ops.swap_remove(k);
-                        busy[g] = false;
-                        progressed = true;
-                        self.complete_op(op, response, &calls, &mut states, retry);
-                    }
-                    Step::Failed(err) => {
-                        let op = ops.swap_remove(k);
-                        busy[g] = false;
-                        progressed = true;
+                let group = &mut self.groups[g];
+                let Step::Done(result) = step_op(&mut group.link, &group.obs, &mut ops[k], now)
+                else {
+                    k += 1;
+                    continue;
+                };
+                let op = ops.swap_remove(k);
+                busy[g] = false;
+                progressed = true;
+                group.obs.observe_call(op.started, &result);
+                match result {
+                    Ok(response) => self.complete_op(op, response, &calls, &mut states, retry),
+                    Err(err) => {
                         // Like TcpTransport: a failed exchange poisons the
                         // connection; reconnect lazily on the next attempt.
-                        if let Link::Tcp { stream, .. } = &mut self.groups[g].link {
+                        if let Link::Tcp { stream, .. } = &mut group.link {
                             *stream = None;
                         }
                         for &(i, _) in &op.entries {

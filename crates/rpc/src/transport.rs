@@ -53,11 +53,7 @@ impl ClientObs {
 
     /// Records one completed call: count, latency (if a start timestamp
     /// was captured), and — on error — the per-kind error series.
-    pub(crate) fn observe_call(
-        &self,
-        started: Option<Instant>,
-        result: &Result<MethodResponse, RpcError>,
-    ) {
+    pub(crate) fn observe_call<T>(&self, started: Option<Instant>, result: &Result<T, RpcError>) {
         if !excovery_obs::enabled() {
             return;
         }

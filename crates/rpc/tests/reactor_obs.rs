@@ -1,0 +1,84 @@
+//! The reactor records the same client series a blocking transport does:
+//! one `rpc_client_calls_total` and one `rpc_client_call_latency_ns`
+//! sample per call that reaches a link, labelled by the link's transport,
+//! and wire bytes only where a frame is actually encoded (TCP).
+//!
+//! Its own process, and a single test, because the series live in the
+//! process-wide registry: a concurrent test would move the counts.
+
+use excovery_obs::sync::Mutex;
+use excovery_rpc::{
+    NodeCall, Reactor, ReactorEndpoint, RetryConfig, ServerRegistry, TcpOptions, TcpRpcServer,
+    Value,
+};
+use std::sync::Arc;
+
+const CALLS: usize = 5;
+
+fn registry() -> Arc<Mutex<ServerRegistry>> {
+    let mut reg = ServerRegistry::new();
+    reg.register("run_init", |_| Ok(Value::Bool(true)));
+    Arc::new(Mutex::new(reg))
+}
+
+/// `(calls, latency samples, bytes sent, bytes received)` of one label.
+fn series(transport: &str) -> [u64; 4] {
+    let reg = excovery_obs::global();
+    let labels = [("transport", transport)];
+    [
+        reg.counter("rpc_client_calls_total", &labels).value(),
+        reg.histogram("rpc_client_call_latency_ns", &labels).count(),
+        reg.counter("rpc_client_bytes_sent_total", &labels).value(),
+        reg.counter("rpc_client_bytes_received_total", &labels)
+            .value(),
+    ]
+}
+
+/// Dispatches `CALLS` calls, one per node, and returns the series delta.
+fn dispatch_delta(transport: &str, mut reactor: Reactor) -> [u64; 4] {
+    let before = series(transport);
+    let calls: Vec<NodeCall> = (0..CALLS)
+        .map(|i| NodeCall {
+            node_id: format!("n{i}"),
+            method: "run_init".into(),
+            params: vec![],
+            idem_key: format!("0:0:{i}"),
+        })
+        .collect();
+    let outcomes = reactor.dispatch(calls, &RetryConfig::none());
+    assert!(outcomes.iter().all(|o| o.result.is_ok()), "{outcomes:?}");
+    let after = series(transport);
+    [0, 1, 2, 3].map(|k| after[k] - before[k])
+}
+
+#[test]
+fn every_reactor_call_lands_in_the_client_series_of_its_transport() {
+    excovery_obs::set_enabled(true);
+
+    let mut memory = Reactor::new();
+    for i in 0..CALLS {
+        memory.add_node(format!("n{i}"), ReactorEndpoint::Memory(registry()), None);
+    }
+    let [calls, latencies, sent, received] = dispatch_delta("memory", memory);
+    assert_eq!((calls, latencies), (CALLS as u64, CALLS as u64));
+    // Memory links dispatch the parsed call: no frame, no bytes.
+    assert_eq!((sent, received), (0, 0));
+
+    let servers: Vec<TcpRpcServer> = (0..CALLS)
+        .map(|_| TcpRpcServer::bind("127.0.0.1:0", registry()).unwrap())
+        .collect();
+    let mut tcp = Reactor::new();
+    for (i, server) in servers.iter().enumerate() {
+        let endpoint = ReactorEndpoint::Tcp {
+            addr: server.local_addr(),
+            opts: TcpOptions::default(),
+        };
+        tcp.add_node(format!("n{i}"), endpoint, None);
+    }
+    let [calls, latencies, sent, received] = dispatch_delta("tcp", tcp);
+    assert_eq!((calls, latencies), (CALLS as u64, CALLS as u64));
+    assert!(sent > 0 && received > 0, "sent {sent}, received {received}");
+    for server in &servers {
+        server.shutdown();
+    }
+}

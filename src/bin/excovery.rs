@@ -11,8 +11,7 @@
 //! excovery dot <desc.xml>
 //! excovery run <desc.xml> [--topology grid:WxH | chain:N] [--max-runs N]
 //!              [--out results.expdb] [--l2 DIR] [--resume] [--keep-l2]
-//!              [--transport memory|tcp] [--dispatcher threaded|reactor]
-//!              [--fanout N]
+//!              [--transport memory|tcp] [--fanout N]
 //! excovery inspect <results.expdb>
 //! excovery events <results.expdb> --run N
 //! excovery timeline <results.expdb> --run N [--svg out.svg]
@@ -23,7 +22,7 @@
 use excovery::analysis::responsiveness::{format_curve, responsiveness_curve};
 use excovery::analysis::timeline::Timeline;
 use excovery::desc::xmlio::from_xml;
-use excovery::engine::{DispatcherKind, TransportKind};
+use excovery::engine::TransportKind;
 use excovery::netsim::topology::Topology;
 use excovery::prelude::*;
 use excovery::store::records::{EventRow, ExperimentInfo};
@@ -89,8 +88,7 @@ fn print_usage() {
          \x20 excovery dot <desc.xml>\n\
          \x20 excovery run <desc.xml> [--topology grid:WxH|chain:N] [--max-runs N]\n\
          \x20          [--out results.expdb] [--l2 DIR] [--resume] [--keep-l2]\n\
-         \x20          [--transport memory|tcp] [--dispatcher threaded|reactor]\n\
-         \x20          [--fanout N]           # sub-master relays of N nodes\n\
+         \x20          [--transport memory|tcp] [--fanout N]   # relays of N nodes\n\
          \x20 excovery inspect <results.expdb>\n\
          \x20 excovery events <results.expdb> --run N\n\
          \x20 excovery timeline <results.expdb> --run N [--svg out.svg]\n\
@@ -241,10 +239,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     if let Some(t) = flag_value(args, "--transport") {
         cfg.transport = TransportKind::parse(t)
             .ok_or_else(|| format!("unknown transport '{t}' (use memory or tcp)"))?;
-    }
-    if let Some(d) = flag_value(args, "--dispatcher") {
-        cfg.dispatcher = DispatcherKind::parse(d)
-            .ok_or_else(|| format!("unknown dispatcher '{d}' (use threaded or reactor)"))?;
     }
     if let Some(n) = flag_value(args, "--fanout") {
         cfg.fanout_tree = Some(n.parse().map_err(|_| format!("bad --fanout '{n}'"))?);
