@@ -6,25 +6,34 @@
 //! hierarchy on a file system to store second level data."
 //!
 //! Entries keep the paper's `(run, node, name)` addressing; the container
-//! is one sealed record file per run plus an append-only journal:
+//! is an append-only file of sealed run records plus an append-only
+//! journal:
 //!
 //! ```text
 //! <root>/
 //!   experiment/<node>/<name>   # experiment-wide measurements, one file each
-//!   runs/<run_id>.run          # every entry of one completed run
+//!   runs/records.log           # one record per sealed run, back to back
 //!   runs/journal.log           # one "<run_id>\n" line per sealed run
 //!   slabs/                     # columnar partitions (owned by the query layer)
 //! ```
 //!
 //! [`Level2Store::put_run`] stages an entry in memory;
-//! [`Level2Store::mark_run_complete`] seals the run in two steps, in this
-//! order: the record is written to a temp file and renamed to
-//! `runs/<run_id>.run`, then one newline-terminated line is appended to
-//! `runs/journal.log`. A run is *complete* when the journal names it and
-//! its record exists. Whatever a crash leaves behind otherwise — a stray
-//! temp file, a record the journal does not confirm, a journal line cut
-//! before its newline — reads as incomplete, and the run is re-executed
-//! and re-sealed. A run that never sealed leaves nothing on disk.
+//! [`Level2Store::mark_run_complete`] seals the run with two appends, in
+//! this order: the run's record goes to the end of `runs/records.log`,
+//! then one newline-terminated line to `runs/journal.log`. Sealing
+//! creates no file: on a journalling file system a file create costs tens
+//! of appends and its cost swings with the disk's load, which made the
+//! per-run cost of a campaign depend on the host. A run is *complete*
+//! when the journal names it and `records.log` holds a record for it; a
+//! run sealed twice reads from its newest record. Whatever a crash leaves
+//! behind otherwise — a record cut short at the end of `records.log`, a
+//! record the journal does not confirm, a journal line cut before its
+//! newline — reads as incomplete, and the run is re-executed and
+//! re-sealed; the next seal cuts both torn tails off. A run that never
+//! sealed leaves nothing on disk.
+//!
+//! A handle finds records by reading `records.log` once and then only
+//! what was appended since; one handle at a time may seal into a root.
 //!
 //! Record format (integers little-endian):
 //!
@@ -38,19 +47,20 @@
 //!     24     T  n x { node_len u32, name_len u32, data_len u64, node, name }
 //!                 sorted by (node, name), both UTF-8, no duplicates
 //!   24+T     8  FNV-1a 64 of bytes [0, 24+T)
-//!   32+T     …  payloads in table order; the file ends with the last one
+//!   32+T     …  payloads in table order; the record ends with the last one
 //! ```
 //!
-//! Anything else — wrong magic or version, a checksum mismatch, lengths
-//! that do not add up to the file size, trailing bytes — is a
-//! [`StoreError`], as is a journal line that is not a decimal run id.
-//! Only the journal's unterminated tail is tolerated (and cut off by the
-//! next seal).
+//! Anything else — wrong magic or version, a checksum mismatch, a table
+//! that overruns itself — is a [`StoreError`], as is a journal line that
+//! is not a decimal run id, and a `records.log` that ends inside a record
+//! while the journal confirms a run it has no record for (a crash tears
+//! only records nobody confirmed yet). Only the unterminated tails of the
+//! two files are tolerated, and cut off by the next seal.
 
 use crate::engine::{atomic_write, StoreError};
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::{ErrorKind, Write};
+use std::io::{ErrorKind, Read, Seek, SeekFrom, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
@@ -106,6 +116,57 @@ fn encode_record(
     Ok(out)
 }
 
+fn u32_at(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"))
+}
+
+fn u64_at(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
+}
+
+/// Length of the record `bytes` starts with, read from its checked header
+/// and table. `Ok(None)`: `bytes` ends before the record does — what a
+/// torn append leaves. `Err`: the bytes that are there are damaged.
+fn record_len(bytes: &[u8]) -> Result<Option<usize>, &'static str> {
+    if bytes.len() < HEADER_LEN {
+        return Ok(None);
+    }
+    if &bytes[..4] != RECORD_MAGIC {
+        return Err("bad magic");
+    }
+    if u32_at(bytes, 4) != RECORD_VERSION {
+        return Err("unsupported version");
+    }
+    let table_end = HEADER_LEN + u32_at(bytes, 20) as usize;
+    if bytes.len() < table_end + CHECKSUM_LEN {
+        return Ok(None);
+    }
+    if fnv1a(&bytes[..table_end]) != u64_at(bytes, table_end) {
+        return Err("header checksum mismatch");
+    }
+    let (mut at, mut payload_len) = (HEADER_LEN, 0usize);
+    for _ in 0..u32_at(bytes, 16) {
+        if table_end - at < ENTRY_FIXED_LEN {
+            return Err("entry table overrun");
+        }
+        let keys_len = u32_at(bytes, at) as usize + u32_at(bytes, at + 4) as usize;
+        let data_len = usize::try_from(u64_at(bytes, at + 8)).map_err(|_| "payload length")?;
+        at += ENTRY_FIXED_LEN;
+        if keys_len > table_end - at {
+            return Err("entry table overrun");
+        }
+        at += keys_len;
+        payload_len = payload_len.checked_add(data_len).ok_or("payload length")?;
+    }
+    if at != table_end {
+        return Err("entry table length mismatch");
+    }
+    let len = (table_end + CHECKSUM_LEN)
+        .checked_add(payload_len)
+        .ok_or("payload length")?;
+    Ok((bytes.len() >= len).then_some(len))
+}
+
 #[derive(Debug)]
 struct EntryIndex {
     node: Range<usize>,
@@ -113,61 +174,34 @@ struct EntryIndex {
     data: Range<usize>,
 }
 
-/// One sealed run: the record file's bytes plus an index into them, so
+/// One sealed run: its record's bytes plus an index into them, so
 /// entries are borrowed rather than copied out.
 #[derive(Debug)]
 pub struct RunRecord {
-    run_id: u64,
     bytes: Vec<u8>,
     index: Vec<EntryIndex>,
 }
 
 impl RunRecord {
-    /// Checks and indexes the bytes of a record file.
+    /// Checks and indexes the bytes of exactly one record.
     fn decode(bytes: Vec<u8>) -> Result<Self, StoreError> {
         let bad = |what: &str| StoreError(format!("run record: {what}"));
-        let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
-        let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
-        if bytes.len() < HEADER_LEN {
-            return Err(bad("truncated header"));
+        match record_len(&bytes).map_err(bad)? {
+            Some(len) if len == bytes.len() => {}
+            Some(_) => return Err(bad("trailing bytes")),
+            None => return Err(bad("truncated")),
         }
-        if &bytes[..4] != RECORD_MAGIC {
-            return Err(bad("bad magic"));
-        }
-        if u32_at(4) != RECORD_VERSION {
-            return Err(bad("unsupported version"));
-        }
-        let run_id = u64_at(8);
-        let count = u32_at(16) as usize;
-        let table_len = u32_at(20) as usize;
-        let after_header = bytes.len() - HEADER_LEN;
-        if after_header < CHECKSUM_LEN || after_header - CHECKSUM_LEN < table_len {
-            return Err(bad("truncated entry table"));
-        }
-        let table_end = HEADER_LEN + table_len;
-        let payload_start = table_end + CHECKSUM_LEN;
-        if fnv1a(&bytes[..table_end]) != u64_at(table_end) {
-            return Err(bad("header checksum mismatch"));
-        }
-        // Every entry takes at least its fixed part, which bounds the
-        // allocation below by the file size.
-        if count > table_len / ENTRY_FIXED_LEN {
-            return Err(bad("entry count exceeds the table"));
-        }
+        // `record_len` checked every length against the table and the
+        // file; what is left is the keys' encoding and order.
+        let table_end = HEADER_LEN + u32_at(&bytes, 20) as usize;
         let key = |e: &EntryIndex| (&bytes[e.node.clone()], &bytes[e.name.clone()]);
-        let mut index: Vec<EntryIndex> = Vec::with_capacity(count);
-        let (mut at, mut data_at) = (HEADER_LEN, payload_start);
-        for _ in 0..count {
-            if table_end - at < ENTRY_FIXED_LEN {
-                return Err(bad("entry table overrun"));
-            }
-            let (node_len, name_len) = (u32_at(at) as usize, u32_at(at + 4) as usize);
-            let data_len = usize::try_from(u64_at(at + 8)).map_err(|_| bad("payload length"))?;
-            at += ENTRY_FIXED_LEN;
-            if node_len > table_end - at || name_len > table_end - at - node_len {
-                return Err(bad("entry table overrun"));
-            }
-            let node = at..at + node_len;
+        let mut index: Vec<EntryIndex> = Vec::new();
+        let (mut at, mut data_at) = (HEADER_LEN, table_end + CHECKSUM_LEN);
+        while at < table_end {
+            let (node_len, name_len) =
+                (u32_at(&bytes, at) as usize, u32_at(&bytes, at + 4) as usize);
+            let data_len = u64_at(&bytes, at + 8) as usize;
+            let node = at + ENTRY_FIXED_LEN..at + ENTRY_FIXED_LEN + node_len;
             let name = node.end..node.end + name_len;
             at = name.end;
             if std::str::from_utf8(&bytes[node.clone()]).is_err()
@@ -175,32 +209,18 @@ impl RunRecord {
             {
                 return Err(bad("entry key is not UTF-8"));
             }
-            let data_end = data_at
-                .checked_add(data_len)
-                .filter(|end| *end <= bytes.len())
-                .ok_or_else(|| bad("truncated payload"))?;
             let entry = EntryIndex {
                 node,
                 name,
-                data: data_at..data_end,
+                data: data_at..data_at + data_len,
             };
             if index.last().is_some_and(|prev| key(prev) >= key(&entry)) {
                 return Err(bad("entry keys out of order"));
             }
+            data_at = entry.data.end;
             index.push(entry);
-            data_at = data_end;
         }
-        if at != table_end {
-            return Err(bad("entry table length mismatch"));
-        }
-        if data_at != bytes.len() {
-            return Err(bad("trailing bytes"));
-        }
-        Ok(Self {
-            run_id,
-            bytes,
-            index,
-        })
+        Ok(Self { bytes, index })
     }
 
     fn key(&self, e: &EntryIndex) -> (&str, &str) {
@@ -227,19 +247,46 @@ impl RunRecord {
     }
 }
 
-/// What `put_run` has staged and the journal handle seals append through.
+/// Where the records of `records.log` are, as far as a handle has read
+/// it: bytes `[0, end)` are whole records, `[end, len)` a torn tail.
 #[derive(Debug, Default)]
-struct Pending {
+struct Segment {
+    /// Run id → byte range of its newest record.
+    records: BTreeMap<u64, Range<u64>>,
+    end: u64,
+    len: u64,
+}
+
+/// What `put_run` has staged, where the sealed records are, and the files
+/// seals append to.
+#[derive(Debug, Default)]
+struct State {
     staged: BTreeMap<u64, BTreeMap<EntryKey, Vec<u8>>>,
-    /// Opened, and its torn tail cut off, by the first seal.
-    journal: Option<fs::File>,
+    segment: Segment,
+    /// `records.log` and `journal.log`, opened, and their torn tails cut
+    /// off, by the first seal.
+    appenders: Option<(fs::File, fs::File)>,
+}
+
+/// Opens `path` for appending, first cutting it to its first `keep` bytes.
+fn open_append(path: &Path, keep: u64) -> Result<fs::File, StoreError> {
+    let fail = |e: std::io::Error| StoreError(format!("open {path:?}: {e}"));
+    let file = fs::OpenOptions::new()
+        .append(true)
+        .create(true)
+        .open(path)
+        .map_err(fail)?;
+    if file.metadata().map_err(fail)?.len() > keep {
+        file.set_len(keep).map_err(fail)?;
+    }
+    Ok(file)
 }
 
 /// Handle to one experiment's level-2 storage.
 #[derive(Debug)]
 pub struct Level2Store {
     root: PathBuf,
-    pending: Mutex<Pending>,
+    state: Mutex<State>,
 }
 
 impl Level2Store {
@@ -251,7 +298,7 @@ impl Level2Store {
             .map_err(|e| StoreError(format!("create level-2 root: {e}")))?;
         Ok(Self {
             root,
-            pending: Mutex::default(),
+            state: Mutex::default(),
         })
     }
 
@@ -264,24 +311,30 @@ impl Level2Store {
         self.root.join("experiment").join(node).join(name)
     }
 
-    fn record_path(&self, run_id: u64) -> PathBuf {
-        self.root.join("runs").join(format!("{run_id}.run"))
+    fn records_path(&self) -> PathBuf {
+        self.root.join("runs").join("records.log")
     }
 
     fn journal_path(&self) -> PathBuf {
         self.root.join("runs").join("journal.log")
     }
 
-    fn pending(&self) -> Result<MutexGuard<'_, Pending>, StoreError> {
-        self.pending
+    fn state(&self) -> Result<MutexGuard<'_, State>, StoreError> {
+        self.state
             .lock()
             .map_err(|_| StoreError("level-2 store: a thread panicked while sealing".into()))
     }
 
     /// Stores an experiment-wide measurement for a node: temp file +
-    /// rename, so a crash leaves either no entry or the complete one.
+    /// rename, so a crash leaves either no entry or the complete one. A
+    /// resumed master stores the same measurements again; bytes equal to
+    /// the stored ones are left in place rather than written anew.
     pub fn put_experiment(&self, node: &str, name: &str, data: &[u8]) -> Result<(), StoreError> {
-        atomic_write(&self.experiment_path(node, name), data)?;
+        let path = self.experiment_path(node, name);
+        if fs::read(&path).is_ok_and(|stored| stored == data) {
+            return Ok(());
+        }
+        atomic_write(&path, data)?;
         if excovery_obs::enabled() {
             count_write(data.len());
         }
@@ -298,7 +351,7 @@ impl Level2Store {
         name: &str,
         data: &[u8],
     ) -> Result<(), StoreError> {
-        self.pending()?
+        self.state()?
             .staged
             .entry(run_id)
             .or_default()
@@ -312,18 +365,96 @@ impl Level2Store {
         fs::read(&p).map_err(|e| StoreError(format!("read {p:?}: {e}")))
     }
 
+    /// Brings `segment` up to date with `records.log`, reading only what
+    /// was appended since the last look, and returns the file open for
+    /// reading (`None` while no run was ever sealed).
+    fn refresh(&self, segment: &mut Segment) -> Result<Option<fs::File>, StoreError> {
+        let p = self.records_path();
+        let fail = |e: std::io::Error| StoreError(format!("read {p:?}: {e}"));
+        let mut file = match fs::File::open(&p) {
+            Ok(file) => file,
+            Err(e) if e.kind() == ErrorKind::NotFound => {
+                *segment = Segment::default();
+                return Ok(None);
+            }
+            Err(e) => return Err(fail(e)),
+        };
+        let len = file.metadata().map_err(fail)?.len();
+        if len == segment.len {
+            return Ok(Some(file));
+        }
+        if len < segment.len {
+            // Cut by another handle's seal: read it again from the start.
+            *segment = Segment::default();
+        }
+        let mut tail = Vec::new();
+        file.seek(SeekFrom::Start(segment.end))
+            .and_then(|_| file.read_to_end(&mut tail))
+            .map_err(fail)?;
+        let mut at = 0;
+        while let Some(n) = record_len(&tail[at..]).map_err(|what| {
+            StoreError(format!(
+                "{p:?}: record at byte {}: {what}",
+                segment.end + at as u64
+            ))
+        })? {
+            let start = segment.end + at as u64;
+            segment
+                .records
+                .insert(u64_at(&tail, at + 8), start..start + n as u64);
+            at += n;
+        }
+        segment.end += at as u64;
+        segment.len = segment.end + (tail.len() - at) as u64;
+        Ok(Some(file))
+    }
+
+    /// A crash tears only the record being appended, which the journal
+    /// cannot have confirmed yet, so every run it confirms has its record
+    /// before a torn tail. One that has not means `records.log` was cut
+    /// or damaged, and reading on would lose a sealed run.
+    fn check_tail(&self, segment: &Segment, confirmed: &[u64]) -> Result<(), StoreError> {
+        match confirmed
+            .iter()
+            .find(|run| !segment.records.contains_key(run))
+        {
+            Some(run) if segment.end < segment.len => Err(StoreError(format!(
+                "{:?}: the journal confirms run {run}, but the bytes from {} on hold no whole record",
+                self.records_path(),
+                segment.end
+            ))),
+            _ => Ok(()),
+        }
+    }
+
+    /// The newest record of a run, `None` if `records.log` holds none.
+    fn read_record(&self, run_id: u64) -> Result<Option<RunRecord>, StoreError> {
+        let p = self.records_path();
+        let (mut file, range) = {
+            let mut state = self.state()?;
+            let file = self.refresh(&mut state.segment)?;
+            match (file, state.segment.records.get(&run_id)) {
+                (Some(file), Some(range)) => (file, range.clone()),
+                _ => return Ok(None),
+            }
+        };
+        let mut bytes = vec![0; (range.end - range.start) as usize];
+        file.seek(SeekFrom::Start(range.start))
+            .and_then(|_| file.read_exact(&mut bytes))
+            .map_err(|e| StoreError(format!("read {p:?}: {e}")))?;
+        RunRecord::decode(bytes)
+            .map(Some)
+            .map_err(|e| StoreError(format!("{p:?}: run {run_id}: {}", e.0)))
+    }
+
     /// Reads and checks the sealed record of a run.
     pub fn load_run(&self, run_id: u64) -> Result<RunRecord, StoreError> {
-        let p = self.record_path(run_id);
-        let bytes = fs::read(&p).map_err(|e| StoreError(format!("read {p:?}: {e}")))?;
-        let record = RunRecord::decode(bytes).map_err(|e| StoreError(format!("{p:?}: {}", e.0)))?;
-        if record.run_id != run_id {
-            return Err(StoreError(format!(
-                "{p:?}: record was sealed for run {}",
-                record.run_id
-            )));
-        }
-        Ok(record)
+        self.read_record(run_id)?.ok_or_else(|| {
+            StoreError(format!(
+                "{:?}: no record of run {run_id}",
+                self.records_path()
+            ))
+        })
     }
 
     /// Reads one entry of a sealed run. To read several, [`Self::load_run`]
@@ -335,53 +466,74 @@ impl Level2Store {
             .ok_or_else(|| StoreError(format!("run {run_id}: no entry {node}/{name}")))
     }
 
-    /// Completed run ids, sorted: the runs the journal confirms and whose
-    /// record exists — the collection phase walks these.
+    /// Completed run ids, sorted: the runs the journal confirms and
+    /// `records.log` holds — the collection phase walks these.
     pub fn run_ids(&self) -> Result<Vec<u64>, StoreError> {
         let mut ids = self.journal_runs()?;
-        ids.retain(|&run_id| self.record_path(run_id).is_file());
+        let mut state = self.state()?;
+        self.refresh(&mut state.segment)?;
+        self.check_tail(&state.segment, &ids)?;
+        ids.retain(|run_id| state.segment.records.contains_key(run_id));
         Ok(ids)
     }
 
     /// `(node, name)` pairs sealed for a run, sorted; empty if the run has
     /// no record.
     pub fn run_entries(&self, run_id: u64) -> Result<Vec<(String, String)>, StoreError> {
-        if !self.record_path(run_id).is_file() {
-            return Ok(Vec::new());
-        }
-        Ok(self
-            .load_run(run_id)?
-            .entries()
-            .map(|(node, name, _)| (node.to_string(), name.to_string()))
-            .collect())
+        Ok(self.read_record(run_id)?.map_or_else(Vec::new, |record| {
+            record
+                .entries()
+                .map(|(node, name, _)| (node.to_string(), name.to_string()))
+                .collect()
+        }))
     }
 
     /// Seals a run (the recovery mechanism of §VII: aborted runs are
     /// detected by a missing seal and resumed).
     ///
-    /// Two writes, in order: everything staged for the run goes into one
-    /// record, renamed into place as `runs/<run_id>.run`; then the run id
-    /// is appended to `runs/journal.log`. A crash between the two leaves a
-    /// record the journal does not confirm — [`Self::is_run_complete`]
-    /// treats such a run as incomplete, so it is re-executed rather than
-    /// packaged in a possibly half-recorded state.
+    /// Two appends, in order: everything staged for the run goes into one
+    /// record at the end of `runs/records.log`; then the run id goes to
+    /// `runs/journal.log`. A crash between the two leaves a record the
+    /// journal does not confirm — [`Self::is_run_complete`] treats such a
+    /// run as incomplete, so it is re-executed rather than packaged in a
+    /// possibly half-recorded state.
     pub fn mark_run_complete(&self, run_id: u64) -> Result<(), StoreError> {
         let started = excovery_obs::enabled().then(std::time::Instant::now);
-        let mut pending = self.pending()?;
+        let mut state = self.state()?;
         let record = encode_record(
             run_id,
-            pending.staged.get(&run_id).unwrap_or(&BTreeMap::new()),
+            state.staged.get(&run_id).unwrap_or(&BTreeMap::new()),
         )?;
-        atomic_write(&self.record_path(run_id), &record)?;
+        if state.appenders.is_none() {
+            let appenders = self.open_appenders(&mut state.segment)?;
+            state.appenders = Some(appenders);
+        }
+        let State {
+            staged,
+            segment,
+            appenders,
+        } = &mut *state;
+        let (records, journal) = appenders.as_mut().expect("opened above");
         let line = format!("{run_id}\n");
-        let journal = match &mut pending.journal {
-            Some(journal) => journal,
-            unopened => unopened.insert(self.open_journal()?),
-        };
-        journal
-            .write_all(line.as_bytes())
-            .map_err(|e| StoreError(format!("append {:?}: {e}", self.journal_path())))?;
-        pending.staged.remove(&run_id);
+        let appended = records
+            .write_all(&record)
+            .map_err(|e| StoreError(format!("append {:?}: {e}", self.records_path())))
+            .and_then(|()| {
+                let start = segment.len;
+                segment.end = start + record.len() as u64;
+                segment.len = segment.end;
+                segment.records.insert(run_id, start..segment.end);
+                journal
+                    .write_all(line.as_bytes())
+                    .map_err(|e| StoreError(format!("append {:?}: {e}", self.journal_path())))
+            });
+        if appended.is_err() {
+            // What reached either file is a torn tail now; the next seal
+            // reopens both and cuts it off.
+            *appenders = None;
+            return appended;
+        }
+        staged.remove(&run_id);
         if let Some(started) = started {
             count_write(record.len());
             count_write(line.len());
@@ -393,23 +545,25 @@ impl Level2Store {
         Ok(())
     }
 
-    /// Opens the journal for appending. A tail without its newline is the
-    /// remains of a seal that crashed mid-append; it confirms nothing and
-    /// is cut off so the next line does not run into it.
-    fn open_journal(&self) -> Result<fs::File, StoreError> {
-        let p = self.journal_path();
-        let fail = |e: std::io::Error| StoreError(format!("open {p:?}: {e}"));
-        let journal = fs::OpenOptions::new()
-            .append(true)
-            .create(true)
-            .open(&p)
-            .map_err(fail)?;
-        let raw = fs::read(&p).map_err(fail)?;
-        let confirmed = raw.iter().rposition(|b| *b == b'\n').map_or(0, |i| i + 1);
-        if confirmed < raw.len() {
-            journal.set_len(confirmed as u64).map_err(fail)?;
+    /// Opens `records.log` and `journal.log` for appending. A record or a
+    /// line cut short at the end is the remains of a seal that crashed
+    /// mid-append; it confirms nothing and is cut off so that the next
+    /// seal does not run into it.
+    fn open_appenders(&self, segment: &mut Segment) -> Result<(fs::File, fs::File), StoreError> {
+        self.refresh(segment)?;
+        if segment.end < segment.len {
+            self.check_tail(segment, &self.journal_runs()?)?;
         }
-        Ok(journal)
+        let records = open_append(&self.records_path(), segment.end)?;
+        segment.len = segment.end;
+        let p = self.journal_path();
+        let raw = match fs::read(&p) {
+            Ok(raw) => raw,
+            Err(e) if e.kind() == ErrorKind::NotFound => Vec::new(),
+            Err(e) => return Err(StoreError(format!("read {p:?}: {e}"))),
+        };
+        let confirmed = raw.iter().rposition(|b| *b == b'\n').map_or(0, |i| i + 1);
+        Ok((records, open_append(&p, confirmed as u64)?))
     }
 
     /// Run ids the journal confirms, sorted; empty without a journal. An
@@ -438,10 +592,9 @@ impl Level2Store {
         Ok(runs)
     }
 
-    /// True if the journal confirms the run and its record exists.
+    /// True if the journal confirms the run and `records.log` holds it.
     pub fn is_run_complete(&self, run_id: u64) -> Result<bool, StoreError> {
-        Ok(self.journal_runs()?.binary_search(&run_id).is_ok()
-            && self.record_path(run_id).is_file())
+        Ok(self.run_ids()?.binary_search(&run_id).is_ok())
     }
 
     /// Lowest incomplete run id, given the total planned runs — where a
@@ -547,6 +700,26 @@ mod tests {
         s.destroy().unwrap();
     }
 
+    #[cfg(unix)]
+    #[test]
+    fn identical_experiment_entry_is_not_rewritten() {
+        use std::os::unix::fs::MetadataExt;
+        let s = temp_store("exp-same");
+        let inode = || {
+            fs::metadata(s.experiment_path("master", "topology.json"))
+                .unwrap()
+                .ino()
+        };
+        s.put_experiment("master", "topology.json", b"[1]").unwrap();
+        let first = inode();
+        s.put_experiment("master", "topology.json", b"[1]").unwrap();
+        assert_eq!(inode(), first, "equal bytes stay in place");
+        s.put_experiment("master", "topology.json", b"[2]").unwrap();
+        assert_ne!(inode(), first, "other bytes replace the entry");
+        assert_eq!(s.get_experiment("master", "topology.json").unwrap(), b"[2]");
+        s.destroy().unwrap();
+    }
+
     #[test]
     fn run_data_roundtrip_and_listing() {
         let s = temp_store("run");
@@ -575,8 +748,8 @@ mod tests {
         assert!(s.run_entries(99).unwrap().is_empty());
         assert_eq!(
             runs_dir_listing(&s),
-            vec!["0.run", "3.run", "journal.log"],
-            "one record per run and the journal, nothing else"
+            vec!["journal.log", "records.log"],
+            "the records and the journal, no file per run"
         );
         s.destroy().unwrap();
     }
@@ -625,8 +798,9 @@ mod tests {
         s.mark_run_complete(0).unwrap();
         s.mark_run_complete(1).unwrap();
         assert_eq!(s.journal_runs().unwrap(), vec![0, 1]);
-        // The state a crash between record rename and journal append of
-        // run 1 leaves: the record exists, the journal doesn't list it.
+        // The state a crash between the record append and the journal
+        // append of run 1 leaves: the record exists, the journal doesn't
+        // list it.
         fs::write(s.journal_path(), b"0\n").unwrap();
         assert!(s.is_run_complete(0).unwrap());
         assert!(!s.is_run_complete(1).unwrap());
@@ -679,21 +853,66 @@ mod tests {
     }
 
     #[test]
-    fn damaged_or_misplaced_record_is_an_error() {
+    fn torn_record_tail_confirms_nothing_and_is_cut_by_the_next_seal() {
+        let s = temp_store("torn-record");
+        s.put_run(0, "n", "x", b"zero").unwrap();
+        s.mark_run_complete(0).unwrap();
+        let sealed = fs::read(s.records_path()).unwrap();
+        s.put_run(1, "n", "x", b"one").unwrap();
+        s.mark_run_complete(1).unwrap();
+        let full = fs::read(s.records_path()).unwrap();
+        // A crash inside the append of run 1's record: part of it on
+        // disk, no journal line.
+        fs::write(s.records_path(), &full[..sealed.len() + 10]).unwrap();
+        fs::write(s.journal_path(), b"0\n").unwrap();
+        let s = Level2Store::open(s.root()).unwrap();
+        assert_eq!(s.run_ids().unwrap(), vec![0]);
+        assert!(s.run_entries(1).unwrap().is_empty());
+        assert!(s.load_run(1).is_err());
+        s.put_run(1, "n", "x", b"again").unwrap();
+        s.mark_run_complete(1).unwrap();
+        assert_eq!(s.run_ids().unwrap(), vec![0, 1]);
+        assert_eq!(s.get_run(1, "n", "x").unwrap(), b"again");
+        assert_eq!(s.get_run(0, "n", "x").unwrap(), b"zero");
+        let healed = fs::read(s.records_path()).unwrap();
+        assert_eq!(&healed[..sealed.len()], &sealed[..]);
+        assert_eq!(healed.len(), full.len() + 2, "the torn bytes were cut off");
+        s.destroy().unwrap();
+    }
+
+    #[test]
+    fn damaged_record_is_an_error() {
         let s = temp_store("badrecord");
         s.put_run(0, "n", "x", b"data").unwrap();
         s.mark_run_complete(0).unwrap();
         s.mark_run_complete(1).unwrap();
-        // A record sealed for another run does not answer for this one.
-        fs::copy(s.record_path(0), s.record_path(1)).unwrap();
-        let e = s.load_run(1).unwrap_err();
-        assert!(e.0.contains("sealed for run 0"), "{e}");
-        let mut bytes = fs::read(s.record_path(0)).unwrap();
-        bytes.push(0);
-        fs::write(s.record_path(0), &bytes).unwrap();
-        let e = s.get_run(0, "n", "x").unwrap_err();
-        assert!(e.0.contains("trailing bytes"), "{e}");
-        assert!(s.run_entries(0).is_err());
+        let good = fs::read(s.records_path()).unwrap();
+        // A flipped bit in run 0's entry table: no record past it can be
+        // located, and none reads as "not sealed".
+        let mut flipped = good.clone();
+        flipped[HEADER_LEN] ^= 1;
+        fs::write(s.records_path(), &flipped).unwrap();
+        let s = Level2Store::open(s.root()).unwrap();
+        for e in [
+            s.get_run(0, "n", "x").unwrap_err(),
+            s.run_entries(1).unwrap_err(),
+            s.run_ids().unwrap_err(),
+            s.mark_run_complete(2).unwrap_err(),
+        ] {
+            assert!(
+                e.0.contains("records.log") && e.0.contains("checksum"),
+                "{e}"
+            );
+        }
+        // Cut inside run 1's record although the journal confirms run 1:
+        // not a crash, and the next seal must not cut it further.
+        fs::write(s.records_path(), &good[..good.len() - 1]).unwrap();
+        let s = Level2Store::open(s.root()).unwrap();
+        let e = s.first_incomplete_run(3).unwrap_err();
+        assert!(e.0.contains("confirms run 1"), "{e}");
+        assert!(s.mark_run_complete(2).is_err());
+        assert_eq!(fs::read(s.records_path()).unwrap().len(), good.len() - 1);
+        assert_eq!(s.get_run(0, "n", "x").unwrap(), b"data");
         s.destroy().unwrap();
     }
 
@@ -715,7 +934,8 @@ mod tests {
         let s = temp_store("hygiene");
         s.put_run(0, "n", "x", b"data").unwrap();
         s.mark_run_complete(0).unwrap();
-        // A stray atomic-writer temp file (crash artifact).
+        // A stray file beside the records, such as the temp file a crash
+        // of an older layout's seal left behind.
         fs::write(s.root().join("runs/.1.run.tmp-999-0"), b"torn").unwrap();
         assert_eq!(s.run_ids().unwrap(), vec![0]);
         assert_eq!(
@@ -799,7 +1019,7 @@ mod tests {
             s.mark_run_complete(run).unwrap();
             let want = last_wins(&entries);
             let record = s.load_run(run).unwrap();
-            prop_assert_eq!(record.run_id, run);
+            prop_assert_eq!(u64_at(&record.bytes, 8), run);
             let got: Vec<(EntryKey, Vec<u8>)> = record
                 .entries()
                 .map(|(node, name, data)| ((node.to_string(), name.to_string()), data.to_vec()))

@@ -6,7 +6,8 @@
 //!   document, exchanged and loaded for execution and analysis).
 //! * **Level 2** — intermediate storage of all concrete experiment data:
 //!   per-node, per-run log files and measurements, one sealed record
-//!   file per run under an append-only journal ([`level2`]).
+//!   per run appended to one file under an append-only journal
+//!   ([`level2`]).
 //! * **Level 3** — one package per experiment: a single relational database
 //!   with the schema of Table I ([`schema`]), containing all conditioned
 //!   measurements, logs and the complete experiment plan. The paper uses

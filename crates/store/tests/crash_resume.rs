@@ -52,43 +52,50 @@ fn resume_point_survives_reopen() {
     // What the unsealed run had staged died with the process; nothing of
     // it is on disk for a later pass to mistake for data.
     assert!(l2.run_entries(2).unwrap().is_empty());
-    assert_eq!(
-        runs_dir_listing(&root),
-        vec!["0.run", "1.run", "journal.log"]
-    );
+    assert_eq!(runs_dir_listing(&root), vec!["journal.log", "records.log"]);
     l2.destroy().unwrap();
 }
 
-type DamageFn = fn(&Path);
+/// Damages a root; the second argument is where run 1's record starts
+/// in `records.log`.
+type DamageFn = fn(&Path, u64);
 
 /// The four on-disk states a crash inside the seal of run 1 can leave,
 /// built by construction on top of a cleanly sealed run 0. `prepare`
 /// receives the root after run 1 was sealed too and damages it.
 fn crashed_seal_states() -> Vec<(&'static str, DamageFn)> {
-    fn record(root: &Path) -> PathBuf {
-        root.join("runs").join("1.run")
+    fn records(root: &Path) -> PathBuf {
+        root.join("runs").join("records.log")
     }
     fn journal(root: &Path) -> PathBuf {
         root.join("runs").join("journal.log")
     }
+    fn cut_records(root: &Path, len: u64) {
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(records(root))
+            .unwrap()
+            .set_len(len)
+            .unwrap();
+    }
     vec![
-        // Killed while writing the temp file: no record, no journal line.
-        ("temp record only", |root| {
-            std::fs::rename(record(root), root.join("runs").join(".1.run.tmp-999-0")).unwrap();
+        // Killed while appending the record: part of it, no journal line.
+        ("torn record", |root, run1| {
+            cut_records(root, run1 + 5);
             std::fs::write(journal(root), b"0\n").unwrap();
         }),
-        // Killed between the rename and the journal append.
-        ("record without journal line", |root| {
+        // Killed between the record append and the journal append.
+        ("record without journal line", |root, _| {
             std::fs::write(journal(root), b"0\n").unwrap();
         }),
         // Killed inside the journal append: the line lacks its newline.
-        ("record with torn journal line", |root| {
+        ("record with torn journal line", |root, _| {
             std::fs::write(journal(root), b"0\n1").unwrap();
         }),
         // Not reachable by a crash of the seal itself (the record lands
-        // first), but what a lost record file looks like.
-        ("journal line whose record is missing", |root| {
-            std::fs::remove_file(record(root)).unwrap();
+        // first), but what a lost record looks like.
+        ("journal line whose record is missing", |root, run1| {
+            cut_records(root, run1);
         }),
     ]
 }
@@ -100,14 +107,18 @@ fn crashed_seal_states() -> Vec<(&'static str, DamageFn)> {
 fn every_crashed_seal_state_is_incomplete_and_heals() {
     for (state, prepare) in crashed_seal_states() {
         let root = unique_root("seal-crash");
-        {
+        let run1 = {
             let l2 = Level2Store::open(&root).unwrap();
             seal(&l2, 0, b"[0]");
+            let run1 = std::fs::metadata(root.join("runs").join("records.log"))
+                .unwrap()
+                .len();
             l2.put_run(1, "node-a", "aborted-only.json", b"stale")
                 .unwrap();
             seal(&l2, 1, b"[1]");
-        }
-        prepare(&root);
+            run1
+        };
+        prepare(&root, run1);
 
         let l2 = Level2Store::open(&root).unwrap();
         assert!(l2.is_run_complete(0).unwrap(), "{state}");
@@ -200,14 +211,13 @@ fn database_save_leaves_no_temp_files_and_roundtrips() {
     std::fs::remove_dir_all(&root).unwrap();
 }
 
-/// Level-2 listings ignore the atomic writer's in-flight temp names even if
-/// a crash stranded one on disk.
+/// Level-2 listings ignore stray files beside the records, such as the
+/// temp files a crash of the older one-file-per-run seal stranded.
 #[test]
 fn stranded_temp_files_never_surface_as_measurements() {
     let root = unique_root("stranded");
     let l2 = Level2Store::open(&root).unwrap();
     seal(&l2, 0, b"[]");
-    // A crash mid-atomic-write leaves a dot-prefixed temp file behind.
     std::fs::write(root.join("runs").join(".0.run.tmp-999-0"), b"torn").unwrap();
     std::fs::write(root.join("runs").join(".1.run.tmp-999-1"), b"torn").unwrap();
     assert_eq!(l2.run_ids().unwrap(), vec![0]);
