@@ -29,9 +29,7 @@
 //!
 //! Usage: `query_snapshot [output-path]` (default `BENCH_query.json`).
 
-use excovery_query::{
-    col, lit, Agg, Dataset, SpillBuilder, Value, MEMORY_BUDGET_ENV,
-};
+use excovery_query::{col, lit, Agg, Dataset, SpillBuilder, Value, MEMORY_BUDGET_ENV};
 use excovery_store::{Aggregate, Column, ColumnType, Database, Predicate, SqlValue};
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -346,11 +344,7 @@ fn main() -> Result<(), String> {
     // Invariant 3: after all of the above, the resident set is still
     // bounded by the budget plus at most one in-flight partition.
     let store = ds.spill_store().expect("warehouse is spilled");
-    let largest = store
-        .footers()
-        .map(|f| f.decoded_bytes)
-        .max()
-        .unwrap_or(0);
+    let largest = store.footers().map(|f| f.decoded_bytes).max().unwrap_or(0);
     let resident = store.resident_bytes();
     assert!(
         resident <= budget + largest,

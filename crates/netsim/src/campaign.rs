@@ -69,15 +69,12 @@ pub fn parse_shards(value: &str) -> Result<usize, String> {
     if trimmed.is_empty() {
         return Ok(1);
     }
-    trimmed
-        .parse::<usize>()
-        .map(|n| n.max(1))
-        .map_err(|_| {
-            format!(
-                "invalid shard count {value:?}: expected a non-negative integer \
+    trimmed.parse::<usize>().map(|n| n.max(1)).map_err(|_| {
+        format!(
+            "invalid shard count {value:?}: expected a non-negative integer \
                  (0 or unset runs serially with one shard)"
-            )
-        })
+        )
+    })
 }
 
 /// Reads the shard count from [`SHARDS_ENV`]. Unset means serial (`1`); an

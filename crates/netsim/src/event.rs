@@ -283,7 +283,9 @@ mod tests {
         let mut state = 0x9E3779B97F4A7C15u64;
         let mut pairs = Vec::with_capacity(10_000);
         for i in 0..10_000u64 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             pairs.push((state % 64, (state >> 16 << 16) | i));
         }
         check_against_model(&pairs, 3);

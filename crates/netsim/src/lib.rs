@@ -47,12 +47,12 @@ pub use campaign::{
     run_indexed, run_replications, run_replications_serial, shards_from_env, workers_from_env,
     CampaignConfig,
 };
-pub use shard::ShardMap;
 pub use capture::CaptureRecord;
 pub use clock::NodeClock;
 pub use filter::{Direction, FilterRule};
 pub use packet::{Destination, Packet, PacketId, Payload, Port};
 pub use params::{EventName, EventParams, EventStr};
+pub use shard::ShardMap;
 pub use sim::{Agent, AgentCtx, NodeId, Simulator, SimulatorConfig};
 pub use time::{SimDuration, SimTime};
 pub use topology::{RoutingTable, Topology};

@@ -42,7 +42,9 @@ impl<T> MailboxGrid<T> {
     pub fn new(shards: usize) -> Self {
         Self {
             shards,
-            cells: (0..shards * shards).map(|_| Mutex::new(Vec::new())).collect(),
+            cells: (0..shards * shards)
+                .map(|_| Mutex::new(Vec::new()))
+                .collect(),
         }
     }
 

@@ -279,7 +279,10 @@ where
     D: Fn(&mut Shard) + Sync,
     P: Fn(&mut Shard, SimTime, bool) -> u64 + Sync,
 {
-    debug_assert!(lookahead > SimDuration::ZERO, "parallel run needs lookahead");
+    debug_assert!(
+        lookahead > SimDuration::ZERO,
+        "parallel run needs lookahead"
+    );
     let n = shards.len();
     let ctrl = WindowCtrl {
         barrier: Barrier::new(n),

@@ -725,7 +725,16 @@ impl Shard {
             self.stats.forwarded += 1;
             // Advance the index into the shared route — no allocation.
             let hop = path[next];
-            self.transmit_hop(ctx, mail, packet, to, hop, path, next + 1, SimDuration::ZERO);
+            self.transmit_hop(
+                ctx,
+                mail,
+                packet,
+                to,
+                hop,
+                path,
+                next + 1,
+                SimDuration::ZERO,
+            );
         }
     }
 
@@ -1325,9 +1334,7 @@ impl Simulator {
             let Some(s) = Self::earliest(shards) else {
                 break;
             };
-            if deadline.is_some_and(|d| {
-                shards[s].queue.peek_time().expect("peeked above") > d
-            }) {
+            if deadline.is_some_and(|d| shards[s].queue.peek_time().expect("peeked above") > d) {
                 break;
             }
             shards[s].process_one(ctx, mail);
@@ -1423,7 +1430,15 @@ impl Simulator {
         } else if lookahead.as_nanos() == 0 {
             Self::run_serial_merged(shards, mail, &ctx, Some(deadline), u64::MAX);
         } else {
-            Self::run_parallel(shards, mail, &ctx, *lookahead, Some(deadline), u64::MAX, obs);
+            Self::run_parallel(
+                shards,
+                mail,
+                &ctx,
+                *lookahead,
+                Some(deadline),
+                u64::MAX,
+                obs,
+            );
         }
         for sh in shards.iter_mut() {
             sh.time = sh.time.max(deadline);
@@ -2070,7 +2085,12 @@ mod tests {
                 );
             }
             s.send_from(NodeId(0), 5353, Destination::Multicast, Payload::from("q"));
-            s.send_from(NodeId(5), 5353, Destination::Unicast(NodeId(15)), Payload::from("u"));
+            s.send_from(
+                NodeId(5),
+                5353,
+                Destination::Unicast(NodeId(15)),
+                Payload::from("u"),
+            );
             s.send_from(NodeId(10), 5353, Destination::Multicast, Payload::from("r"));
             s.run_until_idle(1_000_000);
             let caps: Vec<usize> = (0..16u16).map(|n| s.captures(NodeId(n)).len()).collect();
@@ -2118,7 +2138,11 @@ mod tests {
                 Payload::from("x"),
             );
         }
-        let ids: Vec<u64> = s.captures(NodeId(1)).iter().map(|c| c.packet_id.0).collect();
+        let ids: Vec<u64> = s
+            .captures(NodeId(1))
+            .iter()
+            .map(|c| c.packet_id.0)
+            .collect();
         assert_eq!(ids, vec![(1 << 32), (1 << 32) + 1]);
     }
 

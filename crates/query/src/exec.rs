@@ -178,16 +178,15 @@ impl PlanCtx {
         sort: Option<String>,
         pool: &StringPool,
     ) -> Result<Self, QueryError> {
-        let col_index = |name: &str| -> Result<usize, QueryError> {
-            schema
-                .names
-                .iter()
-                .position(|n| n == name)
-                .ok_or_else(|| QueryError::NoSuchColumn {
-                    table: table.clone(),
-                    column: name.to_string(),
+        let col_index =
+            |name: &str| -> Result<usize, QueryError> {
+                schema.names.iter().position(|n| n == name).ok_or_else(|| {
+                    QueryError::NoSuchColumn {
+                        table: table.clone(),
+                        column: name.to_string(),
+                    }
                 })
-        };
+            };
         let group_cols: Vec<usize> = group_by
             .iter()
             .map(|c| col_index(c))
@@ -273,7 +272,11 @@ pub(crate) fn execute(scan: Scan<'_>) -> Result<Frame, QueryError> {
     execute_ctx(ds, &ctx, workers)
 }
 
-pub(crate) fn execute_ctx(ds: &Dataset, ctx: &PlanCtx, workers: usize) -> Result<Frame, QueryError> {
+pub(crate) fn execute_ctx(
+    ds: &Dataset,
+    ctx: &PlanCtx,
+    workers: usize,
+) -> Result<Frame, QueryError> {
     // Partition selection with min/max pruning — from slab footers for
     // spilled datasets (no IO beyond the already-read footers), from the
     // resident slabs otherwise.
@@ -324,20 +327,21 @@ pub(crate) fn execute_ctx(ds: &Dataset, ctx: &PlanCtx, workers: usize) -> Result
     // Scans one selected partition, loading it first when spilled. The
     // loaded `Arc` lives for the duration of the closure, so eviction
     // during a concurrent scan can never invalidate it.
-    let with_table = |sel: &Sel<'_>, f: &mut dyn FnMut(&ColumnTable) -> Result<GroupMap, QueryError>| match sel {
-        Sel::Resident(p) => f(p.tables.get(&ctx.table).expect("selected table present")),
-        Sel::Spilled(slot) => {
-            let part = ds
-                .spill
-                .as_ref()
-                .expect("spilled selection")
-                .load_projected(*slot, &ctx.table, &ctx.needed)?;
-            f(part
-                .tables
-                .get(&ctx.table)
-                .expect("footer promised this table"))
-        }
-    };
+    let with_table =
+        |sel: &Sel<'_>, f: &mut dyn FnMut(&ColumnTable) -> Result<GroupMap, QueryError>| match sel {
+            Sel::Resident(p) => f(p.tables.get(&ctx.table).expect("selected table present")),
+            Sel::Spilled(slot) => {
+                let part = ds
+                    .spill
+                    .as_ref()
+                    .expect("spilled selection")
+                    .load_projected(*slot, &ctx.table, &ctx.needed)?;
+                f(part
+                    .tables
+                    .get(&ctx.table)
+                    .expect("footer promised this table"))
+            }
+        };
 
     if ctx.aggregate_mode() {
         let partials = excovery_netsim::run_indexed(workers, parts.len(), |i| {

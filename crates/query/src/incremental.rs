@@ -203,7 +203,11 @@ impl StandingQuery {
 }
 
 /// Builds the resolved plan context a spec describes over `schema`.
-fn plan_ctx(spec: &PlanSpec, schema: &TableSchema, pool: &StringPool) -> Result<PlanCtx, QueryError> {
+fn plan_ctx(
+    spec: &PlanSpec,
+    schema: &TableSchema,
+    pool: &StringPool,
+) -> Result<PlanCtx, QueryError> {
     PlanCtx::new(
         schema,
         spec.table.clone(),

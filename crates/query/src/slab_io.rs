@@ -185,7 +185,10 @@ fn put_i64(out: &mut Vec<u8>, v: i64) {
 }
 
 fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, u32::try_from(s.len()).expect("string too long for slab file"));
+    put_u32(
+        out,
+        u32::try_from(s.len()).expect("string too long for slab file"),
+    );
     out.extend_from_slice(s.as_bytes());
 }
 
@@ -206,7 +209,9 @@ impl<'a> Reader<'a> {
             .pos
             .checked_add(n)
             .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| QueryError::Corrupt(format!("truncated section: need {n} more bytes")))?;
+            .ok_or_else(|| {
+                QueryError::Corrupt(format!("truncated section: need {n} more bytes"))
+            })?;
         let out = &self.buf[self.pos..end];
         self.pos = end;
         Ok(out)
@@ -278,7 +283,10 @@ fn encode_slab(slab: &Slab, rows: usize, local_ids: Option<&[u32]>) -> (Encoding
     match slab {
         Slab::I64 { vals, nulls, .. } => {
             let runs = runs_of(rows, |i| (nulls.get(i), vals[i]));
-            let rle_size = 8 + runs.iter().map(|(n, ..)| if *n { 5 } else { 13 }).sum::<usize>();
+            let rle_size = 8 + runs
+                .iter()
+                .map(|(n, ..)| if *n { 5 } else { 13 })
+                .sum::<usize>();
             if rle_size < rows * 8 + words * 8 {
                 let mut out = Vec::with_capacity(rle_size);
                 put_u64(&mut out, runs.len() as u64);
@@ -303,7 +311,10 @@ fn encode_slab(slab: &Slab, rows: usize, local_ids: Option<&[u32]>) -> (Encoding
         }
         Slab::F64 { vals, nulls } => {
             let runs = runs_of(rows, |i| (nulls.get(i), vals[i].to_bits()));
-            let rle_size = 8 + runs.iter().map(|(n, ..)| if *n { 5 } else { 13 }).sum::<usize>();
+            let rle_size = 8 + runs
+                .iter()
+                .map(|(n, ..)| if *n { 5 } else { 13 })
+                .sum::<usize>();
             if rle_size < rows * 8 + words * 8 {
                 let mut out = Vec::with_capacity(rle_size);
                 put_u64(&mut out, runs.len() as u64);
@@ -330,7 +341,10 @@ fn encode_slab(slab: &Slab, rows: usize, local_ids: Option<&[u32]>) -> (Encoding
             // `local_ids` already carries the file-local dictionary ids.
             let ids = local_ids.expect("string slab without local ids");
             let runs = runs_of(rows, |i| (nulls.get(i), ids[i]));
-            let rle_size = 8 + runs.iter().map(|(n, ..)| if *n { 5 } else { 9 }).sum::<usize>();
+            let rle_size = 8 + runs
+                .iter()
+                .map(|(n, ..)| if *n { 5 } else { 9 })
+                .sum::<usize>();
             if rle_size < rows * 4 + words * 8 {
                 let mut out = Vec::with_capacity(rle_size);
                 put_u64(&mut out, runs.len() as u64);
@@ -703,7 +717,9 @@ fn decode_footer(bytes: &[u8], path: &Path) -> Result<PartitionFooter, QueryErro
     };
     let encoded_bytes = r.u64()?;
     let decoded_bytes = r.u64()?;
-    let dict: Vec<String> = (0..r.count(4)?).map(|_| r.str()).collect::<Result<_, _>>()?;
+    let dict: Vec<String> = (0..r.count(4)?)
+        .map(|_| r.str())
+        .collect::<Result<_, _>>()?;
     let ntables = r.count(1)?;
     let mut tables = Vec::with_capacity(ntables);
     for _ in 0..ntables {
@@ -776,21 +792,22 @@ fn decode_footer(bytes: &[u8], path: &Path) -> Result<PartitionFooter, QueryErro
 /// for cold partitions.
 pub fn read_footer(path: &Path) -> Result<PartitionFooter, QueryError> {
     let mut f = std::fs::File::open(path).map_err(|e| io_err("open", path, e))?;
-    let size = f
-        .metadata()
-        .map_err(|e| io_err("stat", path, e))?
-        .len();
+    let size = f.metadata().map_err(|e| io_err("stat", path, e))?.len();
     if size < 8 + TRAILER_LEN {
         return Err(corrupt(path, "file smaller than header + trailer"));
     }
     let mut head = [0u8; 8];
-    f.read_exact(&mut head).map_err(|e| io_err("read", path, e))?;
+    f.read_exact(&mut head)
+        .map_err(|e| io_err("read", path, e))?;
     if &head[0..4] != SLAB_MAGIC {
         return Err(corrupt(path, "bad header magic"));
     }
     let version = u32::from_le_bytes(head[4..8].try_into().unwrap());
     if version != FORMAT_VERSION {
-        return Err(corrupt(path, format!("unsupported format version {version}")));
+        return Err(corrupt(
+            path,
+            format!("unsupported format version {version}"),
+        ));
     }
     f.seek(SeekFrom::End(-(TRAILER_LEN as i64)))
         .map_err(|e| io_err("seek", path, e))?;
@@ -811,7 +828,8 @@ pub fn read_footer(path: &Path) -> Result<PartitionFooter, QueryError> {
     f.seek(SeekFrom::Start(footer_offset))
         .map_err(|e| io_err("seek", path, e))?;
     let mut buf = vec![0u8; footer_len as usize];
-    f.read_exact(&mut buf).map_err(|e| io_err("read", path, e))?;
+    f.read_exact(&mut buf)
+        .map_err(|e| io_err("read", path, e))?;
     decode_footer(&buf, path)
 }
 
@@ -906,20 +924,21 @@ fn read_partition_impl(
                 }
             }
             if c.offset.checked_add(c.len).is_none_or(|end| end > size) {
-                return Err(corrupt(path, format!("column {:?} span out of bounds", c.name)));
+                return Err(corrupt(
+                    path,
+                    format!("column {:?} span out of bounds", c.name),
+                ));
             }
             f.seek(SeekFrom::Start(c.offset))
                 .map_err(|e| io_err("seek", path, e))?;
             let mut buf = vec![0u8; c.len as usize];
-            f.read_exact(&mut buf).map_err(|e| io_err("read", path, e))?;
+            f.read_exact(&mut buf)
+                .map_err(|e| io_err("read", path, e))?;
             read_total += c.len;
-            let slab = decode_slab(c, &buf, rows, remap)
-                .map_err(|e| match e {
-                    QueryError::Corrupt(msg) => {
-                        corrupt(path, format!("column {:?}: {msg}", c.name))
-                    }
-                    other => other,
-                })?;
+            let slab = decode_slab(c, &buf, rows, remap).map_err(|e| match e {
+                QueryError::Corrupt(msg) => corrupt(path, format!("column {:?}: {msg}", c.name)),
+                other => other,
+            })?;
             names.push(c.name.clone());
             slabs.push(slab);
         }

@@ -26,8 +26,10 @@
 use crate::column::StringPool;
 use crate::dataset::{ingest_package, Dataset, Partition, TableSchema, DEFAULT_PARTITION_COLUMN};
 use crate::error::QueryError;
-use crate::slab_io::{read_footer, read_partition, read_partition_projected, write_partition,
-    PartitionFooter, SLAB_FILE_EXTENSION};
+use crate::slab_io::{
+    read_footer, read_partition, read_partition_projected, write_partition, PartitionFooter,
+    SLAB_FILE_EXTENSION,
+};
 use excovery_store::{ColumnType, Database};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -119,8 +121,10 @@ impl SpillStore {
     /// returned `Arc` stays valid even if the slot is evicted mid-scan.
     pub(crate) fn load(&self, i: usize) -> Result<Arc<Partition>, QueryError> {
         let slot = &self.slots[i];
-        slot.last_used
-            .store(self.clock.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+        slot.last_used.store(
+            self.clock.fetch_add(1, Ordering::SeqCst) + 1,
+            Ordering::SeqCst,
+        );
         let part = {
             // Hold the slot lock across the decode so concurrent scans
             // of one partition do the IO once.
@@ -160,14 +164,19 @@ impl SpillStore {
     ) -> Result<Arc<Partition>, QueryError> {
         let slot = &self.slots[i];
         let full = slot.footer.tables.iter().all(|t| {
-            t.name == table && t.columns.iter().all(|c| columns.iter().any(|n| n == &c.name))
+            t.name == table
+                && t.columns
+                    .iter()
+                    .all(|c| columns.iter().any(|n| n == &c.name))
         });
         if full {
             return self.load(i);
         }
         if let Some(p) = slot.cached.lock().unwrap().as_ref() {
-            slot.last_used
-                .store(self.clock.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+            slot.last_used.store(
+                self.clock.fetch_add(1, Ordering::SeqCst) + 1,
+                Ordering::SeqCst,
+            );
             return Ok(Arc::clone(p));
         }
         let part = read_partition_projected(&slot.path, &slot.footer, &slot.remap, table, columns)?;
@@ -255,11 +264,13 @@ impl Dataset {
     /// this dataset: nothing resident, everything loaded lazily under
     /// `budget` bytes (`None` = `EXCOVERY_QUERY_MEM` or the default).
     /// Scans over the twin are bit-identical to scans over `self`.
-    pub fn spill_to(&self, dir: impl AsRef<Path>, budget: Option<u64>) -> Result<Dataset, QueryError> {
+    pub fn spill_to(
+        &self,
+        dir: impl AsRef<Path>,
+        budget: Option<u64>,
+    ) -> Result<Dataset, QueryError> {
         if self.spill.is_some() {
-            return Err(QueryError::Unsupported(
-                "dataset is already spilled".into(),
-            ));
+            return Err(QueryError::Unsupported("dataset is already spilled".into()));
         }
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)
@@ -329,7 +340,11 @@ impl Dataset {
             for t in &footer.tables {
                 let schema = TableSchema {
                     names: t.columns.iter().map(|c| c.name.clone()).collect(),
-                    kinds: t.columns.iter().map(|c| c.kind).collect::<Vec<ColumnType>>(),
+                    kinds: t
+                        .columns
+                        .iter()
+                        .map(|c| c.kind)
+                        .collect::<Vec<ColumnType>>(),
                 };
                 match schemas.get(&t.name) {
                     None => {
@@ -479,7 +494,12 @@ mod tests {
                     run_id: run,
                     node_id: if k % 2 == 0 { "su" } else { "sp" }.into(),
                     common_time_ns: base + k,
-                    event_type: if k % 5 == 0 { "sd_service_add" } else { "sd_probe" }.into(),
+                    event_type: if k % 5 == 0 {
+                        "sd_service_add"
+                    } else {
+                        "sd_probe"
+                    }
+                    .into(),
                     parameter: String::new(),
                 }
                 .insert(&mut db)
@@ -497,7 +517,11 @@ mod tests {
         ds.scan("Events")
             .filter(col("NodeID").eq(lit("su")))
             .group_by(["RunID", "EventType"])
-            .agg([Agg::count(), Agg::mean("CommonTime"), Agg::max("CommonTime")])
+            .agg([
+                Agg::count(),
+                Agg::mean("CommonTime"),
+                Agg::max("CommonTime"),
+            ])
             .workers(workers)
             .collect()
             .unwrap()

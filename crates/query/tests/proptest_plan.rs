@@ -148,15 +148,17 @@ fn shape_strategy() -> impl Strategy<Value = PlanShape> {
         prop::option::of(0usize..ROW_COLS.len()),
         1usize..5,
     )
-        .prop_map(|((filter, any_or), select_mask, sort_idx, workers)| PlanShape {
-            filter,
-            any_or,
-            group_by: Vec::new(),
-            aggs: Vec::new(),
-            select: subset(ROW_COLS, select_mask),
-            sort: sort_idx.map(|i| ROW_COLS[i]),
-            workers,
-        });
+        .prop_map(
+            |((filter, any_or), select_mask, sort_idx, workers)| PlanShape {
+                filter,
+                any_or,
+                group_by: Vec::new(),
+                aggs: Vec::new(),
+                select: subset(ROW_COLS, select_mask),
+                sort: sort_idx.map(|i| ROW_COLS[i]),
+                workers,
+            },
+        );
     prop_oneof![agg_mode, row_mode]
 }
 
@@ -164,13 +166,16 @@ fn apply<'d>(ds: &'d Dataset, shape: &PlanShape) -> excovery_query::Scan<'d> {
     let mut scan = ds.scan("Facts").workers(shape.workers);
     let mut preds = shape.filter.iter().map(Pred::build);
     if let Some(first) = preds.next() {
-        let combined = preds.fold(first, |acc, p| {
-            if shape.any_or {
-                acc.or(p)
-            } else {
-                acc.and(p)
-            }
-        });
+        let combined = preds.fold(
+            first,
+            |acc, p| {
+                if shape.any_or {
+                    acc.or(p)
+                } else {
+                    acc.and(p)
+                }
+            },
+        );
         scan = scan.filter(combined);
     }
     if !shape.group_by.is_empty() || !shape.aggs.is_empty() {

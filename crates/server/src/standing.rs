@@ -112,9 +112,6 @@ impl StandingRegistry {
 
     /// Number of standing queries currently maintained for a job.
     pub fn query_count(&self, id: JobId) -> usize {
-        self.jobs
-            .lock()
-            .get(&id)
-            .map_or(0, |s| s.queries.len())
+        self.jobs.lock().get(&id).map_or(0, |s| s.queries.len())
     }
 }

@@ -256,7 +256,10 @@ fn standing_queries_serve_live_campaign_progress() {
     };
     // Queued, nothing executed: an empty frame, not a fault.
     let empty = client.query(job_id, &plan).expect("query queued job");
-    assert!(empty.columns.is_empty() && empty.rows.is_empty(), "{empty:?}");
+    assert!(
+        empty.columns.is_empty() && empty.rows.is_empty(),
+        "{empty:?}"
+    );
     // Poll the live view after every slice; each frame must have one
     // group per completed run.
     let mut live_rows = Vec::new();
@@ -284,7 +287,10 @@ fn standing_queries_serve_live_campaign_progress() {
     // runs both views saw agree cell for cell.
     let final_frame = client.query(job_id, &plan).expect("query completed job");
     assert_eq!(final_frame.rows.len(), 3);
-    assert!(!live_rows.is_empty(), "the campaign was observed mid-flight");
+    assert!(
+        !live_rows.is_empty(),
+        "the campaign was observed mid-flight"
+    );
     assert_eq!(
         &final_frame.rows[..live_rows.len()],
         &live_rows[..],
