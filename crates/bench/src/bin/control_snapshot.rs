@@ -29,7 +29,7 @@ use excovery_desc::process::{EventSelector, ProcessAction};
 use excovery_desc::ExperimentDescription;
 use excovery_obs::sync::Mutex;
 use excovery_rpc::{
-    relay_registry, Channel, NodeCall, NodeProxy, Reactor, ReactorEndpoint, RetryConfig,
+    relay_registry, Channel, NodeCall, NodeProxy, Reactor, ReactorEndpoint, RetryPolicy,
     ServerRegistry, Value,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -122,7 +122,7 @@ fn reactor_phase(reactor: &mut Reactor) -> u64 {
         })
         .collect();
     let values: Vec<Value> = reactor
-        .dispatch(calls, &RetryConfig::none())
+        .dispatch(calls, &RetryPolicy::none())
         .into_iter()
         .map(|o| o.result.expect("reactor run_init failed"))
         .collect();

@@ -38,7 +38,7 @@ pub mod scenarios;
 pub use binding::{PlatformBinding, ResolvedActors};
 pub use error::EngineError;
 pub use event_log::{EventLog, RecordedEvent};
+pub use excovery_rpc::RetryPolicy;
 pub use master::{
-    EngineConfig, EngineConfigBuilder, ExperiMaster, ExperimentOutcome, RetryPolicy, RunOutcome,
-    TransportKind,
+    EngineConfig, EngineConfigBuilder, ExperiMaster, ExperimentOutcome, RunOutcome, TransportKind,
 };

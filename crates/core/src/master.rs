@@ -32,9 +32,8 @@ use excovery_netsim::traffic::{PairChoice, TrafficGenerator, TrafficSpec};
 use excovery_netsim::{NodeId, SimDuration, SimTime, Simulator};
 use excovery_obs::sync::Mutex;
 use excovery_rpc::{
-    relay_registry, Channel, ChaosOptions, ChaosTransport, NodeCall, NodeProxy, Reactor,
-    ReactorEndpoint, RetryConfig, RpcError, ServerRegistry, TcpOptions, TcpRpcServer, TcpTransport,
-    Transport, Value,
+    relay_registry, ChaosOptions, NodeCall, Reactor, ReactorEndpoint, RetryPolicy, RpcError,
+    ServerRegistry, TcpOptions, TcpRpcServer, Value,
 };
 use excovery_sd::{Architecture, SdConfig};
 use excovery_store::level2::Level2Store;
@@ -82,7 +81,8 @@ pub type PluginFn =
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub enum TransportKind {
-    /// The dedicated in-memory channel (still full XML-RPC on the wire).
+    /// In-process dispatch against each NodeManager's registry: the
+    /// dedicated channel without a wire encoding.
     #[default]
     Memory,
     /// Length-prefixed XML-RPC frames over loopback TCP sockets — the
@@ -106,54 +106,6 @@ impl std::fmt::Display for TransportKind {
         match self {
             TransportKind::Memory => write!(f, "memory"),
             TransportKind::Tcp => write!(f, "tcp"),
-        }
-    }
-}
-
-/// Bounded retry policy for control-channel calls.
-///
-/// Every lifecycle call the master issues carries an idempotency key and
-/// is retried up to `max_attempts` times on failures that
-/// [`RpcError::is_retryable`] classifies as transient (timeouts,
-/// disconnects, I/O) with exponential backoff. Server faults and codec
-/// errors are never retried — repeating a call the node *rejected* cannot
-/// succeed and would only mask the bug.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts per logical call (first try included); minimum 1.
-    pub max_attempts: u32,
-    /// Wall-clock delay before the first retry.
-    pub backoff_initial: Duration,
-    /// Backoff ceiling; doubling stops here.
-    pub backoff_max: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            max_attempts: 4,
-            backoff_initial: Duration::from_millis(2),
-            backoff_max: Duration::from_millis(50),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// A policy that never retries (single attempt).
-    pub fn none() -> Self {
-        Self {
-            max_attempts: 1,
-            ..Self::default()
-        }
-    }
-
-    /// A policy sized to outlast a chaos schedule: enough attempts to ride
-    /// out `worst_window` consecutive failing calls, with fast backoff.
-    pub fn for_chaos(worst_window: u64) -> Self {
-        Self {
-            max_attempts: (worst_window as u32).saturating_add(6),
-            backoff_initial: Duration::from_micros(100),
-            backoff_max: Duration::from_millis(2),
         }
     }
 }
@@ -204,7 +156,8 @@ pub struct EngineConfig {
     pub fanout_tree: Option<usize>,
     /// Socket options for the TCP backend (ignored by the memory channel).
     pub tcp: TcpOptions,
-    /// Bounded retry with backoff for every control-channel call.
+    /// Bounded retry with backoff for every control-channel call, lifecycle
+    /// fan-out and in-run call alike.
     pub retry: RetryPolicy,
     /// Seeded fault schedule injected into every node's control channel;
     /// `None` runs fault-free. Each node derives its own schedule seed
@@ -750,7 +703,6 @@ pub struct ExperiMaster {
     cfg: EngineConfig,
     sim: SharedSim,
     binding: Arc<PlatformBinding>,
-    proxies: HashMap<String, NodeProxy>,
     /// Running TCP servers when `cfg.transport` is [`TransportKind::Tcp`]
     /// (one per node; dropping them stops the accept loops).
     tcp_servers: HashMap<String, TcpRpcServer>,
@@ -760,8 +712,9 @@ pub struct ExperiMaster {
     /// The registry behind each TCP server, shared so a halted node can be
     /// revived with its state (including the idempotency cache) intact.
     tcp_registries: HashMap<String, Arc<Mutex<ServerRegistry>>>,
-    /// The lifecycle fan-out dispatcher (behind a lock only because
-    /// [`Self::fan_out`] takes `&self`; dispatches never overlap).
+    /// The one dispatcher every master→NodeManager call rides (behind a
+    /// lock only because [`Self::fan_out`] takes `&self`; dispatches never
+    /// overlap).
     reactor: Mutex<Reactor>,
     /// Running sub-master relay servers for a TCP fan-out tree (dropping
     /// them stops the accept loops).
@@ -810,11 +763,9 @@ impl ExperiMaster {
                 _ => SdConfig::two_party(),
             }
         });
-        let mut proxies = HashMap::new();
         let mut tcp_servers = HashMap::new();
         let mut tcp_addrs = HashMap::new();
         let mut tcp_registries = HashMap::new();
-        let mut mem_registries: HashMap<String, Arc<Mutex<ServerRegistry>>> = HashMap::new();
         // Each node's control channel draws its own fault schedule, seeded
         // from the campaign chaos seed and the platform id — replaying the
         // campaign seed replays every node's schedule.
@@ -824,81 +775,51 @@ impl ExperiMaster {
                 ..opts.clone()
             })
         };
-        fn wrap(pid: &str, t: impl Transport + 'static, chaos: Option<ChaosOptions>) -> NodeProxy {
-            match chaos {
-                Some(opts) => NodeProxy::new(pid, ChaosTransport::new(t, opts)),
-                None => NodeProxy::new(pid, t),
-            }
-        }
+        let mut registries: Vec<(String, Arc<Mutex<ServerRegistry>>)> = Vec::new();
         for node in binding.managed_sim_nodes() {
             let pid = binding.platform_id(node).unwrap().to_string();
-            let registry = NodeManager::registry(
+            let registry = Arc::new(Mutex::new(NodeManager::registry(
                 node,
                 &pid,
                 Arc::clone(&sim),
                 Arc::clone(&binding),
                 sd_cfg.clone(),
-            );
-            let proxy =
-                match cfg.transport {
-                    TransportKind::Tcp => {
-                        // Each NodeManager gets its own loopback server on an
-                        // ephemeral port; the master connects the framed
-                        // client transport to it.
-                        let registry = Arc::new(Mutex::new(registry));
-                        let server = TcpRpcServer::bind("127.0.0.1:0", Arc::clone(&registry))
-                            .map_err(|e| EngineError::Transport {
-                                node: pid.clone(),
-                                detail: format!("bind: {e}"),
-                            })?;
-                        let addr = server.local_addr();
-                        let transport = TcpTransport::connect(addr, cfg.tcp.clone())
-                            .map_err(|e| EngineError::from_rpc(pid.clone(), e))?;
-                        tcp_servers.insert(pid.clone(), server);
-                        tcp_addrs.insert(pid.clone(), addr);
-                        tcp_registries.insert(pid.clone(), registry);
-                        wrap(&pid, transport, node_chaos(&pid))
-                    }
-                    _ => {
-                        let channel = Channel::new(registry);
-                        mem_registries.insert(pid.clone(), channel.server());
-                        wrap(&pid, channel, node_chaos(&pid))
-                    }
-                };
-            proxies.insert(pid, proxy);
+            )));
+            if cfg.transport == TransportKind::Tcp {
+                // Each NodeManager gets its own loopback server on an
+                // ephemeral port; the reactor connects to it lazily.
+                let server =
+                    TcpRpcServer::bind("127.0.0.1:0", Arc::clone(&registry)).map_err(|e| {
+                        EngineError::Transport {
+                            node: pid.clone(),
+                            detail: format!("bind: {e}"),
+                        }
+                    })?;
+                tcp_addrs.insert(pid.clone(), server.local_addr());
+                tcp_servers.insert(pid.clone(), server);
+                tcp_registries.insert(pid.clone(), Arc::clone(&registry));
+            }
+            registries.push((pid, registry));
         }
-        // The reactor reuses the per-node registries (memory) or server
-        // addresses (TCP) the proxies were built on, so dedup caches and
-        // kill/revive semantics are shared between fan-outs and single
-        // calls.
-        let node_registry = |pid: &String| match cfg.transport {
-            TransportKind::Tcp => Arc::clone(&tcp_registries[pid]),
-            _ => Arc::clone(&mem_registries[pid]),
-        };
+        registries.sort_by(|a, b| a.0.cmp(&b.0));
         let mut relay_servers = Vec::new();
         let mut reactor = Reactor::new();
-        let mut pids: Vec<String> = proxies.keys().cloned().collect();
-        pids.sort();
         match cfg.fanout_tree {
             Some(width) => {
-                for group in pids.chunks(width) {
-                    let children: Vec<(String, Arc<Mutex<ServerRegistry>>)> = group
-                        .iter()
-                        .map(|pid| (pid.clone(), node_registry(pid)))
-                        .collect();
+                for group in registries.chunks(width) {
                     let members: Vec<(String, Option<ChaosOptions>)> = group
                         .iter()
-                        .map(|pid| (pid.clone(), node_chaos(pid)))
+                        .map(|(pid, _)| (pid.clone(), node_chaos(pid)))
                         .collect();
-                    let relay = Arc::new(Mutex::new(relay_registry(children)));
+                    let relay = Arc::new(Mutex::new(relay_registry(group.to_vec())));
                     let endpoint = match cfg.transport {
                         // A TCP tree binds one loopback server per relay, so
                         // the batch frames travel a real socket like any
-                        // other lifecycle call.
+                        // other control call.
                         TransportKind::Tcp => {
                             let server = TcpRpcServer::bind("127.0.0.1:0", Arc::clone(&relay))
                                 .map_err(|e| EngineError::Transport {
-                                    node: group[0].clone(),
+                                    node: group[0].0.clone(),
                                     detail: format!("relay bind: {e}"),
                                 })?;
                             let addr = server.local_addr();
@@ -914,15 +835,16 @@ impl ExperiMaster {
                 }
             }
             None => {
-                for pid in &pids {
+                for (pid, registry) in registries {
                     let endpoint = match cfg.transport {
                         TransportKind::Tcp => ReactorEndpoint::Tcp {
-                            addr: tcp_addrs[pid],
+                            addr: tcp_addrs[&pid],
                             opts: cfg.tcp.clone(),
                         },
-                        _ => ReactorEndpoint::Memory(node_registry(pid)),
+                        _ => ReactorEndpoint::Memory(registry),
                     };
-                    reactor.add_node(pid.clone(), endpoint, node_chaos(pid));
+                    let chaos = node_chaos(&pid);
+                    reactor.add_node(pid, endpoint, chaos);
                 }
             }
         }
@@ -931,7 +853,6 @@ impl ExperiMaster {
             cfg,
             sim,
             binding,
-            proxies,
             tcp_servers,
             tcp_addrs,
             tcp_registries,
@@ -966,17 +887,20 @@ impl ExperiMaster {
     /// Control-channel endpoint of every managed node (platform id →
     /// endpoint description, e.g. `memory` or `tcp://127.0.0.1:41234`).
     pub fn endpoints(&self) -> Vec<(String, String)> {
-        let mut v: Vec<(String, String)> = self
-            .proxies
-            .iter()
-            .map(|(pid, p)| (pid.clone(), p.endpoint()))
-            .collect();
-        v.sort();
-        v
+        self.node_ids()
+            .into_iter()
+            .map(|pid| {
+                let endpoint = match self.tcp_addrs.get(&pid) {
+                    Some(addr) => format!("tcp://{addr}"),
+                    None => "memory".to_string(),
+                };
+                (pid, endpoint)
+            })
+            .collect()
     }
 
-    /// One logical control-channel call: idempotency key, bounded retry
-    /// with exponential backoff on transient failures.
+    /// One logical in-run call to one node: a reactor dispatch of one,
+    /// under the same chaos schedule and retry policy as a fan-out.
     ///
     /// The key (`run:epoch:seq`) is drawn once and reused across every
     /// retry of this call, so a retry of a call that already executed
@@ -985,33 +909,17 @@ impl ExperiMaster {
     /// as transient are retried; a node rejecting the call (fault, codec)
     /// fails immediately.
     fn retry_call(&self, pid: &str, method: &str, params: Vec<Value>) -> Result<Value, RpcError> {
-        let proxy = self
-            .proxies
-            .get(pid)
-            .ok_or_else(|| RpcError::Io(format!("no NodeManager for '{pid}'")))?;
-        let key = self.next_idem_key();
-        let policy = self.cfg.retry;
-        let mut backoff = policy.backoff_initial;
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            match proxy.call_idempotent(method, params.clone(), &key) {
-                Ok(v) => return Ok(v),
-                Err(e) if e.is_retryable() && attempt < policy.max_attempts.max(1) => {
-                    self.control_retries.fetch_add(1, Ordering::Relaxed);
-                    // Control-plane rate: one registry lookup per retry (not
-                    // per call) is cheap enough to skip pre-resolved handles.
-                    if excovery_obs::enabled() {
-                        excovery_obs::global()
-                            .counter("rpc_client_retries_total", &[("method", method)])
-                            .inc();
-                    }
-                    std::thread::sleep(backoff);
-                    backoff = backoff.saturating_mul(2).min(policy.backoff_max);
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        let call = NodeCall {
+            node_id: pid.to_string(),
+            method: method.to_string(),
+            params,
+            idem_key: self.next_idem_key(),
+        };
+        let mut outcomes = self.reactor.lock().dispatch(vec![call], &self.cfg.retry);
+        let outcome = outcomes.pop().expect("one outcome per call");
+        self.control_retries
+            .fetch_add(outcome.retries, Ordering::Relaxed);
+        outcome.result
     }
 
     /// Draws the idempotency key (`run:epoch:seq`) of the next logical call.
@@ -1052,12 +960,7 @@ impl ExperiMaster {
                 idem_key: self.next_idem_key(),
             })
             .collect();
-        let retry = RetryConfig {
-            max_attempts: self.cfg.retry.max_attempts,
-            backoff_initial: self.cfg.retry.backoff_initial,
-            backoff_max: self.cfg.retry.backoff_max,
-        };
-        let outcomes = self.reactor.lock().dispatch(calls, &retry);
+        let outcomes = self.reactor.lock().dispatch(calls, &self.cfg.retry);
         for o in &outcomes {
             self.control_retries.fetch_add(o.retries, Ordering::Relaxed);
             if excovery_obs::enabled() {
@@ -1098,9 +1001,7 @@ impl ExperiMaster {
     /// Test hook: platform ids of all connected NodeManagers, sorted.
     #[doc(hidden)]
     pub fn node_ids(&self) -> Vec<String> {
-        let mut ids: Vec<String> = self.proxies.keys().cloned().collect();
-        ids.sort();
-        ids
+        self.reactor.lock().node_ids()
     }
 
     /// Test hook: shuts down a node's live TCP server, simulating a node
@@ -1120,7 +1021,7 @@ impl ExperiMaster {
 
     /// Test hook: restarts a halted node's TCP server on its original
     /// port, with the registry (and idempotency cache) it had before the
-    /// crash. The client transport reconnects on its next call.
+    /// crash. The reactor's link reconnects on its next call.
     #[doc(hidden)]
     pub fn revive_node_server(&mut self, pid: &str) -> Result<(), EngineError> {
         let addr = *self
@@ -1814,9 +1715,6 @@ impl ExperiMaster {
 
 impl Drop for ExperiMaster {
     fn drop(&mut self) {
-        for p in self.proxies.values() {
-            p.close();
-        }
         for s in self.tcp_servers.values() {
             s.shutdown();
         }
@@ -1857,7 +1755,7 @@ impl ExecCtx for MasterCtx<'_> {
         method: &str,
         params: Vec<Value>,
     ) -> Result<Value, String> {
-        if !self.master.proxies.contains_key(platform_id) {
+        if self.master.binding.sim_node(platform_id).is_none() {
             return Err(format!("no NodeManager for '{platform_id}'"));
         }
         self.master

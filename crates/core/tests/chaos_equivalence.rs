@@ -127,9 +127,9 @@ fn chaos_matrix(fanout: Option<usize>) {
     }
 }
 
-/// The reactor draws per-node verdicts from the same pure schedule a
-/// blocking `ChaosTransport` does and absorbs them with bounded
-/// idempotent retry, so the digests must not move.
+/// The reactor draws one verdict per attempt from each node's seeded
+/// schedule, for lifecycle and in-run calls alike, and absorbs them with
+/// bounded idempotent retry, so the digests must not move.
 #[test]
 fn eventually_clearing_chaos_leaves_the_digest_unchanged() {
     chaos_matrix(None);

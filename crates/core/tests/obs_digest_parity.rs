@@ -125,6 +125,35 @@ fn digest_is_identical_with_observability_on_and_off() {
         .sum();
     assert!(injections > 0, "chaos injections were not observed");
 
+    // One call path: every control call of the memory campaigns above —
+    // lifecycle fan-outs and in-run calls, with and without chaos — is a
+    // reactor wire op, and none of them is encoded as XML.
+    let labelled_sum = |name: &str, label: (&str, &str)| -> u64 {
+        snap.counters
+            .iter()
+            .filter(|c| c.name == name)
+            .filter(|c| {
+                c.labels
+                    .iter()
+                    .any(|(k, v)| (k.as_str(), v.as_str()) == label)
+            })
+            .map(|c| c.value)
+            .sum()
+    };
+    let transport = ("transport", "memory");
+    assert_eq!(labelled_sum("rpc_client_bytes_sent_total", transport), 0);
+    assert_eq!(
+        labelled_sum("rpc_client_bytes_received_total", transport),
+        0
+    );
+    let client_calls = labelled_sum("rpc_client_calls_total", transport);
+    assert!(client_calls > 0, "no memory client calls were recorded");
+    assert_eq!(
+        client_calls,
+        labelled_sum("rpc_reactor_wire_ops_total", ("link", "memory")),
+        "a memory client call bypassed the reactor"
+    );
+
     // The kept level-2 tree holds the per-run summaries and the
     // experiment snapshot, both readable by the JSONL parser — and the
     // digest parity above proves none of it leaked into level 3.

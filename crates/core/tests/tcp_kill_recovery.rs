@@ -87,8 +87,8 @@ fn dead_server_surfaces_as_transport_error_then_recovery_completes() {
         "diagnosis took {elapsed:?}; deadlines are not being honoured"
     );
 
-    // Phase 2: bring the server back at its old address; the master's
-    // proxies reconnect lazily, so a plain re-execution must now succeed.
+    // Phase 2: bring the server back at its old address; the reactor's
+    // link reconnects lazily, so a plain re-execution must now succeed.
     master.revive_node_server(&victim).unwrap();
     let outcome = master.execute().expect("revived server must complete");
     assert!(outcome.runs.iter().all(|r| r.completed));

@@ -1,37 +1,38 @@
-//! Non-blocking multiplexed dispatcher: the master's one path for the
-//! per-phase lifecycle fan-out.
+//! Non-blocking multiplexed dispatcher: the master's one path to its
+//! NodeManagers, for lifecycle fan-outs and in-run single calls alike.
 //!
 //! The [`Reactor`] is a hand-rolled readiness loop on the *calling*
 //! thread: every node link (in-memory registry or framed-TCP socket) is
 //! driven as a small state machine, TCP sockets run non-blocking with
 //! partial-write/partial-read resumption, and at most one wire operation
-//! is in flight per link at a time (mirroring `NodeProxy`'s per-node call
-//! lock). No poll/mio, no threads: one sweep services every link that is
-//! ready and sleeps only when nothing can progress — so a phase costs the
-//! same whether it reaches 2 nodes or 1,000.
+//! is in flight per link at a time (the per-node serialisation the paper's
+//! node object provides with a lock, §VI-A). No poll/mio, no threads: one
+//! sweep services every link that is ready and sleeps only when nothing
+//! can progress — so a phase costs the same whether it reaches 2 nodes or
+//! 1,000, and a single call is a dispatch of one.
 //!
 //! Links come in two shapes:
 //!
 //! * **direct** — one NodeManager per link; each call travels as an
-//!   ordinary idempotent single-method frame, byte-identical to what
-//!   `NodeProxy::call_idempotent` would send. In-memory links skip the
-//!   XML wire format entirely and dispatch against the registry, which is
-//!   safe because idempotency/dedup live in `ServerRegistry::dispatch`
-//!   itself.
+//!   ordinary idempotent single-method frame (the parameters plus a
+//!   trailing `{__idem: key}` struct). In-memory links skip the XML wire
+//!   format entirely and dispatch against the registry, which is safe
+//!   because idempotency/dedup live in `ServerRegistry::dispatch` itself.
 //! * **relay** — a sub-master ([`crate::batch::relay_registry`]) owning a
 //!   group of NodeManagers; all currently-ready member calls are packed
-//!   into one [`crate::batch::BATCH_METHOD`] frame per sweep. Entries keep
-//!   their per-node `__idem` keys, so a retried batch re-runs only the
-//!   entries that never executed.
+//!   into one [`crate::batch::BATCH_METHOD`] frame per sweep (a single call
+//!   travels as a one-entry batch). Entries keep their per-node `__idem`
+//!   keys, so a retried batch re-runs only the entries that never executed.
 //!
-//! Retry and chaos semantics match a blocking `NodeProxy` over
-//! `ChaosTransport` call for call: the per-node chaos verdict is drawn
-//! from the same pure [`fault_at`] schedule (one draw per attempt,
-//! injected error strings identical to `ChaosTransport`), retries are
-//! bounded with the same exponential backoff shape, and each retry reuses
-//! the call's idempotency key so a replayed request is exactly-once per
-//! node. Backoffs and chaos delays are deadlines inside the loop, not
-//! sleeps — other nodes keep making progress while one backs off.
+//! Chaos and retry live here too. Each chaos-enabled node has one position
+//! in its seeded schedule ([`crate::chaos`]), advanced once per attempt;
+//! the verdict is drawn from the pure [`crate::chaos::fault_at`].
+//! Retries follow one [`RetryPolicy`]: bounded attempts with exponential
+//! backoff, only [`RpcError::is_retryable`] errors retried, and each retry
+//! reuses the call's idempotency key so a replayed request is
+//! exactly-once per node. Backoffs and chaos delays are deadlines inside
+//! the loop, not sleeps — other nodes keep making progress while one
+//! backs off.
 //!
 //! Every wire op that reaches a link records the client series a
 //! transport would: `rpc_client_calls_total` and
@@ -40,7 +41,7 @@
 //! frames actually encoded, i.e. on TCP links.
 
 use crate::batch::{pack_batch, unpack_batch_response, BatchEntry};
-use crate::chaos::{fault_at, ChaosOptions, FaultAction};
+use crate::chaos::{ChaosOptions, FaultAction, NodeSchedule};
 use crate::error::RpcError;
 use crate::message::{MethodCall, MethodResponse};
 use crate::tcp::{TcpOptions, MAX_FRAME_BYTES};
@@ -68,20 +69,25 @@ pub enum ReactorEndpoint {
     },
 }
 
-/// Retry budget for one [`Reactor::dispatch`], mirroring the master's
-/// `RetryPolicy`: bounded attempts, exponential backoff between them, only
-/// [`RpcError::is_retryable`] errors retried.
+/// Bounded retry policy for control-channel calls: the budget of every
+/// [`Reactor::dispatch`].
+///
+/// Every call carries an idempotency key and is retried up to
+/// `max_attempts` times on failures that [`RpcError::is_retryable`]
+/// classifies as transient (timeouts, disconnects, I/O), with exponential
+/// backoff. Server faults and codec errors are never retried — repeating a
+/// call the node *rejected* cannot succeed and would only mask the bug.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryConfig {
-    /// Total attempts per call (1 = no retries).
+pub struct RetryPolicy {
+    /// Total attempts per logical call (first try included); minimum 1.
     pub max_attempts: u32,
-    /// Backoff before the first retry.
+    /// Wall-clock delay before the first retry.
     pub backoff_initial: Duration,
-    /// Backoff ceiling (doubling is capped here).
+    /// Backoff ceiling; doubling stops here.
     pub backoff_max: Duration,
 }
 
-impl Default for RetryConfig {
+impl Default for RetryPolicy {
     fn default() -> Self {
         Self {
             max_attempts: 4,
@@ -91,12 +97,24 @@ impl Default for RetryConfig {
     }
 }
 
-impl RetryConfig {
-    /// A single attempt, no retries.
+impl RetryPolicy {
+    /// A policy that never retries (single attempt).
     pub fn none() -> Self {
         Self {
             max_attempts: 1,
             ..Self::default()
+        }
+    }
+
+    /// A policy sized to outlast a chaos schedule: enough attempts to ride
+    /// out `worst_window` consecutive failing calls, with fast backoff.
+    pub fn for_chaos(worst_window: u64) -> Self {
+        Self {
+            max_attempts: u32::try_from(worst_window)
+                .unwrap_or(u32::MAX)
+                .saturating_add(6),
+            backoff_initial: Duration::from_micros(100),
+            backoff_max: Duration::from_millis(2),
         }
     }
 }
@@ -127,11 +145,6 @@ pub struct DispatchOutcome {
     pub retries: u64,
     /// Wall time from dispatch start to this call's completion.
     pub duration_ns: u64,
-}
-
-struct ChaosState {
-    opts: ChaosOptions,
-    next_call: u64,
 }
 
 enum Link {
@@ -175,16 +188,7 @@ impl Group {
 pub struct Reactor {
     groups: Vec<Group>,
     node_group: HashMap<String, usize>,
-    chaos: HashMap<String, ChaosState>,
-}
-
-/// Chaos verdict for one attempt that reached the wire: deliver the
-/// response, drop it (the server still executed), or delay its delivery.
-#[derive(Clone, Copy)]
-enum Post {
-    Deliver,
-    DropResponse,
-    Delay(u64),
+    chaos: HashMap<String, NodeSchedule>,
 }
 
 enum Phase {
@@ -212,8 +216,9 @@ struct WireOp {
     /// When the op's first step ran — the start of its call latency. Set
     /// only while observability records (see [`ClientObs::start`]).
     started: Option<Instant>,
-    /// `(call index, chaos post-action)` for every entry riding this op.
-    entries: Vec<(usize, Post)>,
+    /// `(call index, chaos verdict)` for every entry riding this op: only
+    /// the wire-reaching `Pass`, `DropResponse` and `Delay` occur here.
+    entries: Vec<(usize, FaultAction)>,
     call: MethodCall,
     method: String,
     frame: Vec<u8>,
@@ -235,10 +240,9 @@ fn finish(state: &mut CallState, result: Result<Value, RpcError>) {
     state.phase = Phase::Done(result);
 }
 
-/// One attempt failed: retry retryable errors while budget remains (same
-/// predicate and backoff shape as the master's blocking `retry_call`),
+/// One attempt failed: retry retryable errors while budget remains,
 /// otherwise the error is final.
-fn fail_attempt(state: &mut CallState, method: &str, err: RpcError, retry: &RetryConfig) {
+fn fail_attempt(state: &mut CallState, method: &str, err: RpcError, retry: &RetryPolicy) {
     state.attempts += 1;
     if err.is_retryable() && state.attempts < retry.max_attempts.max(1) {
         state.retries += 1;
@@ -258,7 +262,7 @@ fn settle_attempt(
     state: &mut CallState,
     method: &str,
     result: Result<Value, RpcError>,
-    retry: &RetryConfig,
+    retry: &RetryPolicy,
 ) {
     match result {
         Ok(v) => finish(state, Ok(v)),
@@ -266,18 +270,17 @@ fn settle_attempt(
     }
 }
 
-fn apply_post(
+fn apply_verdict(
     state: &mut CallState,
     method: &str,
-    post: Post,
+    verdict: FaultAction,
     result: Result<Value, RpcError>,
-    retry: &RetryConfig,
+    retry: &RetryPolicy,
 ) {
-    match post {
-        Post::Deliver => settle_attempt(state, method, result, retry),
+    match verdict {
         // The server executed; only the response is lost. The retry will
         // replay the recorded response under the same idempotency key.
-        Post::DropResponse => fail_attempt(
+        FaultAction::DropResponse => fail_attempt(
             state,
             method,
             RpcError::Timeout {
@@ -286,12 +289,13 @@ fn apply_post(
             },
             retry,
         ),
-        Post::Delay(ms) => {
+        FaultAction::Delay(ms) => {
             state.phase = Phase::Delayed {
                 until: Instant::now() + Duration::from_millis(ms),
                 result,
             }
         }
+        _ => settle_attempt(state, method, result, retry),
     }
 }
 
@@ -429,7 +433,7 @@ impl Reactor {
     }
 
     /// Registers a directly-linked NodeManager with an optional per-node
-    /// chaos schedule (drawn per attempt, like `ChaosTransport`).
+    /// chaos schedule (drawn once per attempt).
     pub fn add_node(
         &mut self,
         node_id: impl Into<String>,
@@ -441,8 +445,7 @@ impl Reactor {
         self.node_group
             .insert(node_id.clone(), self.groups.len() - 1);
         if let Some(opts) = chaos {
-            self.chaos
-                .insert(node_id, ChaosState { opts, next_call: 0 });
+            self.chaos.insert(node_id, NodeSchedule::new(opts));
         }
     }
 
@@ -459,8 +462,7 @@ impl Reactor {
         for (node_id, chaos) in members {
             self.node_group.insert(node_id.clone(), g);
             if let Some(opts) = chaos {
-                self.chaos
-                    .insert(node_id, ChaosState { opts, next_call: 0 });
+                self.chaos.insert(node_id, NodeSchedule::new(opts));
             }
         }
     }
@@ -472,39 +474,13 @@ impl Reactor {
         ids
     }
 
-    /// Draws the chaos verdict for the next attempt against `node_id`.
-    /// `Ok` actions reach the wire (with a post-action), `Err` actions
-    /// fail the attempt before any wire work — both with the exact error
-    /// strings `ChaosTransport` injects.
-    fn chaos_verdict(&mut self, node_id: &str, method: &str) -> Result<Post, RpcError> {
-        let Some(chaos) = self.chaos.get_mut(node_id) else {
-            return Ok(Post::Deliver);
-        };
-        let index = chaos.next_call;
-        chaos.next_call += 1;
-        let action = fault_at(&chaos.opts, index);
-        if excovery_obs::enabled() && action != FaultAction::Pass {
-            excovery_obs::global()
-                .counter("rpc_chaos_injections_total", &[("kind", action.label())])
-                .inc();
-        }
-        match action {
-            FaultAction::Pass => Ok(Post::Deliver),
-            FaultAction::DropResponse => Ok(Post::DropResponse),
-            FaultAction::Delay(ms) => Ok(Post::Delay(ms)),
-            FaultAction::DropRequest => Err(RpcError::Io(format!(
-                "chaos: request '{method}' dropped at call #{index}"
-            ))),
-            FaultAction::InjectTimeout => Err(RpcError::Timeout {
-                method: method.to_string(),
-                after_ms: 0,
-            }),
-            FaultAction::InjectDisconnected => Err(RpcError::Disconnected(format!(
-                "chaos: link to server lost at call #{index}"
-            ))),
-            FaultAction::Crash => Err(RpcError::Disconnected(format!(
-                "chaos: node crashed (window hit at call #{index})"
-            ))),
+    /// Draws the chaos verdict for the next attempt against `node_id`:
+    /// `Ok` verdicts reach the wire, `Err` ones fail the attempt before any
+    /// wire work (see [`NodeSchedule::draw`]).
+    fn chaos_verdict(&mut self, node_id: &str, method: &str) -> Result<FaultAction, RpcError> {
+        match self.chaos.get_mut(node_id) {
+            Some(schedule) => schedule.draw(method),
+            None => Ok(FaultAction::Pass),
         }
     }
 
@@ -513,10 +489,10 @@ impl Reactor {
     fn make_op(
         &self,
         g: usize,
-        entries: Vec<(usize, Post)>,
+        entries: Vec<(usize, FaultAction)>,
         calls: &[NodeCall],
         now: Instant,
-    ) -> Result<WireOp, (Vec<(usize, Post)>, RpcError)> {
+    ) -> Result<WireOp, (Vec<(usize, FaultAction)>, RpcError)> {
         let group = &self.groups[g];
         let method = calls[entries[0].0].method.clone();
         let call = if group.relay {
@@ -593,7 +569,7 @@ impl Reactor {
     /// the input order. The whole fan-out runs on the calling thread; a
     /// sweep services every link that is ready and the loop sleeps (≤ 1 ms)
     /// only when no link, backoff or delay gate can progress.
-    pub fn dispatch(&mut self, calls: Vec<NodeCall>, retry: &RetryConfig) -> Vec<DispatchOutcome> {
+    pub fn dispatch(&mut self, calls: Vec<NodeCall>, retry: &RetryPolicy) -> Vec<DispatchOutcome> {
         let started = Instant::now();
         if excovery_obs::enabled() {
             excovery_obs::global()
@@ -652,7 +628,7 @@ impl Reactor {
             // Start new attempts: draw the chaos verdict per call in input
             // order, group survivors by link (relays batch all currently
             // ready members), one op in flight per link.
-            let mut forming: Vec<Vec<(usize, Post)>> = vec![Vec::new(); self.groups.len()];
+            let mut forming: Vec<Vec<(usize, FaultAction)>> = vec![Vec::new(); self.groups.len()];
             for i in 0..calls.len() {
                 if !matches!(states[i].phase, Phase::Ready) {
                     continue;
@@ -668,9 +644,9 @@ impl Reactor {
                     continue; // link occupied, or duplicate call to the node
                 }
                 match self.chaos_verdict(&calls[i].node_id, &calls[i].method) {
-                    Ok(post) => {
+                    Ok(verdict) => {
                         states[i].phase = Phase::InFlight;
-                        forming[g].push((i, post));
+                        forming[g].push((i, verdict));
                     }
                     Err(err) => {
                         fail_attempt(&mut states[i], &calls[i].method, err, retry);
@@ -768,19 +744,19 @@ impl Reactor {
         response: MethodResponse,
         calls: &[NodeCall],
         states: &mut [CallState],
-        retry: &RetryConfig,
+        retry: &RetryPolicy,
     ) {
         if !self.groups[op.group].relay {
-            let (i, post) = op.entries[0];
+            let (i, verdict) = op.entries[0];
             let result = response_to_result(response);
-            apply_post(&mut states[i], &calls[i].method, post, result, retry);
+            apply_verdict(&mut states[i], &calls[i].method, verdict, result, retry);
             return;
         }
         match response_to_result(response).and_then(|v| unpack_batch_response(&v)) {
             Ok(results) if results.len() == op.entries.len() => {
-                for (&(i, post), (_, outcome)) in op.entries.iter().zip(results) {
+                for (&(i, verdict), (_, outcome)) in op.entries.iter().zip(results) {
                     let result = outcome.map_err(RpcError::from);
-                    apply_post(&mut states[i], &calls[i].method, post, result, retry);
+                    apply_verdict(&mut states[i], &calls[i].method, verdict, result, retry);
                 }
             }
             Ok(results) => {
@@ -845,7 +821,7 @@ mod tests {
             );
         }
         let calls = vec![call("p2", 1), call("p0", 2), call("p1", 3)];
-        let outcomes = reactor.dispatch(calls, &RetryConfig::default());
+        let outcomes = reactor.dispatch(calls, &RetryPolicy::default());
         let got: Vec<(String, Value)> = outcomes
             .into_iter()
             .map(|o| (o.node_id, o.result.unwrap()))
@@ -872,7 +848,7 @@ mod tests {
         );
         let outcomes = reactor.dispatch(
             vec![call("ghost", 1), call("p0", 2)],
-            &RetryConfig::default(),
+            &RetryPolicy::default(),
         );
         match &outcomes[0].result {
             Err(RpcError::Io(msg)) => assert!(msg.contains("ghost")),
@@ -896,26 +872,90 @@ mod tests {
             ReactorEndpoint::Memory(counting_registry(Arc::clone(&count), 0)),
             Some(schedule.clone()),
         );
-        let outcomes = reactor.dispatch(vec![call("p0", 1)], &RetryConfig::default());
+        let outcomes = reactor.dispatch(vec![call("p0", 1)], &RetryPolicy::default());
         assert_eq!(outcomes[0].result.as_ref().unwrap(), &Value::Int(0));
         assert_eq!(outcomes[0].retries, 1);
         assert_eq!(count.load(Ordering::Relaxed), 1);
 
         // Without retries: the injected error is final and carries the
-        // ChaosTransport wording.
+        // chaos wording.
         let mut reactor = Reactor::new();
         reactor.add_node(
             "p0",
             ReactorEndpoint::Memory(counting_registry(Arc::new(AtomicU64::new(0)), 0)),
             Some(schedule),
         );
-        let outcomes = reactor.dispatch(vec![call("p0", 2)], &RetryConfig::none());
+        let outcomes = reactor.dispatch(vec![call("p0", 2)], &RetryPolicy::none());
         match &outcomes[0].result {
             Err(RpcError::Disconnected(msg)) => {
                 assert!(msg.contains("chaos: node crashed"), "{msg}");
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn crash_window_rejects_every_call_inside() {
+        let count = Arc::new(AtomicU64::new(0));
+        let mut reactor = Reactor::new();
+        reactor.add_node(
+            "p0",
+            ReactorEndpoint::Memory(counting_registry(Arc::clone(&count), 0)),
+            Some(ChaosOptions {
+                crash_windows: vec![(2, 5)],
+                ..ChaosOptions::quiet(3)
+            }),
+        );
+        let outcomes: Vec<bool> = (0..7)
+            .map(|seq| {
+                let outcome = reactor.dispatch(vec![call("p0", seq)], &RetryPolicy::none());
+                outcome[0].result.is_ok()
+            })
+            .collect();
+        assert_eq!(outcomes, [true, true, false, false, false, true, true]);
+        assert_eq!(
+            count.load(Ordering::Relaxed),
+            4,
+            "crashed calls never execute"
+        );
+    }
+
+    #[test]
+    fn drop_response_executes_server_side_exactly_once() {
+        // A seed whose first verdict is DropResponse, and nothing after it.
+        let forced = |seed| ChaosOptions {
+            seed,
+            fault_rate: 1.0,
+            horizon_calls: 1,
+            crash_windows: Vec::new(),
+            max_delay_ms: 0,
+        };
+        let seed = (0..10_000u64)
+            .find(|s| crate::chaos::fault_at(&forced(*s), 0) == FaultAction::DropResponse)
+            .expect("some seed yields DropResponse first");
+        let count = Arc::new(AtomicU64::new(0));
+        let mut reactor = Reactor::new();
+        reactor.add_node(
+            "p0",
+            ReactorEndpoint::Memory(counting_registry(Arc::clone(&count), 0)),
+            Some(forced(seed)),
+        );
+        // The server executes, but the caller sees a timeout.
+        let lost = reactor.dispatch(vec![call("p0", 1)], &RetryPolicy::none());
+        assert!(matches!(lost[0].result, Err(RpcError::Timeout { .. })));
+        assert_eq!(count.load(Ordering::Relaxed), 1);
+        // The retry reuses the key: the recorded response is replayed and
+        // the procedure does not run again.
+        let replayed = reactor.dispatch(vec![call("p0", 1)], &RetryPolicy::none());
+        assert_eq!(replayed[0].result.as_ref().unwrap(), &Value::Int(0));
+        assert_eq!(count.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn retry_budget_for_chaos_saturates_instead_of_truncating() {
+        assert_eq!(RetryPolicy::for_chaos(10).max_attempts, 16);
+        assert_eq!(RetryPolicy::for_chaos(1 << 32).max_attempts, u32::MAX);
+        assert_eq!(RetryPolicy::for_chaos(u64::MAX).max_attempts, u32::MAX);
     }
 
     #[test]
@@ -932,14 +972,14 @@ mod tests {
             vec![("p0".into(), None), ("p1".into(), None)],
         );
         let calls = vec![call("p0", 1), call("p1", 2)];
-        let first = reactor.dispatch(calls.clone(), &RetryConfig::default());
+        let first = reactor.dispatch(calls.clone(), &RetryPolicy::default());
         // The `__idem` member is stripped before the handler runs, so each
         // handler sees its original (empty) parameter list.
         assert_eq!(first[0].result.as_ref().unwrap(), &Value::Int(0));
         assert_eq!(first[1].result.as_ref().unwrap(), &Value::Int(10));
         // Same keys again: the relay forwards, the nodes replay — handlers
         // must not run a second time.
-        let second = reactor.dispatch(calls, &RetryConfig::default());
+        let second = reactor.dispatch(calls, &RetryPolicy::default());
         assert!(second.iter().all(|o| o.result.is_ok()));
         assert_eq!(c0.load(Ordering::Relaxed), 1);
         assert_eq!(c1.load(Ordering::Relaxed), 1);
@@ -961,7 +1001,7 @@ mod tests {
         let mut reactor = Reactor::new();
         reactor.add_node("p0", ReactorEndpoint::Tcp { addr, opts }, None);
 
-        let outcomes = reactor.dispatch(vec![call("p0", 1)], &RetryConfig::none());
+        let outcomes = reactor.dispatch(vec![call("p0", 1)], &RetryPolicy::none());
         assert_eq!(outcomes[0].result.as_ref().unwrap(), &Value::Int(0));
         assert_eq!(count.load(Ordering::Relaxed), 1);
 
@@ -971,7 +1011,7 @@ mod tests {
         // it has closed our stream so the next call hits a dead link.
         std::thread::sleep(Duration::from_millis(200));
         let started = Instant::now();
-        let outcomes = reactor.dispatch(vec![call("p0", 2)], &RetryConfig::none());
+        let outcomes = reactor.dispatch(vec![call("p0", 2)], &RetryPolicy::none());
         match &outcomes[0].result {
             Err(RpcError::Disconnected(_) | RpcError::Io(_) | RpcError::Timeout { .. }) => {}
             other => panic!("expected a transport error, got {other:?}"),

@@ -1,13 +1,20 @@
 //! The dedicated control channel between master and nodes.
 //!
-//! A [`ServerRegistry`] holds the procedures a NodeManager exposes; a
-//! [`Transport`] carries serialized XML-RPC documents between a client and
-//! a registry. Two backends exist: the in-memory [`Channel`] (standing in
-//! for the testbed's separate management network, §IV-A1, and kept for
-//! tests and benches) and the framed TCP transport in [`crate::tcp`]. A
-//! [`NodeProxy`] is the master-side object representing one node, with the
+//! A [`ServerRegistry`] holds the procedures a NodeManager exposes, and
+//! its idempotent dispatch is what every client path relies on. The
+//! ExperiMaster reaches registries only through [`crate::reactor`], which
+//! dispatches in-process or over framed TCP itself.
+//!
+//! A [`Transport`] is the blocking, one-call-at-a-time client: it carries
+//! serialized XML-RPC documents between a caller and a registry. Two
+//! backends exist: the in-memory [`Channel`] (standing in for the
+//! testbed's separate management network, §IV-A1) and the framed TCP
+//! transport in [`crate::tcp`]. A [`NodeProxy`] wraps either with the
 //! per-node locking the prototype uses ("a node object [...] uses locking
-//! to allow only one access at a time", §VI-A).
+//! to allow only one access at a time", §VI-A). Their callers are the
+//! experiment server's client (TCP), `NodeManager::spawn` (a proxy over a
+//! `Channel`), the transport fault tests and the benchmark's round-trip
+//! probes.
 
 use crate::error::{RpcError, FAULT_INTERNAL_ERROR, FAULT_NO_SUCH_METHOD, FAULT_PARSE_ERROR};
 use crate::message::{Fault, MethodCall, MethodResponse};

@@ -8,7 +8,7 @@
 
 use excovery_obs::sync::Mutex;
 use excovery_rpc::{
-    NodeCall, Reactor, ReactorEndpoint, RetryConfig, ServerRegistry, TcpOptions, TcpRpcServer,
+    NodeCall, Reactor, ReactorEndpoint, RetryPolicy, ServerRegistry, TcpOptions, TcpRpcServer,
     Value,
 };
 use std::sync::Arc;
@@ -45,7 +45,7 @@ fn dispatch_delta(transport: &str, mut reactor: Reactor) -> [u64; 4] {
             idem_key: format!("0:0:{i}"),
         })
         .collect();
-    let outcomes = reactor.dispatch(calls, &RetryConfig::none());
+    let outcomes = reactor.dispatch(calls, &RetryPolicy::none());
     assert!(outcomes.iter().all(|o| o.result.is_ok()), "{outcomes:?}");
     let after = series(transport);
     [0, 1, 2, 3].map(|k| after[k] - before[k])
