@@ -32,8 +32,8 @@ use excovery_netsim::traffic::{PairChoice, TrafficGenerator, TrafficSpec};
 use excovery_netsim::{NodeId, SimDuration, SimTime, Simulator};
 use excovery_obs::sync::Mutex;
 use excovery_rpc::{
-    relay_registry, ChaosOptions, NodeCall, Reactor, ReactorEndpoint, RetryPolicy, RpcError,
-    ServerRegistry, TcpOptions, TcpRpcServer, Value,
+    ChaosOptions, NodeCall, Reactor, ReactorEndpoint, RetryPolicy, RpcError, ServerRegistry,
+    TcpOptions, TcpRpcServer, Value,
 };
 use excovery_sd::{Architecture, SdConfig};
 use excovery_store::level2::Level2Store;
@@ -149,11 +149,6 @@ pub struct EngineConfig {
     pub max_runs: Option<u64>,
     /// Control-channel backend between master and NodeManagers.
     pub transport: TransportKind,
-    /// Width of the hierarchical fan-out tree: `Some(w)` groups the
-    /// NodeManagers under sub-master relays of at most `w` members each
-    /// and sends one batched lifecycle frame per relay and phase; `None`
-    /// keeps the flat per-node fan-out.
-    pub fanout_tree: Option<usize>,
     /// Socket options for the TCP backend (ignored by the memory channel).
     pub tcp: TcpOptions,
     /// Bounded retry with backoff for every control-channel call, lifecycle
@@ -260,13 +255,6 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Enables the hierarchical fan-out tree with relays of at most
-    /// `width` members.
-    pub fn fanout_tree(mut self, width: usize) -> Self {
-        self.cfg.fanout_tree = Some(width);
-        self
-    }
-
     /// Sets the socket options of the TCP backend.
     pub fn tcp(mut self, opts: TcpOptions) -> Self {
         self.cfg.tcp = opts;
@@ -319,7 +307,6 @@ impl EngineConfig {
             resume: false,
             max_runs: None,
             transport: TransportKind::default(),
-            fanout_tree: None,
             tcp: TcpOptions::default(),
             retry: RetryPolicy::default(),
             chaos: None,
@@ -716,10 +703,6 @@ pub struct ExperiMaster {
     /// lock only because [`Self::fan_out`] takes `&self`; dispatches never
     /// overlap).
     reactor: Mutex<Reactor>,
-    /// Running sub-master relay servers for a TCP fan-out tree (dropping
-    /// them stops the accept loops).
-    #[allow(dead_code)]
-    relay_servers: Vec<TcpRpcServer>,
     /// Idempotency-key sequence; each logical call draws one number.
     call_seq: AtomicU64,
     /// Control-channel retries performed (reported in the outcome).
@@ -744,11 +727,6 @@ impl ExperiMaster {
     /// Builds a master for a validated description on the given platform.
     pub fn new(desc: ExperimentDescription, cfg: EngineConfig) -> Result<Self, EngineError> {
         validate_strict(&desc).map_err(|e| EngineError::Config(e.to_string()))?;
-        if cfg.fanout_tree == Some(0) {
-            return Err(EngineError::Config(
-                "fanout_tree width must be at least 1".into(),
-            ));
-        }
         let binding = Arc::new(
             PlatformBinding::new(&desc.platform, cfg.topology.len())
                 .map_err(EngineError::Config)?,
@@ -775,7 +753,7 @@ impl ExperiMaster {
                 ..opts.clone()
             })
         };
-        let mut registries: Vec<(String, Arc<Mutex<ServerRegistry>>)> = Vec::new();
+        let mut reactor = Reactor::new();
         for node in binding.managed_sim_nodes() {
             let pid = binding.platform_id(node).unwrap().to_string();
             let registry = Arc::new(Mutex::new(NodeManager::registry(
@@ -785,68 +763,28 @@ impl ExperiMaster {
                 Arc::clone(&binding),
                 sd_cfg.clone(),
             )));
-            if cfg.transport == TransportKind::Tcp {
-                // Each NodeManager gets its own loopback server on an
-                // ephemeral port; the reactor connects to it lazily.
-                let server =
-                    TcpRpcServer::bind("127.0.0.1:0", Arc::clone(&registry)).map_err(|e| {
-                        EngineError::Transport {
-                            node: pid.clone(),
-                            detail: format!("bind: {e}"),
-                        }
+            let endpoint = match cfg.transport {
+                TransportKind::Memory => ReactorEndpoint::Memory(registry),
+                TransportKind::Tcp => {
+                    // Each NodeManager gets its own loopback server on an
+                    // ephemeral port; the reactor connects to it lazily.
+                    let bound = TcpRpcServer::bind("127.0.0.1:0", Arc::clone(&registry));
+                    let server = bound.map_err(|e| EngineError::Transport {
+                        node: pid.clone(),
+                        detail: format!("bind: {e}"),
                     })?;
-                tcp_addrs.insert(pid.clone(), server.local_addr());
-                tcp_servers.insert(pid.clone(), server);
-                tcp_registries.insert(pid.clone(), Arc::clone(&registry));
-            }
-            registries.push((pid, registry));
-        }
-        registries.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut relay_servers = Vec::new();
-        let mut reactor = Reactor::new();
-        match cfg.fanout_tree {
-            Some(width) => {
-                for group in registries.chunks(width) {
-                    let members: Vec<(String, Option<ChaosOptions>)> = group
-                        .iter()
-                        .map(|(pid, _)| (pid.clone(), node_chaos(pid)))
-                        .collect();
-                    let relay = Arc::new(Mutex::new(relay_registry(group.to_vec())));
-                    let endpoint = match cfg.transport {
-                        // A TCP tree binds one loopback server per relay, so
-                        // the batch frames travel a real socket like any
-                        // other control call.
-                        TransportKind::Tcp => {
-                            let server = TcpRpcServer::bind("127.0.0.1:0", Arc::clone(&relay))
-                                .map_err(|e| EngineError::Transport {
-                                    node: group[0].0.clone(),
-                                    detail: format!("relay bind: {e}"),
-                                })?;
-                            let addr = server.local_addr();
-                            relay_servers.push(server);
-                            ReactorEndpoint::Tcp {
-                                addr,
-                                opts: cfg.tcp.clone(),
-                            }
-                        }
-                        _ => ReactorEndpoint::Memory(relay),
-                    };
-                    reactor.add_relay(endpoint, members);
+                    let addr = server.local_addr();
+                    tcp_addrs.insert(pid.clone(), addr);
+                    tcp_servers.insert(pid.clone(), server);
+                    tcp_registries.insert(pid.clone(), registry);
+                    ReactorEndpoint::Tcp {
+                        addr,
+                        opts: cfg.tcp.clone(),
+                    }
                 }
-            }
-            None => {
-                for (pid, registry) in registries {
-                    let endpoint = match cfg.transport {
-                        TransportKind::Tcp => ReactorEndpoint::Tcp {
-                            addr: tcp_addrs[&pid],
-                            opts: cfg.tcp.clone(),
-                        },
-                        _ => ReactorEndpoint::Memory(registry),
-                    };
-                    let chaos = node_chaos(&pid);
-                    reactor.add_node(pid, endpoint, chaos);
-                }
-            }
+            };
+            let chaos = node_chaos(&pid);
+            reactor.add_node(pid, endpoint, chaos);
         }
         Ok(Self {
             desc,
@@ -857,7 +795,6 @@ impl ExperiMaster {
             tcp_addrs,
             tcp_registries,
             reactor: Mutex::new(reactor),
-            relay_servers,
             call_seq: AtomicU64::new(0),
             control_retries: AtomicU64::new(0),
             obs_clock: excovery_obs::span::WallClock::new(),
@@ -936,8 +873,7 @@ impl ExperiMaster {
     /// waits for all of them (the per-phase barrier). Every per-node call
     /// is idempotent (key `run:epoch:seq`, drawn in `nodes` order) and
     /// retried under the engine [`RetryPolicy`]; the whole fan-out runs on
-    /// this thread in the [`Reactor`], every link multiplexed, batched
-    /// through sub-master relays when a fan-out tree is configured.
+    /// this thread in the [`Reactor`], every node's link multiplexed.
     ///
     /// Results come back in `nodes` order; so does error reporting — the
     /// first failing node in that deterministic order wins, regardless of
@@ -1472,8 +1408,8 @@ impl ExperiMaster {
         }
         // Drain each node's action-log segment for this run into level 2
         // (a fan-out like the other lifecycle phases, so it rides the
-        // reactor and any relay tree). Draining per run — rather than reading
-        // the cumulative log at packaging time — makes the Logs table
+        // reactor). Draining per run — rather than reading the
+        // cumulative log at packaging time — makes the Logs table
         // crash-durable: a master killed after this run's completion
         // marker lands can be resumed by a fresh incarnation — with
         // fresh, empty NodeManagers — and the packaged Logs still cover

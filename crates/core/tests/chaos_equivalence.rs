@@ -98,11 +98,12 @@ fn schedules() -> Vec<(&'static str, ChaosOptions)> {
     ]
 }
 
-/// The ≥3 seeds × ≥3 eventually-clearing schedules acceptance matrix,
-/// run with the given fan-out tree width. The fault-free baseline is
-/// always flat: the digest must be invariant across chaos *and* fan-out
-/// shape at once.
-fn chaos_matrix(fanout: Option<usize>) {
+/// The reactor draws one verdict per attempt from each node's seeded
+/// schedule, for lifecycle and in-run calls alike, and absorbs them with
+/// bounded idempotent retry, so the digests must not move: the ≥3 seeds ×
+/// ≥3 eventually-clearing schedules acceptance matrix.
+#[test]
+fn eventually_clearing_chaos_leaves_the_digest_unchanged() {
     for master_seed in [11u64, 42, 1337] {
         let baseline = execute(desc_with_seed(2, master_seed), base_config("base"));
         assert!(baseline.runs.iter().all(|r| r.completed));
@@ -110,47 +111,29 @@ fn chaos_matrix(fanout: Option<usize>) {
         let want = baseline.digest();
         for (name, schedule) in &schedules() {
             let mut cfg = base_config(name);
-            cfg.fanout_tree = fanout;
             cfg.chaos = Some(schedule.clone());
             cfg.retry = ample_retry(schedule);
             let chaotic = execute(desc_with_seed(2, master_seed), cfg);
             assert_eq!(
                 chaotic.digest(),
                 want,
-                "seed {master_seed}, schedule '{name}', fan-out {fanout:?}: chaos changed the results"
+                "seed {master_seed}, schedule '{name}': chaos changed the results"
             );
             assert!(
                 chaotic.control_retries > 0,
-                "seed {master_seed}, schedule '{name}', fan-out {fanout:?}: chaos was never exercised"
+                "seed {master_seed}, schedule '{name}': chaos was never exercised"
             );
         }
     }
 }
 
-/// The reactor draws one verdict per attempt from each node's seeded
-/// schedule, for lifecycle and in-run calls alike, and absorbs them with
-/// bounded idempotent retry, so the digests must not move.
+/// A crashed node with no retry budget surfaces as
+/// [`excovery_core::EngineError::Transport`] naming the node, in bounded
+/// wall time.
 #[test]
-fn eventually_clearing_chaos_leaves_the_digest_unchanged() {
-    chaos_matrix(None);
-}
-
-/// And once more through sub-master relays: a fault on one member fails
-/// only that member's batch entry, whose retry rides a later batch.
-#[test]
-fn eventually_clearing_chaos_is_invisible_through_the_fanout_tree() {
-    chaos_matrix(Some(2));
-}
-
-/// A member crashing mid-batch fails only its own entry, and with no
-/// retry budget the engine surfaces that entry as
-/// [`excovery_core::EngineError::Transport`] naming the node — in bounded
-/// wall time, not after waiting out the whole batch.
-#[test]
-fn member_crash_mid_batch_surfaces_as_transport_error_naming_the_node() {
+fn crashed_node_surfaces_as_transport_error_naming_the_node() {
     use std::time::{Duration, Instant};
-    let mut cfg = base_config("batch-crash");
-    cfg.fanout_tree = Some(2);
+    let mut cfg = base_config("crash");
     cfg.retry = RetryPolicy::none();
     cfg.chaos = Some(ChaosOptions {
         crash_windows: vec![(0, u64::MAX)],
@@ -162,7 +145,7 @@ fn member_crash_mid_batch_surfaces_as_transport_error_naming_the_node() {
     let managed = master.node_ids();
     let started = Instant::now();
     let err = match master.execute() {
-        Ok(_) => panic!("a crashed member must fail the run"),
+        Ok(_) => panic!("a crashed node must fail the run"),
         Err(e) => e,
     };
     std::fs::remove_dir_all(&l2_root).ok();
@@ -173,8 +156,8 @@ fn member_crash_mid_batch_surfaces_as_transport_error_naming_the_node() {
     );
     match err {
         excovery_core::EngineError::Transport { node, detail } => {
-            // The error names the crashed member itself, with the chaos
-            // wording — not the relay, not a generic batch failure.
+            // The error names the crashed node itself, with the chaos
+            // wording.
             assert!(managed.contains(&node), "unknown node '{node}': {detail}");
             assert!(detail.contains("chaos: node crashed"), "{detail}");
         }

@@ -1,11 +1,10 @@
 //! The golden digest table: [`ExperimentOutcome::digest`] pinned for every
 //! platform preset × master seed on one trimmed description.
 //!
-//! Shared by `golden_outcomes` (which also re-blesses it) and the facade's
-//! `tests/fanout_equivalence.rs` (which holds every fan-out shape to it),
-//! so one table is the reference for both. Re-bless intentional result
-//! changes with `EXCOVERY_BLESS=1 cargo test -p excovery-core --test
-//! golden_outcomes -- --nocapture` and paste the printed rows below.
+//! `golden_outcomes` holds both transports to it and re-blesses it.
+//! Re-bless intentional result changes with `EXCOVERY_BLESS=1 cargo test
+//! -p excovery-core --test golden_outcomes -- --nocapture` and paste the
+//! printed rows below.
 //!
 //! [`ExperimentOutcome::digest`]: excovery_core::ExperimentOutcome::digest
 

@@ -5,10 +5,9 @@
 //! over the framed rpc protocol, queues them in its L4 repository and
 //! answers remote-analysis queries against completed campaigns. This
 //! module owns the request/response *codecs* only — typed structs with
-//! `pack_*`/`unpack_*` inverses through [`Value`], mirroring the batch
-//! codec (`crate::batch`) — so client, server and the property suite
-//! share one wire vocabulary without the rpc crate learning anything
-//! about campaign execution.
+//! `pack_*`/`unpack_*` inverses through [`Value`] — so client, server
+//! and the property suite share one wire vocabulary without the rpc
+//! crate learning anything about campaign execution.
 //!
 //! Numeric fields that may exceed `i32` (job ids, run counts, digests)
 //! travel as decimal strings: XML-RPC's `<int>` is 32-bit, and the

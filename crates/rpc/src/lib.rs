@@ -18,11 +18,11 @@
 //! The master reaches its NodeManagers through one path, the [`Reactor`]:
 //! every lifecycle fan-out and every in-run call is a
 //! [`Reactor::dispatch`], multiplexed on the calling thread over in-memory
-//! registries or framed-TCP sockets, optionally batched through
-//! sub-master relays ([`batch`]), with the seeded, replayable fault
-//! schedule of [`chaos`] and one bounded [`RetryPolicy`] — see DESIGN.md
-//! §13. [`RpcError`] classifies failures (server fault vs. codec vs.
-//! timeout/disconnect) so the engine can decide what is recoverable.
+//! registries or framed-TCP sockets, one link per node, with the seeded,
+//! replayable fault schedule of [`chaos`] and one bounded [`RetryPolicy`]
+//! — see DESIGN.md §13. [`RpcError`] classifies failures (server fault
+//! vs. codec vs. timeout/disconnect) so the engine can decide what is
+//! recoverable.
 //!
 //! Blocking clients sit behind the [`Transport`] trait, for callers that
 //! make one call at a time (the experiment server's client, probes and
@@ -38,7 +38,6 @@
 //! [`NodeProxy`] wraps any transport with the per-node lock the paper
 //! mandates.
 
-pub mod batch;
 pub mod chaos;
 pub mod error;
 pub mod job;
@@ -48,10 +47,6 @@ pub mod tcp;
 pub mod transport;
 pub mod value;
 
-pub use batch::{
-    pack_batch, pack_batch_response, relay_registry, unpack_batch, unpack_batch_response,
-    BatchEntry, BATCH_METHOD,
-};
 pub use chaos::{fault_at, ChaosOptions, FaultAction};
 pub use error::{RpcError, FAULT_INTERNAL_ERROR, FAULT_NO_SUCH_METHOD, FAULT_PARSE_ERROR};
 #[allow(deprecated)]

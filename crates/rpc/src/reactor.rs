@@ -11,18 +11,11 @@
 //! can progress — so a phase costs the same whether it reaches 2 nodes or
 //! 1,000, and a single call is a dispatch of one.
 //!
-//! Links come in two shapes:
-//!
-//! * **direct** — one NodeManager per link; each call travels as an
-//!   ordinary idempotent single-method frame (the parameters plus a
-//!   trailing `{__idem: key}` struct). In-memory links skip the XML wire
-//!   format entirely and dispatch against the registry, which is safe
-//!   because idempotency/dedup live in `ServerRegistry::dispatch` itself.
-//! * **relay** — a sub-master ([`crate::batch::relay_registry`]) owning a
-//!   group of NodeManagers; all currently-ready member calls are packed
-//!   into one [`crate::batch::BATCH_METHOD`] frame per sweep (a single call
-//!   travels as a one-entry batch). Entries keep their per-node `__idem`
-//!   keys, so a retried batch re-runs only the entries that never executed.
+//! Every NodeManager has exactly one link, and each call travels on it as
+//! an ordinary idempotent single-method frame (the parameters plus a
+//! trailing `{__idem: key}` struct). In-memory links skip the XML wire
+//! format entirely and dispatch against the registry, which is safe
+//! because idempotency/dedup live in `ServerRegistry::dispatch` itself.
 //!
 //! Chaos and retry live here too. Each chaos-enabled node has one position
 //! in its seeded schedule ([`crate::chaos`]), advanced once per attempt;
@@ -40,7 +33,6 @@
 //! `rpc_client_errors_total` on failure. `rpc_client_bytes_*` count only
 //! frames actually encoded, i.e. on TCP links.
 
-use crate::batch::{pack_batch, unpack_batch_response, BatchEntry};
 use crate::chaos::{ChaosOptions, FaultAction, NodeSchedule};
 use crate::error::RpcError;
 use crate::message::{MethodCall, MethodResponse};
@@ -156,39 +148,18 @@ enum Link {
     },
 }
 
-struct Group {
-    relay: bool,
+/// One NodeManager's link, its client series and its chaos schedule.
+struct NodeLink {
     link: Link,
     obs: ClientObs,
+    chaos: Option<NodeSchedule>,
 }
 
-impl Group {
-    fn new(relay: bool, endpoint: ReactorEndpoint) -> Self {
-        let (link, transport) = match endpoint {
-            ReactorEndpoint::Memory(registry) => (Link::Memory(registry), "memory"),
-            ReactorEndpoint::Tcp { addr, opts } => (
-                Link::Tcp {
-                    addr,
-                    opts,
-                    stream: None,
-                },
-                "tcp",
-            ),
-        };
-        Self {
-            relay,
-            link,
-            obs: ClientObs::new(transport),
-        }
-    }
-}
-
-/// The multiplexed dispatcher: node → link routing plus per-node chaos
-/// schedules, driven by [`Reactor::dispatch`] on the caller's thread.
+/// The multiplexed dispatcher: one link per node, each with its own chaos
+/// schedule, driven by [`Reactor::dispatch`] on the caller's thread.
 pub struct Reactor {
-    groups: Vec<Group>,
-    node_group: HashMap<String, usize>,
-    chaos: HashMap<String, NodeSchedule>,
+    nodes: Vec<NodeLink>,
+    index: HashMap<String, usize>,
 }
 
 enum Phase {
@@ -212,15 +183,17 @@ struct CallState {
 }
 
 struct WireOp {
-    group: usize,
+    node: usize,
     /// When the op's first step ran — the start of its call latency. Set
     /// only while observability records (see [`ClientObs::start`]).
     started: Option<Instant>,
-    /// `(call index, chaos verdict)` for every entry riding this op: only
-    /// the wire-reaching `Pass`, `DropResponse` and `Delay` occur here.
-    entries: Vec<(usize, FaultAction)>,
+    /// Index of the call this op carries, in [`Reactor::dispatch`] input
+    /// order.
+    index: usize,
+    /// The call's chaos verdict: only the wire-reaching `Pass`,
+    /// `DropResponse` and `Delay` occur here.
+    verdict: FaultAction,
     call: MethodCall,
-    method: String,
     frame: Vec<u8>,
     sent: usize,
     in_buf: Vec<u8>,
@@ -336,7 +309,7 @@ fn step_op(link: &mut Link, obs: &ClientObs, op: &mut WireOp, now: Instant) -> S
         Link::Tcp { addr, opts, stream } => {
             if now >= op.deadline {
                 return failed(RpcError::Timeout {
-                    method: op.method.clone(),
+                    method: op.call.method.clone(),
                     after_ms: opts.call_timeout.as_millis() as u64,
                 });
             }
@@ -422,113 +395,76 @@ fn step_op(link: &mut Link, obs: &ClientObs, op: &mut WireOp, now: Instant) -> S
 }
 
 impl Reactor {
-    /// An empty reactor; add links with [`Reactor::add_node`] /
-    /// [`Reactor::add_relay`].
+    /// An empty reactor; add links with [`Reactor::add_node`].
     pub fn new() -> Self {
         Self {
-            groups: Vec::new(),
-            node_group: HashMap::new(),
-            chaos: HashMap::new(),
+            nodes: Vec::new(),
+            index: HashMap::new(),
         }
     }
 
-    /// Registers a directly-linked NodeManager with an optional per-node
-    /// chaos schedule (drawn once per attempt).
+    /// Registers a NodeManager's link with an optional per-node chaos
+    /// schedule (drawn once per attempt).
     pub fn add_node(
         &mut self,
         node_id: impl Into<String>,
         endpoint: ReactorEndpoint,
         chaos: Option<ChaosOptions>,
     ) {
-        let node_id = node_id.into();
-        self.groups.push(Group::new(false, endpoint));
-        self.node_group
-            .insert(node_id.clone(), self.groups.len() - 1);
-        if let Some(opts) = chaos {
-            self.chaos.insert(node_id, NodeSchedule::new(opts));
-        }
+        let (link, transport) = match endpoint {
+            ReactorEndpoint::Memory(registry) => (Link::Memory(registry), "memory"),
+            ReactorEndpoint::Tcp { addr, opts } => (
+                Link::Tcp {
+                    addr,
+                    opts,
+                    stream: None,
+                },
+                "tcp",
+            ),
+        };
+        self.nodes.push(NodeLink {
+            link,
+            obs: ClientObs::new(transport),
+            chaos: chaos.map(NodeSchedule::new),
+        });
+        self.index.insert(node_id.into(), self.nodes.len() - 1);
     }
 
-    /// Registers a sub-master relay serving `members`; calls to any member
-    /// are batched onto the relay's single link. Chaos stays per member
-    /// node: a crashed member fails its own entries, not the batch.
-    pub fn add_relay(
-        &mut self,
-        endpoint: ReactorEndpoint,
-        members: Vec<(String, Option<ChaosOptions>)>,
-    ) {
-        self.groups.push(Group::new(true, endpoint));
-        let g = self.groups.len() - 1;
-        for (node_id, chaos) in members {
-            self.node_group.insert(node_id.clone(), g);
-            if let Some(opts) = chaos {
-                self.chaos.insert(node_id, NodeSchedule::new(opts));
-            }
-        }
-    }
-
-    /// Nodes this reactor can reach (members of relays included).
+    /// Nodes this reactor can reach, sorted.
     pub fn node_ids(&self) -> Vec<String> {
-        let mut ids: Vec<String> = self.node_group.keys().cloned().collect();
+        let mut ids: Vec<String> = self.index.keys().cloned().collect();
         ids.sort();
         ids
     }
 
-    /// Draws the chaos verdict for the next attempt against `node_id`:
-    /// `Ok` verdicts reach the wire, `Err` ones fail the attempt before any
-    /// wire work (see [`NodeSchedule::draw`]).
-    fn chaos_verdict(&mut self, node_id: &str, method: &str) -> Result<FaultAction, RpcError> {
-        match self.chaos.get_mut(node_id) {
-            Some(schedule) => schedule.draw(method),
-            None => Ok(FaultAction::Pass),
-        }
-    }
-
-    /// Builds the wire op for one link's ready entries: a plain idempotent
-    /// single-method frame on direct links, a batch frame on relays.
+    /// Builds the wire op for call `index` on link `n`: the idempotent
+    /// single-method frame (encoded only for TCP links).
     fn make_op(
         &self,
-        g: usize,
-        entries: Vec<(usize, FaultAction)>,
-        calls: &[NodeCall],
+        n: usize,
+        index: usize,
+        verdict: FaultAction,
+        c: &NodeCall,
         now: Instant,
-    ) -> Result<WireOp, (Vec<(usize, FaultAction)>, RpcError)> {
-        let group = &self.groups[g];
-        let method = calls[entries[0].0].method.clone();
-        let call = if group.relay {
-            let batch: Vec<BatchEntry> = entries
-                .iter()
-                .map(|&(i, _)| BatchEntry {
-                    node_id: calls[i].node_id.clone(),
-                    method: calls[i].method.clone(),
-                    params: calls[i].params.clone(),
-                    idem_key: calls[i].idem_key.clone(),
-                })
-                .collect();
-            pack_batch(&batch)
-        } else {
-            let c = &calls[entries[0].0];
-            let mut params = c.params.clone();
-            params.push(Value::Struct(vec![(
-                IDEMPOTENCY_MEMBER.into(),
-                Value::str(c.idem_key.clone()),
-            )]));
-            MethodCall::new(c.method.clone(), params)
-        };
-        let (frame, deadline, connect_backoff) = match &group.link {
+    ) -> Result<WireOp, RpcError> {
+        let mut params = c.params.clone();
+        params.push(Value::Struct(vec![(
+            IDEMPOTENCY_MEMBER.into(),
+            Value::str(c.idem_key.clone()),
+        )]));
+        let call = MethodCall::new(c.method.clone(), params);
+        let link = &self.nodes[n].link;
+        let (frame, deadline, connect_backoff) = match link {
             // Memory ops complete synchronously on the next step; the
             // deadline is never consulted.
             Link::Memory(_) => (Vec::new(), now + Duration::from_secs(3600), Duration::ZERO),
             Link::Tcp { opts, .. } => {
                 let xml = call.to_xml();
                 if xml.len() as u64 > u64::from(MAX_FRAME_BYTES) {
-                    return Err((
-                        entries,
-                        RpcError::Codec(format!(
-                            "request frame of {} bytes exceeds the {MAX_FRAME_BYTES}-byte cap",
-                            xml.len()
-                        )),
-                    ));
+                    return Err(RpcError::Codec(format!(
+                        "request frame of {} bytes exceeds the {MAX_FRAME_BYTES}-byte cap",
+                        xml.len()
+                    )));
                 }
                 let mut frame = Vec::with_capacity(4 + xml.len());
                 frame.extend_from_slice(&(xml.len() as u32).to_be_bytes());
@@ -537,24 +473,20 @@ impl Reactor {
             }
         };
         if excovery_obs::enabled() {
-            let reg = excovery_obs::global();
-            let link = match &group.link {
+            let label = match link {
                 Link::Memory(_) => "memory",
                 Link::Tcp { .. } => "tcp",
             };
-            reg.counter("rpc_reactor_wire_ops_total", &[("link", link)])
+            excovery_obs::global()
+                .counter("rpc_reactor_wire_ops_total", &[("link", label)])
                 .inc();
-            if group.relay {
-                reg.counter("rpc_reactor_batched_calls_total", &[])
-                    .add(entries.len() as u64);
-            }
         }
         Ok(WireOp {
-            group: g,
+            node: n,
             started: None,
-            entries,
+            index,
+            verdict,
             call,
-            method,
             frame,
             sent: 0,
             in_buf: Vec::new(),
@@ -587,8 +519,13 @@ impl Reactor {
                 phase: Phase::Ready,
             })
             .collect();
+        // Each call's link, resolved once per dispatch.
+        let links: Vec<Option<usize>> = calls
+            .iter()
+            .map(|c| self.index.get(&c.node_id).copied())
+            .collect();
         for (i, call) in calls.iter().enumerate() {
-            if !self.node_group.contains_key(&call.node_id) {
+            if links[i].is_none() {
                 finish(
                     &mut states[i],
                     Err(RpcError::Io(format!(
@@ -599,7 +536,7 @@ impl Reactor {
             }
         }
         let mut ops: Vec<WireOp> = Vec::new();
-        let mut busy = vec![false; self.groups.len()];
+        let mut busy = vec![false; self.nodes.len()];
 
         loop {
             let mut progressed = false;
@@ -625,78 +562,57 @@ impl Reactor {
                 }
             }
 
-            // Start new attempts: draw the chaos verdict per call in input
-            // order, group survivors by link (relays batch all currently
-            // ready members), one op in flight per link.
-            let mut forming: Vec<Vec<(usize, FaultAction)>> = vec![Vec::new(); self.groups.len()];
+            // Start new attempts in input order: each ready call whose link
+            // is idle draws its chaos verdict (see [`NodeSchedule::draw`])
+            // and, if that lets it reach the wire, goes in flight. One op
+            // per link, so a second call to a busy node waits a sweep.
             for i in 0..calls.len() {
-                if !matches!(states[i].phase, Phase::Ready) {
-                    continue;
-                }
-                let Some(&g) = self.node_group.get(&calls[i].node_id) else {
-                    continue;
-                };
-                if busy[g]
-                    || forming[g]
-                        .iter()
-                        .any(|&(j, _)| calls[j].node_id == calls[i].node_id)
-                {
-                    continue; // link occupied, or duplicate call to the node
-                }
-                match self.chaos_verdict(&calls[i].node_id, &calls[i].method) {
-                    Ok(verdict) => {
-                        states[i].phase = Phase::InFlight;
-                        forming[g].push((i, verdict));
-                    }
-                    Err(err) => {
-                        fail_attempt(&mut states[i], &calls[i].method, err, retry);
-                        progressed = true;
-                    }
-                }
-            }
-            for (g, entries) in forming.into_iter().enumerate() {
-                if entries.is_empty() {
+                let Some(n) = links[i] else { continue };
+                if busy[n] || !matches!(states[i].phase, Phase::Ready) {
                     continue;
                 }
                 progressed = true;
-                match self.make_op(g, entries, &calls, now) {
+                let verdict = match &mut self.nodes[n].chaos {
+                    Some(schedule) => schedule.draw(&calls[i].method),
+                    None => Ok(FaultAction::Pass),
+                };
+                match verdict.and_then(|v| self.make_op(n, i, v, &calls[i], now)) {
                     Ok(op) => {
-                        busy[g] = true;
+                        states[i].phase = Phase::InFlight;
+                        busy[n] = true;
                         ops.push(op);
                     }
-                    Err((entries, err)) => {
-                        for (i, _) in entries {
-                            fail_attempt(&mut states[i], &calls[i].method, err.clone(), retry);
-                        }
-                    }
+                    Err(err) => fail_attempt(&mut states[i], &calls[i].method, err, retry),
                 }
             }
 
             // Advance in-flight ops.
             let mut k = 0;
             while k < ops.len() {
-                let g = ops[k].group;
-                let group = &mut self.groups[g];
-                let Step::Done(result) = step_op(&mut group.link, &group.obs, &mut ops[k], now)
+                let n = ops[k].node;
+                let node = &mut self.nodes[n];
+                let Step::Done(result) = step_op(&mut node.link, &node.obs, &mut ops[k], now)
                 else {
                     k += 1;
                     continue;
                 };
                 let op = ops.swap_remove(k);
-                busy[g] = false;
+                busy[n] = false;
                 progressed = true;
-                group.obs.observe_call(op.started, &result);
+                node.obs.observe_call(op.started, &result);
+                let (i, method) = (op.index, &calls[op.index].method);
                 match result {
-                    Ok(response) => self.complete_op(op, response, &calls, &mut states, retry),
+                    Ok(response) => {
+                        let result = response_to_result(response);
+                        apply_verdict(&mut states[i], method, op.verdict, result, retry);
+                    }
                     Err(err) => {
                         // Like TcpTransport: a failed exchange poisons the
                         // connection; reconnect lazily on the next attempt.
-                        if let Link::Tcp { stream, .. } = &mut group.link {
+                        if let Link::Tcp { stream, .. } = &mut node.link {
                             *stream = None;
                         }
-                        for &(i, _) in &op.entries {
-                            fail_attempt(&mut states[i], &calls[i].method, err.clone(), retry);
-                        }
+                        fail_attempt(&mut states[i], method, err, retry);
                     }
                 }
             }
@@ -736,46 +652,6 @@ impl Reactor {
             })
             .collect()
     }
-
-    /// Distributes a completed wire response to the op's entries.
-    fn complete_op(
-        &self,
-        op: WireOp,
-        response: MethodResponse,
-        calls: &[NodeCall],
-        states: &mut [CallState],
-        retry: &RetryPolicy,
-    ) {
-        if !self.groups[op.group].relay {
-            let (i, verdict) = op.entries[0];
-            let result = response_to_result(response);
-            apply_verdict(&mut states[i], &calls[i].method, verdict, result, retry);
-            return;
-        }
-        match response_to_result(response).and_then(|v| unpack_batch_response(&v)) {
-            Ok(results) if results.len() == op.entries.len() => {
-                for (&(i, verdict), (_, outcome)) in op.entries.iter().zip(results) {
-                    let result = outcome.map_err(RpcError::from);
-                    apply_verdict(&mut states[i], &calls[i].method, verdict, result, retry);
-                }
-            }
-            Ok(results) => {
-                let err = RpcError::Codec(format!(
-                    "batch response carries {} results for {} entries",
-                    results.len(),
-                    op.entries.len()
-                ));
-                for &(i, _) in &op.entries {
-                    fail_attempt(&mut states[i], &calls[i].method, err.clone(), retry);
-                }
-            }
-            Err(err) => {
-                for &(i, _) in &op.entries {
-                    fail_attempt(&mut states[i], &calls[i].method, err.clone(), retry);
-                }
-            }
-        }
-    }
 }
 
 impl Default for Reactor {
@@ -787,7 +663,6 @@ impl Default for Reactor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::relay_registry;
     use crate::tcp::TcpRpcServer;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -956,33 +831,6 @@ mod tests {
         assert_eq!(RetryPolicy::for_chaos(10).max_attempts, 16);
         assert_eq!(RetryPolicy::for_chaos(1 << 32).max_attempts, u32::MAX);
         assert_eq!(RetryPolicy::for_chaos(u64::MAX).max_attempts, u32::MAX);
-    }
-
-    #[test]
-    fn relay_batches_members_and_replays_on_identical_keys() {
-        let c0 = Arc::new(AtomicU64::new(0));
-        let c1 = Arc::new(AtomicU64::new(0));
-        let relay = relay_registry(vec![
-            ("p0".into(), counting_registry(Arc::clone(&c0), 0)),
-            ("p1".into(), counting_registry(Arc::clone(&c1), 10)),
-        ]);
-        let mut reactor = Reactor::new();
-        reactor.add_relay(
-            ReactorEndpoint::Memory(Arc::new(Mutex::new(relay))),
-            vec![("p0".into(), None), ("p1".into(), None)],
-        );
-        let calls = vec![call("p0", 1), call("p1", 2)];
-        let first = reactor.dispatch(calls.clone(), &RetryPolicy::default());
-        // The `__idem` member is stripped before the handler runs, so each
-        // handler sees its original (empty) parameter list.
-        assert_eq!(first[0].result.as_ref().unwrap(), &Value::Int(0));
-        assert_eq!(first[1].result.as_ref().unwrap(), &Value::Int(10));
-        // Same keys again: the relay forwards, the nodes replay — handlers
-        // must not run a second time.
-        let second = reactor.dispatch(calls, &RetryPolicy::default());
-        assert!(second.iter().all(|o| o.result.is_ok()));
-        assert_eq!(c0.load(Ordering::Relaxed), 1);
-        assert_eq!(c1.load(Ordering::Relaxed), 1);
     }
 
     #[test]

@@ -1,14 +1,11 @@
-//! Property tests for the framed-TCP codec and the batch-frame codec:
+//! Property tests for the framed-TCP codec and the `job.*` codecs:
 //! arbitrary payloads survive the length-prefixed wire (including split
 //! and partial reads), oversized frames are rejected at the 16 MiB cap,
-//! and batch pack/unpack are inverse functions. Runs fully offline.
+//! and every job pack/unpack pair is an inverse. Runs fully offline.
 
 use excovery_obs::frame::{read_frame, write_frame};
 use excovery_rpc::tcp::MAX_FRAME_BYTES;
-use excovery_rpc::{
-    pack_batch, pack_batch_response, unpack_batch, unpack_batch_response, BatchEntry, Fault,
-    MethodCall, Value,
-};
+use excovery_rpc::{MethodCall, Value};
 use proptest::prelude::*;
 use std::io::{Cursor, Read};
 
@@ -24,30 +21,6 @@ impl<R: Read> Read for Trickle<R> {
         let cap = buf.len().min(self.chunk);
         self.inner.read(&mut buf[..cap])
     }
-}
-
-fn leaf_value() -> impl Strategy<Value = Value> {
-    prop_oneof![
-        any::<i32>().prop_map(Value::Int),
-        any::<bool>().prop_map(Value::Bool),
-        "[ -~]{0,16}".prop_map(Value::String),
-        (-1e9f64..1e9).prop_map(Value::Double),
-    ]
-}
-
-fn entry_strategy() -> impl Strategy<Value = BatchEntry> {
-    (
-        "[a-z][a-z0-9_]{0,8}",
-        "[a-z][a-z0-9_]{0,12}",
-        prop::collection::vec(leaf_value(), 0..3),
-        "[0-9]{1,4}:[0-9]{1,2}:[0-9]{1,6}",
-    )
-        .prop_map(|(node_id, method, params, idem_key)| BatchEntry {
-            node_id,
-            method,
-            params,
-            idem_key,
-        })
 }
 
 proptest! {
@@ -115,44 +88,6 @@ proptest! {
             Ok(None) => prop_assert!(cut < 4, "EOF only inside the header"),
             Err(_) => prop_assert!(cut >= 4, "errors only inside the payload"),
         }
-    }
-
-    /// `unpack_batch` is the left inverse of `pack_batch`, both directly
-    /// and through the actual XML wire format.
-    #[test]
-    fn batch_pack_unpack_inverse(entries in prop::collection::vec(entry_strategy(), 0..5)) {
-        let call = pack_batch(&entries);
-        prop_assert_eq!(unpack_batch(&call).unwrap(), entries.clone());
-        let rewired = MethodCall::from_xml(&call.to_xml()).unwrap();
-        prop_assert_eq!(unpack_batch(&rewired).unwrap(), entries);
-    }
-
-    /// `unpack_batch_response` is the left inverse of
-    /// `pack_batch_response` for any mix of per-node values and faults.
-    #[test]
-    fn batch_response_pack_unpack_inverse(
-        results in prop::collection::vec(
-            (
-                "[a-z][a-z0-9_]{0,8}",
-                prop_oneof![
-                    leaf_value().prop_map(Ok),
-                    (any::<i32>(), "[ -~]{0,24}")
-                        .prop_map(|(code, msg)| Err(Fault::new(code, msg))),
-                ],
-            ),
-            0..5,
-        )
-    ) {
-        let packed = pack_batch_response(&results);
-        prop_assert_eq!(unpack_batch_response(&packed).unwrap(), results);
-    }
-
-    /// The batch unpacker is total over arbitrary parameter lists: it
-    /// rejects malformed entries with a fault, never a panic.
-    #[test]
-    fn batch_unpack_total(params in prop::collection::vec(leaf_value(), 0..4)) {
-        let call = MethodCall::new("__batch", params);
-        let _ = unpack_batch(&call);
     }
 }
 

@@ -3,8 +3,9 @@
 //! sample per call that reaches a link, labelled by the link's transport,
 //! and wire bytes only where a frame is actually encoded (TCP).
 //!
-//! Its own process, and a single test, because the series live in the
-//! process-wide registry: a concurrent test would move the counts.
+//! Its own process, and its tests take turns on one lock, because the
+//! series live in the process-wide registry: a concurrent test would move
+//! the counts.
 
 use excovery_obs::sync::Mutex;
 use excovery_rpc::{
@@ -14,6 +15,16 @@ use excovery_rpc::{
 use std::sync::Arc;
 
 const CALLS: usize = 5;
+
+/// Held by every test for its whole body: they read deltas of the same
+/// process-wide series.
+static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn registry() -> Arc<Mutex<ServerRegistry>> {
     let mut reg = ServerRegistry::new();
@@ -53,6 +64,7 @@ fn dispatch_delta(transport: &str, mut reactor: Reactor) -> [u64; 4] {
 
 #[test]
 fn every_reactor_call_lands_in_the_client_series_of_its_transport() {
+    let _serial = serial();
     excovery_obs::set_enabled(true);
 
     let mut memory = Reactor::new();
@@ -81,4 +93,50 @@ fn every_reactor_call_lands_in_the_client_series_of_its_transport() {
     for server in &servers {
         server.shutdown();
     }
+}
+
+/// A 1,000-node flat phase: one dispatch with no retry budget returns
+/// every node's own answer in input order and costs exactly one wire op
+/// per node.
+#[test]
+fn a_thousand_node_flat_dispatch_answers_in_input_order() {
+    const NODES: usize = 1000;
+    let _serial = serial();
+    excovery_obs::set_enabled(true);
+
+    let mut reactor = Reactor::new();
+    for i in 0..NODES {
+        let mut reg = ServerRegistry::new();
+        reg.register("run_init", move |params| match params {
+            [Value::Int(run)] => Ok(Value::Int(run + i as i32)),
+            other => panic!("run_init got {other:?}"),
+        });
+        let endpoint = ReactorEndpoint::Memory(Arc::new(Mutex::new(reg)));
+        reactor.add_node(format!("n{i:04}"), endpoint, None);
+    }
+    let wire_ops = || {
+        excovery_obs::global()
+            .counter("rpc_reactor_wire_ops_total", &[("link", "memory")])
+            .value()
+    };
+    let before = wire_ops();
+    // Calls run against registration order, so an answer landing in the
+    // wrong slot cannot pass.
+    let calls: Vec<NodeCall> = (0..NODES)
+        .rev()
+        .map(|i| NodeCall {
+            node_id: format!("n{i:04}"),
+            method: "run_init".into(),
+            params: vec![Value::Int(7)],
+            idem_key: format!("0:0:{i}"),
+        })
+        .collect();
+    let answers: Vec<Value> = reactor
+        .dispatch(calls, &RetryPolicy::none())
+        .into_iter()
+        .map(|o| o.result.expect("run_init failed"))
+        .collect();
+    assert_eq!(wire_ops() - before, NODES as u64);
+    let want: Vec<Value> = (0..NODES).rev().map(|i| Value::Int(7 + i as i32)).collect();
+    assert_eq!(answers, want);
 }

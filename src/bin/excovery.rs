@@ -11,7 +11,7 @@
 //! excovery dot <desc.xml>
 //! excovery run <desc.xml> [--topology grid:WxH | chain:N] [--max-runs N]
 //!              [--out results.expdb] [--l2 DIR] [--resume] [--keep-l2]
-//!              [--transport memory|tcp] [--fanout N]
+//!              [--transport memory|tcp]
 //! excovery inspect <results.expdb>
 //! excovery events <results.expdb> --run N
 //! excovery timeline <results.expdb> --run N [--svg out.svg]
@@ -61,6 +61,7 @@ fn dispatch(args: &[String]) -> Result<(), String> {
         "repo" => cmd_repo(rest),
         "l2" => cmd_l2(rest),
         "schema" => {
+            Args::parse("schema", rest, &[], &[])?;
             print!("{}", excovery::desc::schema_doc::schema_text());
             Ok(())
         }
@@ -88,7 +89,7 @@ fn print_usage() {
          \x20 excovery dot <desc.xml>\n\
          \x20 excovery run <desc.xml> [--topology grid:WxH|chain:N] [--max-runs N]\n\
          \x20          [--out results.expdb] [--l2 DIR] [--resume] [--keep-l2]\n\
-         \x20          [--transport memory|tcp] [--fanout N]   # relays of N nodes\n\
+         \x20          [--transport memory|tcp]\n\
          \x20 excovery inspect <results.expdb>\n\
          \x20 excovery events <results.expdb> --run N\n\
          \x20 excovery timeline <results.expdb> --run N [--svg out.svg]\n\
@@ -113,22 +114,64 @@ fn print_usage() {
 
 // ---- argument helpers ------------------------------------------------------
 
-fn positional<'a>(args: &'a [String], what: &str) -> Result<&'a str, String> {
-    args.iter()
-        .find(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .ok_or_else(|| format!("missing {what}"))
+/// One verb's command line, checked against the flags it declares: value
+/// flags consume the next argument, switches stand alone, and any other
+/// `--flag` is an error naming the verb.
+struct Args<'a> {
+    positionals: Vec<&'a str>,
+    values: Vec<(&'a str, &'a str)>,
+    switches: Vec<&'a str>,
 }
 
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
+impl<'a> Args<'a> {
+    fn parse(
+        verb: &str,
+        args: &'a [String],
+        value_flags: &[&str],
+        switch_flags: &[&str],
+    ) -> Result<Self, String> {
+        let mut parsed = Args {
+            positionals: Vec::new(),
+            values: Vec::new(),
+            switches: Vec::new(),
+        };
+        let mut it = args.iter().map(String::as_str);
+        while let Some(arg) = it.next() {
+            if !arg.starts_with("--") {
+                parsed.positionals.push(arg);
+            } else if value_flags.contains(&arg) {
+                let value = it.next().ok_or_else(|| format!("{arg} needs a value"))?;
+                parsed.values.push((arg, value));
+            } else if switch_flags.contains(&arg) {
+                parsed.switches.push(arg);
+            } else {
+                return Err(format!(
+                    "unknown flag '{arg}' for 'excovery {verb}' (try 'excovery help')"
+                ));
+            }
+        }
+        Ok(parsed)
+    }
 
-fn flag_present(args: &[String], flag: &str) -> bool {
-    args.iter().any(|a| a == flag)
+    /// The first positional argument.
+    fn positional(&self, what: &str) -> Result<&'a str, String> {
+        self.positionals
+            .first()
+            .copied()
+            .ok_or_else(|| format!("missing {what}"))
+    }
+
+    /// The value of the first occurrence of `flag`.
+    fn value(&self, flag: &str) -> Option<&'a str> {
+        self.values
+            .iter()
+            .find(|(f, _)| *f == flag)
+            .map(|&(_, v)| v)
+    }
+
+    fn present(&self, flag: &str) -> bool {
+        self.switches.contains(&flag)
+    }
 }
 
 fn load_description(path: &str) -> Result<ExperimentDescription, String> {
@@ -161,7 +204,8 @@ fn parse_topology(spec: &str) -> Result<Topology, String> {
 // ---- subcommands ------------------------------------------------------------
 
 fn cmd_validate(args: &[String]) -> Result<(), String> {
-    let desc = load_description(positional(args, "description path")?)?;
+    let args = Args::parse("validate", args, &[], &[])?;
+    let desc = load_description(args.positional("description path")?)?;
     let findings = excovery::desc::validate::validate(&desc);
     let fatal = findings.iter().filter(|f| f.fatal).count();
     for f in &findings {
@@ -186,8 +230,10 @@ fn cmd_validate(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_plan(args: &[String]) -> Result<(), String> {
-    let desc = load_description(positional(args, "description path")?)?;
-    let limit: usize = flag_value(args, "--limit")
+    let args = Args::parse("plan", args, &["--limit"], &[])?;
+    let desc = load_description(args.positional("description path")?)?;
+    let limit: usize = args
+        .value("--limit")
         .map(|v| v.parse().unwrap_or(20))
         .unwrap_or(20);
     let plan = desc.plan();
@@ -213,41 +259,44 @@ fn cmd_plan(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_outline(args: &[String]) -> Result<(), String> {
-    let desc = load_description(positional(args, "description path")?)?;
+    let args = Args::parse("outline", args, &[], &[])?;
+    let desc = load_description(args.positional("description path")?)?;
     print!("{}", excovery::desc::visualize::to_outline(&desc));
     Ok(())
 }
 
 fn cmd_dot(args: &[String]) -> Result<(), String> {
-    let desc = load_description(positional(args, "description path")?)?;
+    let args = Args::parse("dot", args, &[], &[])?;
+    let desc = load_description(args.positional("description path")?)?;
     print!("{}", excovery::desc::visualize::to_dot(&desc));
     Ok(())
 }
 
 fn cmd_run(args: &[String]) -> Result<(), String> {
-    let desc = load_description(positional(args, "description path")?)?;
+    let args = Args::parse(
+        "run",
+        args,
+        &["--topology", "--max-runs", "--out", "--l2", "--transport"],
+        &["--resume", "--keep-l2"],
+    )?;
+    let desc = load_description(args.positional("description path")?)?;
     let mut cfg = EngineConfig::grid_default();
-    if let Some(spec) = flag_value(args, "--topology") {
+    if let Some(spec) = args.value("--topology") {
         cfg.topology = parse_topology(spec)?;
     }
-    if let Some(n) = flag_value(args, "--max-runs") {
+    if let Some(n) = args.value("--max-runs") {
         cfg.max_runs = Some(n.parse().map_err(|_| format!("bad --max-runs '{n}'"))?);
     }
-    if let Some(dir) = flag_value(args, "--l2") {
+    if let Some(dir) = args.value("--l2") {
         cfg.l2_root = Some(PathBuf::from(dir));
     }
-    if let Some(t) = flag_value(args, "--transport") {
+    if let Some(t) = args.value("--transport") {
         cfg.transport = TransportKind::parse(t)
             .ok_or_else(|| format!("unknown transport '{t}' (use memory or tcp)"))?;
     }
-    if let Some(n) = flag_value(args, "--fanout") {
-        cfg.fanout_tree = Some(n.parse().map_err(|_| format!("bad --fanout '{n}'"))?);
-    }
-    cfg.resume = flag_present(args, "--resume");
-    cfg.keep_l2 = flag_present(args, "--keep-l2");
-    let out = flag_value(args, "--out")
-        .unwrap_or("results.expdb")
-        .to_string();
+    cfg.resume = args.present("--resume");
+    cfg.keep_l2 = args.present("--keep-l2");
+    let out = args.value("--out").unwrap_or("results.expdb").to_string();
 
     let name = desc.name.clone();
     let mut master = ExperiMaster::new(desc, cfg)?;
@@ -269,7 +318,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_inspect(args: &[String]) -> Result<(), String> {
-    let db = load_database(positional(args, "database path")?)?;
+    let args = Args::parse("inspect", args, &[], &[])?;
+    let db = load_database(args.positional("database path")?)?;
     let info = ExperimentInfo::read(&db).map_err(|e| e.to_string())?;
     println!("experiment: {}", info.name);
     println!("version:    {}", info.ee_version);
@@ -286,8 +336,10 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_events(args: &[String]) -> Result<(), String> {
-    let db = load_database(positional(args, "database path")?)?;
-    let run: u64 = flag_value(args, "--run")
+    let args = Args::parse("events", args, &["--run"], &[])?;
+    let db = load_database(args.positional("database path")?)?;
+    let run: u64 = args
+        .value("--run")
         .ok_or("missing --run N")?
         .parse()
         .map_err(|_| "bad --run value")?;
@@ -305,8 +357,10 @@ fn cmd_events(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_timeline(args: &[String]) -> Result<(), String> {
-    let db = load_database(positional(args, "database path")?)?;
-    let run: u64 = flag_value(args, "--run")
+    let args = Args::parse("timeline", args, &["--run", "--svg"], &[])?;
+    let db = load_database(args.positional("database path")?)?;
+    let run: u64 = args
+        .value("--run")
         .unwrap_or("0")
         .parse()
         .map_err(|_| "bad --run")?;
@@ -319,7 +373,7 @@ fn cmd_timeline(args: &[String]) -> Result<(), String> {
         .collect();
     let timeline = Timeline::from_events(&events, &actors);
     print!("{}", timeline.render_ascii(100));
-    if let Some(svg_path) = flag_value(args, "--svg") {
+    if let Some(svg_path) = args.value("--svg") {
         std::fs::write(svg_path, timeline.render_svg(900))
             .map_err(|e| format!("write {svg_path}: {e}"))?;
         println!("SVG written to {svg_path}");
@@ -329,11 +383,14 @@ fn cmd_timeline(args: &[String]) -> Result<(), String> {
 
 fn cmd_model(args: &[String]) -> Result<(), String> {
     use excovery::analysis::model::ResponsivenessModel;
-    let hops: u32 = flag_value(args, "--hops")
+    let args = Args::parse("model", args, &["--hops", "--loss"], &[])?;
+    let hops: u32 = args
+        .value("--hops")
         .unwrap_or("1")
         .parse()
         .map_err(|_| "bad --hops")?;
-    let loss: f64 = flag_value(args, "--loss")
+    let loss: f64 = args
+        .value("--loss")
         .unwrap_or("0.1")
         .parse()
         .map_err(|_| "bad --loss")?;
@@ -354,14 +411,16 @@ fn cmd_model(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_report(args: &[String]) -> Result<(), String> {
-    let db = load_database(positional(args, "database path")?)?;
-    let k: usize = flag_value(args, "--k")
+    let args = Args::parse("report", args, &["--k", "--out"], &[])?;
+    let db = load_database(args.positional("database path")?)?;
+    let k: usize = args
+        .value("--k")
         .unwrap_or("1")
         .parse()
         .map_err(|_| "bad --k")?;
     let opts = ReportOptions::builder().k(k).build();
     let report = excovery::analysis::report::render(&db, &opts).map_err(|e| e.to_string())?;
-    match flag_value(args, "--out") {
+    match args.value("--out") {
         Some(path) => {
             std::fs::write(path, &report).map_err(|e| format!("write {path}: {e}"))?;
             println!("report written to {path}");
@@ -372,14 +431,10 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_repo(args: &[String]) -> Result<(), String> {
-    let dir = positional(args, "repository directory")?;
+    let args = Args::parse("repo", args, &[], &[])?;
+    let dir = args.positional("repository directory")?;
     let repo = Repository::open(dir).map_err(|e| e.to_string())?;
-    let sub = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .nth(1)
-        .map(String::as_str)
-        .unwrap_or("list");
+    let sub = args.positionals.get(1).copied().unwrap_or("list");
     match sub {
         "list" => {
             for e in repo.index().map_err(|e| e.to_string())? {
@@ -388,9 +443,8 @@ fn cmd_repo(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "add" => {
-            let positionals: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
-            let id = positionals.get(2).ok_or("missing experiment id")?;
-            let db_path = positionals.get(3).ok_or("missing database path")?;
+            let id = args.positionals.get(2).ok_or("missing experiment id")?;
+            let db_path = args.positionals.get(3).ok_or("missing database path")?;
             let db = load_database(db_path)?;
             repo.store(id, &db).map_err(|e| e.to_string())?;
             println!("stored '{id}' in {dir}");
@@ -429,17 +483,18 @@ fn cmd_repo(args: &[String]) -> Result<(), String> {
 fn cmd_l2(args: &[String]) -> Result<(), String> {
     use excovery::store::level2::Level2Store;
     use std::io::Write;
-    let dir = positional(args, "level-2 directory")?;
+    let args = Args::parse("l2", args, &[], &[])?;
+    let dir = args.positional("level-2 directory")?;
     // `open` would create the directories it expects.
     if !std::path::Path::new(dir).join("runs").is_dir() {
         return Err(format!("{dir}: not a level-2 directory"));
     }
     let l2 = Level2Store::open(dir).map_err(|e| e.to_string())?;
-    let load = |run: &String| {
+    let load = |run: &str| {
         let run_id = run.parse().map_err(|_| format!("bad run id '{run}'"))?;
         l2.load_run(run_id).map_err(|e| e.to_string())
     };
-    match &args[1..] {
+    match args.positionals[1..] {
         [] => {
             for run_id in l2.run_ids().map_err(|e| e.to_string())? {
                 println!("{run_id}");
@@ -465,8 +520,10 @@ fn cmd_l2(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_responsiveness(args: &[String]) -> Result<(), String> {
-    let db = load_database(positional(args, "database path")?)?;
-    let k: usize = flag_value(args, "--k")
+    let args = Args::parse("responsiveness", args, &["--k"], &["--pooled"])?;
+    let db = load_database(args.positional("database path")?)?;
+    let k: usize = args
+        .value("--k")
         .unwrap_or("1")
         .parse()
         .map_err(|_| "bad --k")?;
@@ -482,7 +539,7 @@ fn cmd_responsiveness(args: &[String]) -> Result<(), String> {
     );
     // Per-treatment breakdown when more than one treatment was run
     // (reconstructed from the stored description, no side channel needed).
-    if !flag_present(args, "--pooled") {
+    if !args.present("--pooled") {
         if let Ok(grouped) = excovery::analysis::treatments::episodes_by_treatment(&db) {
             if grouped.len() > 1 {
                 let mut keys: Vec<&String> = grouped.keys().collect();
@@ -531,21 +588,27 @@ fn print_status(s: &excovery::rpc::JobStatus) {
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let root = positional(args, "repository root")?;
+    let args = Args::parse(
+        "serve",
+        args,
+        &["--addr", "--workers", "--slice-runs"],
+        &["--once"],
+    )?;
+    let root = args.positional("repository root")?;
     let mut cfg = excovery::server::ServerConfig::default();
-    if let Some(addr) = flag_value(args, "--addr") {
+    if let Some(addr) = args.value("--addr") {
         cfg.addr = addr.to_string();
     }
-    if let Some(w) = flag_value(args, "--workers") {
+    if let Some(w) = args.value("--workers") {
         cfg.scheduler.workers = w.parse().map_err(|_| format!("bad --workers '{w}'"))?;
     }
-    if let Some(s) = flag_value(args, "--slice-runs") {
+    if let Some(s) = args.value("--slice-runs") {
         cfg.scheduler.slice_runs = s.parse().map_err(|_| format!("bad --slice-runs '{s}'"))?;
     }
     let mut server =
         excovery::server::ExperimentServer::start(root, cfg).map_err(|e| e.to_string())?;
     eprintln!("serving {} at {}", root, server.addr());
-    if flag_present(args, "--once") {
+    if args.present("--once") {
         loop {
             let report = server.tick().map_err(|e| e.to_string())?;
             if report.is_idle() {
@@ -556,35 +619,16 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     server.run().map_err(|e| e.to_string())
 }
 
-/// Positional arguments: everything that is neither a flag nor the value
-/// of a value-taking flag.
-fn positionals<'a>(args: &'a [String], value_flags: &[&str]) -> Vec<&'a str> {
-    let mut out = Vec::new();
-    let mut skip = false;
-    for a in args {
-        if skip {
-            skip = false;
-            continue;
-        }
-        if a.starts_with("--") {
-            skip = value_flags.contains(&a.as_str());
-            continue;
-        }
-        out.push(a.as_str());
-    }
-    out
-}
-
 fn cmd_submit(args: &[String]) -> Result<(), String> {
-    let pos = positionals(args, &["--tenant", "--preset", "--key"]);
-    let target = *pos.first().ok_or("missing server root or address")?;
-    let desc_path = *pos.get(1).ok_or("missing description path")?;
-    let tenant = flag_value(args, "--tenant").unwrap_or("default");
-    let preset = flag_value(args, "--preset").unwrap_or("grid_default");
+    let args = Args::parse("submit", args, &["--tenant", "--preset", "--key"], &[])?;
+    let target = args.positional("server root or address")?;
+    let desc_path = *args.positionals.get(1).ok_or("missing description path")?;
+    let tenant = args.value("--tenant").unwrap_or("default");
+    let preset = args.value("--preset").unwrap_or("grid_default");
     let xml = std::fs::read_to_string(desc_path).map_err(|e| format!("read {desc_path}: {e}"))?;
     // Default submit key: content hash of (tenant, preset, description),
     // so an accidental re-submission dedups to the original job.
-    let key = match flag_value(args, "--key") {
+    let key = match args.value("--key") {
         Some(k) => k.to_string(),
         None => {
             let mut h = 0xcbf29ce484222325u64;
@@ -616,9 +660,9 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_status(args: &[String]) -> Result<(), String> {
-    let target = positional(args, "server root or address")?;
-    let client = connect_target(target)?;
-    match flag_value(args, "--job") {
+    let args = Args::parse("status", args, &["--job"], &[])?;
+    let client = connect_target(args.positional("server root or address")?)?;
+    match args.value("--job") {
         Some(id) => {
             let id = id.parse().map_err(|_| format!("bad --job '{id}'"))?;
             print_status(&client.status(id).map_err(|e| e.to_string())?);
@@ -633,27 +677,33 @@ fn cmd_status(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_results(args: &[String]) -> Result<(), String> {
-    let target = positional(args, "server root or address")?;
-    let client = connect_target(target)?;
-    let id: u64 = flag_value(args, "--job")
+    let args = Args::parse(
+        "results",
+        args,
+        &["--job", "--out", "--table", "--group-by", "--sort-by"],
+        &["--tables", "--count"],
+    )?;
+    let client = connect_target(args.positional("server root or address")?)?;
+    let id: u64 = args
+        .value("--job")
         .ok_or("missing --job")?
         .parse()
         .map_err(|_| "bad --job")?;
-    if flag_present(args, "--tables") {
+    if args.present("--tables") {
         for t in client.tables(id).map_err(|e| e.to_string())? {
             println!("{t}");
         }
         return Ok(());
     }
-    if let Some(table) = flag_value(args, "--table") {
+    if let Some(table) = args.value("--table") {
         let mut plan = excovery::rpc::PlanSpec {
             table: table.to_string(),
             ..Default::default()
         };
-        if let Some(group) = flag_value(args, "--group-by") {
+        if let Some(group) = args.value("--group-by") {
             plan.group_by = group.split(',').map(str::to_string).collect();
         }
-        if flag_present(args, "--count") {
+        if args.present("--count") {
             plan.aggs = vec![excovery::rpc::AggSpec {
                 op: excovery::rpc::AggOp::Count,
                 column: None,
@@ -661,7 +711,7 @@ fn cmd_results(args: &[String]) -> Result<(), String> {
                 q: None,
             }];
         }
-        if let Some(sort) = flag_value(args, "--sort-by") {
+        if let Some(sort) = args.value("--sort-by") {
             plan.sort_by = Some(sort.to_string());
         }
         let frame = client.query(id, &plan).map_err(|e| e.to_string())?;
@@ -683,7 +733,7 @@ fn cmd_results(args: &[String]) -> Result<(), String> {
     }
     let results = client.results(id).map_err(|e| e.to_string())?;
     print_status(&results.status);
-    if let Some(out) = flag_value(args, "--out") {
+    if let Some(out) = args.value("--out") {
         std::fs::write(out, &results.package).map_err(|e| format!("write {out}: {e}"))?;
         println!("package: {out} ({} bytes)", results.package.len());
     }

@@ -250,6 +250,62 @@ fn plan_respects_limit() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A flag's value is never mistaken for the positional argument, wherever
+/// the flag sits.
+#[test]
+fn flags_before_the_positional_keep_their_values() {
+    let dir = workdir("flag-first");
+    let desc = write_description(&dir);
+    let out = cli(&["plan", "--limit", "2", desc.to_str().unwrap()]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let text = stdout(&out);
+    assert_eq!(
+        text.lines()
+            .filter(|l| l.trim_start().starts_with("run "))
+            .count(),
+        2
+    );
+
+    let db = dir.join("results.expdb");
+    let out = cli(&[
+        "run",
+        "--max-runs",
+        "1",
+        "--out",
+        db.to_str().unwrap(),
+        "--l2",
+        dir.join("l2").to_str().unwrap(),
+        desc.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(stdout(&out).contains("1 runs executed"), "{}", stdout(&out));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An undeclared flag fails the verb and names itself — a removed or
+/// misspelt option is never silently ignored.
+#[test]
+fn unknown_flags_are_rejected_by_name() {
+    let dir = workdir("unknown-flag");
+    let desc = write_description(&dir);
+    let out = cli(&[
+        "run",
+        desc.to_str().unwrap(),
+        "--max-runs",
+        "1",
+        "--fanout",
+        "4",
+    ]);
+    assert!(!out.status.success());
+    let err = stderr(&out);
+    assert!(err.contains("--fanout") && err.contains("run"), "{err}");
+
+    let out = cli(&["plan", desc.to_str().unwrap(), "--limit"]);
+    assert!(!out.status.success());
+    assert!(stderr(&out).contains("--limit needs a value"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn schema_command_emits_wellformed_xsd() {
     let out = cli(&["schema"]);
