@@ -24,13 +24,16 @@
 //! * actor-to-node resolution (abstract nodes → platform nodes → simulator
 //!   nodes) — [`binding`],
 //! * crash recovery by resuming aborted runs — the level-2 run journal
-//!   consulted by [`master`].
+//!   consulted by [`master`],
+//! * the level-2 entries each run stages, binary packet captures among
+//!   them — [`l2codec`].
 
 pub mod binding;
 pub mod error;
 pub mod event_log;
 pub mod faults;
 pub mod interp;
+pub mod l2codec;
 pub mod master;
 pub mod nodemanager;
 pub mod scenarios;

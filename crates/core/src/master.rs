@@ -18,13 +18,13 @@ use crate::error::EngineError;
 use crate::event_log::{EventLog, RecordedEvent};
 use crate::faults::ParsedFault;
 use crate::interp::{self, ExecCtx, ProcState, ProcessInstance};
+use crate::l2codec::{self, read_json};
 use crate::nodemanager::{NodeManager, SharedSim};
 use excovery_desc::factors::LevelValue;
 use excovery_desc::plan::{RunSpec, Treatment};
 use excovery_desc::process::{EventSelector, ValueRef};
 use excovery_desc::validate::validate_strict;
 use excovery_desc::ExperimentDescription;
-use excovery_netsim::capture::CaptureKind;
 use excovery_netsim::rng::derive_seed;
 use excovery_netsim::sim::SimulatorConfig;
 use excovery_netsim::topology::Topology;
@@ -40,6 +40,7 @@ use excovery_store::level2::Level2Store;
 use excovery_store::records::{EventRow, ExperimentInfo, PacketRow, RunInfoRow};
 use excovery_store::schema::{create_level3_database, EE_VERSION};
 use excovery_store::{Database, JsonValue, SqlValue};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -463,205 +464,6 @@ impl ExperimentOutcome {
     }
 }
 
-/// Per-node packet capture as stored on level 2.
-#[derive(Debug, Clone)]
-struct CaptureSer {
-    local_time_ns: u64,
-    src: String,
-    port: u16,
-    kind: String,
-    /// 16-bit tagger id stamped by the sending node (§VI-A).
-    tag: u16,
-    data: Vec<u8>,
-}
-
-// ---- level-2 JSON codecs -------------------------------------------------
-//
-// Intermediate level-2 artifacts are written and re-read through the
-// self-contained `excovery_store::JsonValue` codec so packaging (and
-// crash-resume, which replays packaging over a prior tree) has no
-// dependency on an external serializer.
-
-fn events_to_json(events: &[RecordedEvent]) -> JsonValue {
-    JsonValue::Array(
-        events
-            .iter()
-            .map(|e| {
-                JsonValue::Object(vec![
-                    ("seq".into(), JsonValue::Int(e.seq as i64)),
-                    ("run_id".into(), JsonValue::Int(e.run_id as i64)),
-                    ("node".into(), JsonValue::str(&e.node)),
-                    (
-                        "local_time_ns".into(),
-                        JsonValue::Int(e.local_time_ns as i64),
-                    ),
-                    ("name".into(), JsonValue::str(&e.name)),
-                    (
-                        "params".into(),
-                        JsonValue::Array(
-                            e.params
-                                .iter()
-                                .map(|(k, v)| {
-                                    JsonValue::Array(vec![JsonValue::str(k), JsonValue::str(v)])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ])
-            })
-            .collect(),
-    )
-}
-
-fn events_from_json(v: &JsonValue) -> Option<Vec<RecordedEvent>> {
-    v.as_array()?
-        .iter()
-        .map(|e| {
-            Some(RecordedEvent {
-                seq: e.get("seq")?.as_u64()?,
-                run_id: e.get("run_id")?.as_u64()?,
-                node: e.get("node")?.as_str()?.to_string(),
-                local_time_ns: e.get("local_time_ns")?.as_u64()?,
-                name: e.get("name")?.as_str()?.to_string(),
-                params: e
-                    .get("params")?
-                    .as_array()?
-                    .iter()
-                    .map(|p| {
-                        let pair = p.as_array()?;
-                        Some((
-                            pair.first()?.as_str()?.to_string(),
-                            pair.get(1)?.as_str()?.to_string(),
-                        ))
-                    })
-                    .collect::<Option<Vec<_>>>()?,
-            })
-        })
-        .collect()
-}
-
-fn sync_to_json(offsets: &HashMap<String, i64>) -> JsonValue {
-    let mut pairs: Vec<(String, JsonValue)> = offsets
-        .iter()
-        .map(|(pid, off)| (pid.clone(), JsonValue::Int(*off)))
-        .collect();
-    pairs.sort_by(|a, b| a.0.cmp(&b.0));
-    JsonValue::Object(pairs)
-}
-
-fn sync_from_json(v: &JsonValue) -> Option<HashMap<String, i64>> {
-    v.as_object()?
-        .iter()
-        .map(|(pid, off)| Some((pid.clone(), off.as_i64()?)))
-        .collect()
-}
-
-fn measurements_to_json(ms: &[(String, String, Vec<u8>)]) -> JsonValue {
-    JsonValue::Array(
-        ms.iter()
-            .map(|(node, name, content)| {
-                JsonValue::Array(vec![
-                    JsonValue::str(node),
-                    JsonValue::str(name),
-                    JsonValue::bytes(content),
-                ])
-            })
-            .collect(),
-    )
-}
-
-fn measurements_from_json(v: &JsonValue) -> Option<Vec<(String, String, Vec<u8>)>> {
-    v.as_array()?
-        .iter()
-        .map(|m| {
-            let triple = m.as_array()?;
-            Some((
-                triple.first()?.as_str()?.to_string(),
-                triple.get(1)?.as_str()?.to_string(),
-                triple.get(2)?.to_bytes()?,
-            ))
-        })
-        .collect()
-}
-
-/// Serialized form of a [`RunOutcome`] as journalled to level 2 (entry
-/// `_master`/`outcome.json` of the run's sealed record), so a resumed
-/// master can restore the summaries of runs it never executed and
-/// [`ExperimentOutcome::digest`] stays crash-invariant.
-fn outcome_to_json(o: &RunOutcome) -> JsonValue {
-    JsonValue::Object(vec![
-        ("run_id".into(), JsonValue::Int(o.run_id as i64)),
-        ("replicate".into(), JsonValue::Int(o.replicate as i64)),
-        ("treatment_key".into(), JsonValue::str(&o.treatment_key)),
-        ("completed".into(), JsonValue::Bool(o.completed)),
-        (
-            "failures".into(),
-            JsonValue::Array(o.failures.iter().map(JsonValue::str).collect()),
-        ),
-        ("events".into(), JsonValue::Int(o.events as i64)),
-        ("packets".into(), JsonValue::Int(o.packets as i64)),
-        (
-            "duration_ns".into(),
-            JsonValue::Int(o.duration.as_nanos() as i64),
-        ),
-    ])
-}
-
-fn outcome_from_json(v: &JsonValue) -> Option<RunOutcome> {
-    Some(RunOutcome {
-        run_id: v.get("run_id")?.as_u64()?,
-        replicate: v.get("replicate")?.as_u64()?,
-        treatment_key: v.get("treatment_key")?.as_str()?.to_string(),
-        completed: v.get("completed")?.as_bool()?,
-        failures: v
-            .get("failures")?
-            .as_array()?
-            .iter()
-            .map(|f| Some(f.as_str()?.to_string()))
-            .collect::<Option<Vec<_>>>()?,
-        events: v.get("events")?.as_u64()? as usize,
-        packets: v.get("packets")?.as_u64()? as usize,
-        duration: SimDuration::from_nanos(v.get("duration_ns")?.as_u64()?),
-    })
-}
-
-fn captures_to_json(captures: &[CaptureSer]) -> JsonValue {
-    JsonValue::Array(
-        captures
-            .iter()
-            .map(|c| {
-                JsonValue::Object(vec![
-                    (
-                        "local_time_ns".into(),
-                        JsonValue::Int(c.local_time_ns as i64),
-                    ),
-                    ("src".into(), JsonValue::str(&c.src)),
-                    ("port".into(), JsonValue::Int(c.port as i64)),
-                    ("kind".into(), JsonValue::str(&c.kind)),
-                    ("tag".into(), JsonValue::Int(c.tag as i64)),
-                    ("data".into(), JsonValue::bytes(&c.data)),
-                ])
-            })
-            .collect(),
-    )
-}
-
-fn captures_from_json(v: &JsonValue) -> Option<Vec<CaptureSer>> {
-    v.as_array()?
-        .iter()
-        .map(|c| {
-            Some(CaptureSer {
-                local_time_ns: c.get("local_time_ns")?.as_u64()?,
-                src: c.get("src")?.as_str()?.to_string(),
-                port: u16::try_from(c.get("port")?.as_i64()?).ok()?,
-                kind: c.get("kind")?.as_str()?.to_string(),
-                tag: u16::try_from(c.get("tag")?.as_i64()?).ok()?,
-                data: c.get("data")?.to_bytes()?,
-            })
-        })
-        .collect()
-}
-
 struct FaultWindow {
     platform_id: String,
     spec: Value,
@@ -884,9 +686,7 @@ impl ExperiMaster {
         method: &str,
         params: &[Value],
     ) -> Result<Vec<Value>, EngineError> {
-        let phase_timer = excovery_obs::enabled().then(|| {
-            excovery_obs::span::SpanTimer::start(&self.obs_clock, format!("fan_out:{method}"))
-        });
+        let phase_timer = self.phase_timer(format!("fan_out:{method}"));
         let calls: Vec<NodeCall> = nodes
             .iter()
             .map(|pid| NodeCall {
@@ -908,12 +708,7 @@ impl ExperiMaster {
                     .observe(o.duration_ns);
             }
         }
-        if let Some(timer) = phase_timer {
-            let dur = timer.finish(&self.obs_clock, excovery_obs::global_tracer());
-            excovery_obs::global()
-                .histogram("master_phase_duration_ns", &[("phase", method)])
-                .observe(dur);
-        }
+        self.finish_phase(phase_timer, method);
         nodes
             .iter()
             .zip(outcomes)
@@ -932,6 +727,25 @@ impl ExperiMaster {
                     })
             })
             .collect()
+    }
+
+    /// Starts timing one master phase when observability is on.
+    fn phase_timer(
+        &self,
+        span: impl Into<Cow<'static, str>>,
+    ) -> Option<excovery_obs::span::SpanTimer> {
+        excovery_obs::enabled().then(|| excovery_obs::span::SpanTimer::start(&self.obs_clock, span))
+    }
+
+    /// Ends a [`Self::phase_timer`]: records its span and observes its
+    /// duration in `master_phase_duration_ns{phase}`.
+    fn finish_phase(&self, timer: Option<excovery_obs::span::SpanTimer>, phase: &str) {
+        if let Some(timer) = timer {
+            let dur = timer.finish(&self.obs_clock, excovery_obs::global_tracer());
+            excovery_obs::global()
+                .histogram("master_phase_duration_ns", &[("phase", phase)])
+                .observe(dur);
+        }
     }
 
     /// Test hook: platform ids of all connected NodeManagers, sorted.
@@ -1045,17 +859,16 @@ impl ExperiMaster {
         // uninterrupted one (the digest covers it).
         let mut outcomes = Vec::new();
         for run_id in 0..first {
-            let outcome = l2
+            let record = l2
                 .load_run(run_id)
-                .map_err(|e| EngineError::Storage(e.to_string()))?
-                .get("_master", "outcome.json")
-                .and_then(|raw| JsonValue::parse_bytes(raw).ok())
-                .as_ref()
-                .and_then(outcome_from_json)
-                .ok_or_else(|| {
-                    EngineError::Storage(format!("run {run_id}: missing or bad outcome.json"))
-                })?;
-            outcomes.push(outcome);
+                .map_err(|e| EngineError::Storage(e.to_string()))?;
+            outcomes.push(read_json(
+                &record,
+                run_id,
+                "_master",
+                "outcome.json",
+                l2codec::outcome_from_json,
+            )?);
         }
         for run in &plan.runs[first as usize..last as usize] {
             let outcome = self.execute_run(run, l2)?;
@@ -1067,7 +880,9 @@ impl ExperiMaster {
         l2.put_experiment("master", "topology_after.json", topo_after.as_bytes())
             .map_err(|e| EngineError::Storage(e.to_string()))?;
 
+        let packaging = self.phase_timer("package");
         let database = self.package(l2)?;
+        self.finish_phase(packaging, "package");
         // Tear the node side down everywhere (concurrently, like the other
         // lifecycle phases).
         let managed: Vec<String> = self
@@ -1339,14 +1154,16 @@ impl ExperiMaster {
             run.run_id,
             "_master",
             "events.json",
-            events_to_json(self.log.events()).to_string().as_bytes(),
+            l2codec::events_to_json(self.log.events())
+                .to_string()
+                .as_bytes(),
         )
         .map_err(|e| EngineError::Storage(e.to_string()))?;
         l2.put_run(
             run.run_id,
             "_master",
             "sync.json",
-            sync_to_json(&sync_offsets).to_string().as_bytes(),
+            l2codec::sync_to_json(&sync_offsets).to_string().as_bytes(),
         )
         .map_err(|e| EngineError::Storage(e.to_string()))?;
         l2.put_run(
@@ -1364,7 +1181,7 @@ impl ExperiMaster {
                 run.run_id,
                 "_plugins",
                 "measurements.json",
-                measurements_to_json(&self.run_measurements)
+                l2codec::measurements_to_json(&self.run_measurements)
                     .to_string()
                     .as_bytes(),
             )
@@ -1372,40 +1189,29 @@ impl ExperiMaster {
         }
 
         let mut packets_total = 0;
+        let staging = self.phase_timer("l2_captures");
         {
             let mut sim = self.sim.lock();
+            let src_id = |node: NodeId| match self.binding.platform_id(node) {
+                Some(pid) => Cow::Borrowed(pid),
+                None => Cow::Owned(node.to_string()),
+            };
             for pid in &managed {
                 let node = self.binding.sim_node(pid).unwrap();
                 let captures = sim.drain_captures(node);
                 packets_total += captures.len();
-                let ser: Vec<CaptureSer> = captures
-                    .into_iter()
-                    .map(|c| CaptureSer {
-                        local_time_ns: c.local_time.as_nanos(),
-                        src: self
-                            .binding
-                            .platform_id(c.src)
-                            .map(str::to_string)
-                            .unwrap_or_else(|| c.src.to_string()),
-                        port: c.port,
-                        kind: match c.kind {
-                            CaptureKind::Sent => "sent".into(),
-                            CaptureKind::Received => "received".into(),
-                            CaptureKind::Forwarded => "forwarded".into(),
-                        },
-                        tag: c.tag,
-                        data: c.payload.to_vec(),
-                    })
-                    .collect();
-                l2.put_run(
-                    run.run_id,
-                    pid,
-                    "captures.json",
-                    captures_to_json(&ser).to_string().as_bytes(),
-                )
-                .map_err(|e| EngineError::Storage(e.to_string()))?;
+                let entry = l2codec::encode_captures(&captures, src_id).map_err(|e| {
+                    EngineError::Storage(format!(
+                        "run {}: {pid}/{}: {e}",
+                        run.run_id,
+                        l2codec::CAPTURES
+                    ))
+                })?;
+                l2.put_run(run.run_id, pid, l2codec::CAPTURES, &entry)
+                    .map_err(|e| EngineError::Storage(e.to_string()))?;
             }
         }
+        self.finish_phase(staging, "l2_captures");
         // Drain each node's action-log segment for this run into level 2
         // (a fan-out like the other lifecycle phases, so it rides the
         // reactor). Draining per run — rather than reading the
@@ -1422,8 +1228,8 @@ impl ExperiMaster {
         }
         // Per-run observability summary: flush the data plane's batched
         // counters, then persist the registry snapshot plus the spans of
-        // this run under the reserved `_obs` node. `package` only ingests
-        // `captures.json` run entries, so these files can never reach the
+        // this run under the reserved `_obs` node. `package` reads run
+        // entries by exact name, so these files can never reach the
         // level-3 database (the digest stays obs-independent).
         self.sim.lock().publish_obs();
         if excovery_obs::enabled() {
@@ -1460,7 +1266,7 @@ impl ExperiMaster {
             run.run_id,
             "_master",
             "outcome.json",
-            outcome_to_json(&outcome).to_string().as_bytes(),
+            l2codec::outcome_to_json(&outcome).to_string().as_bytes(),
         )
         .map_err(|e| EngineError::Storage(e.to_string()))?;
         l2.mark_run_complete(run.run_id)
@@ -1534,16 +1340,15 @@ impl ExperiMaster {
             let record = l2
                 .load_run(run_id)
                 .map_err(|e| EngineError::Storage(e.to_string()))?;
-            let sync: HashMap<String, i64> = record
-                .get("_master", "sync.json")
-                .and_then(|d| JsonValue::parse_bytes(d).ok())
-                .and_then(|v| sync_from_json(&v))
-                .unwrap_or_default();
-            let start_ns: u64 = record
-                .get("_master", "start.json")
-                .and_then(|d| JsonValue::parse_bytes(d).ok())
-                .and_then(|v| v.as_u64())
-                .unwrap_or(0);
+            let sync: HashMap<String, i64> = read_json(
+                &record,
+                run_id,
+                "_master",
+                "sync.json",
+                l2codec::sync_from_json,
+            )?;
+            let start_ns: u64 =
+                read_json(&record, run_id, "_master", "start.json", JsonValue::as_u64)?;
             // Sorted node order: map iteration order must never leak into
             // the packaged database (digest stability).
             let mut sync_sorted: Vec<(&String, &i64)> = sync.iter().collect();
@@ -1559,36 +1364,35 @@ impl ExperiMaster {
                 .map_err(|e| EngineError::Storage(e.to_string()))?;
             }
             // Events: condition local node stamps to the common base.
-            if let Some(raw) = record.get("_master", "events.json") {
-                let events: Vec<RecordedEvent> = JsonValue::parse_bytes(raw)
-                    .ok()
-                    .as_ref()
-                    .and_then(events_from_json)
-                    .ok_or_else(|| {
-                        EngineError::Storage(format!("run {run_id}: bad events.json"))
-                    })?;
-                for e in events {
-                    let offset = sync.get(&e.node).copied().unwrap_or(0);
-                    EventRow {
-                        run_id,
-                        node_id: e.node,
-                        common_time_ns: e.local_time_ns as i64 - offset,
-                        event_type: e.name,
-                        parameter: EventRow::encode_params(&e.params),
-                    }
-                    .insert(&mut db)
-                    .map_err(|er| EngineError::Storage(er.to_string()))?;
+            let events: Vec<RecordedEvent> = read_json(
+                &record,
+                run_id,
+                "_master",
+                "events.json",
+                l2codec::events_from_json,
+            )?;
+            for e in events {
+                let offset = sync.get(&e.node).copied().unwrap_or(0);
+                EventRow {
+                    run_id,
+                    node_id: e.node,
+                    common_time_ns: e.local_time_ns as i64 - offset,
+                    event_type: e.name,
+                    parameter: EventRow::encode_params(&e.params),
                 }
+                .insert(&mut db)
+                .map_err(|er| EngineError::Storage(er.to_string()))?;
             }
-            // Custom (plugin) measurements -> ExtraRunMeasurements.
-            if let Some(raw) = record.get("_plugins", "measurements.json") {
-                let ms: Vec<(String, String, Vec<u8>)> = JsonValue::parse_bytes(raw)
-                    .ok()
-                    .as_ref()
-                    .and_then(measurements_from_json)
-                    .ok_or_else(|| {
-                        EngineError::Storage(format!("run {run_id}: bad measurements.json"))
-                    })?;
+            // Custom (plugin) measurements -> ExtraRunMeasurements; only
+            // runs whose plugins recorded something have the entry.
+            if record.get("_plugins", "measurements.json").is_some() {
+                let ms = read_json(
+                    &record,
+                    run_id,
+                    "_plugins",
+                    "measurements.json",
+                    l2codec::measurements_from_json,
+                )?;
                 for (node_id, name, content) in ms {
                     db.insert(
                         "ExtraRunMeasurements",
@@ -1602,33 +1406,33 @@ impl ExperiMaster {
                     .map_err(|e| EngineError::Storage(e.to_string()))?;
                 }
             }
-            // Packets likewise.
+            // Packets likewise. A capture's wire bytes are its `Data` cell
+            // as they are: the 2-byte tagger id, then the payload (the
+            // prototype writes the tag into an IP header option;
+            // analysis::packetstats splits it back off).
             for (node, file, raw) in record.entries() {
-                if file != "captures.json" {
+                let bad = |what: String| {
+                    EngineError::Storage(format!("run {run_id}: {node}/{file}: {what}"))
+                };
+                if file == l2codec::LEGACY_CAPTURES {
+                    // Skipping it would package the run without its packets.
+                    return Err(bad(format!(
+                        "written by an older build; this build reads {}",
+                        l2codec::CAPTURES
+                    )));
+                }
+                if file != l2codec::CAPTURES {
                     continue;
                 }
-                let captures: Vec<CaptureSer> = JsonValue::parse_bytes(raw)
-                    .ok()
-                    .as_ref()
-                    .and_then(captures_from_json)
-                    .ok_or_else(|| {
-                        EngineError::Storage(format!("run {run_id}: bad captures.json"))
-                    })?;
+                let captures = l2codec::decode_captures(raw).map_err(|e| bad(e.to_string()))?;
                 let offset = sync.get(node).copied().unwrap_or(0);
                 for c in captures {
-                    // Raw packet data as on the wire: the 2-byte tagger id
-                    // precedes the payload (the prototype writes the tag
-                    // into an IP header option; analysis::packetstats
-                    // splits it back off).
-                    let mut data = Vec::with_capacity(2 + c.data.len());
-                    data.extend_from_slice(&c.tag.to_be_bytes());
-                    data.extend_from_slice(&c.data);
                     PacketRow {
                         run_id,
                         node_id: node.to_string(),
                         common_time_ns: c.local_time_ns as i64 - offset,
-                        src_node_id: c.src,
-                        data,
+                        src_node_id: c.src.to_string(),
+                        data: c.wire.to_vec(),
                     }
                     .insert(&mut db)
                     .map_err(|e| EngineError::Storage(e.to_string()))?;
@@ -2012,6 +1816,143 @@ mod tests {
             RunInfoRow::run_ids(&second.database).unwrap(),
             vec![0, 1, 2, 3]
         );
+        std::fs::remove_dir_all(&l2_root).ok();
+    }
+
+    /// `(node, name, bytes)` of a sealed run's entries.
+    type Entries = Vec<(String, String, Vec<u8>)>;
+
+    /// Executes one run with level 2 kept; returns the description, the
+    /// level-2 root, the sealed entries of run 0 and the outcome's digest.
+    fn sealed_single_run() -> (ExperimentDescription, PathBuf, Entries, u64) {
+        let desc = paper_desc(1);
+        let mut cfg = small_config();
+        cfg.keep_l2 = true;
+        let l2_root = cfg.l2_root.clone().unwrap();
+        let digest = ExperiMaster::new(desc.clone(), cfg)
+            .unwrap()
+            .execute()
+            .unwrap()
+            .digest();
+        let entries = Level2Store::open(&l2_root)
+            .unwrap()
+            .load_run(0)
+            .unwrap()
+            .entries()
+            .map(|(node, name, data)| (node.to_string(), name.to_string(), data.to_vec()))
+            .collect();
+        (desc, l2_root, entries, digest)
+    }
+
+    /// Re-seals run 0 with `entries` and packages the campaign again by
+    /// resuming it (every run is sealed, so only packaging runs); returns
+    /// the digest.
+    fn repackage(
+        desc: &ExperimentDescription,
+        l2_root: &PathBuf,
+        entries: &Entries,
+    ) -> Result<u64, EngineError> {
+        let l2 = Level2Store::open(l2_root).unwrap();
+        for (node, name, data) in entries {
+            l2.put_run(0, node, name, data).unwrap();
+        }
+        l2.mark_run_complete(0).unwrap();
+        drop(l2);
+        let mut cfg = small_config();
+        cfg.l2_root = Some(l2_root.clone());
+        cfg.keep_l2 = true;
+        cfg.resume = true;
+        ExperiMaster::new(desc.clone(), cfg)
+            .unwrap()
+            .execute()
+            .map(|o| o.digest())
+    }
+
+    fn with_entry(
+        entries: &Entries,
+        change: impl Fn(&str, &str, &[u8]) -> Option<(String, String, Vec<u8>)>,
+    ) -> Entries {
+        entries
+            .iter()
+            .filter_map(|(node, name, data)| change(node, name, data))
+            .collect()
+    }
+
+    fn keep(node: &str, name: &str, data: &[u8]) -> Option<(String, String, Vec<u8>)> {
+        Some((node.to_string(), name.to_string(), data.to_vec()))
+    }
+
+    #[test]
+    fn package_rejects_an_unreadable_clock_sync_instead_of_zeroing_it() {
+        let (desc, l2_root, entries, digest) = sealed_single_run();
+        assert_eq!(
+            repackage(&desc, &l2_root, &entries).unwrap(),
+            digest,
+            "re-sealed as it was"
+        );
+        for (entry, damaged) in [
+            ("sync.json", Some(&b"not json"[..])),
+            ("start.json", None),
+            ("sync.json", Some(&b"[1, 2]"[..])),
+        ] {
+            let e = repackage(
+                &desc,
+                &l2_root,
+                &with_entry(&entries, |node, name, data| {
+                    match (name == entry, damaged) {
+                        (true, Some(bytes)) => keep(node, name, bytes),
+                        (true, None) => None,
+                        (false, _) => keep(node, name, data),
+                    }
+                }),
+            )
+            .expect_err("the run's time base is unknown");
+            let msg = e.to_string();
+            assert!(
+                matches!(e, EngineError::Storage(_))
+                    && msg.contains("run 0")
+                    && msg.contains(entry),
+                "{msg}"
+            );
+        }
+        std::fs::remove_dir_all(&l2_root).ok();
+    }
+
+    #[test]
+    fn package_names_the_run_and_node_of_damaged_captures() {
+        let (desc, l2_root, entries, _) = sealed_single_run();
+        let (node, _, _) = entries
+            .iter()
+            .find(|(_, name, data)| name == l2codec::CAPTURES && data.len() > 9)
+            .expect("a node captured packets")
+            .clone();
+        let legacy = |n: &str, name: &str, data: &[u8]| {
+            let name = if n == node && name == l2codec::CAPTURES {
+                l2codec::LEGACY_CAPTURES
+            } else {
+                name
+            };
+            keep(n, name, data)
+        };
+        let truncated = |n: &str, name: &str, data: &[u8]| {
+            let cut = n == node && name == l2codec::CAPTURES;
+            keep(n, name, &data[..data.len() - usize::from(cut)])
+        };
+        for (damage, entry) in [
+            (
+                &truncated as &dyn Fn(&str, &str, &[u8]) -> _,
+                l2codec::CAPTURES,
+            ),
+            (&legacy, l2codec::LEGACY_CAPTURES),
+        ] {
+            let msg = repackage(&desc, &l2_root, &with_entry(&entries, damage))
+                .expect_err("a run without its packets is not packaged")
+                .to_string();
+            assert!(
+                msg.contains("run 0") && msg.contains(&format!("{node}/{entry}")),
+                "{msg}"
+            );
+        }
         std::fs::remove_dir_all(&l2_root).ok();
     }
 

@@ -780,7 +780,7 @@ mod tests {
         // Simulated crash mid-run: per-node data was collected, the seal
         // never happened.
         s.put_run(0, "_master", "events.json", b"[]").unwrap();
-        s.put_run(0, "t9-105", "captures.json", b"[]").unwrap();
+        s.put_run(0, "t9-105", "captures.bin", b"EXCP").unwrap();
         assert!(!s.is_run_complete(0).unwrap());
         assert_eq!(
             s.first_incomplete_run(3).unwrap(),

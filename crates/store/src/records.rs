@@ -185,16 +185,16 @@ pub struct PacketRow {
 }
 
 impl PacketRow {
-    /// Inserts into the `Packets` table.
-    pub fn insert(&self, db: &mut Database) -> Result<(), StoreError> {
+    /// Inserts into the `Packets` table, moving the row's bytes there.
+    pub fn insert(self, db: &mut Database) -> Result<(), StoreError> {
         db.insert(
             "Packets",
             vec![
                 SqlValue::Int(self.run_id as i64),
-                self.node_id.clone().into(),
+                self.node_id.into(),
                 SqlValue::Int(self.common_time_ns),
-                self.src_node_id.clone().into(),
-                self.data.clone().into(),
+                self.src_node_id.into(),
+                self.data.into(),
             ],
         )
     }

@@ -16,7 +16,7 @@
 //! excovery events <results.expdb> --run N
 //! excovery timeline <results.expdb> --run N [--svg out.svg]
 //! excovery responsiveness <results.expdb> [--k N]
-//! excovery l2 <dir> [<run> [<node> <name>]]
+//! excovery l2 <dir> [<run> [<node> <name> [--json]]]
 //! ```
 
 use excovery::analysis::responsiveness::{format_curve, responsiveness_curve};
@@ -101,6 +101,7 @@ fn print_usage() {
          \x20 excovery l2 <dir>                    # sealed runs of a kept level-2 dir\n\
          \x20 excovery l2 <dir> <run>              # node, name, bytes of its entries\n\
          \x20 excovery l2 <dir> <run> <node> <name>   # one entry to stdout\n\
+         \x20 excovery l2 <dir> <run> <node> captures.bin --json   # as JSON\n\
          \x20 excovery schema                      # print the description XSD\n\
          \x20 excovery model --hops H --loss P     # analytic responsiveness\n\
          \x20 excovery serve <root> [--addr H:P] [--workers N] [--slice-runs N]\n\
@@ -479,11 +480,14 @@ fn cmd_repo(args: &[String]) -> Result<(), String> {
 }
 
 /// Reads a level-2 directory kept with `--keep-l2`: its sealed runs, one
-/// run's entries, or the bytes of one entry.
+/// run's entries, or the bytes of one entry (`--json` renders a binary
+/// `captures.bin` entry for reading).
 fn cmd_l2(args: &[String]) -> Result<(), String> {
+    use excovery::engine::l2codec;
     use excovery::store::level2::Level2Store;
     use std::io::Write;
-    let args = Args::parse("l2", args, &[], &[])?;
+    let args = Args::parse("l2", args, &[], &["--json"])?;
+    let json = args.present("--json");
     let dir = args.positional("level-2 directory")?;
     // `open` would create the directories it expects.
     if !std::path::Path::new(dir).join("runs").is_dir() {
@@ -495,6 +499,7 @@ fn cmd_l2(args: &[String]) -> Result<(), String> {
         l2.load_run(run_id).map_err(|e| e.to_string())
     };
     match args.positionals[1..] {
+        [] | [_] if json => return Err("--json renders one entry of a run".into()),
         [] => {
             for run_id in l2.run_ids().map_err(|e| e.to_string())? {
                 println!("{run_id}");
@@ -510,11 +515,21 @@ fn cmd_l2(args: &[String]) -> Result<(), String> {
             let data = record
                 .get(node, name)
                 .ok_or_else(|| format!("run {run}: no entry {node}/{name}"))?;
-            std::io::stdout()
-                .write_all(data)
-                .map_err(|e| format!("write stdout: {e}"))?;
+            if json {
+                if name != "captures.bin" {
+                    return Err(format!("--json renders captures.bin entries, not {name}"));
+                }
+                println!(
+                    "{}",
+                    l2codec::captures_json(data).map_err(|e| e.to_string())?
+                );
+            } else {
+                std::io::stdout()
+                    .write_all(data)
+                    .map_err(|e| format!("write stdout: {e}"))?;
+            }
         }
-        _ => return Err("usage: excovery l2 <dir> [<run> [<node> <name>]]".into()),
+        _ => return Err("usage: excovery l2 <dir> [<run> [<node> <name> [--json]]]".into()),
     }
     Ok(())
 }

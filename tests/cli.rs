@@ -209,6 +209,47 @@ fn l2_lists_runs_entries_and_prints_one_entry() {
     );
     assert_eq!(out.stdout.len(), listed_len);
 
+    // Captures are binary; `--json` renders them with the tag split back
+    // off the wire bytes the Packets table stores.
+    let node = listing
+        .lines()
+        .map(|l| l.split('\t').collect::<Vec<_>>())
+        .find(|f| f[1] == "captures.bin" && f[2].parse::<usize>().unwrap() > 9)
+        .map(|f| f[0].to_string())
+        .unwrap_or_else(|| panic!("no node with captures in:\n{listing}"));
+    let raw = cli(&["l2", l2, "1", &node, "captures.bin"]);
+    assert!(raw.status.success(), "{}", stderr(&raw));
+    assert!(raw.stdout.starts_with(b"EXCP"));
+    let out = cli(&["l2", l2, "1", &node, "captures.bin", "--json"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let rendered = excovery::store::JsonValue::parse(&stdout(&out)).unwrap();
+    let captures = rendered.as_array().unwrap();
+    let db = excovery::store::Database::load(&dir.join("results.expdb")).unwrap();
+    let packets: Vec<Vec<u8>> = db
+        .table("Packets")
+        .unwrap()
+        .rows()
+        .iter()
+        .filter(|r| r[0].as_int() == Some(1) && r[1].as_text() == Some(&node))
+        .map(|r| r[4].as_blob().unwrap().to_vec())
+        .collect();
+    assert_eq!(captures.len(), packets.len());
+    for (c, data) in captures.iter().zip(&packets) {
+        for field in ["local_time_ns", "src", "port", "kind"] {
+            assert!(c.get(field).is_some(), "{field} missing in {c}");
+        }
+        let tag = c.get("tag").and_then(|t| t.as_u64()).unwrap() as u16;
+        let mut wire = tag.to_be_bytes().to_vec();
+        wire.extend(c.get("data").and_then(|d| d.to_bytes()).unwrap());
+        assert_eq!(&wire, data);
+    }
+    let out = cli(&["l2", l2, "1", "_master", "outcome.json", "--json"]);
+    assert!(!out.status.success());
+    let out = cli(&["l2", l2, "1", "--json"]);
+    assert!(!out.status.success());
+    let out = cli(&["l2", l2, "1", &node, "captures.bin", "--yaml"]);
+    assert!(stderr(&out).contains("unknown flag '--yaml'"));
+
     let out = cli(&["l2", l2, "1", "_master", "absent"]);
     assert!(!out.status.success());
     assert!(stderr(&out).contains("no entry _master/absent"));
