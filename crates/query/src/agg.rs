@@ -7,7 +7,7 @@
 //! to the row engine's sequential `f64` summation) for every total below
 //! 2⁵³, far beyond any Table-I scale.
 
-use crate::column::{CellRef, Slab, Value};
+use crate::column::{selected_rows, Bitmap, CellRef, Slab, Value};
 use excovery_obs::metrics::{bucket_index, bucket_upper_bound, HISTOGRAM_BUCKETS};
 
 /// One aggregate of a scan: an output column name plus the function.
@@ -235,38 +235,41 @@ impl AggPartial {
         }
     }
 
-    /// Folds a whole column slab in, row order preserved — used by the
-    /// constant-group-key fast path, where every row of a partition
-    /// lands in the same group. Equivalent to calling
-    /// [`update`](AggPartial::update) on `slab.get(0..len)` in order
-    /// (float accumulation visits cells in the identical sequence, so
-    /// the result is bit-identical), just without the per-row dispatch.
-    pub(crate) fn update_slab(&mut self, slab: &Slab) {
+    /// Folds the selected cells of a column slab in (every cell when
+    /// `sel` is `None`), in ascending row order — used when every
+    /// selected row of a partition lands in one group. Equivalent to
+    /// calling [`update`](AggPartial::update) on each selected
+    /// `slab.get(i)` in order (float accumulation visits cells in the
+    /// identical sequence, so the result is bit-identical), just
+    /// without the per-cell dispatch.
+    pub(crate) fn update_slab(&mut self, slab: &Slab, sel: Option<&Bitmap>) {
         match (&mut *self, slab) {
-            (AggPartial::Count(n), _) => *n += slab.len() as u64,
-            (AggPartial::SumI { sum, count }, Slab::I64 { vals, nulls, .. })
-                if nulls.count_ones() == 0 =>
-            {
-                let mut s: i128 = 0;
-                for &v in vals {
-                    s += v as i128;
-                }
+            (AggPartial::SumI { sum, count }, Slab::I64 { vals, nulls, .. }) => {
+                let (mut s, mut n) = (0i128, 0u64);
+                for_each_value(vals, nulls, sel, |v| {
+                    s += i128::from(v);
+                    n += 1;
+                });
                 *sum += s;
-                *count += vals.len() as u64;
+                *count += n;
             }
-            (AggPartial::SumF { sum, count }, Slab::F64 { vals, nulls })
-                if nulls.count_ones() == 0 =>
-            {
-                for &v in vals {
+            (AggPartial::SumF { sum, count }, Slab::F64 { vals, nulls }) => {
+                for_each_value(vals, nulls, sel, |v| {
                     *sum += v;
-                }
-                *count += vals.len() as u64;
+                    *count += 1;
+                });
             }
-            _ => {
-                for i in 0..slab.len() {
-                    self.update(slab.get(i));
-                }
+            (AggPartial::MinI(m), Slab::I64 { vals, nulls, .. }) => {
+                for_each_value(vals, nulls, sel, |v| {
+                    *m = Some(m.map_or(v, |cur| cur.min(v)))
+                });
             }
+            (AggPartial::MaxI(m), Slab::I64 { vals, nulls, .. }) => {
+                for_each_value(vals, nulls, sel, |v| {
+                    *m = Some(m.map_or(v, |cur| cur.max(v)))
+                });
+            }
+            _ => selected_rows(sel, slab.len()).for_each(|i| self.update(slab.get(i))),
         }
     }
 
@@ -372,6 +375,17 @@ impl AggPartial {
                 Value::Null // unreachable: count > 0 implies a bucket hit
             }
         }
+    }
+}
+
+/// Calls `f` with every selected non-NULL value of a slab, in ascending
+/// row order.
+fn for_each_value<T: Copy>(vals: &[T], nulls: &Bitmap, sel: Option<&Bitmap>, mut f: impl FnMut(T)) {
+    match sel {
+        None if nulls.count_ones() == 0 => vals.iter().for_each(|&v| f(v)),
+        _ => selected_rows(sel, vals.len())
+            .filter(|&i| !nulls.get(i))
+            .for_each(|i| f(vals[i])),
     }
 }
 

@@ -3,12 +3,15 @@
 //! Each relational column becomes one contiguous slab — `i64` values,
 //! `f64` values, interned string ids or a packed byte arena — plus a null
 //! bitmap. Integer slabs additionally carry min/max statistics so the
-//! executor can prune whole partitions before scanning them.
+//! executor can decide whole partitions before scanning them.
 
+use excovery_store::ColumnType;
 use std::collections::HashMap;
 use std::fmt;
 
-/// A fixed-length bitmap; bit `i` set means row `i` is NULL.
+/// A fixed-length bitmap: a slab's null mask (bit `i` set means row `i`
+/// is NULL) or a scan's selection (bit `i` set means row `i` matches).
+/// Bits past `len` in the last word are always zero.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Bitmap {
     words: Vec<u64>,
@@ -19,6 +22,91 @@ impl Bitmap {
     /// An empty bitmap.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// `len` bits, all set or all clear.
+    pub(crate) fn filled(len: usize, set: bool) -> Self {
+        let mut b = Self {
+            words: vec![if set { u64::MAX } else { 0 }; len.div_ceil(64)],
+            len,
+        };
+        b.clear_tail();
+        b
+    }
+
+    /// One bit per value, set where `pred` holds, packed 64 at a time.
+    pub(crate) fn pack<T: Copy>(vals: &[T], pred: impl Fn(T) -> bool) -> Self {
+        let words = vals
+            .chunks(64)
+            .map(|chunk| {
+                chunk
+                    .iter()
+                    .enumerate()
+                    .fold(0u64, |w, (j, &v)| w | (u64::from(pred(v)) << j))
+            })
+            .collect();
+        Self {
+            words,
+            len: vals.len(),
+        }
+    }
+
+    /// One bit per row index `0..len`, set where `pred` holds.
+    pub(crate) fn from_fn(len: usize, pred: impl Fn(usize) -> bool) -> Self {
+        let words = (0..len.div_ceil(64))
+            .map(|w| {
+                (w * 64..len.min(w * 64 + 64))
+                    .fold(0u64, |acc, i| acc | (u64::from(pred(i)) << (i % 64)))
+            })
+            .collect();
+        Self { words, len }
+    }
+
+    fn clear_tail(&mut self) {
+        if let (Some(last), tail @ 1..) = (self.words.last_mut(), self.len % 64) {
+            *last &= (1u64 << tail) - 1;
+        }
+    }
+
+    /// Keeps the bits also set in `other` (same length).
+    pub(crate) fn and(&mut self, other: &Bitmap) {
+        debug_assert_eq!(self.len, other.len);
+        for (a, b) in self.words.iter_mut().zip(&other.words) {
+            *a &= b;
+        }
+    }
+
+    /// Adds the bits set in `other` (same length).
+    pub(crate) fn or(&mut self, other: &Bitmap) {
+        debug_assert_eq!(self.len, other.len);
+        for (a, b) in self.words.iter_mut().zip(&other.words) {
+            *a |= b;
+        }
+    }
+
+    /// Flips every bit.
+    pub(crate) fn not(&mut self) {
+        for w in &mut self.words {
+            *w = !*w;
+        }
+        self.clear_tail();
+    }
+
+    /// Sets the bits at the set positions of `mask` to `to` (same length).
+    pub(crate) fn assign_where(&mut self, mask: &Bitmap, to: bool) {
+        debug_assert_eq!(self.len, mask.len);
+        for (a, m) in self.words.iter_mut().zip(&mask.words) {
+            *a = if to { *a | m } else { *a & !m };
+        }
+    }
+
+    /// The indices of the set bits, in ascending order.
+    pub(crate) fn ones(&self) -> Ones<'_> {
+        Ones {
+            words: self.words.iter(),
+            base: 0,
+            bits: 0,
+        }
     }
 
     /// Appends one bit.
@@ -92,6 +180,39 @@ impl Bitmap {
     pub(crate) fn words(&self) -> &[u64] {
         &self.words
     }
+}
+
+/// Iterator over the set bits of a [`Bitmap`], a word at a time.
+pub(crate) struct Ones<'a> {
+    words: std::slice::Iter<'a, u64>,
+    /// Index of bit 0 of the word after `bits`.
+    base: usize,
+    /// The not yet visited bits of the current word.
+    bits: u64,
+}
+
+impl Iterator for Ones<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        while self.bits == 0 {
+            self.bits = *self.words.next()?;
+            self.base += 64;
+        }
+        let i = self.base - 64 + self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some(i)
+    }
+}
+
+/// The row indices a selection holds (all of `0..rows` when `sel` is
+/// `None`), in ascending order.
+pub(crate) fn selected_rows(sel: Option<&Bitmap>, rows: usize) -> impl Iterator<Item = usize> + '_ {
+    let (all, ones) = match sel {
+        None => (0..rows, None),
+        Some(sel) => (0..0, Some(sel.ones())),
+    };
+    all.chain(ones.into_iter().flatten())
 }
 
 /// Interns the distinct strings of a dataset; scans compare cheap `u32`
@@ -264,6 +385,20 @@ pub struct IntStats {
     pub max: i64,
 }
 
+/// What a partition's statistics say about one column of a table: the
+/// slab file footer's for a spilled partition, the slabs' own for a
+/// resident one. Enough to bound how its cells compare with a literal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ColumnStats {
+    pub(crate) kind: ColumnType,
+    /// Rows of the table in the partition.
+    pub(crate) rows: usize,
+    /// NULL cells among them.
+    pub(crate) nulls: usize,
+    /// Min/max of the non-null cells; integer columns only.
+    pub(crate) range: Option<IntStats>,
+}
+
 /// One typed column slab.
 #[derive(Debug, Clone)]
 pub enum Slab {
@@ -353,12 +488,7 @@ impl Slab {
 
     /// Number of null cells.
     pub fn null_count(&self) -> usize {
-        match self {
-            Slab::I64 { nulls, .. }
-            | Slab::F64 { nulls, .. }
-            | Slab::Str { nulls, .. }
-            | Slab::Bytes { nulls, .. } => nulls.count_ones(),
-        }
+        self.nulls().count_ones()
     }
 
     /// Integer min/max statistics, if this is an integer slab with at
@@ -367,6 +497,26 @@ impl Slab {
         match self {
             Slab::I64 { stats, .. } => *stats,
             _ => None,
+        }
+    }
+
+    /// The column type this slab stores.
+    pub(crate) fn kind(&self) -> ColumnType {
+        match self {
+            Slab::I64 { .. } => ColumnType::Integer,
+            Slab::F64 { .. } => ColumnType::Real,
+            Slab::Str { .. } => ColumnType::Text,
+            Slab::Bytes { .. } => ColumnType::Blob,
+        }
+    }
+
+    /// The null bitmap.
+    pub(crate) fn nulls(&self) -> &Bitmap {
+        match self {
+            Slab::I64 { nulls, .. }
+            | Slab::F64 { nulls, .. }
+            | Slab::Str { nulls, .. }
+            | Slab::Bytes { nulls, .. } => nulls,
         }
     }
 
@@ -519,6 +669,17 @@ impl ColumnTable {
     /// Index of a named column.
     pub fn column_index(&self, name: &str) -> Option<usize> {
         self.names.iter().position(|n| n == name)
+    }
+
+    /// The statistics of a named column, read off its slab.
+    pub(crate) fn column_stats(&self, name: &str) -> Option<ColumnStats> {
+        let slab = &self.slabs[self.column_index(name)?];
+        Some(ColumnStats {
+            kind: slab.kind(),
+            rows: self.rows,
+            nulls: slab.null_count(),
+            range: slab.int_stats(),
+        })
     }
 }
 

@@ -10,7 +10,7 @@
 //! concatenation equal to the row engine's `ORDER BY RunID` with ties in
 //! insertion order — the property the parity suite leans on.
 
-use crate::column::{ColumnTable, IntStats, Slab, StringPool};
+use crate::column::{ColumnTable, Slab, StringPool};
 use crate::error::QueryError;
 use crate::plan::Scan;
 use excovery_store::{ColumnType, Database, Repository, SqlValue};
@@ -54,23 +54,6 @@ pub struct Partition {
     pub key: Option<i64>,
     /// Per-table column slabs (only tables with rows in this partition).
     pub tables: BTreeMap<String, ColumnTable>,
-}
-
-impl Partition {
-    /// Integer min/max stats plus null count for a column of `table`,
-    /// if present and integer-typed.
-    pub(crate) fn int_column_stats(
-        &self,
-        table: &str,
-        column: &str,
-    ) -> Option<(Option<IntStats>, usize)> {
-        let t = self.tables.get(table)?;
-        let slab = &t.slabs[t.column_index(column)?];
-        match slab {
-            Slab::I64 { .. } => Some((slab.int_stats(), slab.null_count())),
-            _ => None,
-        }
-    }
 }
 
 /// A columnar snapshot of one or more level-3 packages, ready to scan.

@@ -7,6 +7,13 @@
 //! bit-identical at any worker count — the same determinism contract the
 //! replication campaigns established.
 //!
+//! Before any row is read, [`PlanCtx::plan_partition`] decides each
+//! partition from its statistics (slab footers when spilled, the slabs
+//! when resident): pruned, answered from its row count, or scanned — with
+//! the filter, or without it when every row provably matches. A scan
+//! evaluates the filter column at a time into a selection bitmap and
+//! visits the selected rows in ascending order.
+//!
 //! The pieces are factored so three callers share one code path and
 //! therefore one byte-exact semantics:
 //!
@@ -15,18 +22,20 @@
 //! * the incremental layer (`incremental.rs`) reuses [`PlanCtx`],
 //!   [`scan_partition_agg`], [`merge_groups`] and [`finalize_agg_frame`]
 //!   to refresh standing queries one partition at a time;
-//! * spilled datasets (`spill.rs`) are pruned from footer statistics and
-//!   loaded lazily inside the same fan-out.
+//! * spilled datasets (`spill.rs`) are decided from footer statistics
+//!   and loaded lazily inside the same fan-out.
 
 use crate::agg::{Agg, AggPartial};
-use crate::column::{CellRef, ColumnTable, Slab, StringPool, Value};
+use crate::column::{
+    selected_rows, Bitmap, CellRef, ColumnStats, ColumnTable, Slab, StringPool, Value,
+};
 use crate::dataset::{Dataset, Partition, TableSchema};
 use crate::error::QueryError;
-use crate::expr::Expr;
+use crate::expr::{Decision, Expr};
 use crate::plan::{Frame, Scan};
 use std::cmp::Ordering;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Multiply-xor hasher (FxHash-style) for the group-by maps. Map iteration
 /// order never reaches the result (group keys are sorted before emission,
@@ -96,6 +105,17 @@ fn key_value(key: &Key, pool: &StringPool) -> Value {
     }
 }
 
+/// The key every row of a column shares, when its statistics prove
+/// there is one: an integer column whose min equals its max with no
+/// NULLs, or a column of NULLs only.
+fn constant_key(s: ColumnStats) -> Option<Key> {
+    match s.range {
+        _ if s.rows > 0 && s.nulls == s.rows => Some(Key::Null),
+        Some(r) if s.nulls == 0 && r.min == r.max => Some(Key::I64(r.min)),
+        _ => None,
+    }
+}
+
 /// `cmp_sql` over key cells: NULL < numbers < text < blob.
 fn cmp_key(a: &Key, b: &Key, pool: &StringPool) -> Ordering {
     fn kind(k: &Key) -> u8 {
@@ -121,31 +141,6 @@ fn cmp_key(a: &Key, b: &Key, pool: &StringPool) -> Ordering {
     })
 }
 
-/// `cmp_sql` over cells of one column (used by `sort_by`).
-fn cmp_cells(a: CellRef<'_>, b: CellRef<'_>, pool: &StringPool) -> Ordering {
-    fn kind(c: &CellRef<'_>) -> u8 {
-        match c {
-            CellRef::Null => 0,
-            CellRef::I64(_) | CellRef::F64(_) => 1,
-            CellRef::Str(_) => 2,
-            CellRef::Bytes(_) => 3,
-        }
-    }
-    fn num(c: CellRef<'_>) -> f64 {
-        match c {
-            CellRef::I64(v) => v as f64,
-            CellRef::F64(v) => v,
-            _ => unreachable!(),
-        }
-    }
-    kind(&a).cmp(&kind(&b)).then_with(|| match (a, b) {
-        (CellRef::Null, CellRef::Null) => Ordering::Equal,
-        (CellRef::Str(x), CellRef::Str(y)) => pool.resolve(x).cmp(pool.resolve(y)),
-        (CellRef::Bytes(x), CellRef::Bytes(y)) => x.cmp(y),
-        (a, b) => num(a).partial_cmp(&num(b)).unwrap_or(Ordering::Equal),
-    })
-}
-
 /// A fully resolved logical plan over one table schema: column names
 /// validated and bound to indices, independent of any one partition (or
 /// dataset). Built once per query, shared by every partition scan.
@@ -164,6 +159,19 @@ pub(crate) struct PlanCtx {
     /// Every column the plan actually reads — the projected-decode set
     /// handed to the spill loader so unreferenced columns stay on disk.
     pub(crate) needed: Vec<String>,
+}
+
+/// What one partition contributes to a plan, decided from its
+/// statistics before any of its rows is read.
+pub(crate) enum PartPlan {
+    /// No row matches the filter.
+    Pruned,
+    /// Every row matches and the aggregates read no column: the groups
+    /// follow from the row count and the statistics alone.
+    Answered(GroupMap),
+    /// The partition's `rows` rows are read; `filtered` is false when
+    /// every row provably matches, so no filter runs.
+    Scan { filtered: bool, rows: usize },
 }
 
 impl PlanCtx {
@@ -245,6 +253,71 @@ impl PlanCtx {
     pub(crate) fn aggregate_mode(&self) -> bool {
         !self.aggs.is_empty() || !self.group_by.is_empty()
     }
+
+    /// One empty partial per aggregate.
+    fn fresh_partials(&self) -> Vec<AggPartial> {
+        self.aggs
+            .iter()
+            .zip(&self.agg_float)
+            .map(|(a, &f)| AggPartial::new(&a.spec, f))
+            .collect()
+    }
+
+    /// Decides what a partition holding `rows` rows of the scanned table
+    /// contributes, from the statistics of its columns alone. One-shot
+    /// scans over resident and spilled partitions and standing queries
+    /// all ask this, so they all take the same path.
+    pub(crate) fn plan_partition(
+        &self,
+        rows: usize,
+        stats: &dyn Fn(&str) -> Option<ColumnStats>,
+    ) -> PartPlan {
+        match self
+            .filter
+            .as_ref()
+            .map_or(Decision::All, |f| f.decide(stats))
+        {
+            Decision::None => PartPlan::Pruned,
+            Decision::Some => PartPlan::Scan {
+                filtered: true,
+                rows,
+            },
+            Decision::All => match self.answer_from_stats(rows, stats) {
+                Some(groups) => PartPlan::Answered(groups),
+                None => PartPlan::Scan {
+                    filtered: false,
+                    rows,
+                },
+            },
+        }
+    }
+
+    /// The groups of a partition whose every row matches, when they
+    /// follow from the row count: the aggregates read no column (`COUNT`)
+    /// and every group column is constant by its statistics.
+    fn answer_from_stats(
+        &self,
+        rows: usize,
+        stats: &dyn Fn(&str) -> Option<ColumnStats>,
+    ) -> Option<GroupMap> {
+        if !self.aggregate_mode() || self.agg_cols.iter().any(Option::is_some) {
+            return None;
+        }
+        let key = self
+            .group_by
+            .iter()
+            .map(|c| stats(c).and_then(constant_key))
+            .collect::<Option<Vec<Key>>>()?;
+        let mut groups = GroupMap::default();
+        if rows > 0 {
+            let mut partials = self.fresh_partials();
+            for p in &mut partials {
+                p.update_rows(rows);
+            }
+            groups.insert(key, partials);
+        }
+        Some(groups)
+    }
 }
 
 /// One selected partition: resident in the dataset, or a spill slot.
@@ -277,107 +350,85 @@ pub(crate) fn execute_ctx(
     ctx: &PlanCtx,
     workers: usize,
 ) -> Result<Frame, QueryError> {
-    // Partition selection with min/max pruning — from slab footers for
-    // spilled datasets (no IO beyond the already-read footers), from the
-    // resident slabs otherwise.
-    let mut parts: Vec<Sel<'_>> = Vec::new();
-    let mut pruned = 0usize;
-    let mut rows_total = 0usize;
+    // Every partition is decided before any row is read — from slab
+    // footers for spilled datasets (no IO beyond the already-read
+    // footers), from the resident slabs otherwise.
+    let mut plans: Vec<(Sel<'_>, PartPlan)> = Vec::new();
     if let Some(store) = &ds.spill {
         for (i, footer) in store.footers().enumerate() {
-            let Some(rows) = footer.table_rows(&ctx.table) else {
-                continue;
-            };
-            if let Some(f) = &ctx.filter {
-                let stats = |col: &str| footer.int_column_stats(&ctx.table, col);
-                if f.prunes(&stats) {
-                    pruned += 1;
-                    continue;
-                }
+            if let Some(rows) = footer.table_rows(&ctx.table) {
+                let stats = |c: &str| footer.column_stats(&ctx.table, c);
+                plans.push((Sel::Spilled(i), ctx.plan_partition(rows as usize, &stats)));
             }
-            rows_total += rows as usize;
-            parts.push(Sel::Spilled(i));
         }
     } else {
         for p in &ds.partitions {
-            let Some(t) = p.tables.get(&ctx.table) else {
-                continue;
-            };
-            if let Some(f) = &ctx.filter {
-                let stats = |col: &str| p.int_column_stats(&ctx.table, col);
-                if f.prunes(&stats) {
-                    pruned += 1;
-                    continue;
-                }
+            if let Some(t) = p.tables.get(&ctx.table) {
+                let stats = |c: &str| t.column_stats(c);
+                plans.push((Sel::Resident(p), ctx.plan_partition(t.rows, &stats)));
             }
-            rows_total += t.rows;
-            parts.push(Sel::Resident(p));
         }
     }
     if excovery_obs::enabled() {
+        let (mut scanned, mut pruned, mut answered, mut rows_read) = (0u64, 0u64, 0u64, 0u64);
+        for (_, plan) in &plans {
+            match plan {
+                PartPlan::Pruned => pruned += 1,
+                PartPlan::Answered(_) => answered += 1,
+                PartPlan::Scan { rows, .. } => {
+                    scanned += 1;
+                    rows_read += *rows as u64;
+                }
+            }
+        }
         let reg = excovery_obs::global();
         reg.counter("query_partitions_scanned_total", &[])
-            .add(parts.len() as u64);
+            .add(scanned);
         reg.counter("query_partitions_pruned_total", &[])
-            .add(pruned as u64);
-        reg.counter("query_rows_scanned_total", &[])
-            .add(rows_total as u64);
+            .add(pruned);
+        reg.counter("query_partitions_answered_from_stats_total", &[])
+            .add(answered);
+        reg.counter("query_rows_scanned_total", &[]).add(rows_read);
     }
 
-    // Scans one selected partition, loading it first when spilled. The
-    // loaded `Arc` lives for the duration of the closure, so eviction
-    // during a concurrent scan can never invalidate it.
-    let with_table =
-        |sel: &Sel<'_>, f: &mut dyn FnMut(&ColumnTable) -> Result<GroupMap, QueryError>| match sel {
-            Sel::Resident(p) => f(p.tables.get(&ctx.table).expect("selected table present")),
-            Sel::Spilled(slot) => {
-                let part = ds
-                    .spill
-                    .as_ref()
-                    .expect("spilled selection")
-                    .load_projected(*slot, &ctx.table, &ctx.needed)?;
-                f(part
-                    .tables
-                    .get(&ctx.table)
-                    .expect("footer promised this table"))
-            }
-        };
-
+    let scans: Vec<(&Sel<'_>, bool)> = plans
+        .iter()
+        .filter_map(|(sel, plan)| match plan {
+            PartPlan::Scan { filtered, .. } => Some((sel, *filtered)),
+            _ => None,
+        })
+        .collect();
     if ctx.aggregate_mode() {
-        let partials = excovery_netsim::run_indexed(workers, parts.len(), |i| {
+        let mut partials = excovery_netsim::run_indexed(workers, scans.len(), |i| {
+            let (sel, filtered) = scans[i];
             timed_partition_scan(|| {
-                with_table(&parts[i], &mut |t| scan_partition_agg(ctx, t, &ds.pool))
+                with_table(ds, ctx, sel, |t| {
+                    scan_partition_agg(ctx, t, &ds.pool, filtered)
+                })
             })
-        });
+        })
+        .into_iter();
         // Serial merge in partition order: per-group merge order is
         // fixed, so float merges are deterministic too.
         let mut master = GroupMap::default();
-        for part in partials {
-            merge_groups(&mut master, part?);
+        for (_, plan) in plans {
+            let groups = match plan {
+                PartPlan::Pruned => continue,
+                PartPlan::Answered(groups) => groups,
+                PartPlan::Scan { .. } => {
+                    partials.next().expect("one result per scanned partition")?
+                }
+            };
+            merge_groups(&mut master, groups);
         }
         Ok(finalize_agg_frame(ctx, master, &ds.pool))
     } else {
-        let chunks = excovery_netsim::run_indexed(workers, parts.len(), |i| {
-            timed_partition_scan(|| match &parts[i] {
-                Sel::Resident(p) => scan_partition_rows(
-                    ctx,
-                    p.tables.get(&ctx.table).expect("selected table present"),
-                    &ds.pool,
-                ),
-                Sel::Spilled(slot) => {
-                    let part = ds
-                        .spill
-                        .as_ref()
-                        .expect("spilled selection")
-                        .load_projected(*slot, &ctx.table, &ctx.needed)?;
-                    scan_partition_rows(
-                        ctx,
-                        part.tables
-                            .get(&ctx.table)
-                            .expect("footer promised this table"),
-                        &ds.pool,
-                    )
-                }
+        let chunks = excovery_netsim::run_indexed(workers, scans.len(), |i| {
+            let (sel, filtered) = scans[i];
+            timed_partition_scan(|| {
+                with_table(ds, ctx, sel, |t| {
+                    scan_partition_rows(ctx, t, &ds.pool, filtered)
+                })
             })
         });
         let mut rows = Vec::new();
@@ -388,6 +439,31 @@ pub(crate) fn execute_ctx(
             columns: ctx.project.clone(),
             rows,
         })
+    }
+}
+
+/// Runs `f` on the scanned table of one selected partition, loading it
+/// first when spilled. The loaded `Arc` lives for the duration of the
+/// call, so eviction during a concurrent scan can never invalidate it.
+fn with_table<T>(
+    ds: &Dataset,
+    ctx: &PlanCtx,
+    sel: &Sel<'_>,
+    f: impl FnOnce(&ColumnTable) -> Result<T, QueryError>,
+) -> Result<T, QueryError> {
+    match sel {
+        Sel::Resident(p) => f(p.tables.get(&ctx.table).expect("selected table present")),
+        Sel::Spilled(slot) => {
+            let part = ds
+                .spill
+                .as_ref()
+                .expect("spilled selection")
+                .load_projected(*slot, &ctx.table, &ctx.needed)?;
+            f(part
+                .tables
+                .get(&ctx.table)
+                .expect("footer promised this table"))
+        }
     }
 }
 
@@ -417,14 +493,7 @@ pub(crate) fn finalize_agg_frame(ctx: &PlanCtx, mut master: GroupMap, pool: &Str
     // A global aggregate (no group_by) over zero rows still yields one
     // row: count 0, everything else NULL — like the row engine.
     if ctx.group_by.is_empty() && master.is_empty() {
-        master.insert(
-            Vec::new(),
-            ctx.aggs
-                .iter()
-                .zip(&ctx.agg_float)
-                .map(|(a, &f)| AggPartial::new(&a.spec, f))
-                .collect(),
-        );
+        master.insert(Vec::new(), ctx.fresh_partials());
     }
     let mut keys: Vec<Vec<Key>> = master.keys().cloned().collect();
     keys.sort_by(|a, b| {
@@ -470,111 +539,171 @@ fn timed_partition_scan<T>(f: impl FnOnce() -> T) -> T {
     out
 }
 
+/// The rows of a partition a scan visits: `None` for every row (no
+/// filter, or every row provably matches), else the kernels' selection.
+fn selection(
+    ctx: &PlanCtx,
+    t: &ColumnTable,
+    pool: &StringPool,
+    filtered: bool,
+) -> Result<Option<Bitmap>, QueryError> {
+    match &ctx.filter {
+        Some(f) if filtered => Ok(Some(f.bind(&ctx.table, t, pool)?.select(t, pool))),
+        _ => Ok(None),
+    }
+}
+
 pub(crate) fn scan_partition_agg(
     ctx: &PlanCtx,
     t: &ColumnTable,
     pool: &StringPool,
+    filtered: bool,
 ) -> Result<GroupMap, QueryError> {
-    let bound = ctx
-        .filter
-        .as_ref()
-        .map(|f| f.bind(&ctx.table, t, pool))
-        .transpose()?;
-    let fresh_partials = || -> Vec<AggPartial> {
-        ctx.aggs
-            .iter()
-            .zip(&ctx.agg_float)
-            .map(|(a, &f)| AggPartial::new(&a.spec, f))
-            .collect()
-    };
-    let update = |partials: &mut Vec<AggPartial>, i: usize| {
-        for (partial, col) in partials.iter_mut().zip(&ctx.agg_cols) {
-            let cell = match col {
-                Some(c) => t.slabs[*c].get(i),
-                None => CellRef::Null,
-            };
-            partial.update(cell);
-        }
-    };
-    let groups = if let [gc] = ctx.group_cols[..] {
-        // Constant-key fast path: when the single group column is an
-        // integer slab whose min == max with no nulls (true of the
-        // partition column itself in every run partition), the whole
-        // partition is one group — fold each aggregate column-at-a-time
-        // with no per-row hashing. Row order is preserved inside each
-        // column, so results stay bit-identical to the hashed path.
-        if bound.is_none() && t.rows > 0 {
-            if let Slab::I64 { .. } = &t.slabs[gc] {
-                if let Some(s) = t.slabs[gc].int_stats() {
-                    if s.min == s.max && t.slabs[gc].null_count() == 0 {
-                        let mut partials = fresh_partials();
-                        for (partial, col) in partials.iter_mut().zip(&ctx.agg_cols) {
-                            match col {
-                                Some(c) => partial.update_slab(&t.slabs[*c]),
-                                None => partial.update_rows(t.rows),
-                            }
-                        }
-                        let mut m = GroupMap::default();
-                        m.insert(vec![Key::I64(s.min)], partials);
-                        return Ok(m);
-                    }
-                }
-            }
-        }
-        // Single group column (the overwhelmingly common shape): key the
-        // map by the bare `Key` so the hot loop allocates nothing per row.
-        let mut fast: FxMap<Key, Vec<AggPartial>> = FxMap::default();
-        for i in 0..t.rows {
-            if let Some(b) = &bound {
-                if !b.eval(t, i, pool) {
-                    continue;
-                }
-            }
-            let partials = fast
-                .entry(key_of(t.slabs[gc].get(i)))
-                .or_insert_with(fresh_partials);
-            update(partials, i);
-        }
-        fast.into_iter().map(|(k, v)| (vec![k], v)).collect()
-    } else {
+    let sel = selection(ctx, t, pool, filtered)?;
+    let sel = sel.as_ref();
+    if sel.map_or(t.rows, Bitmap::count_ones) == 0 {
+        return Ok(GroupMap::default());
+    }
+    // When the statistics prove the group key constant (true of the
+    // partition column itself in every run partition, and of a global
+    // aggregate), every selected row lands in one group, with no per-row
+    // key to compute.
+    let constant = ctx
+        .group_by
+        .iter()
+        .map(|c| t.column_stats(c).and_then(constant_key))
+        .collect::<Option<Vec<Key>>>();
+    if let Some(key) = constant {
+        let mut partials = ctx.fresh_partials();
+        fold_columns(ctx, t, sel, &mut partials);
         let mut groups = GroupMap::default();
-        for i in 0..t.rows {
-            if let Some(b) = &bound {
-                if !b.eval(t, i, pool) {
-                    continue;
-                }
-            }
-            let key: Vec<Key> = ctx
-                .group_cols
-                .iter()
-                .map(|&c| key_of(t.slabs[c].get(i)))
-                .collect();
-            let partials = groups.entry(key).or_insert_with(fresh_partials);
-            update(partials, i);
+        groups.insert(key, partials);
+        return Ok(groups);
+    }
+    // A single text or integer group column is keyed by its pool id or
+    // value, with no per-row `Key`; anything else by the key cells.
+    Ok(match ctx.group_cols[..] {
+        [c] => match &t.slabs[c] {
+            Slab::Str { ids, nulls } => fold_groups(
+                ctx,
+                t,
+                sel,
+                |i| (!nulls.get(i)).then(|| ids[i]),
+                |k| vec![k.map_or(Key::Null, Key::Str)],
+            ),
+            Slab::I64 { vals, nulls, .. } => fold_groups(
+                ctx,
+                t,
+                sel,
+                |i| (!nulls.get(i)).then(|| vals[i]),
+                |k| vec![k.map_or(Key::Null, Key::I64)],
+            ),
+            slab => fold_groups(ctx, t, sel, |i| key_of(slab.get(i)), |k| vec![k]),
+        },
+        _ => fold_groups(
+            ctx,
+            t,
+            sel,
+            |i| {
+                ctx.group_cols
+                    .iter()
+                    .map(|&c| key_of(t.slabs[c].get(i)))
+                    .collect::<Vec<Key>>()
+            },
+            |k| k,
+        ),
+    })
+}
+
+/// Folds every selected row into one group's partials, one aggregate
+/// column at a time.
+fn fold_columns(ctx: &PlanCtx, t: &ColumnTable, sel: Option<&Bitmap>, partials: &mut [AggPartial]) {
+    for (partial, col) in partials.iter_mut().zip(&ctx.agg_cols) {
+        match col {
+            Some(c) => partial.update_slab(&t.slabs[*c], sel),
+            None => partial.update_rows(sel.map_or(t.rows, Bitmap::count_ones)),
         }
-        groups
-    };
-    Ok(groups)
+    }
+}
+
+/// Groups the selected rows by `key_at(row)` and folds every aggregate
+/// in, row by row in ascending order. Consecutive rows mostly share a
+/// key, so the last one is remembered and the map is consulted only
+/// when the key changes. A selection that turns out to hold one key is
+/// folded a column at a time instead.
+fn fold_groups<K: Hash + Eq + Clone>(
+    ctx: &PlanCtx,
+    t: &ColumnTable,
+    sel: Option<&Bitmap>,
+    key_at: impl Fn(usize) -> K,
+    to_key: impl Fn(K) -> Vec<Key>,
+) -> GroupMap {
+    let mut rows = selected_rows(sel, t.rows);
+    let first = key_at(rows.next().expect("the selection is not empty"));
+    if rows.all(|i| key_at(i) == first) {
+        let mut partials = ctx.fresh_partials();
+        fold_columns(ctx, t, sel, &mut partials);
+        return std::iter::once((to_key(first), partials)).collect();
+    }
+    let mut slots: FxMap<K, usize> = FxMap::default();
+    let mut groups: Vec<(K, Vec<AggPartial>)> = Vec::new();
+    let mut last: Option<(K, usize)> = None;
+    selected_rows(sel, t.rows).for_each(|i| {
+        let key = key_at(i);
+        let slot = match &last {
+            Some((k, slot)) if *k == key => *slot,
+            _ => {
+                let slot = *slots.entry(key.clone()).or_insert_with(|| {
+                    groups.push((key.clone(), ctx.fresh_partials()));
+                    groups.len() - 1
+                });
+                last = Some((key, slot));
+                slot
+            }
+        };
+        for (partial, col) in groups[slot].1.iter_mut().zip(&ctx.agg_cols) {
+            partial.update(col.map_or(CellRef::Null, |c| t.slabs[c].get(i)));
+        }
+    });
+    // `finalize_agg_frame` orders groups by `cmp_sql`, which calls some
+    // distinct keys equal (NaN, ±0.0, integers that round to one double);
+    // those keep the iteration order of the merged map, which follows
+    // from how each partition's map is built. Frames depend on it, so it
+    // is fixed: keys inserted in first-appearance order, for one group
+    // column into a map keyed by the bare cell and then rekeyed.
+    let groups = groups
+        .into_iter()
+        .map(|(k, partials)| (to_key(k), partials));
+    if let [_] = ctx.group_cols[..] {
+        let mut by_cell: FxMap<Key, Vec<AggPartial>> = FxMap::default();
+        for (mut key, partials) in groups {
+            by_cell.insert(key.pop().expect("one key cell"), partials);
+        }
+        by_cell
+            .into_iter()
+            .map(|(k, partials)| (vec![k], partials))
+            .collect()
+    } else {
+        let mut map = GroupMap::default();
+        for (key, partials) in groups {
+            map.insert(key, partials);
+        }
+        map
+    }
 }
 
 pub(crate) fn scan_partition_rows(
     ctx: &PlanCtx,
     t: &ColumnTable,
     pool: &StringPool,
+    filtered: bool,
 ) -> Result<Vec<Vec<Value>>, QueryError> {
-    let bound = ctx
-        .filter
-        .as_ref()
-        .map(|f| f.bind(&ctx.table, t, pool))
-        .transpose()?;
-    let mut idx: Vec<usize> = (0..t.rows)
-        .filter(|&i| bound.as_ref().is_none_or(|b| b.eval(t, i, pool)))
-        .collect();
+    let sel = selection(ctx, t, pool, filtered)?;
+    let mut idx: Vec<usize> = selected_rows(sel.as_ref(), t.rows).collect();
     if let Some(c) = ctx.sort_col {
-        let slab = &t.slabs[c];
         // Stable, like the row engine's ORDER BY: equal keys keep
         // insertion order.
-        idx.sort_by(|&a, &b| cmp_cells(slab.get(a), slab.get(b), pool));
+        sort_rows(&mut idx, &t.slabs[c], pool);
     }
     Ok(idx
         .into_iter()
@@ -586,3 +715,102 @@ pub(crate) fn scan_partition_rows(
         })
         .collect())
 }
+
+/// Sorts row indices by one column the way `cmp_sql` orders its cells:
+/// NULLs first, numbers as `f64` (integers converted, a NaN equal to
+/// everything), text by string, blobs by bytes. The comparator is typed
+/// per slab kind and answers every pair as the per-cell `cmp_sql` does,
+/// so the stable `sort_by` yields the same permutation.
+fn sort_rows(idx: &mut [usize], slab: &Slab, pool: &StringPool) {
+    let nulls = (slab.null_count() > 0).then(|| slab.nulls());
+    match slab {
+        Slab::I64 { vals, .. } => {
+            sort_by_cells(idx, nulls, |a, b| cmp_num(vals[a] as f64, vals[b] as f64))
+        }
+        Slab::F64 { vals, .. } => sort_by_cells(idx, nulls, |a, b| cmp_num(vals[a], vals[b])),
+        Slab::Str { ids, .. } => {
+            let rank = string_ranks(ids, idx, nulls, pool);
+            sort_by_cells(idx, nulls, |a, b| rank[a].cmp(&rank[b]))
+        }
+        Slab::Bytes { offsets, data, .. } => {
+            let cell = |i: usize| &data[offsets[i]..offsets[i + 1]];
+            sort_by_cells(idx, nulls, |a, b| cell(a).cmp(cell(b)))
+        }
+    }
+}
+
+fn cmp_num(a: f64, b: f64) -> Ordering {
+    a.partial_cmp(&b).unwrap_or(Ordering::Equal)
+}
+
+/// Stable `sort_by` that puts NULL rows first, equal among themselves,
+/// and orders non-NULL rows by `cmp`.
+fn sort_by_cells(
+    idx: &mut [usize],
+    nulls: Option<&Bitmap>,
+    cmp: impl Fn(usize, usize) -> Ordering,
+) {
+    match nulls {
+        None => idx.sort_by(|&a, &b| cmp(a, b)),
+        Some(n) => idx.sort_by(|&a, &b| match (n.get(a), n.get(b)) {
+            (false, false) => cmp(a, b),
+            (a_null, b_null) => b_null.cmp(&a_null),
+        }),
+    }
+}
+
+/// Each listed non-NULL row's rank among the distinct strings of those
+/// rows, indexed by row. Interned strings are distinct, so the ranks
+/// order rows exactly as their strings do.
+fn string_ranks(
+    ids: &[u32],
+    rows: &[usize],
+    nulls: Option<&Bitmap>,
+    pool: &StringPool,
+) -> Vec<u32> {
+    let listed = || {
+        rows.iter()
+            .copied()
+            .filter(|&i| nulls.is_none_or(|n| !n.get(i)))
+    };
+    let mut distinct: Vec<u32> = listed().map(|i| ids[i]).collect();
+    distinct.sort_unstable();
+    distinct.dedup();
+    distinct.sort_unstable_by(|&a, &b| pool.resolve(a).cmp(pool.resolve(b)));
+    let rank_of: FxMap<u32, u32> = (0u32..).zip(distinct).map(|(r, id)| (id, r)).collect();
+    let mut rank = vec![0; ids.len()];
+    for i in listed() {
+        rank[i] = rank_of[&ids[i]];
+    }
+    rank
+}
+
+/// `cmp_sql` over cells of one column: the order the typed sort
+/// comparator is tested against.
+#[cfg(test)]
+fn cmp_cells(a: CellRef<'_>, b: CellRef<'_>, pool: &StringPool) -> Ordering {
+    fn kind(c: &CellRef<'_>) -> u8 {
+        match c {
+            CellRef::Null => 0,
+            CellRef::I64(_) | CellRef::F64(_) => 1,
+            CellRef::Str(_) => 2,
+            CellRef::Bytes(_) => 3,
+        }
+    }
+    fn num(c: CellRef<'_>) -> f64 {
+        match c {
+            CellRef::I64(v) => v as f64,
+            CellRef::F64(v) => v,
+            _ => unreachable!(),
+        }
+    }
+    kind(&a).cmp(&kind(&b)).then_with(|| match (a, b) {
+        (CellRef::Null, CellRef::Null) => Ordering::Equal,
+        (CellRef::Str(x), CellRef::Str(y)) => pool.resolve(x).cmp(pool.resolve(y)),
+        (CellRef::Bytes(x), CellRef::Bytes(y)) => x.cmp(y),
+        (a, b) => num(a).partial_cmp(&num(b)).unwrap_or(Ordering::Equal),
+    })
+}
+
+#[cfg(test)]
+mod tests;

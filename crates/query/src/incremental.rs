@@ -25,7 +25,8 @@ use crate::column::StringPool;
 use crate::dataset::{self, Partition, TableSchema};
 use crate::error::QueryError;
 use crate::exec::{
-    finalize_agg_frame, merge_groups, scan_partition_agg, scan_partition_rows, GroupMap, PlanCtx,
+    finalize_agg_frame, merge_groups, scan_partition_agg, scan_partition_rows, GroupMap, PartPlan,
+    PlanCtx,
 };
 use crate::plan::Frame;
 use crate::spec::{spec_to_agg, spec_to_expr};
@@ -121,7 +122,8 @@ impl StandingQuery {
     /// no-op, so callers can simply hand over the whole experiment
     /// database after every slice.
     ///
-    /// Returns the number of partitions (re)scanned.
+    /// Returns the number of partitions whose state was (re)computed,
+    /// including those decided from their statistics alone.
     pub fn ingest_package(&mut self, experiment: &str, db: &Database) -> Result<usize, QueryError> {
         let t0 = excovery_obs::enabled().then(std::time::Instant::now);
         let exp_index = match self.experiments.iter().position(|e| e == experiment) {
@@ -227,8 +229,9 @@ fn plan_ctx(
     )
 }
 
-/// Scans one partition under the plan; `None` when the partition has no
-/// slice of the scanned table.
+/// Decides, and if needed scans, one partition under the plan — the
+/// decision a one-shot scan makes, from the same slab statistics; `None`
+/// when the partition has no slice of the scanned table.
 fn scan_state(
     ctx: &PlanCtx,
     p: &Partition,
@@ -237,10 +240,17 @@ fn scan_state(
     let Some(t) = p.tables.get(&ctx.table) else {
         return Ok(None);
     };
-    Ok(Some(if ctx.aggregate_mode() {
-        PartState::Agg(scan_partition_agg(ctx, t, pool)?)
-    } else {
-        PartState::Rows(scan_partition_rows(ctx, t, pool)?)
+    let plan = ctx.plan_partition(t.rows, &|c| t.column_stats(c));
+    Ok(Some(match (plan, ctx.aggregate_mode()) {
+        (PartPlan::Pruned, true) => PartState::Agg(GroupMap::default()),
+        (PartPlan::Pruned, false) => PartState::Rows(Vec::new()),
+        (PartPlan::Answered(groups), _) => PartState::Agg(groups),
+        (PartPlan::Scan { filtered, .. }, true) => {
+            PartState::Agg(scan_partition_agg(ctx, t, pool, filtered)?)
+        }
+        (PartPlan::Scan { filtered, .. }, false) => {
+            PartState::Rows(scan_partition_rows(ctx, t, pool, filtered)?)
+        }
     }))
 }
 

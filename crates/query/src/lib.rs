@@ -5,9 +5,10 @@
 //! relational package per experiment (§IV-F); this crate follows the
 //! C-Store/MonetDB lineage instead: ingested packages become typed column
 //! slabs partitioned by experiment and run, and analysis questions run as
-//! small logical plans — projection, predicate pushdown with per-partition
-//! min/max pruning, hash group-by and mergeable aggregates — fanned out
-//! across scoped worker threads.
+//! small logical plans — projection, partitions decided from their
+//! min/max statistics before any row is read, column-at-a-time filter
+//! kernels, hash group-by and mergeable aggregates — fanned out across
+//! scoped worker threads.
 //!
 //! ## Determinism contract
 //!

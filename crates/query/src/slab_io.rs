@@ -34,7 +34,7 @@
 //! * `Bytes` — plain only: `rows + 1` offsets, the packed arena, the
 //!   null bitmap.
 
-use crate::column::{Bitmap, ColumnTable, IntStats, Slab, StringPool};
+use crate::column::{Bitmap, ColumnStats, ColumnTable, IntStats, Slab, StringPool};
 use crate::dataset::Partition;
 use crate::error::QueryError;
 use excovery_store::ColumnType;
@@ -121,20 +121,18 @@ impl PartitionFooter {
         self.tables.iter().find(|t| t.name == table).map(|t| t.rows)
     }
 
-    /// Integer min/max stats plus null count for a column of `table` —
-    /// the footer-level twin of `Partition::int_column_stats`, used for
-    /// pruning without loading the partition.
-    pub(crate) fn int_column_stats(
-        &self,
-        table: &str,
-        column: &str,
-    ) -> Option<(Option<IntStats>, usize)> {
+    /// The statistics of a column of `table` — the footer-level twin of
+    /// `ColumnTable::column_stats`, so a partition is decided without
+    /// being loaded.
+    pub(crate) fn column_stats(&self, table: &str, column: &str) -> Option<ColumnStats> {
         let t = self.tables.iter().find(|t| t.name == table)?;
         let c = t.columns.iter().find(|c| c.name == column)?;
-        match c.kind {
-            ColumnType::Integer => Some((c.int_stats, c.null_count as usize)),
-            _ => None,
-        }
+        Some(ColumnStats {
+            kind: c.kind,
+            rows: t.rows as usize,
+            nulls: c.null_count as usize,
+            range: c.int_stats,
+        })
     }
 }
 
@@ -603,18 +601,12 @@ pub fn write_partition(
                 _ => None,
             };
             let (encoding, block) = encode_slab(slab, t.rows, local_ids.as_deref());
-            let (kind, int_stats) = match slab {
-                Slab::I64 { .. } => (ColumnType::Integer, slab.int_stats()),
-                Slab::F64 { .. } => (ColumnType::Real, None),
-                Slab::Str { .. } => (ColumnType::Text, None),
-                Slab::Bytes { .. } => (ColumnType::Blob, None),
-            };
             columns.push(ColumnMeta {
                 name: cname.clone(),
-                kind,
+                kind: slab.kind(),
                 encoding,
                 null_count: slab.null_count() as u64,
-                int_stats,
+                int_stats: slab.int_stats(),
                 offset: 8 + data.len() as u64,
                 len: block.len() as u64,
             });
@@ -1057,10 +1049,20 @@ mod tests {
         assert_eq!(footer.partition_column, "RunID");
         assert!(footer.has_table("Events"));
         assert!(!footer.has_table("Nope"));
-        let (stats, nulls) = footer.int_column_stats("Events", "RunID").unwrap();
-        assert_eq!(stats, Some(IntStats { min: 1, max: 1 }));
-        assert_eq!(nulls, 0);
-        assert_eq!(footer.int_column_stats("Events", "Kind"), None);
+        let run = footer.column_stats("Events", "RunID").unwrap();
+        assert_eq!(run.range, Some(IntStats { min: 1, max: 1 }));
+        assert_eq!(run.nulls, 0);
+        // The footer states what the resident slabs state, column by column.
+        let events = &ds.partitions[1].tables["Events"];
+        for name in &events.names {
+            assert_eq!(
+                footer.column_stats("Events", name),
+                events.column_stats(name),
+                "{name}"
+            );
+        }
+        assert_eq!(footer.column_stats("Events", "Kind").unwrap().range, None);
+        assert_eq!(footer.column_stats("Events", "Nope"), None);
         assert!(footer.encoded_bytes > 0);
         assert!(footer.decoded_bytes > 0);
         std::fs::remove_dir_all(&dir).ok();

@@ -59,17 +59,6 @@ fn op_to_wire(op: CmpOp) -> FilterOp {
     }
 }
 
-fn flip(op: CmpOp) -> CmpOp {
-    match op {
-        CmpOp::Eq => CmpOp::Eq,
-        CmpOp::Ne => CmpOp::Ne,
-        CmpOp::Lt => CmpOp::Gt,
-        CmpOp::Le => CmpOp::Ge,
-        CmpOp::Gt => CmpOp::Lt,
-        CmpOp::Ge => CmpOp::Le,
-    }
-}
-
 /// Lowers a filter expression into the serializable predicate tree.
 ///
 /// Comparisons are normalised to column-op-literal (flipping the
@@ -83,16 +72,10 @@ pub fn expr_to_spec(e: &Expr) -> Result<ExprSpec, QueryError> {
         Expr::Col(_) | Expr::Lit(_) => Err(QueryError::Unsupported(
             "bare column/literal used as a filter (compare it with eq/lt/…)".into(),
         )),
-        Expr::Cmp(op, a, b) => {
-            let (column, value, op) = match (a.as_ref(), b.as_ref()) {
-                (Expr::Col(c), Expr::Lit(v)) => (c, v, *op),
-                (Expr::Lit(v), Expr::Col(c)) => (c, v, flip(*op)),
-                _ => {
-                    return Err(QueryError::Unsupported(
-                        "comparison must be between a column and a literal".into(),
-                    ))
-                }
-            };
+        Expr::Cmp(..) => {
+            let (column, value, op) = e.as_cmp().ok_or_else(|| {
+                QueryError::Unsupported("comparison must be between a column and a literal".into())
+            })?;
             Ok(ExprSpec::Cmp {
                 column: column.clone(),
                 op: op_to_wire(op),
