@@ -652,7 +652,7 @@ impl ExperiMaster {
             node_id: pid.to_string(),
             method: method.to_string(),
             params,
-            idem_key: self.next_idem_key(),
+            idem_key: Some(self.next_idem_key()),
         };
         let mut outcomes = self.reactor.lock().dispatch(vec![call], &self.cfg.retry);
         let outcome = outcomes.pop().expect("one outcome per call");
@@ -693,7 +693,7 @@ impl ExperiMaster {
                 node_id: pid.clone(),
                 method: method.to_string(),
                 params: params.to_vec(),
-                idem_key: self.next_idem_key(),
+                idem_key: Some(self.next_idem_key()),
             })
             .collect();
         let outcomes = self.reactor.lock().dispatch(calls, &self.cfg.retry);

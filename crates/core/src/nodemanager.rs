@@ -15,7 +15,7 @@ use crate::binding::PlatformBinding;
 use excovery_netsim::filter::{Direction, FilterRule, RuleId};
 use excovery_netsim::{EventParams, NodeId, SimDuration, Simulator};
 use excovery_obs::sync::Mutex;
-use excovery_rpc::{Channel, Fault, NodeProxy, ServerRegistry, Value};
+use excovery_rpc::{Fault, ServerRegistry, Value};
 use excovery_sd::{
     sd_command, Role, SdAgent, SdCommand, SdConfig, ServiceDescription, ServiceType, SD_PORT,
 };
@@ -25,8 +25,7 @@ use std::sync::Arc;
 /// Shared handle to the simulated platform.
 pub type SharedSim = Arc<Mutex<Simulator>>;
 
-/// Builds the NodeManager for one platform node and returns the master-side
-/// proxy to it.
+/// Builds the NodeManager (its procedure registry) for one platform node.
 pub struct NodeManager;
 
 fn p_str(params: &[Value], i: usize, what: &str) -> Result<String, Fault> {
@@ -43,22 +42,10 @@ fn p_f64(v: Option<&Value>) -> Option<f64> {
 
 impl NodeManager {
     /// Creates the registry of procedures for `node` (platform id
-    /// `platform_id`) and wraps it into a [`NodeProxy`] over the in-memory
-    /// channel.
-    pub fn spawn(
-        node: NodeId,
-        platform_id: &str,
-        sim: SharedSim,
-        binding: Arc<PlatformBinding>,
-        sd_config: SdConfig,
-    ) -> NodeProxy {
-        let reg = Self::registry(node, platform_id, sim, binding, sd_config);
-        NodeProxy::new(platform_id, Channel::new(reg))
-    }
-
-    /// Creates the registry of procedures for `node`. The registry is
-    /// transport-agnostic: serve it in-process via [`Channel`] or over
-    /// sockets via `excovery_rpc::TcpRpcServer`.
+    /// `platform_id`). The registry is transport-agnostic: a reactor link
+    /// dispatches into it in-process (`ReactorEndpoint::Memory`, or a
+    /// `NodeProxy` over a `Channel`), or `excovery_rpc::TcpRpcServer`
+    /// serves it over sockets.
     pub fn registry(
         node: NodeId,
         platform_id: &str,
@@ -395,6 +382,7 @@ mod tests {
     use excovery_desc::ExperimentDescription;
     use excovery_netsim::sim::SimulatorConfig;
     use excovery_netsim::topology::Topology;
+    use excovery_rpc::{Channel, NodeProxy};
 
     fn setup() -> (SharedSim, NodeProxy, NodeProxy) {
         let desc = ExperimentDescription::paper_two_party_sd(1);
@@ -403,20 +391,17 @@ mod tests {
             Topology::grid(3, 2),
             SimulatorConfig::perfect_clocks(7),
         )));
-        let sm = NodeManager::spawn(
-            NodeId(0),
-            "t9-157",
-            Arc::clone(&sim),
-            Arc::clone(&binding),
-            SdConfig::two_party(),
-        );
-        let su = NodeManager::spawn(
-            NodeId(1),
-            "t9-105",
-            Arc::clone(&sim),
-            Arc::clone(&binding),
-            SdConfig::two_party(),
-        );
+        let proxy = |node, pid| {
+            let reg = NodeManager::registry(
+                node,
+                pid,
+                Arc::clone(&sim),
+                Arc::clone(&binding),
+                SdConfig::two_party(),
+            );
+            NodeProxy::new(pid, Channel::new(reg))
+        };
+        let (sm, su) = (proxy(NodeId(0), "t9-157"), proxy(NodeId(1), "t9-105"));
         (sim, sm, su)
     }
 

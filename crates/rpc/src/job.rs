@@ -504,23 +504,6 @@ impl FilterOp {
     }
 }
 
-/// A remote filter: `column <op> literal`.
-///
-/// Superseded by [`ExprSpec`], which composes the same comparisons into
-/// arbitrary `and`/`or`/`not` trees. Kept only so pre-tree clients keep
-/// parsing; [`unpack_plan`] folds the legacy `filter` member into a
-/// single-node predicate tree.
-#[deprecated(since = "0.1.0", note = "use the `ExprSpec` predicate tree")]
-#[derive(Debug, Clone, PartialEq)]
-pub struct FilterSpec {
-    /// Column the predicate reads.
-    pub column: String,
-    /// Comparison operator.
-    pub op: FilterOp,
-    /// Literal to compare against.
-    pub value: CellValue,
-}
-
 /// A serializable filter predicate: comparisons composed with boolean
 /// connectives, the wire twin of the query crate's `Expr` tree. SQL
 /// three-valued NULL semantics are the executor's business; the wire

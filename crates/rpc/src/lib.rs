@@ -15,8 +15,8 @@
 //! [`ServerRegistry`] is the NodeManager's side of it: procedures plus
 //! idempotent, at-most-once dispatch keyed by a trailing `__idem` struct.
 //!
-//! The master reaches its NodeManagers through one path, the [`Reactor`]:
-//! every lifecycle fan-out and every in-run call is a
+//! Every client reaches a registry through one path, the [`Reactor`]:
+//! each of the master's lifecycle fan-outs and in-run calls is a
 //! [`Reactor::dispatch`], multiplexed on the calling thread over in-memory
 //! registries or framed-TCP sockets, one link per node, with the seeded,
 //! replayable fault schedule of [`chaos`] and one bounded [`RetryPolicy`]
@@ -24,19 +24,12 @@
 //! vs. codec vs. timeout/disconnect) so the engine can decide what is
 //! recoverable.
 //!
-//! Blocking clients sit behind the [`Transport`] trait, for callers that
-//! make one call at a time (the experiment server's client, probes and
-//! transport tests):
-//!
-//! * [`Channel`] — the in-memory channel. Every call is genuinely
-//!   serialized to XML and parsed back, so the codec is exercised
-//!   end-to-end exactly as on a real wire.
-//! * [`TcpTransport`] / [`TcpRpcServer`] — length-prefixed frames over real
-//!   sockets, with per-call deadlines and reconnect with bounded
-//!   exponential backoff.
-//!
-//! [`NodeProxy`] wraps any transport with the per-node lock the paper
-//! mandates.
+//! [`NodeProxy`] is the blocking client for callers that make one call at
+//! a time (the experiment server's client, tests, probes): a one-link
+//! reactor behind the per-node lock the paper mandates, over a
+//! [`Channel`] (an in-memory registry) or a [`TcpTransport`] (a socket to
+//! a [`TcpRpcServer`], opened eagerly). Its calls are single attempts and
+//! carry no idempotency key.
 
 pub mod chaos;
 pub mod error;
@@ -49,8 +42,6 @@ pub mod value;
 
 pub use chaos::{fault_at, ChaosOptions, FaultAction};
 pub use error::{RpcError, FAULT_INTERNAL_ERROR, FAULT_NO_SUCH_METHOD, FAULT_PARSE_ERROR};
-#[allow(deprecated)]
-pub use job::FilterSpec;
 pub use job::{
     pack_frame, pack_plan, pack_results_page, pack_status, pack_status_list, pack_submit,
     pack_submit_response, unpack_frame, unpack_plan, unpack_results_page, unpack_status,
@@ -60,9 +51,7 @@ pub use job::{
     QUERY_TABLES,
 };
 pub use message::{Fault, MethodCall, MethodResponse};
-pub use reactor::{DispatchOutcome, NodeCall, Reactor, ReactorEndpoint, RetryPolicy};
+pub use reactor::{DispatchOutcome, NodeCall, NodeProxy, Reactor, ReactorEndpoint, RetryPolicy};
 pub use tcp::{TcpOptions, TcpRpcServer, TcpTransport};
-pub use transport::{
-    response_to_result, Channel, NodeProxy, ServerRegistry, Transport, IDEMPOTENCY_MEMBER,
-};
+pub use transport::{Channel, ServerRegistry, IDEMPOTENCY_MEMBER};
 pub use value::Value;

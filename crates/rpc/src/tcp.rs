@@ -1,7 +1,7 @@
 //! Framed TCP backend for the control channel.
 //!
 //! The prototype runs XML-RPC over a dedicated management network
-//! (§IV-A1); this module provides the equivalent real-socket transport so
+//! (§IV-A1); this module provides the equivalent real-socket server so
 //! the same [`ServerRegistry`] a NodeManager exposes in-process can be
 //! served across machines. Frames are length-prefixed XML documents:
 //!
@@ -11,21 +11,22 @@
 //! +----------------+---------------------+
 //! ```
 //!
-//! The client side ([`TcpTransport`]) adds what the in-memory channel
-//! never needed: a per-call deadline, reconnection with bounded
-//! exponential backoff, and error classification (timeout vs. disconnect
-//! vs. codec) so the engine can decide whether a run is recoverable.
+//! The client side is a reactor link ([`crate::reactor`]): it owns the
+//! per-call deadline, reconnection with bounded exponential backoff, and
+//! the error classification (timeout vs. disconnect vs. codec) the engine
+//! uses to decide whether a run is recoverable. [`TcpTransport`] only
+//! opens a link's first connection eagerly.
 
-use crate::error::RpcError;
-use crate::message::{MethodCall, MethodResponse};
-use crate::transport::{ServerRegistry, Transport};
+use crate::error::{RpcError, FAULT_PARSE_ERROR};
+use crate::message::{Fault, MethodResponse};
+use crate::transport::ServerRegistry;
 use excovery_obs::frame::{read_frame, write_frame};
 use excovery_obs::sync::Mutex;
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Upper bound on a single frame; anything larger is a codec error (a
 /// corrupt length prefix would otherwise ask for gigabytes). The framing
@@ -128,8 +129,16 @@ fn serve_connection(
             }
             Err(_) => return,
         };
-        let request_xml = String::from_utf8_lossy(&request);
-        let response_xml = registry.lock().handle_wire(&request_xml);
+        // A request that is not UTF-8 is refused before dispatch: decoding
+        // it lossily would run the handler on altered arguments.
+        let response_xml = match std::str::from_utf8(&request) {
+            Ok(request_xml) => registry.lock().handle_wire(request_xml),
+            Err(e) => MethodResponse::Fault(Fault::new(
+                FAULT_PARSE_ERROR,
+                format!("parse error: request frame is not UTF-8 ({e})"),
+            ))
+            .to_xml(),
+        };
         if write_frame(&mut stream, response_xml.as_bytes()).is_err() {
             return;
         }
@@ -138,7 +147,7 @@ fn serve_connection(
 
 // ---- client ----------------------------------------------------------------
 
-/// Client-side policy knobs of the TCP transport.
+/// Client-side policy knobs of a TCP link.
 #[derive(Debug, Clone)]
 pub struct TcpOptions {
     /// Deadline for one connection attempt.
@@ -166,207 +175,71 @@ impl Default for TcpOptions {
     }
 }
 
-/// TCP client end of the control channel to one node.
+/// The state of a TCP link: server address, policy knobs and the socket,
+/// when connected. [`TcpTransport::connect`] opens it eagerly, for a
+/// reactor link to adopt ([`NodeProxy::new`] or [`Reactor::add_node`]).
 ///
-/// One connection is kept per transport; the [`NodeProxy`] lock already
-/// serializes callers, and a failed or timed-out call drops the
-/// connection so the next call starts from a clean reconnect instead of
-/// reading a stale response.
+/// It moves no bytes itself: the reactor link frames every call, enforces
+/// `opts.call_timeout`, and reconnects with the same bounded backoff after
+/// a failed exchange.
 ///
-/// [`NodeProxy`]: crate::transport::NodeProxy
+/// [`NodeProxy::new`]: crate::reactor::NodeProxy::new
+/// [`Reactor::add_node`]: crate::reactor::Reactor::add_node
 pub struct TcpTransport {
-    addr: SocketAddr,
-    opts: TcpOptions,
-    stream: Mutex<Option<TcpStream>>,
-    closed: AtomicBool,
-    obs: crate::transport::ClientObs,
+    pub(crate) addr: SocketAddr,
+    pub(crate) opts: TcpOptions,
+    pub(crate) stream: Option<TcpStream>,
 }
 
 impl TcpTransport {
-    /// Resolves `addr` and eagerly establishes the first connection (with
-    /// the configured backoff), so endpoint misconfiguration surfaces at
-    /// setup rather than mid-experiment.
+    /// Resolves `addr` and establishes the connection (with the configured
+    /// backoff), so endpoint misconfiguration surfaces at setup rather than
+    /// at the first call.
     pub fn connect(addr: impl ToSocketAddrs, opts: TcpOptions) -> Result<Self, RpcError> {
         let addr = addr
             .to_socket_addrs()
             .map_err(|e| RpcError::Io(format!("resolve: {e}")))?
             .next()
             .ok_or_else(|| RpcError::Io("address resolved to nothing".into()))?;
-        let transport = Self {
+        let mut link = Self {
             addr,
             opts,
-            stream: Mutex::new(None),
-            closed: AtomicBool::new(false),
-            obs: crate::transport::ClientObs::new("tcp"),
+            stream: None,
         };
-        let stream = transport.reconnect()?;
-        *transport.stream.lock() = Some(stream);
-        Ok(transport)
-    }
-
-    /// Connects with bounded exponential backoff.
-    fn reconnect(&self) -> Result<TcpStream, RpcError> {
-        let mut delay = self.opts.backoff_initial;
-        let mut last_err = String::new();
-        for attempt in 0..self.opts.max_connect_attempts {
-            if attempt > 0 {
-                std::thread::sleep(delay);
-                delay = (delay * 2).min(self.opts.backoff_max);
-            }
-            match TcpStream::connect_timeout(&self.addr, self.opts.connect_timeout) {
+        let mut delay = link.opts.backoff_initial;
+        let mut attempt = 1;
+        loop {
+            match link.open() {
                 Ok(stream) => {
-                    let _ = stream.set_nodelay(true);
-                    return Ok(stream);
+                    link.stream = Some(stream);
+                    return Ok(link);
                 }
-                Err(e) => last_err = e.to_string(),
-            }
-        }
-        Err(RpcError::Disconnected(format!(
-            "{} unreachable after {} attempts: {last_err}",
-            self.addr, self.opts.max_connect_attempts
-        )))
-    }
-
-    /// One request/response exchange on an established stream, honouring
-    /// the remaining per-call budget via the socket read timeout.
-    fn exchange(
-        &self,
-        stream: &mut TcpStream,
-        request: &[u8],
-        deadline: Instant,
-        method: &str,
-    ) -> Result<MethodResponse, RpcError> {
-        write_frame(stream, request).map_err(|e| RpcError::Disconnected(e.to_string()))?;
-        self.obs.add_bytes_sent(request.len());
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            return Err(self.timeout_error(method));
-        }
-        stream
-            .set_read_timeout(Some(remaining))
-            .map_err(|e| RpcError::Io(e.to_string()))?;
-        match read_frame(stream) {
-            Ok(Some(payload)) => {
-                self.obs.add_bytes_received(payload.len());
-                let xml = String::from_utf8_lossy(&payload);
-                MethodResponse::from_xml(&xml).map_err(|e| RpcError::Codec(e.to_string()))
-            }
-            Ok(None) => Err(RpcError::Disconnected(
-                "server closed the connection mid-call".into(),
-            )),
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                Err(self.timeout_error(method))
-            }
-            Err(e) if e.kind() == ErrorKind::InvalidData => Err(RpcError::Codec(e.to_string())),
-            Err(e) => Err(RpcError::Disconnected(e.to_string())),
-        }
-    }
-
-    fn timeout_error(&self, method: &str) -> RpcError {
-        RpcError::Timeout {
-            method: method.to_string(),
-            after_ms: self.opts.call_timeout.as_millis() as u64,
-        }
-    }
-}
-
-impl Transport for TcpTransport {
-    fn call(&self, call: &MethodCall) -> Result<MethodResponse, RpcError> {
-        if self.closed.load(Ordering::SeqCst) {
-            return Err(RpcError::Disconnected("transport closed".into()));
-        }
-        let started = self.obs.start();
-        let request = call.to_xml().into_bytes();
-        let deadline = Instant::now() + self.opts.call_timeout;
-        let mut guard = self.stream.lock();
-        // Reconnect lazily if a previous call tore the stream down.
-        if guard.is_none() {
-            match self.reconnect() {
-                Ok(stream) => *guard = Some(stream),
-                Err(e) => {
-                    let result = Err(e);
-                    self.obs.observe_call(started, &result);
-                    return result;
+                Err(e) if attempt >= link.opts.max_connect_attempts.max(1) => {
+                    return Err(link.unreachable(attempt, e))
+                }
+                Err(_) => {
+                    std::thread::sleep(delay);
+                    delay = (delay * 2).min(link.opts.backoff_max);
+                    attempt += 1;
                 }
             }
         }
-        let stream = guard.as_mut().expect("stream just ensured");
-        let result = self.exchange(stream, &request, deadline, &call.method);
-        self.obs.observe_call(started, &result);
-        if let Err(e) = &result {
-            // After a failed exchange the stream state is unknown (a late
-            // response could desynchronize framing): drop it so the next
-            // call reconnects. Server-side faults arrive as *successful*
-            // exchanges and keep the connection.
-            if e.is_retryable() || matches!(e, RpcError::Codec(_)) {
-                *guard = None;
-            }
-        }
-        result
     }
 
-    fn endpoint(&self) -> String {
-        format!("tcp://{}", self.addr)
+    /// One connection attempt: a no-delay socket in the non-blocking mode
+    /// a reactor link drives it in.
+    pub(crate) fn open(&self) -> std::io::Result<TcpStream> {
+        let stream = TcpStream::connect_timeout(&self.addr, self.opts.connect_timeout)?;
+        let _ = stream.set_nodelay(true);
+        stream.set_nonblocking(true)?;
+        Ok(stream)
     }
 
-    fn close(&self) {
-        self.closed.store(true, Ordering::SeqCst);
-        *self.stream.lock() = None;
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::transport::NodeProxy;
-    use crate::value::Value;
-    use crate::Fault;
-
-    fn registry() -> Arc<Mutex<ServerRegistry>> {
-        let mut reg = ServerRegistry::new();
-        reg.register("echo", |params| Ok(Value::Array(params.to_vec())));
-        reg.register("fail", |_| Err(Fault::new(7, "nope")));
-        Arc::new(Mutex::new(reg))
-    }
-
-    #[test]
-    fn roundtrip_over_real_sockets() {
-        let server = TcpRpcServer::bind("127.0.0.1:0", registry()).unwrap();
-        let t = TcpTransport::connect(server.local_addr(), TcpOptions::default()).unwrap();
-        let proxy = NodeProxy::new("n0", t);
-        assert!(proxy.endpoint().starts_with("tcp://127.0.0.1:"));
-        let v = proxy
-            .call("echo", vec![Value::Int(41), Value::str("x")])
-            .unwrap();
-        assert_eq!(v, Value::Array(vec![Value::Int(41), Value::str("x")]));
-        // Faults travel as responses, not transport errors.
-        match proxy.call("fail", vec![]) {
-            Err(RpcError::Fault(f)) => assert_eq!(f.code, 7),
-            other => panic!("{other:?}"),
-        }
-        // The connection survived the fault.
-        proxy.call("echo", vec![]).unwrap();
-    }
-
-    #[test]
-    fn connect_to_nothing_reports_disconnected_after_backoff() {
-        // Port 1 on localhost: nothing listens there.
-        let opts = TcpOptions {
-            max_connect_attempts: 3,
-            backoff_initial: Duration::from_millis(1),
-            backoff_max: Duration::from_millis(4),
-            connect_timeout: Duration::from_millis(200),
-            ..TcpOptions::default()
-        };
-        let started = Instant::now();
-        match TcpTransport::connect("127.0.0.1:1", opts) {
-            Err(RpcError::Disconnected(m)) => {
-                assert!(m.contains("3 attempts"), "{m}");
-            }
-            Err(other) => panic!("{other:?}"),
-            Ok(_) => panic!("connected to a closed port"),
-        }
-        // Backoff is bounded: 1 + 2 ms of sleeping, not seconds.
-        assert!(started.elapsed() < Duration::from_secs(2));
+    /// The error of a link whose `attempts` connection attempts all failed.
+    pub(crate) fn unreachable(&self, attempts: u32, last: std::io::Error) -> RpcError {
+        RpcError::Disconnected(format!(
+            "{} unreachable after {attempts} attempts: {last}",
+            self.addr
+        ))
     }
 }

@@ -1,20 +1,18 @@
-//! The dedicated control channel between master and nodes.
+//! The NodeManager's side of the control channel, plus the in-memory
+//! endpoint.
 //!
 //! A [`ServerRegistry`] holds the procedures a NodeManager exposes, and
-//! its idempotent dispatch is what every client path relies on. The
-//! ExperiMaster reaches registries only through [`crate::reactor`], which
-//! dispatches in-process or over framed TCP itself.
+//! its idempotent dispatch is what every client path relies on. Clients
+//! reach registries only through [`crate::reactor`], which dispatches
+//! in-process or over framed TCP itself; [`ClientObs`] is the client
+//! series each reactor link records.
 //!
-//! A [`Transport`] is the blocking, one-call-at-a-time client: it carries
-//! serialized XML-RPC documents between a caller and a registry. Two
-//! backends exist: the in-memory [`Channel`] (standing in for the
-//! testbed's separate management network, §IV-A1) and the framed TCP
-//! transport in [`crate::tcp`]. A [`NodeProxy`] wraps either with the
-//! per-node locking the prototype uses ("a node object [...] uses locking
-//! to allow only one access at a time", §VI-A). Their callers are the
-//! experiment server's client (TCP), `NodeManager::spawn` (a proxy over a
-//! `Channel`), the transport fault tests and the benchmark's round-trip
-//! probes.
+//! A [`Channel`] is the in-memory endpoint (standing in for the testbed's
+//! separate management network, §IV-A1): a [`NodeProxy`] over it is a
+//! reactor memory link, and [`Channel::call`] is one XML round trip
+//! through [`ServerRegistry::handle_wire`].
+//!
+//! [`NodeProxy`]: crate::reactor::NodeProxy
 
 use crate::error::{RpcError, FAULT_INTERNAL_ERROR, FAULT_NO_SUCH_METHOD, FAULT_PARSE_ERROR};
 use crate::message::{Fault, MethodCall, MethodResponse};
@@ -26,13 +24,14 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Client-side metric handles of one transport instance: calls, errors
-/// by [`RpcError::kind_label`], per-call latency, and wire bytes.
-/// Handles are resolved once at transport construction; recording is a
-/// few relaxed atomics gated on the global observability toggle.
+/// Client-side metric handles of one reactor link: calls, errors by
+/// [`RpcError::kind_label`], per-call latency, and wire bytes. Handles
+/// are resolved once when the link is added; recording is a few relaxed
+/// atomics gated on the global observability toggle.
 #[derive(Clone)]
 pub(crate) struct ClientObs {
-    transport: &'static str,
+    /// The link kind, `memory` or `tcp`.
+    pub(crate) transport: &'static str,
     calls: Counter,
     latency_ns: Histogram,
     bytes_sent: Counter,
@@ -95,30 +94,6 @@ pub type Handler = Box<dyn FnMut(&[Value]) -> Result<Value, Fault> + Send>;
 /// Observer invoked for every dispatched call (wire tracing, node logs).
 pub type CallObserver = Box<dyn FnMut(&MethodCall) + Send>;
 
-/// One side of the control channel: sends a call, returns the response.
-///
-/// Implementations must be shareable across the master's experiment,
-/// fault and management threads — all methods take `&self`.
-pub trait Transport: Send + Sync {
-    /// Performs one synchronous remote procedure call.
-    fn call(&self, call: &MethodCall) -> Result<MethodResponse, RpcError>;
-
-    /// Human-readable endpoint description (diagnostics).
-    fn endpoint(&self) -> String {
-        "memory".into()
-    }
-
-    /// Releases any underlying connection. Further calls may fail with
-    /// [`RpcError::Disconnected`]. Default: nothing to release.
-    fn close(&self) {}
-}
-
-/// Maps a parsed response into the caller-facing result, classifying
-/// well-known fault codes via `From<Fault> for RpcError`.
-pub fn response_to_result(response: MethodResponse) -> Result<Value, RpcError> {
-    response.into_result().map_err(RpcError::from)
-}
-
 /// Reserved name of the trailing struct parameter carrying a caller-chosen
 /// idempotency key. A client that retries a call reuses the key, and the
 /// server replays the recorded response instead of executing the procedure
@@ -156,19 +131,17 @@ impl Default for ServerRegistry {
 
 /// Splits a trailing `{__idem: key}` struct parameter off a call, if
 /// present. Returns the key and the call as the handler must see it.
-fn split_idempotency(call: &MethodCall) -> (Option<String>, Option<MethodCall>) {
-    if let Some(Value::Struct(members)) = call.params.last() {
-        if let [(name, Value::String(key))] = members.as_slice() {
-            if name == IDEMPOTENCY_MEMBER {
-                let stripped = MethodCall::new(
-                    call.method.clone(),
-                    call.params[..call.params.len() - 1].to_vec(),
-                );
-                return (Some(key.clone()), Some(stripped));
-            }
-        }
+fn split_idempotency(call: &MethodCall) -> Option<(String, MethodCall)> {
+    let (Value::Struct(members), params) = call.params.split_last()? else {
+        return None;
+    };
+    match members.as_slice() {
+        [(name, Value::String(key))] if name == IDEMPOTENCY_MEMBER => Some((
+            key.clone(),
+            MethodCall::new(call.method.clone(), params.to_vec()),
+        )),
+        _ => None,
     }
-    (None, None)
 }
 
 impl ServerRegistry {
@@ -212,24 +185,21 @@ impl ServerRegistry {
     /// log. The key parameter is stripped before the handler sees the
     /// arguments.
     pub fn dispatch(&mut self, call: &MethodCall) -> MethodResponse {
-        let (idem_key, stripped) = split_idempotency(call);
-        if let Some(key) = &idem_key {
-            if let Some(replay) = self.idem_cache.get(key) {
-                self.obs_idem_replays.inc();
-                return replay.clone();
+        let Some((key, stripped)) = split_idempotency(call) else {
+            return self.dispatch_inner(call);
+        };
+        if let Some(replay) = self.idem_cache.get(&key) {
+            self.obs_idem_replays.inc();
+            return replay.clone();
+        }
+        let response = self.dispatch_inner(&stripped);
+        if self.idem_order.len() >= IDEMPOTENCY_CACHE_CAP {
+            if let Some(evicted) = self.idem_order.pop_front() {
+                self.idem_cache.remove(&evicted);
             }
         }
-        let call = stripped.as_ref().unwrap_or(call);
-        let response = self.dispatch_inner(call);
-        if let Some(key) = idem_key {
-            if self.idem_order.len() >= IDEMPOTENCY_CACHE_CAP {
-                if let Some(evicted) = self.idem_order.pop_front() {
-                    self.idem_cache.remove(&evicted);
-                }
-            }
-            self.idem_order.push_back(key.clone());
-            self.idem_cache.insert(key, response.clone());
-        }
+        self.idem_order.push_back(key.clone());
+        self.idem_cache.insert(key, response.clone());
         response
     }
 
@@ -267,7 +237,8 @@ impl ServerRegistry {
     }
 
     /// Handles a raw XML request and produces a raw XML response — the full
-    /// wire path of a real XML-RPC endpoint (shared by every transport).
+    /// wire path of a real XML-RPC endpoint (the TCP server's and
+    /// [`Channel::call`]'s).
     pub fn handle_wire(&mut self, request_xml: &str) -> String {
         match MethodCall::from_xml(request_xml) {
             Err(e) => {
@@ -289,14 +260,17 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
     }
 }
 
-/// The in-memory control channel to one server.
+/// The in-memory endpoint of one server.
 ///
-/// Calls are serialized to XML, handed to the registry, and the response is
-/// parsed back — byte-for-byte what a TCP transport would carry.
+/// [`Channel::call`] serializes the call to XML, hands the document to the
+/// registry, and parses the response back — byte-for-byte what a TCP link
+/// carries. A [`NodeProxy`] over a channel skips the XML and dispatches
+/// the parsed call, like every reactor memory link.
+///
+/// [`NodeProxy`]: crate::reactor::NodeProxy
 #[derive(Clone)]
 pub struct Channel {
-    server: Arc<Mutex<ServerRegistry>>,
-    obs: ClientObs,
+    pub(crate) server: Arc<Mutex<ServerRegistry>>,
 }
 
 impl Channel {
@@ -304,7 +278,6 @@ impl Channel {
     pub fn new(server: ServerRegistry) -> Self {
         Self {
             server: Arc::new(Mutex::new(server)),
-            obs: ClientObs::new("memory"),
         }
     }
 
@@ -314,108 +287,31 @@ impl Channel {
         Arc::clone(&self.server)
     }
 
-    /// Performs a synchronous call over the wire format (convenience
-    /// wrapper around the [`Transport`] impl).
+    /// Performs a synchronous call over the wire format.
     pub fn call(&self, method: &str, params: Vec<Value>) -> Result<Value, RpcError> {
-        response_to_result(Transport::call(self, &MethodCall::new(method, params))?)
-    }
-}
-
-impl Transport for Channel {
-    fn call(&self, call: &MethodCall) -> Result<MethodResponse, RpcError> {
-        let started = self.obs.start();
-        let request = call.to_xml();
-        self.obs.add_bytes_sent(request.len());
-        let response_xml = self.server.lock().handle_wire(&request);
-        self.obs.add_bytes_received(response_xml.len());
-        let result =
-            MethodResponse::from_xml(&response_xml).map_err(|e| RpcError::Codec(e.to_string()));
-        self.obs.observe_call(started, &result);
-        result
-    }
-}
-
-/// Master-side object representing one participating node (§VI-A).
-///
-/// Serializes all access to the node with a lock so concurrent experiment
-/// process threads, fault threads and management actions cannot interleave
-/// calls to the same node. The lock is held only for the duration of one
-/// call and is released cleanly on every outcome — error, timeout, or a
-/// panic unwinding out of the transport — so one failed call can never
-/// wedge subsequent calls to the node.
-pub struct NodeProxy {
-    /// Node identifier (host name).
-    pub node_id: String,
-    transport: Arc<dyn Transport>,
-    lock: Mutex<()>,
-}
-
-impl NodeProxy {
-    /// Creates a proxy for `node_id` over `transport`.
-    pub fn new(node_id: impl Into<String>, transport: impl Transport + 'static) -> Self {
-        Self::from_arc(node_id, Arc::new(transport))
-    }
-
-    /// Creates a proxy over an already-shared transport object.
-    pub fn from_arc(node_id: impl Into<String>, transport: Arc<dyn Transport>) -> Self {
-        Self {
-            node_id: node_id.into(),
-            transport,
-            lock: Mutex::new(()),
-        }
-    }
-
-    /// Calls a procedure with a caller-chosen idempotency key, appended as
-    /// the trailing `{__idem: key}` struct parameter. A retry that reuses
-    /// the key is deduplicated server-side (see
-    /// [`ServerRegistry::dispatch`]): the recorded response is replayed
-    /// and the procedure is not executed again.
-    pub fn call_idempotent(
-        &self,
-        method: &str,
-        mut params: Vec<Value>,
-        key: &str,
-    ) -> Result<Value, RpcError> {
-        params.push(Value::Struct(vec![(
-            IDEMPOTENCY_MEMBER.into(),
-            Value::str(key),
-        )]));
-        self.call(method, params)
-    }
-
-    /// Calls a procedure on the node, holding the node lock for the
-    /// duration of the call. A transport that panics is contained here
-    /// and surfaces as [`RpcError::Io`]; the node lock is released either
-    /// way (it does not poison).
-    pub fn call(&self, method: &str, params: Vec<Value>) -> Result<Value, RpcError> {
-        let _guard = self.lock.lock();
-        let call = MethodCall::new(method, params);
-        let outcome = catch_unwind(AssertUnwindSafe(|| self.transport.call(&call)));
-        match outcome {
-            Ok(result) => response_to_result(result?),
-            Err(panic) => Err(RpcError::Io(format!(
-                "transport panicked during '{}': {}",
-                method,
-                panic_message(panic.as_ref())
-            ))),
-        }
-    }
-
-    /// Endpoint description of the underlying transport.
-    pub fn endpoint(&self) -> String {
-        self.transport.endpoint()
-    }
-
-    /// Closes the underlying transport.
-    pub fn close(&self) {
-        self.transport.close();
+        let request = MethodCall::new(method, params).to_xml();
+        let response = self.server.lock().handle_wire(&request);
+        MethodResponse::from_xml(&response)
+            .map_err(|e| RpcError::Codec(e.to_string()))?
+            .into_result()
+            .map_err(RpcError::from)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reactor::NodeProxy;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// `params` plus the trailing `{__idem: key}` struct of a keyed call.
+    fn keyed(mut params: Vec<Value>, key: &str) -> Vec<Value> {
+        params.push(Value::Struct(vec![(
+            IDEMPOTENCY_MEMBER.into(),
+            Value::str(key),
+        )]));
+        params
+    }
 
     fn echo_registry() -> ServerRegistry {
         let mut reg = ServerRegistry::new();
@@ -535,21 +431,21 @@ mod tests {
         reg.register("bump", move |_| {
             Ok(Value::Int(c2.fetch_add(1, Ordering::SeqCst) as i32))
         });
-        let proxy = NodeProxy::new("t9-105", Channel::new(reg));
+        let ch = Channel::new(reg);
         // Same key: executed once, identical response replayed.
         assert_eq!(
-            proxy.call_idempotent("bump", vec![], "0:0:1").unwrap(),
+            ch.call("bump", keyed(vec![], "0:0:1")).unwrap(),
             Value::Int(0)
         );
         assert_eq!(
-            proxy.call_idempotent("bump", vec![], "0:0:1").unwrap(),
+            ch.call("bump", keyed(vec![], "0:0:1")).unwrap(),
             Value::Int(0),
             "retry must replay, not re-execute"
         );
         assert_eq!(counter.load(Ordering::SeqCst), 1);
         // A fresh key executes again.
         assert_eq!(
-            proxy.call_idempotent("bump", vec![], "0:0:2").unwrap(),
+            ch.call("bump", keyed(vec![], "0:0:2")).unwrap(),
             Value::Int(1)
         );
         assert_eq!(counter.load(Ordering::SeqCst), 2);
@@ -562,15 +458,11 @@ mod tests {
         let mut reg = ServerRegistry::new();
         reg.register("echo", |params| Ok(Value::Array(params.to_vec())));
         reg.set_observer(move |call| s2.lock().push(call.params.len()));
-        let proxy = NodeProxy::new("t9-105", Channel::new(reg));
-        let first = proxy
-            .call_idempotent("echo", vec![Value::Int(7)], "k")
-            .unwrap();
+        let ch = Channel::new(reg);
+        let first = ch.call("echo", keyed(vec![Value::Int(7)], "k")).unwrap();
         // The handler never sees the trailing key struct.
         assert_eq!(first, Value::Array(vec![Value::Int(7)]));
-        let replay = proxy
-            .call_idempotent("echo", vec![Value::Int(7)], "k")
-            .unwrap();
+        let replay = ch.call("echo", keyed(vec![Value::Int(7)], "k")).unwrap();
         assert_eq!(replay, first);
         // One observer entry with the stripped arity: the action log is
         // identical to a fault-free execution.
@@ -586,9 +478,9 @@ mod tests {
             c2.fetch_add(1, Ordering::SeqCst);
             Err(Fault::new(99, "always fails"))
         });
-        let proxy = NodeProxy::new("t9-105", Channel::new(reg));
+        let ch = Channel::new(reg);
         for _ in 0..3 {
-            match proxy.call_idempotent("flaky", vec![], "k1") {
+            match ch.call("flaky", keyed(vec![], "k1")) {
                 Err(RpcError::Fault(f)) => assert_eq!(f.code, 99),
                 other => panic!("{other:?}"),
             }
@@ -608,18 +500,16 @@ mod tests {
         reg.register("bump", move |_| {
             Ok(Value::Int(c2.fetch_add(1, Ordering::SeqCst) as i32))
         });
-        let proxy = NodeProxy::new("t9-105", Channel::new(reg));
+        let ch = Channel::new(reg);
         for i in 0..=IDEMPOTENCY_CACHE_CAP {
-            proxy
-                .call_idempotent("bump", vec![], &format!("k{i}"))
-                .unwrap();
+            ch.call("bump", keyed(vec![], &format!("k{i}"))).unwrap();
         }
         // Key k0 was evicted to admit the CAP+1st entry: replaying it
         // executes again. A recent key still replays.
         let executed = counter.load(Ordering::SeqCst);
-        proxy.call_idempotent("bump", vec![], "k1").unwrap();
+        ch.call("bump", keyed(vec![], "k1")).unwrap();
         assert_eq!(counter.load(Ordering::SeqCst), executed);
-        proxy.call_idempotent("bump", vec![], "k0").unwrap();
+        ch.call("bump", keyed(vec![], "k0")).unwrap();
         assert_eq!(counter.load(Ordering::SeqCst), executed + 1);
     }
 
@@ -697,44 +587,5 @@ mod tests {
                 .unwrap(),
             Value::Int(3)
         );
-    }
-
-    #[test]
-    fn panicking_transport_releases_the_node_lock() {
-        struct Bomb {
-            armed: std::sync::atomic::AtomicBool,
-            inner: Channel,
-        }
-        impl Transport for Bomb {
-            fn call(&self, call: &MethodCall) -> Result<MethodResponse, RpcError> {
-                if self.armed.swap(false, Ordering::SeqCst) {
-                    panic!("wire melted");
-                }
-                Transport::call(&self.inner, call)
-            }
-        }
-        let bomb = Bomb {
-            armed: std::sync::atomic::AtomicBool::new(true),
-            inner: Channel::new(echo_registry()),
-        };
-        let proxy = NodeProxy::new("t9-105", bomb);
-        match proxy.call("echo", vec![]) {
-            Err(RpcError::Io(m)) => assert!(m.contains("wire melted"), "{m}"),
-            other => panic!("{other:?}"),
-        }
-        // The poisoned first call must not wedge the per-node lock.
-        proxy.call("echo", vec![Value::Int(7)]).unwrap();
-    }
-
-    #[test]
-    fn transport_object_is_usable_behind_dyn() {
-        let t: Arc<dyn Transport> = Arc::new(Channel::new(echo_registry()));
-        let proxy = NodeProxy::from_arc("t9-105", Arc::clone(&t));
-        assert_eq!(proxy.endpoint(), "memory");
-        let resp = t
-            .call(&MethodCall::new("add", vec![Value::Int(4), Value::Int(5)]))
-            .unwrap();
-        assert_eq!(response_to_result(resp).unwrap(), Value::Int(9));
-        proxy.close();
     }
 }

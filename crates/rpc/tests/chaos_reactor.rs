@@ -42,7 +42,7 @@ fn ping(key: &str) -> Vec<NodeCall> {
         node_id: "n0".into(),
         method: "ping".into(),
         params: vec![Value::str(key)],
-        idem_key: key.into(),
+        idem_key: Some(key.into()),
     }]
 }
 

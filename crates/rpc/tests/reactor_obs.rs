@@ -53,7 +53,7 @@ fn dispatch_delta(transport: &str, mut reactor: Reactor) -> [u64; 4] {
             node_id: format!("n{i}"),
             method: "run_init".into(),
             params: vec![],
-            idem_key: format!("0:0:{i}"),
+            idem_key: Some(format!("0:0:{i}")),
         })
         .collect();
     let outcomes = reactor.dispatch(calls, &RetryPolicy::none());
@@ -128,7 +128,7 @@ fn a_thousand_node_flat_dispatch_answers_in_input_order() {
             node_id: format!("n{i:04}"),
             method: "run_init".into(),
             params: vec![Value::Int(7)],
-            idem_key: format!("0:0:{i}"),
+            idem_key: Some(format!("0:0:{i}")),
         })
         .collect();
     let answers: Vec<Value> = reactor

@@ -4,18 +4,18 @@
 use std::path::Path;
 
 use excovery_rpc::{
-    job, pack_plan, pack_submit, response_to_result, unpack_frame, unpack_results_page,
-    unpack_status, unpack_status_list, unpack_submit_response, JobId, JobResults, JobStatus,
-    MethodCall, PlanSpec, RpcError, SubmitRequest, TcpOptions, TcpTransport, Transport, Value,
-    WireFrame,
+    job, pack_plan, pack_submit, unpack_frame, unpack_results_page, unpack_status,
+    unpack_status_list, unpack_submit_response, JobId, JobResults, JobStatus, MethodCall,
+    NodeProxy, PlanSpec, RpcError, SubmitRequest, TcpOptions, TcpTransport, Value, WireFrame,
 };
 
 use crate::server::read_endpoint;
 use crate::ServerError;
 
-/// A connection to a running experiment server.
+/// A connection to a running experiment server: one [`NodeProxy`] link,
+/// so calls are serialized, single-attempt and unkeyed.
 pub struct ServerClient {
-    transport: TcpTransport,
+    proxy: NodeProxy,
 }
 
 impl ServerClient {
@@ -29,7 +29,7 @@ impl ServerClient {
             ..TcpOptions::default()
         };
         Ok(ServerClient {
-            transport: TcpTransport::connect(addr, opts)?,
+            proxy: NodeProxy::new(addr, TcpTransport::connect(addr, opts)?),
         })
     }
 
@@ -39,30 +39,27 @@ impl ServerClient {
         Self::connect(&read_endpoint(root)?)
     }
 
-    fn call(&self, call: MethodCall) -> Result<Value, ServerError> {
-        let resp = self.transport.call(&call)?;
-        Ok(response_to_result(resp)?)
+    fn call(&self, method: &str, params: Vec<Value>) -> Result<Value, ServerError> {
+        Ok(self.proxy.call(method, params)?)
     }
 
     /// Submits a campaign; returns `(job id, created)`. `created` is
     /// `false` when the submit key dedup'd to an earlier job.
     pub fn submit(&self, req: &SubmitRequest) -> Result<(JobId, bool), ServerError> {
-        let v = self.call(pack_submit(req))?;
+        let MethodCall { method, params } = pack_submit(req);
+        let v = self.call(&method, params)?;
         Ok(unpack_submit_response(&v)?)
     }
 
     /// One job's status.
     pub fn status(&self, id: JobId) -> Result<JobStatus, ServerError> {
-        let v = self.call(MethodCall::new(
-            job::JOB_STATUS,
-            vec![Value::str(id.to_string())],
-        ))?;
+        let v = self.call(job::JOB_STATUS, vec![Value::str(id.to_string())])?;
         Ok(unpack_status(&v)?)
     }
 
     /// All jobs' statuses, in id order.
     pub fn list(&self) -> Result<Vec<JobStatus>, ServerError> {
-        let v = self.call(MethodCall::new(job::JOB_LIST, Vec::new()))?;
+        let v = self.call(job::JOB_LIST, Vec::new())?;
         Ok(unpack_status_list(&v)?)
     }
 
@@ -72,13 +69,13 @@ impl ServerClient {
     pub fn results(&self, id: JobId) -> Result<JobResults, ServerError> {
         let mut package = Vec::new();
         loop {
-            let v = self.call(MethodCall::new(
+            let v = self.call(
                 job::JOB_RESULTS,
                 vec![
                     Value::str(id.to_string()),
                     Value::str(package.len().to_string()),
                 ],
-            ))?;
+            )?;
             let page = unpack_results_page(&v)?;
             if page.offset != package.len() as u64 {
                 return Err(ServerError::Rpc(RpcError::Codec(format!(
@@ -104,34 +101,25 @@ impl ServerClient {
 
     /// Table names of a completed job's package.
     pub fn tables(&self, id: JobId) -> Result<Vec<String>, ServerError> {
-        let v = self.call(MethodCall::new(
-            job::QUERY_TABLES,
-            vec![Value::str(id.to_string())],
-        ))?;
-        match &v {
-            Value::Array(items) => items
-                .iter()
-                .map(|t| {
-                    t.as_str().map(str::to_string).ok_or_else(|| {
-                        ServerError::Rpc(excovery_rpc::RpcError::Codec(
-                            "query.tables: non-string table name".into(),
-                        ))
-                    })
-                })
-                .collect(),
-            _ => Err(ServerError::Rpc(excovery_rpc::RpcError::Codec(
-                "query.tables: expected an array".into(),
-            ))),
-        }
+        let v = self.call(job::QUERY_TABLES, vec![Value::str(id.to_string())])?;
+        let names = v.as_array().and_then(|items| {
+            let names = items.iter().map(|t| t.as_str().map(str::to_string));
+            names.collect::<Option<Vec<String>>>()
+        });
+        names.ok_or_else(|| {
+            ServerError::Rpc(RpcError::Codec(
+                "query.tables: expected an array of table names".into(),
+            ))
+        })
     }
 
     /// Runs a serialized query plan server-side against a completed
     /// job's package.
     pub fn query(&self, id: JobId, plan: &PlanSpec) -> Result<WireFrame, ServerError> {
-        let v = self.call(MethodCall::new(
+        let v = self.call(
             job::QUERY_RUN,
             vec![Value::str(id.to_string()), pack_plan(plan)],
-        ))?;
+        )?;
         Ok(unpack_frame(&v)?)
     }
 }

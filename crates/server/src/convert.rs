@@ -1,11 +1,9 @@
 //! Bridges between the rpc wire types and the query crate.
 //!
-//! Historically this module hand-mapped a second plan dialect
-//! (`FilterSpec`, a private `AggOp` match) onto the query builder; that
-//! duplicate vocabulary is gone. [`excovery_rpc::PlanSpec`] is the one
-//! serializable logical-plan type, and the query crate itself owns every
-//! conversion — this module only re-exports them and adapts error types,
-//! so the server cannot drift from local execution semantics.
+//! [`excovery_rpc::PlanSpec`] is the one serializable logical-plan type,
+//! and the query crate itself owns every conversion — this module only
+//! re-exports them and adapts error types, so the server cannot drift
+//! from local execution semantics.
 
 use excovery_query::Dataset;
 use excovery_rpc::{PlanSpec, WireFrame};

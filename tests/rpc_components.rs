@@ -7,13 +7,25 @@ use excovery::engine::nodemanager::NodeManager;
 use excovery::netsim::sim::SimulatorConfig;
 use excovery::netsim::topology::Topology;
 use excovery::netsim::{NodeId, SimDuration, Simulator};
-use excovery::rpc::{MethodCall, MethodResponse, Value};
+use excovery::rpc::{Channel, MethodCall, MethodResponse, NodeProxy, Value};
 use excovery::sd::SdConfig;
 use excovery_obs::sync::Mutex;
 use std::sync::Arc;
 
 fn platform() -> excovery::desc::PlatformSpec {
     excovery::desc::ExperimentDescription::paper_two_party_sd(1).platform
+}
+
+/// The master-side node object for `node`: a proxy over its NodeManager's
+/// registry.
+fn node_proxy(
+    node: NodeId,
+    pid: &str,
+    sim: Arc<Mutex<Simulator>>,
+    binding: Arc<PlatformBinding>,
+) -> NodeProxy {
+    let reg = NodeManager::registry(node, pid, sim, binding, SdConfig::two_party());
+    NodeProxy::new(pid, Channel::new(reg))
 }
 
 #[test]
@@ -24,7 +36,7 @@ fn nodemanager_exposes_the_fig12_procedure_families() {
         Topology::grid(3, 2),
         SimulatorConfig::perfect_clocks(1),
     )));
-    let proxy = NodeManager::spawn(NodeId(0), "t9-157", sim, binding, SdConfig::two_party());
+    let proxy = node_proxy(NodeId(0), "t9-157", sim, binding);
     // Management actions.
     for m in [
         "experiment_init",
@@ -67,13 +79,7 @@ fn concurrent_master_threads_serialize_on_the_node_lock() {
         Topology::grid(3, 2),
         SimulatorConfig::perfect_clocks(2),
     )));
-    let proxy = Arc::new(NodeManager::spawn(
-        NodeId(0),
-        "t9-157",
-        Arc::clone(&sim),
-        binding,
-        SdConfig::two_party(),
-    ));
+    let proxy = Arc::new(node_proxy(NodeId(0), "t9-157", Arc::clone(&sim), binding));
     proxy.call("experiment_init", vec![]).unwrap();
     let mut handles = Vec::new();
     for i in 0..8 {
@@ -108,20 +114,8 @@ fn sd_actions_drive_the_protocol_through_rpc() {
         Topology::grid(3, 2),
         SimulatorConfig::perfect_clocks(3),
     )));
-    let sm = NodeManager::spawn(
-        NodeId(0),
-        "t9-157",
-        Arc::clone(&sim),
-        Arc::clone(&binding),
-        SdConfig::two_party(),
-    );
-    let su = NodeManager::spawn(
-        NodeId(1),
-        "t9-105",
-        Arc::clone(&sim),
-        Arc::clone(&binding),
-        SdConfig::two_party(),
-    );
+    let sm = node_proxy(NodeId(0), "t9-157", Arc::clone(&sim), Arc::clone(&binding));
+    let su = node_proxy(NodeId(1), "t9-105", Arc::clone(&sim), binding);
     for p in [&sm, &su] {
         p.call("experiment_init", vec![]).unwrap();
     }
