@@ -180,9 +180,13 @@ pub(crate) struct Shard {
     pub time: SimTime,
     pub stats: SimStats,
     pub events_executed: u64,
-    /// Flood duplicate suppression, keyed `(packet, destination node)` —
-    /// only ever touched by events at nodes this shard owns.
-    pub flood_seen: FastHashSet<(PacketId, u16)>,
+    /// Flood duplicate suppression: per flooded packet, one bit per owned
+    /// node (indexed by [`ShardMap::local_index`]), set on its first
+    /// arrival. Only ever touched by events at nodes this shard owns.
+    /// Costs `nodes.len() / 64` words per packet that reaches the shard,
+    /// which beats a `(packet, node)` hash set (~20 bytes per entry) unless
+    /// the flood reaches fewer than ~1/160 of the shard's nodes.
+    pub flood_seen: FastHashMap<PacketId, Box<[u64]>>,
     /// Live timer instances per `(node, port, token)`.
     pub active_timers: FastHashMap<(u16, Port, u64), FastHashSet<u64>>,
     /// Emitted protocol events with their `(reference time, global key)`;
@@ -216,7 +220,7 @@ impl Shard {
             time: SimTime::ZERO,
             stats: SimStats::default(),
             events_executed: 0,
-            flood_seen: FastHashSet::default(),
+            flood_seen: FastHashMap::default(),
             active_timers: FastHashMap::default(),
             protocol_events: Vec::new(),
             crossings_out: 0,

@@ -178,8 +178,9 @@ impl<'a> AgentCtx<'a> {
 #[derive(Debug)]
 pub(crate) enum Ev {
     /// A unicast packet finishes crossing the link `from → to`.
-    /// `path` is the full route shared with the routing cache; `next` is
-    /// the index into it of the hop after `to` (`path.len()` at the end).
+    /// `path` is the full route, shared by every hop of the packet;
+    /// `next` is the index into it of the hop after `to` (`path.len()` at
+    /// the end).
     UnicastTransit {
         packet: Packet,
         from: NodeId,
@@ -369,6 +370,23 @@ impl Shard {
         }
     }
 
+    /// Marks that the flooded `packet` reached `node`; false if it had
+    /// already.
+    #[inline]
+    fn mark_flood_seen(&mut self, ctx: &SimCtx, packet: PacketId, node: NodeId) -> bool {
+        debug_assert_eq!(ctx.map.shard_of(node), self.id, "foreign node access");
+        let words = self.nodes.len().div_ceil(64);
+        let seen = self
+            .flood_seen
+            .entry(packet)
+            .or_insert_with(|| vec![0; words].into_boxed_slice());
+        let i = ctx.map.local_index(node);
+        let (word, bit) = (&mut seen[i / 64], 1u64 << (i % 64));
+        let first = *word & bit == 0;
+        *word |= bit;
+        first
+    }
+
     /// Pops and executes the earliest event of this shard's queue.
     pub(crate) fn process_one(&mut self, ctx: &SimCtx, mail: &MailboxGrid<Ev>) -> bool {
         let Some((due, ev)) = self.queue.pop() else {
@@ -432,26 +450,24 @@ impl Shard {
         f: impl FnOnce(&mut dyn Agent, &mut AgentCtx),
     ) {
         let now = self.time;
-        let n = self.node_mut(ctx, node);
-        let Some(mut agent) = n.agents.remove(&port) else {
+        let SimNode {
+            agents, clock, rng, ..
+        } = self.node_mut(ctx, node);
+        let Some(agent) = agents.get_mut(&port) else {
             return;
         };
-        let local_now = n.clock.local_time(now);
         let mut actx = AgentCtx {
             now,
-            local_now,
+            local_now: clock.local_time(now),
             node,
             actions: Vec::new(),
             events: Vec::new(),
-            rng: &mut n.rng,
+            rng,
         };
         f(agent.as_mut(), &mut actx);
         let AgentCtx {
             actions, events, ..
         } = actx;
-        // Reinstall unless the agent replaced/removed itself meanwhile
-        // (it cannot — only the simulator mutates the map — so insert).
-        n.agents.insert(port, agent);
         for pe in events {
             let key = self.node_mut(ctx, node).next_key();
             self.protocol_events.push((now, key, pe));
@@ -618,14 +634,13 @@ impl Shard {
                     self.stats.dropped_loss += 1; // unroutable
                     return;
                 };
-                // path = [src, h1, ..., final]; transmit to h1. The route is
-                // a shared slice from the routing cache — no per-packet copy.
-                let path = Arc::clone(path);
+                // path = [src, h1, ..., final]; transmit to h1. Every hop
+                // of this packet shares the one route allocation.
                 let first = path[1];
                 self.transmit_hop(ctx, mail, packet, src, first, path, 2, extra);
             }
             Destination::Multicast | Destination::Broadcast => {
-                self.flood_seen.insert((packet.id, src.0));
+                self.mark_flood_seen(ctx, packet.id, src);
                 let packet = Arc::new(packet);
                 self.flood_from(ctx, mail, &packet, src, None, extra);
             }
@@ -824,7 +839,7 @@ impl Shard {
         from: NodeId,
         to: NodeId,
     ) {
-        if !self.flood_seen.insert((packet.id, to.0)) {
+        if !self.mark_flood_seen(ctx, packet.id, to) {
             self.stats.duplicates += 1;
             return;
         }
@@ -1041,8 +1056,8 @@ impl Simulator {
         &self.topology
     }
 
-    /// The routing table (paths resolved lazily per source, adjacency
-    /// shared as `Arc<[NodeId]>`; the topology is static).
+    /// The routing table (BFS parent trees built lazily per source,
+    /// adjacency shared as `Arc<[NodeId]>`; the topology is static).
     pub fn routing(&self) -> &RoutingTable {
         &self.routing
     }
@@ -1239,7 +1254,7 @@ impl Simulator {
 
     /// Hop count between two nodes (the paper's topology measurement).
     pub fn hop_count(&self, a: NodeId, b: NodeId) -> Option<u32> {
-        self.topology.hop_count(a, b)
+        self.routing.hop_count(a, b)
     }
 
     // ---- background load (traffic generator hook) --------------------------

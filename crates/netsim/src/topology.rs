@@ -241,18 +241,20 @@ fn dist(a: (f64, f64), b: (f64, f64)) -> f64 {
 
 /// Lazily precomputed all-pairs routing for a static [`Topology`].
 ///
-/// The simulator used to run a BFS per unicast send and clone neighbor
-/// `Vec`s per flood fan-out. A topology never changes during an experiment,
-/// so both are cached here: every shortest path and every adjacency list is
-/// materialized as a shared `Arc<[NodeId]>` slice. In-flight packets hold an
-/// `Arc` clone of their route — forwarding advances an index into the shared
-/// slice and never allocates.
+/// A topology never changes during an experiment, so routes and adjacency
+/// are computed once here. Each source's routes are kept as its BFS parent
+/// tree: one `u16` per node, n × 2 bytes per source that is used (32 MiB
+/// for every source of a 4096-node grid). A path is rebuilt by walking the
+/// parents back from the destination — one `Arc<[NodeId]>` allocation per
+/// unicast send. In-flight packets hold that `Arc`; forwarding advances an
+/// index into it and never allocates. Adjacency lists are shared
+/// `Arc<[NodeId]>` slices, so a flood fan-out copies nothing.
 ///
 /// Rows are built *on first use*, one source node at a time, behind a
-/// [`OnceLock`]: a flood-only experiment on a 100×100 grid never pays for
-/// (or stores) 10⁸ unicast paths, while a unicast sweep amortizes each BFS
-/// across every packet from that source. `OnceLock` keeps lookups `&self`,
-/// so concurrent shard workers share the table without coordination beyond
+/// [`OnceLock`]: a flood-only experiment on a 100×100 grid never runs (or
+/// stores) a routing BFS, while a unicast sweep amortizes each BFS across
+/// every packet from that source. `OnceLock` keeps lookups `&self`, so
+/// concurrent shard workers share the table without coordination beyond
 /// the first builder of a row winning the publish.
 ///
 /// Paths are bit-identical to [`Topology::shortest_path`]: both derive from
@@ -262,77 +264,87 @@ fn dist(a: (f64, f64), b: (f64, f64)) -> f64 {
 /// destination's parent has been fixed, which cannot change the result.
 #[derive(Debug, Clone)]
 pub struct RoutingTable {
-    n: usize,
-    /// One lazily-built row per source node: `rows[src][dst]`.
-    rows: Vec<OnceLock<RouteRow>>,
+    /// One lazily-built parent row per source node: `rows[src][dst]`.
+    rows: Vec<OnceLock<ParentRow>>,
     /// Shared adjacency lists, same order as [`Topology::neighbors`].
     neighbors: Vec<Arc<[NodeId]>>,
 }
 
-/// The routes from one source: `row[dst]` is the path, `None` if
-/// unreachable.
-type RouteRow = Box<[Option<Arc<[NodeId]>>]>;
+/// The BFS tree of one source: `row[dst]` is the node before `dst` on the
+/// route from the source, or [`NO_PARENT`] for the source itself and for
+/// unreachable nodes.
+type ParentRow = Box<[u16]>;
+
+/// Parent sentinel. [`RoutingTable::new`] refuses topologies of more than
+/// `u16::MAX` nodes, so ids run up to `u16::MAX - 1` and no real node
+/// carries this one.
+const NO_PARENT: u16 = u16::MAX;
 
 impl RoutingTable {
     /// Builds the table shell; per-source BFS rows are computed on demand.
+    ///
+    /// # Panics
+    /// If the topology has more than `u16::MAX` nodes: the last id would
+    /// collide with the parent sentinel.
     pub fn new(topology: &Topology) -> Self {
         let n = topology.len();
+        assert!(
+            n <= u16::MAX as usize,
+            "routing supports at most {} nodes, topology has {n}",
+            u16::MAX
+        );
         let neighbors = (0..n)
             .map(|i| Arc::from(topology.neighbors(NodeId(i as u16))))
             .collect();
         Self {
-            n,
             rows: (0..n).map(|_| OnceLock::new()).collect(),
             neighbors,
         }
     }
 
-    /// One full BFS from `src`, reconstructing the path to every node.
-    fn build_row(&self, src: NodeId) -> RouteRow {
-        let n = self.n;
+    /// One full BFS from `src`, recording every reached node's parent.
+    fn build_row(&self, src: NodeId) -> ParentRow {
         let s = src.0 as usize;
-        let mut parent: Vec<Option<NodeId>> = vec![None; n];
-        let mut seen = vec![false; n];
-        let mut queue = VecDeque::new();
-        seen[s] = true;
-        queue.push_back(src);
-        while let Some(u) = queue.pop_front() {
+        let mut parent = vec![NO_PARENT; self.neighbors.len()];
+        // The source is its own parent while the BFS runs, which marks it
+        // seen; it gets the sentinel once the tree is complete.
+        parent[s] = src.0;
+        let mut queue = Vec::with_capacity(parent.len());
+        queue.push(src);
+        let mut head = 0;
+        while let Some(&u) = queue.get(head) {
+            head += 1;
             for &v in self.neighbors[u.0 as usize].iter() {
-                if !seen[v.0 as usize] {
-                    seen[v.0 as usize] = true;
-                    parent[v.0 as usize] = Some(u);
-                    queue.push_back(v);
+                if parent[v.0 as usize] == NO_PARENT {
+                    parent[v.0 as usize] = u.0;
+                    queue.push(v);
                 }
             }
         }
-        let mut row: Vec<Option<Arc<[NodeId]>>> = vec![None; n];
-        let mut scratch: Vec<NodeId> = Vec::new();
-        for d in 0..n {
-            if d == s {
-                row[d] = Some(Arc::from([src] as [NodeId; 1]));
-                continue;
-            }
-            if !seen[d] {
-                continue; // unreachable
-            }
-            scratch.clear();
-            let mut cur = NodeId(d as u16);
-            scratch.push(cur);
-            while let Some(p) = parent[cur.0 as usize] {
-                scratch.push(p);
-                cur = p;
-            }
-            scratch.reverse();
-            row[d] = Some(Arc::from(scratch.as_slice()));
-        }
-        row.into_boxed_slice()
+        parent[s] = NO_PARENT;
+        parent.into_boxed_slice()
     }
 
-    /// Cached shortest path from `a` to `b` (inclusive); `None` if
-    /// disconnected. Identical to [`Topology::shortest_path`].
-    pub fn path(&self, a: NodeId, b: NodeId) -> Option<&Arc<[NodeId]>> {
-        let row = self.rows[a.0 as usize].get_or_init(|| self.build_row(a));
-        row[b.0 as usize].as_ref()
+    fn row(&self, src: NodeId) -> &[u16] {
+        self.rows[src.0 as usize].get_or_init(|| self.build_row(src))
+    }
+
+    /// Shortest path from `a` to `b` (inclusive), rebuilt from `a`'s cached
+    /// BFS tree; `None` if disconnected. Identical to
+    /// [`Topology::shortest_path`].
+    pub fn path(&self, a: NodeId, b: NodeId) -> Option<Arc<[NodeId]>> {
+        let hops = self.hop_count(a, b)? as usize;
+        let row = self.row(a);
+        // `repeat_n` has an exact length, so the `Arc` is allocated once
+        // and then filled in place from the destination back.
+        let mut path: Arc<[NodeId]> = std::iter::repeat_n(b, hops + 1).collect();
+        let slots = Arc::get_mut(&mut path).expect("a fresh Arc is unique");
+        let mut cur = b.0;
+        for slot in slots[..hops].iter_mut().rev() {
+            cur = row[cur as usize];
+            *slot = NodeId(cur);
+        }
+        Some(path)
     }
 
     /// Shared adjacency list of `node`, same order as
@@ -341,9 +353,23 @@ impl RoutingTable {
         &self.neighbors[node.0 as usize]
     }
 
-    /// Hop count along the cached path; `None` if disconnected.
+    /// Hop count along the cached BFS tree (parent steps from `b` back to
+    /// `a`); `None` if disconnected.
     pub fn hop_count(&self, a: NodeId, b: NodeId) -> Option<u32> {
-        self.path(a, b).map(|p| p.len() as u32 - 1)
+        if a == b {
+            return Some(0);
+        }
+        let row = self.row(a);
+        let mut hops = 0;
+        let mut cur = b.0;
+        while cur != a.0 {
+            cur = row[cur as usize];
+            if cur == NO_PARENT {
+                return None;
+            }
+            hops += 1;
+        }
+        Some(hops)
     }
 }
 
@@ -459,6 +485,31 @@ mod tests {
                 assert_eq!(&table.neighbors(a)[..], topo.neighbors(a));
             }
         }
+    }
+
+    #[test]
+    fn routing_table_reaches_the_largest_node_id() {
+        // 65535 nodes: the last id is `u16::MAX - 1`, one below the sentinel.
+        let topo = Topology::chain(u16::MAX as usize);
+        let table = RoutingTable::new(&topo);
+        let last = NodeId(u16::MAX - 1);
+        assert_eq!(
+            table.hop_count(NodeId(0), last),
+            Some(u32::from(u16::MAX) - 1)
+        );
+        assert_eq!(
+            table.hop_count(last, NodeId(0)),
+            Some(u32::from(u16::MAX) - 1)
+        );
+        let path = table.path(last, NodeId(0)).unwrap();
+        assert_eq!(path.len(), u16::MAX as usize);
+        assert_eq!((path[0], path[path.len() - 1]), (last, NodeId(0)));
+    }
+
+    #[test]
+    #[should_panic(expected = "routing supports at most 65535 nodes, topology has 65536")]
+    fn routing_table_rejects_a_node_id_equal_to_the_sentinel() {
+        RoutingTable::new(&Topology::grid(256, 256));
     }
 
     #[test]

@@ -139,9 +139,9 @@ impl TrafficGenerator {
         // Bidirectional CBR on an undirected link model: 2× rate offered.
         let per_link = 2.0 * self.spec.rate_kbps;
         for &(a, b) in &self.pairs {
-            // Cached route from the routing table — identical to a fresh
-            // BFS, without the per-start path computation.
-            let Some(path) = sim.routing().path(a, b).cloned() else {
+            // Rebuilt from the routing table's cached BFS tree — identical
+            // to a fresh BFS, without running one per start.
+            let Some(path) = sim.routing().path(a, b) else {
                 continue;
             };
             for w in path.windows(2) {

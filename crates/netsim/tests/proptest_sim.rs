@@ -1,12 +1,13 @@
 //! Property tests for the simulator substrate: determinism over random
-//! workloads, topology invariants, tagger stream reconstruction, and the
-//! event queue's ordering contract against a `BTreeMap` model.
+//! workloads, topology invariants, cached routes against a fresh BFS,
+//! tagger stream reconstruction, and the event queue's ordering contract
+//! against a `BTreeMap` model.
 
 use excovery_netsim::event::EventQueue;
 use excovery_netsim::sim::{SimStats, Simulator, SimulatorConfig};
 use excovery_netsim::tagger::{analyze_stream, Tagger};
 use excovery_netsim::time::SimTime;
-use excovery_netsim::topology::Topology;
+use excovery_netsim::topology::{RoutingTable, Topology};
 use excovery_netsim::{Destination, NodeId, Payload};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -171,5 +172,46 @@ proptest! {
         let last_idx = all.iter().position(|t| *t == *kept.last().unwrap()).unwrap();
         let expected_lost = (last_idx - first_idx + 1) - kept.len();
         prop_assert_eq!(stats.lost as usize, expected_lost);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The routing table's parent-tree routes and hop counts equal a fresh
+    /// BFS for every pair — `a == b` and unreachable pairs included — on
+    /// grids and on random geometric graphs of 2–300 nodes. `spread`
+    /// scales the square's side: small values give dense connected
+    /// meshes, large ones fragments and isolated nodes.
+    #[test]
+    fn routing_table_equals_fresh_bfs(
+        grid in any::<bool>(),
+        w in 1usize..21,
+        h in 2usize..16,
+        n in 2usize..301,
+        spread in 0.2f64..1.2,
+        seed in any::<u64>(),
+    ) {
+        let topo = if grid {
+            Topology::grid(w, h)
+        } else {
+            let mut rng = excovery_rng::StdRng::seed_from_u64(seed);
+            Topology::random_geometric(n, (n as f64).sqrt() * spread, 1.0, &mut rng)
+        };
+        let table = RoutingTable::new(&topo);
+        for a in topo.nodes() {
+            prop_assert_eq!(&table.neighbors(a)[..], topo.neighbors(a));
+            let hops = topo.hop_counts_from(a);
+            for b in topo.nodes() {
+                let path = table.path(a, b);
+                prop_assert_eq!(
+                    path.as_ref().map(|p| p.to_vec()),
+                    topo.shortest_path(a, b),
+                    "path {}->{}", a, b
+                );
+                prop_assert_eq!(table.hop_count(a, b), hops[b.0 as usize]);
+                prop_assert_eq!(table.hop_count(a, b), path.map(|p| p.len() as u32 - 1));
+            }
+        }
     }
 }
