@@ -12,6 +12,7 @@ use excovery_core::{EngineConfig, ExperiMaster};
 use excovery_desc::process::{ProcessAction, ValueRef};
 use excovery_netsim::topology::Topology;
 use excovery_netsim::NodeId;
+use excovery_store::CellRef;
 
 fn main() -> Result<(), String> {
     println!("packet-tagger validation: configured vs tag-gap-estimated loss\n");
@@ -86,10 +87,11 @@ fn main() -> Result<(), String> {
             .table("ExtraRunMeasurements")
             .map_err(|e| e.to_string())?
             .rows()
-            .iter()
-            .find(|row| row[2].as_text() == Some("load_2_3"))
-            .and_then(|row| row[3].as_blob())
-            .and_then(|b| std::str::from_utf8(b).ok())
+            .find(|row| row.get(2) == CellRef::Text("load_2_3"))
+            .and_then(|row| match row.get(3) {
+                CellRef::Blob(b) => std::str::from_utf8(b).ok(),
+                _ => None,
+            })
             .and_then(|t| t.parse().ok())
             .unwrap_or(0.0);
         let expected = 1.0 - (1.0 - loss) * (-model_k * (probed_load / model_cap).min(0.95)).exp();

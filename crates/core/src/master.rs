@@ -39,7 +39,7 @@ use excovery_sd::{Architecture, SdConfig};
 use excovery_store::level2::Level2Store;
 use excovery_store::records::{EventRow, ExperimentInfo, PacketRow, RunInfoRow};
 use excovery_store::schema::{create_level3_database, EE_VERSION};
-use excovery_store::{Database, JsonValue, SqlValue};
+use excovery_store::{CellRef, Database, JsonValue, SqlValue};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -421,23 +421,23 @@ impl ExperimentOutcome {
             eat(name.as_bytes());
             let table = self.database.table(name).expect("listed table exists");
             for row in table.rows() {
-                for value in row {
-                    match value {
-                        SqlValue::Null => eat(b"\x00"),
-                        SqlValue::Int(i) => {
+                for c in 0..table.columns().len() {
+                    match row.get(c) {
+                        CellRef::Null => eat(b"\x00"),
+                        CellRef::Int(i) => {
                             eat(b"\x01");
                             eat(&i.to_le_bytes());
                         }
-                        SqlValue::Real(f) => {
+                        CellRef::Real(f) => {
                             eat(b"\x02");
                             eat(&f.to_bits().to_le_bytes());
                         }
-                        SqlValue::Text(s) => {
+                        CellRef::Text(s) => {
                             eat(b"\x03");
                             eat(&(s.len() as u64).to_le_bytes());
                             eat(s.as_bytes());
                         }
-                        SqlValue::Blob(b) => {
+                        CellRef::Blob(b) => {
                             eat(b"\x04");
                             eat(&(b.len() as u64).to_le_bytes());
                             eat(b);
@@ -1740,9 +1740,11 @@ mod tests {
         assert_eq!(logs.len(), 6, "one log per managed node");
         let sm_log = logs
             .rows()
-            .iter()
-            .find(|r| r[0].as_text() == Some("t9-157"))
-            .map(|r| String::from_utf8_lossy(r[1].as_blob().unwrap()).into_owned())
+            .find(|r| r.get(0) == CellRef::Text("t9-157"))
+            .map(|r| match r.get(1) {
+                CellRef::Blob(b) => String::from_utf8_lossy(b).into_owned(),
+                other => panic!("log is {other:?}"),
+            })
             .expect("SM log present");
         for needle in ["run_init", "sd_init", "sd_start_publish", "run_exit"] {
             assert!(sm_log.contains(needle), "missing {needle} in\n{sm_log}");
@@ -2022,8 +2024,8 @@ mod tests {
         // The measurement landed in ExtraRunMeasurements.
         let table = outcome.database.table("ExtraRunMeasurements").unwrap();
         assert_eq!(table.len(), 1);
-        let row = &table.rows()[0];
-        assert_eq!(row[2].as_text(), Some("pending_events"));
+        let row = table.rows().next().unwrap();
+        assert_eq!(row.get(2), CellRef::Text("pending_events"));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use crate::column::{ColumnTable, Slab, StringPool};
 use crate::error::QueryError;
 use crate::plan::Scan;
-use excovery_store::{ColumnType, Database, Repository, SqlValue};
+use excovery_store::{CellRef, ColumnRef, ColumnType, Database, Repository};
 use std::collections::BTreeMap;
 
 /// Default partition column: the run id shared by all measurement tables.
@@ -239,8 +239,8 @@ pub(crate) fn ingest_package(
     for name in db.table_names() {
         let table = db.table(name)?;
         let schema = TableSchema {
-            names: table.columns.iter().map(|c| c.name.clone()).collect(),
-            kinds: table.columns.iter().map(|c| c.ctype).collect(),
+            names: table.columns().iter().map(|c| c.name.clone()).collect(),
+            kinds: table.columns().iter().map(|c| c.ctype).collect(),
         };
         if let Some(existing) = schemas.get(name) {
             if existing.names != schema.names || existing.kinds != schema.kinds {
@@ -256,39 +256,37 @@ pub(crate) fn ingest_package(
             .iter()
             .position(|n| n == partition_column)
             .filter(|&i| schema.kinds[i] == ColumnType::Integer);
-        for row in table.rows() {
-            let key = part_col.and_then(|i| row[i].as_int());
-            let dest = parts
-                .entry(key)
-                .or_default()
-                .entry(name.to_string())
-                .or_insert_with(|| ColumnTable::new(schema.names.clone(), schema.empty_slabs()));
-            for ((cell, slab), column) in row.iter().zip(dest.slabs.iter_mut()).zip(&schema.names) {
-                match cell {
-                    SqlValue::Null => slab.push_null(),
-                    SqlValue::Int(v) => match slab {
-                        // Integers stored into a Real column widen,
-                        // matching `SqlValue::as_real` and keeping the
-                        // numbers one kind in the SQL order.
-                        Slab::F64 { .. } => slab.push_f64(*v as f64),
-                        _ => slab.push_i64(*v),
-                    },
-                    // A NaN has no place in the SQL order, so sorting or
-                    // grouping by it could not be answered.
-                    SqlValue::Real(v) if v.is_nan() => {
-                        return Err(QueryError::Unsupported(format!(
-                            "table {name:?}, column {column:?}: a NaN cell has no order"
-                        )))
-                    }
-                    SqlValue::Real(v) => slab.push_f64(*v),
-                    SqlValue::Text(s) => {
-                        let id = pool.intern(s);
-                        slab.push_str(id);
-                    }
-                    SqlValue::Blob(b) => slab.push_bytes(b),
-                }
+        let columns: Vec<ColumnRef<'_>> =
+            (0..schema.names.len()).map(|c| table.column(c)).collect();
+        let text_ids = intern_row_major(pool, name, &schema, &columns, table.len())?;
+        // Each partition's rows, in insertion order.
+        let mut groups: BTreeMap<Option<i64>, Vec<usize>> = BTreeMap::new();
+        let mut add = |key: Option<i64>, r: usize| match groups.last_entry() {
+            // Runs are recorded one after another in ascending order, so
+            // a row mostly joins the last partition.
+            Some(mut last) if *last.key() == key => last.get_mut().push(r),
+            _ => groups.entry(key).or_default().push(r),
+        };
+        match part_col.map(|c| columns[c]) {
+            // A column that never held a NULL has no bitmap words.
+            Some(ColumnRef::Integer { nulls: [], values }) => values
+                .iter()
+                .enumerate()
+                .for_each(|(r, &v)| add(Some(v), r)),
+            Some(column) => (0..table.len()).for_each(|r| match column.get(r) {
+                CellRef::Int(v) => add(Some(v), r),
+                _ => add(None, r),
+            }),
+            None => (0..table.len()).for_each(|r| add(None, r)),
+        }
+        for (key, rows) in groups {
+            let mut slabs = schema.empty_slabs();
+            for ((slab, column), ids) in slabs.iter_mut().zip(&columns).zip(&text_ids) {
+                scatter(slab, *column, ids, &rows);
             }
-            dest.rows += 1;
+            let mut dest = ColumnTable::new(schema.names.clone(), slabs);
+            dest.rows = rows.len();
+            parts.entry(key).or_default().insert(name.to_string(), dest);
         }
     }
     Ok(parts
@@ -302,11 +300,73 @@ pub(crate) fn ingest_package(
         .collect())
 }
 
+/// Interns every text cell of a table in row-major order, so pool ids are
+/// the ones a row-at-a-time ingest assigns, and refuses the first NaN in
+/// that order. Returns one id per row for each text column (empty for
+/// the others).
+fn intern_row_major(
+    pool: &mut StringPool,
+    name: &str,
+    schema: &TableSchema,
+    columns: &[ColumnRef<'_>],
+    len: usize,
+) -> Result<Vec<Vec<u32>>, QueryError> {
+    let visited: Vec<(usize, ColumnRef<'_>)> = columns
+        .iter()
+        .copied()
+        .enumerate()
+        .filter(|(c, _)| matches!(schema.kinds[*c], ColumnType::Text | ColumnType::Real))
+        .collect();
+    let mut ids = vec![Vec::new(); columns.len()];
+    for r in 0..len {
+        for &(c, column) in &visited {
+            match column.get(r) {
+                CellRef::Text(s) => ids[c].push(pool.intern(s)),
+                CellRef::Null if schema.kinds[c] == ColumnType::Text => ids[c].push(0),
+                // A NaN has no place in the SQL order, so sorting or
+                // grouping by it could not be answered.
+                CellRef::Real(v) if v.is_nan() => {
+                    return Err(QueryError::Unsupported(format!(
+                        "table {name:?}, column {:?}: a NaN cell has no order",
+                        schema.names[c]
+                    )));
+                }
+                _ => {}
+            }
+        }
+    }
+    Ok(ids)
+}
+
+/// Appends rows `rows` of `column` to `slab`; `ids` are the column's
+/// interned text ids.
+fn scatter(slab: &mut Slab, column: ColumnRef<'_>, ids: &[u32], rows: &[usize]) {
+    // A column that never held a NULL has no bitmap words.
+    if let ColumnRef::Integer { nulls: [], values } = column {
+        rows.iter().for_each(|&r| slab.push_i64(values[r]));
+        return;
+    }
+    let widen = matches!(column, ColumnRef::Real { .. });
+    for &r in rows {
+        match column.get(r) {
+            CellRef::Null => slab.push_null(),
+            // Integers stored into a Real column widen, keeping the
+            // numbers one kind in the SQL order.
+            CellRef::Int(v) if widen => slab.push_f64(v as f64),
+            CellRef::Int(v) => slab.push_i64(v),
+            CellRef::Real(v) => slab.push_f64(v),
+            CellRef::Text(_) => slab.push_str(ids[r]),
+            CellRef::Blob(b) => slab.push_bytes(b),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use excovery_store::records::{EventRow, RunInfoRow};
     use excovery_store::schema::create_level3_database;
+    use excovery_store::SqlValue;
 
     fn package(runs: u64) -> Database {
         let mut db = create_level3_database();
@@ -426,6 +486,63 @@ mod tests {
         // A standing query ingests through the same function.
         let mut standing = crate::StandingQuery::new(spec);
         assert_eq!(standing.ingest_package("x", &with_nan), Err(e));
+    }
+
+    #[test]
+    fn null_and_out_of_order_run_ids_keep_insertion_order_per_partition() {
+        use crate::column::Value;
+        use excovery_store::Column;
+        let mut db = Database::new();
+        db.create_table(
+            "T",
+            vec![
+                Column::new("RunID", ColumnType::Integer),
+                Column::new("V", ColumnType::Real),
+                Column::new("S", ColumnType::Text),
+            ],
+        )
+        .unwrap();
+        let rows = [
+            (SqlValue::Int(2), SqlValue::Int(7), "b".into()),
+            (SqlValue::Null, SqlValue::Real(0.5), SqlValue::Null),
+            (SqlValue::Int(1), SqlValue::Null, "a".into()),
+            (SqlValue::Int(2), SqlValue::Real(-0.0), "a".into()),
+        ];
+        for (run, v, s) in rows {
+            db.insert("T", vec![run, v, s]).unwrap();
+        }
+        let ds = Dataset::from_database(&db).unwrap();
+        let keys: Vec<_> = ds.partitions.iter().map(|p| p.key).collect();
+        assert_eq!(keys, [None, Some(1), Some(2)]);
+        // Text is interned in row order across partitions.
+        assert_eq!(
+            (ds.pool.lookup("b"), ds.pool.lookup("a")),
+            (Some(0), Some(1))
+        );
+        let cells = |p: usize| {
+            let t = &ds.partitions[p].tables["T"];
+            (0..t.rows)
+                .map(|r| {
+                    let cell = |c: usize| t.slabs[c].value(r, &ds.pool);
+                    (cell(0), cell(1), cell(2))
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(cells(0), [(Value::Null, Value::F64(0.5), Value::Null)]);
+        assert_eq!(
+            cells(1),
+            [(Value::I64(1), Value::Null, Value::Str("a".into()))]
+        );
+        // The `Int` in the `Real` column widens; `-0.0` keeps its sign.
+        let run2 = cells(2);
+        assert_eq!(
+            run2,
+            [
+                (Value::I64(2), Value::F64(7.0), Value::Str("b".into())),
+                (Value::I64(2), Value::F64(-0.0), Value::Str("a".into())),
+            ]
+        );
+        assert!(matches!(run2[1].1, Value::F64(v) if v.is_sign_negative()));
     }
 
     #[test]

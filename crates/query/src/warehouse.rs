@@ -47,6 +47,7 @@ mod tests {
     use excovery_store::records::{EventRow, ExperimentInfo, RunInfoRow};
     use excovery_store::schema::{create_level3_database, EE_VERSION};
     use excovery_store::warehouse::build_warehouse;
+    use excovery_store::CellRef;
 
     fn package(name: &str, t_r_ns: i64) -> Database {
         let mut db = create_level3_database();
@@ -91,8 +92,11 @@ mod tests {
         // Sum and count per ExpKey in row order, then divide.
         let mut sums: BTreeMap<i64, (f64, u32)> = BTreeMap::new();
         for row in wh.table("FactDiscovery").unwrap().rows() {
-            let sum = sums.entry(row[0].as_int().unwrap()).or_default();
-            sum.0 += row[5].as_real().unwrap();
+            let (CellRef::Int(exp), CellRef::Int(t)) = (row.get(0), row.get(5)) else {
+                panic!("{row:?}");
+            };
+            let sum = sums.entry(exp).or_default();
+            sum.0 += t as f64;
             sum.1 += 1;
         }
         let new = mean_response_time_by_experiment(&wh).unwrap();

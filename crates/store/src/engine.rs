@@ -4,14 +4,31 @@
 //! named tables with typed columns, row insertion with type checking, and
 //! persistence of a whole database to a single JSON file (one package per
 //! experiment, "preferably stored as a database to unify and accelerate
-//! data access", §IV-F). It holds rows and nothing else: filters,
+//! data access", §IV-F). It stores cells and nothing else: filters,
 //! aggregates and orderings over a package are `excovery_query` scans.
+//!
+//! A [`Table`] stores its rows column by column. [`Table::insert`] takes
+//! an owned [`Row`], checks it and scatters it into one typed vector per
+//! column; [`Table::rows`] hands out borrowed [`RowRef`] views whose
+//! cells are [`CellRef`]s, and [`Table::column`] lends a whole column as
+//! a [`ColumnRef`]. Bytes per cell, before vector slack:
+//!
+//! - `Integer`: 8, the `i64`;
+//! - `Real`: 8, the `f64` bits or an `Int` cell's exact `i64`, and one
+//!   bit marking `Int` cells once the column holds one;
+//! - `Text`: 4 for the `u32` end offset into one `String` arena, plus the
+//!   UTF-8 bytes;
+//! - `Blob`: 4 for the `u32` end offset into one byte arena, plus the
+//!   bytes;
+//!
+//! plus one NULL bit per cell once the column holds a NULL. An arena is
+//! limited to `u32::MAX` bytes per column; an insert past it is an error.
 //!
 //! The package is streamed both ways through the codec in [`crate::json`]:
 //! [`Database::save`] writes tables straight into one buffer with the
 //! JSON writer's primitives, and [`Database::load`] pulls tokens straight
-//! into rows — neither builds a [`JsonValue`](crate::JsonValue) tree. The
-//! document:
+//! into the columns — neither builds a [`JsonValue`](crate::JsonValue)
+//! tree. The document:
 //!
 //! ```text
 //! {"tables":{"<name>":{"columns":[{"name":"<col>","ctype":"Integer|Real|Text|Blob"},…],
@@ -132,54 +149,6 @@ impl ColumnType {
     }
 }
 
-impl SqlValue {
-    /// True if the value is acceptable in a column of `t` (NULL always is).
-    pub fn matches(&self, t: ColumnType) -> bool {
-        matches!(
-            (self, t),
-            (SqlValue::Null, _)
-                | (SqlValue::Int(_), ColumnType::Integer)
-                | (SqlValue::Real(_), ColumnType::Real)
-                | (SqlValue::Int(_), ColumnType::Real)
-                | (SqlValue::Text(_), ColumnType::Text)
-                | (SqlValue::Blob(_), ColumnType::Blob)
-        )
-    }
-
-    /// Integer view.
-    pub fn as_int(&self) -> Option<i64> {
-        match self {
-            SqlValue::Int(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// Float view (ints widen).
-    pub fn as_real(&self) -> Option<f64> {
-        match self {
-            SqlValue::Real(v) => Some(*v),
-            SqlValue::Int(v) => Some(*v as f64),
-            _ => None,
-        }
-    }
-
-    /// Text view.
-    pub fn as_text(&self) -> Option<&str> {
-        match self {
-            SqlValue::Text(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Blob view.
-    pub fn as_blob(&self) -> Option<&[u8]> {
-        match self {
-            SqlValue::Blob(b) => Some(b),
-            _ => None,
-        }
-    }
-}
-
 impl From<i64> for SqlValue {
     fn from(v: i64) -> Self {
         SqlValue::Int(v)
@@ -230,27 +199,405 @@ impl Column {
     }
 }
 
-/// A row: one value per column of the owning table.
+/// A row: one value per column of the owning table. The owned form a
+/// row takes at the API edge ([`Table::insert`], `Row::from(RowRef)`); a
+/// table stores its cells column by column.
 pub type Row = Vec<SqlValue>;
 
-/// A table: schema plus rows in insertion order, and the list of columns
-/// declared indexed, which the package records.
-#[derive(Debug, Clone, PartialEq)]
+/// A borrowed cell: [`SqlValue`] with its text or blob left in the table.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum CellRef<'a> {
+    /// SQL NULL.
+    Null,
+    /// Integer value.
+    Int(i64),
+    /// Float value.
+    Real(f64),
+    /// Text value.
+    Text(&'a str),
+    /// Byte-string value.
+    Blob(&'a [u8]),
+}
+
+impl CellRef<'_> {
+    /// The owned value.
+    pub fn to_owned(self) -> SqlValue {
+        match self {
+            CellRef::Null => SqlValue::Null,
+            CellRef::Int(v) => SqlValue::Int(v),
+            CellRef::Real(v) => SqlValue::Real(v),
+            CellRef::Text(s) => SqlValue::Text(s.to_string()),
+            CellRef::Blob(b) => SqlValue::Blob(b.to_vec()),
+        }
+    }
+
+    /// The value type's name, for errors that must not print the value.
+    fn kind(self) -> &'static str {
+        match self {
+            CellRef::Null => "Null",
+            CellRef::Int(_) => "Int",
+            CellRef::Real(_) => "Real",
+            CellRef::Text(_) => "Text",
+            CellRef::Blob(_) => "Blob",
+        }
+    }
+}
+
+impl SqlValue {
+    fn as_cell(&self) -> CellRef<'_> {
+        match self {
+            SqlValue::Null => CellRef::Null,
+            SqlValue::Int(v) => CellRef::Int(*v),
+            SqlValue::Real(v) => CellRef::Real(*v),
+            SqlValue::Text(s) => CellRef::Text(s),
+            SqlValue::Blob(b) => CellRef::Blob(b),
+        }
+    }
+}
+
+/// A borrowed row of a [`Table`], as [`Table::rows`] yields it.
+#[derive(Clone, Copy)]
+pub struct RowRef<'a> {
+    table: &'a Table,
+    index: usize,
+}
+
+impl<'a> RowRef<'a> {
+    /// The cell in column `column` (by position); panics past the last
+    /// column, as indexing a row does.
+    pub fn get(&self, column: usize) -> CellRef<'a> {
+        self.table.column(column).get(self.index)
+    }
+
+    fn cells(self) -> impl Iterator<Item = CellRef<'a>> {
+        (0..self.table.columns.len()).map(move |c| self.get(c))
+    }
+}
+
+impl From<RowRef<'_>> for Row {
+    fn from(row: RowRef<'_>) -> Self {
+        row.cells().map(CellRef::to_owned).collect()
+    }
+}
+
+/// Cell by cell with [`SqlValue`]'s `==`.
+impl PartialEq for RowRef<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.table.columns.len() == other.table.columns.len() && self.cells().eq(other.cells())
+    }
+}
+
+impl fmt::Debug for RowRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.cells()).finish()
+    }
+}
+
+/// The rows of a [`Table`] in insertion order, as [`Table::rows`] yields
+/// them. Two are equal when the rows they have left are.
+#[derive(Clone)]
+pub struct Rows<'a> {
+    table: &'a Table,
+    range: std::ops::Range<usize>,
+}
+
+impl<'a> Iterator for Rows<'a> {
+    type Item = RowRef<'a>;
+
+    fn next(&mut self) -> Option<RowRef<'a>> {
+        self.range.next().map(|index| self.table.row(index))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.range.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Rows<'_> {}
+
+impl PartialEq for Rows<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.clone().eq(other.clone())
+    }
+}
+
+impl fmt::Debug for Rows<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.clone()).finish()
+    }
+}
+
+/// One column of a [`Table`] in its storage form, for readers that go a
+/// column at a time ([`Table::column`]).
+///
+/// `nulls` marks the NULL rows: row `i` is bit `i % 64` of word `i / 64`,
+/// and rows past the last word are not NULL (a column that never held a
+/// NULL has no words). A NULL row keeps a 0 in `values`/`bits` and an
+/// empty span in `ends`.
+#[derive(Debug, Clone, Copy)]
+pub enum ColumnRef<'a> {
+    /// An `Integer` column.
+    Integer {
+        /// NULL rows.
+        nulls: &'a [u64],
+        /// One value per row.
+        values: &'a [i64],
+    },
+    /// A `Real` column.
+    Real {
+        /// NULL rows.
+        nulls: &'a [u64],
+        /// Rows that hold an `Int` (same layout as `nulls`).
+        ints: &'a [u64],
+        /// Per row the float's bits, or an `Int` row's `i64` as `u64`.
+        bits: &'a [u64],
+    },
+    /// A `Text` column.
+    Text {
+        /// NULL rows.
+        nulls: &'a [u64],
+        /// Row `i` is `arena[ends[i - 1]..ends[i]]` (from 0 for row 0).
+        ends: &'a [u32],
+        /// Every row's text, back to back.
+        arena: &'a str,
+    },
+    /// A `Blob` column.
+    Blob {
+        /// NULL rows.
+        nulls: &'a [u64],
+        /// Row `i` is `arena[ends[i - 1]..ends[i]]` (from 0 for row 0).
+        ends: &'a [u32],
+        /// Every row's bytes, back to back.
+        arena: &'a [u8],
+    },
+}
+
+impl<'a> ColumnRef<'a> {
+    /// The cell of row `row`; panics past the last row.
+    pub fn get(self, row: usize) -> CellRef<'a> {
+        match self {
+            ColumnRef::Integer { nulls, .. }
+            | ColumnRef::Real { nulls, .. }
+            | ColumnRef::Text { nulls, .. }
+            | ColumnRef::Blob { nulls, .. }
+                if bit(nulls, row) =>
+            {
+                CellRef::Null
+            }
+            ColumnRef::Integer { values, .. } => CellRef::Int(values[row]),
+            ColumnRef::Real { ints, bits, .. } if bit(ints, row) => CellRef::Int(bits[row] as i64),
+            ColumnRef::Real { bits, .. } => CellRef::Real(f64::from_bits(bits[row])),
+            ColumnRef::Text { ends, arena, .. } => CellRef::Text(&arena[span(ends, row)]),
+            ColumnRef::Blob { ends, arena, .. } => CellRef::Blob(&arena[span(ends, row)]),
+        }
+    }
+}
+
+/// Bit `i` of a bitmap whose missing trailing words are zero.
+fn bit(words: &[u64], i: usize) -> bool {
+    words.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1)
+}
+
+fn set_bit(words: &mut Vec<u64>, i: usize) {
+    if words.len() <= i / 64 {
+        words.resize(i / 64 + 1, 0);
+    }
+    words[i / 64] |= 1 << (i % 64);
+}
+
+/// Clears every bit from `len` on.
+fn truncate_bits(words: &mut Vec<u64>, len: usize) {
+    words.truncate(len.div_ceil(64));
+    if let Some(last) = words.get_mut(len / 64) {
+        *last &= (1 << (len % 64)) - 1;
+    }
+}
+
+/// The arena span of row `i`.
+fn span(ends: &[u32], i: usize) -> std::ops::Range<usize> {
+    let start = i.checked_sub(1).map_or(0, |p| ends[p] as usize);
+    start..ends[i] as usize
+}
+
+/// An arena length as a `u32` end offset.
+#[inline]
+fn arena_end(len: usize, column: &Column) -> Result<u32, StoreError> {
+    u32::try_from(len).map_err(|_| arena_full(column))
+}
+
+#[cold]
+fn arena_full(column: &Column) -> StoreError {
+    err(format!(
+        "column '{}' holds more than {} bytes",
+        column.name,
+        u32::MAX
+    ))
+}
+
+#[cold]
+fn mismatch(cell: CellRef<'_>, column: &Column) -> StoreError {
+    err(format!(
+        "type mismatch in column '{}': {} value, expected {}",
+        column.name,
+        cell.kind(),
+        column.ctype.type_name()
+    ))
+}
+
+/// One column's storage: a NULL bitmap plus the typed cells (see
+/// [`ColumnRef`], its borrowed form).
+#[derive(Debug, Clone)]
+struct Cells {
+    nulls: Vec<u64>,
+    data: Data,
+}
+
+#[derive(Debug, Clone)]
+enum Data {
+    Integer(Vec<i64>),
+    Real { ints: Vec<u64>, bits: Vec<u64> },
+    Text { ends: Vec<u32>, arena: String },
+    Blob { ends: Vec<u32>, arena: Vec<u8> },
+}
+
+impl Cells {
+    fn new(ctype: ColumnType) -> Self {
+        let data = match ctype {
+            ColumnType::Integer => Data::Integer(Vec::new()),
+            ColumnType::Real => Data::Real {
+                ints: Vec::new(),
+                bits: Vec::new(),
+            },
+            ColumnType::Text => Data::Text {
+                ends: Vec::new(),
+                arena: String::new(),
+            },
+            ColumnType::Blob => Data::Blob {
+                ends: Vec::new(),
+                arena: Vec::new(),
+            },
+        };
+        Self {
+            nulls: Vec::new(),
+            data,
+        }
+    }
+
+    fn borrow(&self) -> ColumnRef<'_> {
+        let nulls = &self.nulls;
+        match &self.data {
+            Data::Integer(values) => ColumnRef::Integer { nulls, values },
+            Data::Real { ints, bits } => ColumnRef::Real { nulls, ints, bits },
+            Data::Text { ends, arena } => ColumnRef::Text { nulls, ends, arena },
+            Data::Blob { ends, arena } => ColumnRef::Blob { nulls, ends, arena },
+        }
+    }
+
+    /// Appends `cell` as row `row` (the column's length). A cell the
+    /// column's type does not take, or an arena past `u32::MAX` bytes, is
+    /// an error that leaves the column as it was.
+    #[inline]
+    fn push(&mut self, row: usize, cell: CellRef<'_>, column: &Column) -> Result<(), StoreError> {
+        match (&mut self.data, cell) {
+            (Data::Integer(values), CellRef::Int(v)) => values.push(v),
+            (Data::Real { bits, .. }, CellRef::Real(v)) => bits.push(v.to_bits()),
+            (Data::Real { ints, bits }, CellRef::Int(v)) => {
+                set_bit(ints, row);
+                bits.push(v as u64);
+            }
+            (Data::Text { ends, arena }, CellRef::Text(s)) => {
+                ends.push(arena_end(arena.len() + s.len(), column)?);
+                arena.push_str(s);
+            }
+            (Data::Blob { ends, arena }, CellRef::Blob(b)) => {
+                ends.push(arena_end(arena.len() + b.len(), column)?);
+                arena.extend_from_slice(b);
+            }
+            (data, CellRef::Null) => {
+                match data {
+                    Data::Integer(values) => values.push(0),
+                    Data::Real { bits, .. } => bits.push(0),
+                    Data::Text { ends, arena } => ends.push(arena_end(arena.len(), column)?),
+                    Data::Blob { ends, arena } => ends.push(arena_end(arena.len(), column)?),
+                }
+                set_bit(&mut self.nulls, row);
+            }
+            _ => return Err(mismatch(cell, column)),
+        }
+        Ok(())
+    }
+
+    /// Drops every row from `len` on.
+    fn truncate(&mut self, len: usize) {
+        truncate_bits(&mut self.nulls, len);
+        match &mut self.data {
+            Data::Integer(values) => values.truncate(len),
+            Data::Real { ints, bits } => {
+                truncate_bits(ints, len);
+                bits.truncate(len);
+            }
+            Data::Text { ends, arena } => {
+                ends.truncate(len);
+                arena.truncate(ends.last().map_or(0, |&e| e as usize));
+            }
+            Data::Blob { ends, arena } => {
+                ends.truncate(len);
+                arena.truncate(ends.last().map_or(0, |&e| e as usize));
+            }
+        }
+    }
+}
+
+/// A table: schema plus rows in insertion order, stored one typed vector
+/// per column, and the list of columns declared indexed, which the
+/// package records.
+#[derive(Clone)]
 pub struct Table {
-    /// Column definitions.
-    pub columns: Vec<Column>,
-    rows: Vec<Row>,
+    columns: Vec<Column>,
+    cells: Vec<Cells>,
+    len: usize,
     indexed_columns: Vec<String>,
+}
+
+/// Cell by cell with [`SqlValue`]'s `==`.
+impl PartialEq for Table {
+    fn eq(&self, other: &Self) -> bool {
+        self.columns == other.columns
+            && self.indexed_columns == other.indexed_columns
+            && self.rows().eq(other.rows())
+    }
+}
+
+impl fmt::Debug for Table {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Table")
+            .field("columns", &self.columns)
+            .field("rows", &self.rows())
+            .field("indexed_columns", &self.indexed_columns)
+            .finish()
+    }
 }
 
 impl Table {
     /// Creates an empty table with the given columns.
     pub fn new(columns: Vec<Column>) -> Self {
         Self {
+            cells: columns.iter().map(|c| Cells::new(c.ctype)).collect(),
             columns,
-            rows: Vec::new(),
+            len: 0,
             indexed_columns: Vec::new(),
         }
+    }
+
+    /// Column definitions.
+    pub fn columns(&self) -> &[Column] {
+        &self.columns
+    }
+
+    /// The storage of column `index` (by position); panics past the last
+    /// column.
+    pub fn column(&self, index: usize) -> ColumnRef<'_> {
+        self.cells[index].borrow()
     }
 
     /// Declares an index on an integer/text column. Only the name is
@@ -295,32 +642,33 @@ impl Table {
             json::write_str(out, c);
         }
         out.extend_from_slice(b"],\"rows\":[");
-        for (r, row) in self.rows.iter().enumerate() {
+        let columns: Vec<ColumnRef<'_>> = self.cells.iter().map(Cells::borrow).collect();
+        for r in 0..self.len {
             out.extend_from_slice(if r > 0 { b",[" } else { b"[" });
-            for (i, (value, column)) in row.iter().zip(&self.columns).enumerate() {
+            for (i, column) in columns.iter().enumerate() {
                 if i > 0 {
                     out.push(b',');
                 }
-                match value {
-                    SqlValue::Null => out.extend_from_slice(b"null"),
-                    SqlValue::Int(v) => {
+                match column.get(r) {
+                    CellRef::Null => out.extend_from_slice(b"null"),
+                    CellRef::Int(v) => {
                         out.extend_from_slice(b"{\"int\":");
-                        json::write_i64(out, *v);
+                        json::write_i64(out, v);
                         out.push(b'}');
                     }
-                    SqlValue::Real(v) if !v.is_finite() => {
+                    CellRef::Real(v) if !v.is_finite() => {
                         return Err(err(format!(
                             "save: table '{name}', column '{}': {v} has no JSON form",
-                            column.name
+                            self.columns[i].name
                         )))
                     }
-                    SqlValue::Real(v) => {
+                    CellRef::Real(v) => {
                         out.extend_from_slice(b"{\"real\":");
-                        json::write_f64(out, *v);
+                        json::write_f64(out, v);
                         out.push(b'}');
                     }
-                    SqlValue::Text(s) => json::write_str(out, s),
-                    SqlValue::Blob(b) => json::write_bytes(out, b),
+                    CellRef::Text(s) => json::write_str(out, s),
+                    CellRef::Blob(b) => json::write_bytes(out, b),
                 }
             }
             out.push(b']');
@@ -330,17 +678,24 @@ impl Table {
     }
 
     /// Reads one table's package form. Members may come in any order, and
-    /// the first of a repeated member counts; rows go through
-    /// [`Self::insert`] once the columns are known, and the declared
-    /// indexes are recorded after the last row.
+    /// the first of a repeated member counts. Rows read after the columns
+    /// go straight into them; rows read before are buffered and inserted
+    /// once the columns are known. The declared indexes are recorded
+    /// after the last row.
     fn read(r: &mut Reader<'_>) -> Result<Self, String> {
-        let (mut columns, mut rows, mut indexed) = (None, None, None);
+        let (mut table, mut buffered, mut has_rows, mut indexed) = (None, None, false, None);
         r.begin_object()?;
         let mut first = true;
         while let Some(key) = r.next_key(&mut first)? {
             match &*key {
-                "columns" if columns.is_none() => columns = Some(read_columns(r)?),
-                "rows" if rows.is_none() => rows = Some(read_rows(r)?),
+                "columns" if table.is_none() => table = Some(Table::new(read_columns(r)?)),
+                "rows" if !has_rows => {
+                    has_rows = true;
+                    match &mut table {
+                        Some(table) => table.read_rows(r)?,
+                        None => buffered = Some(read_buffered_rows(r)?),
+                    }
+                }
                 // Anything but an array declares no index.
                 "indexed" if indexed.is_none() => {
                     indexed = Some(if r.kind()? == Kind::Array {
@@ -353,14 +708,48 @@ impl Table {
                 _ => r.skip_value()?,
             }
         }
-        let mut table = Table::new(columns.ok_or("table without 'columns'")?);
-        for row in rows.ok_or("table without 'rows'")? {
+        let mut table = table.ok_or("table without 'columns'")?;
+        if !has_rows {
+            return Err("table without 'rows'".into());
+        }
+        for row in buffered.unwrap_or_default() {
             table.insert(row).map_err(|e| e.0)?;
         }
         for column in indexed.unwrap_or_default() {
             table.create_index(&column).map_err(|e| e.0)?;
         }
         Ok(table)
+    }
+
+    /// Reads the `rows` array into the columns. A bad row fails the whole
+    /// read, so a row cut short by an error is never seen.
+    fn read_rows(&mut self, r: &mut Reader<'_>) -> Result<(), String> {
+        let mut blob = Vec::new();
+        r.begin_array()?;
+        let mut first = true;
+        while r.next_element(&mut first)? {
+            r.begin_array()?;
+            let mut first_cell = true;
+            let mut c = 0;
+            while r.next_element(&mut first_cell)? {
+                let (Some(column), Some(cells)) = (self.columns.get(c), self.cells.get_mut(c))
+                else {
+                    return Err(format!("row has more than {} values", self.columns.len()));
+                };
+                read_cell(r, &mut blob, |cell| {
+                    cells.push(self.len, cell, column).map_err(|e| e.0)
+                })?;
+                c += 1;
+            }
+            if c != self.columns.len() {
+                return Err(format!(
+                    "arity mismatch: {c} values for {} columns",
+                    self.columns.len()
+                ));
+            }
+            self.len += 1;
+        }
+        Ok(())
     }
 
     /// Index of a named column.
@@ -376,7 +765,8 @@ impl Table {
         self.columns.iter().map(|c| c.name.as_str()).collect()
     }
 
-    /// Inserts a row after checking arity and types.
+    /// Inserts a row after checking arity and types; a row that fails
+    /// either check leaves the table as it was.
     pub fn insert(&mut self, row: Row) -> Result<(), StoreError> {
         if row.len() != self.columns.len() {
             return Err(err(format!(
@@ -385,31 +775,49 @@ impl Table {
                 self.columns.len()
             )));
         }
-        for (v, c) in row.iter().zip(&self.columns) {
-            if !v.matches(c.ctype) {
-                return Err(err(format!(
-                    "type mismatch in column '{}': {:?} is not {:?}",
-                    c.name, v, c.ctype
-                )));
+        let columns = self.cells.iter_mut().zip(&self.columns);
+        for (c, (value, (cells, column))) in row.iter().zip(columns).enumerate() {
+            // Integers are most cells of most tables: pushed in line.
+            let pushed = match (&mut cells.data, value) {
+                (Data::Integer(values), SqlValue::Int(v)) => {
+                    values.push(*v);
+                    Ok(())
+                }
+                _ => cells.push(self.len, value.as_cell(), column),
+            };
+            if let Err(e) = pushed {
+                for cells in &mut self.cells[..c] {
+                    cells.truncate(self.len);
+                }
+                return Err(e);
             }
         }
-        self.rows.push(row);
+        self.len += 1;
         Ok(())
     }
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.len
     }
 
     /// True if the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len == 0
     }
 
-    /// All rows in insertion order.
-    pub fn rows(&self) -> &[Row] {
-        &self.rows
+    /// All rows in insertion order, borrowed.
+    pub fn rows(&self) -> Rows<'_> {
+        Rows {
+            table: self,
+            range: 0..self.len,
+        }
+    }
+
+    /// Row `index` (which must be below [`Self::len`]), borrowed.
+    pub(crate) fn row(&self, index: usize) -> RowRef<'_> {
+        debug_assert!(index < self.len);
+        RowRef { table: self, index }
     }
 }
 
@@ -573,8 +981,11 @@ fn read_strings(r: &mut Reader<'_>) -> Result<Vec<String>, String> {
     Ok(strings)
 }
 
-fn read_rows(r: &mut Reader<'_>) -> Result<Vec<Row>, String> {
+/// Reads a `rows` array met before the columns: each row owned, to be
+/// inserted once the columns are known.
+fn read_buffered_rows(r: &mut Reader<'_>) -> Result<Vec<Row>, String> {
     let mut rows = Vec::new();
+    let mut blob = Vec::new();
     r.begin_array()?;
     let mut first = true;
     while r.next_element(&mut first)? {
@@ -582,18 +993,34 @@ fn read_rows(r: &mut Reader<'_>) -> Result<Vec<Row>, String> {
         r.begin_array()?;
         let mut first_cell = true;
         while r.next_element(&mut first_cell)? {
-            row.push(read_cell(r)?);
+            read_cell(r, &mut blob, |cell| {
+                row.push(cell.to_owned());
+                Ok(())
+            })?;
         }
         rows.push(row);
     }
     Ok(rows)
 }
 
-fn read_cell(r: &mut Reader<'_>) -> Result<SqlValue, String> {
+/// Reads one cell and hands it to `put`; a blob's bytes are read into
+/// `blob` first.
+fn read_cell(
+    r: &mut Reader<'_>,
+    blob: &mut Vec<u8>,
+    put: impl FnOnce(CellRef<'_>) -> Result<(), String>,
+) -> Result<(), String> {
     match r.kind()? {
-        Kind::Null => r.null().map(|()| SqlValue::Null),
-        Kind::String => Ok(SqlValue::Text(r.string()?.into_owned())),
-        Kind::Array => r.byte_array().map(SqlValue::Blob),
+        Kind::Null => {
+            r.null()?;
+            put(CellRef::Null)
+        }
+        Kind::String => put(CellRef::Text(&r.string()?)),
+        Kind::Array => {
+            blob.clear();
+            r.byte_array(blob)?;
+            put(CellRef::Blob(blob))
+        }
         Kind::Object => {
             // `{"int":N}` or `{"real":F}`; an integral `real` widens.
             let (mut int, mut real) = (None, None);
@@ -606,12 +1033,12 @@ fn read_cell(r: &mut Reader<'_>) -> Result<SqlValue, String> {
                     _ => r.skip_value()?,
                 }
             }
-            match (int.flatten(), real.flatten()) {
-                (Some(Number::Int(i)), _) => Ok(SqlValue::Int(i)),
-                (_, Some(Number::Int(i))) => Ok(SqlValue::Real(i as f64)),
-                (_, Some(Number::Float(f))) => Ok(SqlValue::Real(f)),
-                _ => Err("unknown tagged cell value".into()),
-            }
+            put(match (int.flatten(), real.flatten()) {
+                (Some(Number::Int(i)), _) => CellRef::Int(i),
+                (_, Some(Number::Int(i))) => CellRef::Real(i as f64),
+                (_, Some(Number::Float(f))) => CellRef::Real(f),
+                _ => return Err("unknown tagged cell value".into()),
+            })
         }
         other => Err(format!("unexpected cell value of kind {other:?}")),
     }
@@ -678,6 +1105,73 @@ mod tests {
         assert!(t
             .insert(vec!["dee".into(), SqlValue::Int(40), SqlValue::Int(2)])
             .is_ok());
+    }
+
+    #[test]
+    fn type_mismatch_names_the_column_and_kinds_but_not_the_value() {
+        let mut t = Table::new(vec![
+            Column::new("RunID", ColumnType::Integer),
+            Column::new("Data", ColumnType::Blob),
+        ]);
+        let payload = SqlValue::Blob(vec![0xab; 1 << 20]);
+        let e = t.insert(vec![payload.clone(), SqlValue::Null]).unwrap_err();
+        assert_eq!(
+            e.0,
+            "type mismatch in column 'RunID': Blob value, expected Integer"
+        );
+        let e = t.insert(vec![SqlValue::Int(1), "x".into()]).unwrap_err();
+        assert_eq!(
+            e.0,
+            "type mismatch in column 'Data': Text value, expected Blob"
+        );
+        assert!(t.insert(vec![SqlValue::Int(1), payload]).is_ok());
+    }
+
+    #[test]
+    fn a_refused_row_leaves_every_column_as_it_was() {
+        let mut t = Table::new(vec![
+            Column::new("s", ColumnType::Text),
+            Column::new("r", ColumnType::Real),
+            Column::new("b", ColumnType::Blob),
+            Column::new("k", ColumnType::Integer),
+        ]);
+        let first = vec![
+            "ab".into(),
+            SqlValue::Real(-0.0),
+            vec![1u8].into(),
+            7i64.into(),
+        ];
+        t.insert(first.clone()).unwrap();
+        let before = t.clone();
+        let bad = vec![
+            "xyz".into(),
+            SqlValue::Int(3),
+            vec![2u8, 3].into(),
+            "k".into(),
+        ];
+        assert!(t.insert(bad).is_err());
+        assert_eq!(t, before);
+        assert_eq!(t.encode_table(), before.encode_table());
+        let second = vec![
+            SqlValue::Null,
+            SqlValue::Int(-4),
+            SqlValue::Null,
+            SqlValue::Null,
+        ];
+        t.insert(second.clone()).unwrap();
+        assert_eq!(t.rows().map(Row::from).collect::<Vec<_>>(), [first, second]);
+        // `-0.0` keeps its sign bit, and an `Int` in a `Real` column stays an `Int`.
+        let row = t.rows().next().unwrap();
+        assert!(matches!(row.get(1), CellRef::Real(v) if v.to_bits() == (-0.0f64).to_bits()));
+        assert_eq!(t.rows().nth(1).unwrap().get(1), CellRef::Int(-4));
+    }
+
+    impl Table {
+        fn encode_table(&self) -> Vec<u8> {
+            let mut out = Vec::new();
+            self.write("t", &mut out).unwrap();
+            out
+        }
     }
 
     #[test]
@@ -770,8 +1264,8 @@ mod tests {
         assert_eq!(SqlValue::from(2.5), SqlValue::Real(2.5));
         assert_eq!(SqlValue::from("x"), SqlValue::Text("x".into()));
         assert_eq!(SqlValue::from(vec![1u8]), SqlValue::Blob(vec![1]));
-        assert_eq!(SqlValue::Int(3).as_real(), Some(3.0));
-        assert_eq!(SqlValue::Blob(vec![7]).as_blob(), Some(&[7u8][..]));
+        assert_eq!(SqlValue::Blob(vec![7]).as_cell(), CellRef::Blob(&[7]));
+        assert_eq!(CellRef::Text("x").to_owned(), SqlValue::Text("x".into()));
     }
 
     #[test]
@@ -810,8 +1304,8 @@ mod tests {
         let t = db.table("t").unwrap();
         assert_eq!(t.column_names(), vec!["k", "s", "r"]);
         assert_eq!(
-            t.rows(),
-            &[
+            t.rows().map(Row::from).collect::<Vec<_>>(),
+            [
                 vec![SqlValue::Int(2), "b".into(), SqlValue::Real(3.0)],
                 vec![SqlValue::Null, "a".into(), SqlValue::Real(0.5)],
             ]
@@ -868,9 +1362,8 @@ mod tests {
             .collect();
         let indexed = t.indexed_columns.iter().map(JsonValue::str).collect();
         let rows = t
-            .rows
-            .iter()
-            .map(|r| JsonValue::Array(r.iter().map(cell_to_json).collect()))
+            .rows()
+            .map(|r| JsonValue::Array(Row::from(r).iter().map(cell_to_json).collect()))
             .collect();
         JsonValue::Object(vec![
             ("columns".into(), JsonValue::Array(columns)),
@@ -950,8 +1443,8 @@ mod tests {
 
     /// Equality with floats compared by bit pattern: `-0.0` is not `0.0`.
     fn bit_equal(a: &Database, b: &Database) -> bool {
-        let same_cell = |x: &SqlValue, y: &SqlValue| match (x, y) {
-            (SqlValue::Real(p), SqlValue::Real(q)) => p.to_bits() == q.to_bits(),
+        let same_cell = |x: CellRef<'_>, y: CellRef<'_>| match (x, y) {
+            (CellRef::Real(p), CellRef::Real(q)) => p.to_bits() == q.to_bits(),
             _ => x == y,
         };
         a.tables.len() == b.tables.len()
@@ -959,9 +1452,9 @@ mod tests {
                 na == nb
                     && ta.columns == tb.columns
                     && ta.indexed_columns == tb.indexed_columns
-                    && ta.rows.len() == tb.rows.len()
-                    && ta.rows.iter().zip(&tb.rows).all(|(ra, rb)| {
-                        ra.len() == rb.len() && ra.iter().zip(rb).all(|(x, y)| same_cell(x, y))
+                    && ta.len() == tb.len()
+                    && ta.rows().zip(tb.rows()).all(|(ra, rb)| {
+                        (0..ta.columns.len()).all(|c| same_cell(ra.get(c), rb.get(c)))
                     })
             })
     }

@@ -555,9 +555,8 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads an array of integers 0..=255 — what [`write_bytes`] writes —
-    /// into bytes. Any other element is an error.
-    pub(crate) fn byte_array(&mut self) -> Result<Vec<u8>, String> {
-        let mut bytes = Vec::new();
+    /// appended to `bytes`. Any other element is an error.
+    pub(crate) fn byte_array(&mut self, bytes: &mut Vec<u8>) -> Result<(), String> {
         self.begin_array()?;
         let mut first = true;
         while self.next_element(&mut first)? {
@@ -589,7 +588,7 @@ impl<'a> Reader<'a> {
                 }
             }
         }
-        Ok(bytes)
+        Ok(())
     }
 
     /// Reads and checks one value of any kind, keeping nothing.
@@ -937,7 +936,8 @@ mod tests {
     fn byte_arrays_accept_exactly_the_integers_0_to_255() {
         let read = |text: &str| {
             let mut r = Reader::new(text.as_bytes());
-            r.byte_array().and_then(|b| r.finish().map(|()| b))
+            let mut b = Vec::new();
+            r.byte_array(&mut b).and_then(|()| r.finish().map(|()| b))
         };
         assert_eq!(read("[]"), Ok(vec![]));
         assert_eq!(

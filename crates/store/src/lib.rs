@@ -27,7 +27,10 @@ pub mod repository;
 pub mod schema;
 pub mod warehouse;
 
-pub use engine::{atomic_write, Column, ColumnType, Database, Row, SqlValue, StoreError, Table};
+pub use engine::{
+    atomic_write, CellRef, Column, ColumnRef, ColumnType, Database, Row, RowRef, Rows, SqlValue,
+    StoreError, Table,
+};
 pub use json::JsonValue;
 pub use records::{EventRow, ExperimentInfo, PacketRow, RunInfoRow};
 pub use repository::Repository;

@@ -1,7 +1,9 @@
 //! Typed views of the Table I rows.
 //!
-//! The engine stores untyped rows; these structs are the typed interface
-//! the execution engine writes through and the analysis reads through.
+//! The engine stores each table column by column and hands rows out as
+//! borrowed views of dynamically typed cells; these structs are the typed
+//! interface the execution engine writes through and the analysis reads
+//! through.
 //! Times are nanoseconds on the *common* (conditioned) time base, except
 //! `RunInfoRow::time_diff_ns`, which is the measured node-clock offset.
 //!
@@ -9,7 +11,7 @@
 //! stable sort of insertion order, so rows with equal keys keep the order
 //! they were recorded in.
 
-use crate::engine::{Database, Row, SqlValue, StoreError};
+use crate::engine::{CellRef, Database, RowRef, SqlValue, StoreError};
 
 /// The single `ExperimentInfo` tuple.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,42 +48,51 @@ impl ExperimentInfo {
         let t = db.table("ExperimentInfo")?;
         let row = t
             .rows()
-            .first()
+            .next()
             .ok_or_else(|| StoreError("ExperimentInfo is empty".into()))?;
         Ok(Self {
-            exp_xml: text(&row[0])?,
-            ee_version: text(&row[1])?,
-            name: text(&row[2])?,
-            comment: text(&row[3])?,
+            exp_xml: text(row.get(0))?,
+            ee_version: text(row.get(1))?,
+            name: text(row.get(2))?,
+            comment: text(row.get(3))?,
         })
     }
 }
 
-fn text(v: &SqlValue) -> Result<String, StoreError> {
-    v.as_text()
-        .map(str::to_string)
-        .ok_or_else(|| StoreError(format!("expected text, found {v:?}")))
+fn text(v: CellRef<'_>) -> Result<String, StoreError> {
+    match v {
+        CellRef::Text(s) => Ok(s.to_string()),
+        _ => Err(StoreError(format!("expected text, found {v:?}"))),
+    }
 }
 
-fn int(v: &SqlValue) -> Result<i64, StoreError> {
-    v.as_int()
-        .ok_or_else(|| StoreError(format!("expected int, found {v:?}")))
+fn int(v: CellRef<'_>) -> Result<i64, StoreError> {
+    match v {
+        CellRef::Int(i) => Ok(i),
+        _ => Err(StoreError(format!("expected int, found {v:?}"))),
+    }
 }
 
 /// The typed rows of a run-keyed table (`RunID` first) in insertion
-/// order: all of them, or those of run `run`.
+/// order: all of them, or those of run `run`, found from the `RunID`
+/// column alone.
 fn read_rows<T>(
     db: &Database,
     table: &str,
     run: Option<u64>,
-    from_row: fn(&Row) -> Result<T, StoreError>,
+    from_row: fn(RowRef<'_>) -> Result<T, StoreError>,
 ) -> Result<Vec<T>, StoreError> {
-    let run = run.map(|id| SqlValue::Int(id as i64));
-    db.table(table)?
-        .rows()
-        .iter()
-        .filter(|row| run.as_ref().is_none_or(|run| row[0] == *run))
-        .map(from_row)
+    let table = db.table(table)?;
+    let Some(run) = run else {
+        return table.rows().map(from_row).collect();
+    };
+    if table.is_empty() {
+        return Ok(Vec::new());
+    }
+    let run_ids = table.column(0);
+    (0..table.len())
+        .filter(|&r| run_ids.get(r) == CellRef::Int(run as i64))
+        .map(|r| from_row(table.row(r)))
         .collect()
 }
 
@@ -138,13 +149,13 @@ impl EventRow {
         )
     }
 
-    fn from_row(row: &Row) -> Result<Self, StoreError> {
+    fn from_row(row: RowRef<'_>) -> Result<Self, StoreError> {
         Ok(Self {
-            run_id: int(&row[0])? as u64,
-            node_id: text(&row[1])?,
-            common_time_ns: int(&row[2])?,
-            event_type: text(&row[3])?,
-            parameter: text(&row[4])?,
+            run_id: int(row.get(0))? as u64,
+            node_id: text(row.get(1))?,
+            common_time_ns: int(row.get(2))?,
+            event_type: text(row.get(3))?,
+            parameter: text(row.get(4))?,
         })
     }
 
@@ -204,16 +215,16 @@ impl PacketRow {
         )
     }
 
-    fn from_row(row: &Row) -> Result<Self, StoreError> {
+    fn from_row(row: RowRef<'_>) -> Result<Self, StoreError> {
         Ok(Self {
-            run_id: int(&row[0])? as u64,
-            node_id: text(&row[1])?,
-            common_time_ns: int(&row[2])?,
-            src_node_id: text(&row[3])?,
-            data: row[4]
-                .as_blob()
-                .ok_or_else(|| StoreError("Data is not a blob".into()))?
-                .to_vec(),
+            run_id: int(row.get(0))? as u64,
+            node_id: text(row.get(1))?,
+            common_time_ns: int(row.get(2))?,
+            src_node_id: text(row.get(3))?,
+            data: match row.get(4) {
+                CellRef::Blob(b) => b.to_vec(),
+                _ => return Err(StoreError("Data is not a blob".into())),
+            },
         })
     }
 
@@ -259,12 +270,12 @@ impl RunInfoRow {
         )
     }
 
-    fn from_row(row: &Row) -> Result<Self, StoreError> {
+    fn from_row(row: RowRef<'_>) -> Result<Self, StoreError> {
         Ok(Self {
-            run_id: int(&row[0])? as u64,
-            node_id: text(&row[1])?,
-            start_time_ns: int(&row[2])?,
-            time_diff_ns: int(&row[3])?,
+            run_id: int(row.get(0))? as u64,
+            node_id: text(row.get(1))?,
+            start_time_ns: int(row.get(2))?,
+            time_diff_ns: int(row.get(3))?,
         })
     }
 

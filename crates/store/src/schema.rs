@@ -181,7 +181,7 @@ mod tests {
                     .unwrap();
                 } else {
                     let t = db.table(name).unwrap();
-                    bad.create_table(name, t.columns.clone()).unwrap();
+                    bad.create_table(name, t.columns().to_vec()).unwrap();
                 }
             }
             bad

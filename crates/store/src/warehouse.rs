@@ -168,6 +168,7 @@ pub fn build_warehouse(packages: &[(&str, &Database)]) -> Result<Database, Store
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::CellRef;
     use crate::schema::{create_level3_database, EE_VERSION};
 
     fn package(name: &str, t_r_ns: i64) -> Database {
@@ -215,9 +216,9 @@ mod tests {
         assert_eq!(wh.table("DimExperiment").unwrap().len(), 1);
         assert_eq!(wh.table("DimRun").unwrap().len(), 1);
         assert_eq!(wh.table("FactDiscovery").unwrap().len(), 1);
-        let fact = &wh.table("FactDiscovery").unwrap().rows()[0];
-        assert_eq!(fact[5], SqlValue::Int(5_000), "response time measure");
-        assert_eq!(fact[3].as_text(), Some("sm"));
+        let fact = wh.table("FactDiscovery").unwrap().rows().next().unwrap();
+        assert_eq!(fact.get(5), CellRef::Int(5_000), "response time measure");
+        assert_eq!(fact.get(3), CellRef::Text("sm"));
     }
 
     #[test]
@@ -229,8 +230,10 @@ mod tests {
         let facts = wh.table("FactDiscovery").unwrap();
         let keyed: Vec<(i64, i64)> = facts
             .rows()
-            .iter()
-            .map(|r| (r[0].as_int().unwrap(), r[5].as_int().unwrap()))
+            .map(|r| match (r.get(0), r.get(5)) {
+                (CellRef::Int(exp), CellRef::Int(t)) => (exp, t),
+                other => panic!("{other:?}"),
+            })
             .collect();
         assert_eq!(keyed, [(0, 1_000_000), (1, 9_000_000)]);
     }

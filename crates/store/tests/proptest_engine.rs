@@ -64,16 +64,16 @@ proptest! {
         let (cols, rows) = typed;
         let t = table_of(cols, rows.clone());
         prop_assert_eq!(t.len(), rows.len());
-        prop_assert_eq!(t.rows(), rows.as_slice());
+        prop_assert_eq!(t.rows().map(Row::from).collect::<Vec<_>>(), rows);
     }
 
     /// A database survives save/load byte-identically.
     #[test]
     fn database_persistence_roundtrip(t in table_strategy(), tag in 0u32..1_000_000) {
         let mut db = Database::new();
-        db.create_table("t", t.columns.clone()).unwrap();
+        db.create_table("t", t.columns().to_vec()).unwrap();
         for row in t.rows() {
-            db.insert("t", row.clone()).unwrap();
+            db.insert("t", Row::from(row)).unwrap();
         }
         let path = std::env::temp_dir()
             .join(format!("excovery-prop-{}-{tag}.expdb", std::process::id()));

@@ -2,6 +2,7 @@
 //! describe → validate → run → inspect → analyze loop a downstream user
 //! drives from the shell.
 
+use excovery::store::CellRef;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -229,9 +230,11 @@ fn l2_lists_runs_entries_and_prints_one_entry() {
         .table("Packets")
         .unwrap()
         .rows()
-        .iter()
-        .filter(|r| r[0].as_int() == Some(1) && r[1].as_text() == Some(&node))
-        .map(|r| r[4].as_blob().unwrap().to_vec())
+        .filter(|r| r.get(0) == CellRef::Int(1) && r.get(1) == CellRef::Text(&node))
+        .map(|r| match r.get(4) {
+            CellRef::Blob(b) => b.to_vec(),
+            other => panic!("packet data is {other:?}"),
+        })
         .collect();
     assert_eq!(captures.len(), packets.len());
     for (c, data) in captures.iter().zip(&packets) {
