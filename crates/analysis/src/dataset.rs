@@ -42,12 +42,6 @@ impl ExperimentDataset {
         })
     }
 
-    /// Wraps an already-built dataset (e.g. one spanning several
-    /// packages from a repository).
-    pub fn from_dataset(ds: Dataset) -> Self {
-        Self { ds }
-    }
-
     /// The underlying dataset, for ad-hoc `scan` pipelines.
     pub fn query(&self) -> &Dataset {
         &self.ds

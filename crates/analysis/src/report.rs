@@ -16,21 +16,15 @@ use crate::stats::Summary;
 use excovery_store::records::ExperimentInfo;
 use excovery_store::Database;
 
-/// Options for report generation.
-///
-/// Construct via [`ReportOptions::builder`]; the fields are kept public
-/// only for backward compatibility.
+/// Options for report generation. Construct via [`ReportOptions::builder`].
 #[derive(Debug, Clone)]
 pub struct ReportOptions {
     /// Number of SMs that must be discovered (the `k` of responsiveness).
-    #[deprecated(note = "construct via `ReportOptions::builder()`")]
-    pub k: usize,
+    k: usize,
     /// Deadlines (seconds) of the responsiveness table.
-    #[deprecated(note = "construct via `ReportOptions::builder()`")]
-    pub deadlines_s: Vec<f64>,
+    deadlines_s: Vec<f64>,
     /// Include per-run detail rows (off for experiments with many runs).
-    #[deprecated(note = "construct via `ReportOptions::builder()`")]
-    pub per_run_detail: bool,
+    per_run_detail: bool,
 }
 
 impl ReportOptions {
@@ -81,7 +75,6 @@ impl ReportOptionsBuilder {
 
     /// Finishes the build.
     pub fn build(self) -> ReportOptions {
-        #[allow(deprecated)]
         ReportOptions {
             k: self.k,
             deadlines_s: self.deadlines_s,
@@ -92,7 +85,6 @@ impl ReportOptionsBuilder {
 
 /// Renders the full Markdown report.
 pub fn render(db: &Database, opts: &ReportOptions) -> Result<String, AnalysisError> {
-    #[allow(deprecated)]
     let (k, deadlines_s, per_run_detail) = (opts.k, &opts.deadlines_s, opts.per_run_detail);
     let info = ExperimentInfo::read(db)?;
     let ds = ExperimentDataset::new(db)?;
@@ -308,13 +300,10 @@ mod tests {
     #[test]
     fn builder_matches_field_literal_defaults() {
         let built = ReportOptions::builder().k(2).build();
-        #[allow(deprecated)]
-        {
-            assert_eq!(built.k, 2);
-            assert_eq!(ReportOptions::default().k, 1);
-            assert_eq!(ReportOptions::default().deadlines_s.len(), 8);
-            assert!(ReportOptions::default().per_run_detail);
-        }
+        assert_eq!(built.k, 2);
+        assert_eq!(ReportOptions::default().k, 1);
+        assert_eq!(ReportOptions::default().deadlines_s.len(), 8);
+        assert!(ReportOptions::default().per_run_detail);
     }
 
     #[test]

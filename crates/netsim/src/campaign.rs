@@ -114,17 +114,6 @@ impl CampaignConfig {
         }
     }
 
-    /// A campaign of `replications` runs from `master_seed`, auto-sizing
-    /// the worker pool.
-    #[deprecated(note = "construct via `CampaignConfig::builder()`")]
-    pub fn new(master_seed: u64, replications: u64) -> Self {
-        Self {
-            master_seed,
-            replications,
-            workers: 0,
-        }
-    }
-
     /// Overrides the worker count (`0` = auto).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;

@@ -1081,11 +1081,6 @@ impl Simulator {
         self.shards.len()
     }
 
-    /// The deterministic node → shard assignment.
-    pub fn shard_map(&self) -> &ShardMap {
-        &self.map
-    }
-
     /// Events executed per shard (diagnostics; deterministic for a fixed
     /// shard count).
     pub fn events_per_shard(&self) -> Vec<u64> {
@@ -1127,11 +1122,6 @@ impl Simulator {
         self.node_mut(node).agents.remove(&port)
     }
 
-    /// True if an agent is installed at `(node, port)`.
-    pub fn has_agent(&self, node: NodeId, port: Port) -> bool {
-        self.node(node).agents.contains_key(&port)
-    }
-
     /// Runs `f` against the agent at `(node, port)` with a live context —
     /// the hook NodeManagers use to issue protocol commands (e.g. the SD
     /// actions of §V) from outside the event loop. Actions the agent
@@ -1161,11 +1151,6 @@ impl Simulator {
     /// Removes a fault-injection rule.
     pub fn remove_filter(&mut self, node: NodeId, id: RuleId) -> bool {
         self.node_mut(node).filters.remove(id)
-    }
-
-    /// Removes all rules from all nodes (run clean-up).
-    pub fn clear_all_filters(&mut self) {
-        self.for_each_node(|n| n.filters.clear());
     }
 
     /// Sets the *drop-all* environment manipulation on one node: the node
@@ -1206,11 +1191,6 @@ impl Simulator {
     /// Drains the capture buffer of a node (collection phase).
     pub fn drain_captures(&mut self, node: NodeId) -> Vec<CaptureRecord> {
         self.node_mut(node).captures.drain()
-    }
-
-    /// Clears all capture buffers (run preparation).
-    pub fn clear_all_captures(&mut self) {
-        self.for_each_node(|n| n.captures.clear());
     }
 
     /// Drains protocol events emitted by agents since the last call, in
@@ -1272,11 +1252,6 @@ impl Simulator {
     /// Current background load on the link `a—b` (kbit/s).
     pub fn link_load(&self, a: NodeId, b: NodeId) -> f64 {
         self.link_load.get(a.0, b.0)
-    }
-
-    /// Clears all background load.
-    pub fn clear_link_load(&mut self) {
-        self.link_load.clear();
     }
 
     // ---- sending ------------------------------------------------------------

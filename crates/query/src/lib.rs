@@ -52,7 +52,7 @@ pub use spec::{
     agg_to_spec, cell_to_value, expr_to_spec, frame_to_wire, spec_to_agg, spec_to_expr,
     value_to_cell, wire_to_frame,
 };
-pub use spill::{SpillBuilder, SpillStore, DEFAULT_MEMORY_BUDGET, MEMORY_BUDGET_ENV};
+pub use spill::{SpillBuilder, SpillStore, DEFAULT_MEMORY_BUDGET};
 
 /// The one serializable logical-plan vocabulary, re-exported from the
 /// rpc crate: [`Scan::to_spec`] lowers into it, [`Dataset::run_spec`]

@@ -37,7 +37,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Environment variable naming the resident-memory budget in bytes.
-pub const MEMORY_BUDGET_ENV: &str = "EXCOVERY_QUERY_MEM";
+pub(crate) const MEMORY_BUDGET_ENV: &str = "EXCOVERY_QUERY_MEM";
 
 /// Default resident-memory budget: 256 MiB.
 pub const DEFAULT_MEMORY_BUDGET: u64 = 256 * 1024 * 1024;

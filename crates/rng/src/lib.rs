@@ -2,7 +2,7 @@
 //!
 //! The paper (§IV-C1) requires that *"all random sequences can be
 //! reproduced"* from seeds named in the experiment description. Every
-//! golden digest, `BENCH_*.json` row and blessed results table of the
+//! golden digest, simulator pin and blessed results table of the
 //! repository is a function of exactly the algorithms below; changing any
 //! of them moves every pinned value, so each is pinned by a test here.
 //!
@@ -213,7 +213,7 @@ pub fn derive_rng_indexed(master: u64, label: &str, index: u64) -> StdRng {
 mod tests {
     use super::*;
 
-    /// The stream that reproduces `golden_outcomes` and `BENCH_netsim.json`:
+    /// The stream that reproduces `golden_outcomes` and `tests/netsim_pins.rs`:
     /// the constants of `benchmark/src/selfcheck.rs`.
     #[test]
     fn first_16_outputs_of_seed_1() {

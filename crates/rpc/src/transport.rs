@@ -4,7 +4,7 @@
 //! A [`ServerRegistry`] holds the procedures a NodeManager exposes, and
 //! its idempotent dispatch is what every client path relies on. Clients
 //! reach registries only through [`crate::reactor`], which dispatches
-//! in-process or over framed TCP itself; [`ClientObs`] is the client
+//! in-process or over framed TCP itself; `ClientObs` is the client
 //! series each reactor link records.
 //!
 //! A [`Channel`] is the in-memory endpoint (standing in for the testbed's

@@ -126,11 +126,6 @@ impl SdAgent {
         self.stats
     }
 
-    /// The SCM this agent currently uses, if any.
-    pub fn known_scm(&self) -> Option<NodeId> {
-        self.scm_known
-    }
-
     /// Live records this agent has cached for a service type.
     pub fn cached(&self, stype: &ServiceType, ctx: &AgentCtx) -> Vec<ServiceDescription> {
         self.cache

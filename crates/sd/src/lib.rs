@@ -35,10 +35,6 @@ pub use control::{sd_command, SdCommand};
 pub use model::{Architecture, Role, SdConfig, ServiceDescription, ServiceType};
 pub use wire::SdMessage;
 
-/// Well-known port of the two-party (mDNS-like) protocol.
-pub const MDNS_PORT: u16 = 5353;
-/// Well-known port of the three-party (SLP-like) protocol.
-pub const DIRECTORY_PORT: u16 = 427;
 /// Port the SD agent binds in this implementation (both protocols are
 /// multiplexed by message type; the agent listens on one port).
 pub const SD_PORT: u16 = 5353;

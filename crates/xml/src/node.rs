@@ -33,16 +33,6 @@ impl Document {
     pub fn root(&self) -> &Element {
         &self.root
     }
-
-    /// Mutable access to the root element.
-    pub fn root_mut(&mut self) -> &mut Element {
-        &mut self.root
-    }
-
-    /// Consumes the document and returns the root element.
-    pub fn into_root(self) -> Element {
-        self.root
-    }
 }
 
 /// A child node of an element.
