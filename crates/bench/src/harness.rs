@@ -6,6 +6,8 @@ use excovery_analysis::ExperimentDataset;
 use excovery_core::{EngineConfig, ExperiMaster, ExperimentOutcome};
 use excovery_desc::ExperimentDescription;
 use excovery_netsim::topology::Topology;
+use excovery_obs::par::{run_indexed, workers_from_env};
+use excovery_obs::sync::Mutex;
 use std::collections::HashMap;
 
 /// Replications per treatment, from `EXCOVERY_REPS` (default 40).
@@ -106,11 +108,10 @@ impl Campaign {
     /// # Panics
     /// Panics with a clear message when `EXCOVERY_WORKERS` is set but not
     /// a non-negative integer — a typo like `EXCOVERY_WORKERS=four` must
-    /// not silently fall back to auto-sizing (same contract as
-    /// [`excovery_netsim::campaign::workers_from_env`], which this
-    /// delegates to).
+    /// not silently fall back to auto-sizing (the contract of
+    /// [`workers_from_env`], which this delegates to).
     pub fn from_env() -> Self {
-        Self::new(excovery_netsim::campaign::workers_from_env())
+        Self::new(workers_from_env())
     }
 
     /// A serial campaign (one worker) — the reference execution order.
@@ -122,16 +123,10 @@ impl Campaign {
     /// panicking experiment yields an `Err` for its own slot only.
     pub fn run(&self, jobs: Vec<(ExperimentDescription, EngineConfig)>) -> Vec<ExecResult> {
         let count = jobs.len();
-        let slots: Vec<std::sync::Mutex<Option<(ExperimentDescription, EngineConfig)>>> = jobs
-            .into_iter()
-            .map(|j| std::sync::Mutex::new(Some(j)))
-            .collect();
-        excovery_netsim::run_indexed(self.workers, count, |i| {
-            let (desc, cfg) = slots[i]
-                .lock()
-                .expect("campaign job slot poisoned")
-                .take()
-                .expect("campaign job taken twice");
+        let slots: Vec<Mutex<Option<(ExperimentDescription, EngineConfig)>>> =
+            jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
+        run_indexed(self.workers, count, |i| {
+            let (desc, cfg) = slots[i].lock().take().expect("campaign job taken twice");
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| execute_with(desc, cfg)))
                 .unwrap_or_else(|_| Err("experiment thread panicked".into()))
         })

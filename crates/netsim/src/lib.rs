@@ -24,7 +24,6 @@
 //! comes from a single seeded PRNG, so a run is exactly repeatable — the
 //! property ExCovery demands from its platforms (§IV-C1).
 
-pub mod campaign;
 pub mod capture;
 pub mod cbr;
 pub mod clock;
@@ -43,10 +42,6 @@ pub mod time;
 pub mod topology;
 pub mod traffic;
 
-pub use campaign::{
-    run_indexed, run_replications, run_replications_serial, shards_from_env, workers_from_env,
-    CampaignConfig,
-};
 pub use capture::CaptureRecord;
 pub use clock::NodeClock;
 pub use filter::{Direction, FilterRule};

@@ -49,6 +49,38 @@ use excovery_rng::StdRng;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 
+/// Environment variable selecting the per-run spatial shard count.
+/// `0`/unset means 1 (serial); results are bit-exact for every value, so
+/// this only trades threads for wall-clock.
+pub const SHARDS_ENV: &str = "EXCOVERY_SHARDS";
+
+/// Parses an [`SHARDS_ENV`]-style shard count. Empty/whitespace means
+/// serial (`1`); `0` also means serial; anything else must be a
+/// non-negative decimal integer.
+pub fn parse_shards(value: &str) -> Result<usize, String> {
+    let trimmed = value.trim();
+    if trimmed.is_empty() {
+        return Ok(1);
+    }
+    trimmed.parse::<usize>().map(|n| n.max(1)).map_err(|_| {
+        format!(
+            "invalid shard count {value:?}: expected a non-negative integer \
+                 (0 or unset runs serially with one shard)"
+        )
+    })
+}
+
+/// Reads the shard count from [`SHARDS_ENV`]. Unset means serial (`1`); an
+/// unparsable value aborts loudly — shard count never changes results, but
+/// a typo must not silently change the execution shape of a campaign
+/// either.
+pub fn shards_from_env() -> usize {
+    match std::env::var(SHARDS_ENV) {
+        Err(_) => 1,
+        Ok(v) => parse_shards(&v).unwrap_or_else(|e| panic!("{SHARDS_ENV}: {e}")),
+    }
+}
+
 /// Number of log₂ buckets in the mailbox depth histogram.
 pub(crate) const DEPTH_BUCKETS: usize = 16;
 
@@ -369,4 +401,27 @@ where
         }
     });
     ctrl.total.load(Ordering::Relaxed)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parse_shards_accepts_counts_and_serial_default() {
+        assert_eq!(parse_shards(""), Ok(1));
+        assert_eq!(parse_shards("  "), Ok(1));
+        assert_eq!(parse_shards("0"), Ok(1));
+        assert_eq!(parse_shards("1"), Ok(1));
+        assert_eq!(parse_shards(" 8 "), Ok(8));
+    }
+
+    #[test]
+    fn parse_shards_rejects_garbage_loudly() {
+        for bad in ["auto", "-2", "1.5", "2x"] {
+            let err = parse_shards(bad).unwrap_err();
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+            assert!(err.contains("non-negative integer"), "{err}");
+        }
+    }
 }

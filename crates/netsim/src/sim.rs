@@ -314,7 +314,7 @@ impl SimulatorConfig {
     /// value when `0`, clamped to `[1, node_count]`.
     pub fn resolved_shards(&self, node_count: usize) -> usize {
         let requested = if self.shards == 0 {
-            crate::campaign::shards_from_env()
+            crate::shard::shards_from_env()
         } else {
             self.shards
         };

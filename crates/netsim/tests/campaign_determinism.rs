@@ -1,19 +1,20 @@
 //! Serial vs parallel campaign determinism.
 //!
-//! The parallel campaign runner must be an execution-order optimization
-//! only: fanning replications across worker threads may never change a
-//! single measured bit. These tests run a non-trivial workload — unicast
+//! Fanning replications across worker threads ([`run_indexed`]) must be
+//! an execution-order optimization only: it may never change a single
+//! measured bit. These tests run a non-trivial workload — unicast
 //! ping-pong, multicast beacons, timers and agent RNG draws over a lossy
 //! grid — and compare full fingerprints (stats, per-node capture
 //! sequences, protocol-event order) between serial and parallel
 //! execution across several master seeds and worker counts.
 
+use excovery_netsim::rng::derive_seed_indexed;
 use excovery_netsim::sim::{ProtocolEvent, SimStats, Simulator, SimulatorConfig};
 use excovery_netsim::topology::Topology;
 use excovery_netsim::{
-    run_replications, run_replications_serial, Agent, AgentCtx, CampaignConfig, Destination,
-    EventParams, NodeId, Packet, Port, SimDuration,
+    Agent, AgentCtx, Destination, EventParams, NodeId, Packet, Port, SimDuration,
 };
+use excovery_obs::par::run_indexed;
 use excovery_rng::Rng;
 use std::hash::{DefaultHasher, Hash, Hasher};
 
@@ -117,18 +118,24 @@ fn run_replication(seed: u64) -> (SimStats, u64, usize, usize) {
     (sim.stats(), h.finish(), n_caps, events.len())
 }
 
+/// `replications` runs of the workload from `master_seed` on `workers`
+/// threads (`0` = available parallelism), in replication order.
+fn campaign(
+    master_seed: u64,
+    replications: usize,
+    workers: usize,
+) -> Vec<(SimStats, u64, usize, usize)> {
+    run_indexed(workers, replications, |i| {
+        run_replication(derive_seed_indexed(master_seed, "campaign_rep", i as u64))
+    })
+}
+
 #[test]
 fn parallel_campaign_is_bit_identical_to_serial() {
     for master_seed in [11, 4242, 990_001] {
-        let cfg = CampaignConfig::builder()
-            .master_seed(master_seed)
-            .replications(6)
-            .build();
-        let serial = run_replications_serial(&cfg, |_rep, seed| run_replication(seed));
+        let serial = campaign(master_seed, 6, 1);
         for workers in [2, 4] {
-            let par = run_replications(&cfg.with_workers(workers), |_rep, seed| {
-                run_replication(seed)
-            });
+            let par = campaign(master_seed, 6, workers);
             assert_eq!(
                 serial, par,
                 "parallel campaign (seed {master_seed}, {workers} workers) \
@@ -140,11 +147,7 @@ fn parallel_campaign_is_bit_identical_to_serial() {
 
 #[test]
 fn workload_is_nontrivial_and_seeds_differ() {
-    let cfg = CampaignConfig::builder()
-        .master_seed(7)
-        .replications(4)
-        .build();
-    let results = run_replications_serial(&cfg, |_rep, seed| run_replication(seed));
+    let results = campaign(7, 4, 1);
     for (stats, _, n_caps, n_events) in &results {
         assert!(
             stats.sent > 0 && stats.delivered > 0,
@@ -165,11 +168,7 @@ fn workload_is_nontrivial_and_seeds_differ() {
 
 #[test]
 fn same_master_seed_reproduces_across_campaigns() {
-    let cfg = CampaignConfig::builder()
-        .master_seed(31_337)
-        .replications(3)
-        .build();
-    let a = run_replications(&cfg, |_rep, seed| run_replication(seed));
-    let b = run_replications(&cfg, |_rep, seed| run_replication(seed));
+    let a = campaign(31_337, 3, 0);
+    let b = campaign(31_337, 3, 0);
     assert_eq!(a, b);
 }

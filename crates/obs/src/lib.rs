@@ -43,11 +43,10 @@
 //! assert!(text.contains("demo_calls_total{transport=\"memory\"} 1"));
 //! ```
 
-pub mod frame;
 pub mod jsonl;
 pub mod metrics;
+pub mod par;
 pub mod prometheus;
-pub mod scrape;
 pub mod span;
 pub mod sync;
 

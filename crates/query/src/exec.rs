@@ -1,11 +1,10 @@
 //! Parallel scan execution with deterministic, partition-ordered merge.
 //!
-//! Partitions are scanned concurrently via the campaign fan-out primitive
-//! (`excovery_netsim::run_indexed`), which returns per-partition results
-//! in partition order regardless of scheduling. Aggregate partials are
+//! Partitions are scanned concurrently via the workspace's fan-out
+//! primitive ([`excovery_obs::par::run_indexed`]), which returns
+//! per-partition results in partition order regardless of scheduling. Aggregate partials are
 //! then merged serially in that fixed order, so every scan is
-//! bit-identical at any worker count — the same determinism contract the
-//! replication campaigns established.
+//! bit-identical at any worker count.
 //!
 //! Before any row is read, [`PlanCtx::plan_partition`] decides each
 //! partition from its statistics (slab footers when spilled, the slabs
@@ -342,7 +341,7 @@ pub(crate) fn execute(scan: Scan<'_>) -> Result<Frame, QueryError> {
     )?;
     let workers = scan
         .workers
-        .unwrap_or_else(excovery_netsim::workers_from_env);
+        .unwrap_or_else(excovery_obs::par::workers_from_env);
     execute_ctx(ds, &ctx, workers)
 }
 
@@ -400,7 +399,7 @@ pub(crate) fn execute_ctx(
         })
         .collect();
     if ctx.aggregate_mode() {
-        let mut partials = excovery_netsim::run_indexed(workers, scans.len(), |i| {
+        let mut partials = excovery_obs::par::run_indexed(workers, scans.len(), |i| {
             let (sel, filtered) = scans[i];
             timed_partition_scan(|| {
                 with_table(ds, ctx, sel, |t| {
@@ -424,7 +423,7 @@ pub(crate) fn execute_ctx(
         }
         Ok(finalize_agg_frame(ctx, master, &ds.pool))
     } else {
-        let chunks = excovery_netsim::run_indexed(workers, scans.len(), |i| {
+        let chunks = excovery_obs::par::run_indexed(workers, scans.len(), |i| {
             let (sel, filtered) = scans[i];
             timed_partition_scan(|| {
                 with_table(ds, ctx, sel, |t| {

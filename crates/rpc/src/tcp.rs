@@ -20,20 +20,46 @@
 use crate::error::{RpcError, FAULT_PARSE_ERROR};
 use crate::message::{Fault, MethodResponse};
 use crate::transport::ServerRegistry;
-use excovery_obs::frame::{read_frame, write_frame};
 use excovery_obs::sync::Mutex;
-use std::io::ErrorKind;
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 /// Upper bound on a single frame; anything larger is a codec error (a
-/// corrupt length prefix would otherwise ask for gigabytes). The framing
-/// itself lives in [`excovery_obs::frame`] so the metrics scrape
-/// endpoint shares the exact plumbing; this re-export keeps the
-/// historical path.
-pub use excovery_obs::frame::MAX_FRAME_BYTES;
+/// corrupt length prefix would otherwise ask for gigabytes).
+pub const MAX_FRAME_BYTES: u32 = 16 * 1024 * 1024;
+
+// ---- framing ---------------------------------------------------------------
+
+/// Writes one frame and flushes.
+pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> std::io::Result<()> {
+    let len = payload.len() as u32;
+    w.write_all(&len.to_be_bytes())?;
+    w.write_all(payload)?;
+    w.flush()
+}
+
+/// Reads one frame. `Ok(None)` means clean EOF at a frame boundary; a
+/// length above [`MAX_FRAME_BYTES`] is an `InvalidData` error.
+pub fn read_frame<R: Read>(r: &mut R) -> std::io::Result<Option<Vec<u8>>> {
+    let mut header = [0u8; 4];
+    match r.read_exact(&mut header) {
+        Err(e) if e.kind() == ErrorKind::UnexpectedEof => return Ok(None),
+        other => other?,
+    }
+    let len = u32::from_be_bytes(header);
+    if len > MAX_FRAME_BYTES {
+        return Err(std::io::Error::new(
+            ErrorKind::InvalidData,
+            format!("frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"),
+        ));
+    }
+    let mut payload = vec![0u8; len as usize];
+    r.read_exact(&mut payload)?;
+    Ok(Some(payload))
+}
 
 // ---- server ----------------------------------------------------------------
 
@@ -241,5 +267,39 @@ impl TcpTransport {
             "{} unreachable after {attempts} attempts: {last}",
             self.addr
         ))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn round_trips_over_a_buffer() {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, b"hello").unwrap();
+        write_frame(&mut buf, b"").unwrap();
+        let mut cursor = std::io::Cursor::new(buf);
+        assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), b"hello");
+        assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), b"");
+        assert!(read_frame(&mut cursor).unwrap().is_none());
+    }
+
+    #[test]
+    fn oversized_length_is_invalid_data() {
+        let mut buf = (MAX_FRAME_BYTES + 1).to_be_bytes().to_vec();
+        buf.extend_from_slice(b"x");
+        let mut cursor = std::io::Cursor::new(buf);
+        let err = read_frame(&mut cursor).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn eof_before_a_complete_header_reads_as_end_of_stream() {
+        // A peer closing before a full header is treated as end of stream.
+        let mut partial = std::io::Cursor::new(vec![0u8, 0]);
+        assert!(read_frame(&mut partial).unwrap().is_none());
+        let mut empty = std::io::Cursor::new(Vec::<u8>::new());
+        assert!(read_frame(&mut empty).unwrap().is_none());
     }
 }

@@ -3,8 +3,7 @@
 //! and partial reads), oversized frames are rejected at the 16 MiB cap,
 //! and every job pack/unpack pair is an inverse. Runs fully offline.
 
-use excovery_obs::frame::{read_frame, write_frame};
-use excovery_rpc::tcp::MAX_FRAME_BYTES;
+use excovery_rpc::tcp::{read_frame, write_frame, MAX_FRAME_BYTES};
 use excovery_rpc::{MethodCall, Value};
 use proptest::prelude::*;
 use std::io::{Cursor, Read};

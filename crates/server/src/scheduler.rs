@@ -5,9 +5,9 @@
 //! [`Scheduler::tick`] picks at least one slice for **every** tenant
 //! with runnable work (round-robin, rotating the starting tenant across
 //! ticks), fills any remaining worker slots by continuing the rotation,
-//! and executes the picked slices on the campaign worker pool
-//! ([`run_indexed`], sized by `EXCOVERY_WORKERS` like campaign
-//! sharding). With one worker the slices of a round simply serialize —
+//! and executes the picked slices on the workspace's index-ordered
+//! fan-out ([`run_indexed`], sized by `EXCOVERY_WORKERS` through
+//! [`workers_from_env`]). With one worker the slices of a round simply serialize —
 //! fairness is a property of the pick, not of the parallelism.
 //!
 //! Crash safety leans entirely on the engine's resume model: every run
@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use excovery_core::master::{EngineConfig, ExperiMaster};
 use excovery_desc::xmlio;
-use excovery_netsim::campaign::{run_indexed, workers_from_env};
+use excovery_obs::par::{run_indexed, workers_from_env};
 use excovery_obs::sync::Mutex;
 use excovery_obs::{global, Counter, Gauge, Histogram};
 use excovery_rpc::{JobId, JobState};
@@ -50,7 +50,7 @@ pub fn preset_config(name: &str) -> Result<EngineConfig, ServerError> {
 #[derive(Debug, Clone)]
 pub struct SchedulerConfig {
     /// Worker-pool width; `0` = auto (available parallelism), the same
-    /// contract as campaign sharding's `EXCOVERY_WORKERS`.
+    /// contract as `EXCOVERY_WORKERS` ([`workers_from_env`]).
     pub workers: usize,
     /// Runs per slice. Smaller slices interleave tenants more finely at
     /// the cost of more master incarnations.

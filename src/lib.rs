@@ -25,8 +25,9 @@
 //!   fair-share scheduler and remote analysis over the rpc protocol
 //!   (see DESIGN.md §14),
 //! * [`obs`] — the observability subsystem: lock-free metrics,
-//!   clock-agnostic spans, Prometheus/JSONL exporters and the framed
-//!   scrape endpoint (see DESIGN.md §10).
+//!   clock-agnostic spans and Prometheus/JSONL exporters (see DESIGN.md
+//!   §10), plus the workspace's lock type and its index-ordered thread
+//!   fan-out (`obs::par`).
 //!
 //! See `examples/quickstart.rs` for an end-to-end experiment, or run one
 //! inline:
@@ -65,8 +66,6 @@ pub use excovery_xml as xml;
 /// * describe an experiment — [`ExperimentDescription`](prelude::ExperimentDescription),
 /// * execute it — [`EngineConfig`](prelude::EngineConfig) (via
 ///   `EngineConfig::builder()`) and [`ExperiMaster`](prelude::ExperiMaster),
-/// * fan replications out — [`CampaignConfig`](prelude::CampaignConfig)
-///   (via `CampaignConfig::builder()`),
 /// * store and archive packages — [`Database`](prelude::Database) and
 ///   [`Repository`](prelude::Repository),
 /// * query measurements — [`Dataset`](prelude::Dataset) with
@@ -86,7 +85,6 @@ pub mod prelude {
     pub use excovery_analysis::{AnalysisError, DiscoveryEpisode, ExperimentDataset};
     pub use excovery_core::{EngineConfig, EngineError, ExperiMaster, ExperimentOutcome};
     pub use excovery_desc::ExperimentDescription;
-    pub use excovery_netsim::CampaignConfig;
     pub use excovery_query::{col, lit, Agg, Dataset, Frame, QueryError};
     pub use excovery_server::{ExperimentServer, ServerClient, ServerConfig, ServerError};
     pub use excovery_store::{Database, Repository, StoreError};

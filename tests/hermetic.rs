@@ -95,3 +95,127 @@ fn the_check_sees_a_registry_dependency() {
         ]
     );
 }
+
+/// The allowed internal `[dependencies]` of every member under `crates/`,
+/// by directory name: the crate graph printed in DESIGN.md §3. Adding an
+/// edge is a layering decision, made here and there, not only in a
+/// manifest.
+const CRATE_GRAPH: &[(&str, &[&str])] = &[
+    ("rng", &[]),
+    ("obs", &[]),
+    ("xml", &[]),
+    ("proptest-lite", &["rng"]),
+    ("desc", &["rng", "xml"]),
+    ("netsim", &["obs", "rng"]),
+    ("rpc", &["obs", "xml"]),
+    ("sd", &["netsim", "rng"]),
+    ("store", &["obs"]),
+    ("query", &["obs", "rpc", "store"]),
+    (
+        "core",
+        &["desc", "netsim", "obs", "rng", "rpc", "sd", "store", "xml"],
+    ),
+    ("analysis", &["desc", "netsim", "query", "store", "xml"]),
+    ("server", &["core", "desc", "obs", "query", "rpc", "store"]),
+    (
+        "bench",
+        &[
+            "analysis", "core", "desc", "netsim", "obs", "rpc", "sd", "store", "xml",
+        ],
+    ),
+];
+
+/// The workspace crates a manifest builds against, without their
+/// `excovery-` prefix, sorted: every `excovery-*` key of a `*dependencies`
+/// table other than `[dev-dependencies]`.
+fn internal_dependencies(manifest: &str) -> Vec<String> {
+    let mut found = Vec::new();
+    let mut in_dependencies = false;
+    for line in manifest.lines().map(str::trim) {
+        if let Some(header) = line.strip_prefix('[') {
+            let table = header.trim_end_matches(']');
+            in_dependencies =
+                table.ends_with("dependencies") && !table.ends_with("dev-dependencies");
+            continue;
+        }
+        if !in_dependencies {
+            continue;
+        }
+        let key = line.split('=').next().unwrap_or("").trim();
+        let name = key.strip_suffix(".workspace").unwrap_or(key);
+        if let Some(member) = name.strip_prefix("excovery-") {
+            found.push(member.to_string());
+        }
+    }
+    found.sort();
+    found
+}
+
+/// `Err` naming the difference when `manifest` does not build against
+/// exactly the crates [`CRATE_GRAPH`] allows `member`.
+fn check_layering(member: &str, manifest: &str) -> Result<(), String> {
+    let allowed = CRATE_GRAPH
+        .iter()
+        .find(|(name, _)| *name == member)
+        .map(|(_, deps)| deps.to_vec())
+        .ok_or_else(|| format!("{member}: not in CRATE_GRAPH"))?;
+    let actual = internal_dependencies(manifest);
+    let extra: Vec<&String> = actual
+        .iter()
+        .filter(|d| !allowed.contains(&d.as_str()))
+        .collect();
+    let missing: Vec<&&str> = allowed
+        .iter()
+        .filter(|d| !actual.iter().any(|a| a == *d))
+        .collect();
+    if extra.is_empty() && missing.is_empty() {
+        Ok(())
+    } else {
+        Err(format!(
+            "{member}: forbidden edges {extra:?}, missing edges {missing:?}"
+        ))
+    }
+}
+
+#[test]
+fn every_crate_depends_on_exactly_its_allowed_layers() {
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let mut members = Vec::new();
+    for entry in fs::read_dir(&crates).expect("crates/ is readable") {
+        let dir = entry.expect("directory entry").path();
+        let Ok(text) = fs::read_to_string(dir.join("Cargo.toml")) else {
+            continue;
+        };
+        let member = dir.file_name().unwrap().to_string_lossy().into_owned();
+        if let Err(e) = check_layering(&member, &text) {
+            panic!("{e}");
+        }
+        members.push(member);
+    }
+    members.sort();
+    let mut graph: Vec<String> = CRATE_GRAPH.iter().map(|(m, _)| m.to_string()).collect();
+    graph.sort();
+    assert_eq!(
+        members, graph,
+        "CRATE_GRAPH names a crate that does not exist"
+    );
+}
+
+#[test]
+fn the_layering_check_sees_a_forbidden_edge() {
+    let query = "[package]\nname = \"excovery-query\"\n\n[dependencies]\n\
+                 excovery-obs.workspace = true\nexcovery-store.workspace = true\n\
+                 excovery-rpc.workspace = true\n\n[dev-dependencies]\n\
+                 proptest.workspace = true\nexcovery-netsim.workspace = true\n";
+    assert_eq!(check_layering("query", query), Ok(()));
+    let with_netsim = query.replace(
+        "excovery-rpc.workspace = true\n",
+        "excovery-rpc.workspace = true\nexcovery-netsim = { path = \"../netsim\" }\n",
+    );
+    let err = check_layering("query", &with_netsim).unwrap_err();
+    assert!(err.contains("forbidden edges [\"netsim\"]"), "{err}");
+    let without_rpc = query.replace("excovery-rpc.workspace = true\n", "");
+    let err = check_layering("query", &without_rpc).unwrap_err();
+    assert!(err.contains("missing edges [\"rpc\"]"), "{err}");
+    assert!(check_layering("scratch", query).is_err());
+}

@@ -11,9 +11,11 @@
 //! by the `benchmark/` crate (`netsim.flood_run_ms`,
 //! `netsim.unicast_run_ms`, `obs.overhead_share`), not here.
 
+use excovery::netsim::rng::derive_seed_indexed;
 use excovery::netsim::sim::{Simulator, SimulatorConfig};
 use excovery::netsim::topology::Topology;
-use excovery::netsim::{run_replications, Agent, CampaignConfig, Destination, NodeId, Payload};
+use excovery::netsim::{Agent, Destination, NodeId, Payload};
+use excovery::obs::par::run_indexed;
 use excovery::obs::ObsConfig;
 
 /// A packet sink: counts as a delivery (an agent is bound at the
@@ -101,18 +103,14 @@ fn unicast_4hops(seed: u64, publish_obs: bool) -> Pin {
     Pin::of(&sim, events)
 }
 
-/// 8 replications of the chain unicast from master seed 3. The pin folds
-/// the per-replication digests (FNV-1a, replication order) and sums the
-/// counters, so it also pins cross-replication determinism.
+/// 8 replications of the chain unicast from master seed 3, replication
+/// `i` seeded with `derive_seed_indexed(3, "campaign_rep", i)`. The pin
+/// folds the per-replication digests (FNV-1a, replication order) and sums
+/// the counters, so it also pins cross-replication determinism.
 fn campaign(workers: usize) -> Pin {
-    let reps = run_replications(
-        &CampaignConfig::builder()
-            .master_seed(3)
-            .replications(8)
-            .workers(workers)
-            .build(),
-        |_rep, seed| unicast_4hops(seed, false),
-    );
+    let reps = run_indexed(workers, 8, |i| {
+        unicast_4hops(derive_seed_indexed(3, "campaign_rep", i as u64), false)
+    });
     let fnv_offset = Pin {
         digest: 0xcbf2_9ce4_8422_2325,
         ..Pin::default()
