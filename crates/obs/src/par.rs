@@ -3,7 +3,7 @@
 //! ExCovery campaigns repeat an experiment many times with per-run seeds
 //! (§IV-C1); MACI-style frameworks scale the same way — by fanning
 //! *independent* jobs out to workers. [`run_indexed`] is the one primitive
-//! for that in the workspace: the bench harness's experiment campaigns,
+//! for that in the workspace: the case-study campaigns of `excovery paper`,
 //! the query layer's partition scans and the server's scheduler slices all
 //! go through it. Scoped worker threads claim job indices from an atomic
 //! counter and park each result in its job's slot, so results come back

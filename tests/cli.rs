@@ -53,6 +53,7 @@ fn help_lists_all_commands() {
         "report",
         "repo",
         "l2",
+        "paper",
     ] {
         assert!(text.contains(cmd), "usage lacks {cmd}");
     }
@@ -348,6 +349,41 @@ fn unknown_flags_are_rejected_by_name() {
     assert!(!out.status.success());
     assert!(stderr(&out).contains("--limit needs a value"));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--reps` sets a replicated study's count; a count that is not a
+/// positive integer, `--reps` on a study with fixed runs and an unknown
+/// study each fail, naming the value. The default counts are checked by
+/// `tests/paper_results.rs`.
+#[test]
+fn paper_takes_a_positive_reps_count_and_a_known_study() {
+    let out = cli(&["paper", "cs1_responsiveness_loss", "--reps", "2"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(stdout(&out)
+        .starts_with("CS-1: responsiveness vs message loss on the SM (2 replications/level)\n"));
+
+    for bad in ["0", "six", "-3"] {
+        let out = cli(&["paper", "cs1_responsiveness_loss", "--reps", bad]);
+        assert!(!out.status.success(), "--reps {bad} accepted");
+        assert!(out.stdout.is_empty(), "--reps {bad} ran the study");
+        let err = stderr(&out);
+        assert!(
+            err.contains(&format!("'{bad}'")) && err.contains("positive"),
+            "{err}"
+        );
+    }
+
+    let out = cli(&["paper", "fig5_plan", "--reps", "3"]);
+    assert!(!out.status.success());
+    assert!(stderr(&out).contains("'fig5_plan'"), "{}", stderr(&out));
+
+    let out = cli(&["paper", "cs9_nonexistent"]);
+    assert!(!out.status.success());
+    let err = stderr(&out);
+    assert!(
+        err.contains("unknown study 'cs9_nonexistent'") && err.contains("cs1_responsiveness_loss"),
+        "{err}"
+    );
 }
 
 #[test]

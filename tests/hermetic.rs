@@ -117,12 +117,6 @@ const CRATE_GRAPH: &[(&str, &[&str])] = &[
     ),
     ("analysis", &["desc", "netsim", "query", "store", "xml"]),
     ("server", &["core", "desc", "obs", "query", "rpc", "store"]),
-    (
-        "bench",
-        &[
-            "analysis", "core", "desc", "netsim", "obs", "rpc", "sd", "store", "xml",
-        ],
-    ),
 ];
 
 /// The workspace crates a manifest builds against, without their
