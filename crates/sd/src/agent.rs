@@ -12,11 +12,12 @@
 use crate::cache::{CacheChange, ServiceCache};
 use crate::model::{Architecture, Role, SdConfig, ServiceDescription, ServiceType};
 use crate::wire::SdMessage;
+use excovery_netsim::fasthash::FastHashMap;
 use excovery_netsim::{
-    Agent, AgentCtx, Destination, EventParams, NodeId, Packet, Port, SimDuration,
+    Agent, AgentCtx, Destination, EventParams, NodeId, Packet, Port, SimDuration, SimTime,
 };
 use excovery_rng::Rng;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 /// Counters of protocol activity (for tests and the ablation benches).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -65,7 +66,8 @@ enum TimerPurpose {
         records: Vec<ServiceDescription>,
     },
     Probe(ServiceType),
-    CacheExpiry,
+    /// A cache sweep due at this instant.
+    CacheExpiry(SimTime),
     ScmAdvert,
     RegRetry(u64),
     RegRefresh(ServiceType),
@@ -89,7 +91,12 @@ pub struct SdAgent {
     next_qid: u64,
     next_rid: u64,
     next_timer_token: u64,
-    timers: HashMap<u64, TimerPurpose>,
+    /// Purposes of the armed timers by token. Deterministically hashed,
+    /// so the table's growth, and with it the allocations a run costs,
+    /// does not vary between processes.
+    timers: FastHashMap<u64, TimerPurpose>,
+    /// Due instants of the pending [`TimerPurpose::CacheExpiry`] timers.
+    expiry_timers: BTreeSet<SimTime>,
     port: Port,
     stats: SdStats,
 }
@@ -110,7 +117,8 @@ impl SdAgent {
             next_qid: 1,
             next_rid: 1,
             next_timer_token: 1,
-            timers: HashMap::new(),
+            timers: FastHashMap::default(),
+            expiry_timers: BTreeSet::new(),
             port,
             stats: SdStats::default(),
         }
@@ -184,6 +192,7 @@ impl SdAgent {
         }
         // Drop timers by forgetting their purposes; stale fires are ignored.
         self.timers.clear();
+        self.expiry_timers.clear();
         self.role = None;
         self.scm_known = None;
         self.cache.clear();
@@ -409,10 +418,20 @@ impl SdAgent {
         );
     }
 
+    /// Makes sure a sweep is pending 1 ms after the cache's earliest
+    /// deadline (1 ms after now if that has passed). One timer serves
+    /// every call that asks for the same instant. Each distinct instant
+    /// keeps its own timer, even after the minimum has moved on: a sweep
+    /// still pending for an older minimum can lapse a later entry before
+    /// that entry's own deadline + 1 ms, and dropping the sweep would
+    /// move that entry's `sd_service_del`.
     fn rearm_cache_expiry(&mut self, ctx: &mut AgentCtx) {
         if let Some(next) = self.cache.next_expiry() {
             let delay = next.saturating_since(ctx.now()) + SimDuration::from_millis(1);
-            self.arm(ctx, delay, TimerPurpose::CacheExpiry);
+            let due = ctx.now() + delay;
+            if self.expiry_timers.insert(due) {
+                self.arm(ctx, delay, TimerPurpose::CacheExpiry(due));
+            }
         }
     }
 
@@ -469,19 +488,25 @@ impl SdAgent {
         }
     }
 
-    fn absorb_records(&mut self, ctx: &mut AgentCtx, records: &[ServiceDescription]) {
-        for r in records {
+    fn absorb_records<R>(&mut self, ctx: &mut AgentCtx, records: R)
+    where
+        R: AsRef<[ServiceDescription]> + IntoIterator<Item = ServiceDescription>,
+    {
+        for r in records.as_ref() {
             self.check_name_conflict(ctx, r);
         }
         for r in records {
-            let change = self.cache.merge(r, ctx.now());
-            if self.searches.contains_key(&r.stype) {
-                match change {
-                    CacheChange::Added => self.emit_service_event(ctx, "sd_service_add", r),
-                    CacheChange::Updated => self.emit_service_event(ctx, "sd_service_upd", r),
-                    CacheChange::Removed => self.emit_service_event(ctx, "sd_service_del", r),
-                    CacheChange::Refreshed | CacheChange::Ignored => {}
-                }
+            if !self.searches.contains_key(&r.stype) {
+                // No event reports the change, so the cache keeps the
+                // decoded record itself.
+                self.cache.merge_owned(r, ctx.now());
+                continue;
+            }
+            match self.cache.merge(&r, ctx.now()) {
+                CacheChange::Added => self.emit_service_event(ctx, "sd_service_add", &r),
+                CacheChange::Updated => self.emit_service_event(ctx, "sd_service_upd", &r),
+                CacheChange::Removed => self.emit_service_event(ctx, "sd_service_del", &r),
+                CacheChange::Refreshed | CacheChange::Ignored => {}
             }
         }
         self.rearm_cache_expiry(ctx);
@@ -559,7 +584,7 @@ impl SdAgent {
         }
         let mut leased = record.clone();
         leased.ttl_s = lease_s;
-        let change = self.registry.merge(&leased, ctx.now());
+        let change = self.registry.merge_owned(leased, ctx.now());
         let event = match change {
             CacheChange::Added => Some("scm_registration_add"),
             CacheChange::Updated => Some("scm_registration_upd"),
@@ -587,11 +612,7 @@ impl SdAgent {
         }
         let mut goodbye = ServiceDescription::new(instance.to_string(), stype.clone(), NodeId(0));
         goodbye.ttl_s = 0;
-        if self
-            .registry
-            .merge(&goodbye, excovery_netsim::SimTime::ZERO)
-            == CacheChange::Removed
-        {
+        if self.registry.merge(&goodbye, SimTime::ZERO) == CacheChange::Removed {
             ctx.emit("scm_registration_del", [("service", instance.to_string())]);
         }
     }
@@ -632,8 +653,8 @@ impl Agent for SdAgent {
         };
         match msg {
             SdMessage::Query { qid, stype, known } => self.handle_query(ctx, qid, &stype, &known),
-            SdMessage::Response { qid: _, records } => self.absorb_records(ctx, &records),
-            SdMessage::Announce { record } => self.absorb_records(ctx, &[record]),
+            SdMessage::Response { qid: _, records } => self.absorb_records(ctx, records),
+            SdMessage::Announce { record } => self.absorb_records(ctx, [record]),
             SdMessage::ScmAdvert { scm } => self.handle_scm_advert(ctx, scm),
             SdMessage::Register {
                 rid,
@@ -737,7 +758,8 @@ impl Agent for SdAgent {
                     );
                 }
             }
-            TimerPurpose::CacheExpiry => {
+            TimerPurpose::CacheExpiry(due) => {
+                self.expiry_timers.remove(&due);
                 let lapsed = self.cache.expire(ctx.now());
                 for d in lapsed {
                     if self.searches.contains_key(&d.stype) {
@@ -779,7 +801,6 @@ mod tests {
     use excovery_netsim::link::LinkModel;
     use excovery_netsim::sim::{ProtocolEvent, Simulator, SimulatorConfig};
     use excovery_netsim::topology::Topology;
-    use excovery_netsim::SimTime;
 
     fn quiet_sim(n: usize, seed: u64) -> Simulator {
         let cfg = SimulatorConfig {

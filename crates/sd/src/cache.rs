@@ -4,10 +4,19 @@
 //! one tracks record expiry (TTL), supports the known-answer list of
 //! outgoing queries, and reports add/remove/update transitions so the agent
 //! can emit `sd_service_add` / `sd_service_del` / `sd_service_upd` events.
+//!
+//! Records are kept per service type, then per instance name, so a
+//! received record is looked up by its borrowed `(type, instance)` without
+//! building an owned key. Beside them the cache keeps the expiry instant of
+//! every record as an ordered multiset, so the earliest deadline is read in
+//! O(log n) and a sweep with nothing due touches no record. The maps are
+//! hashed deterministically; every listing is sorted before it is returned.
 
 use crate::model::{ServiceDescription, ServiceType};
+use excovery_netsim::fasthash::FastHashMap;
 use excovery_netsim::{SimDuration, SimTime};
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::BTreeMap;
 
 /// Outcome of merging a record into the cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,9 +40,16 @@ struct Entry {
 }
 
 /// TTL-aware service cache.
+///
+/// An entry stays stored after its expiry instant until [`Self::expire`]
+/// sweeps it; [`Self::lookup`], [`Self::known_answers`] and [`Self::all`]
+/// already hide it, [`Self::len`] still counts it.
 #[derive(Debug, Clone, Default)]
 pub struct ServiceCache {
-    entries: HashMap<(ServiceType, String), Entry>,
+    /// Entries by service type, then by instance name.
+    entries: FastHashMap<ServiceType, FastHashMap<String, Entry>>,
+    /// The expiry instant of every entry, with its multiplicity.
+    expiries: BTreeMap<SimTime, u32>,
 }
 
 impl ServiceCache {
@@ -43,53 +59,86 @@ impl ServiceCache {
     }
 
     /// Merges a received record, returning what changed.
+    ///
+    /// A record with TTL 0 (a goodbye) removes the instance; any other
+    /// record (re)sets its expiry to `now` plus its TTL. Key strings are
+    /// cloned only when the instance is new.
     pub fn merge(&mut self, desc: &ServiceDescription, now: SimTime) -> CacheChange {
-        let key = (desc.stype.clone(), desc.instance.clone());
+        self.merge_record(Cow::Borrowed(desc), now)
+    }
+
+    /// [`Self::merge`] for a record the caller has no further use for: a
+    /// new or changed instance stores it instead of a clone.
+    pub(crate) fn merge_owned(&mut self, desc: ServiceDescription, now: SimTime) -> CacheChange {
+        self.merge_record(Cow::Owned(desc), now)
+    }
+
+    fn merge_record(&mut self, desc: Cow<'_, ServiceDescription>, now: SimTime) -> CacheChange {
         if desc.is_goodbye() {
-            return if self.entries.remove(&key).is_some() {
-                CacheChange::Removed
-            } else {
-                CacheChange::Ignored
+            let removed = self
+                .entries
+                .get_mut(&desc.stype)
+                .and_then(|by_name| by_name.remove(desc.instance.as_str()));
+            return match removed {
+                Some(e) => {
+                    unindex(&mut self.expiries, e.expires);
+                    CacheChange::Removed
+                }
+                None => CacheChange::Ignored,
             };
         }
         let expires = now + SimDuration::from_secs(u64::from(desc.ttl_s));
-        match self.entries.get_mut(&key) {
-            None => {
-                self.entries.insert(
-                    key,
-                    Entry {
-                        desc: desc.clone(),
-                        expires,
-                    },
-                );
-                CacheChange::Added
-            }
-            Some(e) => {
-                let content_changed = e.desc.service_port != desc.service_port
-                    || e.desc.attributes != desc.attributes
-                    || e.desc.provider != desc.provider;
-                e.expires = expires;
-                if content_changed {
-                    e.desc = desc.clone();
-                    CacheChange::Updated
-                } else {
-                    CacheChange::Refreshed
-                }
-            }
+        let by_name = match self.entries.get_mut(&desc.stype) {
+            Some(by_name) => by_name,
+            None => self.entries.entry(desc.stype.clone()).or_default(),
+        };
+        let Some(e) = by_name.get_mut(desc.instance.as_str()) else {
+            let entry = Entry {
+                desc: desc.into_owned(),
+                expires,
+            };
+            by_name.insert(entry.desc.instance.clone(), entry);
+            index(&mut self.expiries, expires);
+            return CacheChange::Added;
+        };
+        let old = std::mem::replace(&mut e.expires, expires);
+        if old != expires {
+            unindex(&mut self.expiries, old);
+            index(&mut self.expiries, expires);
+        }
+        let content_changed = e.desc.service_port != desc.service_port
+            || e.desc.attributes != desc.attributes
+            || e.desc.provider != desc.provider;
+        if content_changed {
+            e.desc = desc.into_owned();
+            CacheChange::Updated
+        } else {
+            CacheChange::Refreshed
         }
     }
 
-    /// Removes expired entries, returning the descriptions that lapsed.
+    /// Removes the entries whose expiry instant is at or before `now`,
+    /// returning their descriptions sorted by (type, instance).
     pub fn expire(&mut self, now: SimTime) -> Vec<ServiceDescription> {
         let mut lapsed = Vec::new();
-        self.entries.retain(|_, e| {
-            if e.expires <= now {
-                lapsed.push(e.desc.clone());
-                false
-            } else {
-                true
+        if self.next_expiry().is_none_or(|next| next > now) {
+            return lapsed;
+        }
+        for by_name in self.entries.values_mut() {
+            by_name.retain(|_, e| {
+                let keep = e.expires > now;
+                if !keep {
+                    lapsed.push(e.desc.clone());
+                }
+                keep
+            });
+        }
+        while let Some(entry) = self.expiries.first_entry() {
+            if *entry.key() > now {
+                break;
             }
-        });
+            entry.remove();
+        }
         lapsed.sort_by(|a, b| (&a.stype, &a.instance).cmp(&(&b.stype, &b.instance)));
         lapsed
     }
@@ -98,27 +147,30 @@ impl ServiceCache {
     pub fn lookup(&self, stype: &ServiceType, now: SimTime) -> Vec<&ServiceDescription> {
         let mut out: Vec<&ServiceDescription> = self
             .entries
-            .values()
-            .filter(|e| &e.desc.stype == stype && e.expires > now)
+            .get(stype)
+            .into_iter()
+            .flat_map(FastHashMap::values)
+            .filter(|e| e.expires > now)
             .map(|e| &e.desc)
             .collect();
         out.sort_by(|a, b| a.instance.cmp(&b.instance));
         out
     }
 
-    /// Instance names for the known-answer section of a query: live records
-    /// of `stype` whose remaining TTL exceeds half the original (RFC 6762
-    /// §7.1 — records nearing expiry are not suppressed).
+    /// Instance names for the known-answer section of a query, sorted:
+    /// live records of `stype` whose remaining TTL exceeds half the
+    /// original (RFC 6762 §7.1 — records nearing expiry are not
+    /// suppressed).
     pub fn known_answers(&self, stype: &ServiceType, now: SimTime) -> Vec<String> {
         let mut out: Vec<String> = self
             .entries
-            .values()
+            .get(stype)
+            .into_iter()
+            .flat_map(FastHashMap::values)
             .filter(|e| {
-                &e.desc.stype == stype && {
-                    let total = SimDuration::from_secs(u64::from(e.desc.ttl_s));
-                    let remaining = e.expires.saturating_since(now);
-                    remaining.as_nanos() * 2 > total.as_nanos()
-                }
+                let total = SimDuration::from_secs(u64::from(e.desc.ttl_s));
+                let remaining = e.expires.saturating_since(now);
+                remaining.as_nanos() * 2 > total.as_nanos()
             })
             .map(|e| e.desc.instance.clone())
             .collect();
@@ -126,36 +178,55 @@ impl ServiceCache {
         out
     }
 
-    /// The earliest expiry instant of any entry (to arm the expiry timer).
+    /// The earliest expiry instant of any stored entry, swept or not (to
+    /// arm the expiry timer).
     pub fn next_expiry(&self) -> Option<SimTime> {
-        self.entries.values().map(|e| e.expires).min()
+        self.expiries.keys().next().copied()
     }
 
-    /// Number of live entries (including any not yet expired-swept).
+    /// Number of stored entries, including any expired but not yet swept.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries.values().map(FastHashMap::len).sum()
     }
 
-    /// True if the cache holds nothing.
+    /// True if the cache stores nothing.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.expiries.is_empty()
     }
 
     /// Drops everything.
     pub fn clear(&mut self) {
         self.entries.clear();
+        self.expiries.clear();
     }
 
-    /// All live records regardless of type (SCM responses, diagnostics).
+    /// All live records regardless of type, sorted by (type, instance)
+    /// (SCM responses, diagnostics).
     pub fn all(&self, now: SimTime) -> Vec<&ServiceDescription> {
         let mut out: Vec<&ServiceDescription> = self
             .entries
             .values()
+            .flat_map(FastHashMap::values)
             .filter(|e| e.expires > now)
             .map(|e| &e.desc)
             .collect();
         out.sort_by(|a, b| (&a.stype, &a.instance).cmp(&(&b.stype, &b.instance)));
         out
+    }
+}
+
+/// Adds one occurrence of `at` to an expiry multiset.
+fn index(expiries: &mut BTreeMap<SimTime, u32>, at: SimTime) {
+    *expiries.entry(at).or_insert(0) += 1;
+}
+
+/// Drops one occurrence of `at` from an expiry multiset.
+fn unindex(expiries: &mut BTreeMap<SimTime, u32>, at: SimTime) {
+    if let Some(n) = expiries.get_mut(&at) {
+        *n -= 1;
+        if *n == 0 {
+            expiries.remove(&at);
+        }
     }
 }
 
@@ -241,6 +312,57 @@ mod tests {
         c.merge(&desc("a", 50), t(0));
         c.merge(&desc("b", 20), t(0));
         assert_eq!(c.next_expiry(), Some(t(20)));
+    }
+
+    #[test]
+    fn expiry_index_follows_refresh_goodbye_and_sweep() {
+        let mut c = ServiceCache::new();
+        c.merge(&desc("a", 10), t(0));
+        c.merge(&desc("b", 10), t(0));
+        c.merge(&desc("c", 30), t(0));
+        assert_eq!(c.next_expiry(), Some(t(10)));
+        assert_eq!(c.merge(&desc("a", 10), t(5)), CacheChange::Refreshed);
+        assert_eq!(c.next_expiry(), Some(t(10)), "b still lapses at 10");
+        assert_eq!(c.merge(&desc("b", 0), t(6)), CacheChange::Removed);
+        assert_eq!(c.next_expiry(), Some(t(15)));
+        assert!(c.expire(t(14)).is_empty());
+        let lapsed = c.expire(t(15));
+        assert_eq!(lapsed.len(), 1);
+        assert_eq!(lapsed[0].instance, "a");
+        assert_eq!(c.next_expiry(), Some(t(30)));
+        c.clear();
+        assert_eq!(c.next_expiry(), None);
+    }
+
+    #[test]
+    fn types_are_kept_apart_and_listed_in_order() {
+        let mut c = ServiceCache::new();
+        let mut ipp = desc("a", 10);
+        ipp.stype = ServiceType::new("_ipp._tcp");
+        c.merge(&ipp, t(0));
+        c.merge(&desc("b", 20), t(0));
+        c.merge(&desc("a", 20), t(0));
+        let http = ServiceType::new("_http._tcp");
+        let names: Vec<&str> = c
+            .lookup(&http, t(1))
+            .iter()
+            .map(|d| d.instance.as_str())
+            .collect();
+        assert_eq!(names, vec!["a", "b"]);
+        assert_eq!(c.known_answers(&http, t(1)), vec!["a", "b"]);
+        let all: Vec<(&str, &str)> = c
+            .all(t(1))
+            .iter()
+            .map(|d| (d.stype.0.as_str(), d.instance.as_str()))
+            .collect();
+        assert_eq!(
+            all,
+            vec![("_http._tcp", "a"), ("_http._tcp", "b"), ("_ipp._tcp", "a")]
+        );
+        let lapsed = c.expire(t(20));
+        assert_eq!(lapsed.len(), 3, "sorted like all(): {lapsed:?}");
+        assert_eq!(lapsed[2].stype.0, "_ipp._tcp");
+        assert!(c.is_empty());
     }
 
     #[test]

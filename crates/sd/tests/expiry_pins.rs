@@ -24,12 +24,12 @@ const STEPS: u64 = 40;
 
 /// `(seed, stream digest, events, sd_service_del events, events executed)`.
 const PINS: [(u64, u64, usize, usize, u64); 6] = [
-    (1, 0x32937154ebe2b736, 44, 13, 4005),
-    (2, 0xf80ad6f312a0ac21, 46, 14, 3325),
-    (3, 0xb2d28841887ed280, 44, 13, 4102),
-    (4, 0x7ff53dbfcaf505cd, 44, 13, 3680),
-    (5, 0xee637d7162ca7aca, 44, 13, 3986),
-    (6, 0xd980a4f700fc31d8, 44, 13, 3701),
+    (1, 0x32937154ebe2b736, 44, 13, 983),
+    (2, 0xf80ad6f312a0ac21, 46, 14, 926),
+    (3, 0xb2d28841887ed280, 44, 13, 960),
+    (4, 0x7ff53dbfcaf505cd, 44, 13, 949),
+    (5, 0xee637d7162ca7aca, 44, 13, 962),
+    (6, 0xd980a4f700fc31d8, 44, 13, 971),
 ];
 
 fn http() -> ServiceType {

@@ -1,8 +1,10 @@
 //! Exact cost pins: the heap allocations and the bytes they request for
-//! one `ExperiMaster::execute` of each golden preset at seed 1, and for
-//! the query layer's two halves over a small fact warehouse: ingesting
-//! its packages into a `Dataset`, and one group-by scan of it at one
-//! worker. All are read from a counting global allocator.
+//! one `ExperiMaster::execute` of each golden preset at seed 1 and of one
+//! wide run (24 SMs and an SU on a 5×5 grid, where the SD agents' caches
+//! carry the weight), and for the query layer's two halves over a small
+//! fact warehouse: ingesting its packages into a `Dataset`, and one
+//! group-by scan of it at one worker. All are read from a counting global
+//! allocator.
 //!
 //! Wall-clock times only rank costs on a shared host; these counts are
 //! exact, so a change that adds or removes work on the engine's path moves
@@ -18,7 +20,10 @@
 #[path = "../crates/core/tests/golden/mod.rs"]
 mod golden;
 
+use excovery_core::scenarios::multi_sm;
 use excovery_core::{EngineConfig, ExperiMaster};
+use excovery_desc::ExperimentDescription;
+use excovery_netsim::topology::Topology;
 use excovery_query::{Agg, Dataset, Frame};
 use excovery_store::{Column, ColumnType, Database, SqlValue};
 use golden::{desc, golden_table, SEEDS};
@@ -65,11 +70,12 @@ static COUNTING: Counting = Counting;
 const L2_ROOT: &str = "target/cost-pins-l2";
 
 /// `(what, allocations, bytes)`: one execution per golden preset at seed
-/// 1, then the ingest and the scan of [`fact_packages`].
-const PINS: [(&str, u64, u64); 5] = [
-    ("grid_default", 4603, 452_525),
-    ("wired_lan", 4603, 452_477),
-    ("lossy_mesh", 4553, 447_244),
+/// 1, one of [`wide`], then the ingest and the scan of [`fact_packages`].
+const PINS: [(&str, u64, u64); 6] = [
+    ("grid_default", 4607, 456_578),
+    ("wired_lan", 4607, 456_530),
+    ("lossy_mesh", 4559, 450_565),
+    ("multi_sm24_grid5x5", 21_352, 2_480_329),
     ("dataset_ingest", 853, 492_962),
     ("group_by_scan", 70, 5_599),
 ];
@@ -89,13 +95,21 @@ fn measure<T>(f: impl FnOnce() -> T) -> ((u64, u64), T) {
 }
 
 /// Allocations and bytes of one `execute`; `new` is not counted.
-fn cost(preset: fn() -> EngineConfig) -> (u64, u64) {
+fn cost(desc: ExperimentDescription, cfg: EngineConfig) -> (u64, u64) {
     let cfg = EngineConfig {
         l2_root: Some(L2_ROOT.into()),
-        ..preset()
+        ..cfg
     };
-    let mut master = ExperiMaster::new(desc(SEEDS[0]), cfg).unwrap();
+    let mut master = ExperiMaster::new(desc, cfg).unwrap();
     measure(|| master.execute().unwrap()).0
+}
+
+/// One run of 24 SMs and a searching SU over a 5×5 grid.
+fn wide() -> (ExperimentDescription, EngineConfig) {
+    let cfg = EngineConfig::builder()
+        .topology(Topology::grid(5, 5))
+        .build();
+    (multi_sm(24, "two-party", false, 1, SEEDS[0]), cfg)
 }
 
 /// Eight run packages (two experiments of four runs, 500 facts each) with
@@ -168,12 +182,17 @@ fn agreed(name: &str, cost: impl Fn() -> (u64, u64)) -> (u64, u64) {
 fn allocation_costs_are_pinned() {
     // The harness's own start-up allocations can overlap the first
     // execution; one unmeasured run lets them finish.
-    cost(EngineConfig::grid_default);
+    cost(desc(SEEDS[0]), EngineConfig::grid_default());
     let mut got = Vec::new();
     for (name, preset, _) in golden_table() {
-        let (allocations, bytes) = agreed(name, || cost(preset));
+        let (allocations, bytes) = agreed(name, || cost(desc(SEEDS[0]), preset()));
         got.push((name, allocations, bytes));
     }
+    let (allocations, bytes) = agreed("multi_sm24_grid5x5", || {
+        let (desc, cfg) = wide();
+        cost(desc, cfg)
+    });
+    got.push(("multi_sm24_grid5x5", allocations, bytes));
     let packages = fact_packages();
     let (allocations, bytes) = agreed("dataset_ingest", || measure(|| ingest(&packages)).0);
     got.push(("dataset_ingest", allocations, bytes));
