@@ -15,7 +15,7 @@
 
 use crate::binding::{PlatformBinding, ResolvedActors};
 use crate::error::EngineError;
-use crate::event_log::{EventLog, RecordedEvent};
+use crate::event_log::EventLog;
 use crate::faults::ParsedFault;
 use crate::interp::{self, ExecCtx, ProcState, ProcessInstance};
 use crate::l2codec::{self, read_json};
@@ -1150,15 +1150,15 @@ impl ExperiMaster {
         );
 
         // ---- collection into level 2 ---------------------------------------------
-        l2.put_run(
-            run.run_id,
-            "_master",
-            "events.json",
-            l2codec::events_to_json(self.log.events())
-                .to_string()
-                .as_bytes(),
-        )
-        .map_err(|e| EngineError::Storage(e.to_string()))?;
+        let events = l2codec::encode_events(self.log.events(), run.run_id).map_err(|e| {
+            EngineError::Storage(format!(
+                "run {}: _master/{}: {e}",
+                run.run_id,
+                l2codec::EVENTS
+            ))
+        })?;
+        l2.put_run(run.run_id, "_master", l2codec::EVENTS, &events)
+            .map_err(|e| EngineError::Storage(e.to_string()))?;
         l2.put_run(
             run.run_id,
             "_master",
@@ -1364,21 +1364,32 @@ impl ExperiMaster {
                 .map_err(|e| EngineError::Storage(e.to_string()))?;
             }
             // Events: condition local node stamps to the common base.
-            let events: Vec<RecordedEvent> = read_json(
-                &record,
-                run_id,
-                "_master",
-                "events.json",
-                l2codec::events_from_json,
-            )?;
-            for e in events {
-                let offset = sync.get(&e.node).copied().unwrap_or(0);
+            let bad_events = |name: &str, what: &str| {
+                EngineError::Storage(format!("run {run_id}: _master/{name}: {what}"))
+            };
+            if record.get("_master", l2codec::LEGACY_EVENTS).is_some() {
+                // Skipping it would package the run without its events.
+                return Err(bad_events(
+                    l2codec::LEGACY_EVENTS,
+                    &format!(
+                        "written by an older build; this build reads {}",
+                        l2codec::EVENTS
+                    ),
+                ));
+            }
+            let raw = record
+                .get("_master", l2codec::EVENTS)
+                .ok_or_else(|| bad_events(l2codec::EVENTS, "missing"))?;
+            let events = l2codec::decode_events(raw)
+                .map_err(|e| bad_events(l2codec::EVENTS, &e.to_string()))?;
+            for (e, params) in events.iter() {
+                let offset = sync.get(e.node).copied().unwrap_or(0);
                 EventRow {
                     run_id,
-                    node_id: e.node,
+                    node_id: e.node.to_string(),
                     common_time_ns: e.local_time_ns as i64 - offset,
-                    event_type: e.name,
-                    parameter: EventRow::encode_params(&e.params),
+                    event_type: e.name.to_string(),
+                    parameter: EventRow::encode_params(params),
                 }
                 .insert(&mut db)
                 .map_err(|er| EngineError::Storage(er.to_string()))?;
@@ -1952,6 +1963,48 @@ mod tests {
                 .to_string();
             assert!(
                 msg.contains("run 0") && msg.contains(&format!("{node}/{entry}")),
+                "{msg}"
+            );
+        }
+        std::fs::remove_dir_all(&l2_root).ok();
+    }
+
+    #[test]
+    fn package_refuses_event_entries_it_cannot_read_instead_of_dropping_them() {
+        let (desc, l2_root, entries, _) = sealed_single_run();
+        let events = |name: &str| name == l2codec::EVENTS;
+        // What a build before the binary codec sealed: the same events as
+        // the `events.json` document.
+        let legacy = |n: &str, name: &str, data: &[u8]| match events(name) {
+            true => {
+                let doc = l2codec::events_json(data, 0).unwrap();
+                keep(n, l2codec::LEGACY_EVENTS, doc.as_bytes())
+            }
+            false => keep(n, name, data),
+        };
+        let truncated = |n: &str, name: &str, data: &[u8]| {
+            keep(n, name, &data[..data.len() - usize::from(events(name))])
+        };
+        let missing = |n: &str, name: &str, data: &[u8]| match events(name) {
+            true => None,
+            false => keep(n, name, data),
+        };
+        for (damage, entry, why) in [
+            (
+                &legacy as &dyn Fn(&str, &str, &[u8]) -> _,
+                l2codec::LEGACY_EVENTS,
+                "older build",
+            ),
+            (&truncated, l2codec::EVENTS, "truncated"),
+            (&missing, l2codec::EVENTS, "missing"),
+        ] {
+            let e = repackage(&desc, &l2_root, &with_entry(&entries, damage))
+                .expect_err("a run without its events is not packaged");
+            let msg = e.to_string();
+            assert!(
+                matches!(e, EngineError::Storage(_))
+                    && msg.contains(&format!("run 0: _master/{entry}: "))
+                    && msg.contains(why),
                 "{msg}"
             );
         }

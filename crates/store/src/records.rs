@@ -112,13 +112,23 @@ pub struct EventRow {
 }
 
 impl EventRow {
-    /// Encodes event parameters into the flat `Parameter` attribute.
-    pub fn encode_params(params: &[(String, String)]) -> String {
-        params
+    /// Encodes event parameters into the flat `Parameter` attribute:
+    /// `key=value` pairs joined by `;`.
+    pub fn encode_params(params: &[(impl AsRef<str>, impl AsRef<str>)]) -> String {
+        let len = params
             .iter()
-            .map(|(k, v)| format!("{k}={v}"))
-            .collect::<Vec<_>>()
-            .join(";")
+            .map(|(k, v)| k.as_ref().len() + v.as_ref().len() + 2)
+            .sum();
+        let mut out = String::with_capacity(len);
+        for (i, (k, v)) in params.iter().enumerate() {
+            if i > 0 {
+                out.push(';');
+            }
+            out.push_str(k.as_ref());
+            out.push('=');
+            out.push_str(v.as_ref());
+        }
+        out
     }
 
     /// Decodes the flat `Parameter` attribute.
@@ -135,16 +145,16 @@ impl EventRow {
             .collect()
     }
 
-    /// Inserts into the `Events` table.
-    pub fn insert(&self, db: &mut Database) -> Result<(), StoreError> {
+    /// Inserts into the `Events` table, moving the row's strings there.
+    pub fn insert(self, db: &mut Database) -> Result<(), StoreError> {
         db.insert(
             "Events",
             vec![
                 SqlValue::Int(self.run_id as i64),
-                self.node_id.clone().into(),
+                self.node_id.into(),
                 SqlValue::Int(self.common_time_ns),
-                self.event_type.clone().into(),
-                self.parameter.clone().into(),
+                self.event_type.into(),
+                self.parameter.into(),
             ],
         )
     }

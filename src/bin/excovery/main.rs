@@ -106,6 +106,7 @@ fn print_usage() {
          \x20 excovery l2 <dir> <run>              # node, name, bytes of its entries\n\
          \x20 excovery l2 <dir> <run> <node> <name>   # one entry to stdout\n\
          \x20 excovery l2 <dir> <run> <node> captures.bin --json   # as JSON\n\
+         \x20 excovery l2 <dir> <run> _master events.bin --json    # as JSON\n\
          \x20 excovery schema                      # print the description XSD\n\
          \x20 excovery model --hops H --loss P     # analytic responsiveness\n\
          \x20 excovery serve <root> [--addr H:P] [--workers N] [--slice-runs N]\n\
@@ -486,7 +487,7 @@ fn cmd_repo(args: &[String]) -> Result<(), String> {
 
 /// Reads a level-2 directory kept with `--keep-l2`: its sealed runs, one
 /// run's entries, or the bytes of one entry (`--json` renders a binary
-/// `captures.bin` entry for reading).
+/// `captures.bin` or `events.bin` entry for reading).
 fn cmd_l2(args: &[String]) -> Result<(), String> {
     use excovery::engine::l2codec;
     use excovery::store::level2::Level2Store;
@@ -499,10 +500,8 @@ fn cmd_l2(args: &[String]) -> Result<(), String> {
         return Err(format!("{dir}: not a level-2 directory"));
     }
     let l2 = Level2Store::open(dir).map_err(|e| e.to_string())?;
-    let load = |run: &str| {
-        let run_id = run.parse().map_err(|_| format!("bad run id '{run}'"))?;
-        l2.load_run(run_id).map_err(|e| e.to_string())
-    };
+    let run_id = |run: &str| run.parse().map_err(|_| format!("bad run id '{run}'"));
+    let load = |run: &str| l2.load_run(run_id(run)?).map_err(|e| e.to_string());
     match args.positionals[1..] {
         [] | [_] if json => return Err("--json renders one entry of a run".into()),
         [] => {
@@ -521,13 +520,16 @@ fn cmd_l2(args: &[String]) -> Result<(), String> {
                 .get(node, name)
                 .ok_or_else(|| format!("run {run}: no entry {node}/{name}"))?;
             if json {
-                if name != "captures.bin" {
-                    return Err(format!("--json renders captures.bin entries, not {name}"));
-                }
-                println!(
-                    "{}",
-                    l2codec::captures_json(data).map_err(|e| e.to_string())?
-                );
+                let rendered = match name {
+                    "captures.bin" => l2codec::captures_json(data),
+                    "events.bin" => l2codec::events_json(data, run_id(run)?),
+                    _ => {
+                        return Err(format!(
+                            "--json renders captures.bin and events.bin entries, not {name}"
+                        ))
+                    }
+                };
+                println!("{}", rendered.map_err(|e| e.to_string())?);
             } else {
                 std::io::stdout()
                     .write_all(data)

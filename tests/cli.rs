@@ -2,7 +2,8 @@
 //! describe → validate → run → inspect → analyze loop a downstream user
 //! drives from the shell.
 
-use excovery::store::CellRef;
+use excovery::store::records::EventRow;
+use excovery::store::{CellRef, JsonValue};
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -247,8 +248,61 @@ fn l2_lists_runs_entries_and_prints_one_entry() {
         wire.extend(c.get("data").and_then(|d| d.to_bytes()).unwrap());
         assert_eq!(&wire, data);
     }
+
+    // Events are binary too; `--json` prints, byte for byte, the
+    // `events.json` document the JSON entry held. Rebuilt here from the
+    // package: recorded order, each node's local stamp (common time plus
+    // its RunInfos offset; the master has none), and sequence numbers
+    // counted from run 1's base.
+    let raw = cli(&["l2", l2, "1", "_master", "events.bin"]);
+    assert!(raw.status.success(), "{}", stderr(&raw));
+    assert!(raw.stdout.starts_with(b"EXCE"));
+    let out = cli(&["l2", l2, "1", "_master", "events.bin", "--json"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let text = |cell: CellRef<'_>| match cell {
+        CellRef::Text(s) => s.to_string(),
+        other => panic!("expected text, got {other:?}"),
+    };
+    let int = |cell: CellRef<'_>| match cell {
+        CellRef::Int(v) => v,
+        other => panic!("expected an integer, got {other:?}"),
+    };
+    let offsets: std::collections::HashMap<String, i64> = db
+        .table("RunInfos")
+        .unwrap()
+        .rows()
+        .filter(|r| r.get(0) == CellRef::Int(1))
+        .map(|r| (text(r.get(1)), int(r.get(3))))
+        .collect();
+    let base = excovery::engine::EventLog::RUN_SEQ_STRIDE;
+    let events: Vec<JsonValue> = db
+        .table("Events")
+        .unwrap()
+        .rows()
+        .filter(|r| r.get(0) == CellRef::Int(1))
+        .enumerate()
+        .map(|(i, r)| {
+            let node = text(r.get(1));
+            let local = int(r.get(2)) + offsets.get(&node).copied().unwrap_or(0);
+            let params = EventRow::decode_params(&text(r.get(4)))
+                .iter()
+                .map(|(k, v)| JsonValue::Array(vec![JsonValue::str(k), JsonValue::str(v)]))
+                .collect();
+            JsonValue::Object(vec![
+                ("seq".into(), JsonValue::Int((base + i as u64) as i64)),
+                ("run_id".into(), JsonValue::Int(1)),
+                ("node".into(), JsonValue::str(node)),
+                ("local_time_ns".into(), JsonValue::Int(local)),
+                ("name".into(), JsonValue::str(text(r.get(3)))),
+                ("params".into(), JsonValue::Array(params)),
+            ])
+        })
+        .collect();
+    assert!(events.len() > 2, "run 1 recorded {} events", events.len());
+    assert_eq!(stdout(&out), format!("{}\n", JsonValue::Array(events)));
     let out = cli(&["l2", l2, "1", "_master", "outcome.json", "--json"]);
     assert!(!out.status.success());
+    assert!(stderr(&out).contains("renders captures.bin and events.bin entries"));
     let out = cli(&["l2", l2, "1", "--json"]);
     assert!(!out.status.success());
     let out = cli(&["l2", l2, "1", &node, "captures.bin", "--yaml"]);
