@@ -1,7 +1,8 @@
 //! Golden digests: pins [`ExperimentOutcome::digest`] for every platform
 //! preset × master seed combination, over the memory channel and over
-//! loopback TCP alike — the control channel's wire is invisible to the
-//! experiment.
+//! loopback TCP alike, on 1, 2 and 4 simulator shards — neither the
+//! control channel's wire nor the simulator's event-queue split is
+//! visible to the experiment.
 //!
 //! The digest folds the full packaged database (every table, every row)
 //! plus the run summaries into one 64-bit FNV value, so *any* behavioural
@@ -17,31 +18,42 @@ mod golden;
 use excovery_core::{EngineConfig, ExperiMaster, ExperimentOutcome, TransportKind};
 use golden::{desc, golden_table, SEEDS};
 
-fn execute(preset: fn() -> EngineConfig, seed: u64, transport: TransportKind) -> ExperimentOutcome {
+/// Simulator shard counts every cell runs at; each must hit its pin.
+const SHARDS: [usize; 3] = [1, 2, 4];
+
+fn execute(
+    preset: fn() -> EngineConfig,
+    seed: u64,
+    transport: TransportKind,
+    shards: usize,
+) -> ExperimentOutcome {
     let mut cfg = preset();
     cfg.transport = transport;
+    cfg.sim.shards = shards;
     let mut master = ExperiMaster::new(desc(seed), cfg).unwrap();
     master.execute().unwrap()
 }
 
 fn digest_of(preset: fn() -> EngineConfig, seed: u64) -> u64 {
-    execute(preset, seed, TransportKind::Memory).digest()
+    execute(preset, seed, TransportKind::Memory, 1).digest()
 }
 
-/// Runs every cell of the table over `transport` and fails on any digest
-/// that moved. The cells are fault-free, so each must also complete every
-/// run with nothing to retry.
+/// Runs every cell of the table over `transport` at every shard count and
+/// fails on any digest that moved. The cells are fault-free, so each must
+/// also complete every run with nothing to retry.
 fn assert_golden_over(transport: TransportKind) {
     let mut drifted = Vec::new();
     for (name, preset, want) in golden_table() {
         for (seed, want) in SEEDS.into_iter().zip(want) {
-            let outcome = execute(preset, seed, transport);
-            let cell = format!("{name} seed {seed} over {transport}");
-            assert!(outcome.runs.iter().all(|r| r.completed), "{cell}");
-            assert_eq!(outcome.control_retries, 0, "{cell}");
-            let got = outcome.digest();
-            if got != want {
-                drifted.push(format!("{cell}: digest {got:#018x}, pinned {want:#018x}"));
+            for shards in SHARDS {
+                let outcome = execute(preset, seed, transport, shards);
+                let cell = format!("{name} seed {seed} over {transport} on {shards} shards");
+                assert!(outcome.runs.iter().all(|r| r.completed), "{cell}");
+                assert_eq!(outcome.control_retries, 0, "{cell}");
+                let got = outcome.digest();
+                if got != want {
+                    drifted.push(format!("{cell}: digest {got:#018x}, pinned {want:#018x}"));
+                }
             }
         }
     }

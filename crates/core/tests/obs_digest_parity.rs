@@ -2,7 +2,8 @@
 //! experiment with the full instrumentation stack enabled — metrics,
 //! spans, per-run summaries and the level-2 snapshot — must produce a
 //! packaged database and run summaries bit-identical to the
-//! uninstrumented execution ([`ExperimentOutcome::digest`]).
+//! uninstrumented execution ([`ExperimentOutcome::digest`]), on 1, 2 and
+//! 4 simulator shards alike.
 //!
 //! The observability flag is process-global, so the off-baselines and
 //! the on-executions are sequenced inside a single test: the flag is
@@ -19,6 +20,9 @@ use excovery_netsim::SimDuration;
 use excovery_rpc::ChaosOptions;
 use excovery_store::level2::Level2Store;
 use std::path::PathBuf;
+
+/// Shard counts run beside the single-shard reference.
+const MORE_SHARDS: [usize; 2] = [2, 4];
 
 fn desc_with_seed(reps: u64, seed: u64) -> ExperimentDescription {
     let mut d = ExperimentDescription::paper_two_party_sd(reps);
@@ -45,7 +49,7 @@ fn unique_root(tag: &str) -> PathBuf {
     ))
 }
 
-fn base_config(tag: &str) -> EngineConfig {
+fn base_config(tag: &str, shards: usize) -> EngineConfig {
     EngineConfig {
         topology: Topology::grid(3, 2),
         sim: SimulatorConfig {
@@ -53,6 +57,7 @@ fn base_config(tag: &str) -> EngineConfig {
                 base_loss: 0.0,
                 ..LinkModel::default()
             },
+            shards,
             ..SimulatorConfig::default()
         },
         run_timeout: SimDuration::from_secs(60),
@@ -66,12 +71,25 @@ fn execute(desc: ExperimentDescription, cfg: EngineConfig) -> ExperimentOutcome 
     master.execute().unwrap()
 }
 
-fn chaos_config(tag: &str, chaos: &ChaosOptions) -> EngineConfig {
+fn chaos_config(tag: &str, chaos: &ChaosOptions, shards: usize) -> EngineConfig {
     assert!(chaos.eventually_clears());
-    let mut cfg = base_config(tag);
+    let mut cfg = base_config(tag, shards);
     cfg.chaos = Some(chaos.clone());
     cfg.retry = RetryPolicy::for_chaos(chaos.horizon_calls + chaos.longest_crash_window());
     cfg
+}
+
+/// The digests of the plain and of the chaotic execution at `shards`
+/// simulator shards.
+fn plain_and_chaos_digests(seed: u64, chaos: &ChaosOptions, shards: usize) -> [u64; 2] {
+    [
+        execute(desc_with_seed(2, seed), base_config("plain", shards)).digest(),
+        execute(
+            desc_with_seed(2, seed),
+            chaos_config("chaos", chaos, shards),
+        )
+        .digest(),
+    ]
 }
 
 #[test]
@@ -84,15 +102,25 @@ fn digest_is_identical_with_observability_on_and_off() {
     let chaos = ChaosOptions::flaky(0xC0FFEE, 0.4, 60);
 
     // ---- baselines, observability disabled ----------------------------
-    let off_plain = execute(desc_with_seed(2, seed), base_config("off-plain"));
+    let off_plain = execute(desc_with_seed(2, seed), base_config("off-plain", 1));
     assert!(off_plain.runs.iter().all(|r| r.completed));
-    let off_chaos = execute(desc_with_seed(2, seed), chaos_config("off-chaos", &chaos));
+    let off_chaos = execute(
+        desc_with_seed(2, seed),
+        chaos_config("off-chaos", &chaos, 1),
+    );
     assert!(off_chaos.control_retries > 0, "chaos was never exercised");
     assert_eq!(off_plain.digest(), off_chaos.digest());
+    for shards in MORE_SHARDS {
+        assert_eq!(
+            plain_and_chaos_digests(seed, &chaos, shards),
+            [off_plain.digest(); 2],
+            "observability off, {shards} shards"
+        );
+    }
 
     // ---- identical executions, full instrumentation enabled -----------
     excovery_obs::ObsConfig::on().install();
-    let mut on_cfg = base_config("on-plain");
+    let mut on_cfg = base_config("on-plain", 1);
     on_cfg.keep_l2 = true;
     let on_plain = execute(desc_with_seed(2, seed), on_cfg);
     assert_eq!(
@@ -100,7 +128,7 @@ fn digest_is_identical_with_observability_on_and_off() {
         off_plain.digest(),
         "enabling observability changed the packaged results"
     );
-    let on_chaos = execute(desc_with_seed(2, seed), chaos_config("on-chaos", &chaos));
+    let on_chaos = execute(desc_with_seed(2, seed), chaos_config("on-chaos", &chaos, 1));
     assert_eq!(
         on_chaos.digest(),
         off_plain.digest(),
@@ -200,4 +228,14 @@ fn digest_is_identical_with_observability_on_and_off() {
     excovery_obs::jsonl::parse(std::str::from_utf8(&raw).unwrap()).unwrap();
 
     std::fs::remove_dir_all(&on_plain.l2_root).ok();
+
+    // The sharded executions with observability on come last, so the
+    // counts above are those of the two single-shard experiments.
+    for shards in MORE_SHARDS {
+        assert_eq!(
+            plain_and_chaos_digests(seed, &chaos, shards),
+            [off_plain.digest(); 2],
+            "observability on, {shards} shards"
+        );
+    }
 }

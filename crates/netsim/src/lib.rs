@@ -35,7 +35,7 @@ pub(crate) mod mailbox;
 pub mod packet;
 pub mod params;
 pub mod rng;
-pub mod shard;
+pub(crate) mod shard;
 pub mod sim;
 pub mod tagger;
 pub mod time;
@@ -47,7 +47,6 @@ pub use clock::NodeClock;
 pub use filter::{Direction, FilterRule};
 pub use packet::{Destination, Packet, PacketId, Payload, Port};
 pub use params::{EventName, EventParams, EventStr};
-pub use shard::ShardMap;
 pub use sim::{Agent, AgentCtx, NodeId, Simulator, SimulatorConfig};
 pub use time::{SimDuration, SimTime};
 pub use topology::{RoutingTable, Topology};

@@ -39,7 +39,7 @@ pub(crate) struct MailboxGrid<T> {
 
 impl<T> MailboxGrid<T> {
     /// Creates an empty grid for `shards` shards.
-    pub fn new(shards: usize) -> Self {
+    pub(crate) fn new(shards: usize) -> Self {
         Self {
             shards,
             cells: (0..shards * shards)
@@ -50,7 +50,7 @@ impl<T> MailboxGrid<T> {
 
     /// Enqueues an event from `src` shard for `dst` shard.
     #[inline]
-    pub fn push(&self, src: usize, dst: usize, due: SimTime, key: u64, payload: T) {
+    pub(crate) fn push(&self, src: usize, dst: usize, due: SimTime, key: u64, payload: T) {
         self.cells[src * self.shards + dst]
             .lock()
             .expect("mailbox poisoned")
@@ -62,7 +62,7 @@ impl<T> MailboxGrid<T> {
     /// depth histogram). Source cells are visited in shard order, but the
     /// caller re-sorts by `(due, key)` inside its event queue, so the visit
     /// order carries no semantic weight.
-    pub fn drain_to(&self, dst: usize, mut f: impl FnMut(Outbound<T>)) -> usize {
+    pub(crate) fn drain_to(&self, dst: usize, mut f: impl FnMut(Outbound<T>)) -> usize {
         let mut max_depth = 0;
         for src in 0..self.shards {
             let mut cell = self.cells[src * self.shards + dst]
@@ -77,7 +77,7 @@ impl<T> MailboxGrid<T> {
     }
 
     /// Number of events currently in flight between shards (diagnostics).
-    pub fn pending(&self) -> usize {
+    pub(crate) fn pending(&self) -> usize {
         self.cells
             .iter()
             .map(|c| c.lock().expect("mailbox poisoned").len())
@@ -85,14 +85,14 @@ impl<T> MailboxGrid<T> {
     }
 
     /// True if no event is in flight anywhere.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.cells
             .iter()
             .all(|c| c.lock().expect("mailbox poisoned").is_empty())
     }
 
     /// Drops all in-flight events and releases their storage (run reset).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         for cell in &mut self.cells {
             let v = cell.get_mut().expect("mailbox poisoned");
             v.clear();

@@ -49,44 +49,12 @@ use excovery_rng::StdRng;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 
-/// Environment variable selecting the per-run spatial shard count.
-/// `0`/unset means 1 (serial); results are bit-exact for every value, so
-/// this only trades threads for wall-clock.
-pub const SHARDS_ENV: &str = "EXCOVERY_SHARDS";
-
-/// Parses an [`SHARDS_ENV`]-style shard count. Empty/whitespace means
-/// serial (`1`); `0` also means serial; anything else must be a
-/// non-negative decimal integer.
-pub fn parse_shards(value: &str) -> Result<usize, String> {
-    let trimmed = value.trim();
-    if trimmed.is_empty() {
-        return Ok(1);
-    }
-    trimmed.parse::<usize>().map(|n| n.max(1)).map_err(|_| {
-        format!(
-            "invalid shard count {value:?}: expected a non-negative integer \
-                 (0 or unset runs serially with one shard)"
-        )
-    })
-}
-
-/// Reads the shard count from [`SHARDS_ENV`]. Unset means serial (`1`); an
-/// unparsable value aborts loudly — shard count never changes results, but
-/// a typo must not silently change the execution shape of a campaign
-/// either.
-pub fn shards_from_env() -> usize {
-    match std::env::var(SHARDS_ENV) {
-        Err(_) => 1,
-        Ok(v) => parse_shards(&v).unwrap_or_else(|e| panic!("{SHARDS_ENV}: {e}")),
-    }
-}
-
 /// Number of log₂ buckets in the mailbox depth histogram.
 pub(crate) const DEPTH_BUCKETS: usize = 16;
 
 /// Deterministic node → shard assignment (spatial stripes).
 #[derive(Debug, Clone)]
-pub struct ShardMap {
+pub(crate) struct ShardMap {
     shards: usize,
     /// Global node id → owning shard.
     of: Vec<u16>,
@@ -98,7 +66,7 @@ impl ShardMap {
     /// Builds the assignment for `shards` stripes over `topology`.
     /// `shards` is clamped to `[1, node_count]` (an empty topology gets one
     /// empty shard).
-    pub fn new(topology: &Topology, shards: usize) -> Self {
+    pub(crate) fn new(topology: &Topology, shards: usize) -> Self {
         let n = topology.len();
         let shards = shards.clamp(1, n.max(1));
         let mut order: Vec<u16> = (0..n as u16).collect();
@@ -124,18 +92,18 @@ impl ShardMap {
     }
 
     /// Number of shards.
-    pub fn shard_count(&self) -> usize {
+    pub(crate) fn shard_count(&self) -> usize {
         self.shards
     }
 
     /// Number of nodes in the mapped topology.
-    pub fn node_count(&self) -> usize {
+    pub(crate) fn node_count(&self) -> usize {
         self.of.len()
     }
 
     /// The shard owning `node`.
     #[inline]
-    pub fn shard_of(&self, node: NodeId) -> usize {
+    pub(crate) fn shard_of(&self, node: NodeId) -> usize {
         self.of[node.0 as usize] as usize
     }
 
@@ -146,7 +114,7 @@ impl ShardMap {
     }
 
     /// Global node ids owned by `shard`, in local-index order.
-    pub fn nodes_of(&self, shard: usize) -> Vec<NodeId> {
+    pub(crate) fn nodes_of(&self, shard: usize) -> Vec<NodeId> {
         let mut nodes: Vec<(u32, NodeId)> = (0..self.of.len())
             .filter(|&i| self.of[i] as usize == shard)
             .map(|i| (self.local[i], NodeId(i as u16)))
@@ -194,7 +162,7 @@ impl SimNode {
     /// Allocates the next global ordering key for an event this node
     /// originates.
     #[inline]
-    pub fn next_key(&mut self) -> u64 {
+    pub(crate) fn next_key(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
         debug_assert!(seq < 1 << 48, "per-node event sequence overflow");
@@ -243,7 +211,7 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    pub fn new(id: usize) -> Self {
+    pub(crate) fn new(id: usize) -> Self {
         Self {
             id,
             nodes: Vec::new(),
@@ -269,7 +237,7 @@ impl Shard {
 
     /// Records a mailbox drain depth into the log₂ histogram.
     #[inline]
-    pub fn note_mailbox_depth(&mut self, depth: usize) {
+    pub(crate) fn note_mailbox_depth(&mut self, depth: usize) {
         let bucket = (usize::BITS - depth.leading_zeros()) as usize;
         self.mailbox_depth_hist[bucket.min(DEPTH_BUCKETS - 1)] += 1;
     }
@@ -401,27 +369,4 @@ where
         }
     });
     ctrl.total.load(Ordering::Relaxed)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parse_shards_accepts_counts_and_serial_default() {
-        assert_eq!(parse_shards(""), Ok(1));
-        assert_eq!(parse_shards("  "), Ok(1));
-        assert_eq!(parse_shards("0"), Ok(1));
-        assert_eq!(parse_shards("1"), Ok(1));
-        assert_eq!(parse_shards(" 8 "), Ok(8));
-    }
-
-    #[test]
-    fn parse_shards_rejects_garbage_loudly() {
-        for bad in ["auto", "-2", "1.5", "2x"] {
-            let err = parse_shards(bad).unwrap_err();
-            assert!(err.contains(&format!("{bad:?}")), "{err}");
-            assert!(err.contains("non-negative integer"), "{err}");
-        }
-    }
 }

@@ -2,11 +2,11 @@
 //!
 //! [`Simulator`] owns a [`Topology`], one internal node record per topology
 //! node and a deterministic event queue per spatial shard (see
-//! [`crate::shard`]). Protocol implementations (the SD substrate, test
-//! harnesses) attach as [`Agent`]s bound to a `(node, port)` pair and
-//! interact with the world exclusively through an [`AgentCtx`] — sending
-//! packets, arming timers and emitting protocol events that ExCovery
-//! records.
+//! [Sharded execution](#sharded-execution)). Protocol implementations
+//! (the SD substrate, test harnesses) attach as [`Agent`]s bound to a
+//! `(node, port)` pair and interact with the world exclusively through an
+//! [`AgentCtx`] — sending packets, arming timers and emitting protocol
+//! events that ExCovery records.
 //!
 //! Transport model:
 //!
@@ -24,14 +24,18 @@
 //!
 //! # Sharded execution
 //!
-//! With `SimulatorConfig::shards > 1` (or `EXCOVERY_SHARDS` set) the
-//! topology is striped into spatial shards, each with its own event queue,
-//! and a single run executes on one thread per shard synchronized by
-//! conservative lookahead windows. Every event carries a global ordering
-//! key `(origin_node << 48) | origin_seq` and every random draw comes from
-//! a per-node stream, so the outcome — stats, captures, protocol events,
+//! A simulator over a large topology is striped into spatial shards, each
+//! with its own event queue, and a single run executes on one thread per
+//! shard synchronized by conservative lookahead windows. The simulator
+//! picks the shard count itself from the node count and the machine's
+//! cores (see [`SimulatorConfig::shards`]): every topology below 1 024
+//! nodes, which includes every preset and paper study, runs serially.
+//! Every event carries a global ordering key
+//! `(origin_node << 48) | origin_seq` and every random draw comes from a
+//! per-node stream, so the outcome — stats, captures, protocol events,
 //! `ExperimentOutcome::digest()` — is bit-exact with the serial path for
-//! any shard count. See `crate::shard` for the synchronization argument.
+//! any shard count. See the `shard` module for the synchronization
+//! argument.
 
 use crate::capture::{CaptureBuffer, CaptureKind, CaptureRecord};
 use crate::clock::{NodeClock, SyncMeasurement};
@@ -262,10 +266,12 @@ pub struct SimulatorConfig {
     pub max_drift_ppm: f64,
     /// Maximum absolute clock-sync measurement error, nanoseconds.
     pub max_sync_error_ns: i64,
-    /// Spatial shards for multi-core execution of a single run. `0` = auto:
-    /// the `EXCOVERY_SHARDS` environment variable, defaulting to 1
-    /// (serial). Any value is clamped to the node count. The outcome is
-    /// bit-exact for every shard count.
+    /// Spatial shards for multi-core execution of a single run. `0` (the
+    /// default) lets the simulator choose: topologies below
+    /// `2 × NODES_PER_SHARD` (1 024) nodes run serially, larger ones on
+    /// one shard per 512 nodes, at most one per available core. Any other
+    /// value is used as given, clamped to the node count. The outcome is
+    /// bit-exact for every shard count; only wall time differs.
     pub shards: usize,
 }
 
@@ -302,24 +308,41 @@ impl SimulatorConfig {
         self
     }
 
-    /// Same configuration with an explicit shard count (`0` = auto via
-    /// `EXCOVERY_SHARDS`).
+    /// Same configuration with an explicit shard count (`0` = chosen by
+    /// the simulator, see [`SimulatorConfig::shards`]).
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards;
         self
     }
 
     /// The shard count a simulator over `node_count` nodes will actually
-    /// use: the configured count, or the `EXCOVERY_SHARDS` environment
-    /// value when `0`, clamped to `[1, node_count]`.
-    pub fn resolved_shards(&self, node_count: usize) -> usize {
-        let requested = if self.shards == 0 {
-            crate::shard::shards_from_env()
-        } else {
+    /// use: the configured count, or [`auto_shards`] when `0`, clamped to
+    /// `[1, node_count]`.
+    pub(crate) fn resolved_shards(&self, node_count: usize) -> usize {
+        let requested = if self.shards != 0 {
             self.shards
+        } else if node_count < 2 * NODES_PER_SHARD {
+            // Decided before the core count is read: that lookup touches
+            // cgroup files and allocates, and a small simulator must not.
+            1
+        } else {
+            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+            auto_shards(node_count, cores)
         };
-        requested.max(1).clamp(1, node_count.max(1))
+        requested.clamp(1, node_count.max(1))
     }
+}
+
+/// Nodes one shard must own before another shard pays for its thread,
+/// barriers and mailbox traffic. Measured on the flood and unicast grids
+/// of DESIGN.md §12: 1 024 nodes gain at 2 shards, 100 nodes do not.
+const NODES_PER_SHARD: usize = 512;
+
+/// The shard count the simulator picks for `nodes` nodes on `cores` cores:
+/// one shard per `NODES_PER_SHARD` nodes, at most one per core, so serial
+/// below `2 × NODES_PER_SHARD` nodes.
+fn auto_shards(nodes: usize, cores: usize) -> usize {
+    cores.min(nodes / NODES_PER_SHARD).max(1)
 }
 
 /// Immutable per-run context shared by every shard: configuration, routing,
@@ -1092,12 +1115,6 @@ impl Simulator {
         self.shards.iter().map(|s| s.crossings_out).sum()
     }
 
-    /// The conservative lookahead window width (minimum cross-shard link
-    /// delay).
-    pub fn lookahead(&self) -> SimDuration {
-        self.lookahead
-    }
-
     /// The local clock of a node.
     pub fn clock(&self, node: NodeId) -> NodeClock {
         self.node(node).clock
@@ -1335,7 +1352,7 @@ impl Simulator {
         executed
     }
 
-    /// Parallel windowed execution (see [`crate::shard::run_windows`]).
+    /// Parallel windowed execution (see `shard::run_windows`).
     #[allow(clippy::too_many_arguments)]
     fn run_parallel(
         shards: &mut [Shard],
@@ -1644,6 +1661,8 @@ impl Simulator {
         }
         reg.gauge("netsim_pending_events", &[])
             .set(self.pending_events() as i64);
+        reg.gauge("netsim_shards", &[])
+            .set(self.shard_count() as i64);
         let link_load = reg.histogram("netsim_link_load_kbps", &[]);
         for (_, kbps) in self.link_load.entries() {
             link_load.observe(kbps as u64);
@@ -2277,10 +2296,42 @@ mod tests {
         assert!(s.events_executed() > 0);
         s.publish_obs();
         assert_eq!(sent.value() - before, s.stats().sent);
+        assert_eq!(reg.gauge("netsim_shards", &[]).value(), 1);
         // Publishing again without new activity adds nothing: the
         // published counters are deltas, not absolute re-adds.
         s.publish_obs();
         assert_eq!(sent.value() - before, s.stats().sent);
+    }
+
+    #[test]
+    fn auto_shards_keeps_small_topologies_serial() {
+        for nodes in [9, 100, 1_023] {
+            for cores in [1, 2, 4, 64] {
+                assert_eq!(auto_shards(nodes, cores), 1, "{nodes} nodes, {cores} cores");
+            }
+        }
+        assert_eq!(auto_shards(1_024, 2), 2);
+        assert_eq!(auto_shards(10_000, 1), 1);
+        assert_eq!(auto_shards(10_000, 2), 2);
+        assert_eq!(auto_shards(10_000, 64), 19);
+        for nodes in [0, 1, 2, 511, 1_024, 1_536, 10_000, 65_535] {
+            for cores in [0, 1, 3, 64, 1 << 20] {
+                let shards = auto_shards(nodes, cores);
+                assert!(
+                    shards >= 1 && shards <= nodes.max(1),
+                    "{nodes} nodes, {cores} cores"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_small_grid_left_to_choose_runs_serially() {
+        let cfg = SimulatorConfig {
+            shards: 0,
+            ..SimulatorConfig::perfect_clocks(1)
+        };
+        assert_eq!(Simulator::new(Topology::grid(3, 3), cfg).shard_count(), 1);
     }
 
     #[test]

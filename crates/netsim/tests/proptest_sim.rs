@@ -1,7 +1,7 @@
 //! Property tests for the simulator substrate: determinism over random
-//! workloads, topology invariants, cached routes against a fresh BFS,
-//! tagger stream reconstruction, and the event queue's ordering contract
-//! against a `BTreeMap` model.
+//! workloads and shard counts, topology invariants, cached routes against
+//! a fresh BFS, tagger stream reconstruction, and the event queue's
+//! ordering contract against a `BTreeMap` model.
 
 use excovery_netsim::event::EventQueue;
 use excovery_netsim::sim::{SimStats, Simulator, SimulatorConfig};
@@ -37,10 +37,23 @@ fn check_queue_against_model(pairs: &[(u64, u64)], pop_every: usize) {
     assert!(model.is_empty(), "queue drained before the model");
 }
 
-fn run_workload(seed: u64, sends: &[(u16, u8)], nodes: u16) -> (SimStats, Vec<(u64, String)>) {
+/// The shard counts a simulator property is checked at, one per case.
+fn shard_counts() -> impl Strategy<Value = usize> {
+    prop_oneof![Just(1usize), Just(2), Just(4)]
+}
+
+fn run_workload(
+    seed: u64,
+    sends: &[(u16, u8)],
+    nodes: u16,
+    shards: usize,
+) -> (SimStats, Vec<(u64, String)>) {
     let topo = Topology::grid(nodes as usize, 2);
     let n = topo.len() as u16;
-    let mut sim = Simulator::new(topo, SimulatorConfig::default().with_seed(seed));
+    let cfg = SimulatorConfig::default()
+        .with_seed(seed)
+        .with_shards(shards);
+    let mut sim = Simulator::new(topo, cfg);
     for (i, &(src, kind)) in sends.iter().enumerate() {
         let src = NodeId(src % n);
         let dst = match kind % 3 {
@@ -79,17 +92,18 @@ proptest! {
     }
 
     /// Identical seeds and workloads produce bit-identical stats and
-    /// capture streams; this is the platform property ExCovery's
-    /// repeatability rests on.
+    /// capture streams, serially and on the drawn shard count; this is the
+    /// platform property ExCovery's repeatability rests on.
     #[test]
     fn simulation_is_deterministic(
         seed in any::<u64>(),
         sends in prop::collection::vec((any::<u16>(), any::<u8>()), 1..30),
         nodes in 2u16..5,
+        shards in shard_counts(),
     ) {
-        let a = run_workload(seed, &sends, nodes);
-        let b = run_workload(seed, &sends, nodes);
-        prop_assert_eq!(a, b);
+        let a = run_workload(seed, &sends, nodes, 1);
+        let b = run_workload(seed, &sends, nodes, shards);
+        prop_assert_eq!(a, b, "{} shards", shards);
     }
 
     /// Conservation: every transmission is eventually delivered, dropped
@@ -99,9 +113,13 @@ proptest! {
     fn queue_always_drains(
         seed in any::<u64>(),
         sends in prop::collection::vec((any::<u16>(), any::<u8>()), 1..30),
+        shards in shard_counts(),
     ) {
         let topo = Topology::grid(3, 3);
-        let mut sim = Simulator::new(topo, SimulatorConfig::default().with_seed(seed));
+        let cfg = SimulatorConfig::default()
+            .with_seed(seed)
+            .with_shards(shards);
+        let mut sim = Simulator::new(topo, cfg);
         for &(src, kind) in &sends {
             let src = NodeId(src % 9);
             let dst = if kind % 2 == 0 {

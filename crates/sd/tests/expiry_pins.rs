@@ -9,7 +9,8 @@
 //! any change to *when* an expiry sweep runs, and so to an
 //! `sd_service_del` instant, moves it. `events_executed` is pinned beside
 //! it: it counts the simulator events the agents cost, which the stream
-//! alone does not show.
+//! alone does not show. Every seed runs at 1, 2 and 4 simulator shards
+//! and must hit the same pin at each.
 
 use excovery_netsim::sim::{ProtocolEvent, Simulator, SimulatorConfig};
 use excovery_netsim::topology::Topology;
@@ -21,6 +22,8 @@ use excovery_sd::{
 const SU: u16 = 4;
 const SM_NODES: [u16; 8] = [0, 1, 2, 3, 5, 6, 7, 8];
 const STEPS: u64 = 40;
+/// Simulator shard counts every seed runs at.
+const SHARDS: [usize; 3] = [1, 2, 4];
 
 /// `(seed, stream digest, events, sd_service_del events, events executed)`.
 const PINS: [(u64, u64, usize, usize, u64); 6] = [
@@ -62,10 +65,12 @@ fn digest(events: &[ProtocolEvent]) -> u64 {
     h
 }
 
-/// Runs the scenario at `seed`: the whole event stream and the number of
-/// simulator events executed.
-fn scenario(seed: u64) -> (Vec<ProtocolEvent>, u64) {
-    let cfg = SimulatorConfig::default().with_seed(seed);
+/// Runs the scenario at `seed` on `shards` shards: the whole event stream
+/// and the number of simulator events executed.
+fn scenario(seed: u64, shards: usize) -> (Vec<ProtocolEvent>, u64) {
+    let cfg = SimulatorConfig::default()
+        .with_seed(seed)
+        .with_shards(shards);
     let mut sim = Simulator::new(Topology::grid(3, 3), cfg);
     let sd = SdConfig {
         announce_count: 4,
@@ -102,23 +107,23 @@ fn scenario(seed: u64) -> (Vec<ProtocolEvent>, u64) {
 
 #[test]
 fn expiry_event_stream_is_pinned() {
-    let mut got = Vec::new();
-    for (seed, ..) in PINS {
-        let (events, executed) = scenario(seed);
-        let dels = events
-            .iter()
-            .filter(|e| e.name.as_str() == "sd_service_del")
-            .count();
-        got.push((seed, digest(&events), events.len(), dels, executed));
+    let mut drifted = Vec::new();
+    for shards in SHARDS {
+        for pin in PINS {
+            let seed = pin.0;
+            let (events, executed) = scenario(seed, shards);
+            let dels = events
+                .iter()
+                .filter(|e| e.name.as_str() == "sd_service_del")
+                .count();
+            let (h, n) = (digest(&events), events.len());
+            if (seed, h, n, dels, executed) != pin {
+                drifted.push(format!(
+                    "({seed}, {h:#018x}, {n}, {dels}, {executed}), on {shards} shards"
+                ));
+            }
+        }
     }
-    let drifted: Vec<String> = got
-        .iter()
-        .zip(PINS)
-        .filter(|(got, pin)| **got != *pin)
-        .map(|((seed, h, n, dels, executed), _)| {
-            format!("({seed}, {h:#018x}, {n}, {dels}, {executed}),")
-        })
-        .collect();
     assert!(
         drifted.is_empty(),
         "expiry pins drifted:\n  {}",

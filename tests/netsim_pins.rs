@@ -4,10 +4,9 @@
 //! shards.
 //!
 //! Every literal is a pure function of topology, configuration and seed,
-//! so it must hold on any machine and under any `EXCOVERY_SHARDS` value
-//! (the env-driven rows run striped when it is set; the 10⁴-node rows set
-//! their shard count explicitly). A drift here means the simulator's
-//! observable outcome changed. Wall times of the same paths are measured
+//! so it must hold on any machine and at any shard count: the small rows
+//! run at 1, 2 and 4 shards, the 10⁴-node rows at 1 and 4. A drift here
+//! means the simulator's observable outcome changed. Wall times of the same paths are measured
 //! by the `benchmark/` crate (`netsim.flood_run_ms`,
 //! `netsim.unicast_run_ms`, `obs.overhead_share`), not here.
 
@@ -17,6 +16,9 @@ use excovery::netsim::topology::Topology;
 use excovery::netsim::{Agent, Destination, NodeId, Payload};
 use excovery::obs::par::run_indexed;
 use excovery::obs::ObsConfig;
+
+/// Shard counts every small workload runs at; each must hit the same pin.
+const SHARDS: [usize; 3] = [1, 2, 4];
 
 /// A packet sink: counts as a delivery (an agent is bound at the
 /// destination port) without generating any traffic of its own.
@@ -83,10 +85,12 @@ const FLOOD_GRID100X100_1MPKTS: Pin = Pin {
     digest: 0x9c0b_01c2_ebf3_3dc3,
 };
 
-/// 1000 unicasts down a 5-node chain (four hops), optionally publishing
-/// the run's counters to the observability registry afterwards.
-fn unicast_4hops(seed: u64, publish_obs: bool) -> Pin {
-    let mut sim = Simulator::new(Topology::chain(5), SimulatorConfig::perfect_clocks(seed));
+/// 1000 unicasts down a 5-node chain (four hops) on `shards` shards,
+/// optionally publishing the run's counters to the observability registry
+/// afterwards.
+fn unicast_4hops(seed: u64, shards: usize, publish_obs: bool) -> Pin {
+    let cfg = SimulatorConfig::perfect_clocks(seed).with_shards(shards);
+    let mut sim = Simulator::new(Topology::chain(5), cfg);
     sim.install_agent(NodeId(4), 9, Box::new(Sink));
     for _ in 0..1_000u64 {
         sim.send_from(
@@ -107,9 +111,13 @@ fn unicast_4hops(seed: u64, publish_obs: bool) -> Pin {
 /// `i` seeded with `derive_seed_indexed(3, "campaign_rep", i)`. The pin
 /// folds the per-replication digests (FNV-1a, replication order) and sums
 /// the counters, so it also pins cross-replication determinism.
-fn campaign(workers: usize) -> Pin {
+fn campaign(workers: usize, shards: usize) -> Pin {
     let reps = run_indexed(workers, 8, |i| {
-        unicast_4hops(derive_seed_indexed(3, "campaign_rep", i as u64), false)
+        unicast_4hops(
+            derive_seed_indexed(3, "campaign_rep", i as u64),
+            shards,
+            false,
+        )
     });
     let fnv_offset = Pin {
         digest: 0xcbf2_9ce4_8422_2325,
@@ -126,7 +134,6 @@ fn campaign(workers: usize) -> Pin {
 
 /// `sends` mesh-wide multicasts from node 0 of a `side`×`side` grid whose
 /// other nodes all subscribe; each send is relayed once per node.
-/// `shards = 0` leaves the shard count to `EXCOVERY_SHARDS`.
 fn flood(side: usize, seed: u64, shards: usize, sends: u64, max_events: u64) -> (Simulator, u64) {
     let cfg = SimulatorConfig::perfect_clocks(seed).with_shards(shards);
     let mut sim = Simulator::new(Topology::grid(side, side), cfg);
@@ -146,24 +153,42 @@ fn flood(side: usize, seed: u64, shards: usize, sends: u64, max_events: u64) -> 
 /// off inside this one test.
 #[test]
 fn unicast_4hops_1000pkts_obs_off_and_on() {
-    let plain = unicast_4hops(1, false);
-    assert_eq!(plain, UNICAST_4HOPS_1000PKTS);
-    ObsConfig::on().install();
-    let obs_on = unicast_4hops(1, true);
-    ObsConfig::off().install();
-    assert_eq!(obs_on, plain);
+    for shards in SHARDS {
+        let plain = unicast_4hops(1, shards, false);
+        assert_eq!(plain, UNICAST_4HOPS_1000PKTS, "{shards} shards");
+        ObsConfig::on().install();
+        let obs_on = unicast_4hops(1, shards, true);
+        ObsConfig::off().install();
+        assert_eq!(obs_on, plain, "{shards} shards");
+    }
 }
 
 #[test]
 fn flood_grid5x5_1000pkts() {
-    let (sim, events) = flood(5, 2, 0, 1_000, 10_000_000);
-    assert_eq!(Pin::of(&sim, events), FLOOD_GRID5X5_1000PKTS);
+    for shards in SHARDS {
+        let (sim, events) = flood(5, 2, shards, 1_000, 10_000_000);
+        assert_eq!(
+            Pin::of(&sim, events),
+            FLOOD_GRID5X5_1000PKTS,
+            "{shards} shards"
+        );
+    }
 }
 
 #[test]
 fn campaign_unicast_8reps_serial_and_parallel() {
-    assert_eq!(campaign(1), CAMPAIGN_UNICAST_8REPS, "workers = 1");
-    assert_eq!(campaign(0), CAMPAIGN_UNICAST_8REPS, "auto workers");
+    for shards in SHARDS {
+        assert_eq!(
+            campaign(1, shards),
+            CAMPAIGN_UNICAST_8REPS,
+            "workers = 1, {shards} shards"
+        );
+        assert_eq!(
+            campaign(0, shards),
+            CAMPAIGN_UNICAST_8REPS,
+            "auto workers, {shards} shards"
+        );
+    }
 }
 
 /// The sharded executor's contract on its headline workload: the 4-shard

@@ -5,7 +5,7 @@
 //! that matter are all still pending when the run ends, so the simulator
 //! queue left behind by `execute` counts what the agents armed. The
 //! number of executed events is pinned beside it: the run itself must
-//! not change.
+//! not change. Both hold at 1, 2 and 4 simulator shards.
 
 use excovery::engine::scenarios::multi_sm;
 use excovery::engine::{EngineConfig, ExperiMaster};
@@ -19,16 +19,20 @@ const EVENTS_EXECUTED: u64 = 1622;
 
 #[test]
 fn one_wide_run_leaves_few_timers_pending() {
-    let desc = multi_sm(24, "two-party", false, 1, 1);
-    let cfg = EngineConfig::builder()
-        .topology(Topology::grid(5, 5))
-        .build();
-    let mut master = ExperiMaster::new(desc, cfg).unwrap();
-    master.execute().unwrap();
-    let sim = master.simulator();
-    let sim = sim.lock();
-    assert_eq!(
-        (sim.pending_events(), sim.events_executed()),
-        (PENDING_EVENTS, EVENTS_EXECUTED)
-    );
+    for shards in [1, 2, 4] {
+        let desc = multi_sm(24, "two-party", false, 1, 1);
+        let mut cfg = EngineConfig::builder()
+            .topology(Topology::grid(5, 5))
+            .build();
+        cfg.sim.shards = shards;
+        let mut master = ExperiMaster::new(desc, cfg).unwrap();
+        master.execute().unwrap();
+        let sim = master.simulator();
+        let sim = sim.lock();
+        assert_eq!(
+            (sim.pending_events(), sim.events_executed()),
+            (PENDING_EVENTS, EVENTS_EXECUTED),
+            "{shards} shards"
+        );
+    }
 }

@@ -1,5 +1,5 @@
-//! Shard-count invariance — the contract of the spatially sharded
-//! executor (`excovery_netsim::shard`): a run's externally observable
+//! Shard-count invariance — the contract of the simulator's spatially
+//! sharded executor: a run's externally observable
 //! outcome is a pure function of topology, configuration and seed, and
 //! NEVER of how many event queues executed it.
 //!
