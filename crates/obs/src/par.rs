@@ -11,40 +11,27 @@
 //! interleaves; a caller whose jobs are pure functions of their index gets
 //! byte-identical output at every worker count.
 //!
+//! The worker count is always an argument — `excovery paper --workers`,
+//! `excovery serve --workers`, `Scan::workers` — never read from the
+//! environment, so a run's shape follows from its command alone.
+//!
 //! When recording is on, the fan-out publishes `campaign_workers`,
 //! `campaign_jobs_completed_total` and `campaign_job_duration_ns`.
 
 use crate::sync::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Environment variable overriding the worker count.
-pub const WORKERS_ENV: &str = "EXCOVERY_WORKERS";
-
-/// Parses an [`WORKERS_ENV`]-style worker count. An empty (or
-/// whitespace-only) value means auto (`0`); anything else must be a
-/// non-negative decimal integer, where `0` keeps its meaning of
-/// "auto-size to available parallelism".
-pub fn parse_workers(value: &str) -> Result<usize, String> {
-    let trimmed = value.trim();
-    if trimmed.is_empty() {
-        return Ok(0);
-    }
-    trimmed.parse::<usize>().map_err(|_| {
-        format!(
-            "invalid worker count {value:?}: expected a non-negative integer \
-             (0 or unset auto-sizes to available parallelism)"
-        )
-    })
-}
-
-/// Reads the worker count from [`WORKERS_ENV`]. Unset means auto (`0`);
-/// an unparsable value aborts loudly instead of silently falling back to
-/// auto — a typo in a campaign script must not quietly change the
-/// execution shape of a measurement campaign.
-pub fn workers_from_env() -> usize {
-    match std::env::var(WORKERS_ENV) {
-        Err(_) => 0,
-        Ok(v) => parse_workers(&v).unwrap_or_else(|e| panic!("{WORKERS_ENV}: {e}")),
+/// The worker count `workers` stands for: itself, or the available
+/// parallelism when it is `0` ("auto"). Every worker-pool width in the
+/// workspace — campaign fan-out, partition scans, the server's
+/// scheduler — goes through this one rule.
+pub fn resolve_workers(workers: usize) -> usize {
+    if workers != 0 {
+        workers
+    } else {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
     }
 }
 
@@ -56,14 +43,7 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let workers = if workers == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        workers
-    }
-    .min(count.max(1));
+    let workers = resolve_workers(workers).min(count.max(1));
     if crate::enabled() {
         crate::global()
             .gauge("campaign_workers", &[])
@@ -142,20 +122,8 @@ mod tests {
     }
 
     #[test]
-    fn parse_workers_accepts_counts_and_auto() {
-        assert_eq!(parse_workers(""), Ok(0));
-        assert_eq!(parse_workers("  "), Ok(0));
-        assert_eq!(parse_workers("0"), Ok(0));
-        assert_eq!(parse_workers("4"), Ok(4));
-        assert_eq!(parse_workers(" 16 "), Ok(16));
-    }
-
-    #[test]
-    fn parse_workers_rejects_garbage_loudly() {
-        for bad in ["auto", "-1", "3.5", "4x", "0x10"] {
-            let err = parse_workers(bad).unwrap_err();
-            assert!(err.contains(&format!("{bad:?}")), "{err}");
-            assert!(err.contains("non-negative integer"), "{err}");
-        }
+    fn zero_workers_resolves_to_the_available_parallelism() {
+        assert_eq!(resolve_workers(3), 3);
+        assert!(resolve_workers(0) >= 1);
     }
 }

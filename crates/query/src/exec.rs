@@ -339,10 +339,7 @@ pub(crate) fn execute(scan: Scan<'_>) -> Result<Frame, QueryError> {
         scan.sort.clone(),
         &ds.pool,
     )?;
-    let workers = scan
-        .workers
-        .unwrap_or_else(excovery_obs::par::workers_from_env);
-    execute_ctx(ds, &ctx, workers)
+    execute_ctx(ds, &ctx, scan.workers)
 }
 
 pub(crate) fn execute_ctx(

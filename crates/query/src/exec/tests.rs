@@ -467,13 +467,7 @@ fn footer_statistics_equal_slab_statistics() {
         b: vec![Some(vec![]), Some(vec![2]), None],
     };
     let ds = Dataset::from_database(&rows.database()).unwrap();
-    let dir = scratch_dir();
-    let spilled = ds.spill_to(&dir, None).unwrap();
     let t = &ds.partitions[0].tables[TABLE];
-    let footer = spilled.spill_store().unwrap().footers().next().unwrap();
-    for c in COLUMNS {
-        assert_eq!(footer.column_stats(TABLE, c), t.column_stats(c), "{c}");
-    }
     assert_eq!(
         t.column_stats("I").unwrap().range,
         Some(IntStats {
@@ -481,6 +475,19 @@ fn footer_statistics_equal_slab_statistics() {
             max: 1 << 53
         })
     );
-    drop(spilled);
-    std::fs::remove_dir_all(&dir).ok();
+    // Nothing resident, a few partitions, and the default budget.
+    for budget in [Some(1), Some(16 << 20), None] {
+        let dir = scratch_dir();
+        let spilled = ds.spill_to(&dir, budget).unwrap();
+        let footer = spilled.spill_store().unwrap().footers().next().unwrap();
+        for c in COLUMNS {
+            assert_eq!(
+                footer.column_stats(TABLE, c),
+                t.column_stats(c),
+                "{c}, budget {budget:?}"
+            );
+        }
+        drop(spilled);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

@@ -18,8 +18,8 @@
 //! `Dataset::from_database(db)?.run_spec(&spec)` after every refresh,
 //! at any ingest granularity and any arrival interleaving of runs
 //! within an experiment. That equality is the correctness contract the
-//! golden test (`tests/incremental_golden.rs`) pins down to
-//! `f64::to_bits` level.
+//! golden test (`incremental/golden.rs`) pins down to `f64::to_bits`
+//! level.
 
 use crate::column::StringPool;
 use crate::dataset::{self, Partition, TableSchema};
@@ -253,6 +253,9 @@ fn scan_state(
         }
     }))
 }
+
+#[cfg(test)]
+mod golden;
 
 #[cfg(test)]
 mod tests {

@@ -3,10 +3,12 @@
 //! to a cold one-shot scan of the same data — at every arrival step,
 //! at worker counts 1 and 4, and whether the one-shot side scans a
 //! resident dataset or a spilled one under a one-byte memory budget.
+//! The one-shot side names its worker count per scan, which is why this
+//! test lives inside the crate: `Dataset::spec_scan` is crate-private.
 
 use std::path::PathBuf;
 
-use excovery_query::{Dataset, Frame, StandingQuery, Value};
+use crate::{Dataset, Frame, StandingQuery, Value};
 use excovery_rpc::{AggOp, AggSpec, CellValue, ExprSpec, FilterOp, PlanSpec};
 use excovery_store::{Column, ColumnType, Database, SqlValue};
 
@@ -126,14 +128,11 @@ fn tmp(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("golden-{tag}-{}", std::process::id()))
 }
 
-/// The golden property, all in one test so the `EXCOVERY_WORKERS`
-/// override (process-global) cannot race a sibling test thread.
+/// The golden property; each one-shot scan runs at `workers` threads.
 #[test]
 fn incremental_frames_match_one_shot_bit_for_bit_at_workers_1_and_4() {
     const RUNS: i64 = 6;
-    for workers in ["1", "4"] {
-        std::env::set_var("EXCOVERY_WORKERS", workers);
-
+    for workers in [1, 4] {
         for plan in [golden_plan(), row_plan()] {
             let mut sq = StandingQuery::new(plan.clone());
             for end in 1..=RUNS {
@@ -149,14 +148,24 @@ fn incremental_frames_match_one_shot_bit_for_bit_at_workers_1_and_4() {
 
                 // Cold one-shot over the same snapshot, resident.
                 let ds = Dataset::from_database(&db).unwrap();
-                let one_shot = ds.run_spec(&plan).unwrap();
+                let one_shot = ds
+                    .spec_scan(&plan)
+                    .unwrap()
+                    .workers(workers)
+                    .collect()
+                    .unwrap();
                 assert_bit_identical(&standing, &one_shot, &what);
 
                 // And spilled under a one-byte budget, so every
                 // partition loads from its slab file and evicts.
                 let dir = tmp(&format!("w{workers}-e{end}"));
                 let spilled = ds.spill_to(&dir, Some(1)).unwrap();
-                let from_disk = spilled.run_spec(&plan).unwrap();
+                let from_disk = spilled
+                    .spec_scan(&plan)
+                    .unwrap()
+                    .workers(workers)
+                    .collect()
+                    .unwrap();
                 assert_bit_identical(&standing, &from_disk, &format!("{what} (spilled)"));
                 drop(spilled);
                 std::fs::remove_dir_all(&dir).ok();
@@ -164,5 +173,4 @@ fn incremental_frames_match_one_shot_bit_for_bit_at_workers_1_and_4() {
             assert_eq!(sq.refreshes(), RUNS as u64);
         }
     }
-    std::env::remove_var("EXCOVERY_WORKERS");
 }

@@ -15,9 +15,8 @@
 //! Every scan is **bit-identical regardless of worker count**: partitions
 //! are scanned concurrently but merged in partition order (the campaign
 //! discipline), integer sums accumulate exactly in `i128`, and group rows
-//! are emitted in SQL key order. `EXCOVERY_WORKERS` (or
-//! [`Scan::workers`]) changes only the wall-clock, never a byte of any
-//! [`Frame`].
+//! are emitted in SQL key order. [`Scan::workers`] changes only the
+//! wall-clock, never a byte of any [`Frame`].
 //!
 //! ## Entry point
 //!

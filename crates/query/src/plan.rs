@@ -26,7 +26,7 @@ pub struct Scan<'a> {
     pub(crate) aggs: Vec<Agg>,
     pub(crate) project: Option<Vec<String>>,
     pub(crate) sort: Option<String>,
-    pub(crate) workers: Option<usize>,
+    pub(crate) workers: usize,
 }
 
 impl<'a> Scan<'a> {
@@ -39,7 +39,7 @@ impl<'a> Scan<'a> {
             aggs: Vec::new(),
             project: None,
             sort: None,
-            workers: None,
+            workers: 0,
         }
     }
 
@@ -79,10 +79,10 @@ impl<'a> Scan<'a> {
         self
     }
 
-    /// Overrides the worker count for this scan (`0` = auto). Defaults
-    /// to the `EXCOVERY_WORKERS` environment setting.
+    /// Sets the worker count for this scan. `0`, the default, means
+    /// auto (available parallelism).
     pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers);
+        self.workers = workers;
         self
     }
 

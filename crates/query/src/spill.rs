@@ -4,7 +4,7 @@
 //! A spilled [`Dataset`] keeps no partition resident by default — every
 //! partition lives in one slab file (see `slab_io`) and is decoded
 //! lazily when a scan touches it. Loaded partitions are cached under a
-//! configurable byte budget (`EXCOVERY_QUERY_MEM`, default 256 MiB) and
+//! byte budget (the caller's, or [`DEFAULT_MEMORY_BUDGET`]) and
 //! evicted least-recently-used when the budget is exceeded, so the
 //! resident set stays bounded however large the warehouse grows.
 //!
@@ -36,19 +36,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Environment variable naming the resident-memory budget in bytes.
-pub(crate) const MEMORY_BUDGET_ENV: &str = "EXCOVERY_QUERY_MEM";
-
-/// Default resident-memory budget: 256 MiB.
+/// Resident-memory budget of a spilled dataset whose caller names none
+/// (`budget: None`): 256 MiB.
 pub const DEFAULT_MEMORY_BUDGET: u64 = 256 * 1024 * 1024;
-
-/// The budget from `EXCOVERY_QUERY_MEM` (bytes), or the default.
-pub fn memory_budget_from_env() -> u64 {
-    std::env::var(MEMORY_BUDGET_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(DEFAULT_MEMORY_BUDGET)
-}
 
 /// One on-disk partition: its file, its footer, the dictionary remap
 /// into the dataset pool, and the cached decode (if resident).
@@ -262,7 +252,7 @@ fn write_slot(
 impl Dataset {
     /// Writes every partition to `dir` and returns the spilled twin of
     /// this dataset: nothing resident, everything loaded lazily under
-    /// `budget` bytes (`None` = `EXCOVERY_QUERY_MEM` or the default).
+    /// `budget` bytes (`None` = [`DEFAULT_MEMORY_BUDGET`]).
     /// Scans over the twin are bit-identical to scans over `self`.
     pub fn spill_to(
         &self,
@@ -281,7 +271,7 @@ impl Dataset {
             .enumerate()
             .map(|(i, p)| write_slot(dir, i, &self.partition_column, p, &self.pool))
             .collect::<Result<Vec<_>, _>>()?;
-        let budget = budget.unwrap_or_else(memory_budget_from_env);
+        let budget = budget.unwrap_or(DEFAULT_MEMORY_BUDGET);
         Ok(Dataset {
             pool: self.pool.clone(),
             partitions: Vec::new(),
@@ -295,7 +285,7 @@ impl Dataset {
     /// Reopens a spill directory cold: reads every footer (no data
     /// blocks), merges the file dictionaries into a fresh pool, rebuilds
     /// schemas and experiment order, and serves scans lazily under
-    /// `budget` bytes.
+    /// `budget` bytes (`None` = [`DEFAULT_MEMORY_BUDGET`]).
     pub fn open_spill(dir: impl AsRef<Path>, budget: Option<u64>) -> Result<Dataset, QueryError> {
         let dir = dir.as_ref();
         let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
@@ -371,7 +361,7 @@ impl Dataset {
                 last_used: AtomicU64::new(0),
             });
         }
-        let budget = budget.unwrap_or_else(memory_budget_from_env);
+        let budget = budget.unwrap_or(DEFAULT_MEMORY_BUDGET);
         Ok(Dataset {
             pool,
             partitions: Vec::new(),
@@ -456,9 +446,9 @@ impl SpillBuilder {
     }
 
     /// Finishes the stream: a spilled dataset over everything written,
-    /// budgeted at `budget` bytes (`None` = env or default).
+    /// budgeted at `budget` bytes (`None` = [`DEFAULT_MEMORY_BUDGET`]).
     pub fn finish(self, budget: Option<u64>) -> Dataset {
-        let budget = budget.unwrap_or_else(memory_budget_from_env);
+        let budget = budget.unwrap_or(DEFAULT_MEMORY_BUDGET);
         Dataset {
             pool: self.pool,
             partitions: Vec::new(),
@@ -512,6 +502,12 @@ mod tests {
     fn tmp(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("spill-{tag}-{}", std::process::id()))
     }
+
+    /// The budgets a test that would leave the budget to the default
+    /// runs under: 1 B keeps nothing resident (every scan decodes from
+    /// disk and evicts at once), 16 MiB holds a handful of partitions so
+    /// the clock-LRU rotates, `None` is the default.
+    const BUDGETS: [Option<u64>; 3] = [Some(1), Some(16 << 20), None];
 
     fn query(ds: &Dataset, workers: usize) -> u64 {
         ds.scan("Events")
@@ -568,20 +564,22 @@ mod tests {
     fn open_spill_rebuilds_the_dataset_cold() {
         let (a, b) = (package(3, 50), package(2, 7000));
         let ds = Dataset::from_packages(&[("x", &a), ("y", &b)]).unwrap();
-        let dir = tmp("open");
-        ds.spill_to(&dir, None).unwrap();
-        let cold = Dataset::open_spill(&dir, Some(DEFAULT_MEMORY_BUDGET)).unwrap();
-        assert_eq!(cold.experiments(), ds.experiments());
-        assert_eq!(cold.partition_column(), "RunID");
-        assert_eq!(cold.partition_count(), ds.partition_count());
-        assert_eq!(
-            cold.table_rows("Events").unwrap(),
-            ds.table_rows("Events").unwrap()
-        );
-        for workers in [1, 4] {
-            assert_eq!(query(&ds, workers), query(&cold, workers));
+        for (i, budget) in BUDGETS.into_iter().enumerate() {
+            let dir = tmp(&format!("open{i}"));
+            ds.spill_to(&dir, budget).unwrap();
+            let cold = Dataset::open_spill(&dir, Some(DEFAULT_MEMORY_BUDGET)).unwrap();
+            assert_eq!(cold.experiments(), ds.experiments());
+            assert_eq!(cold.partition_column(), "RunID");
+            assert_eq!(cold.partition_count(), ds.partition_count());
+            assert_eq!(
+                cold.table_rows("Events").unwrap(),
+                ds.table_rows("Events").unwrap()
+            );
+            for workers in [1, 4] {
+                assert_eq!(query(&ds, workers), query(&cold, workers), "{budget:?}");
+            }
+            std::fs::remove_dir_all(&dir).ok();
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -602,27 +600,31 @@ mod tests {
     #[test]
     fn spilled_datasets_prune_from_footers() {
         let ds = Dataset::from_database(&package(5, 0)).unwrap();
-        let dir = tmp("prune");
-        let spilled = ds.spill_to(&dir, None).unwrap();
-        let f = spilled
-            .scan("Events")
-            .filter(col("RunID").eq(lit(2i64)))
-            .agg([Agg::count()])
-            .collect()
-            .unwrap();
-        assert_eq!(f.rows[0][0], crate::column::Value::I64(40));
-        std::fs::remove_dir_all(&dir).ok();
+        for (i, budget) in BUDGETS.into_iter().enumerate() {
+            let dir = tmp(&format!("prune{i}"));
+            let spilled = ds.spill_to(&dir, budget).unwrap();
+            let f = spilled
+                .scan("Events")
+                .filter(col("RunID").eq(lit(2i64)))
+                .agg([Agg::count()])
+                .collect()
+                .unwrap();
+            assert_eq!(f.rows[0][0], crate::column::Value::I64(40), "{budget:?}");
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]
     fn double_spill_is_a_typed_error() {
         let ds = Dataset::from_database(&package(1, 0)).unwrap();
-        let dir = tmp("double");
-        let spilled = ds.spill_to(&dir, None).unwrap();
-        assert!(matches!(
-            spilled.spill_to(&dir, None),
-            Err(QueryError::Unsupported(_))
-        ));
-        std::fs::remove_dir_all(&dir).ok();
+        for (i, budget) in BUDGETS.into_iter().enumerate() {
+            let dir = tmp(&format!("double{i}"));
+            let spilled = ds.spill_to(&dir, budget).unwrap();
+            assert!(matches!(
+                spilled.spill_to(&dir, budget),
+                Err(QueryError::Unsupported(_))
+            ));
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 }

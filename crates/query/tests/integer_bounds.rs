@@ -3,11 +3,13 @@
 //! The SQL order compares an integer cell with a number as `f64`, so
 //! 2⁵³ + 1 equals 2⁵³. A partition's min/max statistics must be read the
 //! same way, or a scan prunes a partition that holds matching rows. The
-//! same filter over resident partitions, spilled ones and a standing
-//! query counts what the rows say, and what the float literal says.
+//! same filter over resident partitions, spilled ones (under a 1 B, a
+//! 16 MiB and the default budget) and a standing query counts what the
+//! rows say, and what the float literal says.
 
 use excovery_query::{col, lit, Agg, Dataset, Expr, StandingQuery, Value};
 use excovery_store::{Column, ColumnType, Database, SqlValue};
+use std::path::PathBuf;
 
 const P53: i64 = 1 << 53;
 
@@ -45,8 +47,17 @@ fn count(ds: &Dataset, filter: Expr) -> i64 {
 fn integer_literals_decide_partitions_as_rows_compare_them() {
     let db = package();
     let resident = Dataset::from_database(&db).unwrap();
-    let dir = std::env::temp_dir().join(format!("integer-bounds-{}", std::process::id()));
-    let spilled = resident.spill_to(&dir, None).unwrap();
+    // Nothing resident, a few partitions, and the default budget.
+    let spilled: Vec<(Option<u64>, PathBuf, Dataset)> = [Some(1), Some(16 << 20), None]
+        .into_iter()
+        .enumerate()
+        .map(|(i, budget)| {
+            let pid = std::process::id();
+            let dir = std::env::temp_dir().join(format!("integer-bounds-{pid}-{i}"));
+            let ds = resident.spill_to(&dir, budget).unwrap();
+            (budget, dir, ds)
+        })
+        .collect();
     type Op = fn(Expr, Expr) -> Expr;
     type Holds = fn(f64, f64) -> bool;
     let ops: [(&str, Op, Holds); 5] = [
@@ -62,7 +73,10 @@ fn integer_literals_decide_partitions_as_rows_compare_them() {
             let rows = CELLS.iter().filter(|&&x| holds(x as f64, v as f64)).count() as i64;
             let filter = op(col("X"), lit(v));
             assert_eq!(count(&resident, filter.clone()), rows, "{what}, resident");
-            assert_eq!(count(&spilled, filter.clone()), rows, "{what}, spilled");
+            for (budget, _, ds) in &spilled {
+                let n = count(ds, filter.clone());
+                assert_eq!(n, rows, "{what}, spilled under {budget:?}");
+            }
             let float = op(col("X"), lit(v as f64));
             assert_eq!(count(&resident, float), rows, "{what}, float literal");
 
@@ -78,6 +92,8 @@ fn integer_literals_decide_partitions_as_rows_compare_them() {
             assert_eq!(frame.rows[0][0], Value::I64(rows), "{what}, standing");
         }
     }
-    drop(spilled);
-    std::fs::remove_dir_all(&dir).ok();
+    for (_, dir, ds) in spilled {
+        drop(ds);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

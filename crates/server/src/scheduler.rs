@@ -6,9 +6,9 @@
 //! with runnable work (round-robin, rotating the starting tenant across
 //! ticks), fills any remaining worker slots by continuing the rotation,
 //! and executes the picked slices on the workspace's index-ordered
-//! fan-out ([`run_indexed`], sized by `EXCOVERY_WORKERS` through
-//! [`workers_from_env`]). With one worker the slices of a round simply serialize —
-//! fairness is a property of the pick, not of the parallelism.
+//! fan-out ([`run_indexed`], [`SchedulerConfig::workers`] wide). With
+//! one worker the slices of a round simply serialize — fairness is a
+//! property of the pick, not of the parallelism.
 //!
 //! Crash safety leans entirely on the engine's resume model: every run
 //! is sealed in level 2 before the journal confirms it, outcomes
@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use excovery_core::master::{EngineConfig, ExperiMaster};
 use excovery_desc::xmlio;
-use excovery_obs::par::{run_indexed, workers_from_env};
+use excovery_obs::par::{resolve_workers, run_indexed};
 use excovery_obs::sync::Mutex;
 use excovery_obs::{global, Counter, Gauge, Histogram};
 use excovery_rpc::{JobId, JobState};
@@ -49,8 +49,8 @@ pub fn preset_config(name: &str) -> Result<EngineConfig, ServerError> {
 /// Scheduler knobs.
 #[derive(Debug, Clone)]
 pub struct SchedulerConfig {
-    /// Worker-pool width; `0` = auto (available parallelism), the same
-    /// contract as `EXCOVERY_WORKERS` ([`workers_from_env`]).
+    /// Worker-pool width; `0` = auto (available parallelism, see
+    /// [`resolve_workers`]). `excovery serve --workers` sets it.
     pub workers: usize,
     /// Runs per slice. Smaller slices interleave tenants more finely at
     /// the cost of more master incarnations.
@@ -60,7 +60,7 @@ pub struct SchedulerConfig {
 impl Default for SchedulerConfig {
     fn default() -> Self {
         SchedulerConfig {
-            workers: workers_from_env(),
+            workers: 0,
             slice_runs: 2,
         }
     }
@@ -298,16 +298,6 @@ impl Scheduler {
         let repo = self.repo.lock();
         self.metrics.queue_depth.set(repo.queue_depth() as i64);
         self.metrics.active.set(repo.active_count() as i64);
-    }
-}
-
-fn resolve_workers(workers: usize) -> usize {
-    if workers != 0 {
-        workers
-    } else {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
     }
 }
 

@@ -302,12 +302,24 @@ fn standing_queries_serve_live_campaign_progress() {
 
 #[test]
 fn rpc_round_trip_submits_queries_and_downloads() {
+    for workers in [1, 4] {
+        rpc_round_trip_at(workers);
+    }
+}
+
+/// Submit, drive, query and download one campaign on a server whose
+/// scheduler pool is `workers` wide.
+fn rpc_round_trip_at(workers: usize) {
     let root = unique_root("rpc");
     // A tiny results page forces the package download through many
     // `job.results` round trips — the paging real packages need to stay
     // under the 16 MiB frame cap.
     let cfg = ServerConfig {
         results_page_bytes: 1024,
+        scheduler: SchedulerConfig {
+            workers,
+            ..SchedulerConfig::default()
+        },
         ..ServerConfig::default()
     };
     let mut server = ExperimentServer::start(&root, cfg).expect("start");
@@ -345,7 +357,11 @@ fn rpc_round_trip_submits_queries_and_downloads() {
     }
     let status = client.status(job_id).unwrap();
     assert_eq!(status.state, JobState::Completed);
-    assert_eq!(status.digest, Some(reference_digest(2, 88, "grid_default")));
+    assert_eq!(
+        status.digest,
+        Some(reference_digest(2, 88, "grid_default")),
+        "workers {workers}"
+    );
 
     // Remote analysis: table listing and a server-side query plan.
     let tables = client.tables(job_id).expect("tables");

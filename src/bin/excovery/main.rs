@@ -17,7 +17,7 @@
 //! excovery timeline <results.expdb> --run N [--svg out.svg]
 //! excovery responsiveness <results.expdb> [--k N]
 //! excovery l2 <dir> [<run> [<node> <name> [--json]]]
-//! excovery paper <study> [--reps N]
+//! excovery paper <study> [--reps N] [--workers N]
 //! ```
 
 use excovery::analysis::responsiveness::{format_curve, responsiveness_curve};
@@ -115,7 +115,7 @@ fn print_usage() {
          \x20 excovery status <root|addr> [--job N]\n\
          \x20 excovery results <root|addr> --job N [--out pkg.expdb] [--tables]\n\
          \x20          [--table T [--group-by C,..] [--count] [--sort-by C]]\n\
-         \x20 excovery paper <study> [--reps N]   # print results/<study>.txt"
+         \x20 excovery paper <study> [--reps N] [--workers N]   # print results/<study>.txt"
     );
 }
 
@@ -178,6 +178,17 @@ impl<'a> Args<'a> {
 
     fn present(&self, flag: &str) -> bool {
         self.switches.contains(&flag)
+    }
+
+    /// The worker-pool width `--workers` names (`serve`, `paper`): a
+    /// non-negative integer, where `0` — also the default — auto-sizes to
+    /// the available parallelism.
+    fn workers(&self) -> Result<usize, String> {
+        self.value("--workers").map_or(Ok(0), |w| {
+            w.parse().map_err(|_| {
+                format!("bad --workers '{w}': expected a non-negative integer (0 = auto)")
+            })
+        })
     }
 }
 
@@ -623,9 +634,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     if let Some(addr) = args.value("--addr") {
         cfg.addr = addr.to_string();
     }
-    if let Some(w) = args.value("--workers") {
-        cfg.scheduler.workers = w.parse().map_err(|_| format!("bad --workers '{w}'"))?;
-    }
+    cfg.scheduler.workers = args.workers()?;
     if let Some(s) = args.value("--slice-runs") {
         cfg.scheduler.slice_runs = s.parse().map_err(|_| format!("bad --slice-runs '{s}'"))?;
     }

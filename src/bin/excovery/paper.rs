@@ -1,11 +1,13 @@
-//! `excovery paper <study> [--reps N]`: regenerates one table, figure or
-//! case study of the ExCovery paper (see EXPERIMENTS.md for the index).
+//! `excovery paper <study> [--reps N] [--workers N]`: regenerates one
+//! table, figure or case study of the ExCovery paper (see EXPERIMENTS.md
+//! for the index).
 //!
 //! Each study prints its artifact to stdout; with no `--reps` the output
 //! is byte for byte `results/<study>.txt`, which `tests/paper_results.rs`
 //! checks. The case studies that fan independent experiments out (CS-1,
-//! CS-3, CS-8) do so through [`run_indexed`], whose results come back in
-//! job order, so the output is the same at every `EXCOVERY_WORKERS`.
+//! CS-3, CS-8) do so through [`run_indexed`] on `--workers` threads
+//! (`0`, the default, = available parallelism); results come back in
+//! job order, so the output is the same at every worker count.
 
 use super::Args;
 use excovery::analysis::model::ResponsivenessModel;
@@ -29,7 +31,7 @@ use excovery::netsim::link::LinkModel;
 use excovery::netsim::sim::{Simulator, SimulatorConfig};
 use excovery::netsim::topology::Topology;
 use excovery::netsim::{NodeId, SimDuration};
-use excovery::obs::par::{run_indexed, workers_from_env};
+use excovery::obs::par::run_indexed;
 use excovery::rpc::ChaosOptions;
 use excovery::sd::agent::SdAgent;
 use excovery::sd::{
@@ -42,11 +44,12 @@ use excovery::xml::writer::{write_element_string, WriteOptions};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-type Study = fn(u64) -> Result<(), String>;
+/// A study, called with its replication count and worker count.
+type Study = fn(u64, usize) -> Result<(), String>;
 
 /// One experiment of a fanned-out campaign. The campaigns run on
-/// `EXCOVERY_WORKERS` threads, and [`run_indexed`] returns their outcomes
-/// in job order.
+/// `--workers` threads, and [`run_indexed`] returns their outcomes in
+/// job order.
 type Outcome = Result<ExperimentOutcome, String>;
 
 /// Every study: its name (the stem of its `results/` file), its
@@ -81,7 +84,7 @@ const STUDIES: &[(&str, Option<u64>, Study)] = &[
 ];
 
 pub(crate) fn cmd_paper(args: &[String]) -> Result<(), String> {
-    let args = Args::parse("paper", args, &["--reps"], &[])?;
+    let args = Args::parse("paper", args, &["--reps", "--workers"], &[])?;
     let names = || STUDIES.iter().map(|s| s.0).collect::<Vec<_>>().join(", ");
     let name = args
         .positional("study")
@@ -103,7 +106,7 @@ pub(crate) fn cmd_paper(args: &[String]) -> Result<(), String> {
             .filter(|&n: &u64| n > 0)
             .ok_or_else(|| format!("--reps must be a positive integer, not '{v}'"))?,
     };
-    study(reps)
+    study(reps, args.workers()?)
 }
 
 // ---- shared helpers ---------------------------------------------------------
@@ -153,7 +156,7 @@ fn first_t_rs_s(eps: &[DiscoveryEpisode]) -> Vec<f64> {
 
 /// **Table I**: tables and attributes of the storage concept, read back
 /// from the level-3 package of a one-run experiment.
-fn table1_schema(_: u64) -> Result<(), String> {
+fn table1_schema(_: u64, _: usize) -> Result<(), String> {
     println!("TABLE I.  TABLES AND ATTRIBUTES OF CURRENT STORAGE CONCEPT\n");
     println!("{}", render_table1());
     let outcome = ExperiMaster::new(loss_sweep(&[0.0], 1, 1), on(Topology::chain(2)))?.execute()?;
@@ -169,7 +172,7 @@ fn table1_schema(_: u64) -> Result<(), String> {
 /// **Fig. 1**: the model of a generic experiment process, on a live run:
 /// the treatment's factor levels go in, the recorded events and derived
 /// metrics come out.
-fn fig1_model(_: u64) -> Result<(), String> {
+fn fig1_model(_: u64, _: usize) -> Result<(), String> {
     println!("Fig. 1 — model of a generic experiment process\n");
     let desc = ExperimentDescription::paper_two_party_sd(1);
     let plan = desc.plan();
@@ -216,7 +219,7 @@ fn fig1_model(_: u64) -> Result<(), String> {
 
 /// **Fig. 2**: the two-party and three-party discovery architectures, as
 /// the message flows of one discovery each, read from packet captures.
-fn fig2_architectures(_: u64) -> Result<(), String> {
+fn fig2_architectures(_: u64, _: usize) -> Result<(), String> {
     println!("Fig. 2 — SD architectures as observed message flows\n");
     for (architecture, with_scm) in [
         ("two-party", false),
@@ -263,7 +266,7 @@ fn fig2_architectures(_: u64) -> Result<(), String> {
 /// **Fig. 3**: ExCovery's concepts and workflow, narrated over a real
 /// execution: preparation, execution, collection and conditioning,
 /// storage.
-fn fig3_workflow(_: u64) -> Result<(), String> {
+fn fig3_workflow(_: u64, _: usize) -> Result<(), String> {
     println!("Fig. 3 — ExCovery concepts and experiment workflow\n");
 
     // [experimenter] experiment design -> abstract description
@@ -322,7 +325,7 @@ fn fig3_workflow(_: u64) -> Result<(), String> {
 
 /// **Fig. 5**: the factor list and the treatment plan expanded from it
 /// (6 treatments × 1000 replications, OFAT order).
-fn fig5_plan(_: u64) -> Result<(), String> {
+fn fig5_plan(_: u64, _: usize) -> Result<(), String> {
     let factors = FactorList::paper_fig5();
     println!("factor list of Fig. 5:");
     for f in &factors.factors {
@@ -387,7 +390,7 @@ fn fig5_plan(_: u64) -> Result<(), String> {
 /// (actions as white, events as black circles), from a freshly executed
 /// run of the paper's two-party experiment. `excovery timeline <pkg>
 /// --svg PATH` renders the same run as SVG.
-fn fig11_timeline(_: u64) -> Result<(), String> {
+fn fig11_timeline(_: u64, _: usize) -> Result<(), String> {
     let desc = ExperimentDescription::paper_two_party_sd(1);
     let mut cfg = EngineConfig::grid_default();
     cfg.max_runs = Some(1);
@@ -406,7 +409,7 @@ fn fig11_timeline(_: u64) -> Result<(), String> {
 
 /// The XML listings of **Figs. 4–10** from the typed model, exactly as
 /// the built-in paper description carries them.
-fn fig_listings(_: u64) -> Result<(), String> {
+fn fig_listings(_: u64, _: usize) -> Result<(), String> {
     let d = ExperimentDescription::paper_two_party_sd(1000);
     let opts = WriteOptions::default();
     let full = experiment_element(&d);
@@ -450,11 +453,11 @@ fn fig_listings(_: u64) -> Result<(), String> {
 
 /// **CS-1**: responsiveness vs injected message loss (the shape of paper
 /// ref. \[25\]). Each loss level is an independent experiment.
-fn cs1_responsiveness_loss(reps: u64) -> Result<(), String> {
+fn cs1_responsiveness_loss(reps: u64, workers: usize) -> Result<(), String> {
     let losses = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6];
     println!("CS-1: responsiveness vs message loss on the SM ({reps} replications/level)\n");
     let shards = loss_sweep_shards(&losses, reps, 20261);
-    let outcomes = run_indexed(workers_from_env(), shards.len(), |i| -> Outcome {
+    let outcomes = run_indexed(workers, shards.len(), |i| -> Outcome {
         Ok(ExperiMaster::new(shards[i].clone(), on(Topology::chain(2)))?.execute()?)
     });
 
@@ -469,7 +472,7 @@ fn cs1_responsiveness_loss(reps: u64) -> Result<(), String> {
 
 /// **CS-2**: responsiveness vs generated background load, with the Fig. 5
 /// factors (node pairs × data rate) driving the Fig. 7 traffic generator.
-fn cs2_responsiveness_load(reps: u64) -> Result<(), String> {
+fn cs2_responsiveness_load(reps: u64, _: usize) -> Result<(), String> {
     println!("CS-2: responsiveness vs background load ({reps} replications/treatment)");
     println!("factors as in Fig. 5: pairs ∈ {{5, 20}}, rate ∈ {{10, 50, 100}} … plus a 2000 kbit/s stress level\n");
     let mut desc = load_sweep(&[5, 20], &[10, 100, 2000], reps, 20262);
@@ -519,11 +522,11 @@ fn cs2_responsiveness_load(reps: u64) -> Result<(), String> {
 /// **CS-3**: responsiveness vs hop distance (the shape of paper ref.
 /// \[26\]): per-hop loss compounds over the path. The six hop counts are
 /// independent experiments.
-fn cs3_responsiveness_hops(reps: u64) -> Result<(), String> {
+fn cs3_responsiveness_hops(reps: u64, workers: usize) -> Result<(), String> {
     println!("CS-3: responsiveness vs hop distance ({reps} replications/hop count)");
     println!("lossy mesh links: 15% base loss per hop, as on weak DES links\n");
     let shards = hop_distance_shards(1..=6, reps, 20263);
-    let outcomes = run_indexed(workers_from_env(), shards.len(), |i| -> Outcome {
+    let outcomes = run_indexed(workers, shards.len(), |i| -> Outcome {
         let (hops, desc) = &shards[i];
         let mut cfg = on(chain_between_actors(*hops));
         // Weak links: per-hop loss compounds over the path.
@@ -554,7 +557,7 @@ fn cs3_responsiveness_hops(reps: u64) -> Result<(), String> {
 
 /// **CS-4**: two-party vs three-party vs hybrid with growing numbers of
 /// SMs: where centralization pays off. Half the replications per cell.
-fn cs4_architecture_compare(reps: u64) -> Result<(), String> {
+fn cs4_architecture_compare(reps: u64, _: usize) -> Result<(), String> {
     let reps = (reps / 2).max(5);
     println!("CS-4: architecture comparison ({reps} replications/cell)\n");
     println!(
@@ -587,7 +590,7 @@ fn cs4_architecture_compare(reps: u64) -> Result<(), String> {
 /// **CS-5**: ablation of the SDP's query retransmission backoff (paper
 /// §VI) under heavy injected loss: constant retry recovers fastest but
 /// floods the medium; aggressive backoff is cheap but late.
-fn cs5_ablation_backoff(reps: u64) -> Result<(), String> {
+fn cs5_ablation_backoff(reps: u64, _: usize) -> Result<(), String> {
     println!("CS-5: query-backoff ablation at 75% message loss ({reps} replications/setting)\n");
     println!("{}", curve_header());
     let mut costs = Vec::new();
@@ -614,7 +617,7 @@ fn cs5_ablation_backoff(reps: u64) -> Result<(), String> {
 
 /// **CS-6**: the closed-form responsiveness model overlaid on the
 /// measured R(d) of the hop-distance scenario at several per-link losses.
-fn cs6_model_vs_experiment(reps: u64) -> Result<(), String> {
+fn cs6_model_vs_experiment(reps: u64, _: usize) -> Result<(), String> {
     fn cells(values: impl Iterator<Item = f64>) -> String {
         values.map(|v| format!("{v:>7.3}")).collect()
     }
@@ -712,7 +715,7 @@ fn cs7_cell(n_sus: u16, suppression: bool, seed: u64) -> (u64, u64, u64) {
 /// **CS-7**: ablation of known-answer suppression (RFC 6762 §7.1), the
 /// cache-driven traffic reduction of paper §III-A. One seed per ten
 /// replications.
-fn cs7_ablation_suppression(reps: u64) -> Result<(), String> {
+fn cs7_ablation_suppression(reps: u64, _: usize) -> Result<(), String> {
     let seeds = (reps / 10).max(3);
     println!("CS-7: known-answer suppression ablation ({seeds} seeds, 60 s continuous search)\n");
     println!(
@@ -759,7 +762,7 @@ fn cs8_config(rate: f64, seed: u64) -> EngineConfig {
 /// packaged results must equal, digest for digest, the fault-free
 /// execution of the same seed; alongside, the retries and wall time the
 /// recovery cost. Fails on any drift or on a schedule that never fired.
-fn cs8_chaos_recovery(reps: u64) -> Result<(), String> {
+fn cs8_chaos_recovery(reps: u64, workers: usize) -> Result<(), String> {
     const SEEDS: [u64; 3] = [301, 1105, 1729];
     println!("CS-8: control-plane chaos recovery ({reps} replications/cell)\n");
     println!(
@@ -768,7 +771,7 @@ fn cs8_chaos_recovery(reps: u64) -> Result<(), String> {
     );
     for rate in [0.0, 0.3, 0.6, 0.9] {
         let started = Instant::now();
-        let outcomes = run_indexed(workers_from_env(), SEEDS.len(), |i| -> Outcome {
+        let outcomes = run_indexed(workers, SEEDS.len(), |i| -> Outcome {
             let desc = loss_sweep(&[0.25], reps, SEEDS[i]);
             Ok(ExperiMaster::new(desc, cs8_config(rate, SEEDS[i]))?.execute()?)
         });
@@ -809,7 +812,7 @@ fn cs8_chaos_recovery(reps: u64) -> Result<(), String> {
 /// The packet-tagger measurement chain (paper §VI-A): CBR background
 /// flows with known per-link loss, the loss reconstructed from tag gaps
 /// in the stored `Packets` table.
-fn tagger_validation(_: u64) -> Result<(), String> {
+fn tagger_validation(_: u64, _: usize) -> Result<(), String> {
     println!("packet-tagger validation: configured vs tag-gap-estimated loss\n");
     println!(
         "{:<14} {:>12} {:>12} {:>10}",

@@ -440,6 +440,38 @@ fn paper_takes_a_positive_reps_count_and_a_known_study() {
     );
 }
 
+/// `paper` and `serve` parse `--workers` alike: a non-negative integer,
+/// where `0` auto-sizes to the available parallelism. Anything else
+/// fails before any work starts, with the same message from both verbs.
+#[test]
+fn paper_and_serve_take_the_same_workers_count() {
+    let dir = workdir("workers-flag");
+    let root = dir.join("l4");
+    let root = root.to_str().unwrap();
+    for bad in ["auto", "-1", "3.5", "4x", "0x10"] {
+        let paper = cli(&["paper", "cs1_responsiveness_loss", "--workers", bad]);
+        let serve = cli(&["serve", root, "--once", "--workers", bad]);
+        for out in [&paper, &serve] {
+            assert!(!out.status.success(), "--workers {bad} accepted");
+            assert!(out.stdout.is_empty(), "--workers {bad} did work");
+        }
+        let err = stderr(&paper);
+        assert!(
+            err.contains(&format!("'{bad}'")) && err.contains("non-negative integer"),
+            "{err}"
+        );
+        assert_eq!(stderr(&serve), err, "serve and paper disagree on {bad:?}");
+    }
+
+    let study = ["paper", "cs1_responsiveness_loss", "--reps", "2"];
+    let auto = cli(&[&study[..], &["--workers", "0"]].concat());
+    assert!(auto.status.success(), "{}", stderr(&auto));
+    assert_eq!(stdout(&auto), stdout(&cli(&study)));
+    let out = cli(&["serve", root, "--once", "--workers", "0"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn schema_command_emits_wellformed_xsd() {
     let out = cli(&["schema"]);

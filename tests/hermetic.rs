@@ -3,6 +3,11 @@
 //! file records no registry or git source. A registry crate cannot creep
 //! back unnoticed — `--offline --locked` would stop building, and this
 //! test says why.
+//!
+//! A run is a function of its arguments alone: no source under
+//! `crates/*/src` or `src/` reads or sets an environment variable, so a
+//! worker count or a memory budget is a flag or a parameter, never a
+//! setting inherited from the shell.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -212,4 +217,75 @@ fn the_layering_check_sees_a_forbidden_edge() {
     let err = check_layering("query", &without_rpc).unwrap_err();
     assert!(err.contains("missing edges [\"rpc\"]"), "{err}");
     assert!(check_layering("scratch", query).is_err());
+}
+
+/// The lines of a Rust source that read or set the process environment
+/// (`std::env::var`, `var_os`, `vars`, `set_var`, `remove_var`), by line
+/// number; comment lines are skipped.
+fn environment_access(source: &str) -> Vec<(usize, &str)> {
+    source
+        .lines()
+        .enumerate()
+        .map(|(i, line)| (i + 1, line.trim()))
+        .filter(|(_, line)| !line.starts_with("//"))
+        .filter(|(_, line)| {
+            ["env::var", "set_var(", "remove_var("]
+                .iter()
+                .any(|call| line.contains(call))
+        })
+        .collect()
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in fs::read_dir(dir).expect("source directory is readable") {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            rust_sources(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+#[test]
+fn no_source_reads_the_environment() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut sources = Vec::new();
+    rust_sources(&root.join("src"), &mut sources);
+    for entry in fs::read_dir(root.join("crates")).expect("crates/ is readable") {
+        let src = entry.expect("directory entry").path().join("src");
+        if src.is_dir() {
+            rust_sources(&src, &mut sources);
+        }
+    }
+    assert!(sources.len() > 50, "sources not found: {sources:?}");
+    let mut hits = Vec::new();
+    for path in &sources {
+        let text = fs::read_to_string(path).expect("source is readable");
+        for (line, code) in environment_access(&text) {
+            let path = path.strip_prefix(root).unwrap_or(path);
+            hits.push(format!("{}:{line}: {code}", path.display()));
+        }
+    }
+    assert!(
+        hits.is_empty(),
+        "sources touch the environment; take the value as an argument:\n  {}",
+        hits.join("\n  ")
+    );
+}
+
+#[test]
+fn the_environment_check_sees_a_read() {
+    let source = "//! Mentions `std::env::var` in a doc comment only.\n\
+                  use std::env;\n\
+                  fn workers() -> usize {\n\
+                  \x20   env::var(\"W\").map_or(0, |v| v.len())\n\
+                  }\n\
+                  fn set() { std::env::set_var(\"W\", \"1\") }\n\
+                  fn unset() { std::env::remove_var(\"W\") }\n\
+                  fn seen() -> bool { std::env::var_os(\"W\").is_some() }\n\
+                  fn temp() -> PathBuf { std::env::temp_dir() }\n";
+    let lines: Vec<usize> = environment_access(source).iter().map(|h| h.0).collect();
+    assert_eq!(lines, [4, 6, 7, 8]);
 }

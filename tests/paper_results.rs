@@ -3,16 +3,23 @@
 //! exactly those files plus `cs8_chaos_recovery`, whose output carries
 //! wall times and is checked by its own verdict line instead.
 //!
-//! The case studies that fan out over `EXCOVERY_WORKERS` threads inherit
-//! the variable from this process, so running the suite at several worker
-//! counts shows the results do not depend on it. Re-bless an intended
-//! change with `EXCOVERY_BLESS=1 cargo test --test paper_results`.
+//! The case studies that fan out over `--workers` threads (CS-1, CS-3 and
+//! CS-8) are also run at 1 and 4 workers, against the same files and the
+//! same verdict line. Re-bless an intended change with
+//! `EXCOVERY_BLESS=1 cargo test --test paper_results`.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 /// The study that prints wall time and so has no `results/` file.
 const TIMED_STUDY: &str = "cs8_chaos_recovery";
+
+/// The studies with a `results/` file that fan experiments out over
+/// `--workers` threads.
+const FAN_OUT_STUDIES: [&str; 2] = ["cs1_responsiveness_loss", "cs3_responsiveness_hops"];
+
+/// The explicit worker counts the fan-out studies also run at.
+const WORKER_COUNTS: [&str; 2] = ["1", "4"];
 
 fn paper(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_excovery"))
@@ -53,6 +60,29 @@ fn result_stems() -> Vec<String> {
     stems
 }
 
+/// What `excovery paper <study> <flags>` prints; fails if the study fails.
+fn printed(study: &str, flags: &[&str]) -> Vec<u8> {
+    let out = paper(&[&[study], flags].concat());
+    assert!(
+        out.status.success(),
+        "excovery paper {study} {flags:?} failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    out.stdout
+}
+
+/// How `got` departs from `results/<study>.txt`, or `None` if it does not.
+fn drift(study: &str, got: &[u8]) -> Option<String> {
+    let Ok(want) = std::fs::read(results_dir().join(format!("{study}.txt"))) else {
+        return Some(format!("{study}: results/{study}.txt is missing"));
+    };
+    (got != want).then(|| {
+        let got = String::from_utf8_lossy(got);
+        let want = String::from_utf8_lossy(&want);
+        format!("{study}: {}", first_difference(&got, &want))
+    })
+}
+
 /// Where `got` first departs from `want`, for the failure message.
 fn first_difference(got: &str, want: &str) -> String {
     let (got_lines, want_lines): (Vec<_>, Vec<_>) = (got.lines().collect(), want.lines().collect());
@@ -78,26 +108,12 @@ fn every_results_file_is_what_its_study_prints() {
     let bless = std::env::var_os("EXCOVERY_BLESS").is_some();
     let mut drifted = Vec::new();
     for study in studies().iter().filter(|s| *s != TIMED_STUDY) {
-        let out = paper(&[study]);
-        assert!(
-            out.status.success(),
-            "excovery paper {study} failed: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let path = results_dir().join(format!("{study}.txt"));
+        let got = printed(study, &[]);
         if bless {
-            std::fs::write(&path, &out.stdout).unwrap();
+            std::fs::write(results_dir().join(format!("{study}.txt")), &got).unwrap();
             continue;
         }
-        let Ok(want) = std::fs::read(&path) else {
-            drifted.push(format!("{study}: results/{study}.txt is missing"));
-            continue;
-        };
-        if out.stdout != want {
-            let got = String::from_utf8_lossy(&out.stdout);
-            let want = String::from_utf8_lossy(&want);
-            drifted.push(format!("{study}: {}", first_difference(&got, &want)));
-        }
+        drifted.extend(drift(study, &got));
     }
     assert!(
         drifted.is_empty(),
@@ -105,6 +121,18 @@ fn every_results_file_is_what_its_study_prints() {
          EXCOVERY_BLESS=1 if intended):\n  {}",
         drifted.join("\n  ")
     );
+}
+
+#[test]
+fn fan_out_studies_print_their_results_at_1_and_4_workers() {
+    let mut drifted = Vec::new();
+    for workers in WORKER_COUNTS {
+        for study in FAN_OUT_STUDIES {
+            let got = printed(study, &["--workers", workers]);
+            drifted.extend(drift(study, &got).map(|d| format!("--workers {workers}: {d}")));
+        }
+    }
+    assert!(drifted.is_empty(), "{}", drifted.join("\n"));
 }
 
 #[test]
@@ -117,17 +145,15 @@ fn the_study_table_is_the_results_files_plus_the_timed_study() {
     assert_eq!(got, want, "study table vs results/*.txt + {TIMED_STUDY}");
 }
 
+/// At the default worker count and at each of [`WORKER_COUNTS`].
 #[test]
 fn chaos_recovery_reproduces_every_fault_free_digest() {
-    let out = paper(&[TIMED_STUDY]);
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        out.status.success(),
-        "{text}{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(
-        text.ends_with("\nall chaotic executions reproduced their fault-free digests\n"),
-        "{text}"
-    );
+    let explicit = WORKER_COUNTS.map(|w| vec!["--workers", w]);
+    for flags in std::iter::once(Vec::new()).chain(explicit) {
+        let text = String::from_utf8(printed(TIMED_STUDY, &flags)).unwrap();
+        assert!(
+            text.ends_with("\nall chaotic executions reproduced their fault-free digests\n"),
+            "{flags:?}: {text}"
+        );
+    }
 }

@@ -8,13 +8,15 @@
 //! from the row-scan implementations before they were deleted and
 //! checked equal to the columnar answers then.
 //!
-//! The CI chaos matrix runs this binary under `EXCOVERY_WORKERS=1` and
-//! `EXCOVERY_WORKERS=4`, so every assertion doubles as a
-//! serial-vs-parallel equivalence check.
+//! The pinned answers come from scans at the default worker count; every
+//! scan shape `ExperimentDataset` and the warehouse slice issue is also
+//! run at `.workers(1)` and `.workers(4)` and must give the same frame
+//! digest, a serial-vs-parallel equivalence check on real packages.
 
 use excovery::analysis::responsiveness::ResponsivenessPoint;
 use excovery::desc::process::{EventSelector, ProcessAction};
 use excovery::prelude::*;
+use excovery::query::Scan;
 use excovery::store::warehouse::build_warehouse;
 use std::collections::BTreeMap;
 
@@ -254,6 +256,72 @@ fn warehouse_mean_matches_pre_redesign_across_presets() {
     let wh = build_warehouse(&packages).unwrap();
     let means = excovery::query::warehouse::mean_response_time_by_experiment(&wh).unwrap();
     assert_eq!(means_digest(&means), WAREHOUSE_MEANS, "{means:?}");
+}
+
+/// The scans behind the pinned answers, as `ExperimentDataset` issues
+/// them: distinct run ids of `Events` and `RunInfos`, the ordered episode
+/// events, packets per run, clock offsets.
+fn dataset_scans(ds: &Dataset) -> Vec<Scan<'_>> {
+    let episode_events = ["sd_start_search", "sd_service_add", "sd_stop_search"];
+    let interesting = col("EventType")
+        .eq(lit(episode_events[0]))
+        .or(col("EventType").eq(lit(episode_events[1])))
+        .or(col("EventType").eq(lit(episode_events[2])));
+    vec![
+        ds.scan("Events").group_by(["RunID"]),
+        ds.scan("RunInfos").group_by(["RunID"]),
+        ds.scan("Events")
+            .filter(interesting)
+            .select(["RunID", "NodeID", "CommonTime", "EventType", "Parameter"])
+            .sort_by("CommonTime"),
+        ds.scan("Packets").group_by(["RunID"]).agg([Agg::count()]),
+        ds.scan("RunInfos").select(["TimeDiff"]),
+    ]
+}
+
+/// Frame digests of `scans` at `workers` threads (`0`, the default, =
+/// available parallelism).
+fn digests(scans: &[Scan<'_>], workers: usize) -> Vec<u64> {
+    scans
+        .iter()
+        .map(|scan| scan.clone().workers(workers).collect().unwrap().digest())
+        .collect()
+}
+
+fn assert_worker_count_invariant(what: &str, scans: &[Scan<'_>]) {
+    let default = digests(scans, 0);
+    for workers in [1, 4] {
+        assert_eq!(
+            digests(scans, workers),
+            default,
+            "{what}: workers {workers}"
+        );
+    }
+}
+
+#[test]
+fn scans_are_bit_identical_at_1_and_4_workers() {
+    let outcomes: Vec<(&str, Database)> = presets()
+        .into_iter()
+        .map(|(name, preset, _)| (name, outcome_of(preset, 7).database))
+        .collect();
+    for (name, db) in &outcomes {
+        let ds = ExperimentDataset::new(db).unwrap();
+        assert_worker_count_invariant(name, &dataset_scans(ds.query()));
+    }
+    // The slice `mean_response_time_by_experiment` takes of the warehouse.
+    let packages: Vec<(&str, &Database)> = outcomes.iter().map(|(n, db)| (*n, db)).collect();
+    let wh = build_warehouse(&packages).unwrap();
+    let wh = Dataset::builder()
+        .partition_by("RunKey")
+        .add_package("warehouse", &wh)
+        .unwrap()
+        .build();
+    let mean = wh
+        .scan("FactDiscovery")
+        .group_by(["ExpKey"])
+        .agg([Agg::mean("ResponseTimeNs").named("mean_ns")]);
+    assert_worker_count_invariant("warehouse", &[mean]);
 }
 
 #[test]

@@ -3,8 +3,8 @@
 //! same repository, and require the campaign to finish with a digest
 //! bit-equal to an uninterrupted reference execution.
 //!
-//! The serve processes inherit `EXCOVERY_WORKERS` from the environment,
-//! so the CI server matrix exercises this suite at several pool widths.
+//! The kill and the resume run at `--workers` 1 and 4, so the scheduler's
+//! pool width cannot change the resumed digest.
 
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -40,9 +40,10 @@ fn unique_root(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("excovery-server-kill-{tag}-{}", std::process::id()))
 }
 
-fn spawn_serve(root: &Path) -> Child {
+fn spawn_serve(root: &Path, workers: &str) -> Child {
     Command::new(env!("CARGO_BIN_EXE_excovery"))
         .args(["serve", root.to_str().unwrap(), "--slice-runs", "1"])
+        .args(["--workers", workers])
         .stdout(Stdio::null())
         .stderr(Stdio::null())
         .spawn()
@@ -69,17 +70,24 @@ fn connect(root: &Path) -> ServerClient {
 
 #[test]
 fn sigkill_mid_campaign_resumes_to_the_reference_digest() {
-    let root = unique_root("resume");
-    let _ = std::fs::remove_dir_all(&root);
-
     // Uninterrupted in-process reference on the same preset.
     let reference = {
         let cfg = preset_config("grid_default").unwrap();
         let mut master = ExperiMaster::new(test_description(), cfg).unwrap();
         master.execute().expect("reference execution").digest()
     };
+    for workers in ["1", "4"] {
+        kill_and_resume(workers, reference);
+    }
+}
 
-    let mut serve = spawn_serve(&root);
+/// One campaign on a `--workers` daemon: SIGKILL after the first run,
+/// restart, and require the finished digest to equal `reference`.
+fn kill_and_resume(workers: &str, reference: u64) {
+    let root = unique_root(&format!("resume-w{workers}"));
+    let _ = std::fs::remove_dir_all(&root);
+
+    let mut serve = spawn_serve(&root, workers);
     let client = connect(&root);
     let request = SubmitRequest {
         tenant: "alice".into(),
@@ -104,7 +112,7 @@ fn sigkill_mid_campaign_resumes_to_the_reference_digest() {
     // Restart over the same repository. The stale endpoint file of the
     // killed daemon is removed so the client can only reach the new one.
     let _ = std::fs::remove_file(root.join("endpoint"));
-    let mut serve = spawn_serve(&root);
+    let mut serve = spawn_serve(&root, workers);
     let client = connect(&root);
 
     // The resubmitted key still resolves to the original job.
@@ -119,11 +127,11 @@ fn sigkill_mid_campaign_resumes_to_the_reference_digest() {
             _ => None,
         }
     });
-    assert_eq!(status.runs_completed, REPS);
+    assert_eq!(status.runs_completed, REPS, "--workers {workers}");
     assert_eq!(
         status.digest,
         Some(reference),
-        "resumed campaign must be bit-equal to the uninterrupted reference"
+        "--workers {workers}: resumed campaign must be bit-equal to the uninterrupted reference"
     );
 
     serve.kill().expect("stop serve");
