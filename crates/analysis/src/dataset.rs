@@ -1,17 +1,28 @@
-//! A columnar view over one experiment package.
+//! A columnar view over one experiment package: the one read path from
+//! a level-3 package to analysis input.
 //!
 //! [`ExperimentDataset`] snapshots a level-3 database into an
 //! `excovery_query::Dataset` (partitioned by `RunID`) and answers the
 //! analysis modules' standard questions as scans: run inventories,
-//! discovery episodes, packet volumes and clock offsets. Partitions merge
-//! in run order, so every answer comes back in run order; the parity
-//! suite (`tests/query_parity.rs`) pins the answers on real packages.
+//! discovery episodes and packet volumes. Partitions merge in run order,
+//! so every answer comes back in run order; the parity suite
+//! (`tests/query_parity.rs`) pins the answers on real packages.
+//!
+//! The typed rows of `Events`, `Packets` and `RunInfos`
+//! ([`EventRow`], [`PacketRow`], [`RunInfoRow`]) are read here too, all
+//! of a package or one run's (the filter prunes the other partitions).
+//! The order contract is `(RunID, CommonTime, insertion)`: runs
+//! ascending, time-ordered within a run, rows with equal times in the
+//! order they were recorded. [`ExperimentDataset::events_recorded`] and
+//! [`ExperimentDataset::run_infos`] skip the time key and keep recording
+//! order within each run.
 
 use crate::error::AnalysisError;
 use crate::responsiveness::{responsiveness_curve, ResponsivenessPoint};
 use crate::runs::{episodes_from_ordered, DiscoveryEpisode, EpisodeEvent};
 use excovery_query::{col, lit, Agg, Dataset, Value};
-use excovery_store::Database;
+use excovery_store::records::{EventRow, PacketRow, RunInfoRow};
+use excovery_store::{schema, Database, StoreError};
 use std::collections::BTreeMap;
 
 /// The three event types the episode state machine consumes.
@@ -144,21 +155,110 @@ impl ExperimentDataset {
         Ok(out)
     }
 
-    /// Recorded per-node clock offsets (`RunInfos.TimeDiff`), in
-    /// `RunInfoRow::read_all` order: run ascending, insertion order within
-    /// a run.
-    pub fn clock_offsets_ns(&self) -> Result<Vec<i64>, AnalysisError> {
-        let frame = self.ds.scan("RunInfos").select(["TimeDiff"]).collect()?;
-        Ok(frame.rows.iter().filter_map(|r| r[0].as_i64()).collect())
+    /// The events of every run, or of run `run`, ordered by run, then
+    /// common time; events with equal times keep their recording order.
+    pub fn events(&self, run: Option<u64>) -> Result<Vec<EventRow>, AnalysisError> {
+        self.typed_rows("Events", run, true, event_row)
     }
+
+    /// The events of every run, or of run `run`, in recording order
+    /// within each run.
+    ///
+    /// [`Self::events`] orders by conditioned common time, which can swap
+    /// two causally ordered cross-node events whose true gap is smaller
+    /// than the sync-error residual left by conditioning. Causal
+    /// assertions must use this order instead.
+    pub fn events_recorded(&self, run: Option<u64>) -> Result<Vec<EventRow>, AnalysisError> {
+        self.typed_rows("Events", run, false, event_row)
+    }
+
+    /// The packet captures of every run, or of run `run`, ordered by run,
+    /// then common time; captures with equal times keep their recording
+    /// order.
+    pub fn packets(&self, run: Option<u64>) -> Result<Vec<PacketRow>, AnalysisError> {
+        self.typed_rows("Packets", run, true, packet_row)
+    }
+
+    /// The run infos of every run, or of run `run`, ordered by run;
+    /// the rows of one run keep their insertion order.
+    pub fn run_infos(&self, run: Option<u64>) -> Result<Vec<RunInfoRow>, AnalysisError> {
+        self.typed_rows("RunInfos", run, false, run_info_row)
+    }
+
+    /// Scans every Table I column of `table`, in partition (run) order,
+    /// then by `CommonTime` within a run when `by_time`, and builds one
+    /// typed row from each frame row.
+    fn typed_rows<T>(
+        &self,
+        table: &str,
+        run: Option<u64>,
+        by_time: bool,
+        typed: fn(Vec<Value>) -> Option<T>,
+    ) -> Result<Vec<T>, AnalysisError> {
+        let columns = schema::attributes(table).expect("a Table I table");
+        let mut scan = self.ds.scan(table).select(columns.iter().copied());
+        if let Some(run) = run {
+            scan = scan.filter(col("RunID").eq(lit(run as i64)));
+        }
+        if by_time {
+            scan = scan.sort_by("CommonTime");
+        }
+        let mistyped = || StoreError(format!("{table} holds a NULL or mistyped cell")).into();
+        let rows = scan.collect()?.rows.into_iter();
+        rows.map(|row| typed(row).ok_or_else(mistyped)).collect()
+    }
+}
+
+fn text(v: Value) -> Option<String> {
+    match v {
+        Value::Str(s) => Some(s),
+        _ => None,
+    }
+}
+
+/// An `Events` row from its cells in `schema::attributes` order.
+fn event_row(row: Vec<Value>) -> Option<EventRow> {
+    let [run, node, time, event_type, parameter] = <[Value; 5]>::try_from(row).ok()?;
+    Some(EventRow {
+        run_id: run.as_i64()? as u64,
+        node_id: text(node)?,
+        common_time_ns: time.as_i64()?,
+        event_type: text(event_type)?,
+        parameter: text(parameter)?,
+    })
+}
+
+/// A `Packets` row from its cells in `schema::attributes` order.
+fn packet_row(row: Vec<Value>) -> Option<PacketRow> {
+    let [run, node, time, src, Value::Bytes(data)] = <[Value; 5]>::try_from(row).ok()? else {
+        return None;
+    };
+    Some(PacketRow {
+        run_id: run.as_i64()? as u64,
+        node_id: text(node)?,
+        common_time_ns: time.as_i64()?,
+        src_node_id: text(src)?,
+        data,
+    })
+}
+
+/// A `RunInfos` row from its cells in `schema::attributes` order.
+fn run_info_row(row: Vec<Value>) -> Option<RunInfoRow> {
+    let [run, node, start, diff] = <[Value; 4]>::try_from(row).ok()?;
+    Some(RunInfoRow {
+        run_id: run.as_i64()? as u64,
+        node_id: text(node)?,
+        start_time_ns: start.as_i64()?,
+        time_diff_ns: diff.as_i64()?,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::runs::Discovery;
-    use excovery_store::records::{EventRow, PacketRow, RunInfoRow};
     use excovery_store::schema::create_level3_database;
+    use proptest::prelude::*;
 
     fn sample_db() -> Database {
         let mut db = create_level3_database();
@@ -211,10 +311,7 @@ mod tests {
         let db = sample_db();
         let ds = ExperimentDataset::new(&db).unwrap();
         assert_eq!(ds.run_ids().unwrap(), [0, 1, 2]);
-        assert_eq!(
-            ds.run_ids_with_info().unwrap(),
-            RunInfoRow::run_ids(&db).unwrap()
-        );
+        assert_eq!(ds.run_ids_with_info().unwrap(), [0, 1, 2]);
     }
 
     #[test]
@@ -250,24 +347,142 @@ mod tests {
     }
 
     #[test]
-    fn clock_offsets_keep_read_all_order() {
-        let db = sample_db();
-        let ds = ExperimentDataset::new(&db).unwrap();
-        let expected: Vec<i64> = RunInfoRow::read_all(&db)
-            .unwrap()
-            .iter()
-            .map(|i| i.time_diff_ns)
-            .collect();
-        assert_eq!(ds.clock_offsets_ns().unwrap(), expected);
-    }
-
-    #[test]
     fn empty_database_is_empty_everywhere() {
         let db = create_level3_database();
         let ds = ExperimentDataset::new(&db).unwrap();
         assert!(ds.run_ids().unwrap().is_empty());
         assert!(ds.episodes().unwrap().is_empty());
         assert!(ds.packets_per_run().unwrap().is_empty());
-        assert!(ds.clock_offsets_ns().unwrap().is_empty());
+        assert!(ds.events(None).unwrap().is_empty());
+        assert!(ds.events_recorded(Some(0)).unwrap().is_empty());
+        assert!(ds.packets(None).unwrap().is_empty());
+        assert!(ds.run_infos(Some(0)).unwrap().is_empty());
+    }
+
+    /// One inserted row of the order-contract property: the table
+    /// (0 = `Events`, 1 = `Packets`, 2 = `RunInfos`), run, node and
+    /// common time (the start time of a run info). Each row also carries
+    /// its insertion index, so equal rows stay told apart.
+    type Insert = (u8, u64, u8, i64);
+
+    fn event_of(i: usize, (_, run, node, t): Insert) -> EventRow {
+        EventRow {
+            run_id: run,
+            node_id: format!("n{node}"),
+            common_time_ns: t,
+            event_type: format!("e{i}"),
+            parameter: String::new(),
+        }
+    }
+
+    fn packet_of(i: usize, (_, run, node, t): Insert) -> PacketRow {
+        PacketRow {
+            run_id: run,
+            node_id: format!("n{node}"),
+            common_time_ns: t,
+            src_node_id: "s".into(),
+            data: (i as u32).to_be_bytes().to_vec(),
+        }
+    }
+
+    fn run_info_of(i: usize, (_, run, node, t): Insert) -> RunInfoRow {
+        RunInfoRow {
+            run_id: run,
+            node_id: format!("n{node}"),
+            start_time_ns: t,
+            time_diff_ns: i as i64,
+        }
+    }
+
+    /// The read contract over any insertion sequence: each reader returns
+    /// exactly the inserted rows, stably sorted by `(RunID, CommonTime)`
+    /// (`events`, `packets`) or by `RunID` alone (`events_recorded`,
+    /// `run_infos`), and a run-filtered read is the unfiltered read
+    /// filtered afterwards.
+    fn check_order_contract(inserts: &[Insert]) -> Result<(), TestCaseError> {
+        let mut db = create_level3_database();
+        let (mut events, mut packets, mut infos) = (Vec::new(), Vec::new(), Vec::new());
+        for (i, &insert) in inserts.iter().enumerate() {
+            match insert.0 {
+                0 => {
+                    events.push(event_of(i, insert));
+                    event_of(i, insert).insert(&mut db).unwrap();
+                }
+                1 => {
+                    packets.push(packet_of(i, insert));
+                    packet_of(i, insert).insert(&mut db).unwrap();
+                }
+                _ => {
+                    infos.push(run_info_of(i, insert));
+                    run_info_of(i, insert).insert(&mut db).unwrap();
+                }
+            }
+        }
+        let ds = ExperimentDataset::new(&db).unwrap();
+
+        let mut by_time = events.clone();
+        by_time.sort_by_key(|e| (e.run_id, e.common_time_ns));
+        let mut recorded = events;
+        recorded.sort_by_key(|e| e.run_id);
+        packets.sort_by_key(|p| (p.run_id, p.common_time_ns));
+        infos.sort_by_key(|r| r.run_id);
+        prop_assert_eq!(ds.events(None).unwrap(), by_time.clone());
+        prop_assert_eq!(ds.events_recorded(None).unwrap(), recorded.clone());
+        prop_assert_eq!(ds.packets(None).unwrap(), packets.clone());
+        prop_assert_eq!(ds.run_infos(None).unwrap(), infos.clone());
+
+        let runs: std::collections::BTreeSet<u64> = inserts.iter().map(|i| i.1).collect();
+        for run in runs.into_iter().chain([99]) {
+            let of_run = |rows: &[EventRow]| -> Vec<EventRow> {
+                rows.iter().filter(|e| e.run_id == run).cloned().collect()
+            };
+            prop_assert_eq!(ds.events(Some(run)).unwrap(), of_run(&by_time));
+            prop_assert_eq!(ds.events_recorded(Some(run)).unwrap(), of_run(&recorded));
+            let packets_of_run: Vec<PacketRow> = packets
+                .iter()
+                .filter(|p| p.run_id == run)
+                .cloned()
+                .collect();
+            prop_assert_eq!(ds.packets(Some(run)).unwrap(), packets_of_run);
+            let infos_of_run: Vec<RunInfoRow> =
+                infos.iter().filter(|r| r.run_id == run).cloned().collect();
+            prop_assert_eq!(ds.run_infos(Some(run)).unwrap(), infos_of_run);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Rows of several runs, inserted out of run order, with equal
+        /// common times across nodes (times are drawn from 0..4).
+        #[test]
+        fn readers_keep_the_order_contract(
+            inserts in prop::collection::vec((0u8..3, 0u64..4, 0u8..3, 0i64..4), 0..40)
+        ) {
+            check_order_contract(&inserts)?;
+        }
+    }
+
+    /// Equal times keep recording order; `events_recorded` keeps it
+    /// outright.
+    #[test]
+    fn equal_times_keep_recording_order() {
+        let inserts = [(0, 20), (0, 10), (1, 10), (0, 20), (0, 10)];
+        check_order_contract(&inserts.map(|(run, t)| (0, run, 0, t))).unwrap();
+    }
+
+    /// Run infos are ordered by run, stable within one.
+    #[test]
+    fn run_infos_are_stable_within_a_run() {
+        let inserts = [(1, "z"), (0, "b"), (1, "a"), (0, "a"), (1, "m")];
+        check_order_contract(&inserts.map(|(run, node)| (2, run, node.as_bytes()[0], 0))).unwrap();
+    }
+
+    /// Reading all packets is reading each run's in turn.
+    #[test]
+    fn packets_of_all_runs_are_each_runs_in_turn() {
+        let inserts = [(2, 5), (0, 9), (2, 1), (0, 9), (1, 3), (0, 2)];
+        check_order_contract(&inserts.map(|(run, t)| (1, run, 0, t))).unwrap();
     }
 }

@@ -3,13 +3,14 @@
 //! The prototype's packet tagger exists precisely to "allow analysis of
 //! properties outside the scope of the ExCovery processes, for example
 //! packet loss and delay" (§VI-A). This module derives those metrics from
-//! the `Packets` table: per-source delivery ratios, end-to-end delays of
-//! matched send/receive observations, and per-run packet counts.
+//! the `Packets` table of an [`ExperimentDataset`]: per-source delivery
+//! ratios and end-to-end delays of matched send/receive observations.
+//! Packet volumes per run are [`ExperimentDataset::packets_per_run`].
 
+use crate::dataset::ExperimentDataset;
 use crate::error::AnalysisError;
 use excovery_netsim::tagger::{analyze_stream, StreamStats};
 use excovery_store::records::PacketRow;
-use excovery_store::{Database, StoreError};
 use std::collections::BTreeMap;
 
 /// Splits the stored raw packet data into the 16-bit tagger id and the
@@ -32,10 +33,10 @@ pub fn split_tag(data: &[u8]) -> Option<(u16, &[u8])> {
 /// [`best_stream_loss_per_source`] when a single well-positioned
 /// observation point per source is wanted.
 pub fn tag_loss_stats(
-    db: &Database,
+    ds: &ExperimentDataset,
     run_id: u64,
-) -> Result<BTreeMap<(String, String), StreamStats>, StoreError> {
-    let rows = PacketRow::read_run(db, run_id)?; // ordered by CommonTime
+) -> Result<BTreeMap<(String, String), StreamStats>, AnalysisError> {
+    let rows = ds.packets(Some(run_id))?; // ordered by CommonTime
     let mut streams: BTreeMap<(String, String), Vec<u16>> = BTreeMap::new();
     for r in &rows {
         if r.node_id == r.src_node_id {
@@ -84,8 +85,8 @@ impl PathStats {
 /// Matches captures of a run: for each `(src, observer)` pair, sent
 /// packets at the source are paired with the observer's captures of the
 /// same payload (first unmatched occurrence, in time order).
-pub fn path_stats(db: &Database, run_id: u64) -> Result<Vec<PathStats>, StoreError> {
-    let rows = PacketRow::read_run(db, run_id)?;
+pub fn path_stats(ds: &ExperimentDataset, run_id: u64) -> Result<Vec<PathStats>, AnalysisError> {
+    let rows = ds.packets(Some(run_id))?;
     // Source-side sends: a capture on the source node itself.
     let mut sent_by_src: BTreeMap<&str, Vec<&PacketRow>> = BTreeMap::new();
     let mut seen_by_pair: BTreeMap<(&str, &str), Vec<&PacketRow>> = BTreeMap::new();
@@ -139,11 +140,11 @@ pub fn path_stats(db: &Database, run_id: u64) -> Result<Vec<PathStats>, StoreErr
 /// observers is the tightest sound estimate available from one-point
 /// observations.
 pub fn best_stream_loss_per_source(
-    db: &Database,
+    ds: &ExperimentDataset,
     run_id: u64,
     min_received: u64,
-) -> Result<BTreeMap<String, f64>, StoreError> {
-    let streams = tag_loss_stats(db, run_id)?;
+) -> Result<BTreeMap<String, f64>, AnalysisError> {
+    let streams = tag_loss_stats(ds, run_id)?;
     let mut best: BTreeMap<String, f64> = BTreeMap::new();
     for ((src, _), stats) in streams {
         if stats.received < min_received {
@@ -157,19 +158,15 @@ pub fn best_stream_loss_per_source(
     Ok(best)
 }
 
-/// Total packets captured per run (quick volume diagnostics).
-///
-/// Thin wrapper over the columnar group-by count of
-/// [`crate::dataset::ExperimentDataset::packets_per_run`]; identical to
-/// the old hand-rolled `Packets` row scan.
-pub fn packets_per_run(db: &Database) -> Result<BTreeMap<u64, usize>, AnalysisError> {
-    crate::dataset::ExperimentDataset::new(db)?.packets_per_run()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use excovery_store::schema::create_level3_database;
+    use excovery_store::Database;
+
+    fn dataset(db: &Database) -> ExperimentDataset {
+        ExperimentDataset::new(db).unwrap()
+    }
 
     fn pkt(db: &mut Database, run: u64, node: &str, t: i64, src: &str, data: &[u8]) {
         PacketRow {
@@ -197,7 +194,7 @@ mod tests {
     #[test]
     fn delivery_ratio_and_delay() {
         let db = sample();
-        let stats = path_stats(&db, 0).unwrap();
+        let stats = path_stats(&dataset(&db), 0).unwrap();
         assert_eq!(stats.len(), 1);
         let s = &stats[0];
         assert_eq!(s.sent, 3);
@@ -209,7 +206,7 @@ mod tests {
     #[test]
     fn empty_run_yields_no_stats() {
         let db = create_level3_database();
-        assert!(path_stats(&db, 0).unwrap().is_empty());
+        assert!(path_stats(&dataset(&db), 0).unwrap().is_empty());
     }
 
     #[test]
@@ -219,20 +216,11 @@ mod tests {
         // Two observers saw the same flooded packet.
         pkt(&mut db, 0, "n1", 1_000, "n0", &[9]);
         pkt(&mut db, 0, "n2", 2_000, "n0", &[9]);
-        let stats = path_stats(&db, 0).unwrap();
+        let stats = path_stats(&dataset(&db), 0).unwrap();
         assert_eq!(stats.len(), 2);
         for s in stats {
             assert_eq!(s.delivery_ratio(), 1.0);
         }
-    }
-
-    #[test]
-    fn packets_per_run_counts() {
-        let mut db = sample();
-        pkt(&mut db, 3, "n0", 0, "n0", &[7]);
-        let counts = packets_per_run(&db).unwrap();
-        assert_eq!(counts[&0], 5);
-        assert_eq!(counts[&3], 1);
     }
 
     #[test]
@@ -255,7 +243,7 @@ mod tests {
             data.push(0xCB);
             pkt(&mut db, 0, "n1", 1_000 * i64::from(tag), "n0", &data);
         }
-        let stats = tag_loss_stats(&db, 0).unwrap();
+        let stats = tag_loss_stats(&dataset(&db), 0).unwrap();
         let s = stats[&("n0".to_string(), "n1".to_string())];
         assert_eq!(s.received, 4);
         assert_eq!(s.lost, 2, "tags 2 and 3");
@@ -267,7 +255,7 @@ mod tests {
         let mut db = create_level3_database();
         pkt(&mut db, 0, "n0", 0, "n0", &[0, 0, 1]); // source capture
         pkt(&mut db, 0, "n1", 1, "n0", &[9]); // too short for a tag
-        assert!(tag_loss_stats(&db, 0).unwrap().is_empty());
+        assert!(tag_loss_stats(&dataset(&db), 0).unwrap().is_empty());
     }
 
     #[test]
@@ -275,7 +263,7 @@ mod tests {
         let mut db = create_level3_database();
         // Observation without a matching send (e.g. source capture lost).
         pkt(&mut db, 0, "n1", 1_000, "n0", &[1]);
-        let stats = path_stats(&db, 0).unwrap();
+        let stats = path_stats(&dataset(&db), 0).unwrap();
         assert_eq!(stats[0].sent, 0);
         assert_eq!(stats[0].mean_delay_s, 0.0);
         assert_eq!(stats[0].delivery_ratio(), 1.0);

@@ -101,9 +101,9 @@ pub fn render(db: &Database, opts: &ReportOptions) -> Result<String, AnalysisErr
     out.push_str(&format!("* runs: {}\n", run_ids.len()));
     out.push_str(&format!("* discovery episodes: {}\n", episodes.len()));
     let offsets: Vec<f64> = ds
-        .clock_offsets_ns()?
+        .run_infos(None)?
         .iter()
-        .map(|d| d.abs() as f64)
+        .map(|i| i.time_diff_ns.abs() as f64)
         .collect();
     if !offsets.is_empty() {
         if let Some(s) = Summary::compute(&offsets) {
@@ -152,7 +152,7 @@ pub fn render(db: &Database, opts: &ReportOptions) -> Result<String, AnalysisErr
         volumes.len()
     ));
     if let Some(&first) = run_ids.first() {
-        let paths = path_stats(db, first)?;
+        let paths = path_stats(&ds, first)?;
         if !paths.is_empty() {
             out.push_str(&format!("Per-path delivery in run {first}:\n\n"));
             out.push_str("| src | observer | sent | observed | delivery | mean delay |\n");
@@ -174,7 +174,7 @@ pub fn render(db: &Database, opts: &ReportOptions) -> Result<String, AnalysisErr
 
     // Consistency of the two independent recordings (§IV-B2).
     out.push_str("## Event/packet consistency\n\n");
-    let findings = crate::verify::verify_all(db)?;
+    let findings = crate::verify::verify_all(&ds)?;
     if findings.is_empty() {
         out.push_str("event list and packet captures are mutually consistent.\n\n");
     } else {

@@ -4,13 +4,13 @@
 //! list" (paper §IV-B2): a discovery event without a corresponding
 //! received SD packet, or an event stream that contradicts the packet
 //! stream, indicates a broken measurement chain. These checks run over a
-//! stored level-3 package and report findings; an empty report means the
-//! two independent recordings are consistent.
+//! stored level-3 package, read through an [`ExperimentDataset`], and
+//! report findings; an empty report means the two independent recordings
+//! are consistent.
 
+use crate::dataset::ExperimentDataset;
+use crate::error::AnalysisError;
 use crate::packetstats::split_tag;
-use excovery_store::records::{EventRow, PacketRow};
-use excovery_store::{Database, StoreError};
-use std::collections::BTreeMap;
 
 /// One consistency finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,23 +32,12 @@ pub struct Inconsistency {
 /// 3. Event and packet timestamps lie within the run's common-time span
 ///    (no conditioning artifacts flinging records outside the run).
 pub fn verify_run(
-    db: &Database,
+    ds: &ExperimentDataset,
     run_id: u64,
     slack_ns: i64,
-) -> Result<Vec<Inconsistency>, StoreError> {
-    let events = EventRow::read_run(db, run_id)?;
-    let packets = PacketRow::read_run(db, run_id)?;
-    Ok(check_run(run_id, &events, &packets, slack_ns))
-}
-
-/// The checks of [`verify_run`] over one run's events and packets, each
-/// ordered by common time.
-fn check_run(
-    run_id: u64,
-    events: &[EventRow],
-    packets: &[PacketRow],
-    slack_ns: i64,
-) -> Vec<Inconsistency> {
+) -> Result<Vec<Inconsistency>, AnalysisError> {
+    let events = ds.events(Some(run_id))?;
+    let packets = ds.packets(Some(run_id))?;
     let mut findings = Vec::new();
     // 1. Discovery events need a preceding reception.
     for e in events.iter().filter(|e| e.event_type == "sd_service_add") {
@@ -89,7 +78,7 @@ fn check_run(
         events.iter().map(|e| e.common_time_ns).min(),
         events.iter().map(|e| e.common_time_ns).max(),
     ) {
-        for p in packets {
+        for p in &packets {
             if p.common_time_ns < first - slack_ns || p.common_time_ns > last + slack_ns {
                 findings.push(Inconsistency {
                     run_id,
@@ -103,7 +92,7 @@ fn check_run(
     }
 
     // 4. Tag prefix sanity: stored data must carry the tagger id.
-    for p in packets {
+    for p in &packets {
         if split_tag(&p.data).is_none() {
             findings.push(Inconsistency {
                 run_id,
@@ -114,22 +103,15 @@ fn check_run(
             });
         }
     }
-    findings
+    Ok(findings)
 }
 
 /// Verifies every run with recorded events, in run order, with a default
-/// slack of 100 ms. Each table is read once and split by run.
-pub fn verify_all(db: &Database) -> Result<Vec<Inconsistency>, StoreError> {
-    let mut packets: BTreeMap<u64, Vec<PacketRow>> = BTreeMap::new();
-    for p in PacketRow::read_all(db)? {
-        packets.entry(p.run_id).or_default().push(p);
-    }
-    let events = EventRow::read_all(db)?;
+/// slack of 100 ms.
+pub fn verify_all(ds: &ExperimentDataset) -> Result<Vec<Inconsistency>, AnalysisError> {
     let mut findings = Vec::new();
-    for run in events.chunk_by(|a, b| a.run_id == b.run_id) {
-        let run_id = run[0].run_id;
-        let packets = packets.get(&run_id).map_or(&[][..], Vec::as_slice);
-        findings.extend(check_run(run_id, run, packets, 100_000_000));
+    for run_id in ds.run_ids()? {
+        findings.extend(verify_run(ds, run_id, 100_000_000)?);
     }
     Ok(findings)
 }
@@ -137,7 +119,13 @@ pub fn verify_all(db: &Database) -> Result<Vec<Inconsistency>, StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use excovery_store::records::{EventRow, PacketRow};
     use excovery_store::schema::create_level3_database;
+    use excovery_store::Database;
+
+    fn dataset(db: &Database) -> ExperimentDataset {
+        ExperimentDataset::new(db).unwrap()
+    }
 
     fn ev(db: &mut Database, run: u64, node: &str, t: i64, name: &str) {
         EventRow {
@@ -177,7 +165,7 @@ mod tests {
     #[test]
     fn consistent_package_has_no_findings() {
         let db = consistent_db();
-        assert_eq!(verify_all(&db).unwrap(), vec![]);
+        assert_eq!(verify_all(&dataset(&db)).unwrap(), vec![]);
     }
 
     #[test]
@@ -186,7 +174,7 @@ mod tests {
         ev(&mut db, 0, "su", 0, "sd_start_search");
         pkt(&mut db, 0, "su", 1_000, "su"); // only own transmissions
         ev(&mut db, 0, "su", 25_000, "sd_service_add");
-        let findings = verify_run(&db, 0, 100_000_000).unwrap();
+        let findings = verify_run(&dataset(&db), 0, 100_000_000).unwrap();
         assert!(
             findings
                 .iter()
@@ -201,10 +189,10 @@ mod tests {
         pkt(&mut db, 0, "su", 0, "sm");
         ev(&mut db, 0, "su", 1_000_000, "sd_service_add");
         // Slack smaller than the gap: the packet does not count.
-        let findings = verify_run(&db, 0, 1_000).unwrap();
+        let findings = verify_run(&dataset(&db), 0, 1_000).unwrap();
         assert!(!findings.is_empty());
         // Generous slack: consistent.
-        let findings = verify_run(&db, 0, 10_000_000).unwrap();
+        let findings = verify_run(&dataset(&db), 0, 10_000_000).unwrap();
         assert!(findings
             .iter()
             .all(|f| !f.message.contains("no received packet")));
@@ -214,7 +202,7 @@ mod tests {
     fn silent_sd_node_is_flagged() {
         let mut db = create_level3_database();
         ev(&mut db, 0, "ghost", 0, "sd_init_done");
-        let findings = verify_run(&db, 0, 1_000).unwrap();
+        let findings = verify_run(&dataset(&db), 0, 1_000).unwrap();
         assert!(findings
             .iter()
             .any(|f| f.message.contains("captured no packets")));
@@ -224,7 +212,7 @@ mod tests {
     fn out_of_span_packet_is_flagged() {
         let mut db = consistent_db();
         pkt(&mut db, 0, "su", 999_000_000_000, "sm");
-        let findings = verify_run(&db, 0, 100_000_000).unwrap();
+        let findings = verify_run(&dataset(&db), 0, 100_000_000).unwrap();
         assert!(findings
             .iter()
             .any(|f| f.message.contains("outside the run span")));
@@ -242,7 +230,7 @@ mod tests {
         }
         .insert(&mut db)
         .unwrap();
-        let findings = verify_run(&db, 0, 100_000_000).unwrap();
+        let findings = verify_run(&dataset(&db), 0, 100_000_000).unwrap();
         assert!(findings
             .iter()
             .any(|f| f.message.contains("too short to carry a tag")));

@@ -39,7 +39,7 @@ use excovery_sd::{Architecture, SdConfig};
 use excovery_store::level2::Level2Store;
 use excovery_store::records::{EventRow, ExperimentInfo, PacketRow, RunInfoRow};
 use excovery_store::schema::{create_level3_database, EE_VERSION};
-use excovery_store::{CellRef, Database, JsonValue, SqlValue};
+use excovery_store::{Database, JsonValue, SqlValue};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -416,37 +416,7 @@ impl ExperimentOutcome {
                 hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
             }
         };
-        for name in self.database.table_names() {
-            eat(b"table:");
-            eat(name.as_bytes());
-            let table = self.database.table(name).expect("listed table exists");
-            for row in table.rows() {
-                for c in 0..table.columns().len() {
-                    match row.get(c) {
-                        CellRef::Null => eat(b"\x00"),
-                        CellRef::Int(i) => {
-                            eat(b"\x01");
-                            eat(&i.to_le_bytes());
-                        }
-                        CellRef::Real(f) => {
-                            eat(b"\x02");
-                            eat(&f.to_bits().to_le_bytes());
-                        }
-                        CellRef::Text(s) => {
-                            eat(b"\x03");
-                            eat(&(s.len() as u64).to_le_bytes());
-                            eat(s.as_bytes());
-                        }
-                        CellRef::Blob(b) => {
-                            eat(b"\x04");
-                            eat(&(b.len() as u64).to_le_bytes());
-                            eat(b);
-                        }
-                    }
-                }
-                eat(b"\x1e");
-            }
-        }
+        self.database.feed_cells(&mut eat);
         for run in &self.runs {
             eat(b"run:");
             eat(&run.run_id.to_le_bytes());
@@ -1628,8 +1598,15 @@ impl ExecCtx for MasterCtx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use excovery_analysis::ExperimentDataset;
     use excovery_desc::ExperimentDescription;
     use excovery_netsim::link::LinkModel;
+    use excovery_store::CellRef;
+
+    /// The outcome's package, read back through the one read path.
+    fn dataset(outcome: &ExperimentOutcome) -> ExperimentDataset {
+        ExperimentDataset::new(&outcome.database).unwrap()
+    }
 
     /// A path no other test of this process, and no other process, uses.
     fn unique_temp_dir(prefix: &str) -> PathBuf {
@@ -1692,7 +1669,7 @@ mod tests {
             );
         }
         // Events of the paper's Fig. 11 sequence are present per run.
-        let events = EventRow::read_run(&outcome.database, 0).unwrap();
+        let events = dataset(&outcome).events(Some(0)).unwrap();
         let names: Vec<&str> = events.iter().map(|e| e.event_type.as_str()).collect();
         for expected in [
             "run_init",
@@ -1715,7 +1692,7 @@ mod tests {
         let desc = paper_desc(1);
         let mut master = ExperiMaster::new(desc, small_config()).unwrap();
         let outcome = master.execute().unwrap();
-        let events = EventRow::read_run(&outcome.database, 0).unwrap();
+        let events = dataset(&outcome).events(Some(0)).unwrap();
         let add = events
             .iter()
             .find(|e| e.event_type == "sd_service_add" && e.node_id == "t9-105")
@@ -1732,10 +1709,11 @@ mod tests {
         let desc = paper_desc(1);
         let mut master = ExperiMaster::new(desc, small_config()).unwrap();
         let outcome = master.execute().unwrap();
-        let packets = PacketRow::read_run(&outcome.database, 0).unwrap();
+        let ds = dataset(&outcome);
+        let packets = ds.packets(Some(0)).unwrap();
         assert!(!packets.is_empty());
         // Common times must be ordered and roughly within the run span.
-        let infos = RunInfoRow::read_all(&outcome.database).unwrap();
+        let infos = ds.run_infos(None).unwrap();
         assert!(!infos.is_empty());
         for w in packets.windows(2) {
             assert!(w[0].common_time_ns <= w[1].common_time_ns);
@@ -1749,10 +1727,9 @@ mod tests {
         let outcome = master.execute().unwrap();
         let logs = outcome.database.table("Logs").unwrap();
         assert_eq!(logs.len(), 6, "one log per managed node");
-        let sm_log = logs
-            .rows()
-            .find(|r| r.get(0) == CellRef::Text("t9-157"))
-            .map(|r| match r.get(1) {
+        let sm_log = (0..logs.len())
+            .find(|&r| logs.column(0).get(r) == CellRef::Text("t9-157"))
+            .map(|r| match logs.column(1).get(r) {
                 CellRef::Blob(b) => String::from_utf8_lossy(b).into_owned(),
                 other => panic!("log is {other:?}"),
             })
@@ -1826,7 +1803,7 @@ mod tests {
         assert_eq!(second.runs[2].run_id, 2);
         // The packaged database now holds all four runs (levels merged).
         assert_eq!(
-            RunInfoRow::run_ids(&second.database).unwrap(),
+            dataset(&second).run_ids_with_info().unwrap(),
             vec![0, 1, 2, 3]
         );
         std::fs::remove_dir_all(&l2_root).ok();
@@ -2042,7 +2019,7 @@ mod tests {
         let mut master = ExperiMaster::new(desc, cfg).unwrap();
         let outcome = master.execute().unwrap();
         assert!(outcome.runs[0].completed, "{:?}", outcome.runs[0].failures);
-        let events = EventRow::read_run(&outcome.database, 0).unwrap();
+        let events = dataset(&outcome).events(Some(0)).unwrap();
         let names: Vec<&str> = events.iter().map(|e| e.event_type.as_str()).collect();
         assert!(names.contains(&"env_traffic_started"), "{names:?}");
         assert!(names.contains(&"env_traffic_stopped"));
@@ -2077,8 +2054,8 @@ mod tests {
         // The measurement landed in ExtraRunMeasurements.
         let table = outcome.database.table("ExtraRunMeasurements").unwrap();
         assert_eq!(table.len(), 1);
-        let row = table.rows().next().unwrap();
-        assert_eq!(row.get(2), CellRef::Text("pending_events"));
+        let name = table.column(table.column_index("Name").unwrap());
+        assert_eq!(name.get(0), CellRef::Text("pending_events"));
     }
 
     #[test]
@@ -2107,7 +2084,8 @@ mod tests {
             let desc = paper_desc(2);
             let mut master = ExperiMaster::new(desc, small_config()).unwrap();
             let outcome = master.execute().unwrap();
-            EventRow::read_all(&outcome.database)
+            dataset(&outcome)
+                .events(None)
                 .unwrap()
                 .into_iter()
                 .map(|e| (e.run_id, e.event_type, e.common_time_ns))
@@ -2142,7 +2120,7 @@ mod tests {
         cfg.run_timeout = SimDuration::from_secs(45);
         let mut master = ExperiMaster::new(desc, cfg).unwrap();
         let outcome = master.execute().unwrap();
-        let events = EventRow::read_run(&outcome.database, 0).unwrap();
+        let events = dataset(&outcome).events(Some(0)).unwrap();
         let names: Vec<&str> = events.iter().map(|e| e.event_type.as_str()).collect();
         assert!(names.contains(&"fault_interface_started"));
         assert!(
@@ -2177,7 +2155,7 @@ mod tests {
         let mut master = ExperiMaster::new(desc, small_config()).unwrap();
         let outcome = master.execute().unwrap();
         assert!(outcome.runs[0].completed, "{:?}", outcome.runs[0].failures);
-        let events = EventRow::read_run(&outcome.database, 0).unwrap();
+        let events = dataset(&outcome).events(Some(0)).unwrap();
         let names: Vec<&str> = events.iter().map(|e| e.event_type.as_str()).collect();
         assert!(names.contains(&"fault_interface_started"), "{names:?}");
         assert!(names.contains(&"fault_stopped"));

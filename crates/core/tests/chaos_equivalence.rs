@@ -217,8 +217,8 @@ fn kill_and_resume_reproduces_the_incomplete_runs_exactly() {
     // no longer loses the node side's pre-crash history.
     for name in reference.database.table_names() {
         assert_eq!(
-            resumed.database.table(name).unwrap().rows(),
-            reference.database.table(name).unwrap().rows(),
+            resumed.database.table(name).unwrap(),
+            reference.database.table(name).unwrap(),
             "table {name} diverges between resumed and uninterrupted execution"
         );
     }

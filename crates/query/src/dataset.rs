@@ -7,8 +7,8 @@
 //! tables that lack the partition column, like `ExperimentInfo` — land in
 //! the package's meta partition. Partitions are ordered by
 //! `(package, NULL-first run key)`, so partition-ordered concatenation
-//! lists rows by run with ties in insertion order — the order
-//! `excovery_store::records` reads in, which the parity suite leans on.
+//! lists rows by run with ties in insertion order — the order the
+//! typed reads of `excovery_analysis::ExperimentDataset` promise.
 //! A NaN `Real` cell is refused at ingest, as `Database::save` refuses
 //! it: it has no place in the SQL order scans sort and group by.
 

@@ -138,7 +138,7 @@ mod tests {
             .sort_by("CommonTime")
             .collect()
             .unwrap();
-        // Partition order (RunID) then CommonTime — the read_all order.
+        // Partition order (RunID) then CommonTime — the typed read order.
         let pairs: Vec<(i64, i64)> = f
             .rows
             .iter()

@@ -4,14 +4,18 @@
 //! named tables with typed columns, row insertion with type checking, and
 //! persistence of a whole database to a single JSON file (one package per
 //! experiment, "preferably stored as a database to unify and accelerate
-//! data access", §IV-F). It stores cells and nothing else: filters,
-//! aggregates and orderings over a package are `excovery_query` scans.
+//! data access", §IV-F). It stores cells and nothing else: a
+//! [`Database`] is the write-side intermediate between execution and
+//! analysis. The engine fills it, [`Database::save`] and
+//! [`Database::load`] move it, and every read of a package is an
+//! `excovery_query` scan over it; the one other pass over its rows is
+//! [`Database::feed_cells`], the cell walk an outcome digest hashes.
 //!
 //! A [`Table`] stores its rows column by column. [`Table::insert`] takes
 //! an owned [`Row`], checks it and scatters it into one typed vector per
-//! column; [`Table::rows`] hands out borrowed [`RowRef`] views whose
-//! cells are [`CellRef`]s, and [`Table::column`] lends a whole column as
-//! a [`ColumnRef`]. Bytes per cell, before vector slack:
+//! column, and [`Table::column`] lends a whole column as a
+//! [`ColumnRef`] whose cells are [`CellRef`]s. Bytes per cell, before
+//! vector slack:
 //!
 //! - `Integer`: 8, the `i64`;
 //! - `Real`: 8, the `f64` bits or an `Int` cell's exact `i64`, and one
@@ -200,8 +204,8 @@ impl Column {
 }
 
 /// A row: one value per column of the owning table. The owned form a
-/// row takes at the API edge ([`Table::insert`], `Row::from(RowRef)`); a
-/// table stores its cells column by column.
+/// row takes at the API edge ([`Table::insert`]); a table stores its
+/// cells column by column.
 pub type Row = Vec<SqlValue>;
 
 /// A borrowed cell: [`SqlValue`] with its text or blob left in the table.
@@ -257,7 +261,7 @@ impl SqlValue {
 
 /// A borrowed row of a [`Table`], as [`Table::rows`] yields it.
 #[derive(Clone, Copy)]
-pub struct RowRef<'a> {
+pub(crate) struct RowRef<'a> {
     table: &'a Table,
     index: usize,
 }
@@ -265,7 +269,7 @@ pub struct RowRef<'a> {
 impl<'a> RowRef<'a> {
     /// The cell in column `column` (by position); panics past the last
     /// column, as indexing a row does.
-    pub fn get(&self, column: usize) -> CellRef<'a> {
+    pub(crate) fn get(&self, column: usize) -> CellRef<'a> {
         self.table.column(column).get(self.index)
     }
 
@@ -294,9 +298,9 @@ impl fmt::Debug for RowRef<'_> {
 }
 
 /// The rows of a [`Table`] in insertion order, as [`Table::rows`] yields
-/// them. Two are equal when the rows they have left are.
+/// them.
 #[derive(Clone)]
-pub struct Rows<'a> {
+pub(crate) struct Rows<'a> {
     table: &'a Table,
     range: std::ops::Range<usize>,
 }
@@ -306,18 +310,6 @@ impl<'a> Iterator for Rows<'a> {
 
     fn next(&mut self) -> Option<RowRef<'a>> {
         self.range.next().map(|index| self.table.row(index))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.range.size_hint()
-    }
-}
-
-impl ExactSizeIterator for Rows<'_> {}
-
-impl PartialEq for Rows<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.clone().eq(other.clone())
     }
 }
 
@@ -807,7 +799,7 @@ impl Table {
     }
 
     /// All rows in insertion order, borrowed.
-    pub fn rows(&self) -> Rows<'_> {
+    pub(crate) fn rows(&self) -> Rows<'_> {
         Rows {
             table: self,
             range: 0..self.len,
@@ -869,6 +861,45 @@ impl Database {
     /// Table names, sorted.
     pub fn table_names(&self) -> Vec<&str> {
         self.tables.keys().map(String::as_str).collect()
+    }
+
+    /// Feeds every cell to `eat`, table by table in name order and row by
+    /// row in insertion order: `table:` and the name, then each cell as a
+    /// type tag (`0` NULL, `1` Int, `2` Real, `3` Text, `4` Blob) and its
+    /// little-endian bytes (a Real's bits; text and blobs prefixed with
+    /// their `u64` length), each row closed by `0x1e`. An order-sensitive
+    /// digest of the package hashes these bytes.
+    pub fn feed_cells(&self, mut eat: impl FnMut(&[u8])) {
+        for (name, table) in &self.tables {
+            eat(b"table:");
+            eat(name.as_bytes());
+            for row in table.rows() {
+                for c in 0..table.columns().len() {
+                    match row.get(c) {
+                        CellRef::Null => eat(b"\x00"),
+                        CellRef::Int(i) => {
+                            eat(b"\x01");
+                            eat(&i.to_le_bytes());
+                        }
+                        CellRef::Real(f) => {
+                            eat(b"\x02");
+                            eat(&f.to_bits().to_le_bytes());
+                        }
+                        CellRef::Text(s) => {
+                            eat(b"\x03");
+                            eat(&(s.len() as u64).to_le_bytes());
+                            eat(s.as_bytes());
+                        }
+                        CellRef::Blob(b) => {
+                            eat(b"\x04");
+                            eat(&(b.len() as u64).to_le_bytes());
+                            eat(b);
+                        }
+                    }
+                }
+                eat(b"\x1e");
+            }
+        }
     }
 
     /// The package bytes [`Self::save`] writes.

@@ -25,11 +25,10 @@ pub mod level2;
 pub mod records;
 pub mod repository;
 pub mod schema;
-pub mod warehouse;
 
 pub use engine::{
-    atomic_write, CellRef, Column, ColumnRef, ColumnType, Database, Row, RowRef, Rows, SqlValue,
-    StoreError, Table,
+    atomic_write, CellRef, Column, ColumnRef, ColumnType, Database, Row, SqlValue, StoreError,
+    Table,
 };
 pub use json::JsonValue;
 pub use records::{EventRow, ExperimentInfo, PacketRow, RunInfoRow};

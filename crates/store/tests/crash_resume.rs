@@ -204,10 +204,7 @@ fn database_save_leaves_no_temp_files_and_roundtrips() {
     assert!(leftovers.is_empty(), "temp files survived: {leftovers:?}");
 
     let loaded = Database::load(&path).unwrap();
-    assert_eq!(
-        loaded.table("Runs").unwrap().rows(),
-        db.table("Runs").unwrap().rows()
-    );
+    assert_eq!(loaded.table("Runs").unwrap(), db.table("Runs").unwrap());
     std::fs::remove_dir_all(&root).unwrap();
 }
 

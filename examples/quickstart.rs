@@ -10,7 +10,6 @@
 
 use excovery::analysis::responsiveness::{format_curve, responsiveness_curve};
 use excovery::prelude::*;
-use excovery::store::records::EventRow;
 use excovery::store::schema::verify_schema;
 
 fn main() -> Result<(), String> {
@@ -39,8 +38,10 @@ fn main() -> Result<(), String> {
     verify_schema(&outcome.database).map_err(|e| e.to_string())?;
     println!("level-3 database verified against Table I\n");
 
-    // 5. Inspect the first run's event list (the Fig. 11 sequence).
-    let events = EventRow::read_run(&outcome.database, 0).map_err(|e| e.to_string())?;
+    // 5. Inspect the first run's event list (the Fig. 11 sequence),
+    //    read from a columnar snapshot of the package.
+    let ds = ExperimentDataset::new(&outcome.database).map_err(|e| e.to_string())?;
+    let events = ds.events(Some(0)).map_err(|e| e.to_string())?;
     println!("run 0 events:");
     for e in &events {
         println!(
@@ -50,9 +51,7 @@ fn main() -> Result<(), String> {
     }
 
     // 6. Extract the headline metric: responsiveness R(deadline).
-    let episodes = ExperimentDataset::new(&outcome.database)
-        .and_then(|ds| ds.episodes())
-        .map_err(|e| e.to_string())?;
+    let episodes = ds.episodes().map_err(|e| e.to_string())?;
     let curve = responsiveness_curve(&episodes, 1, &[0.1, 0.25, 0.5, 1.0, 5.0, 30.0]);
     println!(
         "\n{}",

@@ -10,7 +10,6 @@
 
 use excovery::analysis::timeline::Timeline;
 use excovery::prelude::*;
-use excovery::store::records::EventRow;
 use std::collections::BTreeMap;
 
 fn main() -> Result<(), String> {
@@ -20,7 +19,9 @@ fn main() -> Result<(), String> {
     let mut master = ExperiMaster::new(desc, cfg)?;
     let outcome = master.execute()?;
 
-    let events = EventRow::read_run(&outcome.database, 0).map_err(|e| e.to_string())?;
+    let events = ExperimentDataset::new(&outcome.database)
+        .and_then(|ds| ds.events(Some(0)))
+        .map_err(|e| e.to_string())?;
     // Label the lanes like the paper's figure: SM1 and SU1.
     let actors = BTreeMap::from([
         ("t9-157".to_string(), "SM1".to_string()),

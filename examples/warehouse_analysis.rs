@@ -11,8 +11,8 @@
 
 use excovery::engine::scenarios::{chain_between_actors, hop_distance};
 use excovery::prelude::*;
+use excovery::query::warehouse::build_warehouse;
 use excovery::query::warehouse::mean_response_time_by_experiment_on;
-use excovery::store::warehouse::build_warehouse;
 
 fn run_on(cfg: EngineConfig, seed: u64) -> Result<Database, String> {
     let desc = hop_distance(15, seed);

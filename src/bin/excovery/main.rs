@@ -26,7 +26,7 @@ use excovery::desc::xmlio::from_xml;
 use excovery::engine::TransportKind;
 use excovery::netsim::topology::Topology;
 use excovery::prelude::*;
-use excovery::store::records::{EventRow, ExperimentInfo};
+use excovery::store::records::ExperimentInfo;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -363,7 +363,9 @@ fn cmd_events(args: &[String]) -> Result<(), String> {
         .ok_or("missing --run N")?
         .parse()
         .map_err(|_| "bad --run value")?;
-    let events = EventRow::read_run(&db, run).map_err(|e| e.to_string())?;
+    let events = ExperimentDataset::new(&db)
+        .and_then(|ds| ds.events(Some(run)))
+        .map_err(|e| e.to_string())?;
     if events.is_empty() {
         return Err(format!("run {run} has no events"));
     }
@@ -384,7 +386,9 @@ fn cmd_timeline(args: &[String]) -> Result<(), String> {
         .unwrap_or("0")
         .parse()
         .map_err(|_| "bad --run")?;
-    let events = EventRow::read_run(&db, run).map_err(|e| e.to_string())?;
+    let events = ExperimentDataset::new(&db)
+        .and_then(|ds| ds.events(Some(run)))
+        .map_err(|e| e.to_string())?;
     // Lanes: every node that produced events except the master.
     let actors: BTreeMap<String, String> = events
         .iter()

@@ -32,14 +32,14 @@ use excovery::netsim::sim::{Simulator, SimulatorConfig};
 use excovery::netsim::topology::Topology;
 use excovery::netsim::{NodeId, SimDuration};
 use excovery::obs::par::run_indexed;
+use excovery::query::{col, lit};
 use excovery::rpc::ChaosOptions;
 use excovery::sd::agent::SdAgent;
 use excovery::sd::{
     sd_command, Role, SdCommand, SdConfig, SdMessage, ServiceDescription, ServiceType, SD_PORT,
 };
-use excovery::store::records::{EventRow, ExperimentInfo, PacketRow, RunInfoRow};
+use excovery::store::records::ExperimentInfo;
 use excovery::store::schema::{render_table1, verify_schema};
-use excovery::store::CellRef;
 use excovery::xml::writer::{write_element_string, WriteOptions};
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -194,7 +194,9 @@ fn fig1_model(_: u64, _: usize) -> Result<(), String> {
     let outcome = ExperiMaster::new(desc, cfg)?.execute()?;
 
     println!("\nresponses (observed outputs):");
-    let events = EventRow::read_run(&outcome.database, 0).map_err(|e| e.to_string())?;
+    let events = ExperimentDataset::new(&outcome.database)
+        .and_then(|ds| ds.events(Some(0)))
+        .map_err(|e| e.to_string())?;
     let start = events.iter().find(|e| e.event_type == "sd_start_search");
     let add = events.iter().find(|e| e.event_type == "sd_service_add");
     if let (Some(s), Some(a)) = (start, add) {
@@ -228,7 +230,9 @@ fn fig2_architectures(_: u64, _: usize) -> Result<(), String> {
     ] {
         let desc = multi_sm(1, architecture, with_scm, 1, 5);
         let outcome = ExperiMaster::new(desc, on(Topology::grid(2, 2)))?.execute()?;
-        let packets = PacketRow::read_run(&outcome.database, 0).map_err(|e| e.to_string())?;
+        let packets = ExperimentDataset::new(&outcome.database)
+            .and_then(|ds| ds.packets(Some(0)))
+            .map_err(|e| e.to_string())?;
         println!("--- {architecture} ---");
         let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
         for p in &packets {
@@ -298,7 +302,8 @@ fn fig3_workflow(_: u64, _: usize) -> Result<(), String> {
     }
 
     println!("\n3. collection & conditioning (common time base):");
-    let infos = RunInfoRow::read_all(&outcome.database).map_err(|e| e.to_string())?;
+    let ds = ExperimentDataset::new(&outcome.database).map_err(|e| e.to_string())?;
+    let infos = ds.run_infos(None).map_err(|e| e.to_string())?;
     for i in infos.iter().take(6) {
         println!(
             "   run {:>2}  node {:<8} measured clock offset {:>10} ns",
@@ -316,9 +321,7 @@ fn fig3_workflow(_: u64, _: usize) -> Result<(), String> {
         let table = outcome.database.table(t).map_err(|e| e.to_string())?;
         println!("   {t:<24} {:>5} rows", table.len());
     }
-    let total_events = EventRow::read_all(&outcome.database)
-        .map_err(|e| e.to_string())?
-        .len();
+    let total_events = ds.events(None).map_err(|e| e.to_string())?.len();
     println!("\n   {total_events} events conditioned and stored");
     Ok(())
 }
@@ -395,7 +398,9 @@ fn fig11_timeline(_: u64, _: usize) -> Result<(), String> {
     let mut cfg = EngineConfig::grid_default();
     cfg.max_runs = Some(1);
     let outcome = ExperiMaster::new(desc, cfg)?.execute()?;
-    let events = EventRow::read_run(&outcome.database, 0).map_err(|e| e.to_string())?;
+    let events = ExperimentDataset::new(&outcome.database)
+        .and_then(|ds| ds.events(Some(0)))
+        .map_err(|e| e.to_string())?;
     let actors = BTreeMap::from([
         ("t9-157".to_string(), "SM1".to_string()),
         ("t9-105".to_string(), "SU1".to_string()),
@@ -879,20 +884,22 @@ fn tagger_validation(_: u64, _: usize) -> Result<(), String> {
         // load-induced component of the link model (the CBR flows offer
         // real load): p = 1 - (1-p0) * exp(-k*u), with u probed mid-run by
         // the plugin above and stored in ExtraRunMeasurements.
-        let probed_load: f64 = outcome
-            .database
-            .table("ExtraRunMeasurements")
-            .map_err(|e| e.to_string())?
-            .rows()
-            .find(|row| row.get(2) == CellRef::Text("load_2_3"))
-            .and_then(|row| match row.get(3) {
-                CellRef::Blob(b) => std::str::from_utf8(b).ok(),
-                _ => None,
-            })
+        let ds = ExperimentDataset::new(&outcome.database).map_err(|e| e.to_string())?;
+        let probed = ds
+            .query()
+            .scan("ExtraRunMeasurements")
+            .filter(col("Name").eq(lit("load_2_3")))
+            .select(["Content"])
+            .collect()
+            .map_err(|e| e.to_string())?;
+        let probed_load: f64 = probed
+            .rows
+            .first()
+            .and_then(|row| std::str::from_utf8(row[0].as_bytes()?).ok())
             .and_then(|t| t.parse().ok())
             .unwrap_or(0.0);
         let expected = 1.0 - (1.0 - loss) * (-model_k * (probed_load / model_cap).min(0.95)).exp();
-        let best = best_stream_loss_per_source(&outcome.database, outcome.runs[0].run_id, 50)
+        let best = best_stream_loss_per_source(&ds, outcome.runs[0].run_id, 50)
             .map_err(|e| e.to_string())?;
         // Mean of the per-source best estimates (one-hop observers).
         let estimated = if best.is_empty() {

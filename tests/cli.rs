@@ -2,8 +2,9 @@
 //! describe → validate → run → inspect → analyze loop a downstream user
 //! drives from the shell.
 
+use excovery::analysis::ExperimentDataset;
 use excovery::store::records::EventRow;
-use excovery::store::{CellRef, JsonValue};
+use excovery::store::JsonValue;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -170,6 +171,76 @@ fn full_run_inspect_analyze_cycle() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The lines `excovery events --run 0` prints for the first run of the
+/// paper description, pinned from the row readers: time order, ties in
+/// recording order.
+const EVENTS_RUN_0: &[&str] = &[
+    "              0 ns  master     run_init               run=0",
+    "              0 ns  master     ready_to_init          ",
+    "              0 ns  master     env_traffic_started    ",
+    "          21667 ns  t9-105     sd_init_done           role=SU",
+    "          21667 ns  t9-105     sd_start_search        stype=_exp._tcp",
+    "          63619 ns  t9-157     sd_init_done           role=SM",
+    "          63619 ns  t9-157     sd_start_publish       service=t9-157;stype=_exp._tcp",
+    "       49631324 ns  t9-105     sd_service_add         service=t9-157;stype=_exp._tcp;provider=n0",
+    "       55816502 ns  t9-157     sd_stop_publish        service=t9-157;stype=_exp._tcp",
+    "       55816502 ns  t9-157     sd_exit_done           ",
+    "       58766367 ns  t9-105     done                   ",
+    "       58766367 ns  t9-105     sd_stop_search         stype=_exp._tcp",
+    "       58766367 ns  t9-105     sd_exit_done           ",
+    "       60000000 ns  master     env_traffic_stopped    ",
+    "       60000000 ns  master     run_exit               run=0",
+];
+
+/// The lines `excovery timeline --run 0` prints for the same run.
+const TIMELINE_RUN_0: &[&str] = &[
+    "one-shot discovery timeline  [0.000s .. 0.059s]",
+    "t_R = 49.610 ms",
+    "t9-105 |12----------------------------------------------------------------------------------3--------------6|",
+    "t9-157 |78--------------------------------------------------------------------------------------------9a----|",
+    "legend (○ action, ● event):",
+    "  1 ○ t9-105: sd_init_done @ 0.0000s",
+    "  2 ○ t9-105: sd_start_search @ 0.0000s",
+    "  3 ● t9-105: sd_service_add @ 0.0496s",
+    "  4 ● t9-105: done @ 0.0588s",
+    "  5 ○ t9-105: sd_stop_search @ 0.0588s",
+    "  6 ○ t9-105: sd_exit_done @ 0.0588s",
+    "  7 ○ t9-157: sd_init_done @ 0.0001s",
+    "  8 ○ t9-157: sd_start_publish @ 0.0001s",
+    "  9 ○ t9-157: sd_stop_publish @ 0.0558s",
+    "  a ○ t9-157: sd_exit_done @ 0.0558s",
+];
+
+/// The lines joined as a verb prints them, each ending in a newline.
+fn printed(lines: &[&str]) -> String {
+    lines.iter().map(|l| format!("{l}\n")).collect()
+}
+
+#[test]
+fn events_and_timeline_print_the_pinned_run() {
+    let dir = workdir("pinned-run");
+    let desc = write_description(&dir);
+    let db = dir.join("results.expdb");
+    let out = cli(&[
+        "run",
+        desc.to_str().unwrap(),
+        "--max-runs",
+        "1",
+        "--out",
+        db.to_str().unwrap(),
+        "--l2",
+        dir.join("l2").to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let out = cli(&["events", db.to_str().unwrap(), "--run", "0"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert_eq!(stdout(&out), printed(EVENTS_RUN_0));
+    let out = cli(&["timeline", db.to_str().unwrap(), "--run", "0"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert_eq!(stdout(&out), printed(TIMELINE_RUN_0));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn l2_lists_runs_entries_and_prints_one_entry() {
     let dir = workdir("l2");
@@ -228,15 +299,13 @@ fn l2_lists_runs_entries_and_prints_one_entry() {
     let rendered = excovery::store::JsonValue::parse(&stdout(&out)).unwrap();
     let captures = rendered.as_array().unwrap();
     let db = excovery::store::Database::load(&dir.join("results.expdb")).unwrap();
-    let packets: Vec<Vec<u8>> = db
-        .table("Packets")
+    let ds = ExperimentDataset::new(&db).unwrap();
+    let packets: Vec<Vec<u8>> = ds
+        .packets(Some(1))
         .unwrap()
-        .rows()
-        .filter(|r| r.get(0) == CellRef::Int(1) && r.get(1) == CellRef::Text(&node))
-        .map(|r| match r.get(4) {
-            CellRef::Blob(b) => b.to_vec(),
-            other => panic!("packet data is {other:?}"),
-        })
+        .into_iter()
+        .filter(|p| p.node_id == node)
+        .map(|p| p.data)
         .collect();
     assert_eq!(captures.len(), packets.len());
     for (c, data) in captures.iter().zip(&packets) {
@@ -259,41 +328,30 @@ fn l2_lists_runs_entries_and_prints_one_entry() {
     assert!(raw.stdout.starts_with(b"EXCE"));
     let out = cli(&["l2", l2, "1", "_master", "events.bin", "--json"]);
     assert!(out.status.success(), "{}", stderr(&out));
-    let text = |cell: CellRef<'_>| match cell {
-        CellRef::Text(s) => s.to_string(),
-        other => panic!("expected text, got {other:?}"),
-    };
-    let int = |cell: CellRef<'_>| match cell {
-        CellRef::Int(v) => v,
-        other => panic!("expected an integer, got {other:?}"),
-    };
-    let offsets: std::collections::HashMap<String, i64> = db
-        .table("RunInfos")
+    let offsets: std::collections::HashMap<String, i64> = ds
+        .run_infos(Some(1))
         .unwrap()
-        .rows()
-        .filter(|r| r.get(0) == CellRef::Int(1))
-        .map(|r| (text(r.get(1)), int(r.get(3))))
+        .into_iter()
+        .map(|r| (r.node_id, r.time_diff_ns))
         .collect();
     let base = excovery::engine::EventLog::RUN_SEQ_STRIDE;
-    let events: Vec<JsonValue> = db
-        .table("Events")
+    let events: Vec<JsonValue> = ds
+        .events_recorded(Some(1))
         .unwrap()
-        .rows()
-        .filter(|r| r.get(0) == CellRef::Int(1))
+        .into_iter()
         .enumerate()
-        .map(|(i, r)| {
-            let node = text(r.get(1));
-            let local = int(r.get(2)) + offsets.get(&node).copied().unwrap_or(0);
-            let params = EventRow::decode_params(&text(r.get(4)))
+        .map(|(i, e)| {
+            let local = e.common_time_ns + offsets.get(&e.node_id).copied().unwrap_or(0);
+            let params = EventRow::decode_params(&e.parameter)
                 .iter()
                 .map(|(k, v)| JsonValue::Array(vec![JsonValue::str(k), JsonValue::str(v)]))
                 .collect();
             JsonValue::Object(vec![
                 ("seq".into(), JsonValue::Int((base + i as u64) as i64)),
                 ("run_id".into(), JsonValue::Int(1)),
-                ("node".into(), JsonValue::str(node)),
+                ("node".into(), JsonValue::str(e.node_id)),
                 ("local_time_ns".into(), JsonValue::Int(local)),
-                ("name".into(), JsonValue::str(text(r.get(3)))),
+                ("name".into(), JsonValue::str(e.event_type)),
                 ("params".into(), JsonValue::Array(params)),
             ])
         })

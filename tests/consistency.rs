@@ -3,6 +3,7 @@
 //! must be mutually consistent.
 
 use excovery::analysis::verify::verify_all;
+use excovery::analysis::ExperimentDataset;
 use excovery::desc::ExperimentDescription;
 use excovery::engine::scenarios::{loss_sweep, multi_sm};
 use excovery::engine::{EngineConfig, ExperiMaster};
@@ -13,7 +14,7 @@ fn paper_experiment_package_is_self_consistent() {
     let desc = ExperimentDescription::paper_two_party_sd(2);
     let mut master = ExperiMaster::new(desc, EngineConfig::grid_default()).unwrap();
     let outcome = master.execute().unwrap();
-    let findings = verify_all(&outcome.database).unwrap();
+    let findings = verify_all(&ExperimentDataset::new(&outcome.database).unwrap()).unwrap();
     assert!(findings.is_empty(), "{findings:?}");
 }
 
@@ -24,7 +25,7 @@ fn three_party_package_is_self_consistent() {
     cfg.topology = Topology::grid(3, 2);
     let mut master = ExperiMaster::new(desc, cfg).unwrap();
     let outcome = master.execute().unwrap();
-    let findings = verify_all(&outcome.database).unwrap();
+    let findings = verify_all(&ExperimentDataset::new(&outcome.database).unwrap()).unwrap();
     assert!(findings.is_empty(), "{findings:?}");
 }
 
@@ -37,6 +38,6 @@ fn lossy_experiment_stays_consistent() {
     cfg.topology = Topology::chain(2);
     let mut master = ExperiMaster::new(desc, cfg).unwrap();
     let outcome = master.execute().unwrap();
-    let findings = verify_all(&outcome.database).unwrap();
+    let findings = verify_all(&ExperimentDataset::new(&outcome.database).unwrap()).unwrap();
     assert!(findings.is_empty(), "{findings:?}");
 }

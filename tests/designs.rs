@@ -2,6 +2,7 @@
 //! actor-node-map factor (the paper's Fig. 5 `usage="blocking"`), the
 //! completely randomized design, and the randomized-complete-block design.
 
+use excovery::analysis::ExperimentDataset;
 use excovery::desc::factors::{ActorAssignment, LevelValue};
 use excovery::desc::plan::Design;
 use excovery::desc::ExperimentDescription;
@@ -52,7 +53,9 @@ fn blocking_factor_swaps_roles_between_blocks() {
     // Block 1 (runs 0-1): A = t9-157 publishes; block 2 (runs 2-3): B
     // publishes — visible in which node emits sd_start_publish.
     let publisher_of = |run: u64| {
-        EventRow::read_run(&outcome.database, run)
+        ExperimentDataset::new(&outcome.database)
+            .unwrap()
+            .events(Some(run))
             .unwrap()
             .into_iter()
             .find(|e| e.event_type == "sd_start_publish")
@@ -65,7 +68,9 @@ fn blocking_factor_swaps_roles_between_blocks() {
     assert_eq!(publisher_of(3), "t9-105");
     // And discovery still works in both blocks, naming the right SM.
     for (run, sm) in [(0u64, "t9-157"), (3, "t9-105")] {
-        let add = EventRow::read_run(&outcome.database, run)
+        let add = ExperimentDataset::new(&outcome.database)
+            .unwrap()
+            .events(Some(run))
             .unwrap()
             .into_iter()
             .find(|e| e.event_type == "sd_service_add")

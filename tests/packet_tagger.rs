@@ -4,11 +4,11 @@
 //! reconstructs per-path loss from tag gaps in the stored Packets table.
 
 use excovery::analysis::packetstats::{split_tag, tag_loss_stats};
+use excovery::analysis::ExperimentDataset;
 use excovery::desc::process::{ProcessAction, ValueRef};
 use excovery::engine::scenarios::load_sweep;
 use excovery::engine::{EngineConfig, ExperiMaster};
 use excovery::netsim::topology::Topology;
-use excovery::store::records::PacketRow;
 
 fn description_with_injection(bw: i64) -> excovery::desc::ExperimentDescription {
     let mut desc = load_sweep(&[2], &[bw], 1, 31);
@@ -34,7 +34,10 @@ fn injected_flows_appear_in_the_packets_table() {
     let mut master = ExperiMaster::new(desc, cfg).unwrap();
     let outcome = master.execute().unwrap();
     assert!(outcome.runs[0].completed, "{:?}", outcome.runs[0].failures);
-    let packets = PacketRow::read_run(&outcome.database, 0).unwrap();
+    let packets = ExperimentDataset::new(&outcome.database)
+        .unwrap()
+        .packets(Some(0))
+        .unwrap();
     // Background CBR payloads are 0xCB-filled after the sequence number.
     let background = packets
         .iter()
@@ -90,7 +93,7 @@ fn tag_gap_analysis_detects_fault_injected_loss() {
     cfg.run_timeout = excovery::netsim::SimDuration::from_secs(45);
     let mut master = ExperiMaster::new(desc, cfg).unwrap();
     let outcome = master.execute().unwrap();
-    let stats = tag_loss_stats(&outcome.database, 0).unwrap();
+    let stats = tag_loss_stats(&ExperimentDataset::new(&outcome.database).unwrap(), 0).unwrap();
     assert!(!stats.is_empty(), "tag streams observed");
     // At least one observed stream shows measurable loss.
     let max_loss = stats
@@ -111,7 +114,10 @@ fn without_injection_only_protocol_packets_are_stored() {
     cfg.topology = Topology::grid(3, 2);
     let mut master = ExperiMaster::new(desc, cfg).unwrap();
     let outcome = master.execute().unwrap();
-    let packets = PacketRow::read_run(&outcome.database, 0).unwrap();
+    let packets = ExperimentDataset::new(&outcome.database)
+        .unwrap()
+        .packets(Some(0))
+        .unwrap();
     for p in &packets {
         let (_, payload) = split_tag(&p.data).unwrap();
         assert!(

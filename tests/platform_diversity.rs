@@ -43,14 +43,15 @@ fn same_description_runs_on_all_platform_presets() {
 
 #[test]
 fn wired_lan_clocks_are_tighter() {
-    use excovery::store::records::RunInfoRow;
     fn max_offset(cfg: EngineConfig) -> i64 {
         let desc = hop_distance(2, 7);
         let mut cfg = cfg;
         cfg.topology = excovery::engine::scenarios::chain_between_actors(1);
         let mut master = ExperiMaster::new(desc, cfg).unwrap();
         let outcome = master.execute().unwrap();
-        RunInfoRow::read_all(&outcome.database)
+        ExperimentDataset::new(&outcome.database)
+            .unwrap()
+            .run_infos(None)
             .unwrap()
             .iter()
             .map(|r| r.time_diff_ns.abs())

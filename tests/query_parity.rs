@@ -16,8 +16,8 @@
 use excovery::analysis::responsiveness::ResponsivenessPoint;
 use excovery::desc::process::{EventSelector, ProcessAction};
 use excovery::prelude::*;
+use excovery::query::warehouse::build_warehouse;
 use excovery::query::Scan;
-use excovery::store::warehouse::build_warehouse;
 use std::collections::BTreeMap;
 
 /// The golden-outcome experiment: the paper's two-party SD description
@@ -88,6 +88,25 @@ fn presets() -> Vec<Preset> {
 /// Digest of the per-experiment mean response times of one warehouse
 /// over the three presets: `{0: 0.05098537, 1: 0.05005178, 2: 0.057009652}`.
 const WAREHOUSE_MEANS: u64 = 0xea8a858876bdf68d;
+
+/// Digests of what the typed readers feed at seed 7, per preset: the
+/// `report::render` text (its per-path delivery table pairs packets in
+/// time order) and the `verify_all` findings (run id and message of
+/// each, in order). Pinned from the row readers before they moved onto
+/// `ExperimentDataset`. All three packages are consistent, so the
+/// findings digest is that of no findings.
+const READER_PINS: [(&str, u64, u64); 3] = [
+    ("grid_default", 0x281c1128c3ee77f1, NO_FINDINGS),
+    ("wired_lan", 0x85c9acd1eb8b5e54, NO_FINDINGS),
+    ("lossy_mesh", 0x3f8212f993b58c51, NO_FINDINGS),
+];
+
+/// The FNV-1a offset basis: the digest of an empty findings list.
+const NO_FINDINGS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Digest of the bytes `Database::save` writes for the warehouse built
+/// over the three presets at seed 7.
+const WAREHOUSE_BYTES: u64 = 0x824b13347e23f652;
 
 fn outcome_of(preset: fn() -> EngineConfig, seed: u64) -> ExperimentOutcome {
     let mut master = ExperiMaster::new(desc(seed), preset()).unwrap();
@@ -218,7 +237,10 @@ fn run_inventories_and_episodes_match_pre_redesign() {
 fn packet_volumes_match_pre_redesign() {
     for (name, preset, pins) in presets() {
         let db = outcome_of(preset, 7).database;
-        let counts = excovery::analysis::packetstats::packets_per_run(&db).unwrap();
+        let counts = ExperimentDataset::new(&db)
+            .unwrap()
+            .packets_per_run()
+            .unwrap();
         assert_eq!(counts_digest(&counts), pins[4], "{name}");
     }
 }
@@ -322,6 +344,46 @@ fn scans_are_bit_identical_at_1_and_4_workers() {
         .group_by(["ExpKey"])
         .agg([Agg::mean("ResponseTimeNs").named("mean_ns")]);
     assert_worker_count_invariant("warehouse", &[mean]);
+}
+
+#[test]
+fn report_and_findings_match_the_row_readers() {
+    let got: Vec<(&str, u64, u64)> = presets()
+        .into_iter()
+        .map(|(name, preset, _)| {
+            let db = outcome_of(preset, 7).database;
+            let text = excovery::analysis::report::render(&db, &ReportOptions::default()).unwrap();
+            let mut report = Fnv::new();
+            report.str(&text);
+            let mut findings = Fnv::new();
+            let ds = ExperimentDataset::new(&db).unwrap();
+            for finding in excovery::analysis::verify::verify_all(&ds).unwrap() {
+                findings.u64(finding.run_id);
+                findings.str(&finding.message);
+            }
+            (name, report.0, findings.0)
+        })
+        .collect();
+    assert_eq!(got, READER_PINS);
+}
+
+#[test]
+fn warehouse_bytes_match_the_row_readers() {
+    let outcomes: Vec<(&str, Database)> = presets()
+        .into_iter()
+        .map(|(name, preset, _)| (name, outcome_of(preset, 7).database))
+        .collect();
+    let packages: Vec<(&str, &Database)> = outcomes.iter().map(|(n, db)| (*n, db)).collect();
+    let path = std::env::temp_dir().join(format!(
+        "excovery-parity-warehouse-{}.expdb",
+        std::process::id()
+    ));
+    build_warehouse(&packages).unwrap().save(&path).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    let mut h = Fnv::new();
+    h.bytes(&bytes);
+    assert_eq!(h.0, WAREHOUSE_BYTES);
 }
 
 #[test]

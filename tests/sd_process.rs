@@ -21,7 +21,10 @@ fn one_run() -> excovery::engine::ExperimentOutcome {
 #[test]
 fn sm_role_event_order_follows_fig9() {
     let outcome = one_run();
-    let events = EventRow::read_run(&outcome.database, 0).unwrap();
+    let events = ExperimentDataset::new(&outcome.database)
+        .unwrap()
+        .events(Some(0))
+        .unwrap();
     let sm: Vec<&str> = events
         .iter()
         .filter(|e| e.node_id == "t9-157")
@@ -41,7 +44,10 @@ fn sm_role_event_order_follows_fig9() {
 #[test]
 fn su_role_event_order_follows_fig10() {
     let outcome = one_run();
-    let events = EventRow::read_run(&outcome.database, 0).unwrap();
+    let events = ExperimentDataset::new(&outcome.database)
+        .unwrap()
+        .events(Some(0))
+        .unwrap();
     let su: Vec<&str> = events
         .iter()
         .filter(|e| e.node_id == "t9-105")
@@ -67,7 +73,10 @@ fn su_waits_for_publisher_and_environment() {
     // swap cross-node events lying closer together than the sync-error
     // residual left by time conditioning.
     let outcome = one_run();
-    let events = EventRow::read_run_recorded(&outcome.database, 0).unwrap();
+    let events = ExperimentDataset::new(&outcome.database)
+        .unwrap()
+        .events_recorded(Some(0))
+        .unwrap();
     let su_init_seq = events
         .iter()
         .position(|e| e.node_id == "t9-105" && e.event_type == "sd_init_done")
@@ -87,7 +96,10 @@ fn su_waits_for_publisher_and_environment() {
 #[test]
 fn discovery_identifies_the_publishing_sm() {
     let outcome = one_run();
-    let events = EventRow::read_run(&outcome.database, 0).unwrap();
+    let events = ExperimentDataset::new(&outcome.database)
+        .unwrap()
+        .events(Some(0))
+        .unwrap();
     let add = events
         .iter()
         .find(|e| e.event_type == "sd_service_add")
@@ -100,7 +112,10 @@ fn discovery_identifies_the_publishing_sm() {
 #[test]
 fn fig11_timeline_reconstructs_t_r() {
     let outcome = one_run();
-    let events = EventRow::read_run(&outcome.database, 0).unwrap();
+    let events = ExperimentDataset::new(&outcome.database)
+        .unwrap()
+        .events(Some(0))
+        .unwrap();
     let actors = BTreeMap::from([
         ("t9-157".to_string(), "SM1".to_string()),
         ("t9-105".to_string(), "SU1".to_string()),
@@ -147,7 +162,10 @@ fn deadline_fires_when_no_service_exists() {
     let mut master = ExperiMaster::new(desc, cfg).unwrap();
     let outcome = master.execute().unwrap();
     assert!(outcome.runs[0].completed, "{:?}", outcome.runs[0].failures);
-    let events = EventRow::read_run(&outcome.database, 0).unwrap();
+    let events = ExperimentDataset::new(&outcome.database)
+        .unwrap()
+        .events(Some(0))
+        .unwrap();
     let names: Vec<&str> = events.iter().map(|e| e.event_type.as_str()).collect();
     assert!(!names.contains(&"sd_service_add"));
     assert!(names.contains(&"done"), "deadline produces done: {names:?}");

@@ -4,7 +4,10 @@
 //! bit-equal to an uninterrupted reference execution.
 //!
 //! The kill and the resume run at `--workers` 1 and 4, so the scheduler's
-//! pool width cannot change the resumed digest.
+//! pool width cannot change the resumed digest. The kill is triggered by
+//! the job's level-2 journal on disk, and the journal the killed daemon
+//! left must hold at least one sealed run and not all of them: the
+//! restart really resumes a campaign cut in the middle.
 
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -15,6 +18,7 @@ use excovery::desc::{xmlio, ExperimentDescription};
 use excovery::engine::ExperiMaster;
 use excovery::rpc::{JobState, SubmitRequest};
 use excovery::server::{preset_config, ServerClient};
+use excovery::store::level2::Level2Store;
 
 const REPS: u64 = 6;
 const SEED: u64 = 1914;
@@ -62,6 +66,13 @@ fn poll<T>(what: &str, secs: u64, mut f: impl FnMut() -> Option<T>) -> T {
     }
 }
 
+/// Newline-terminated lines of a level-2 run journal: one per sealed
+/// run. Read as bytes, so polling a live daemon's journal creates nothing.
+fn journal_lines(l2: &Path) -> usize {
+    std::fs::read(l2.join("runs").join("journal.log"))
+        .map_or(0, |raw| raw.iter().filter(|&&b| b == b'\n').count())
+}
+
 fn connect(root: &Path) -> ServerClient {
     poll("server endpoint", 30, || {
         ServerClient::connect_root(root).ok()
@@ -101,13 +112,27 @@ fn kill_and_resume(workers: &str, reference: u64) {
     let (dup, dup_created) = client.submit(&request).expect("resubmit");
     assert_eq!((dup, dup_created), (job_id, false));
 
-    // Let at least one run complete, then SIGKILL the daemon.
-    poll("first run completion", 120, || {
-        let s = client.status(job_id).ok()?;
-        (s.runs_completed >= 1).then_some(())
-    });
+    // SIGKILL the daemon as soon as its journal seals the first run.
+    let l2 = root.join("jobs").join(job_id.to_string()).join("l2");
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while journal_lines(&l2) == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "timed out waiting for a sealed run"
+        );
+        std::thread::sleep(Duration::from_micros(200));
+    }
     serve.kill().expect("SIGKILL serve");
     serve.wait().expect("reap serve");
+    let sealed = Level2Store::open(&l2)
+        .unwrap()
+        .journal_runs()
+        .unwrap()
+        .len() as u64;
+    assert!(
+        (1..REPS).contains(&sealed),
+        "--workers {workers}: the kill left {sealed} of {REPS} runs sealed"
+    );
 
     // Restart over the same repository. The stale endpoint file of the
     // killed daemon is removed so the client can only reach the new one.

@@ -7,7 +7,6 @@ use excovery::analysis::ExperimentDataset;
 use excovery::engine::scenarios::load_sweep;
 use excovery::engine::{EngineConfig, ExperiMaster};
 use excovery::netsim::topology::Topology;
-use excovery::store::records::EventRow;
 use excovery::store::Database;
 
 fn episodes(db: &Database) -> Vec<DiscoveryEpisode> {
@@ -24,7 +23,10 @@ fn traffic_process_starts_and_stops_with_the_run() {
     let mut master = ExperiMaster::new(desc, cfg).unwrap();
     let outcome = master.execute().unwrap();
     for run in 0..2u64 {
-        let events = EventRow::read_run(&outcome.database, run).unwrap();
+        let events = ExperimentDataset::new(&outcome.database)
+            .unwrap()
+            .events(Some(run))
+            .unwrap();
         let names: Vec<&str> = events.iter().map(|e| e.event_type.as_str()).collect();
         assert!(
             names.contains(&"env_traffic_started"),
@@ -130,7 +132,9 @@ fn replication_seed_binding_reproduces_pair_switching() {
         let desc = load_sweep(&[4], &[100], 2, 77);
         let mut master = ExperiMaster::new(desc, EngineConfig::grid_default()).unwrap();
         let outcome = master.execute().unwrap();
-        EventRow::read_all(&outcome.database)
+        ExperimentDataset::new(&outcome.database)
+            .unwrap()
+            .events(None)
             .unwrap()
             .into_iter()
             .map(|e| (e.run_id, e.event_type, e.common_time_ns))

@@ -3,10 +3,10 @@
 //! [`ExperimentOutcome`] whether the master reaches its NodeManagers over
 //! the in-memory channel or over real TCP sockets.
 
+use excovery::analysis::ExperimentDataset;
 use excovery::desc::ExperimentDescription;
 use excovery::engine::{EngineConfig, ExperiMaster, ExperimentOutcome, TransportKind};
 use excovery::netsim::topology::Topology;
-use excovery::store::records::{EventRow, PacketRow, RunInfoRow};
 
 fn description() -> ExperimentDescription {
     use excovery::desc::process::{EventSelector, ProcessAction};
@@ -48,8 +48,14 @@ fn memory_and_tcp_transports_produce_identical_outcomes() {
     assert!(memory.runs.iter().all(|r| r.completed), "{:?}", memory.runs);
 
     // The conditioned level-3 tables are identical row for row.
-    let m_events = EventRow::read_all(&memory.database).unwrap();
-    let t_events = EventRow::read_all(&tcp.database).unwrap();
+    let m_events = ExperimentDataset::new(&memory.database)
+        .unwrap()
+        .events(None)
+        .unwrap();
+    let t_events = ExperimentDataset::new(&tcp.database)
+        .unwrap()
+        .events(None)
+        .unwrap();
     assert!(!m_events.is_empty());
     assert_eq!(
         m_events
@@ -72,8 +78,14 @@ fn memory_and_tcp_transports_produce_identical_outcomes() {
             .collect::<Vec<_>>(),
     );
 
-    let m_packets = PacketRow::read_run(&memory.database, 0).unwrap();
-    let t_packets = PacketRow::read_run(&tcp.database, 0).unwrap();
+    let m_packets = ExperimentDataset::new(&memory.database)
+        .unwrap()
+        .packets(Some(0))
+        .unwrap();
+    let t_packets = ExperimentDataset::new(&tcp.database)
+        .unwrap()
+        .packets(Some(0))
+        .unwrap();
     assert!(!m_packets.is_empty());
     assert_eq!(m_packets.len(), t_packets.len());
     for (m, t) in m_packets.iter().zip(&t_packets) {
@@ -84,8 +96,14 @@ fn memory_and_tcp_transports_produce_identical_outcomes() {
     }
 
     // Sync measurements (per-node RNG streams) agree as well.
-    let m_infos = RunInfoRow::read_all(&memory.database).unwrap();
-    let t_infos = RunInfoRow::read_all(&tcp.database).unwrap();
+    let m_infos = ExperimentDataset::new(&memory.database)
+        .unwrap()
+        .run_infos(None)
+        .unwrap();
+    let t_infos = ExperimentDataset::new(&tcp.database)
+        .unwrap()
+        .run_infos(None)
+        .unwrap();
     assert_eq!(
         m_infos
             .iter()

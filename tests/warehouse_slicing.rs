@@ -3,9 +3,9 @@
 //! slices on `FactDiscovery` are `excovery_query` scans keyed through the
 //! `DimNode` / `DimRun` dimensions.
 
+use excovery::query::warehouse::build_warehouse;
 use excovery::query::{col, lit, Agg, Dataset, Expr, Value};
 use excovery::store::schema::{create_level3_database, EE_VERSION};
-use excovery::store::warehouse::build_warehouse;
 use excovery::store::{Database, EventRow, ExperimentInfo, RunInfoRow};
 
 /// Builds a level-3 package named `name` containing one discovery episode

@@ -4,9 +4,10 @@
 //! §IV-C1 ("perfect repeatability of random sequences ... when initialized
 //! with the same seed").
 
+use excovery::analysis::ExperimentDataset;
 use excovery::desc::ExperimentDescription;
 use excovery::engine::{EngineConfig, ExperiMaster};
-use excovery::store::records::{EventRow, ExperimentInfo, PacketRow, RunInfoRow};
+use excovery::store::records::ExperimentInfo;
 use excovery::store::repository::Repository;
 
 fn run_paper_experiment(seed: u64, reps: u64) -> excovery::engine::ExperimentOutcome {
@@ -30,8 +31,17 @@ fn full_workflow_produces_conditioned_package() {
     assert_eq!(desc.name, "sd-two-party");
 
     // Level 3: every run has run infos with measured clock offsets.
-    let infos = RunInfoRow::read_all(&outcome.database).unwrap();
-    assert_eq!(RunInfoRow::run_ids(&outcome.database).unwrap(), vec![0, 1]);
+    let infos = ExperimentDataset::new(&outcome.database)
+        .unwrap()
+        .run_infos(None)
+        .unwrap();
+    assert_eq!(
+        ExperimentDataset::new(&outcome.database)
+            .unwrap()
+            .run_ids_with_info()
+            .unwrap(),
+        vec![0, 1]
+    );
     // 6 managed platform nodes per run.
     assert_eq!(infos.len(), 12);
     assert!(
@@ -42,7 +52,10 @@ fn full_workflow_produces_conditioned_package() {
     // Conditioning: event times are on a common base — the SU's discovery
     // happens after its search start despite clock offsets.
     for run in 0..2u64 {
-        let events = EventRow::read_run(&outcome.database, run).unwrap();
+        let events = ExperimentDataset::new(&outcome.database)
+            .unwrap()
+            .events(Some(run))
+            .unwrap();
         let start = events
             .iter()
             .find(|e| e.event_type == "sd_start_search")
@@ -58,7 +71,9 @@ fn full_workflow_produces_conditioned_package() {
     }
 
     // Packets were captured and conditioned.
-    assert!(!PacketRow::read_run(&outcome.database, 0)
+    assert!(!ExperimentDataset::new(&outcome.database)
+        .unwrap()
+        .packets(Some(0))
         .unwrap()
         .is_empty());
 }
@@ -67,8 +82,14 @@ fn full_workflow_produces_conditioned_package() {
 fn same_seed_reproduces_identical_measurements() {
     let a = run_paper_experiment(42, 2);
     let b = run_paper_experiment(42, 2);
-    let ea = EventRow::read_all(&a.database).unwrap();
-    let eb = EventRow::read_all(&b.database).unwrap();
+    let ea = ExperimentDataset::new(&a.database)
+        .unwrap()
+        .events(None)
+        .unwrap();
+    let eb = ExperimentDataset::new(&b.database)
+        .unwrap()
+        .events(None)
+        .unwrap();
     assert_eq!(ea, eb, "same seed must yield byte-identical event tables");
     assert_eq!(
         a.database.table("Packets").unwrap(),
@@ -81,8 +102,14 @@ fn same_seed_reproduces_identical_measurements() {
 fn different_seed_changes_measurements() {
     let a = run_paper_experiment(1, 1);
     let b = run_paper_experiment(2, 1);
-    let ea = EventRow::read_all(&a.database).unwrap();
-    let eb = EventRow::read_all(&b.database).unwrap();
+    let ea = ExperimentDataset::new(&a.database)
+        .unwrap()
+        .events(None)
+        .unwrap();
+    let eb = ExperimentDataset::new(&b.database)
+        .unwrap()
+        .events(None)
+        .unwrap();
     assert_ne!(ea, eb, "different seeds draw different random sequences");
 }
 
@@ -140,7 +167,10 @@ fn crash_recovery_resumes_aborted_experiment() {
     );
     // The final package integrates runs from both sessions.
     assert_eq!(
-        RunInfoRow::run_ids(&second.database).unwrap(),
+        ExperimentDataset::new(&second.database)
+            .unwrap()
+            .run_ids_with_info()
+            .unwrap(),
         vec![0, 1, 2, 3]
     );
     std::fs::remove_dir_all(&l2_root).ok();
