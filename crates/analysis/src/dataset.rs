@@ -18,7 +18,6 @@
 //! order within each run.
 
 use crate::error::AnalysisError;
-use crate::responsiveness::{responsiveness_curve, ResponsivenessPoint};
 use crate::runs::{episodes_from_ordered, DiscoveryEpisode, EpisodeEvent};
 use excovery_query::{col, lit, Agg, Dataset, Value};
 use excovery_store::records::{EventRow, PacketRow, RunInfoRow};
@@ -33,10 +32,10 @@ const EPISODE_EVENTS: [&str; 3] = ["sd_start_search", "sd_service_add", "sd_stop
 ///
 /// ```no_run
 /// # fn demo(db: &excovery_store::Database) -> Result<(), excovery_analysis::AnalysisError> {
-/// use excovery_analysis::dataset::ExperimentDataset;
+/// use excovery_analysis::{responsiveness_curve, ExperimentDataset};
 /// let ds = ExperimentDataset::new(db)?;
 /// let episodes = ds.episodes()?;
-/// let curve = ds.responsiveness(1, &[0.1, 1.0, 10.0])?;
+/// let curve = responsiveness_curve(&episodes, 1, &[0.1, 1.0, 10.0]);
 /// # let _ = (episodes, curve); Ok(())
 /// # }
 /// ```
@@ -125,15 +124,6 @@ impl ExperimentDataset {
     /// All discovery episodes in run order.
     pub fn episodes(&self) -> Result<Vec<DiscoveryEpisode>, AnalysisError> {
         Ok(self.episodes_by_run()?.into_values().flatten().collect())
-    }
-
-    /// Responsiveness curve over all episodes of the package.
-    pub fn responsiveness(
-        &self,
-        k: usize,
-        deadlines_s: &[f64],
-    ) -> Result<Vec<ResponsivenessPoint>, AnalysisError> {
-        Ok(responsiveness_curve(&self.episodes()?, k, deadlines_s))
     }
 
     /// Captured packets per run, as a group-by count.

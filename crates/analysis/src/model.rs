@@ -20,7 +20,7 @@
 
 /// Protocol schedule parameters (mirror `excovery_sd::SdConfig` defaults).
 #[derive(Debug, Clone)]
-pub struct ProtocolSchedule {
+pub(crate) struct ProtocolSchedule {
     /// Delay of the first unsolicited announcement after publish, seconds.
     pub first_announce_delay_s: f64,
     /// Number of unsolicited announcements.
@@ -76,7 +76,7 @@ pub struct ResponsivenessModel {
     /// Per-link loss probability.
     pub per_link_loss: f64,
     /// Protocol schedule.
-    pub schedule: ProtocolSchedule,
+    pub(crate) schedule: ProtocolSchedule,
     /// Horizon: attempts are enumerated up to this deadline, seconds.
     pub horizon_s: f64,
 }
@@ -153,11 +153,6 @@ impl ResponsivenessModel {
         }
         1.0 - miss
     }
-
-    /// Predicted curve over a deadline grid.
-    pub fn predict_curve(&self, deadlines_s: &[f64]) -> Vec<(f64, f64)> {
-        deadlines_s.iter().map(|&d| (d, self.predict(d))).collect()
-    }
 }
 
 #[cfg(test)]
@@ -182,7 +177,10 @@ mod tests {
     #[test]
     fn prediction_is_monotone_in_deadline() {
         let m = ResponsivenessModel::new(3, 0.3);
-        let curve = m.predict_curve(&[0.05, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0]);
+        let curve: Vec<(f64, f64)> = [0.05, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0]
+            .into_iter()
+            .map(|d| (d, m.predict(d)))
+            .collect();
         for w in curve.windows(2) {
             assert!(w[0].1 <= w[1].1 + 1e-12, "{curve:?}");
         }

@@ -58,7 +58,7 @@ pub fn tag_loss_stats(
 
 /// Loss/delay summary for one (source, observer) pair.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PathStats {
+pub(crate) struct PathStats {
     /// Originating node.
     pub src: String,
     /// Observing node.
@@ -73,7 +73,7 @@ pub struct PathStats {
 
 impl PathStats {
     /// Delivery ratio `observed / sent` (1.0 when nothing was sent).
-    pub fn delivery_ratio(&self) -> f64 {
+    pub(crate) fn delivery_ratio(&self) -> f64 {
         if self.sent == 0 {
             1.0
         } else {
@@ -85,7 +85,10 @@ impl PathStats {
 /// Matches captures of a run: for each `(src, observer)` pair, sent
 /// packets at the source are paired with the observer's captures of the
 /// same payload (first unmatched occurrence, in time order).
-pub fn path_stats(ds: &ExperimentDataset, run_id: u64) -> Result<Vec<PathStats>, AnalysisError> {
+pub(crate) fn path_stats(
+    ds: &ExperimentDataset,
+    run_id: u64,
+) -> Result<Vec<PathStats>, AnalysisError> {
     let rows = ds.packets(Some(run_id))?;
     // Source-side sends: a capture on the source node itself.
     let mut sent_by_src: BTreeMap<&str, Vec<&PacketRow>> = BTreeMap::new();

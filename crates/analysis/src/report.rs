@@ -16,76 +16,12 @@ use crate::stats::Summary;
 use excovery_store::records::ExperimentInfo;
 use excovery_store::Database;
 
-/// Options for report generation. Construct via [`ReportOptions::builder`].
-#[derive(Debug, Clone)]
-pub struct ReportOptions {
-    /// Number of SMs that must be discovered (the `k` of responsiveness).
-    k: usize,
-    /// Deadlines (seconds) of the responsiveness table.
-    deadlines_s: Vec<f64>,
-    /// Include per-run detail rows (off for experiments with many runs).
-    per_run_detail: bool,
-}
+/// Deadlines (seconds) of the responsiveness table.
+const DEADLINES_S: [f64; 8] = [0.1, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0];
 
-impl ReportOptions {
-    /// Starts a builder with the default options (`k = 1`, the standard
-    /// deadline grid, per-run detail on).
-    pub fn builder() -> ReportOptionsBuilder {
-        ReportOptionsBuilder {
-            k: 1,
-            deadlines_s: vec![0.1, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0],
-            per_run_detail: true,
-        }
-    }
-}
-
-impl Default for ReportOptions {
-    fn default() -> Self {
-        Self::builder().build()
-    }
-}
-
-/// Builder for [`ReportOptions`], matching the `EngineConfig::builder()`
-/// idiom.
-#[derive(Debug, Clone)]
-pub struct ReportOptionsBuilder {
-    k: usize,
-    deadlines_s: Vec<f64>,
-    per_run_detail: bool,
-}
-
-impl ReportOptionsBuilder {
-    /// Sets the number of SMs that must be discovered.
-    pub fn k(mut self, k: usize) -> Self {
-        self.k = k;
-        self
-    }
-
-    /// Sets the deadline grid (seconds) of the responsiveness table.
-    pub fn deadlines_s(mut self, deadlines: impl IntoIterator<Item = f64>) -> Self {
-        self.deadlines_s = deadlines.into_iter().collect();
-        self
-    }
-
-    /// Toggles per-run detail rows.
-    pub fn per_run_detail(mut self, on: bool) -> Self {
-        self.per_run_detail = on;
-        self
-    }
-
-    /// Finishes the build.
-    pub fn build(self) -> ReportOptions {
-        ReportOptions {
-            k: self.k,
-            deadlines_s: self.deadlines_s,
-            per_run_detail: self.per_run_detail,
-        }
-    }
-}
-
-/// Renders the full Markdown report.
-pub fn render(db: &Database, opts: &ReportOptions) -> Result<String, AnalysisError> {
-    let (k, deadlines_s, per_run_detail) = (opts.k, &opts.deadlines_s, opts.per_run_detail);
+/// Renders the full Markdown report; `k` is the number of SMs that must
+/// be discovered (the `k` of responsiveness).
+pub fn render(db: &Database, k: usize) -> Result<String, AnalysisError> {
     let info = ExperimentInfo::read(db)?;
     let ds = ExperimentDataset::new(db)?;
     let run_ids = ds.run_ids()?;
@@ -119,7 +55,7 @@ pub fn render(db: &Database, opts: &ReportOptions) -> Result<String, AnalysisErr
     // Responsiveness table.
     out.push_str(&format!("## Responsiveness (k = {k})\n\n"));
     out.push_str("| deadline (s) | R | 95% CI |\n|---|---|---|\n");
-    for p in responsiveness_curve(&episodes, k, deadlines_s) {
+    for p in responsiveness_curve(&episodes, k, &DEADLINES_S) {
         out.push_str(&format!(
             "| {} | {:.4} | [{:.4}, {:.4}] |\n",
             p.deadline_s, p.probability, p.ci_low, p.ci_high
@@ -187,20 +123,18 @@ pub fn render(db: &Database, opts: &ReportOptions) -> Result<String, AnalysisErr
         out.push('\n');
     }
 
-    // Optional per-run detail.
-    if per_run_detail {
-        out.push_str("## Runs\n\n| run | episodes | first t_R |\n|---|---|---|\n");
-        for run_id in &run_ids {
-            let eps = by_run.get(run_id).map(Vec::as_slice).unwrap_or(&[]);
-            let t_r = eps
-                .first()
-                .and_then(|e| e.first_t_r_ns())
-                .map(|t| format!("{:.4} s", t as f64 / 1e9))
-                .unwrap_or_else(|| "—".into());
-            out.push_str(&format!("| {run_id} | {} | {t_r} |\n", eps.len()));
-        }
-        out.push('\n');
+    // Per-run detail.
+    out.push_str("## Runs\n\n| run | episodes | first t_R |\n|---|---|---|\n");
+    for run_id in &run_ids {
+        let eps = by_run.get(run_id).map(Vec::as_slice).unwrap_or(&[]);
+        let t_r = eps
+            .first()
+            .and_then(|e| e.first_t_r_ns())
+            .map(|t| format!("{:.4} s", t as f64 / 1e9))
+            .unwrap_or_else(|| "—".into());
+        out.push_str(&format!("| {run_id} | {} | {t_r} |\n", eps.len()));
     }
+    out.push('\n');
     Ok(out)
 }
 
@@ -272,7 +206,7 @@ mod tests {
     #[test]
     fn report_contains_all_sections() {
         let db = sample_db();
-        let report = render(&db, &ReportOptions::default()).unwrap();
+        let report = render(&db, 1).unwrap();
         for needle in [
             "# Experiment report: report-demo",
             "## Responsiveness (k = 1)",
@@ -290,23 +224,6 @@ mod tests {
     }
 
     #[test]
-    fn per_run_detail_is_optional() {
-        let db = sample_db();
-        let opts = ReportOptions::builder().per_run_detail(false).build();
-        let report = render(&db, &opts).unwrap();
-        assert!(!report.contains("## Runs"));
-    }
-
-    #[test]
-    fn builder_matches_field_literal_defaults() {
-        let built = ReportOptions::builder().k(2).build();
-        assert_eq!(built.k, 2);
-        assert_eq!(ReportOptions::default().k, 1);
-        assert_eq!(ReportOptions::default().deadlines_s.len(), 8);
-        assert!(ReportOptions::default().per_run_detail);
-    }
-
-    #[test]
     fn empty_database_reports_gracefully() {
         let mut db = create_level3_database();
         ExperimentInfo {
@@ -317,7 +234,7 @@ mod tests {
         }
         .insert(&mut db)
         .unwrap();
-        let report = render(&db, &ReportOptions::default()).unwrap();
+        let report = render(&db, 1).unwrap();
         assert!(report.contains("no successful discoveries"));
         assert!(report.contains("runs: 0"));
     }

@@ -47,7 +47,7 @@ impl Summary {
 }
 
 /// Linear-interpolated percentile of a sorted sample, `q` in `[0, 1]`.
-pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
+pub(crate) fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
     assert!(!sorted.is_empty(), "percentile of empty sample");
     let q = q.clamp(0.0, 1.0);
     let pos = q * (sorted.len() - 1) as f64;
@@ -65,7 +65,7 @@ pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
 ///
 /// Preferred over the normal approximation for the probabilities near 1.0
 /// that responsiveness analysis produces.
-pub fn wilson_interval(successes: u64, trials: u64) -> (f64, f64) {
+pub(crate) fn wilson_interval(successes: u64, trials: u64) -> (f64, f64) {
     if trials == 0 {
         return (0.0, 1.0);
     }
@@ -77,55 +77,6 @@ pub fn wilson_interval(successes: u64, trials: u64) -> (f64, f64) {
     let center = (p + z2 / (2.0 * n)) / denom;
     let half = (z / denom) * ((p * (1.0 - p) / n) + z2 / (4.0 * n * n)).sqrt();
     ((center - half).max(0.0), (center + half).min(1.0))
-}
-
-/// An empirical CDF over a sample.
-#[derive(Debug, Clone)]
-pub struct Ecdf {
-    sorted: Vec<f64>,
-}
-
-impl Ecdf {
-    /// Builds the ECDF.
-    pub fn new(values: impl IntoIterator<Item = f64>) -> Self {
-        let mut sorted: Vec<f64> = values.into_iter().collect();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        Self { sorted }
-    }
-
-    /// `P(X <= x)`.
-    pub fn at(&self, x: f64) -> f64 {
-        if self.sorted.is_empty() {
-            return 0.0;
-        }
-        let count = self.sorted.partition_point(|v| *v <= x);
-        count as f64 / self.sorted.len() as f64
-    }
-
-    /// Number of observations.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// True if the ECDF has no observations.
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
-    }
-
-    /// Sampled series `(x, P(X<=x))` at `points` evenly spaced x values
-    /// between min and max — the figure-series helper.
-    pub fn series(&self, points: usize) -> Vec<(f64, f64)> {
-        if self.sorted.is_empty() || points == 0 {
-            return Vec::new();
-        }
-        let (lo, hi) = (self.sorted[0], *self.sorted.last().unwrap());
-        (0..points)
-            .map(|i| {
-                let x = lo + (hi - lo) * i as f64 / (points.max(2) - 1) as f64;
-                (x, self.at(x))
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -174,36 +125,5 @@ mod tests {
         // More trials tighten the interval.
         let (lo2, _) = wilson_interval(1000, 1000);
         assert!(lo2 > lo);
-    }
-
-    #[test]
-    fn ecdf_steps() {
-        let e = Ecdf::new([1.0, 2.0, 2.0, 3.0]);
-        assert_eq!(e.at(0.5), 0.0);
-        assert_eq!(e.at(1.0), 0.25);
-        assert_eq!(e.at(2.0), 0.75);
-        assert_eq!(e.at(3.0), 1.0);
-        assert_eq!(e.at(99.0), 1.0);
-        assert_eq!(e.len(), 4);
-    }
-
-    #[test]
-    fn ecdf_series_monotone() {
-        let e = Ecdf::new((1..=100).map(f64::from));
-        let series = e.series(20);
-        assert_eq!(series.len(), 20);
-        for w in series.windows(2) {
-            assert!(w[0].1 <= w[1].1, "CDF must be monotone");
-            assert!(w[0].0 <= w[1].0);
-        }
-        assert_eq!(series.last().unwrap().1, 1.0);
-    }
-
-    #[test]
-    fn ecdf_empty() {
-        let e = Ecdf::new(std::iter::empty());
-        assert!(e.is_empty());
-        assert_eq!(e.at(1.0), 0.0);
-        assert!(e.series(5).is_empty());
     }
 }

@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 
 /// A classified marker on a lane.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Marker {
+pub(crate) struct Marker {
     /// Common time, ns.
     pub t_ns: i64,
     /// Event name.
@@ -23,7 +23,7 @@ pub struct Marker {
 #[derive(Debug, Clone, Default)]
 pub struct Timeline {
     /// Node label → markers in time order.
-    pub lanes: BTreeMap<String, Vec<Marker>>,
+    pub(crate) lanes: BTreeMap<String, Vec<Marker>>,
 }
 
 /// Names rendered as *actions* (white circles in Fig. 11): the SD actions

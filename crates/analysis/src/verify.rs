@@ -31,7 +31,7 @@ pub struct Inconsistency {
 ///    captures (its radio was actually used).
 /// 3. Event and packet timestamps lie within the run's common-time span
 ///    (no conditioning artifacts flinging records outside the run).
-pub fn verify_run(
+pub(crate) fn verify_run(
     ds: &ExperimentDataset,
     run_id: u64,
     slack_ns: i64,

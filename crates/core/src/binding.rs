@@ -5,7 +5,7 @@
 //! nodes* (`t9-157`, identified by host name and address) and — on our
 //! simulated platform — the simulator's [`NodeId`]s. [`PlatformBinding`]
 //! fixes the platform↔simulator mapping for a whole experiment;
-//! [`ResolvedActors`] resolves actor roles to concrete nodes per treatment
+//! `ResolvedActors` resolves actor roles to concrete nodes per treatment
 //! (the actor-node-map factor can change between blocks).
 
 use excovery_desc::factors::LevelValue;
@@ -22,7 +22,6 @@ pub struct PlatformBinding {
     by_platform_id: HashMap<String, NodeId>,
     by_sim_node: HashMap<NodeId, String>,
     by_abstract: HashMap<String, String>,
-    env_platform_ids: Vec<String>,
 }
 
 impl PlatformBinding {
@@ -40,7 +39,6 @@ impl PlatformBinding {
         let mut by_platform_id = HashMap::new();
         let mut by_sim_node = HashMap::new();
         let mut by_abstract = HashMap::new();
-        let mut env_platform_ids = Vec::new();
         for (i, node) in spec.all_nodes().enumerate() {
             let sim = NodeId(i as u16);
             if by_platform_id.insert(node.id.clone(), sim).is_some() {
@@ -49,62 +47,48 @@ impl PlatformBinding {
             by_sim_node.insert(sim, node.id.clone());
             if let Some(a) = &node.abstract_id {
                 by_abstract.insert(a.clone(), node.id.clone());
-            } else {
-                env_platform_ids.push(node.id.clone());
             }
         }
         Ok(Self {
             by_platform_id,
             by_sim_node,
             by_abstract,
-            env_platform_ids,
         })
     }
 
     /// Simulator node of a platform node id.
-    pub fn sim_node(&self, platform_id: &str) -> Option<NodeId> {
+    pub(crate) fn sim_node(&self, platform_id: &str) -> Option<NodeId> {
         self.by_platform_id.get(platform_id).copied()
     }
 
     /// Platform id of a simulator node (unmanaged nodes have none).
-    pub fn platform_id(&self, node: NodeId) -> Option<&str> {
+    pub(crate) fn platform_id(&self, node: NodeId) -> Option<&str> {
         self.by_sim_node.get(&node).map(String::as_str)
     }
 
     /// Platform id realizing an abstract node.
-    pub fn platform_of_abstract(&self, abstract_id: &str) -> Option<&str> {
+    pub(crate) fn platform_of_abstract(&self, abstract_id: &str) -> Option<&str> {
         self.by_abstract.get(abstract_id).map(String::as_str)
     }
 
-    /// Simulator node realizing an abstract node.
-    pub fn sim_of_abstract(&self, abstract_id: &str) -> Option<NodeId> {
-        self.platform_of_abstract(abstract_id)
-            .and_then(|p| self.sim_node(p))
-    }
-
     /// All managed platform ids (actors then environment nodes).
-    pub fn managed_platform_ids(&self) -> Vec<&str> {
+    pub(crate) fn managed_platform_ids(&self) -> Vec<&str> {
         let mut ids: Vec<(&NodeId, &String)> = self.by_sim_node.iter().collect();
         ids.sort_by_key(|(n, _)| n.0);
         ids.into_iter().map(|(_, s)| s.as_str()).collect()
     }
 
     /// All managed simulator nodes, ascending.
-    pub fn managed_sim_nodes(&self) -> Vec<NodeId> {
+    pub(crate) fn managed_sim_nodes(&self) -> Vec<NodeId> {
         let mut nodes: Vec<NodeId> = self.by_sim_node.keys().copied().collect();
         nodes.sort();
         nodes
-    }
-
-    /// Environment (non-actor) platform ids.
-    pub fn env_platform_ids(&self) -> &[String] {
-        &self.env_platform_ids
     }
 }
 
 /// Per-treatment resolution of actor roles to nodes.
 #[derive(Debug, Clone, Default)]
-pub struct ResolvedActors {
+pub(crate) struct ResolvedActors {
     // actor id -> instances in order -> (abstract id, platform id, sim node)
     map: HashMap<String, Vec<(String, String, NodeId)>>,
 }
@@ -115,7 +99,7 @@ impl ResolvedActors {
     /// For every actor process of `desc`, its `nodes_factor` is looked up
     /// in the treatment; the actor-map level assigns abstract nodes to the
     /// role, which the binding maps through to simulator nodes.
-    pub fn resolve(
+    pub(crate) fn resolve(
         desc: &ExperimentDescription,
         treatment: &Treatment,
         binding: &PlatformBinding,
@@ -157,12 +141,12 @@ impl ResolvedActors {
     }
 
     /// Instances of an actor role: `(abstract_id, platform_id, sim_node)`.
-    pub fn instances(&self, actor_id: &str) -> &[(String, String, NodeId)] {
+    pub(crate) fn instances(&self, actor_id: &str) -> &[(String, String, NodeId)] {
         self.map.get(actor_id).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Platform ids selected by a [`NodeSelector`].
-    pub fn select_platform_ids(&self, sel: &NodeSelector) -> Vec<String> {
+    pub(crate) fn select_platform_ids(&self, sel: &NodeSelector) -> Vec<String> {
         let instances = self.instances(&sel.actor);
         match &sel.instance {
             InstanceSelector::All => instances.iter().map(|(_, p, _)| p.clone()).collect(),
@@ -174,7 +158,7 @@ impl ResolvedActors {
     }
 
     /// All acting simulator nodes across roles (for traffic `choice`).
-    pub fn acting_sim_nodes(&self) -> Vec<NodeId> {
+    pub(crate) fn acting_sim_nodes(&self) -> Vec<NodeId> {
         let mut nodes: Vec<NodeId> = self.map.values().flatten().map(|(_, _, n)| *n).collect();
         nodes.sort();
         nodes.dedup();
@@ -208,8 +192,9 @@ mod tests {
     fn abstract_mapping_chains_through() {
         let (_, b) = setup();
         assert_eq!(b.platform_of_abstract("A"), Some("t9-157"));
-        assert_eq!(b.sim_of_abstract("B"), Some(NodeId(1)));
-        assert_eq!(b.sim_of_abstract("Z"), None);
+        let sim_of = |a| b.platform_of_abstract(a).and_then(|p| b.sim_node(p));
+        assert_eq!(sim_of("B"), Some(NodeId(1)));
+        assert_eq!(sim_of("Z"), None);
     }
 
     #[test]
@@ -223,7 +208,6 @@ mod tests {
         let (_, b) = setup();
         assert_eq!(b.managed_sim_nodes().len(), 6);
         assert_eq!(b.managed_platform_ids()[0], "t9-157");
-        assert_eq!(b.env_platform_ids().len(), 4);
     }
 
     #[test]

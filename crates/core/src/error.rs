@@ -47,7 +47,7 @@ impl EngineError {
     /// Classifies a per-node RPC failure: server-side faults become
     /// [`EngineError::Node`], elapsed deadlines [`EngineError::Timeout`],
     /// everything else [`EngineError::Transport`].
-    pub fn from_rpc(node: impl Into<String>, err: RpcError) -> Self {
+    pub(crate) fn from_rpc(node: impl Into<String>, err: RpcError) -> Self {
         let node = node.into();
         match err {
             RpcError::Timeout { method, after_ms } => EngineError::Timeout {
@@ -63,16 +63,6 @@ impl EngineError {
                 node,
                 detail: e.to_string(),
             },
-        }
-    }
-
-    /// The platform id involved, if the error is attributable to one node.
-    pub fn node(&self) -> Option<&str> {
-        match self {
-            EngineError::Node { node, .. }
-            | EngineError::Transport { node, .. }
-            | EngineError::Timeout { node, .. } => Some(node),
-            _ => None,
         }
     }
 }
@@ -121,8 +111,10 @@ mod tests {
     #[test]
     fn rpc_classification() {
         let e = EngineError::from_rpc("n1", RpcError::Fault(Fault::new(5, "boom")));
-        assert!(matches!(e, EngineError::Node { .. }), "{e:?}");
-        assert_eq!(e.node(), Some("n1"));
+        assert!(
+            matches!(&e, EngineError::Node { node, .. } if node == "n1"),
+            "{e:?}"
+        );
 
         let e = EngineError::from_rpc(
             "n2",

@@ -12,7 +12,7 @@ use excovery_netsim::SimTime;
 
 /// One recorded event.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecordedEvent {
+pub(crate) struct RecordedEvent {
     /// Master-assigned, strictly increasing sequence number.
     pub seq: u64,
     /// Run the event belongs to.
@@ -37,12 +37,12 @@ pub struct EventLog {
 
 impl EventLog {
     /// Creates an empty log.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Appends an event, assigning its sequence number.
-    pub fn record(
+    pub(crate) fn record(
         &mut self,
         run_id: u64,
         node: impl Into<String>,
@@ -64,27 +64,22 @@ impl EventLog {
     }
 
     /// All events so far.
-    pub fn events(&self) -> &[RecordedEvent] {
+    pub(crate) fn events(&self) -> &[RecordedEvent] {
         &self.events
     }
 
     /// Sequence position a `wait_marker` stamps right now.
-    pub fn marker(&self) -> u64 {
+    pub(crate) fn marker(&self) -> u64 {
         self.next_seq
     }
 
     /// Number of events.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.events.len()
     }
 
-    /// True if nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// Clears the log (new run).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.events.clear();
         // seq keeps counting: markers from a previous run can never match.
     }
@@ -101,7 +96,7 @@ impl EventLog {
     /// sequence numbers of a run a pure function of the run itself rather
     /// than of how many runs this master executed before it — a resumed
     /// master must journal byte-identical events for the runs it picks up.
-    pub fn align_for_run(&mut self, run_id: u64) {
+    pub(crate) fn align_for_run(&mut self, run_id: u64) {
         self.next_seq = self
             .next_seq
             .max(run_id.saturating_mul(Self::RUN_SEQ_STRIDE));
@@ -119,7 +114,7 @@ impl EventLog {
     /// * With both present, the requirements combine: for each required
     ///   parameter node there must be a matching event from an allowed
     ///   origin.
-    pub fn satisfied(
+    pub(crate) fn satisfied(
         &self,
         selector: &EventSelector,
         marker: u64,
@@ -345,7 +340,7 @@ mod tests {
         log.record(0, "n", t(1), "e", vec![]);
         let marker = log.marker();
         log.clear();
-        assert!(log.is_empty());
+        assert!(log.events().is_empty());
         let s = log.record(1, "n", t(2), "e", vec![]);
         assert!(s >= marker, "sequence must not restart");
         assert!(log.satisfied(&EventSelector::named("e"), marker, &actors));

@@ -77,7 +77,7 @@ pub struct ParsedFault {
 
 /// What a fault-named invoke means.
 #[derive(Debug, Clone, PartialEq)]
-pub enum FaultInvoke {
+pub(crate) enum FaultInvoke {
     /// Start a fault.
     Start(ParsedFault),
     /// Stop the most recent fault of the given kind.
@@ -88,7 +88,7 @@ pub enum FaultInvoke {
 /// actions. `params` are the already-resolved action parameters.
 ///
 /// Returns `None` if the action name is not a fault action.
-pub fn parse_fault_invoke(
+pub(crate) fn parse_fault_invoke(
     name: &str,
     params: &HashMap<String, LevelValue>,
 ) -> Option<Result<FaultInvoke, String>> {

@@ -130,7 +130,7 @@ pub trait ExecCtx {
 }
 
 /// Default service type used by SD actions without an explicit `stype`.
-pub const DEFAULT_STYPE: &str = "_exp._tcp";
+pub(crate) const DEFAULT_STYPE: &str = "_exp._tcp";
 
 /// Advances `proc` as far as possible without blocking. Returns `true` if
 /// any action was executed (progress was made).

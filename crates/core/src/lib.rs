@@ -20,7 +20,8 @@
 //!   `experiment_exit`) — [`master`],
 //! * process descriptions and flow control — [`interp`],
 //! * fault injection envelopes (duration/rate/randomseed) — [`faults`],
-//! * event recording and `wait_for_event` matching — [`event_log`],
+//! * event recording and `wait_for_event` matching — `event_log`
+//!   ([`EventLog`]),
 //! * actor-to-node resolution (abstract nodes → platform nodes → simulator
 //!   nodes) — [`binding`],
 //! * crash recovery by resuming aborted runs — the level-2 run journal
@@ -30,7 +31,7 @@
 
 pub mod binding;
 pub mod error;
-pub mod event_log;
+mod event_log;
 pub mod faults;
 pub mod interp;
 pub mod l2codec;
@@ -38,10 +39,8 @@ pub mod master;
 pub mod nodemanager;
 pub mod scenarios;
 
-pub use binding::{PlatformBinding, ResolvedActors};
+pub use binding::PlatformBinding;
 pub use error::EngineError;
-pub use event_log::{EventLog, RecordedEvent};
+pub use event_log::EventLog;
 pub use excovery_rpc::RetryPolicy;
-pub use master::{
-    EngineConfig, EngineConfigBuilder, ExperiMaster, ExperimentOutcome, RunOutcome, TransportKind,
-};
+pub use master::{EngineConfig, ExperiMaster, ExperimentOutcome, TransportKind};

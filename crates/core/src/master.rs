@@ -75,7 +75,7 @@ impl PluginCtx<'_> {
 }
 
 /// A plugin: a custom environment action.
-pub type PluginFn =
+pub(crate) type PluginFn =
     Box<dyn FnMut(&HashMap<String, LevelValue>, &mut PluginCtx) -> Result<(), String> + Send>;
 
 /// Control-channel backend the master uses to reach its NodeManagers.
@@ -111,6 +111,10 @@ impl std::fmt::Display for TransportKind {
     }
 }
 
+/// Master reaction quantum: the longest simulated step the run loop takes
+/// while waiting on events.
+const QUANTUM: SimDuration = SimDuration::from_millis(20);
+
 /// Engine configuration: the platform the description is instantiated on.
 ///
 /// Construct via [`EngineConfig::builder`] (or start from a preset and
@@ -137,8 +141,6 @@ pub struct EngineConfig {
     pub sd_config: Option<SdConfig>,
     /// Hard per-run wall limit in simulated time.
     pub run_timeout: SimDuration,
-    /// Master reaction quantum while waiting on events.
-    pub quantum: SimDuration,
     /// Level-2 storage root; `None` uses a unique temp directory.
     pub l2_root: Option<PathBuf>,
     /// Keep the level-2 hierarchy after packaging (default: remove).
@@ -165,82 +167,23 @@ pub struct EngineConfig {
     pub epoch: u64,
 }
 
-/// Builder for [`EngineConfig`]. Starts from the grid default; the
-/// platform presets ([`wired_lan`](Self::wired_lan),
-/// [`lossy_mesh`](Self::lossy_mesh)) can be applied at any point and
-/// individual knobs adjusted after.
+/// Builder for [`EngineConfig`]. Starts from the grid default; the other
+/// presets ([`EngineConfig::wired_lan`], [`EngineConfig::lossy_mesh`])
+/// are values to adjust field by field.
 pub struct EngineConfigBuilder {
     cfg: EngineConfig,
 }
 
 impl EngineConfigBuilder {
-    /// Applies the 3×3 wireless grid platform preset (the default starting
-    /// point). Only the simulator parameters change; everything else set
-    /// on the builder is preserved.
-    pub fn grid_default(mut self) -> Self {
-        self.cfg.sim = EngineConfig::grid_default().sim;
-        self
-    }
-
-    /// Applies the wired-LAN platform preset (see
-    /// [`EngineConfig::wired_lan`]).
-    pub fn wired_lan(mut self) -> Self {
-        self.cfg.sim = EngineConfig::wired_lan().sim;
-        self
-    }
-
-    /// Applies the degraded wireless-mesh preset (see
-    /// [`EngineConfig::lossy_mesh`]).
-    pub fn lossy_mesh(mut self) -> Self {
-        self.cfg.sim = EngineConfig::lossy_mesh().sim;
-        self
-    }
-
     /// Sets the testbed topology.
     pub fn topology(mut self, t: Topology) -> Self {
         self.cfg.topology = t;
         self
     }
 
-    /// Sets the simulator parameters.
-    pub fn sim(mut self, sim: SimulatorConfig) -> Self {
-        self.cfg.sim = sim;
-        self
-    }
-
-    /// Sets an explicit SD protocol configuration.
-    pub fn sd_config(mut self, sd: SdConfig) -> Self {
-        self.cfg.sd_config = Some(sd);
-        self
-    }
-
-    /// Sets the hard per-run limit in simulated time.
-    pub fn run_timeout(mut self, t: SimDuration) -> Self {
-        self.cfg.run_timeout = t;
-        self
-    }
-
-    /// Sets the master reaction quantum.
-    pub fn quantum(mut self, q: SimDuration) -> Self {
-        self.cfg.quantum = q;
-        self
-    }
-
     /// Sets the level-2 storage root.
     pub fn l2_root(mut self, root: impl Into<PathBuf>) -> Self {
         self.cfg.l2_root = Some(root.into());
-        self
-    }
-
-    /// Keeps the level-2 hierarchy after packaging.
-    pub fn keep_l2(mut self, keep: bool) -> Self {
-        self.cfg.keep_l2 = keep;
-        self
-    }
-
-    /// Resumes an aborted experiment from its level-2 journal.
-    pub fn resume(mut self, resume: bool) -> Self {
-        self.cfg.resume = resume;
         self
     }
 
@@ -253,30 +196,6 @@ impl EngineConfigBuilder {
     /// Selects the control-channel backend.
     pub fn transport(mut self, t: TransportKind) -> Self {
         self.cfg.transport = t;
-        self
-    }
-
-    /// Sets the socket options of the TCP backend.
-    pub fn tcp(mut self, opts: TcpOptions) -> Self {
-        self.cfg.tcp = opts;
-        self
-    }
-
-    /// Sets the control-channel retry policy.
-    pub fn retry(mut self, policy: RetryPolicy) -> Self {
-        self.cfg.retry = policy;
-        self
-    }
-
-    /// Injects a seeded fault schedule into every control channel.
-    pub fn chaos(mut self, opts: ChaosOptions) -> Self {
-        self.cfg.chaos = Some(opts);
-        self
-    }
-
-    /// Sets the master incarnation number for idempotency keys.
-    pub fn epoch(mut self, epoch: u64) -> Self {
-        self.cfg.epoch = epoch;
         self
     }
 
@@ -302,7 +221,6 @@ impl EngineConfig {
             sim: SimulatorConfig::default(),
             sd_config: None,
             run_timeout: SimDuration::from_secs(120),
-            quantum: SimDuration::from_millis(20),
             l2_root: None,
             keep_l2: false,
             resume: false,
@@ -1073,7 +991,7 @@ impl ExperiMaster {
                 }
                 break;
             }
-            let mut next = now + self.cfg.quantum;
+            let mut next = now + QUANTUM;
             for p in &procs {
                 match &p.state {
                     ProcState::WaitingTime { until } if *until > now => next = next.min(*until),

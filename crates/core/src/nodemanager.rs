@@ -23,7 +23,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Shared handle to the simulated platform.
-pub type SharedSim = Arc<Mutex<Simulator>>;
+pub(crate) type SharedSim = Arc<Mutex<Simulator>>;
 
 /// Builds the NodeManager (its procedure registry) for one platform node.
 pub struct NodeManager;

@@ -28,7 +28,7 @@ pub fn chain_between_actors(hops: usize) -> Topology {
 }
 
 /// The SM role process of Fig. 9.
-pub fn sm_process(actor_id: &str, nodes_factor: &str) -> ActorProcess {
+pub(crate) fn sm_process(actor_id: &str, nodes_factor: &str) -> ActorProcess {
     let mut p = ActorProcess::new(actor_id);
     p.name = Some("SM".into());
     p.nodes_factor = Some(nodes_factor.into());
@@ -44,7 +44,7 @@ pub fn sm_process(actor_id: &str, nodes_factor: &str) -> ActorProcess {
 
 /// The SU role process of Fig. 10, waiting for all instances of
 /// `sm_actor` within `deadline_s` seconds.
-pub fn su_process(
+pub(crate) fn su_process(
     actor_id: &str,
     nodes_factor: &str,
     sm_actor: &str,
@@ -77,7 +77,7 @@ pub fn su_process(
 }
 
 /// Minimal environment process: release `ready_to_init`, wait for `done`.
-pub fn env_sync_process() -> EnvProcess {
+pub(crate) fn env_sync_process() -> EnvProcess {
     EnvProcess {
         actions: vec![
             ProcessAction::EventFlag {

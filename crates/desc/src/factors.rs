@@ -34,7 +34,7 @@ impl FactorUsage {
     }
 
     /// Parses the XML attribute value.
-    pub fn parse(s: &str) -> Option<Self> {
+    pub(crate) fn parse(s: &str) -> Option<Self> {
         match s {
             "blocking" => Some(FactorUsage::Blocking),
             "random" => Some(FactorUsage::Random),
@@ -103,7 +103,7 @@ impl LevelValue {
     }
 
     /// The `type` attribute value matching this level.
-    pub fn type_name(&self) -> &'static str {
+    pub(crate) fn type_name(&self) -> &'static str {
         match self {
             LevelValue::Int(_) => "int",
             LevelValue::Float(_) => "float",
@@ -131,7 +131,7 @@ impl fmt::Display for LevelValue {
 }
 
 /// A concrete level of a factor.
-pub type Level = LevelValue;
+pub(crate) type Level = LevelValue;
 
 /// A treatment factor with its set of levels.
 #[derive(Debug, Clone, PartialEq)]
@@ -164,21 +164,6 @@ impl Factor {
         }
     }
 
-    /// Creates a factor with text levels.
-    pub fn text(
-        id: impl Into<String>,
-        usage: FactorUsage,
-        levels: impl IntoIterator<Item = String>,
-    ) -> Self {
-        Self {
-            id: id.into(),
-            usage,
-            level_type: "str".into(),
-            levels: levels.into_iter().map(LevelValue::Text).collect(),
-            description: None,
-        }
-    }
-
     /// Creates an actor-node-map blocking factor with a single level.
     pub fn actor_map(id: impl Into<String>, assignments: Vec<ActorAssignment>) -> Self {
         Self {
@@ -191,7 +176,7 @@ impl Factor {
     }
 
     /// Number of levels.
-    pub fn level_count(&self) -> usize {
+    pub(crate) fn level_count(&self) -> usize {
         self.levels.len()
     }
 }

@@ -28,7 +28,7 @@ pub mod validate;
 pub mod visualize;
 pub mod xmlio;
 
-pub use factors::{Factor, FactorList, FactorUsage, Level, LevelValue};
+pub use factors::{Factor, FactorList, FactorUsage, LevelValue};
 pub use model::{DescError, ExperimentDescription};
 pub use plan::{Design, PlanOptions, RunSpec, Treatment, TreatmentPlan};
 pub use platform::{NodeSpec, PlatformSpec};

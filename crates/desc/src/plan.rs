@@ -75,11 +75,6 @@ impl Treatment {
         self.level(factor_id).and_then(Level::as_int)
     }
 
-    /// Float shortcut.
-    pub fn float(&self, factor_id: &str) -> Option<f64> {
-        self.level(factor_id).and_then(Level::as_float)
-    }
-
     /// All assignments, ordered by factor id.
     pub fn assignments(&self) -> impl Iterator<Item = (&str, &Level)> {
         self.assignments.iter().map(|(k, v)| (k.as_str(), v))

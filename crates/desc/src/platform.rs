@@ -60,12 +60,6 @@ impl PlatformSpec {
         self
     }
 
-    /// Adds a special parameter (builder style).
-    pub fn with_param(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
-        self.special_params.push((key.into(), value.into()));
-        self
-    }
-
     /// The platform node realizing the given abstract node id.
     pub fn node_for_abstract(&self, abstract_id: &str) -> Option<&NodeSpec> {
         self.actor_nodes
@@ -98,7 +92,7 @@ impl PlatformSpec {
 
     /// A specification mirroring the paper's Fig. 8: two actor nodes
     /// mapping abstract nodes A and B plus four environment nodes.
-    pub fn paper_fig8() -> Self {
+    pub(crate) fn paper_fig8() -> Self {
         PlatformSpec::new()
             .with_actor_node("t9-157", "10.0.0.157", "A")
             .with_actor_node("t9-105", "10.0.0.105", "B")
@@ -137,15 +131,6 @@ mod tests {
         assert!(p.node("t9-035").is_some());
         assert!(p.node("t9-035").unwrap().abstract_id.is_none());
         assert!(p.node("nope").is_none());
-    }
-
-    #[test]
-    fn special_params() {
-        let p = PlatformSpec::new().with_param("wifi_channel", "6");
-        assert_eq!(
-            p.special_params,
-            vec![("wifi_channel".to_string(), "6".to_string())]
-        );
     }
 
     #[test]

@@ -55,7 +55,7 @@ impl ValueRef {
     }
 
     /// The referenced factor id, if this is a reference.
-    pub fn factor_id(&self) -> Option<&str> {
+    pub(crate) fn factor_id(&self) -> Option<&str> {
         match self {
             ValueRef::FactorRef(id) => Some(id),
             ValueRef::Lit(_) => None,

@@ -38,7 +38,7 @@ fn complex_type(name: &str, children: Vec<ElementBuilder>, attrs: Vec<ElementBui
 }
 
 /// Builds the XSD document for the experiment-description dialect.
-pub fn schema_document() -> Element {
+pub(crate) fn schema_document() -> Element {
     let mut root = ElementBuilder::new(format!("{XS}:schema"))
         .attr("xmlns:xs", "http://www.w3.org/2001/XMLSchema")
         .attr("elementFormDefault", "qualified");

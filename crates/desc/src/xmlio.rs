@@ -250,7 +250,7 @@ pub fn from_xml(text: &str) -> Result<ExperimentDescription, DescError> {
 }
 
 /// Parses a description from a parsed `<experiment>` element.
-pub fn from_element(root: &Element) -> Result<ExperimentDescription, DescError> {
+pub(crate) fn from_element(root: &Element) -> Result<ExperimentDescription, DescError> {
     if root.name != "experiment" {
         return Err(DescError(format!(
             "expected <experiment>, found <{}>",
@@ -299,7 +299,7 @@ pub fn from_element(root: &Element) -> Result<ExperimentDescription, DescError> 
 }
 
 /// Parses a `<factorlist>` element (Fig. 5).
-pub fn parse_factorlist(e: &Element) -> Result<FactorList, DescError> {
+pub(crate) fn parse_factorlist(e: &Element) -> Result<FactorList, DescError> {
     let mut fl = FactorList::new();
     for f in e.elements_named("factor") {
         let id = f
@@ -399,7 +399,7 @@ fn parse_env_process(e: &Element) -> Result<EnvProcess, DescError> {
 }
 
 /// Parses a sequence of actions from an actions container element.
-pub fn parse_actions(container: &Element) -> Result<Vec<ProcessAction>, DescError> {
+pub(crate) fn parse_actions(container: &Element) -> Result<Vec<ProcessAction>, DescError> {
     container.elements().map(parse_action).collect()
 }
 

@@ -47,51 +47,41 @@ pub struct CaptureRecord {
 
 /// Per-node capture buffer — the node's "temporary storage" (§IV-B5).
 #[derive(Debug, Clone, Default)]
-pub struct CaptureBuffer {
+pub(crate) struct CaptureBuffer {
     records: Vec<CaptureRecord>,
 }
 
 impl CaptureBuffer {
     /// Creates an empty buffer.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Appends a record.
     #[inline]
-    pub fn record(&mut self, rec: CaptureRecord) {
+    pub(crate) fn record(&mut self, rec: CaptureRecord) {
         self.records.push(rec);
     }
 
     /// All records in observation order.
-    pub fn records(&self) -> &[CaptureRecord] {
+    pub(crate) fn records(&self) -> &[CaptureRecord] {
         &self.records
     }
 
     /// Number of records.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.records.len()
     }
 
-    /// True if nothing was captured.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
     /// Drains all records (collection phase hands them to the master).
-    pub fn drain(&mut self) -> Vec<CaptureRecord> {
+    pub(crate) fn drain(&mut self) -> Vec<CaptureRecord> {
         std::mem::take(&mut self.records)
     }
 
     /// Drops everything (run preparation: "network packets generated in
     /// previous runs must be dropped on all participants", §IV-C1).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.records.clear();
-    }
-
-    /// Records observed on a given port.
-    pub fn on_port(&self, port: Port) -> impl Iterator<Item = &CaptureRecord> {
-        self.records.iter().filter(move |r| r.port == port)
     }
 }
 
@@ -116,22 +106,11 @@ mod tests {
     #[test]
     fn record_and_read_back() {
         let mut b = CaptureBuffer::new();
-        assert!(b.is_empty());
+        assert_eq!(b.len(), 0);
         b.record(rec(1, 5353, CaptureKind::Sent));
         b.record(rec(1, 427, CaptureKind::Received));
         assert_eq!(b.len(), 2);
         assert_eq!(b.records()[0].kind, CaptureKind::Sent);
-    }
-
-    #[test]
-    fn port_filter() {
-        let mut b = CaptureBuffer::new();
-        b.record(rec(1, 5353, CaptureKind::Sent));
-        b.record(rec(1, 427, CaptureKind::Sent));
-        b.record(rec(1, 5353, CaptureKind::Received));
-        assert_eq!(b.on_port(5353).count(), 2);
-        assert_eq!(b.on_port(427).count(), 1);
-        assert_eq!(b.on_port(80).count(), 0);
     }
 
     #[test]
@@ -140,7 +119,7 @@ mod tests {
         b.record(rec(2, 5353, CaptureKind::Forwarded));
         let drained = b.drain();
         assert_eq!(drained.len(), 1);
-        assert!(b.is_empty());
+        assert_eq!(b.len(), 0);
     }
 
     #[test]
@@ -148,6 +127,6 @@ mod tests {
         let mut b = CaptureBuffer::new();
         b.record(rec(2, 5353, CaptureKind::Sent));
         b.clear();
-        assert!(b.is_empty());
+        assert_eq!(b.len(), 0);
     }
 }

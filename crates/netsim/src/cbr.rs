@@ -13,10 +13,10 @@ use crate::sim::{Agent, AgentCtx, NodeId, Simulator};
 use crate::time::SimDuration;
 
 /// Well-known base port of CBR flows (one port per flow).
-pub const CBR_BASE_PORT: Port = 40_000;
+pub(crate) const CBR_BASE_PORT: Port = 40_000;
 
 /// A unidirectional CBR sender: `size_bytes` to `peer` every `interval`.
-pub struct CbrSender {
+pub(crate) struct CbrSender {
     peer: NodeId,
     port: Port,
     interval: SimDuration,
@@ -29,7 +29,7 @@ const TIMER_TICK: u64 = 1;
 
 impl CbrSender {
     /// Creates a sender for one flow.
-    pub fn new(peer: NodeId, port: Port, rate_kbps: f64, size_bytes: usize) -> Self {
+    pub(crate) fn new(peer: NodeId, port: Port, rate_kbps: f64, size_bytes: usize) -> Self {
         let bits_per_packet = (size_bytes.max(1) * 8) as f64;
         let packets_per_sec = (rate_kbps * 1_000.0 / bits_per_packet).max(0.1);
         Self {
@@ -77,7 +77,7 @@ impl Agent for CbrSender {
 
 /// A sink agent that accepts CBR packets (so deliveries count and the
 /// receiving node records `Received` captures rather than `Forwarded`).
-pub struct CbrSink;
+pub(crate) struct CbrSink;
 
 impl Agent for CbrSink {
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any {

@@ -20,14 +20,8 @@ pub struct NodeClock {
 }
 
 impl NodeClock {
-    /// A perfectly synchronized clock.
-    pub const PERFECT: NodeClock = NodeClock {
-        offset_ns: 0,
-        drift_ppm: 0.0,
-    };
-
     /// Creates a clock with the given offset and drift.
-    pub fn new(offset_ns: i64, drift_ppm: f64) -> Self {
+    pub(crate) fn new(offset_ns: i64, drift_ppm: f64) -> Self {
         Self {
             offset_ns,
             drift_ppm,
@@ -50,18 +44,8 @@ impl NodeClock {
         SimTime::from_nanos(local.max(0) as u64)
     }
 
-    /// Converts a local reading back to the reference clock.
-    ///
-    /// Inverts [`Self::local_time`] analytically; exact up to integer
-    /// rounding (±1 ns), which the tests assert.
-    pub fn reference_time(&self, local: SimTime) -> SimTime {
-        let l = local.as_nanos() as i128 - i128::from(self.offset_ns);
-        let reference = l as f64 / (1.0 + self.drift_ppm / 1e6);
-        SimTime::from_nanos(reference.round().max(0.0) as u64)
-    }
-
     /// The instantaneous offset (local − reference) at a given reference time.
-    pub fn instantaneous_offset_ns(&self, reference: SimTime) -> i64 {
+    pub(crate) fn instantaneous_offset_ns(&self, reference: SimTime) -> i64 {
         self.local_time(reference).signed_delta_nanos(reference)
     }
 }
@@ -86,20 +70,13 @@ impl SyncMeasurement {
     ///
     /// `error_ns` is sampled by the caller from a seeded stream so runs are
     /// reproducible; its absolute value bounds the reported uncertainty.
-    pub fn measure(clock: &NodeClock, now: SimTime, error_ns: i64) -> Self {
+    pub(crate) fn measure(clock: &NodeClock, now: SimTime, error_ns: i64) -> Self {
         let true_offset = clock.instantaneous_offset_ns(now);
         Self {
             measured_at: now,
             estimated_offset_ns: true_offset + error_ns,
             uncertainty_ns: error_ns.unsigned_abs().max(1),
         }
-    }
-
-    /// Maps a local timestamp onto the common (reference) time base using
-    /// this measurement, as done in the conditioning phase (§IV-F).
-    pub fn to_common_time(&self, local: SimTime) -> SimTime {
-        let common = local.as_nanos() as i128 - i128::from(self.estimated_offset_ns);
-        SimTime::from_nanos(common.max(0) as u64)
     }
 }
 
@@ -110,8 +87,7 @@ mod tests {
     #[test]
     fn perfect_clock_is_identity() {
         let t = SimTime::from_nanos(123_456_789);
-        assert_eq!(NodeClock::PERFECT.local_time(t), t);
-        assert_eq!(NodeClock::PERFECT.reference_time(t), t);
+        assert_eq!(NodeClock::new(0, 0.0).local_time(t), t);
     }
 
     #[test]
@@ -137,29 +113,6 @@ mod tests {
     }
 
     #[test]
-    fn reference_time_inverts_local_time() {
-        let clocks = [
-            NodeClock::new(3_271, 42.5),
-            NodeClock::new(-9_999, -17.0),
-            NodeClock::new(1_000_000, 250.0),
-        ];
-        for c in clocks {
-            for ns in [0u64, 1_000, 5_000_000_000, 3_600_000_000_000] {
-                let reference = SimTime::from_nanos(ns);
-                // Skip instants where the local clock clamps at the epoch;
-                // the clamp deliberately loses information.
-                if (ns as i128) + i128::from(c.offset_ns) < 0 {
-                    continue;
-                }
-                let local = c.local_time(reference);
-                let back = c.reference_time(local);
-                let err = back.signed_delta_nanos(reference).abs();
-                assert!(err <= 1, "clock {c:?} at {ns}: inversion error {err} ns");
-            }
-        }
-    }
-
-    #[test]
     fn sync_measurement_recovers_offset_within_error() {
         let c = NodeClock::new(250_000, 10.0);
         let now = SimTime::from_nanos(2_000_000_000);
@@ -170,18 +123,8 @@ mod tests {
     }
 
     #[test]
-    fn to_common_time_unifies_bases() {
-        let c = NodeClock::new(1_000_000, 0.0);
-        let now = SimTime::from_nanos(500_000_000);
-        let m = SyncMeasurement::measure(&c, now, 0);
-        let local_stamp = c.local_time(SimTime::from_nanos(600_000_000));
-        let common = m.to_common_time(local_stamp);
-        assert_eq!(common.as_nanos(), 600_000_000);
-    }
-
-    #[test]
     fn uncertainty_is_at_least_one_ns() {
-        let m = SyncMeasurement::measure(&NodeClock::PERFECT, SimTime::ZERO, 0);
+        let m = SyncMeasurement::measure(&NodeClock::new(0, 0.0), SimTime::ZERO, 0);
         assert_eq!(m.uncertainty_ns, 1);
     }
 }

@@ -4,15 +4,11 @@
 //! deterministic order, which keeps runs bit-exact across executions — the
 //! reproducibility property ExCovery requires of a platform (§IV-C1).
 //!
-//! Two keying disciplines are supported:
-//!
-//! * [`EventQueue::schedule`] assigns an internal insertion sequence, so
-//!   simultaneous events fire in insertion order (the classic serial FEL).
-//! * [`EventQueue::schedule_with_key`] lets the caller supply the key. The
-//!   sharded simulator uses `(origin_node << 48) | origin_seq` keys, which
-//!   define one *global* total order over events regardless of which
-//!   shard's queue an event sits in — the property that makes an N-shard
-//!   run bit-exact with the serial path (see `crate::shard`).
+//! [`EventQueue::schedule_with_key`] takes the key from the caller. The
+//! simulator uses `(origin_node << 48) | origin_seq` keys, which define
+//! one *global* total order over events regardless of which shard's queue
+//! an event sits in — the property that makes an N-shard run bit-exact
+//! with the serial path (see `crate::shard`).
 //!
 //! Payloads live in a slab and the binary heap holds only 24-byte
 //! `(time, key, slot)` keys, so every sift during push/pop moves a
@@ -35,7 +31,6 @@ pub struct EventQueue<T> {
     slots: Vec<Option<T>>,
     /// Recycled slot indices.
     free: Vec<u32>,
-    seq: u64,
 }
 
 impl<T> EventQueue<T> {
@@ -45,18 +40,16 @@ impl<T> EventQueue<T> {
             heap: BinaryHeap::new(),
             slots: Vec::new(),
             free: Vec::new(),
-            seq: 0,
         }
     }
 
     /// Creates an empty queue with room for `capacity` events, sized so the
     /// steady-state event population of a run never regrows the heap.
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         Self {
             heap: BinaryHeap::with_capacity(capacity),
             slots: Vec::with_capacity(capacity),
             free: Vec::new(),
-            seq: 0,
         }
     }
 
@@ -76,17 +69,6 @@ impl<T> EventQueue<T> {
                 slot
             }
         }
-    }
-
-    /// Schedules `payload` at absolute time `due` with an internal
-    /// insertion-order key.
-    #[inline]
-    pub fn schedule(&mut self, due: SimTime, payload: T) {
-        let seq = self.seq;
-        self.seq += 1;
-        let slot = self.store(payload);
-        self.heap.push(Reverse((due, seq, slot)));
-        self.debug_check_invariants();
     }
 
     /// Schedules `payload` at absolute time `due` under a caller-supplied
@@ -113,28 +95,23 @@ impl<T> EventQueue<T> {
     }
 
     /// Time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
+    pub(crate) fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|&Reverse((due, _, _))| due)
     }
 
     /// `(time, key)` of the earliest pending event — the merge cursor the
     /// sharded simulator compares across shard queues.
-    pub fn peek(&self) -> Option<(SimTime, u64)> {
+    pub(crate) fn peek(&self) -> Option<(SimTime, u64)> {
         self.heap.peek().map(|&Reverse((due, key, _))| (due, key))
     }
 
     /// Number of pending events.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.heap.len()
     }
 
-    /// True if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
     /// Discards all pending events (run clean-up).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.heap.clear();
         self.slots.clear();
         self.free.clear();
@@ -143,7 +120,7 @@ impl<T> EventQueue<T> {
     /// Releases excess capacity accumulated by event storms. Called from
     /// `Simulator::reset_for_run` so a single pathological run does not pin
     /// its peak allocation for the rest of a campaign.
-    pub fn shrink_to_fit(&mut self) {
+    pub(crate) fn shrink_to_fit(&mut self) {
         self.heap.shrink_to_fit();
         self.slots.shrink_to_fit();
         self.free.shrink_to_fit();
@@ -172,22 +149,11 @@ mod tests {
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
-        q.schedule(SimTime::from_nanos(30), "c");
-        q.schedule(SimTime::from_nanos(10), "a");
-        q.schedule(SimTime::from_nanos(20), "b");
+        q.schedule_with_key(SimTime::from_nanos(30), 1, "c");
+        q.schedule_with_key(SimTime::from_nanos(10), 2, "a");
+        q.schedule_with_key(SimTime::from_nanos(20), 3, "b");
         let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
         assert_eq!(order, vec!["a", "b", "c"]);
-    }
-
-    #[test]
-    fn simultaneous_events_fire_in_insertion_order() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_nanos(5);
-        for i in 0..100 {
-            q.schedule(t, i);
-        }
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
-        assert_eq!(order, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
@@ -210,14 +176,14 @@ mod tests {
         assert_eq!(q.peek_time(), Some(SimTime::from_nanos(42)));
         assert_eq!(q.peek(), Some((SimTime::from_nanos(42), 7)));
         q.pop();
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
     fn clear_discards_everything() {
         let mut q = EventQueue::new();
-        q.schedule(SimTime::from_nanos(1), 1);
-        q.schedule(SimTime::from_nanos(2), 2);
+        q.schedule_with_key(SimTime::from_nanos(1), 4, 1);
+        q.schedule_with_key(SimTime::from_nanos(2), 5, 2);
         q.clear();
         q.shrink_to_fit();
         assert_eq!(q.len(), 0);
@@ -227,10 +193,10 @@ mod tests {
     #[test]
     fn interleaved_schedule_and_pop() {
         let mut q = EventQueue::new();
-        q.schedule(SimTime::from_nanos(10), "late");
-        q.schedule(SimTime::from_nanos(1), "early");
+        q.schedule_with_key(SimTime::from_nanos(10), 6, "late");
+        q.schedule_with_key(SimTime::from_nanos(1), 7, "early");
         assert_eq!(q.pop().unwrap().1, "early");
-        q.schedule(SimTime::from_nanos(5), "mid");
+        q.schedule_with_key(SimTime::from_nanos(5), 8, "mid");
         assert_eq!(q.pop().unwrap().1, "mid");
         assert_eq!(q.pop().unwrap().1, "late");
     }
@@ -239,7 +205,7 @@ mod tests {
     fn slots_are_recycled() {
         let mut q = EventQueue::new();
         for round in 0..50u64 {
-            q.schedule(SimTime::from_nanos(round), round);
+            q.schedule_with_key(SimTime::from_nanos(round), round, round);
             assert_eq!(q.pop(), Some((SimTime::from_nanos(round), round)));
         }
         // Steady-state churn reuses the single slot instead of growing.

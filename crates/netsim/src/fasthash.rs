@@ -17,7 +17,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 pub type FastHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
 
 /// `HashSet` keyed with [`FastHasher`].
-pub type FastHashSet<T> = HashSet<T, BuildHasherDefault<FastHasher>>;
+pub(crate) type FastHashSet<T> = HashSet<T, BuildHasherDefault<FastHasher>>;
 
 /// Multiply-rotate hasher (the FxHash construction) over 64-bit words.
 #[derive(Debug, Default, Clone)]

@@ -24,7 +24,7 @@ pub enum Direction {
 impl Direction {
     /// True if a rule with this direction applies to traffic flowing in
     /// `actual` (which is never `Both`).
-    pub fn matches(self, actual: Direction) -> bool {
+    pub(crate) fn matches(self, actual: Direction) -> bool {
         self == Direction::Both || self == actual
     }
 }
@@ -89,7 +89,7 @@ impl FilterRule {
 
 /// Result of passing a packet through a rule set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Verdict {
+pub(crate) enum Verdict {
     /// Deliver, possibly after an additional delay.
     Pass {
         /// Extra delay accumulated from delay rules.
@@ -101,19 +101,19 @@ pub enum Verdict {
 
 /// An ordered set of filter rules installed on one node.
 #[derive(Debug, Clone, Default)]
-pub struct FilterSet {
+pub(crate) struct FilterSet {
     rules: Vec<(RuleId, FilterRule)>,
     next_id: u64,
 }
 
 impl FilterSet {
     /// Creates an empty set.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Installs a rule, returning its id for later removal.
-    pub fn install(&mut self, rule: FilterRule) -> RuleId {
+    pub(crate) fn install(&mut self, rule: FilterRule) -> RuleId {
         let id = RuleId(self.next_id);
         self.next_id += 1;
         self.rules.push((id, rule));
@@ -121,24 +121,19 @@ impl FilterSet {
     }
 
     /// Removes a rule; returns true if it was present.
-    pub fn remove(&mut self, id: RuleId) -> bool {
+    pub(crate) fn remove(&mut self, id: RuleId) -> bool {
         let before = self.rules.len();
         self.rules.retain(|(rid, _)| *rid != id);
         self.rules.len() != before
     }
 
     /// Removes all rules (end-of-run clean-up).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.rules.clear();
     }
 
-    /// Number of installed rules.
-    pub fn len(&self) -> usize {
-        self.rules.len()
-    }
-
     /// True if no rules are installed.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.rules.is_empty()
     }
 
@@ -146,7 +141,7 @@ impl FilterSet {
     /// between the filtered node and `peer` (the other endpoint; for
     /// multicast, the relevant neighbour). Probabilistic rules draw from
     /// `rng` — callers pass a seeded stream so verdicts are reproducible.
-    pub fn evaluate(
+    pub(crate) fn evaluate(
         &self,
         direction: Direction,
         peer: Option<NodeId>,
@@ -328,7 +323,7 @@ mod tests {
         let a = f.install(FilterRule::InterfaceDown {
             direction: Direction::Both,
         });
-        assert_eq!(f.len(), 1);
+        assert!(!f.is_empty());
         assert!(f.remove(a));
         assert!(!f.remove(a), "second removal must report absence");
         f.install(FilterRule::InterfaceDown {

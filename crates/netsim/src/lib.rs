@@ -13,7 +13,7 @@
 //!   through [`filter`] rules (the paper's fault-injection mechanisms).
 //! * **Measurement** — every node records packet [`capture`]s with local
 //!   (drifting) timestamps, a 16-bit incrementing packet [`tagger`] mirrors
-//!   the prototype's IP-option tagger, per-node [`clock`]s expose a
+//!   the prototype's IP-option tagger, per-node clocks expose a
 //!   quantifiable synchronization error, and hop counts are measured from
 //!   the [`topology`].
 //!
@@ -26,14 +26,14 @@
 
 pub mod capture;
 pub mod cbr;
-pub mod clock;
+mod clock;
 pub mod event;
 pub mod fasthash;
 pub mod filter;
 pub mod link;
 pub(crate) mod mailbox;
 pub mod packet;
-pub mod params;
+mod params;
 pub mod rng;
 pub(crate) mod shard;
 pub mod sim;
@@ -43,10 +43,9 @@ pub mod topology;
 pub mod traffic;
 
 pub use capture::CaptureRecord;
-pub use clock::NodeClock;
 pub use filter::{Direction, FilterRule};
 pub use packet::{Destination, Packet, PacketId, Payload, Port};
-pub use params::{EventName, EventParams, EventStr};
+pub use params::{EventName, EventParams};
 pub use sim::{Agent, AgentCtx, NodeId, Simulator, SimulatorConfig};
 pub use time::{SimDuration, SimTime};
 pub use topology::{RoutingTable, Topology};

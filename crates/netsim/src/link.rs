@@ -53,7 +53,7 @@ impl Default for LinkModel {
 impl LinkModel {
     /// Effective loss probability of a link at `offered_kbps` background load.
     #[inline]
-    pub fn loss_probability(&self, offered_kbps: f64) -> f64 {
+    pub(crate) fn loss_probability(&self, offered_kbps: f64) -> f64 {
         let u = self.utilization(offered_kbps);
         // Idle link: exp(0) = 1 exactly, so skip the transcendental.
         if u == 0.0 {
@@ -65,7 +65,7 @@ impl LinkModel {
     /// Effective one-hop delay at `offered_kbps` background load, before
     /// jitter. Grows hyperbolically with utilization (queueing).
     #[inline]
-    pub fn hop_delay(&self, offered_kbps: f64) -> SimDuration {
+    pub(crate) fn hop_delay(&self, offered_kbps: f64) -> SimDuration {
         let u = self.utilization(offered_kbps);
         // Idle link: the queueing factor is exactly 1.
         if u == 0.0 {
@@ -75,7 +75,7 @@ impl LinkModel {
     }
 
     /// Applies symmetric jitter to a delay: `jitter_draw` ∈ [0,1).
-    pub fn jittered(&self, delay: SimDuration, jitter_draw: f64) -> SimDuration {
+    pub(crate) fn jittered(&self, delay: SimDuration, jitter_draw: f64) -> SimDuration {
         let k = 1.0 + self.jitter_frac * (2.0 * jitter_draw - 1.0);
         delay.mul_f64(k.max(0.0))
     }
@@ -87,12 +87,12 @@ impl LinkModel {
     /// at time `t` cannot schedule a cross-shard arrival earlier than
     /// `t + min_transit_delay()` (see `crate::shard`). A zero value (a
     /// degenerate model) disables windowed parallelism.
-    pub fn min_transit_delay(&self) -> SimDuration {
+    pub(crate) fn min_transit_delay(&self) -> SimDuration {
         self.base_delay.mul_f64((1.0 - self.jitter_frac).max(0.0))
     }
 
     /// Serialization time of `size_bytes` on this link.
-    pub fn serialization_delay(&self, size_bytes: u32) -> SimDuration {
+    pub(crate) fn serialization_delay(&self, size_bytes: u32) -> SimDuration {
         let bits = f64::from(size_bytes) * 8.0;
         SimDuration::from_secs_f64(bits / (self.capacity_kbps * 1_000.0))
     }
@@ -104,14 +104,14 @@ impl LinkModel {
 
 /// Tracks the background load (kbit/s) offered to each undirected link.
 #[derive(Debug, Clone, Default)]
-pub struct LinkLoad {
+pub(crate) struct LinkLoad {
     // Keyed by (min, max) node index.
     load: crate::fasthash::FastHashMap<(u16, u16), f64>,
 }
 
 impl LinkLoad {
     /// Creates an empty load map.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -121,7 +121,7 @@ impl LinkLoad {
     }
 
     /// Removes `kbps` of offered load from the link `a—b`, clamping at 0.
-    pub fn remove(&mut self, a: u16, b: u16, kbps: f64) {
+    pub(crate) fn remove(&mut self, a: u16, b: u16, kbps: f64) {
         if let Some(v) = self.load.get_mut(&key(a, b)) {
             *v = (*v - kbps).max(0.0);
             if *v == 0.0 {
@@ -132,7 +132,7 @@ impl LinkLoad {
 
     /// Current offered load on the link `a—b` in kbit/s.
     #[inline]
-    pub fn get(&self, a: u16, b: u16) -> f64 {
+    pub(crate) fn get(&self, a: u16, b: u16) -> f64 {
         // Idle network fast path: no lookup per link crossing.
         if self.load.is_empty() {
             return 0.0;
@@ -141,18 +141,13 @@ impl LinkLoad {
     }
 
     /// Clears all load (end-of-run reset).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.load.clear();
-    }
-
-    /// Total offered load across all links (diagnostics).
-    pub fn total(&self) -> f64 {
-        self.load.values().sum()
     }
 
     /// Offered load of every loaded link, as `((a, b), kbps)` with
     /// `a <= b` (diagnostics/observability; iteration order unspecified).
-    pub fn entries(&self) -> impl Iterator<Item = ((u16, u16), f64)> + '_ {
+    pub(crate) fn entries(&self) -> impl Iterator<Item = ((u16, u16), f64)> + '_ {
         self.load.iter().map(|(k, v)| (*k, *v))
     }
 }
@@ -233,7 +228,6 @@ mod tests {
         assert_eq!(l.get(1, 3), 150.0);
         l.remove(3, 1, 200.0);
         assert_eq!(l.get(1, 3), 0.0);
-        assert_eq!(l.total(), 0.0);
     }
 
     #[test]
@@ -241,7 +235,7 @@ mod tests {
         let mut l = LinkLoad::new();
         l.add(0, 1, 10.0);
         l.add(1, 2, 20.0);
-        assert_eq!(l.total(), 30.0);
+        assert_eq!(l.get(1, 2), 20.0);
         l.clear();
         assert_eq!(l.get(0, 1), 0.0);
     }

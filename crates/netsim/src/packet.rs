@@ -51,23 +51,13 @@ impl Payload {
     }
 
     /// Payload length in bytes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.0.len()
-    }
-
-    /// True if the payload is empty.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
     }
 
     /// The payload bytes.
     pub fn as_bytes(&self) -> &[u8] {
         &self.0
-    }
-
-    /// Copies the bytes into an owned `Vec` (for storage serialization).
-    pub fn to_vec(&self) -> Vec<u8> {
-        self.0.to_vec()
     }
 }
 
@@ -137,11 +127,11 @@ pub struct Packet {
 }
 
 /// Fixed per-packet header overhead (IP + UDP + tag option), in bytes.
-pub const HEADER_OVERHEAD_BYTES: u32 = 32;
+pub(crate) const HEADER_OVERHEAD_BYTES: u32 = 32;
 
 impl Packet {
     /// On-air size derived from a payload.
-    pub fn wire_size(payload: &Payload) -> u32 {
+    pub(crate) fn wire_size(payload: &Payload) -> u32 {
         payload.len() as u32 + HEADER_OVERHEAD_BYTES
     }
 }

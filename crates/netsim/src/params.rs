@@ -29,7 +29,7 @@ impl EventStr {
     }
 
     /// Converts into an owned `String` (clones only if borrowed).
-    pub fn into_string(self) -> String {
+    pub(crate) fn into_string(self) -> String {
         self.0.into_owned()
     }
 }
@@ -109,14 +109,14 @@ impl PartialEq<EventStr> for &str {
 }
 
 /// One key/value parameter.
-pub type Param = (EventStr, EventStr);
+pub(crate) type Param = (EventStr, EventStr);
 
 /// Pairs stored inline before spilling to the heap.
-pub const INLINE_PARAMS: usize = 3;
+pub(crate) const INLINE_PARAMS: usize = 3;
 
 /// A short list of key/value parameters attached to a protocol event.
 ///
-/// Up to [`INLINE_PARAMS`] pairs live inline in the struct; longer lists
+/// Up to three pairs (`INLINE_PARAMS`) live inline in the struct; longer lists
 /// (rare) spill the remainder into a `Vec`. Iteration order is insertion
 /// order in both regimes.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -131,18 +131,8 @@ impl EventParams {
         Self::default()
     }
 
-    /// Number of parameters.
-    pub fn len(&self) -> usize {
-        self.inline.iter().filter(|p| p.is_some()).count() + self.spill.len()
-    }
-
-    /// True if there are no parameters.
-    pub fn is_empty(&self) -> bool {
-        self.inline[0].is_none() && self.spill.is_empty()
-    }
-
     /// Appends a pair, spilling to the heap past [`INLINE_PARAMS`].
-    pub fn push(&mut self, key: impl Into<EventStr>, value: impl Into<EventStr>) {
+    pub(crate) fn push(&mut self, key: impl Into<EventStr>, value: impl Into<EventStr>) {
         let pair = (key.into(), value.into());
         if self.spill.is_empty() {
             for slot in &mut self.inline {
@@ -161,13 +151,6 @@ impl EventParams {
             .iter()
             .filter_map(|p| p.as_ref())
             .chain(self.spill.iter())
-    }
-
-    /// Looks up a value by key (first match).
-    pub fn get(&self, key: &str) -> Option<&str> {
-        self.iter()
-            .find(|(k, _)| k.as_str() == key)
-            .map(|(_, v)| v.as_str())
     }
 
     /// Converts into owned `(String, String)` pairs (the storage format of
@@ -235,10 +218,8 @@ mod tests {
     #[test]
     fn params_stay_inline_up_to_capacity() {
         let p = EventParams::from([("a", "1"), ("b", "2"), ("c", "3")]);
-        assert_eq!(p.len(), 3);
+        assert_eq!(p.iter().count(), 3);
         assert!(p.spill.is_empty());
-        assert_eq!(p.get("b"), Some("2"));
-        assert_eq!(p.get("z"), None);
     }
 
     #[test]
@@ -247,7 +228,6 @@ mod tests {
         for i in 0..6 {
             p.push(format!("k{i}"), format!("v{i}"));
         }
-        assert_eq!(p.len(), 6);
         assert_eq!(p.spill.len(), 3);
         let keys: Vec<&str> = p.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(keys, ["k0", "k1", "k2", "k3", "k4", "k5"]);
@@ -262,8 +242,6 @@ mod tests {
     #[test]
     fn empty_params() {
         let p = EventParams::new();
-        assert!(p.is_empty());
-        assert_eq!(p.len(), 0);
         assert_eq!(p.iter().count(), 0);
         assert!(p.into_string_pairs().is_empty());
     }

@@ -106,9 +106,6 @@ enum Action {
         delay: SimDuration,
         token: u64,
     },
-    CancelTimer {
-        token: u64,
-    },
 }
 
 /// The interface through which agents act on the simulated world.
@@ -125,11 +122,6 @@ impl<'a> AgentCtx<'a> {
     /// Current reference-clock time.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Current *local* clock reading of this agent's node.
-    pub fn local_now(&self) -> SimTime {
-        self.local_now
     }
 
     /// The node this agent runs on.
@@ -149,11 +141,6 @@ impl<'a> AgentCtx<'a> {
     /// Arms a timer that calls [`Agent::on_timer`] with `token` after `delay`.
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
         self.actions.push(Action::SetTimer { delay, token });
-    }
-
-    /// Cancels all pending timers of this agent carrying `token`.
-    pub fn cancel_timer(&mut self, token: u64) {
-        self.actions.push(Action::CancelTimer { token });
     }
 
     /// Emits a protocol event recorded by the experimentation layer.
@@ -528,9 +515,6 @@ impl Shard {
                             tid,
                         },
                     );
-                }
-                Action::CancelTimer { token } => {
-                    self.active_timers.remove(&(node.0, port, token));
                 }
             }
         }
@@ -1081,7 +1065,7 @@ impl Simulator {
 
     /// The routing table (BFS parent trees built lazily per source,
     /// adjacency shared as `Arc<[NodeId]>`; the topology is static).
-    pub fn routing(&self) -> &RoutingTable {
+    pub(crate) fn routing(&self) -> &RoutingTable {
         &self.routing
     }
 
@@ -1100,7 +1084,7 @@ impl Simulator {
     }
 
     /// Number of spatial shards this simulator executes with.
-    pub fn shard_count(&self) -> usize {
+    pub(crate) fn shard_count(&self) -> usize {
         self.shards.len()
     }
 
@@ -1118,11 +1102,6 @@ impl Simulator {
     /// The local clock of a node.
     pub fn clock(&self, node: NodeId) -> NodeClock {
         self.node(node).clock
-    }
-
-    /// Local clock reading of `node` at the current reference time.
-    pub fn local_time(&self, node: NodeId) -> SimTime {
-        self.clock(node).local_time(self.time)
     }
 
     // ---- agents ----------------------------------------------------------
@@ -1249,20 +1228,15 @@ impl Simulator {
         ));
     }
 
-    /// Hop count between two nodes (the paper's topology measurement).
-    pub fn hop_count(&self, a: NodeId, b: NodeId) -> Option<u32> {
-        self.routing.hop_count(a, b)
-    }
-
     // ---- background load (traffic generator hook) --------------------------
 
     /// Adds background load to the link `a—b` (kbit/s).
-    pub fn add_link_load(&mut self, a: NodeId, b: NodeId, kbps: f64) {
+    pub(crate) fn add_link_load(&mut self, a: NodeId, b: NodeId, kbps: f64) {
         self.link_load.add(a.0, b.0, kbps);
     }
 
     /// Removes background load from the link `a—b` (kbit/s).
-    pub fn remove_link_load(&mut self, a: NodeId, b: NodeId, kbps: f64) {
+    pub(crate) fn remove_link_load(&mut self, a: NodeId, b: NodeId, kbps: f64) {
         self.link_load.remove(a.0, b.0, kbps);
     }
 
@@ -1375,34 +1349,6 @@ impl Simulator {
             shard.process_window(ctx, mail, end, inclusive)
         };
         run_windows(shards, lookahead, deadline, budget, obs, drain, process)
-    }
-
-    /// Executes the single globally earliest queued event. Returns `false`
-    /// if no event is pending.
-    pub fn step(&mut self) -> bool {
-        let Self {
-            shards,
-            mail,
-            cfg,
-            routing,
-            map,
-            link_load,
-            time,
-            ..
-        } = self;
-        let ctx = SimCtx {
-            cfg,
-            routing,
-            map,
-            link_load,
-        };
-        Self::drain_mail(shards, mail);
-        let Some(s) = Self::earliest(shards) else {
-            return false;
-        };
-        shards[s].process_one(&ctx, mail);
-        *time = (*time).max(shards[s].time);
-        true
     }
 
     /// Runs until the queue is empty or `deadline` is reached; the clock
@@ -1671,7 +1617,7 @@ impl Simulator {
 
     /// Spacing between per-run time epochs: each run starts at
     /// `run_id × 1 h` of simulated time, far beyond any sane run length.
-    pub const RUN_EPOCH: SimDuration = SimDuration::from_nanos(3_600_000_000_000);
+    pub(crate) const RUN_EPOCH: SimDuration = SimDuration::from_nanos(3_600_000_000_000);
 
     /// Resets the platform to a defined initial working condition for the
     /// next experiment run (paper §IV-C1): pending events, timers, agents,
@@ -1679,7 +1625,7 @@ impl Simulator {
     ///
     /// The reset is *run-scoped*: every randomness stream is reseeded from
     /// `(seed, run_id)` and the reference clock jumps to the run's
-    /// canonical epoch (`run_id ×` [`Self::RUN_EPOCH`]). Per-run platform
+    /// canonical epoch (`run_id ×` one hour, `RUN_EPOCH`). Per-run platform
     /// state is therefore a pure function of the configuration and the run
     /// id — never of which runs executed before. This is what makes a
     /// crash-resumed experiment bit-identical to an uninterrupted one: a
@@ -1874,7 +1820,7 @@ mod tests {
     }
 
     #[test]
-    fn timer_fires_and_cancellation_suppresses() {
+    fn timers_fire_in_due_order() {
         struct T {
             fired: Arc<Mutex<Vec<u64>>>,
         }
@@ -1882,7 +1828,6 @@ mod tests {
             fn on_start(&mut self, ctx: &mut AgentCtx) {
                 ctx.set_timer(SimDuration::from_millis(5), 1);
                 ctx.set_timer(SimDuration::from_millis(10), 2);
-                ctx.cancel_timer(1);
             }
             fn on_timer(&mut self, _ctx: &mut AgentCtx, token: u64) {
                 self.fired.lock().unwrap().push(token);
@@ -1901,7 +1846,7 @@ mod tests {
             }),
         );
         s.run_until_idle(100);
-        assert_eq!(*fired.lock().unwrap(), vec![2]);
+        assert_eq!(*fired.lock().unwrap(), vec![1, 2]);
     }
 
     #[test]

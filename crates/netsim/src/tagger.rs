@@ -16,7 +16,7 @@ pub struct Tagger {
 
 impl Tagger {
     /// Creates a tagger starting at 0.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -32,11 +32,6 @@ impl Tagger {
         self.next = self.next.wrapping_add(1);
         v
     }
-
-    /// The identifier the next call to [`Self::stamp`] will return.
-    pub fn peek(&self) -> u16 {
-        self.next
-    }
 }
 
 /// Reconstructs how many tags were skipped between two *consecutive
@@ -45,7 +40,7 @@ impl Tagger {
 /// Returns `None` if `current` appears to be a reordered (older) tag —
 /// distinguishable from a long gap only up to half the counter space, the
 /// standard serial-number-arithmetic convention (RFC 1982).
-pub fn gap_between(previous: u16, current: u16) -> Option<u16> {
+pub(crate) fn gap_between(previous: u16, current: u16) -> Option<u16> {
     let forward = current.wrapping_sub(previous);
     if forward == 0 {
         return Some(0); // duplicate observation
@@ -119,7 +114,7 @@ mod tests {
         assert_eq!(t.stamp(), u16::MAX - 1);
         assert_eq!(t.stamp(), u16::MAX);
         assert_eq!(t.stamp(), 0);
-        assert_eq!(t.peek(), 1);
+        assert_eq!(t.stamp(), 1);
     }
 
     #[test]

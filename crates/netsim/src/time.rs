@@ -31,7 +31,7 @@ impl SimTime {
     }
 
     /// Seconds since the epoch, as a float (for reporting only).
-    pub fn as_secs_f64(self) -> f64 {
+    pub(crate) fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
 
@@ -41,7 +41,7 @@ impl SimTime {
     }
 
     /// Signed difference in nanoseconds (`self - other`).
-    pub fn signed_delta_nanos(self, other: SimTime) -> i64 {
+    pub(crate) fn signed_delta_nanos(self, other: SimTime) -> i64 {
         self.0 as i64 - other.0 as i64
     }
 }
@@ -89,7 +89,7 @@ impl SimDuration {
     }
 
     /// Seconds as a float.
-    pub fn as_secs_f64(self) -> f64 {
+    pub(crate) fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
 
@@ -107,7 +107,7 @@ impl SimDuration {
     }
 
     /// Saturating multiplication by an integer factor.
-    pub const fn saturating_mul(self, k: u64) -> Self {
+    pub(crate) const fn saturating_mul(self, k: u64) -> Self {
         Self(self.0.saturating_mul(k))
     }
 }

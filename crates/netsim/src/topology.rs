@@ -17,7 +17,6 @@ use std::sync::{Arc, OnceLock};
 #[derive(Debug, Clone)]
 pub struct Topology {
     positions: Vec<(f64, f64)>,
-    range: f64,
     adjacency: Vec<Vec<NodeId>>,
 }
 
@@ -73,7 +72,6 @@ impl Topology {
         }
         Self {
             positions,
-            range,
             adjacency,
         }
     }
@@ -122,24 +120,14 @@ impl Topology {
         (0..self.len() as u16).map(NodeId)
     }
 
-    /// Radio range used to build adjacency.
-    pub fn range(&self) -> f64 {
-        self.range
-    }
-
     /// Position of a node.
-    pub fn position(&self, node: NodeId) -> (f64, f64) {
+    pub(crate) fn position(&self, node: NodeId) -> (f64, f64) {
         self.positions[node.0 as usize]
     }
 
     /// Direct radio neighbours of a node.
     pub fn neighbors(&self, node: NodeId) -> &[NodeId] {
         &self.adjacency[node.0 as usize]
-    }
-
-    /// Euclidean distance between two nodes.
-    pub fn distance(&self, a: NodeId, b: NodeId) -> f64 {
-        dist(self.position(a), self.position(b))
     }
 
     /// BFS hop distances from `src` to every node; `None` = unreachable.

@@ -45,21 +45,6 @@ pub struct TrafficSpec {
     pub switch_seed: u64,
 }
 
-impl TrafficSpec {
-    /// Spec drawing `pairs` pairs from all nodes at `rate_kbps`, switching
-    /// one pair per run — the configuration of the paper's Fig. 7.
-    pub fn paper_default(pairs: usize, rate_kbps: f64, seed: u64) -> Self {
-        Self {
-            pairs,
-            rate_kbps,
-            choice: PairChoice::AllNodes,
-            switch_amount: 1,
-            seed,
-            switch_seed: seed,
-        }
-    }
-}
-
 /// An active traffic generator bound to a simulator.
 #[derive(Debug)]
 pub struct TrafficGenerator {
@@ -125,11 +110,6 @@ impl TrafficGenerator {
         &self.pairs
     }
 
-    /// True while load is applied.
-    pub fn is_active(&self) -> bool {
-        self.active
-    }
-
     /// Applies the load of all pairs onto the simulator's links
     /// (`env_traffic_start`).
     pub fn start(&mut self, sim: &mut Simulator) {
@@ -191,7 +171,14 @@ mod tests {
     }
 
     fn spec(pairs: usize) -> TrafficSpec {
-        TrafficSpec::paper_default(pairs, 100.0, 99)
+        TrafficSpec {
+            pairs,
+            rate_kbps: 100.0,
+            choice: PairChoice::AllNodes,
+            switch_amount: 1,
+            seed: 99,
+            switch_seed: 99,
+        }
     }
 
     #[test]
@@ -200,7 +187,6 @@ mod tests {
         let mut g = TrafficGenerator::new(spec(5), &s, vec![]);
         assert_eq!(g.pairs().len(), 5);
         g.start(&mut s);
-        assert!(g.is_active());
         let total: f64 = {
             // Sum over all edges.
             s.topology()

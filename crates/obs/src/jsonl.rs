@@ -110,7 +110,7 @@ pub fn render(snapshot: &Snapshot, spans: &[SpanRecord]) -> String {
 /// module emits, exposed so tooling and tests can inspect snapshots
 /// without a JSON dependency.
 #[derive(Debug, Clone, PartialEq)]
-pub enum JsonVal {
+pub(crate) enum JsonVal {
     /// `null`
     Null,
     /// `true` / `false`
@@ -130,7 +130,7 @@ pub enum JsonVal {
 
 impl JsonVal {
     /// Object field lookup.
-    pub fn get(&self, key: &str) -> Option<&JsonVal> {
+    pub(crate) fn get(&self, key: &str) -> Option<&JsonVal> {
         match self {
             JsonVal::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
@@ -138,7 +138,7 @@ impl JsonVal {
     }
 
     /// The value as `u64`, if it is a non-negative integer.
-    pub fn as_u64(&self) -> Option<u64> {
+    pub(crate) fn as_u64(&self) -> Option<u64> {
         match self {
             JsonVal::Int(i) => u64::try_from(*i).ok(),
             _ => None,
@@ -146,7 +146,7 @@ impl JsonVal {
     }
 
     /// The value as `i64`, if it is an integer in range.
-    pub fn as_i64(&self) -> Option<i64> {
+    pub(crate) fn as_i64(&self) -> Option<i64> {
         match self {
             JsonVal::Int(i) => i64::try_from(*i).ok(),
             _ => None,
@@ -154,7 +154,7 @@ impl JsonVal {
     }
 
     /// The value as `&str`, if it is a string.
-    pub fn as_str(&self) -> Option<&str> {
+    pub(crate) fn as_str(&self) -> Option<&str> {
         match self {
             JsonVal::Str(s) => Some(s),
             _ => None,
@@ -337,7 +337,7 @@ impl<'a> Parser<'a> {
 }
 
 /// Parses one JSON document (used per JSONL line).
-pub fn parse_value(s: &str) -> Result<JsonVal, String> {
+pub(crate) fn parse_value(s: &str) -> Result<JsonVal, String> {
     let mut p = Parser::new(s);
     let v = p.value()?;
     p.skip_ws();
@@ -473,7 +473,7 @@ mod tests {
         tracer.record_event("engine:packaged", 900);
 
         let snapshot = reg.snapshot();
-        let spans = tracer.snapshot();
+        let spans = tracer.drain();
         let text = render(&snapshot, &spans);
         let (back_snapshot, back_spans) = parse(&text).unwrap();
         assert_eq!(back_snapshot, snapshot);

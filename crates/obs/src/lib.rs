@@ -51,7 +51,7 @@ pub mod span;
 pub mod sync;
 
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricValue, Registry, Snapshot};
-pub use span::{Clock, ManualClock, SpanRecord, SpanTimer, Tracer, WallClock};
+pub use span::{Clock, SpanRecord, SpanTimer, Tracer, WallClock};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
@@ -104,7 +104,7 @@ pub struct ObsConfig {
 
 impl ObsConfig {
     /// Default span ring capacity of [`global_tracer`].
-    pub const DEFAULT_SPAN_CAPACITY: usize = 4096;
+    pub(crate) const DEFAULT_SPAN_CAPACITY: usize = 4096;
 
     /// Configuration with recording switched on.
     pub fn on() -> Self {

@@ -25,7 +25,7 @@ use std::sync::{Arc, Mutex};
 
 /// Writer shards per counter. Eight covers the worker counts the
 /// campaign layer actually spawns without making `value()` reads slow.
-pub const COUNTER_SHARDS: usize = 8;
+pub(crate) const COUNTER_SHARDS: usize = 8;
 
 /// Buckets per histogram: bucket `i` counts values in `[2^i, 2^(i+1))`
 /// (bucket 0 also absorbs zero). 44 buckets span one nanosecond to
@@ -35,7 +35,7 @@ pub const HISTOGRAM_BUCKETS: usize = 44;
 /// Hard cap on distinct series per registry; past it, records land in a
 /// per-kind overflow series so memory stays fixed even under a
 /// cardinality bug.
-pub const MAX_SERIES: usize = 1024;
+pub(crate) const MAX_SERIES: usize = 1024;
 
 /// An atomic on its own cache line, so sharded writers never false-share.
 #[repr(align(64))]
@@ -201,7 +201,7 @@ impl Histogram {
     }
 
     /// A consistent-enough copy of the distribution for export.
-    pub fn snapshot_value(&self) -> HistogramSnapshot {
+    pub(crate) fn snapshot_value(&self) -> HistogramSnapshot {
         let buckets = self
             .core
             .buckets
@@ -232,28 +232,8 @@ pub struct HistogramSnapshot {
     pub buckets: Vec<(usize, u64)>,
 }
 
-impl HistogramSnapshot {
-    /// Approximate `q`-quantile (0.0–1.0) from the bucket boundaries:
-    /// returns the exclusive upper bound of the bucket holding the
-    /// quantile rank (`u64::MAX` for the unbounded last bucket).
-    pub fn quantile(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for &(i, n) in &self.buckets {
-            seen += n;
-            if seen >= rank {
-                return Some(bucket_upper_bound(i).unwrap_or(u64::MAX));
-            }
-        }
-        Some(u64::MAX)
-    }
-}
-
 /// Series identity: metric name plus its sorted label pairs.
-pub type SeriesKey = (String, Vec<(String, String)>);
+pub(crate) type SeriesKey = (String, Vec<(String, String)>);
 
 /// One exported series of a [`Snapshot`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -298,7 +278,7 @@ pub struct Registry {
 }
 
 /// Series name every over-cap registration is folded into.
-pub const OVERFLOW_SERIES: &str = "obs_series_overflow";
+pub(crate) const OVERFLOW_SERIES: &str = "obs_series_overflow";
 
 fn series_key(name: &str, labels: &[(&str, &str)]) -> SeriesKey {
     debug_assert!(
@@ -324,7 +304,7 @@ impl Registry {
     }
 
     /// Returns the counter for `(name, labels)`, creating it on first
-    /// use. Past [`MAX_SERIES`] the shared overflow counter is returned
+    /// use. Past 1024 series (`MAX_SERIES`) the shared overflow counter is returned
     /// instead, so a cardinality bug cannot grow memory unboundedly.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
         let key = series_key(name, labels);
@@ -414,27 +394,6 @@ impl Registry {
                     value: h.snapshot_value(),
                 })
                 .collect(),
-        }
-    }
-
-    /// Zeroes every registered series (handles stay valid). Used by
-    /// benches to separate workloads and by tests for isolation.
-    pub fn reset_values(&self) {
-        let inner = self.inner.lock().expect("obs registry poisoned");
-        for c in inner.counters.values() {
-            for shard in &c.core.shards {
-                shard.0.store(0, Ordering::Relaxed);
-            }
-        }
-        for g in inner.gauges.values() {
-            g.core.store(0, Ordering::Relaxed);
-        }
-        for h in inner.histograms.values() {
-            for b in &h.core.buckets {
-                b.store(0, Ordering::Relaxed);
-            }
-            h.core.count.store(0, Ordering::Relaxed);
-            h.core.sum.store(0, Ordering::Relaxed);
         }
     }
 }
@@ -529,12 +488,6 @@ mod tests {
                     (bucket_index(1_000_000), 1)
                 ]
             );
-            // Median of 5 lands in the bucket of the two 3s.
-            assert_eq!(snap.quantile(0.5), Some(4));
-            assert_eq!(
-                snap.quantile(1.0),
-                Some(bucket_upper_bound(bucket_index(1_000_000)).unwrap())
-            );
         });
     }
 
@@ -573,22 +526,6 @@ mod tests {
             assert_eq!(reg.counter(OVERFLOW_SERIES, &[]).value(), 2);
             // One slot over the cap: the overflow series itself.
             assert_eq!(reg.series_count(), MAX_SERIES + 1);
-        });
-    }
-
-    #[test]
-    fn reset_values_keeps_handles_alive() {
-        recording(|| {
-            let reg = Registry::new();
-            let c = reg.counter("r_total", &[]);
-            let h = reg.histogram("r_ns", &[]);
-            c.add(5);
-            h.observe(9);
-            reg.reset_values();
-            assert_eq!(c.value(), 0);
-            assert_eq!(h.count(), 0);
-            c.inc();
-            assert_eq!(c.value(), 1);
         });
     }
 }

@@ -1,9 +1,7 @@
 //! Prometheus text-format exporter (exposition format 0.0.4).
 //!
 //! [`render`] turns a [`Snapshot`] into the plain-text format every
-//! Prometheus-compatible scraper understands; [`parse_text`] is the
-//! matching reader used by the round-trip tests and by ad-hoc tooling
-//! that wants to check a scrape without a real Prometheus.
+//! Prometheus-compatible scraper understands.
 
 use crate::metrics::{bucket_upper_bound, Snapshot};
 use std::fmt::Write as _;
@@ -112,106 +110,13 @@ pub fn render(snapshot: &Snapshot) -> String {
     out
 }
 
-/// One parsed sample line: name, sorted labels, value.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Sample {
-    /// Metric (series) name, including any `_bucket`/`_sum`/`_count`
-    /// suffix.
-    pub name: String,
-    /// Label pairs in source order.
-    pub labels: Vec<(String, String)>,
-    /// Sample value.
-    pub value: f64,
-}
-
-/// Parses exposition-format text back into samples, skipping comment
-/// lines. Supports exactly what [`render`] emits (which is all the
-/// round-trip tests need); malformed lines produce an error naming the
-/// line.
-pub fn parse_text(text: &str) -> Result<Vec<Sample>, String> {
-    let mut samples = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        samples.push(parse_sample(line).map_err(|e| format!("line {}: {e}", lineno + 1))?);
-    }
-    Ok(samples)
-}
-
-fn parse_sample(line: &str) -> Result<Sample, String> {
-    let (series, value) = line
-        .rsplit_once(' ')
-        .ok_or_else(|| format!("no value separator in {line:?}"))?;
-    let value: f64 = if value == "+Inf" {
-        f64::INFINITY
-    } else {
-        value
-            .parse()
-            .map_err(|e| format!("bad value {value:?}: {e}"))?
-    };
-    let (name, labels) = match series.split_once('{') {
-        None => (series.to_string(), Vec::new()),
-        Some((name, rest)) => {
-            let body = rest
-                .strip_suffix('}')
-                .ok_or_else(|| format!("unterminated label block in {series:?}"))?;
-            (name.to_string(), parse_labels(body)?)
-        }
-    };
-    Ok(Sample {
-        name,
-        labels,
-        value,
-    })
-}
-
-fn parse_labels(body: &str) -> Result<Vec<(String, String)>, String> {
-    let mut labels = Vec::new();
-    let mut chars = body.chars().peekable();
-    loop {
-        let mut key = String::new();
-        for c in chars.by_ref() {
-            if c == '=' {
-                break;
-            }
-            key.push(c);
-        }
-        if chars.next() != Some('"') {
-            return Err(format!("label {key:?} not followed by a quoted value"));
-        }
-        let mut value = String::new();
-        loop {
-            match chars.next() {
-                Some('\\') => match chars.next() {
-                    Some('\\') => value.push('\\'),
-                    Some('"') => value.push('"'),
-                    Some('n') => value.push('\n'),
-                    other => return Err(format!("bad escape {other:?} in label value")),
-                },
-                Some('"') => break,
-                Some(c) => value.push(c),
-                None => return Err("unterminated label value".into()),
-            }
-        }
-        labels.push((key, value));
-        match chars.next() {
-            Some(',') => continue,
-            None => break,
-            Some(c) => return Err(format!("unexpected {c:?} after label value")),
-        }
-    }
-    Ok(labels)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::Registry;
 
     #[test]
-    fn renders_and_parses_back() {
+    fn renders_every_series_kind() {
         crate::set_enabled(true);
         let reg = Registry::new();
         reg.counter("rpc_calls_total", &[("transport", "tcp")])
@@ -223,28 +128,12 @@ mod tests {
         h.observe(1000);
         let text = render(&reg.snapshot());
         assert!(text.contains("# TYPE rpc_calls_total counter"));
-        assert!(text.contains("rpc_calls_total{transport=\"tcp\"} 7"));
-        assert!(text.contains("queue_depth -2"));
-        assert!(text.contains("latency_ns_count{phase=\"run_init\"} 3"));
-        let samples = parse_text(&text).unwrap();
-        let get = |name: &str| {
-            samples
-                .iter()
-                .filter(|s| s.name == name)
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(get("rpc_calls_total")[0].value, 7.0);
-        assert_eq!(get("queue_depth")[0].value, -2.0);
-        assert_eq!(get("latency_ns_sum")[0].value, 1006.0);
+        assert!(text.contains("rpc_calls_total{transport=\"tcp\"} 7\n"));
+        assert!(text.contains("queue_depth -2\n"));
+        assert!(text.contains("latency_ns_count{phase=\"run_init\"} 3\n"));
+        assert!(text.contains("latency_ns_sum{phase=\"run_init\"} 1006\n"));
         // Buckets are cumulative and end at +Inf == count.
-        let buckets = get("latency_ns_bucket");
-        assert_eq!(buckets.last().unwrap().value, 3.0);
-        assert!(buckets
-            .last()
-            .unwrap()
-            .labels
-            .iter()
-            .any(|(k, v)| k == "le" && v == "+Inf"));
+        assert!(text.contains("latency_ns_bucket{phase=\"run_init\",le=\"+Inf\"} 3\n"));
     }
 
     #[test]
@@ -253,13 +142,6 @@ mod tests {
         let reg = Registry::new();
         reg.counter("weird_total", &[("v", "a\"b\\c\nd")]).inc();
         let text = render(&reg.snapshot());
-        let samples = parse_text(&text).unwrap();
-        assert_eq!(samples[0].labels[0].1, "a\"b\\c\nd");
-    }
-
-    #[test]
-    fn malformed_lines_name_the_line() {
-        let err = parse_text("ok 1\nbroken{x=1} 2").unwrap_err();
-        assert!(err.starts_with("line 2:"), "{err}");
+        assert!(text.contains(r#"weird_total{v="a\"b\\c\nd"} 1"#), "{text}");
     }
 }

@@ -7,7 +7,7 @@
 //! a time source — every timestamp is handed in by the caller, either
 //! directly ([`Tracer::record_span`]) or through a [`Clock`]
 //! implementation the *caller* chose ([`WallClock`] for control-plane
-//! code, [`ManualClock`] or raw sim timestamps for the data plane).
+//! code, raw sim timestamps for the data plane).
 //!
 //! Finished spans land in a bounded ring buffer: memory stays fixed, the
 //! oldest spans are dropped (and counted) under pressure, and the engine
@@ -55,38 +55,6 @@ impl Clock for WallClock {
     }
 }
 
-/// A clock advanced explicitly — an adapter for simulated time and the
-/// deterministic choice for tests.
-#[derive(Default)]
-pub struct ManualClock {
-    now: AtomicU64,
-}
-
-impl ManualClock {
-    /// A clock starting at `start_ns`.
-    pub fn at(start_ns: u64) -> Self {
-        Self {
-            now: AtomicU64::new(start_ns),
-        }
-    }
-
-    /// Sets the current time.
-    pub fn set(&self, now_ns: u64) {
-        self.now.store(now_ns, Ordering::Relaxed);
-    }
-
-    /// Advances the clock by `delta_ns`.
-    pub fn advance(&self, delta_ns: u64) {
-        self.now.fetch_add(delta_ns, Ordering::Relaxed);
-    }
-}
-
-impl Clock for ManualClock {
-    fn now_ns(&self) -> u64 {
-        self.now.load(Ordering::Relaxed)
-    }
-}
-
 /// One finished span (or instantaneous event, where `start_ns ==
 /// end_ns`).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -98,13 +66,6 @@ pub struct SpanRecord {
     pub start_ns: u64,
     /// End timestamp on the same clock.
     pub end_ns: u64,
-}
-
-impl SpanRecord {
-    /// Span duration on its own clock.
-    pub fn duration_ns(&self) -> u64 {
-        self.end_ns.saturating_sub(self.start_ns)
-    }
 }
 
 struct TracerInner {
@@ -131,7 +92,7 @@ impl Tracer {
     }
 
     /// Resizes the ring; excess oldest spans are dropped (and counted).
-    pub fn set_capacity(&self, capacity: usize) {
+    pub(crate) fn set_capacity(&self, capacity: usize) {
         let mut inner = self.inner.lock().expect("obs tracer poisoned");
         inner.capacity = capacity.max(1);
         while inner.buf.len() > inner.capacity {
@@ -177,17 +138,6 @@ impl Tracer {
         self.dropped.load(Ordering::Relaxed)
     }
 
-    /// Copies the buffered spans without clearing them.
-    pub fn snapshot(&self) -> Vec<SpanRecord> {
-        self.inner
-            .lock()
-            .expect("obs tracer poisoned")
-            .buf
-            .iter()
-            .cloned()
-            .collect()
-    }
-
     /// Removes and returns all buffered spans — how the engine collects
     /// a run's spans into its per-run summary.
     pub fn drain(&self) -> Vec<SpanRecord> {
@@ -216,11 +166,6 @@ impl SpanTimer {
         }
     }
 
-    /// The captured start timestamp.
-    pub fn start_ns(&self) -> u64 {
-        self.start_ns
-    }
-
     /// Finishes the span now on `clock` (which must be the clock it
     /// started on) and records it into `tracer`. Returns the duration.
     pub fn finish(self, clock: &impl Clock, tracer: &Tracer) -> u64 {
@@ -235,13 +180,22 @@ impl SpanTimer {
 mod tests {
     use super::*;
 
+    /// A clock that reads whatever the test last set.
+    struct Step(AtomicU64);
+
+    impl Clock for Step {
+        fn now_ns(&self) -> u64 {
+            self.0.load(Ordering::Relaxed)
+        }
+    }
+
     #[test]
-    fn spans_record_on_the_manual_clock() {
+    fn a_timer_records_its_span() {
         crate::set_enabled(true);
         let tracer = Tracer::new(16);
-        let clock = ManualClock::at(100);
+        let clock = Step(AtomicU64::new(100));
         let timer = SpanTimer::start(&clock, "phase:run_init");
-        clock.advance(50);
+        clock.0.store(150, Ordering::Relaxed);
         let d = timer.finish(&clock, &tracer);
         assert_eq!(d, 50);
         let spans = tracer.drain();
@@ -249,7 +203,6 @@ mod tests {
         assert_eq!(spans[0].name, "phase:run_init");
         assert_eq!(spans[0].start_ns, 100);
         assert_eq!(spans[0].end_ns, 150);
-        assert_eq!(spans[0].duration_ns(), 50);
         assert!(tracer.is_empty());
     }
 
@@ -261,7 +214,7 @@ mod tests {
         tracer.record_event("b", 2);
         tracer.record_event("c", 3);
         assert_eq!(tracer.dropped(), 1);
-        let names: Vec<_> = tracer.snapshot().into_iter().map(|s| s.name).collect();
+        let names: Vec<_> = tracer.drain().into_iter().map(|s| s.name).collect();
         assert_eq!(names, vec!["b", "c"]);
     }
 
@@ -275,7 +228,7 @@ mod tests {
         tracer.set_capacity(3);
         assert_eq!(tracer.len(), 3);
         assert_eq!(tracer.dropped(), 5);
-        assert_eq!(tracer.snapshot()[0].start_ns, 5);
+        assert_eq!(tracer.drain()[0].start_ns, 5);
     }
 
     #[test]

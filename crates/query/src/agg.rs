@@ -100,7 +100,7 @@ impl Agg {
     }
 
     /// The input column, if the function reads one.
-    pub fn input_column(&self) -> Option<&str> {
+    pub(crate) fn input_column(&self) -> Option<&str> {
         match &self.spec {
             AggSpec::Count => None,
             AggSpec::Sum(c)

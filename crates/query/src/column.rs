@@ -13,14 +13,14 @@ use std::fmt;
 /// is NULL) or a scan's selection (bit `i` set means row `i` matches).
 /// Bits past `len` in the last word are always zero.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Bitmap {
+pub(crate) struct Bitmap {
     words: Vec<u64>,
     len: usize,
 }
 
 impl Bitmap {
     /// An empty bitmap.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -110,7 +110,7 @@ impl Bitmap {
     }
 
     /// Appends one bit.
-    pub fn push(&mut self, set: bool) {
+    pub(crate) fn push(&mut self, set: bool) {
         let word = self.len / 64;
         if word == self.words.len() {
             self.words.push(0);
@@ -123,7 +123,7 @@ impl Bitmap {
 
     /// Appends `n` copies of one bit, word-at-a-time — the RLE decode
     /// path appends whole runs, where per-bit `push` dominates.
-    pub fn push_n(&mut self, set: bool, n: usize) {
+    pub(crate) fn push_n(&mut self, set: bool, n: usize) {
         if !set {
             self.len += n;
             self.words.resize(self.len.div_ceil(64), 0);
@@ -148,23 +148,13 @@ impl Bitmap {
     }
 
     /// Reads bit `i`.
-    pub fn get(&self, i: usize) -> bool {
+    pub(crate) fn get(&self, i: usize) -> bool {
         debug_assert!(i < self.len);
         self.words[i / 64] >> (i % 64) & 1 == 1
     }
 
-    /// Number of bits.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if no bits were pushed.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Number of set bits.
-    pub fn count_ones(&self) -> usize {
+    pub(crate) fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
@@ -221,19 +211,19 @@ pub(crate) fn selected_rows(sel: Option<&Bitmap>, rows: usize) -> impl Iterator<
 /// Built serially during ingest and then shared read-only across scan
 /// workers, so no locking is needed on the hot path.
 #[derive(Debug, Clone, Default)]
-pub struct StringPool {
+pub(crate) struct StringPool {
     map: HashMap<String, u32>,
     strings: Vec<String>,
 }
 
 impl StringPool {
     /// An empty pool.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Returns the id of `s`, interning it on first sight.
-    pub fn intern(&mut self, s: &str) -> u32 {
+    pub(crate) fn intern(&mut self, s: &str) -> u32 {
         if let Some(&id) = self.map.get(s) {
             return id;
         }
@@ -244,23 +234,13 @@ impl StringPool {
     }
 
     /// The id of `s` if it was ever interned.
-    pub fn lookup(&self, s: &str) -> Option<u32> {
+    pub(crate) fn lookup(&self, s: &str) -> Option<u32> {
         self.map.get(s).copied()
     }
 
     /// The string behind an id.
-    pub fn resolve(&self, id: u32) -> &str {
+    pub(crate) fn resolve(&self, id: u32) -> &str {
         &self.strings[id as usize]
-    }
-
-    /// Number of distinct strings.
-    pub fn len(&self) -> usize {
-        self.strings.len()
-    }
-
-    /// True if nothing was interned.
-    pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
     }
 }
 
@@ -292,7 +272,7 @@ impl Value {
     }
 
     /// Float view (integers widen, like `SqlValue::as_real`).
-    pub fn as_f64(&self) -> Option<f64> {
+    pub(crate) fn as_f64(&self) -> Option<f64> {
         match self {
             Value::F64(v) => Some(*v),
             Value::I64(v) => Some(*v as f64),
@@ -378,7 +358,7 @@ pub enum CellRef<'a> {
 
 /// Min/max statistics of an integer slab (non-null values only).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IntStats {
+pub(crate) struct IntStats {
     /// Smallest non-null value.
     pub min: i64,
     /// Largest non-null value.
@@ -401,7 +381,7 @@ pub(crate) struct ColumnStats {
 
 /// One typed column slab.
 #[derive(Debug, Clone)]
-pub enum Slab {
+pub(crate) enum Slab {
     /// Integer column: values plus per-slab min/max for pruning.
     I64 {
         /// Cell values (0 where null).
@@ -438,7 +418,7 @@ pub enum Slab {
 
 impl Slab {
     /// An empty slab for a column kind.
-    pub fn empty_i64() -> Self {
+    pub(crate) fn empty_i64() -> Self {
         Slab::I64 {
             vals: Vec::new(),
             nulls: Bitmap::new(),
@@ -447,7 +427,7 @@ impl Slab {
     }
 
     /// An empty float slab.
-    pub fn empty_f64() -> Self {
+    pub(crate) fn empty_f64() -> Self {
         Slab::F64 {
             vals: Vec::new(),
             nulls: Bitmap::new(),
@@ -455,7 +435,7 @@ impl Slab {
     }
 
     /// An empty string slab.
-    pub fn empty_str() -> Self {
+    pub(crate) fn empty_str() -> Self {
         Slab::Str {
             ids: Vec::new(),
             nulls: Bitmap::new(),
@@ -463,7 +443,7 @@ impl Slab {
     }
 
     /// An empty blob slab.
-    pub fn empty_bytes() -> Self {
+    pub(crate) fn empty_bytes() -> Self {
         Slab::Bytes {
             offsets: vec![0],
             data: Vec::new(),
@@ -472,7 +452,7 @@ impl Slab {
     }
 
     /// Number of rows in the slab.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             Slab::I64 { vals, .. } => vals.len(),
             Slab::F64 { vals, .. } => vals.len(),
@@ -481,19 +461,14 @@ impl Slab {
         }
     }
 
-    /// True if the slab has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Number of null cells.
-    pub fn null_count(&self) -> usize {
+    pub(crate) fn null_count(&self) -> usize {
         self.nulls().count_ones()
     }
 
     /// Integer min/max statistics, if this is an integer slab with at
     /// least one non-null cell.
-    pub fn int_stats(&self) -> Option<IntStats> {
+    pub(crate) fn int_stats(&self) -> Option<IntStats> {
         match self {
             Slab::I64 { stats, .. } => *stats,
             _ => None,
@@ -521,7 +496,7 @@ impl Slab {
     }
 
     /// Appends an integer cell.
-    pub fn push_i64(&mut self, v: i64) {
+    pub(crate) fn push_i64(&mut self, v: i64) {
         let Slab::I64 { vals, nulls, stats } = self else {
             panic!("push_i64 into non-integer slab");
         };
@@ -537,7 +512,7 @@ impl Slab {
     }
 
     /// Appends a float cell.
-    pub fn push_f64(&mut self, v: f64) {
+    pub(crate) fn push_f64(&mut self, v: f64) {
         let Slab::F64 { vals, nulls } = self else {
             panic!("push_f64 into non-float slab");
         };
@@ -546,7 +521,7 @@ impl Slab {
     }
 
     /// Appends an interned-string cell.
-    pub fn push_str(&mut self, id: u32) {
+    pub(crate) fn push_str(&mut self, id: u32) {
         let Slab::Str { ids, nulls } = self else {
             panic!("push_str into non-text slab");
         };
@@ -555,7 +530,7 @@ impl Slab {
     }
 
     /// Appends a blob cell.
-    pub fn push_bytes(&mut self, b: &[u8]) {
+    pub(crate) fn push_bytes(&mut self, b: &[u8]) {
         let Slab::Bytes {
             offsets,
             data,
@@ -570,7 +545,7 @@ impl Slab {
     }
 
     /// Appends a NULL cell.
-    pub fn push_null(&mut self) {
+    pub(crate) fn push_null(&mut self) {
         match self {
             Slab::I64 { vals, nulls, .. } => {
                 vals.push(0);
@@ -596,7 +571,7 @@ impl Slab {
     }
 
     /// The cell at row `i`, borrowed.
-    pub fn get(&self, i: usize) -> CellRef<'_> {
+    pub(crate) fn get(&self, i: usize) -> CellRef<'_> {
         match self {
             Slab::I64 { vals, nulls, .. } => {
                 if nulls.get(i) {
@@ -634,7 +609,7 @@ impl Slab {
     }
 
     /// Materialises the cell at row `i` (resolving strings via `pool`).
-    pub fn value(&self, i: usize, pool: &StringPool) -> Value {
+    pub(crate) fn value(&self, i: usize, pool: &StringPool) -> Value {
         match self.get(i) {
             CellRef::Null => Value::Null,
             CellRef::I64(v) => Value::I64(v),
@@ -647,7 +622,7 @@ impl Slab {
 
 /// One table's slice of a partition: parallel slabs, one per column.
 #[derive(Debug, Clone)]
-pub struct ColumnTable {
+pub(crate) struct ColumnTable {
     /// Column names, in schema order.
     pub names: Vec<String>,
     /// One slab per column.
@@ -658,7 +633,7 @@ pub struct ColumnTable {
 
 impl ColumnTable {
     /// An empty table with the given column names and fresh slabs.
-    pub fn new(names: Vec<String>, slabs: Vec<Slab>) -> Self {
+    pub(crate) fn new(names: Vec<String>, slabs: Vec<Slab>) -> Self {
         Self {
             names,
             slabs,
@@ -667,7 +642,7 @@ impl ColumnTable {
     }
 
     /// Index of a named column.
-    pub fn column_index(&self, name: &str) -> Option<usize> {
+    pub(crate) fn column_index(&self, name: &str) -> Option<usize> {
         self.names.iter().position(|n| n == name)
     }
 
@@ -693,7 +668,7 @@ mod tests {
         for i in 0..130 {
             b.push(i % 3 == 0);
         }
-        assert_eq!(b.len(), 130);
+        assert_eq!(b.len, 130);
         for i in 0..130 {
             assert_eq!(b.get(i), i % 3 == 0, "bit {i}");
         }
@@ -707,7 +682,6 @@ mod tests {
         let b = p.intern("sd_service_add");
         assert_ne!(a, b);
         assert_eq!(p.intern("sd_start_search"), a);
-        assert_eq!(p.len(), 2);
         assert_eq!(p.resolve(b), "sd_service_add");
         assert_eq!(p.lookup("missing"), None);
     }

@@ -15,15 +15,15 @@
 use crate::column::{ColumnTable, Slab, StringPool};
 use crate::error::QueryError;
 use crate::plan::Scan;
-use excovery_store::{CellRef, ColumnRef, ColumnType, Database, Repository};
+use excovery_store::{CellRef, ColumnRef, ColumnType, Database};
 use std::collections::BTreeMap;
 
 /// Default partition column: the run id shared by all measurement tables.
-pub const DEFAULT_PARTITION_COLUMN: &str = "RunID";
+pub(crate) const DEFAULT_PARTITION_COLUMN: &str = "RunID";
 
 /// The schema of one ingested table (identical across partitions).
 #[derive(Debug, Clone)]
-pub struct TableSchema {
+pub(crate) struct TableSchema {
     /// Column names in order.
     pub names: Vec<String>,
     /// Column type affinities in order.
@@ -47,7 +47,7 @@ impl TableSchema {
 /// One horizontal slice of the dataset: all rows of one experiment whose
 /// partition cell equals `key` (`None` = the meta partition).
 #[derive(Debug, Clone)]
-pub struct Partition {
+pub(crate) struct Partition {
     /// Package (experiment) id the rows came from.
     pub experiment: String,
     /// Index of the package in ingest order.
@@ -61,8 +61,8 @@ pub struct Partition {
 /// A columnar snapshot of one or more level-3 packages, ready to scan.
 ///
 /// Build one with [`Dataset::builder`] (or the [`Dataset::from_database`]
-/// / [`Dataset::from_packages`] / [`Dataset::from_repository`]
-/// conveniences), then query it through [`Dataset::scan`]:
+/// / [`Dataset::from_packages`] conveniences), then query it through
+/// [`Dataset::scan`]:
 ///
 /// ```no_run
 /// # fn demo(db: &excovery_store::Database) -> Result<(), excovery_query::QueryError> {
@@ -119,29 +119,9 @@ impl Dataset {
         Ok(b.build())
     }
 
-    /// Ingests every package of a level-4 repository, in index order.
-    pub fn from_repository(repo: &Repository) -> Result<Self, QueryError> {
-        let mut b = Self::builder();
-        for entry in repo.index()? {
-            let db = repo.load(&entry.id)?;
-            b = b.add_package(&entry.id, &db)?;
-        }
-        Ok(b.build())
-    }
-
     /// Starts a scan of `table`.
     pub fn scan(&self, table: impl Into<String>) -> Scan<'_> {
         Scan::new(self, table.into())
-    }
-
-    /// Ingested experiment ids, in ingest order.
-    pub fn experiments(&self) -> &[String] {
-        &self.experiments
-    }
-
-    /// The column used for partitioning.
-    pub fn partition_column(&self) -> &str {
-        &self.partition_column
     }
 
     /// Number of partitions (including meta partitions and partitions
@@ -154,7 +134,7 @@ impl Dataset {
     }
 
     /// The schema of an ingested table.
-    pub fn schema(&self, table: &str) -> Result<&TableSchema, QueryError> {
+    pub(crate) fn schema(&self, table: &str) -> Result<&TableSchema, QueryError> {
         self.schemas
             .get(table)
             .ok_or_else(|| QueryError::NoSuchTable(table.to_string()))
@@ -406,7 +386,7 @@ mod tests {
         assert_eq!(ds.partitions[2].key, Some(2));
         assert_eq!(ds.table_rows("Events").unwrap(), 9);
         assert_eq!(ds.table_rows("RunInfos").unwrap(), 3);
-        assert_eq!(ds.experiments(), ["default".to_string()]);
+        assert_eq!(ds.experiments, ["default".to_string()]);
     }
 
     #[test]
@@ -431,7 +411,7 @@ mod tests {
         let a = package(2);
         let b = package(1);
         let ds = Dataset::from_packages(&[("exp-a", &a), ("exp-b", &b)]).unwrap();
-        assert_eq!(ds.experiments(), ["exp-a".to_string(), "exp-b".to_string()]);
+        assert_eq!(ds.experiments, ["exp-a".to_string(), "exp-b".to_string()]);
         assert_eq!(ds.partition_count(), 3);
         assert_eq!(ds.partitions[0].experiment, "exp-a");
         assert_eq!(ds.partitions[2].experiment, "exp-b");
@@ -555,7 +535,7 @@ mod tests {
             .build();
         // Events split by CommonTime (0, 10, 20); RunInfos lacks the
         // column entirely and lands in the meta partition.
-        assert_eq!(ds.partition_column(), "CommonTime");
+        assert_eq!(ds.partition_column, "CommonTime");
         assert_eq!(ds.partition_count(), 4);
         assert_eq!(ds.partitions[0].key, None);
         assert!(ds.partitions[0].tables.contains_key("RunInfos"));

@@ -54,7 +54,7 @@ enum PartState {
 /// for db in &slices {
 ///     sq.ingest_package("exp-a", db).unwrap(); // scans only new runs
 ///     let frame = sq.frame().unwrap(); // == one-shot over db, bit for bit
-///     println!("{} groups after {} refreshes", frame.len(), sq.refreshes());
+///     println!("{} groups after {} refreshes", frame.rows.len(), sq.refreshes());
 /// }
 /// # }
 /// ```
@@ -74,7 +74,7 @@ pub struct StandingQuery {
 
 impl StandingQuery {
     /// A standing query for `spec`, partitioned by the default run-key
-    /// column ([`crate::DEFAULT_PARTITION_COLUMN`]).
+    /// column (`RunID`).
     pub fn new(spec: PlanSpec) -> StandingQuery {
         StandingQuery {
             spec,
@@ -97,16 +97,6 @@ impl StandingQuery {
         );
         self.partition_column = column.into();
         self
-    }
-
-    /// The plan this query maintains.
-    pub fn spec(&self) -> &PlanSpec {
-        &self.spec
-    }
-
-    /// Number of partitions with cached state.
-    pub fn partitions(&self) -> usize {
-        self.states.len()
     }
 
     /// Number of completed [`ingest_package`](Self::ingest_package)
@@ -322,14 +312,14 @@ mod tests {
             sq.ingest_package("exp", &db).unwrap();
             let one_shot = Dataset::from_database(&db)
                 .unwrap()
-                .run_spec(sq.spec())
+                .run_spec(&sq.spec)
                 .unwrap();
             let standing = sq.frame().unwrap();
             assert_eq!(standing.digest(), one_shot.digest(), "after run {end}");
             assert_eq!(standing, one_shot);
         }
         assert_eq!(sq.refreshes(), 5);
-        assert_eq!(sq.partitions(), 5);
+        assert_eq!(sq.states.len(), 5);
     }
 
     #[test]

@@ -26,32 +26,28 @@
 //!
 //! [`Repository`]: excovery_store::Repository
 
-pub mod agg;
-pub mod column;
+mod agg;
+mod column;
 pub mod dataset;
 pub mod error;
 mod exec;
-pub mod expr;
-pub mod incremental;
+mod expr;
+mod incremental;
 pub mod plan;
-pub mod slab_io;
-pub mod spec;
-pub mod spill;
+mod slab_io;
+mod spec;
+mod spill;
 pub mod warehouse;
 
 pub use agg::{Agg, AggSpec};
-pub use column::{Bitmap, CellRef, ColumnTable, IntStats, Slab, StringPool, Value};
-pub use dataset::{Dataset, DatasetBuilder, Partition, TableSchema, DEFAULT_PARTITION_COLUMN};
+pub use column::{CellRef, Value};
+pub use dataset::Dataset;
 pub use error::QueryError;
 pub use expr::{col, lit, null, CmpOp, Expr};
 pub use incremental::StandingQuery;
 pub use plan::{Frame, Scan};
-pub use slab_io::{read_footer, PartitionFooter, SLAB_FILE_EXTENSION};
-pub use spec::{
-    agg_to_spec, cell_to_value, expr_to_spec, frame_to_wire, spec_to_agg, spec_to_expr,
-    value_to_cell, wire_to_frame,
-};
-pub use spill::{SpillBuilder, SpillStore, DEFAULT_MEMORY_BUDGET};
+pub use spec::{cell_to_value, frame_to_wire, value_to_cell, wire_to_frame};
+pub use spill::{SpillBuilder, SpillStore};
 
 /// The one serializable logical-plan vocabulary, re-exported from the
 /// rpc crate: [`Scan::to_spec`] lowers into it, [`Dataset::run_spec`]

@@ -102,27 +102,6 @@ pub struct Frame {
 }
 
 impl Frame {
-    /// Index of a named output column.
-    pub fn column_index(&self, name: &str) -> Option<usize> {
-        self.columns.iter().position(|c| c == name)
-    }
-
-    /// All values of one output column.
-    pub fn column(&self, name: &str) -> Option<Vec<&Value>> {
-        let idx = self.column_index(name)?;
-        Some(self.rows.iter().map(|r| &r[idx]).collect())
-    }
-
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True if the frame has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// FNV-1a digest of the frame's canonical byte encoding (column
     /// names plus every cell, floats by bit pattern). Equal digests ⇔
     /// bit-identical frames; the determinism suite compares serial and
@@ -184,17 +163,6 @@ mod tests {
                 vec![Value::I64(1), Value::I64(5)],
             ],
         }
-    }
-
-    #[test]
-    fn column_access() {
-        let f = frame();
-        assert_eq!(f.len(), 2);
-        assert!(!f.is_empty());
-        assert_eq!(f.column_index("count"), Some(1));
-        assert_eq!(f.column_index("nope"), None);
-        let counts = f.column("count").unwrap();
-        assert_eq!(counts, vec![&Value::I64(3), &Value::I64(5)]);
     }
 
     #[test]

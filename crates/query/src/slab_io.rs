@@ -43,7 +43,7 @@ use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
 
 /// File extension of partition slab files (`part-000042.slab`).
-pub const SLAB_FILE_EXTENSION: &str = "slab";
+pub(crate) const SLAB_FILE_EXTENSION: &str = "slab";
 
 const SLAB_MAGIC: &[u8; 4] = b"EXQS";
 const FOOTER_MAGIC: &[u8; 4] = b"EXQF";
@@ -52,7 +52,7 @@ const TRAILER_LEN: u64 = 8 + 8 + 4;
 
 /// Per-column physical encoding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Encoding {
+pub(crate) enum Encoding {
     /// Plain value array plus packed null-bitmap words.
     Plain,
     /// Run-length runs of `(null flag, run length, value)`.
@@ -61,7 +61,7 @@ pub enum Encoding {
 
 /// Footer metadata of one column block.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ColumnMeta {
+pub(crate) struct ColumnMeta {
     /// Column name.
     pub name: String,
     /// Column type affinity.
@@ -78,7 +78,7 @@ pub struct ColumnMeta {
 
 /// Footer metadata of one table.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TableMeta {
+pub(crate) struct TableMeta {
     /// Table name.
     pub name: String,
     /// Row count.
@@ -102,7 +102,7 @@ pub struct PartitionFooter {
     /// File-local string dictionary, in first-appearance order.
     pub dict: Vec<String>,
     /// Per-table metadata.
-    pub tables: Vec<TableMeta>,
+    pub(crate) tables: Vec<TableMeta>,
     /// Total size of the encoded data blocks.
     pub encoded_bytes: u64,
     /// Estimated resident size of the decoded partition (platform-fixed
@@ -111,13 +111,8 @@ pub struct PartitionFooter {
 }
 
 impl PartitionFooter {
-    /// True if the partition holds rows of `table`.
-    pub fn has_table(&self, table: &str) -> bool {
-        self.tables.iter().any(|t| t.name == table)
-    }
-
     /// Row count of `table` in this partition, if present.
-    pub fn table_rows(&self, table: &str) -> Option<u64> {
+    pub(crate) fn table_rows(&self, table: &str) -> Option<u64> {
         self.tables.iter().find(|t| t.name == table).map(|t| t.rows)
     }
 
@@ -567,7 +562,7 @@ fn decode_slab(
 /// Serializes one partition to `path` (written atomically). Strings are
 /// re-keyed from the dataset's global pool into a file-local dictionary,
 /// so slab files are self-contained and relocatable across datasets.
-pub fn write_partition(
+pub(crate) fn write_partition(
     path: &Path,
     partition_column: &str,
     p: &Partition,
@@ -782,7 +777,7 @@ fn decode_footer(bytes: &[u8], path: &Path) -> Result<PartitionFooter, QueryErro
 /// Reads only the footer of a slab file: two small seeks, no data-block
 /// IO. This is what makes stats-based pruning and byte budgeting free
 /// for cold partitions.
-pub fn read_footer(path: &Path) -> Result<PartitionFooter, QueryError> {
+pub(crate) fn read_footer(path: &Path) -> Result<PartitionFooter, QueryError> {
     let mut f = std::fs::File::open(path).map_err(|e| io_err("open", path, e))?;
     let size = f.metadata().map_err(|e| io_err("stat", path, e))?.len();
     if size < 8 + TRAILER_LEN {
@@ -828,7 +823,7 @@ pub fn read_footer(path: &Path) -> Result<PartitionFooter, QueryError> {
 /// Decodes the partition body. `remap` maps file-local dictionary ids to
 /// global [`StringPool`] ids (one entry per `footer.dict` string) — the
 /// pool itself is not touched, so concurrent scans can share it freely.
-pub fn read_partition(
+pub(crate) fn read_partition(
     path: &Path,
     footer: &PartitionFooter,
     remap: &[u32],
@@ -843,7 +838,7 @@ pub fn read_partition(
 /// asked for. The executor's plan context guarantees exactly that, which
 /// is what lets a narrow aggregate over a wide warehouse skip most of
 /// the decode work.
-pub fn read_partition_projected(
+pub(crate) fn read_partition_projected(
     path: &Path,
     footer: &PartitionFooter,
     remap: &[u32],
@@ -1047,8 +1042,8 @@ mod tests {
         let footer = read_footer(&path).unwrap();
         assert_eq!(footer, written);
         assert_eq!(footer.partition_column, "RunID");
-        assert!(footer.has_table("Events"));
-        assert!(!footer.has_table("Nope"));
+        assert!(footer.table_rows("Events").is_some());
+        assert!(footer.table_rows("Nope").is_none());
         let run = footer.column_stats("Events", "RunID").unwrap();
         assert_eq!(run.range, Some(IntStats { min: 1, max: 1 }));
         assert_eq!(run.nulls, 0);

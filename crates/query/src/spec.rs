@@ -67,7 +67,7 @@ fn op_to_wire(op: CmpOp) -> FilterOp {
 /// identically. Shapes the executor would reject (bare columns,
 /// column-to-column comparison) are [`QueryError::Unsupported`] here
 /// too, just earlier.
-pub fn expr_to_spec(e: &Expr) -> Result<ExprSpec, QueryError> {
+pub(crate) fn expr_to_spec(e: &Expr) -> Result<ExprSpec, QueryError> {
     match e {
         Expr::Col(_) | Expr::Lit(_) => Err(QueryError::Unsupported(
             "bare column/literal used as a filter (compare it with eq/lt/…)".into(),
@@ -89,7 +89,7 @@ pub fn expr_to_spec(e: &Expr) -> Result<ExprSpec, QueryError> {
 }
 
 /// Raises a serializable predicate tree back into a filter expression.
-pub fn spec_to_expr(e: &ExprSpec) -> Expr {
+pub(crate) fn spec_to_expr(e: &ExprSpec) -> Expr {
     match e {
         ExprSpec::Cmp { column, op, value } => {
             let c = col(column.clone());
@@ -112,7 +112,7 @@ pub fn spec_to_expr(e: &ExprSpec) -> Expr {
 /// Lowers one aggregate into its wire form. The output name is always
 /// carried: [`Agg`] names every aggregate (defaulted or overridden), so
 /// the spec round-trips to the identical output column.
-pub fn agg_to_spec(a: &Agg) -> WireAggSpec {
+pub(crate) fn agg_to_spec(a: &Agg) -> WireAggSpec {
     let (op, column, q) = match &a.spec {
         AggSpec::Count => (AggOp::Count, None, None),
         AggSpec::Sum(c) => (AggOp::Sum, Some(c.clone()), None),
@@ -130,7 +130,7 @@ pub fn agg_to_spec(a: &Agg) -> WireAggSpec {
 }
 
 /// Raises a wire aggregate into an executable [`Agg`].
-pub fn spec_to_agg(a: &WireAggSpec) -> Result<Agg, QueryError> {
+pub(crate) fn spec_to_agg(a: &WireAggSpec) -> Result<Agg, QueryError> {
     let need_column = || {
         a.column.clone().ok_or_else(|| {
             QueryError::Unsupported(format!("aggregate '{}' needs a column", a.op.as_str()))

@@ -38,7 +38,7 @@ use std::sync::{Arc, Mutex};
 
 /// Resident-memory budget of a spilled dataset whose caller names none
 /// (`budget: None`): 256 MiB.
-pub const DEFAULT_MEMORY_BUDGET: u64 = 256 * 1024 * 1024;
+pub(crate) const DEFAULT_MEMORY_BUDGET: u64 = 256 * 1024 * 1024;
 
 /// One on-disk partition: its file, its footer, the dictionary remap
 /// into the dataset pool, and the cached decode (if resident).
@@ -55,7 +55,6 @@ struct SpillSlot {
 /// footer statistics, a bounded cache of decoded partitions.
 #[derive(Debug)]
 pub struct SpillStore {
-    dir: PathBuf,
     budget: u64,
     slots: Vec<SpillSlot>,
     resident: AtomicU64,
@@ -63,9 +62,8 @@ pub struct SpillStore {
 }
 
 impl SpillStore {
-    fn new(dir: PathBuf, budget: u64, slots: Vec<SpillSlot>) -> Self {
+    fn new(budget: u64, slots: Vec<SpillSlot>) -> Self {
         Self {
-            dir,
             budget,
             slots,
             resident: AtomicU64::new(0),
@@ -73,18 +71,8 @@ impl SpillStore {
         }
     }
 
-    /// The spill directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The resident-memory budget in bytes.
-    pub fn budget(&self) -> u64 {
-        self.budget
-    }
-
     /// Number of on-disk partitions.
-    pub fn partition_count(&self) -> usize {
+    pub(crate) fn partition_count(&self) -> usize {
         self.slots.len()
     }
 
@@ -94,7 +82,7 @@ impl SpillStore {
     }
 
     /// Total rows of `table` across all partitions, from footers alone.
-    pub fn table_rows(&self, table: &str) -> usize {
+    pub(crate) fn table_rows(&self, table: &str) -> usize {
         self.slots
             .iter()
             .filter_map(|s| s.footer.table_rows(table))
@@ -252,7 +240,7 @@ fn write_slot(
 impl Dataset {
     /// Writes every partition to `dir` and returns the spilled twin of
     /// this dataset: nothing resident, everything loaded lazily under
-    /// `budget` bytes (`None` = [`DEFAULT_MEMORY_BUDGET`]).
+    /// `budget` bytes (`None` = 256 MiB).
     /// Scans over the twin are bit-identical to scans over `self`.
     pub fn spill_to(
         &self,
@@ -278,14 +266,14 @@ impl Dataset {
             schemas: self.schemas.clone(),
             partition_column: self.partition_column.clone(),
             experiments: self.experiments.clone(),
-            spill: Some(Arc::new(SpillStore::new(dir.to_path_buf(), budget, slots))),
+            spill: Some(Arc::new(SpillStore::new(budget, slots))),
         })
     }
 
     /// Reopens a spill directory cold: reads every footer (no data
     /// blocks), merges the file dictionaries into a fresh pool, rebuilds
     /// schemas and experiment order, and serves scans lazily under
-    /// `budget` bytes (`None` = [`DEFAULT_MEMORY_BUDGET`]).
+    /// `budget` bytes (`None` = 256 MiB).
     pub fn open_spill(dir: impl AsRef<Path>, budget: Option<u64>) -> Result<Dataset, QueryError> {
         let dir = dir.as_ref();
         let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
@@ -369,7 +357,7 @@ impl Dataset {
             partition_column: partition_column
                 .unwrap_or_else(|| DEFAULT_PARTITION_COLUMN.to_string()),
             experiments,
-            spill: Some(Arc::new(SpillStore::new(dir.to_path_buf(), budget, slots))),
+            spill: Some(Arc::new(SpillStore::new(budget, slots))),
         })
     }
 
@@ -446,7 +434,7 @@ impl SpillBuilder {
     }
 
     /// Finishes the stream: a spilled dataset over everything written,
-    /// budgeted at `budget` bytes (`None` = [`DEFAULT_MEMORY_BUDGET`]).
+    /// budgeted at `budget` bytes (`None` = 256 MiB).
     pub fn finish(self, budget: Option<u64>) -> Dataset {
         let budget = budget.unwrap_or(DEFAULT_MEMORY_BUDGET);
         Dataset {
@@ -455,7 +443,7 @@ impl SpillBuilder {
             schemas: self.schemas,
             partition_column: self.partition_column.clone(),
             experiments: self.experiments,
-            spill: Some(Arc::new(SpillStore::new(self.dir, budget, self.slots))),
+            spill: Some(Arc::new(SpillStore::new(budget, self.slots))),
         }
     }
 }
@@ -568,8 +556,8 @@ mod tests {
             let dir = tmp(&format!("open{i}"));
             ds.spill_to(&dir, budget).unwrap();
             let cold = Dataset::open_spill(&dir, Some(DEFAULT_MEMORY_BUDGET)).unwrap();
-            assert_eq!(cold.experiments(), ds.experiments());
-            assert_eq!(cold.partition_column(), "RunID");
+            assert_eq!(cold.experiments, ds.experiments);
+            assert_eq!(cold.partition_column, "RunID");
             assert_eq!(cold.partition_count(), ds.partition_count());
             assert_eq!(
                 cold.table_rows("Events").unwrap(),

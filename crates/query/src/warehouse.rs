@@ -21,9 +21,6 @@ use excovery_store::records::{EventRow, ExperimentInfo};
 use excovery_store::{Column, ColumnType, Database, SqlValue};
 use std::collections::BTreeMap;
 
-/// Table names of the warehouse schema.
-pub const WAREHOUSE_TABLES: [&str; 4] = ["DimExperiment", "DimRun", "DimNode", "FactDiscovery"];
-
 fn warehouse_schema() -> Database {
     use ColumnType::*;
     let mut db = Database::new();
@@ -278,7 +275,7 @@ mod tests {
     fn warehouse_has_star_schema() {
         let p = package("one", 5_000);
         let wh = build_warehouse(&[("one", &p)]).unwrap();
-        for t in WAREHOUSE_TABLES {
+        for t in ["DimExperiment", "DimRun", "DimNode", "FactDiscovery"] {
             assert!(wh.table(t).is_ok(), "{t}");
         }
         assert_eq!(wh.table("DimExperiment").unwrap().len(), 1);

@@ -125,7 +125,7 @@ impl FaultAction {
     /// label of the `rpc_chaos_injections_total` metric. Like
     /// [`RpcError::kind_label`], these strings are a public contract and
     /// never change once shipped.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             FaultAction::Pass => "pass",
             FaultAction::DropRequest => "drop_request",

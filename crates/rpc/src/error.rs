@@ -10,7 +10,7 @@
 use crate::message::Fault;
 
 /// Fault code used when dispatch fails to find a method.
-pub const FAULT_NO_SUCH_METHOD: i32 = -32601;
+pub(crate) const FAULT_NO_SUCH_METHOD: i32 = -32601;
 
 /// Fault code used when the server cannot parse the request.
 pub const FAULT_PARSE_ERROR: i32 = -32700;
@@ -67,7 +67,7 @@ impl RpcError {
     /// shipped. The enum is `#[non_exhaustive]` toward downstream
     /// crates; within this crate the match is exhaustive, so adding a
     /// variant forces choosing its label here at compile time.
-    pub fn kind_label(&self) -> &'static str {
+    pub(crate) fn kind_label(&self) -> &'static str {
         match self {
             RpcError::Fault(_) => "fault",
             RpcError::Codec(_) => "codec",

@@ -15,7 +15,7 @@
 //! string).
 //!
 //! Submission is idempotent at two layers. The transport layer attaches
-//! a `__idem` key per call ([`crate::transport::IDEMPOTENCY_MEMBER`]),
+//! a `__idem` key per call,
 //! deduplicating retries of one client incarnation in the server's
 //! bounded in-memory cache. The application layer carries a durable
 //! `submit_key` inside [`SubmitRequest`]: the server journals it with
@@ -479,7 +479,7 @@ pub enum FilterOp {
 
 impl FilterOp {
     /// Canonical wire spelling.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             FilterOp::Eq => "eq",
             FilterOp::Ne => "ne",
@@ -491,7 +491,7 @@ impl FilterOp {
     }
 
     /// Inverse of [`Self::as_str`].
-    pub fn parse(s: &str) -> Option<Self> {
+    pub(crate) fn parse(s: &str) -> Option<Self> {
         match s {
             "eq" => Some(FilterOp::Eq),
             "ne" => Some(FilterOp::Ne),
@@ -557,7 +557,7 @@ impl ExprSpec {
 /// Depth cap for predicate trees on the wire: deep enough for any plan a
 /// builder chain produces, shallow enough that recursive decoding of a
 /// hostile frame cannot exhaust the stack.
-pub const MAX_EXPR_DEPTH: usize = 64;
+pub(crate) const MAX_EXPR_DEPTH: usize = 64;
 
 fn pack_expr(e: &ExprSpec) -> Value {
     match e {
@@ -651,7 +651,7 @@ impl AggOp {
     }
 
     /// Inverse of [`Self::as_str`].
-    pub fn parse(s: &str) -> Option<Self> {
+    pub(crate) fn parse(s: &str) -> Option<Self> {
         match s {
             "count" => Some(AggOp::Count),
             "sum" => Some(AggOp::Sum),
@@ -701,25 +701,12 @@ pub struct PlanSpec {
     pub sort_by: Option<String>,
 }
 
-/// Encodes a [`PlanSpec`] as the [`QUERY_RUN`] plan parameter.
-///
-/// A single-comparison predicate is emitted as the legacy flat `filter`
-/// member (readable by pre-tree servers); anything deeper ships as the
-/// `where` tree. [`unpack_plan`] accepts both, so either shape
-/// round-trips to the same [`PlanSpec`].
+/// Encodes a [`PlanSpec`] as the [`QUERY_RUN`] plan parameter. A
+/// predicate, a lone comparison included, ships as the `where` tree.
 pub fn pack_plan(p: &PlanSpec) -> Value {
     let mut members = vec![("table".into(), Value::str(p.table.clone()))];
-    match &p.predicate {
-        None => {}
-        Some(ExprSpec::Cmp { column, op, value }) => members.push((
-            "filter".into(),
-            Value::Struct(vec![
-                ("column".into(), Value::str(column.clone())),
-                ("op".into(), Value::str(op.as_str())),
-                ("value".into(), pack_cell(value)),
-            ]),
-        )),
-        Some(tree) => members.push(("where".into(), pack_expr(tree))),
+    if let Some(tree) = &p.predicate {
+        members.push(("where".into(), pack_expr(tree)));
     }
     members.push((
         "group_by".into(),
@@ -771,27 +758,19 @@ fn str_array(v: &Value, name: &str, ctx: &str) -> Result<Vec<String>, Fault> {
 
 /// Inverse of [`pack_plan`]; malformed plans fault with
 /// [`FAULT_PARSE_ERROR`] (they arrive inside a [`QUERY_RUN`] request).
+/// A plan carrying a flat `filter` member (the retired pre-tree predicate
+/// shape) faults too, rather than running as an unfiltered scan.
 pub fn unpack_plan(v: &Value) -> Result<PlanSpec, Fault> {
     let ctx = "query plan";
-    // `where` (the tree) wins; the legacy flat `filter` member folds
-    // into a single-comparison tree so old clients keep working.
-    let predicate = match (v.member("where"), v.member("filter")) {
-        (Some(tree), _) => Some(unpack_expr(tree, 0)?),
-        (None, Some(f)) => {
-            let op_str = str_member(f, "op", ctx)?;
-            Some(ExprSpec::Cmp {
-                column: str_member(f, "column", ctx)?,
-                op: FilterOp::parse(&op_str)
-                    .ok_or_else(|| parse_fault(format!("{ctx}: unknown filter op '{op_str}'")))?,
-                value: unpack_cell(
-                    f.member("value")
-                        .ok_or_else(|| parse_fault(format!("{ctx}: filter without value")))?,
-                )
-                .map_err(parse_fault)?,
-            })
-        }
-        (None, None) => None,
-    };
+    if v.member("filter").is_some() {
+        return Err(parse_fault(format!(
+            "{ctx}: member 'filter' is not supported; send the predicate as 'where'"
+        )));
+    }
+    let predicate = v
+        .member("where")
+        .map(|tree| unpack_expr(tree, 0))
+        .transpose()?;
     let aggs = v
         .member("aggs")
         .and_then(Value::as_array)
@@ -961,7 +940,7 @@ mod tests {
     }
 
     #[test]
-    fn predicate_trees_roundtrip_and_single_cmp_stays_legacy() {
+    fn predicate_trees_roundtrip_and_a_filter_member_faults() {
         let tree = ExprSpec::cmp("RunID", FilterOp::Ge, CellValue::I64(2))
             .and(ExprSpec::cmp("Service", FilterOp::Eq, CellValue::Str("p".into())).not())
             .or(ExprSpec::cmp("Time", FilterOp::Lt, CellValue::F64(0.5)));
@@ -975,16 +954,29 @@ mod tests {
         assert!(packed.member("filter").is_none());
         assert_eq!(unpack_plan(&packed).unwrap(), plan);
 
-        // A lone comparison ships in the pre-tree wire shape.
-        let flat = PlanSpec {
+        // A lone comparison ships as a `where` tree too.
+        let lone = PlanSpec {
             table: "Events".into(),
             predicate: Some(ExprSpec::cmp("RunID", FilterOp::Le, CellValue::I64(4))),
             ..PlanSpec::default()
         };
-        let packed = pack_plan(&flat);
-        assert!(packed.member("where").is_none());
-        assert!(packed.member("filter").is_some());
-        assert_eq!(unpack_plan(&packed).unwrap(), flat);
+        let packed = pack_plan(&lone);
+        assert!(packed.member("where").is_some());
+        assert!(packed.member("filter").is_none());
+        assert_eq!(unpack_plan(&packed).unwrap(), lone);
+
+        // The retired flat `filter` shape faults and names the member.
+        let Value::Struct(mut members) = packed else {
+            panic!("a plan packs as a struct");
+        };
+        for (name, _) in &mut members {
+            if name == "where" {
+                *name = "filter".into();
+            }
+        }
+        let fault = unpack_plan(&Value::Struct(members)).unwrap_err();
+        assert_eq!(fault.code, FAULT_PARSE_ERROR);
+        assert!(fault.message.contains("'filter'"), "{}", fault.message);
     }
 
     #[test]

@@ -158,7 +158,7 @@ impl MethodResponse {
     }
 
     /// Converts into a `Result`.
-    pub fn into_result(self) -> Result<Value, Fault> {
+    pub(crate) fn into_result(self) -> Result<Value, Fault> {
         match self {
             MethodResponse::Success(v) => Ok(v),
             MethodResponse::Fault(f) => Err(f),

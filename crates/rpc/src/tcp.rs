@@ -11,7 +11,7 @@
 //! +----------------+---------------------+
 //! ```
 //!
-//! The client side is a reactor link ([`crate::reactor`]): it owns the
+//! The client side is a reactor link ([`crate::Reactor`]): it owns the
 //! per-call deadline, reconnection with bounded exponential backoff, and
 //! the error classification (timeout vs. disconnect vs. codec) the engine
 //! uses to decide whether a run is recoverable. [`TcpTransport`] only

@@ -89,16 +89,16 @@ impl ClientObs {
 }
 
 /// A procedure handler.
-pub type Handler = Box<dyn FnMut(&[Value]) -> Result<Value, Fault> + Send>;
+pub(crate) type Handler = Box<dyn FnMut(&[Value]) -> Result<Value, Fault> + Send>;
 
 /// Observer invoked for every dispatched call (wire tracing, node logs).
-pub type CallObserver = Box<dyn FnMut(&MethodCall) + Send>;
+pub(crate) type CallObserver = Box<dyn FnMut(&MethodCall) + Send>;
 
 /// Reserved name of the trailing struct parameter carrying a caller-chosen
 /// idempotency key. A client that retries a call reuses the key, and the
 /// server replays the recorded response instead of executing the procedure
 /// again — the contract that makes lost-response faults survivable.
-pub const IDEMPOTENCY_MEMBER: &str = "__idem";
+pub(crate) const IDEMPOTENCY_MEMBER: &str = "__idem";
 
 /// Bound on remembered responses per registry; oldest entries are evicted
 /// first. Far larger than any plausible retry window.
@@ -166,7 +166,7 @@ impl ServerRegistry {
     }
 
     /// Registered method names (sorted, for introspection).
-    pub fn method_names(&self) -> Vec<&str> {
+    pub(crate) fn method_names(&self) -> Vec<&str> {
         let mut names: Vec<&str> = self.handlers.keys().map(String::as_str).collect();
         names.sort_unstable();
         names
@@ -184,7 +184,7 @@ impl ServerRegistry {
     /// was lost in transit) leaves no second trace in the node's action
     /// log. The key parameter is stripped before the handler sees the
     /// arguments.
-    pub fn dispatch(&mut self, call: &MethodCall) -> MethodResponse {
+    pub(crate) fn dispatch(&mut self, call: &MethodCall) -> MethodResponse {
         let Some((key, stripped)) = split_idempotency(call) else {
             return self.dispatch_inner(call);
         };
@@ -239,7 +239,7 @@ impl ServerRegistry {
     /// Handles a raw XML request and produces a raw XML response — the full
     /// wire path of a real XML-RPC endpoint (the TCP server's and
     /// [`Channel::call`]'s).
-    pub fn handle_wire(&mut self, request_xml: &str) -> String {
+    pub(crate) fn handle_wire(&mut self, request_xml: &str) -> String {
         match MethodCall::from_xml(request_xml) {
             Err(e) => {
                 MethodResponse::Fault(Fault::new(FAULT_PARSE_ERROR, format!("parse error: {e}")))

@@ -83,7 +83,7 @@ impl Value {
     }
 
     /// Encodes into a `<value>` element.
-    pub fn to_element(&self) -> Element {
+    pub(crate) fn to_element(&self) -> Element {
         let mut value = Element::new("value");
         let inner = match self {
             Value::Int(v) => Element::with_text("int", v.to_string()),
@@ -117,7 +117,7 @@ impl Value {
     }
 
     /// Decodes from a `<value>` element.
-    pub fn from_element(value: &Element) -> Result<Self, XmlError> {
+    pub(crate) fn from_element(value: &Element) -> Result<Self, XmlError> {
         if value.name != "value" {
             return Err(XmlError::validation(format!(
                 "expected <value>, found <{}>",
@@ -193,7 +193,7 @@ fn format_double(d: f64) -> String {
 const B64: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
 
 /// Encodes bytes as standard base64.
-pub fn base64_encode(data: &[u8]) -> String {
+pub(crate) fn base64_encode(data: &[u8]) -> String {
     let mut out = String::with_capacity(data.len().div_ceil(3) * 4);
     for chunk in data.chunks(3) {
         let b = [
@@ -219,7 +219,7 @@ pub fn base64_encode(data: &[u8]) -> String {
 }
 
 /// Decodes standard base64 (whitespace tolerated); `None` on bad input.
-pub fn base64_decode(text: &str) -> Option<Vec<u8>> {
+pub(crate) fn base64_decode(text: &str) -> Option<Vec<u8>> {
     fn val(c: u8) -> Option<u32> {
         match c {
             b'A'..=b'Z' => Some(u32::from(c - b'A')),

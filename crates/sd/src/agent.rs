@@ -124,23 +124,9 @@ impl SdAgent {
         }
     }
 
-    /// Current role, if initialized.
-    pub fn role(&self) -> Option<Role> {
-        self.role
-    }
-
     /// Protocol statistics so far.
     pub fn stats(&self) -> SdStats {
         self.stats
-    }
-
-    /// Live records this agent has cached for a service type.
-    pub fn cached(&self, stype: &ServiceType, ctx: &AgentCtx) -> Vec<ServiceDescription> {
-        self.cache
-            .lookup(stype, ctx.now())
-            .into_iter()
-            .cloned()
-            .collect()
     }
 
     fn arm(&mut self, ctx: &mut AgentCtx, delay: SimDuration, purpose: TimerPurpose) -> u64 {
@@ -169,7 +155,7 @@ impl SdAgent {
 
     /// `Init SD`: establishes the node's role; SCMs announce themselves.
     /// Emits `scm_started` (SCM) and `sd_init_done`.
-    pub fn sd_init(&mut self, ctx: &mut AgentCtx, role: Role) {
+    pub(crate) fn sd_init(&mut self, ctx: &mut AgentCtx, role: Role) {
         self.role = Some(role);
         if role == Role::CacheManager {
             ctx.emit("scm_started", EventParams::new());
@@ -181,7 +167,7 @@ impl SdAgent {
 
     /// `Exit SD`: stops the role, all searches and publications; emits
     /// `sd_exit_done`. The node must re-init to participate again.
-    pub fn sd_exit(&mut self, ctx: &mut AgentCtx) {
+    pub(crate) fn sd_exit(&mut self, ctx: &mut AgentCtx) {
         let published: Vec<ServiceType> = self.publications.keys().cloned().collect();
         for st in published {
             self.stop_publish(ctx, &st);
@@ -203,7 +189,7 @@ impl SdAgent {
 
     /// `Start searching`: begins a continuous discovery for `stype`.
     /// Emits `sd_start_search`, then `sd_service_add` per discovery.
-    pub fn start_search(&mut self, ctx: &mut AgentCtx, stype: ServiceType) {
+    pub(crate) fn start_search(&mut self, ctx: &mut AgentCtx, stype: ServiceType) {
         ctx.emit("sd_start_search", [("stype", stype.0.clone())]);
         // Passively cached records count as discovered immediately.
         let already: Vec<ServiceDescription> = self
@@ -229,7 +215,7 @@ impl SdAgent {
     }
 
     /// `Stop searching`. Emits `sd_stop_search`.
-    pub fn stop_search(&mut self, ctx: &mut AgentCtx, stype: &ServiceType) {
+    pub(crate) fn stop_search(&mut self, ctx: &mut AgentCtx, stype: &ServiceType) {
         if self.searches.remove(stype).is_some() {
             self.timers
                 .retain(|_, p| !matches!(p, TimerPurpose::QueryRetry(st) if st == stype));
@@ -239,7 +225,7 @@ impl SdAgent {
 
     /// `Start publishing`: publishes a service instance. Emits
     /// `sd_start_publish`.
-    pub fn start_publish(&mut self, ctx: &mut AgentCtx, desc: ServiceDescription) {
+    pub(crate) fn start_publish(&mut self, ctx: &mut AgentCtx, desc: ServiceDescription) {
         ctx.emit(
             "sd_start_publish",
             [
@@ -278,7 +264,7 @@ impl SdAgent {
 
     /// `Stop publishing`: gracefully stops, sending goodbye announcements
     /// and SCM deregistrations. Emits `sd_stop_publish`.
-    pub fn stop_publish(&mut self, ctx: &mut AgentCtx, stype: &ServiceType) {
+    pub(crate) fn stop_publish(&mut self, ctx: &mut AgentCtx, stype: &ServiceType) {
         let Some(publication) = self.publications.remove(stype) else {
             return;
         };
@@ -310,7 +296,7 @@ impl SdAgent {
 
     /// `Update publication`: changes a published description. Emits
     /// `sd_service_upd` *before* the update is executed (paper §V).
-    pub fn update_publication(&mut self, ctx: &mut AgentCtx, desc: ServiceDescription) {
+    pub(crate) fn update_publication(&mut self, ctx: &mut AgentCtx, desc: ServiceDescription) {
         ctx.emit(
             "sd_service_upd",
             [
@@ -1050,7 +1036,7 @@ mod tests {
         assert!(names.contains(&"sd_exit_done"));
         let role = sim
             .with_agent_mut(NodeId(0), SD_PORT, |agent, _| {
-                agent.as_any_mut().downcast_ref::<SdAgent>().unwrap().role()
+                agent.as_any_mut().downcast_ref::<SdAgent>().unwrap().role
             })
             .unwrap();
         assert_eq!(role, None);

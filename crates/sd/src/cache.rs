@@ -20,7 +20,7 @@ use std::collections::BTreeMap;
 
 /// Outcome of merging a record into the cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheChange {
+pub(crate) enum CacheChange {
     /// The instance was not known before.
     Added,
     /// The instance was known; description content changed.
@@ -45,7 +45,7 @@ struct Entry {
 /// sweeps it; [`Self::lookup`], [`Self::known_answers`] and [`Self::all`]
 /// already hide it, [`Self::len`] still counts it.
 #[derive(Debug, Clone, Default)]
-pub struct ServiceCache {
+pub(crate) struct ServiceCache {
     /// Entries by service type, then by instance name.
     entries: FastHashMap<ServiceType, FastHashMap<String, Entry>>,
     /// The expiry instant of every entry, with its multiplicity.
@@ -54,7 +54,7 @@ pub struct ServiceCache {
 
 impl ServiceCache {
     /// Creates an empty cache.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -63,7 +63,7 @@ impl ServiceCache {
     /// A record with TTL 0 (a goodbye) removes the instance; any other
     /// record (re)sets its expiry to `now` plus its TTL. Key strings are
     /// cloned only when the instance is new.
-    pub fn merge(&mut self, desc: &ServiceDescription, now: SimTime) -> CacheChange {
+    pub(crate) fn merge(&mut self, desc: &ServiceDescription, now: SimTime) -> CacheChange {
         self.merge_record(Cow::Borrowed(desc), now)
     }
 
@@ -119,7 +119,7 @@ impl ServiceCache {
 
     /// Removes the entries whose expiry instant is at or before `now`,
     /// returning their descriptions sorted by (type, instance).
-    pub fn expire(&mut self, now: SimTime) -> Vec<ServiceDescription> {
+    pub(crate) fn expire(&mut self, now: SimTime) -> Vec<ServiceDescription> {
         let mut lapsed = Vec::new();
         if self.next_expiry().is_none_or(|next| next > now) {
             return lapsed;
@@ -144,7 +144,7 @@ impl ServiceCache {
     }
 
     /// Live records of a service type, sorted by instance name.
-    pub fn lookup(&self, stype: &ServiceType, now: SimTime) -> Vec<&ServiceDescription> {
+    pub(crate) fn lookup(&self, stype: &ServiceType, now: SimTime) -> Vec<&ServiceDescription> {
         let mut out: Vec<&ServiceDescription> = self
             .entries
             .get(stype)
@@ -161,7 +161,7 @@ impl ServiceCache {
     /// live records of `stype` whose remaining TTL exceeds half the
     /// original (RFC 6762 §7.1 — records nearing expiry are not
     /// suppressed).
-    pub fn known_answers(&self, stype: &ServiceType, now: SimTime) -> Vec<String> {
+    pub(crate) fn known_answers(&self, stype: &ServiceType, now: SimTime) -> Vec<String> {
         let mut out: Vec<String> = self
             .entries
             .get(stype)
@@ -180,38 +180,14 @@ impl ServiceCache {
 
     /// The earliest expiry instant of any stored entry, swept or not (to
     /// arm the expiry timer).
-    pub fn next_expiry(&self) -> Option<SimTime> {
+    pub(crate) fn next_expiry(&self) -> Option<SimTime> {
         self.expiries.keys().next().copied()
     }
 
-    /// Number of stored entries, including any expired but not yet swept.
-    pub fn len(&self) -> usize {
-        self.entries.values().map(FastHashMap::len).sum()
-    }
-
-    /// True if the cache stores nothing.
-    pub fn is_empty(&self) -> bool {
-        self.expiries.is_empty()
-    }
-
     /// Drops everything.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.entries.clear();
         self.expiries.clear();
-    }
-
-    /// All live records regardless of type, sorted by (type, instance)
-    /// (SCM responses, diagnostics).
-    pub fn all(&self, now: SimTime) -> Vec<&ServiceDescription> {
-        let mut out: Vec<&ServiceDescription> = self
-            .entries
-            .values()
-            .flat_map(FastHashMap::values)
-            .filter(|e| e.expires > now)
-            .map(|e| &e.desc)
-            .collect();
-        out.sort_by(|a, b| (&a.stype, &a.instance).cmp(&(&b.stype, &b.instance)));
-        out
     }
 }
 
@@ -270,7 +246,7 @@ mod tests {
         let mut c = ServiceCache::new();
         c.merge(&desc("a", 10), t(0));
         assert_eq!(c.merge(&desc("a", 0), t(1)), CacheChange::Removed);
-        assert!(c.is_empty());
+        assert_eq!(c.next_expiry(), None);
         assert_eq!(c.merge(&desc("ghost", 0), t(1)), CacheChange::Ignored);
     }
 
@@ -283,7 +259,7 @@ mod tests {
         let lapsed = c.expire(t(11));
         assert_eq!(lapsed.len(), 1);
         assert_eq!(lapsed[0].instance, "a");
-        assert_eq!(c.len(), 1);
+        assert_eq!(c.next_expiry(), Some(t(100)));
     }
 
     #[test]
@@ -291,7 +267,7 @@ mod tests {
         let mut c = ServiceCache::new();
         c.merge(&desc("a", 10), t(0));
         assert!(c.lookup(&ServiceType::new("_http._tcp"), t(11)).is_empty());
-        assert_eq!(c.len(), 1, "not swept yet");
+        assert_eq!(c.next_expiry(), Some(t(10)), "not swept yet");
     }
 
     #[test]
@@ -350,29 +326,15 @@ mod tests {
             .collect();
         assert_eq!(names, vec!["a", "b"]);
         assert_eq!(c.known_answers(&http, t(1)), vec!["a", "b"]);
-        let all: Vec<(&str, &str)> = c
-            .all(t(1))
+        let lapsed = c.expire(t(20));
+        let lapsed: Vec<(&str, &str)> = lapsed
             .iter()
             .map(|d| (d.stype.0.as_str(), d.instance.as_str()))
             .collect();
         assert_eq!(
-            all,
+            lapsed,
             vec![("_http._tcp", "a"), ("_http._tcp", "b"), ("_ipp._tcp", "a")]
         );
-        let lapsed = c.expire(t(20));
-        assert_eq!(lapsed.len(), 3, "sorted like all(): {lapsed:?}");
-        assert_eq!(lapsed[2].stype.0, "_ipp._tcp");
-        assert!(c.is_empty());
-    }
-
-    #[test]
-    fn all_sorted() {
-        let mut c = ServiceCache::new();
-        c.merge(&desc("zeta", 10), t(0));
-        c.merge(&desc("alpha", 10), t(0));
-        let names: Vec<&str> = c.all(t(1)).iter().map(|d| d.instance.as_str()).collect();
-        assert_eq!(names, vec!["alpha", "zeta"]);
-        c.clear();
-        assert!(c.is_empty());
+        assert_eq!(c.next_expiry(), None);
     }
 }

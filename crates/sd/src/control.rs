@@ -36,7 +36,12 @@ pub fn sd_command(sim: &mut Simulator, node: NodeId, cmd: SdCommand) -> bool {
 }
 
 /// Applies a command to the SD agent on an explicit port.
-pub fn sd_command_on_port(sim: &mut Simulator, node: NodeId, port: u16, cmd: SdCommand) -> bool {
+pub(crate) fn sd_command_on_port(
+    sim: &mut Simulator,
+    node: NodeId,
+    port: u16,
+    cmd: SdCommand,
+) -> bool {
     sim.with_agent_mut(node, port, move |agent, ctx| {
         let Some(sd) = agent.as_any_mut().downcast_mut::<SdAgent>() else {
             return false;

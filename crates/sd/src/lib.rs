@@ -20,15 +20,15 @@
 //! analysis (§VI-A).
 //!
 //! The protocols run as [`excovery_netsim::Agent`]s; the SD actions of §V
-//! (`Init SD`, `Start searching`, …) are issued through [`control`] and
+//! (`Init SD`, `Start searching`, …) are issued through `control` and
 //! surface the paper's events (`sd_init_done`, `sd_service_add`, …) via the
 //! simulator's protocol-event stream.
 
 pub mod agent;
-pub mod cache;
-pub mod control;
+mod cache;
+mod control;
 pub mod model;
-pub mod wire;
+mod wire;
 
 pub use agent::SdAgent;
 pub use control::{sd_command, SdCommand};

@@ -15,7 +15,7 @@ pub enum Role {
 
 impl Role {
     /// The role string used in descriptions and events.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             Role::ServiceUser => "SU",
             Role::ServiceManager => "SM",
@@ -46,15 +46,6 @@ pub enum Architecture {
 }
 
 impl Architecture {
-    /// The architecture string used in descriptions.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Architecture::TwoParty => "two-party",
-            Architecture::ThreeParty => "three-party",
-            Architecture::Hybrid => "hybrid",
-        }
-    }
-
     /// Parses an architecture string.
     pub fn parse(s: &str) -> Option<Self> {
         match s {
@@ -116,7 +107,7 @@ impl ServiceDescription {
     }
 
     /// The same record with TTL 0 — the goodbye form.
-    pub fn goodbye(&self) -> Self {
+    pub(crate) fn goodbye(&self) -> Self {
         Self {
             ttl_s: 0,
             ..self.clone()
@@ -124,7 +115,7 @@ impl ServiceDescription {
     }
 
     /// True if this record announces removal.
-    pub fn is_goodbye(&self) -> bool {
+    pub(crate) fn is_goodbye(&self) -> bool {
         self.ttl_s == 0
     }
 }
@@ -233,13 +224,13 @@ mod tests {
     }
 
     #[test]
-    fn architecture_roundtrip() {
-        for a in [
-            Architecture::TwoParty,
-            Architecture::ThreeParty,
-            Architecture::Hybrid,
+    fn architecture_parses() {
+        for (s, a) in [
+            ("two-party", Architecture::TwoParty),
+            ("three-party", Architecture::ThreeParty),
+            ("hybrid", Architecture::Hybrid),
         ] {
-            assert_eq!(Architecture::parse(a.as_str()), Some(a));
+            assert_eq!(Architecture::parse(s), Some(a));
         }
         assert_eq!(Architecture::parse("four-party"), None);
     }

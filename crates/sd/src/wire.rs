@@ -14,7 +14,7 @@ use crate::model::{ServiceDescription, ServiceType};
 use excovery_netsim::NodeId;
 
 /// A service record as carried on the wire.
-pub type Record = ServiceDescription;
+pub(crate) type Record = ServiceDescription;
 
 /// Messages of both SD protocols.
 #[derive(Debug, Clone, PartialEq, Eq)]

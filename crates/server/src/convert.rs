@@ -24,7 +24,7 @@ pub use excovery_query::frame_to_wire;
 /// of `query.run` for completed jobs. One thin call into the unified
 /// plan API — the exact code path `Scan::collect` and standing queries
 /// use, so a remote frame is bit-identical to a local one.
-pub fn run_plan(db: &Database, plan: &PlanSpec) -> Result<WireFrame, ServerError> {
+pub(crate) fn run_plan(db: &Database, plan: &PlanSpec) -> Result<WireFrame, ServerError> {
     let dataset = Dataset::from_database(db).map_err(|e| ServerError::Query(e.to_string()))?;
     let frame = dataset
         .run_spec(plan)

@@ -15,12 +15,12 @@
 //!
 //! Structure:
 //!
-//! * [`repo`] — the on-disk L4 repository: a crash-durable `queue.json`
+//! * `repo` ([`ServerRepo`]) — the on-disk L4 repository: a crash-durable `queue.json`
 //!   journal (atomic temp+rename writes), one directory per job holding
 //!   the level-1 description, the level-2 run hierarchy and the packaged
 //!   level-3 database. Submissions carry a durable idempotency key;
 //!   resubmitting the same key returns the original [`excovery_rpc::JobId`].
-//! * [`scheduler`] — the fair-share scheduler. Each tick gives every
+//! * `scheduler` ([`Scheduler`]) — the fair-share scheduler. Each tick gives every
 //!   tenant with runnable work at least one *slice* (a bounded number of
 //!   runs executed by a resuming [`excovery_core::master::ExperiMaster`]),
 //!   interleaved round-robin and executed on the campaign worker pool.
@@ -28,39 +28,37 @@
 //!   resume-invariant, a server killed mid-campaign resumes bit-exactly:
 //!   the final `ExperimentOutcome::digest()` equals an uninterrupted
 //!   reference execution.
-//! * [`server`] — the rpc front: `job.submit`/`job.status`/`job.list`/
+//! * [`server`] ([`ExperimentServer`]) — the rpc front: `job.submit`/`job.status`/`job.list`/
 //!   `job.results` plus `query.tables`/`query.run`, which executes
 //!   serialized query plans server-side and ships `Frame`s back over the
 //!   wire. `query.run` against a *running* job answers from the standing
 //!   registry — a live, incrementally refreshed view of the campaign.
-//! * [`standing`] — [`StandingRegistry`]: per-job
+//! * `standing` — `StandingRegistry`: per-job
 //!   [`excovery_query::StandingQuery`] instances the scheduler refreshes
 //!   after every slice, giving clients progress frames bit-identical to
 //!   a one-shot scan of the runs completed so far.
-//! * [`client`] — [`ServerClient`], the typed client used by the
+//! * `client` — [`ServerClient`], the typed client used by the
 //!   `excovery` CLI verbs (`serve`, `submit`, `status`, `results`) and
 //!   the integration tests.
-//! * [`convert`] — thin adapters over the query crate's canonical
+//! * `convert` — thin adapters over the query crate's canonical
 //!   wire conversions; [`excovery_rpc::PlanSpec`] is the one
 //!   serializable plan vocabulary end-to-end.
 
-pub mod client;
-pub mod convert;
-pub mod repo;
-pub mod scheduler;
+mod client;
+mod convert;
+mod repo;
+mod scheduler;
 pub mod server;
-pub mod standing;
+mod standing;
 
 pub use client::ServerClient;
-pub use convert::{cell_to_value, frame_to_wire, run_plan, value_to_cell};
-pub use repo::{is_terminal, JobRecord, ServerRepo, SliceOutcome, DEFAULT_EXPERIMENT};
-pub use scheduler::{preset_config, RoundReport, Scheduler, SchedulerConfig, SliceReport};
-pub use server::{read_endpoint, ExperimentServer, ServerConfig};
-pub use standing::StandingRegistry;
+pub use convert::{cell_to_value, frame_to_wire, value_to_cell};
+pub use repo::ServerRepo;
+pub use scheduler::{preset_config, Scheduler, SchedulerConfig};
+pub use server::{ExperimentServer, ServerConfig};
 
-/// Engine presets a submission may name (see
-/// [`scheduler::preset_config`]).
-pub const PRESETS: &[&str] = &["grid_default", "wired_lan", "lossy_mesh"];
+/// Engine presets a submission may name (see [`preset_config`]).
+pub(crate) const PRESETS: &[&str] = &["grid_default", "wired_lan", "lossy_mesh"];
 
 /// Errors of the server subsystem.
 #[derive(Debug)]
@@ -69,7 +67,7 @@ pub enum ServerError {
     Storage(String),
     /// The submitted description XML did not parse.
     Description(String),
-    /// The submission named a preset outside [`PRESETS`].
+    /// The submission named a preset [`preset_config`] does not know.
     UnknownPreset(String),
     /// No job with this id exists.
     UnknownJob(excovery_rpc::JobId),

@@ -32,7 +32,7 @@ use excovery_store::{atomic_write, JsonValue};
 use crate::ServerError;
 
 /// `true` for states that will never be scheduled again.
-pub fn is_terminal(state: JobState) -> bool {
+pub(crate) fn is_terminal(state: JobState) -> bool {
     matches!(state, JobState::Completed | JobState::Failed)
 }
 
@@ -40,7 +40,7 @@ pub fn is_terminal(state: JobState) -> bool {
 /// `Dataset::from_database` uses, so frames computed from a standing
 /// query and from a one-shot scan of the packaged database agree bit
 /// for bit.
-pub const DEFAULT_EXPERIMENT: &str = "default";
+pub(crate) const DEFAULT_EXPERIMENT: &str = "default";
 
 /// One journalled campaign.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,7 +74,7 @@ pub struct JobRecord {
 
 /// What one executed slice reports back to the journal.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SliceOutcome {
+pub(crate) struct SliceOutcome {
     /// Completed runs after the slice (restored + executed).
     pub runs_completed: u64,
     /// Resulting state: `Running`, `Completed` or `Failed`.
@@ -146,38 +146,33 @@ impl ServerRepo {
         Ok(repo)
     }
 
-    /// Repository root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
     /// Path of the journal file.
-    pub fn queue_path(&self) -> PathBuf {
+    pub(crate) fn queue_path(&self) -> PathBuf {
         self.root.join("queue.json")
     }
 
     /// Path of the daemon's bound-address file under `root`.
-    pub fn endpoint_path(root: &Path) -> PathBuf {
+    pub(crate) fn endpoint_path(root: &Path) -> PathBuf {
         root.join("endpoint")
     }
 
     /// Directory holding one job's artifacts.
-    pub fn job_dir(&self, id: JobId) -> PathBuf {
+    pub(crate) fn job_dir(&self, id: JobId) -> PathBuf {
         self.root.join("jobs").join(id.to_string())
     }
 
     /// The submitted level-1 description.
-    pub fn description_path(&self, id: JobId) -> PathBuf {
+    pub(crate) fn description_path(&self, id: JobId) -> PathBuf {
         self.job_dir(id).join("description.xml")
     }
 
     /// The job's level-2 run hierarchy.
-    pub fn l2_root(&self, id: JobId) -> PathBuf {
+    pub(crate) fn l2_root(&self, id: JobId) -> PathBuf {
         self.job_dir(id).join("l2")
     }
 
     /// The packaged level-3 database.
-    pub fn package_path(&self, id: JobId) -> PathBuf {
+    pub(crate) fn package_path(&self, id: JobId) -> PathBuf {
         self.job_dir(id).join("results.expdb")
     }
 
@@ -226,7 +221,7 @@ impl ServerRepo {
     }
 
     /// All journalled jobs, in id order.
-    pub fn jobs(&self) -> &[JobRecord] {
+    pub(crate) fn jobs(&self) -> &[JobRecord] {
         &self.jobs
     }
 
@@ -239,22 +234,22 @@ impl ServerRepo {
     }
 
     /// One job's wire status.
-    pub fn status(&self, id: JobId) -> Result<JobStatus, ServerError> {
+    pub(crate) fn status(&self, id: JobId) -> Result<JobStatus, ServerError> {
         Ok(record_status(self.job(id)?))
     }
 
     /// Every job's wire status, in id order.
-    pub fn statuses(&self) -> Vec<JobStatus> {
+    pub(crate) fn statuses(&self) -> Vec<JobStatus> {
         self.jobs.iter().map(record_status).collect()
     }
 
     /// Jobs that still want scheduling.
-    pub fn queue_depth(&self) -> usize {
+    pub(crate) fn queue_depth(&self) -> usize {
         self.jobs.iter().filter(|j| !is_terminal(j.state)).count()
     }
 
     /// Jobs currently mid-campaign.
-    pub fn active_count(&self) -> usize {
+    pub(crate) fn active_count(&self) -> usize {
         self.jobs
             .iter()
             .filter(|j| j.state == JobState::Running)
@@ -264,7 +259,7 @@ impl ServerRepo {
     /// Claims the next master epoch for a slice of `id` and journals the
     /// claim **before** returning it — the crash-safety half of the
     /// epoch contract (see [`JobRecord::epochs`]).
-    pub fn begin_slice(&mut self, id: JobId) -> Result<u64, ServerError> {
+    pub(crate) fn begin_slice(&mut self, id: JobId) -> Result<u64, ServerError> {
         let rec = self.job_mut(id)?;
         if is_terminal(rec.state) {
             return Err(ServerError::Storage(format!(
@@ -281,12 +276,16 @@ impl ServerRepo {
 
     /// Takes the submission instant for the scheduling-latency metric
     /// (first slice only; journal-restored jobs have none).
-    pub fn take_submit_instant(&mut self, id: JobId) -> Option<Instant> {
+    pub(crate) fn take_submit_instant(&mut self, id: JobId) -> Option<Instant> {
         self.submitted_at.remove(&id)
     }
 
     /// Journals the result of an executed slice.
-    pub fn record_slice(&mut self, id: JobId, outcome: &SliceOutcome) -> Result<(), ServerError> {
+    pub(crate) fn record_slice(
+        &mut self,
+        id: JobId,
+        outcome: &SliceOutcome,
+    ) -> Result<(), ServerError> {
         let rec = self.job_mut(id)?;
         rec.runs_completed = outcome.runs_completed;
         rec.state = outcome.state;

@@ -35,8 +35,8 @@ use crate::repo::{is_terminal, ServerRepo, SliceOutcome};
 use crate::standing::StandingRegistry;
 use crate::ServerError;
 
-/// Resolves a preset name from [`crate::PRESETS`] to its engine
-/// configuration.
+/// Resolves a preset name (`grid_default`, `wired_lan` or `lossy_mesh`)
+/// to its engine configuration.
 pub fn preset_config(name: &str) -> Result<EngineConfig, ServerError> {
     match name {
         "grid_default" => Ok(EngineConfig::grid_default()),
@@ -162,7 +162,7 @@ impl Scheduler {
 
     /// Creates a scheduler that feeds completed slices into a shared
     /// standing registry (the rpc front serves live frames from it).
-    pub fn with_standing(
+    pub(crate) fn with_standing(
         repo: Arc<Mutex<ServerRepo>>,
         cfg: SchedulerConfig,
         standing: Arc<StandingRegistry>,
@@ -174,11 +174,6 @@ impl Scheduler {
             metrics: SchedulerMetrics::new(),
             standing,
         }
-    }
-
-    /// The standing registry this scheduler refreshes.
-    pub fn standing(&self) -> &Arc<StandingRegistry> {
-        &self.standing
     }
 
     /// Executes one scheduling round; returns what ran. An empty report

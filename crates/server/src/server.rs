@@ -50,7 +50,6 @@ impl Default for ServerConfig {
 /// over the level-4 repository. Dropping it stops the listener; jobs
 /// stay journalled and resume on the next start.
 pub struct ExperimentServer {
-    repo: Arc<Mutex<ServerRepo>>,
     scheduler: Scheduler,
     standing: Arc<StandingRegistry>,
     rpc: TcpRpcServer,
@@ -77,10 +76,8 @@ impl ExperimentServer {
             &ServerRepo::endpoint_path(&root),
             rpc.local_addr().to_string().as_bytes(),
         )?;
-        let scheduler =
-            Scheduler::with_standing(Arc::clone(&repo), cfg.scheduler, Arc::clone(&standing));
+        let scheduler = Scheduler::with_standing(repo, cfg.scheduler, Arc::clone(&standing));
         Ok(ExperimentServer {
-            repo,
             scheduler,
             standing,
             rpc,
@@ -91,11 +88,6 @@ impl ExperimentServer {
     /// The bound rpc address.
     pub fn addr(&self) -> std::net::SocketAddr {
         self.rpc.local_addr()
-    }
-
-    /// The shared repository handle (introspection, tests).
-    pub fn repo(&self) -> &Arc<Mutex<ServerRepo>> {
-        &self.repo
     }
 
     /// The standing-query registry serving live campaign frames.
@@ -131,7 +123,7 @@ impl ExperimentServer {
 }
 
 /// Reads the bound address a serving daemon published under `root`.
-pub fn read_endpoint(root: &Path) -> Result<String, ServerError> {
+pub(crate) fn read_endpoint(root: &Path) -> Result<String, ServerError> {
     std::fs::read_to_string(ServerRepo::endpoint_path(root))
         .map(|s| s.trim().to_string())
         .map_err(|e| ServerError::Storage(format!("read endpoint: {e}")))

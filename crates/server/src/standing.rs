@@ -52,14 +52,14 @@ fn plan_key(plan: &PlanSpec) -> String {
 
 impl StandingRegistry {
     /// An empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Feeds a job's cumulative database snapshot in: every standing
     /// query registered for the job rescans only partitions it has not
     /// seen. Called by the scheduler after each slice.
-    pub fn refresh(&self, id: JobId, db: &Database) -> Result<(), ServerError> {
+    pub(crate) fn refresh(&self, id: JobId, db: &Database) -> Result<(), ServerError> {
         let mut jobs = self.jobs.lock();
         let standing = jobs.entry(id).or_default();
         for query in standing.queries.values_mut() {
@@ -76,7 +76,7 @@ impl StandingRegistry {
     /// snapshot, if any slice has landed), then returns its current
     /// frame. Before any slice has landed the frame is empty — zero
     /// columns, zero rows — and fills in as the campaign progresses.
-    pub fn frame(&self, id: JobId, plan: &PlanSpec) -> Result<WireFrame, ServerError> {
+    pub(crate) fn frame(&self, id: JobId, plan: &PlanSpec) -> Result<WireFrame, ServerError> {
         let mut jobs = self.jobs.lock();
         let standing = jobs.entry(id).or_default();
         let key = plan_key(plan);
@@ -106,7 +106,7 @@ impl StandingRegistry {
 
     /// Drops a job's standing state (terminal jobs are served from their
     /// packaged database instead).
-    pub fn retire(&self, id: JobId) {
+    pub(crate) fn retire(&self, id: JobId) {
         self.jobs.lock().remove(&id);
     }
 

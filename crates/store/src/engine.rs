@@ -28,7 +28,7 @@
 //! plus one NULL bit per cell once the column holds a NULL. An arena is
 //! limited to `u32::MAX` bytes per column; an insert past it is an error.
 //!
-//! The package is streamed both ways through the codec in [`crate::json`]:
+//! The package is streamed both ways through the crate's JSON codec:
 //! [`Database::save`] writes tables straight into one buffer with the
 //! JSON writer's primitives, and [`Database::load`] pulls tokens straight
 //! into the columns — neither builds a [`JsonValue`](crate::JsonValue)
@@ -595,7 +595,7 @@ impl Table {
     /// Declares an index on an integer/text column. Only the name is
     /// kept: it is saved in the package's `"indexed"` member, and reads
     /// scan the rows. Idempotent.
-    pub fn create_index(&mut self, column: &str) -> Result<(), StoreError> {
+    pub(crate) fn create_index(&mut self, column: &str) -> Result<(), StoreError> {
         let idx = self.column_index(column)?;
         match self.columns[idx].ctype {
             ColumnType::Integer | ColumnType::Text => {}
@@ -605,11 +605,6 @@ impl Table {
             self.indexed_columns.push(column.to_string());
         }
         Ok(())
-    }
-
-    /// True if the column is declared indexed.
-    pub fn is_indexed(&self, column: &str) -> bool {
-        self.indexed_columns.iter().any(|c| c == column)
     }
 
     /// Appends this table's package form (see the module docs); `name` is
@@ -753,7 +748,7 @@ impl Table {
     }
 
     /// Column names in order.
-    pub fn column_names(&self) -> Vec<&str> {
+    pub(crate) fn column_names(&self) -> Vec<&str> {
         self.columns.iter().map(|c| c.name.as_str()).collect()
     }
 
@@ -847,7 +842,7 @@ impl Database {
     }
 
     /// Mutable table access.
-    pub fn table_mut(&mut self, name: &str) -> Result<&mut Table, StoreError> {
+    pub(crate) fn table_mut(&mut self, name: &str) -> Result<&mut Table, StoreError> {
         self.tables
             .get_mut(name)
             .ok_or_else(|| err(format!("no such table: {name}")))
@@ -1283,7 +1278,7 @@ mod tests {
         let loaded = Database::load(&path).unwrap();
         assert_eq!(loaded, db);
         let t = loaded.table("t").unwrap();
-        assert!(t.is_indexed("k"));
+        assert_eq!(t.indexed_columns, vec!["k".to_string()]);
         assert_eq!(t.len(), 50);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1341,7 +1336,6 @@ mod tests {
                 vec![SqlValue::Null, "a".into(), SqlValue::Real(0.5)],
             ]
         );
-        assert!(t.is_indexed("k"));
         assert_eq!(t.indexed_columns, vec!["k".to_string()]);
         assert_eq!(Ok(db.clone()), oracle_decode(doc));
     }

@@ -14,7 +14,6 @@
 //!   experiment/<node>/<name>   # experiment-wide measurements, one file each
 //!   runs/records.log           # one record per sealed run, back to back
 //!   runs/journal.log           # one "<run_id>\n" line per sealed run
-//!   slabs/                     # columnar partitions (owned by the query layer)
 //! ```
 //!
 //! [`Level2Store::put_run`] stages an entry in memory;
@@ -300,11 +299,6 @@ impl Level2Store {
             root,
             state: Mutex::default(),
         })
-    }
-
-    /// Root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
     }
 
     fn experiment_path(&self, node: &str, name: &str) -> PathBuf {
@@ -607,46 +601,6 @@ impl Level2Store {
             .count() as u64)
     }
 
-    /// Directory for columnar partition slabs derived from this
-    /// experiment's runs. The slab files themselves are written and read
-    /// by the query layer (this crate sits below it and only owns the
-    /// location): one `*.slab` file per completed-run partition, placed
-    /// here by the spill builder so the warehouse can reopen the
-    /// experiment without re-ingesting level-3 packages.
-    pub fn slab_dir(&self) -> PathBuf {
-        self.root.join("slabs")
-    }
-
-    /// Creates (if necessary) and returns the slab directory.
-    pub fn ensure_slab_dir(&self) -> Result<PathBuf, StoreError> {
-        let dir = self.slab_dir();
-        fs::create_dir_all(&dir).map_err(|e| StoreError(format!("create slab dir: {e}")))?;
-        Ok(dir)
-    }
-
-    /// Paths of the stored slab partition files, sorted by file name
-    /// (in-flight atomic-writer temp files are dot-prefixed and skipped).
-    /// Empty when no slab directory exists yet.
-    pub fn slab_files(&self) -> Result<Vec<PathBuf>, StoreError> {
-        let dir = self.slab_dir();
-        let entries = match fs::read_dir(&dir) {
-            Ok(e) => e,
-            Err(_) => return Ok(Vec::new()),
-        };
-        let mut out = Vec::new();
-        for entry in entries {
-            let entry = entry.map_err(|e| StoreError(e.to_string()))?;
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if name.starts_with('.') || !name.ends_with(".slab") {
-                continue;
-            }
-            out.push(entry.path());
-        }
-        out.sort();
-        Ok(out)
-    }
-
     /// Removes the whole hierarchy (after successful packaging to level 3).
     pub fn destroy(self) -> Result<(), StoreError> {
         fs::remove_dir_all(&self.root).map_err(|e| StoreError(format!("destroy: {e}")))
@@ -679,7 +633,7 @@ mod tests {
     }
 
     fn runs_dir_listing(s: &Level2Store) -> Vec<String> {
-        let mut names: Vec<String> = fs::read_dir(s.root().join("runs"))
+        let mut names: Vec<String> = fs::read_dir(s.root.join("runs"))
             .unwrap()
             .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
             .collect();
@@ -807,7 +761,7 @@ mod tests {
         assert_eq!(s.run_ids().unwrap(), vec![0]);
         assert_eq!(s.first_incomplete_run(3).unwrap(), 1);
         // Re-sealing run 1 (after re-execution) repairs the state.
-        let s = Level2Store::open(s.root()).unwrap();
+        let s = Level2Store::open(s.root).unwrap();
         s.mark_run_complete(1).unwrap();
         assert!(s.is_run_complete(1).unwrap());
         assert_eq!(s.journal_runs().unwrap(), vec![0, 1]);
@@ -822,7 +776,7 @@ mod tests {
         fs::write(s.journal_path(), b"0\n1").unwrap();
         assert_eq!(s.journal_runs().unwrap(), vec![0], "'1' is a torn '12'");
         assert!(!s.is_run_complete(12).unwrap());
-        let s = Level2Store::open(s.root()).unwrap();
+        let s = Level2Store::open(s.root).unwrap();
         s.mark_run_complete(12).unwrap();
         assert_eq!(fs::read(s.journal_path()).unwrap(), b"0\n12\n");
         assert_eq!(s.run_ids().unwrap(), vec![0, 12]);
@@ -865,7 +819,7 @@ mod tests {
         // disk, no journal line.
         fs::write(s.records_path(), &full[..sealed.len() + 10]).unwrap();
         fs::write(s.journal_path(), b"0\n").unwrap();
-        let s = Level2Store::open(s.root()).unwrap();
+        let s = Level2Store::open(s.root).unwrap();
         assert_eq!(s.run_ids().unwrap(), vec![0]);
         assert!(s.run_entries(1).unwrap().is_empty());
         assert!(s.load_run(1).is_err());
@@ -892,7 +846,7 @@ mod tests {
         let mut flipped = good.clone();
         flipped[HEADER_LEN] ^= 1;
         fs::write(s.records_path(), &flipped).unwrap();
-        let s = Level2Store::open(s.root()).unwrap();
+        let s = Level2Store::open(s.root).unwrap();
         for e in [
             s.get_run(0, "n", "x").unwrap_err(),
             s.run_entries(1).unwrap_err(),
@@ -907,7 +861,7 @@ mod tests {
         // Cut inside run 1's record although the journal confirms run 1:
         // not a crash, and the next seal must not cut it further.
         fs::write(s.records_path(), &good[..good.len() - 1]).unwrap();
-        let s = Level2Store::open(s.root()).unwrap();
+        let s = Level2Store::open(s.root).unwrap();
         let e = s.first_incomplete_run(3).unwrap_err();
         assert!(e.0.contains("confirms run 1"), "{e}");
         assert!(s.mark_run_complete(2).is_err());
@@ -919,10 +873,10 @@ mod tests {
     #[test]
     fn old_layout_tree_reads_as_no_run_complete() {
         let s = temp_store("legacy");
-        let old_marker = s.root().join("runs/0/_master/complete");
+        let old_marker = s.root.join("runs/0/_master/complete");
         fs::create_dir_all(old_marker.parent().unwrap()).unwrap();
         fs::write(old_marker, b"1").unwrap();
-        fs::write(s.root().join("runs/journal.json"), br#"{"completed":[0]}"#).unwrap();
+        fs::write(s.root.join("runs/journal.json"), br#"{"completed":[0]}"#).unwrap();
         assert!(s.journal_runs().unwrap().is_empty());
         assert!(!s.is_run_complete(0).unwrap());
         assert_eq!(s.first_incomplete_run(2).unwrap(), 0);
@@ -936,32 +890,13 @@ mod tests {
         s.mark_run_complete(0).unwrap();
         // A stray file beside the records, such as the temp file a crash
         // of an older layout's seal left behind.
-        fs::write(s.root().join("runs/.1.run.tmp-999-0"), b"torn").unwrap();
+        fs::write(s.root.join("runs/.1.run.tmp-999-0"), b"torn").unwrap();
         assert_eq!(s.run_ids().unwrap(), vec![0]);
         assert_eq!(
             s.run_entries(0).unwrap(),
             vec![("n".to_string(), "x".to_string())]
         );
         assert!(s.run_entries(1).unwrap().is_empty());
-        s.destroy().unwrap();
-    }
-
-    #[test]
-    fn slab_dir_lists_only_committed_slab_files() {
-        let s = temp_store("slabs");
-        assert!(s.slab_files().unwrap().is_empty(), "no dir yet is fine");
-        let dir = s.ensure_slab_dir().unwrap();
-        fs::write(dir.join("p-0001.slab"), b"x").unwrap();
-        fs::write(dir.join("p-0000.slab"), b"x").unwrap();
-        fs::write(dir.join(".p-0002.slab.tmp-1-0"), b"torn").unwrap();
-        fs::write(dir.join("notes.txt"), b"not a slab").unwrap();
-        let files: Vec<String> = s
-            .slab_files()
-            .unwrap()
-            .iter()
-            .map(|p| p.file_name().unwrap().to_string_lossy().into_owned())
-            .collect();
-        assert_eq!(files, vec!["p-0000.slab", "p-0001.slab"]);
         s.destroy().unwrap();
     }
 

@@ -20,7 +20,7 @@
 //!   level unrealized; it is implemented here as an extension.
 
 pub mod engine;
-pub mod json;
+mod json;
 pub mod level2;
 pub mod records;
 pub mod repository;

@@ -10,7 +10,7 @@
 use crate::engine::{Database, StoreError};
 use crate::records::ExperimentInfo;
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// A directory holding many level-3 experiment packages.
 #[derive(Debug, Clone)]
@@ -37,11 +37,6 @@ impl Repository {
         Ok(Self { root })
     }
 
-    /// Repository directory.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
     fn path_of(&self, id: &str) -> PathBuf {
         self.root.join(format!("{id}.expdb"))
     }
@@ -56,13 +51,8 @@ impl Repository {
     }
 
     /// Loads the package stored under `id`.
-    pub fn load(&self, id: &str) -> Result<Database, StoreError> {
+    pub(crate) fn load(&self, id: &str) -> Result<Database, StoreError> {
         Database::load(&self.path_of(id))
-    }
-
-    /// Removes the package stored under `id`.
-    pub fn remove(&self, id: &str) -> Result<(), StoreError> {
-        fs::remove_file(self.path_of(id)).map_err(|e| StoreError(format!("remove {id}: {e}")))
     }
 
     /// Lists stored experiments with their metadata, sorted by id.
@@ -137,7 +127,7 @@ mod tests {
         let db = package("exp-a");
         repo.store("exp-a", &db).unwrap();
         assert_eq!(repo.load("exp-a").unwrap(), db);
-        fs::remove_dir_all(repo.root()).ok();
+        fs::remove_dir_all(repo.root).ok();
     }
 
     #[test]
@@ -145,7 +135,7 @@ mod tests {
         let repo = temp_repo("ovw");
         repo.store("x", &package("x")).unwrap();
         assert!(repo.store("x", &package("x")).is_err());
-        fs::remove_dir_all(repo.root()).ok();
+        fs::remove_dir_all(repo.root).ok();
     }
 
     #[test]
@@ -158,7 +148,7 @@ mod tests {
         assert_eq!(idx[0].id, "a-exp");
         assert_eq!(idx[0].name, "first");
         assert_eq!(idx[1].comment, "second comment");
-        fs::remove_dir_all(repo.root()).ok();
+        fs::remove_dir_all(repo.root).ok();
     }
 
     #[test]
@@ -170,16 +160,13 @@ mod tests {
             .map_experiments(|id, db| Ok(format!("{id}:{}", ExperimentInfo::read(db)?.name)))
             .unwrap();
         assert_eq!(names, vec!["e1:one", "e2:two"]);
-        fs::remove_dir_all(repo.root()).ok();
+        fs::remove_dir_all(repo.root).ok();
     }
 
     #[test]
-    fn remove_and_missing_load() {
+    fn missing_load_errs() {
         let repo = temp_repo("rm");
-        repo.store("gone", &package("gone")).unwrap();
-        repo.remove("gone").unwrap();
         assert!(repo.load("gone").is_err());
-        assert!(repo.remove("gone").is_err());
-        fs::remove_dir_all(repo.root()).ok();
+        fs::remove_dir_all(repo.root).ok();
     }
 }

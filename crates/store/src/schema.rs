@@ -202,13 +202,4 @@ mod tests {
     fn unknown_table_attributes_is_none() {
         assert!(attributes("Bogus").is_none());
     }
-
-    #[test]
-    fn run_keyed_tables_are_indexed() {
-        let db = create_level3_database();
-        for name in ["RunInfos", "ExtraRunMeasurements", "Events", "Packets"] {
-            assert!(db.table(name).unwrap().is_indexed("RunID"), "{name}");
-        }
-        assert!(!db.table("Logs").unwrap().is_indexed("NodeID"));
-    }
 }

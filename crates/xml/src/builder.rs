@@ -1,18 +1,18 @@
 //! Fluent construction of XML trees.
 //!
 //! ```
-//! use excovery_xml::ElementBuilder;
+//! use excovery_xml::{Element, ElementBuilder};
 //! let e = ElementBuilder::new("factor")
 //!     .attr("id", "fact_pairs")
 //!     .attr("usage", "random")
 //!     .child(ElementBuilder::new("levels")
-//!         .text_child("level", "5")
-//!         .text_child("level", "20"))
+//!         .child_element(Element::with_text("level", "5"))
+//!         .child_element(Element::with_text("level", "20")))
 //!     .build();
 //! assert_eq!(e.find_all("levels/level").len(), 2);
 //! ```
 
-use crate::node::{Element, Node};
+use crate::node::Element;
 
 /// Builder for [`Element`] trees.
 #[derive(Debug, Clone)]
@@ -52,34 +52,12 @@ impl ElementBuilder {
         self
     }
 
-    /// Convenience: appends `<name>text</name>`.
-    pub fn text_child(mut self, name: impl Into<String>, text: impl ToString) -> Self {
-        self.element
-            .push(Element::with_text(name, text.to_string()));
-        self
-    }
-
-    /// Appends a comment node.
-    pub fn comment(mut self, text: impl Into<String>) -> Self {
-        self.element.children.push(Node::Comment(text.into()));
-        self
-    }
-
     /// Appends children from an iterator of builders.
     pub fn children(mut self, iter: impl IntoIterator<Item = ElementBuilder>) -> Self {
         for c in iter {
             self.element.push(c.build());
         }
         self
-    }
-
-    /// Applies `f` only when `cond` holds; keeps fluent chains linear.
-    pub fn when(self, cond: bool, f: impl FnOnce(Self) -> Self) -> Self {
-        if cond {
-            f(self)
-        } else {
-            self
-        }
     }
 
     /// Finishes and returns the element.
@@ -97,7 +75,6 @@ impl From<ElementBuilder> for Element {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::writer::{write_element_string, WriteOptions};
 
     #[test]
     fn builds_nested_structure() {
@@ -116,32 +93,11 @@ mod tests {
     }
 
     #[test]
-    fn when_branches() {
-        let with = ElementBuilder::new("a")
-            .when(true, |b| b.attr("x", 1))
-            .build();
-        let without = ElementBuilder::new("a")
-            .when(false, |b| b.attr("x", 1))
-            .build();
-        assert_eq!(with.attr("x"), Some("1"));
-        assert_eq!(without.attr("x"), None);
-    }
-
-    #[test]
     fn children_from_iterator() {
         let e = ElementBuilder::new("levels")
             .children((0..3).map(|i| ElementBuilder::new("level").text(i)))
             .build();
         let texts: Vec<String> = e.elements_named("level").map(|l| l.text()).collect();
         assert_eq!(texts, vec!["0", "1", "2"]);
-    }
-
-    #[test]
-    fn comment_is_preserved_in_output() {
-        let e = ElementBuilder::new("f")
-            .comment(" datarate generated load ")
-            .build();
-        let s = write_element_string(&e, &WriteOptions::compact());
-        assert!(s.contains("<!-- datarate generated load -->"), "{s}");
     }
 }

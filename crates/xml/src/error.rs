@@ -3,7 +3,7 @@
 use std::fmt;
 
 /// Result alias used throughout the crate.
-pub type XmlResult<T> = Result<T, XmlError>;
+pub(crate) type XmlResult<T> = Result<T, XmlError>;
 
 /// An error raised while parsing or validating XML.
 ///
@@ -12,7 +12,7 @@ pub type XmlResult<T> = Result<T, XmlError>;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct XmlError {
     /// Classification of the failure.
-    pub kind: XmlErrorKind,
+    pub(crate) kind: XmlErrorKind,
     /// Human-readable explanation.
     pub message: String,
     /// 1-based line of the error, 0 if not applicable.
@@ -23,7 +23,7 @@ pub struct XmlError {
 
 /// Classification of an [`XmlError`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum XmlErrorKind {
+pub(crate) enum XmlErrorKind {
     /// The byte stream was not well-formed XML.
     Syntax,
     /// An end tag did not match the open element.
@@ -38,7 +38,12 @@ pub enum XmlErrorKind {
 
 impl XmlError {
     /// Creates a new error at the given position.
-    pub fn new(kind: XmlErrorKind, message: impl Into<String>, line: usize, column: usize) -> Self {
+    pub(crate) fn new(
+        kind: XmlErrorKind,
+        message: impl Into<String>,
+        line: usize,
+        column: usize,
+    ) -> Self {
         Self {
             kind,
             message: message.into(),

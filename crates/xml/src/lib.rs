@@ -6,9 +6,9 @@
 //!
 //! The crate provides:
 //!
-//! * a tokenizing [`parser`] producing a [`Document`] tree of [`Element`]s,
+//! * a tokenizing parser ([`parse`]) producing a [`Document`] tree of [`Element`]s,
 //! * a [`writer`] that serializes trees back to text (pretty or compact),
-//! * an ergonomic [`builder`] API for constructing documents in code,
+//! * an ergonomic builder API ([`ElementBuilder`]) for constructing documents in code,
 //! * simple path-style [`query`] helpers (`root.find("factorlist/factor")`),
 //! * entity escaping/unescaping in [`escape`].
 //!
@@ -25,16 +25,16 @@
 //! assert_eq!(param.text(), "zeroconf");
 //! ```
 
-pub mod builder;
+mod builder;
 pub mod error;
 pub mod escape;
-pub mod node;
-pub mod parser;
+mod node;
+mod parser;
 pub mod query;
 pub mod writer;
 
 pub use builder::ElementBuilder;
-pub use error::{XmlError, XmlResult};
+pub use error::XmlError;
 pub use node::{Document, Element, Node};
-pub use parser::{parse, parse_document};
+pub use parser::parse;
 pub use writer::{to_string, to_string_pretty, WriteOptions};

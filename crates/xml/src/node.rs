@@ -48,17 +48,9 @@ pub enum Node {
 
 impl Node {
     /// Returns the contained element, if this node is one.
-    pub fn as_element(&self) -> Option<&Element> {
+    pub(crate) fn as_element(&self) -> Option<&Element> {
         match self {
             Node::Element(e) => Some(e),
-            _ => None,
-        }
-    }
-
-    /// Returns the contained text, if this node is character data.
-    pub fn as_text(&self) -> Option<&str> {
-        match self {
-            Node::Text(t) => Some(t),
             _ => None,
         }
     }
@@ -157,32 +149,6 @@ impl Element {
         }
         out
     }
-
-    /// Recursively concatenated text of this element and all descendants.
-    pub fn deep_text(&self) -> String {
-        fn walk(e: &Element, out: &mut String) {
-            for c in &e.children {
-                match c {
-                    Node::Text(t) => out.push_str(t),
-                    Node::Element(el) => walk(el, out),
-                    Node::Comment(_) => {}
-                }
-            }
-        }
-        let mut out = String::new();
-        walk(self, &mut out);
-        out.trim().to_string()
-    }
-
-    /// True if the element has no attributes and no non-comment children.
-    pub fn is_empty(&self) -> bool {
-        self.attributes.is_empty() && self.children.iter().all(|c| matches!(c, Node::Comment(_)))
-    }
-
-    /// Counts all descendant elements, including `self`.
-    pub fn count_elements(&self) -> usize {
-        1 + self.elements().map(Element::count_elements).sum::<usize>()
-    }
 }
 
 #[cfg(test)]
@@ -225,25 +191,5 @@ mod tests {
         e.push(Element::new("skip"));
         e.push_text("b  ");
         assert_eq!(e.text(), "a\u{0}b".replace('\u{0}', ""));
-    }
-
-    #[test]
-    fn deep_text_descends() {
-        let e = sample();
-        assert_eq!(e.deep_text(), "1050");
-    }
-
-    #[test]
-    fn count_elements_counts_self_and_descendants() {
-        assert_eq!(sample().count_elements(), 4);
-    }
-
-    #[test]
-    fn empty_ignores_comments() {
-        let mut e = Element::new("x");
-        e.children.push(Node::Comment("note".into()));
-        assert!(e.is_empty());
-        e.push_text("t");
-        assert!(!e.is_empty());
     }
 }

@@ -87,12 +87,6 @@ impl Element {
     pub fn find_text(&self, path: &str) -> Option<String> {
         self.find(path).map(|e| e.text())
     }
-
-    /// Parses the text of the element at `path` into `T`.
-    pub fn find_parsed<T: std::str::FromStr>(&self, path: &str) -> Option<T> {
-        self.find_text(path)
-            .and_then(|t| t.trim_matches('"').parse().ok())
-    }
 }
 
 #[cfg(test)]
@@ -135,15 +129,17 @@ mod tests {
     }
 
     #[test]
-    fn find_text_and_parsed() {
+    fn find_text_takes_the_first_match() {
         let doc = parse(SRC).unwrap();
         let root = doc.root();
         assert_eq!(
             root.find_text("factor[@id=fact_pairs]/levels/level"),
             Some("5".into())
         );
-        let v: Option<u32> = root.find_parsed("factor[@id=fact_pairs]/levels/level[1]");
-        assert_eq!(v, Some(20));
+        assert_eq!(
+            root.find_text("factor[@id=fact_pairs]/levels/level[1]"),
+            Some("20".into())
+        );
     }
 
     #[test]
@@ -151,12 +147,5 @@ mod tests {
         let doc = parse(SRC).unwrap();
         assert!(doc.root().find("nope/deeper").is_none());
         assert!(doc.root().find_all("factor/nope").is_empty());
-    }
-
-    #[test]
-    fn quoted_text_parses() {
-        let doc = parse("<t><timeout>\"30\"</timeout></t>").unwrap();
-        let v: Option<u32> = doc.root().find_parsed("timeout");
-        assert_eq!(v, Some(30));
     }
 }

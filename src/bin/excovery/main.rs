@@ -442,8 +442,7 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
         .unwrap_or("1")
         .parse()
         .map_err(|_| "bad --k")?;
-    let opts = ReportOptions::builder().k(k).build();
-    let report = excovery::analysis::report::render(&db, &opts).map_err(|e| e.to_string())?;
+    let report = excovery::analysis::report::render(&db, k).map_err(|e| e.to_string())?;
     match args.value("--out") {
         Some(path) => {
             std::fs::write(path, &report).map_err(|e| format!("write {path}: {e}"))?;

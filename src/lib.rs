@@ -71,9 +71,7 @@ pub use excovery_xml as xml;
 /// * query measurements — [`Dataset`](prelude::Dataset) with
 ///   [`col`](prelude::col)/[`lit`](prelude::lit) predicates and
 ///   [`Agg`](prelude::Agg) aggregates,
-/// * analyze — [`ExperimentDataset`](prelude::ExperimentDataset) and
-///   [`ReportOptions`](prelude::ReportOptions) (via
-///   `ReportOptions::builder()`).
+/// * analyze — [`ExperimentDataset`](prelude::ExperimentDataset).
 ///
 /// The error set of those layers — [`EngineError`](prelude::EngineError),
 /// [`StoreError`](prelude::StoreError),
@@ -81,7 +79,6 @@ pub use excovery_xml as xml;
 /// [`AnalysisError`](prelude::AnalysisError) — rides along, so `?`-heavy
 /// harnesses only need this one import.
 pub mod prelude {
-    pub use excovery_analysis::report::ReportOptions;
     pub use excovery_analysis::{AnalysisError, DiscoveryEpisode, ExperimentDataset};
     pub use excovery_core::{EngineConfig, EngineError, ExperiMaster, ExperimentOutcome};
     pub use excovery_desc::ExperimentDescription;

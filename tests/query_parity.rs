@@ -352,7 +352,7 @@ fn report_and_findings_match_the_row_readers() {
         .into_iter()
         .map(|(name, preset, _)| {
             let db = outcome_of(preset, 7).database;
-            let text = excovery::analysis::report::render(&db, &ReportOptions::default()).unwrap();
+            let text = excovery::analysis::report::render(&db, 1).unwrap();
             let mut report = Fnv::new();
             report.str(&text);
             let mut findings = Fnv::new();
@@ -389,9 +389,8 @@ fn warehouse_bytes_match_the_row_readers() {
 #[test]
 fn report_render_is_deterministic_and_complete() {
     let db = outcome_of(EngineConfig::grid_default, 7).database;
-    let opts = ReportOptions::default();
-    let a = excovery::analysis::report::render(&db, &opts).unwrap();
-    let b = excovery::analysis::report::render(&db, &opts).unwrap();
+    let a = excovery::analysis::report::render(&db, 1).unwrap();
+    let b = excovery::analysis::report::render(&db, 1).unwrap();
     assert_eq!(a, b, "render must be a pure function of the package");
     for needle in [
         "# Experiment report:",
