@@ -10,14 +10,11 @@
 //! deterministic, which keeps any future map iteration reproducible — the
 //! platform property ExCovery requires (§IV-C1).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// `HashMap` keyed with [`FastHasher`].
 pub type FastHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
-
-/// `HashSet` keyed with [`FastHasher`].
-pub(crate) type FastHashSet<T> = HashSet<T, BuildHasherDefault<FastHasher>>;
 
 /// Multiply-rotate hasher (the FxHash construction) over 64-bit words.
 #[derive(Debug, Default, Clone)]
@@ -84,6 +81,7 @@ impl Hasher for FastHasher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use std::hash::{BuildHasher, BuildHasherDefault};
 
     fn hash_of(v: impl std::hash::Hash) -> u64 {
@@ -118,8 +116,5 @@ mod tests {
         }
         assert_eq!(m.len(), 100);
         assert_eq!(m.get(&(42, 42)), Some(&42));
-        let mut s: FastHashSet<u64> = FastHashSet::default();
-        assert!(s.insert(1));
-        assert!(!s.insert(1));
     }
 }

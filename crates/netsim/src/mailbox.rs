@@ -3,17 +3,27 @@
 //! Every event that one shard schedules onto a node owned by another shard
 //! travels through a per-(source-shard, destination-shard) mailbox instead
 //! of touching the foreign event queue directly. Mailboxes are drained at
-//! window barriers (parallel execution) or immediately after each event
-//! (serial merged execution); either way the carried `(time, key)` pair —
+//! the top of each parallel window (or immediately after each event in
+//! serial merged execution); either way the carried `(time, key)` pair —
 //! the same global ordering key used inside every
 //! [`crate::event::EventQueue`] — fully determines where the event sorts,
 //! so delivery *batching* never changes delivery *order*.
 //!
+//! With block-cyclic stripes (see `crate::shard`) every shard borders
+//! every other on several stripe edges, so each shard may push into every
+//! cell of its row during a window. The 50-multicast flood on a 100×100
+//! grid at 2 shards (seed 1) makes 51,457 crossings, against 7,208 with
+//! one block per shard.
+//!
 //! The grid is a flat `shards × shards` matrix of mutex-protected vectors.
-//! During a parallel window each cell has exactly one writer (the source
-//! shard) and is drained by exactly one reader (the destination shard)
-//! strictly after the barrier, so the mutexes are uncontended by
-//! construction; they exist to make the sharing safe, not to arbitrate it.
+//! The parallel window protocol (`crate::shard::run_windows`) separates
+//! writers from readers in time: a source shard pushes only while it
+//! processes a window, between barrier A and barrier B, and the
+//! destination drains only after barrier B and before the next barrier
+//! A. A cell is therefore never pushed and drained at once, and every
+//! event pushed in a window is drained before the next window's start is
+//! chosen. The mutexes are uncontended by construction; they exist to
+//! make the sharing safe, not to arbitrate it.
 
 use crate::time::SimTime;
 use std::sync::Mutex;

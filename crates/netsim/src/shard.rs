@@ -3,13 +3,27 @@
 //!
 //! # Shard assignment
 //!
-//! Nodes are sorted by position `(x, y, id)` and cut into `S` near-equal
-//! contiguous stripes — a pure function of `(topology, S)`, so the
+//! Nodes are sorted by position `(x, y, id)` and cut into
+//! `S × STRIPES_PER_SHARD` near-equal contiguous stripes (at most one per
+//! node), which are dealt round-robin to the `S` shards: stripe `j` goes to
+//! shard `j mod S`. The map is a pure function of `(topology, S)`, so the
 //! assignment is identical on every machine and every run. On a grid the
-//! stripes are vertical bands; on a chain they are contiguous segments; on
-//! a random-geometric graph they approximate vertical slabs. Spatial
-//! stripes keep most radio neighbours in the same shard, which minimizes
-//! cross-shard traffic without any load measurement.
+//! stripes are vertical bands; on a chain, segments; on a random-geometric
+//! graph, approximate vertical slabs. Within a stripe most radio
+//! neighbours share the shard, so cross-shard traffic stays a small share
+//! of all transits.
+//!
+//! Dealing several stripes per shard instead of one contiguous block is
+//! what keeps every core busy. A flood or a route is a wavefront: in any
+//! one window it is active in a narrow band of the topology. With one
+//! block per shard that band lies inside one shard for long stretches (a
+//! flood from a grid's corner reaches the second half only after crossing
+//! the first), and the others idle at the barrier in every one of those
+//! windows. With interleaved stripes the band spans stripes of every
+//! shard for all but the first and last few hops, so each shard holds a
+//! share of nearly every window's work. The price is more stripe boundaries and
+//! so more mailbox crossings, which cost a push and a drain each but no
+//! extra window.
 //!
 //! # Conservative lookahead
 //!
@@ -22,11 +36,36 @@
 //! `[W, W + L)` can only generate cross-shard arrivals at `≥ W + L` — past
 //! the window end. Each shard may thus drain its own queue through the
 //! window without observing the others, which is the classical conservative
-//! (CMB-style) synchronization argument. Cross-shard events wait in
-//! `mailbox::MailboxGrid` cells and are drained after the barrier
-//! that ends the window, strictly before the next window's start is
-//! chosen, so the "all pending events are at `≥ W`" precondition is
-//! re-established every round.
+//! (Chandy–Misra–Bryant) synchronization argument.
+//!
+//! # One window, two barriers
+//!
+//! Each shard thread runs the same loop, and no shard leads:
+//!
+//! 1. Drain the mail sent to this shard in the previous window, then write
+//!    this shard's minimum pending time and its running event count into
+//!    its own slot of the control block.
+//! 2. Barrier A.
+//! 3. Read every slot and decide: the global minimum `W` (or idle), the
+//!    window end (`W + L`, or the deadline, inclusive, when that comes
+//!    first), and whether the budget is spent. Every shard reads the same
+//!    slots, so every shard takes the same decision; all of them stop
+//!    together when it says done.
+//! 4. Process the window, pushing cross-shard events into mailboxes.
+//! 5. Barrier B.
+//!
+//! Why the window is safe: every mailbox push of window `k` happens
+//! before barrier B of window `k`, and every drain after it, so the slot a
+//! shard writes before barrier A of window `k + 1` covers all mail
+//! addressed to it and the minimum of step 3 is the true global minimum.
+//! No shard pushes into a mailbox (step 4 of window `k + 1`) before every
+//! shard has passed barrier A, which each reaches only after its drain, so
+//! a cell is never pushed and drained at once.
+//!
+//! Why no slot is overwritten while it is read: a shard reads the slots in
+//! step 3, between barrier A and barrier B of the same window. A slot is
+//! rewritten in step 1 of the next window, after its writer has passed
+//! barrier B, which it cannot do before every reader has reached B.
 //!
 //! Bit-exactness with the serial path does *not* come from the windows —
 //! it comes from the global event order key `(time, origin_node,
@@ -34,11 +73,22 @@
 //! handler touches is owned by the node the event occurs at (or keyed by
 //! it), and every node's events execute in global-key order no matter how
 //! shard queues interleave, so each node observes exactly the serial
-//! sequence of callbacks and RNG draws.
+//! sequence of callbacks and RNG draws. The stripe layout moves only wall
+//! time, the per-shard event split and the crossing count.
+//!
+//! # The barrier
+//!
+//! A window on the benchmark grids lasts about a millisecond (248 windows
+//! in a 0.3 s flood), so a barrier that always parks puts a wake-up and a
+//! reschedule on the critical path of every window. This one spins a
+//! short while (`SPINS` iterations) before it parks on a mutex and
+//! condvar, and the releasing thread touches the mutex only when a waiter
+//! parked. While it spins it yields its core now and then, so that with
+//! more shards than cores the shard it waits for gets to run.
 
 use crate::capture::CaptureBuffer;
 use crate::event::EventQueue;
-use crate::fasthash::{FastHashMap, FastHashSet};
+use crate::fasthash::FastHashMap;
 use crate::filter::FilterSet;
 use crate::packet::{PacketId, Port};
 use crate::sim::{NodeId, ProtocolEvent, SimStats};
@@ -46,13 +96,18 @@ use crate::tagger::Tagger;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
 use excovery_rng::StdRng;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Barrier;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex};
 
 /// Number of log₂ buckets in the mailbox depth histogram.
 pub(crate) const DEPTH_BUCKETS: usize = 16;
 
-/// Deterministic node → shard assignment (spatial stripes).
+/// Stripes dealt to each shard (see the module docs). On the flood and
+/// unicast grids of DESIGN.md §12 at 2 shards, 8 tied with 4 on the flood
+/// and lost on the unicasts, where every extra stripe edge is crossings.
+const STRIPES_PER_SHARD: usize = 4;
+
+/// Deterministic node → shard assignment (block-cyclic spatial stripes).
 #[derive(Debug, Clone)]
 pub(crate) struct ShardMap {
     shards: usize,
@@ -63,9 +118,9 @@ pub(crate) struct ShardMap {
 }
 
 impl ShardMap {
-    /// Builds the assignment for `shards` stripes over `topology`.
+    /// Builds the assignment for `shards` shards over `topology`.
     /// `shards` is clamped to `[1, node_count]` (an empty topology gets one
-    /// empty shard).
+    /// empty shard), and the stripe count to the node count.
     pub(crate) fn new(topology: &Topology, shards: usize) -> Self {
         let n = topology.len();
         let shards = shards.clamp(1, n.max(1));
@@ -75,16 +130,19 @@ impl ShardMap {
             let (bx, by) = topology.position(NodeId(b));
             ax.total_cmp(&bx).then(ay.total_cmp(&by)).then(a.cmp(&b))
         });
+        let stripes = (shards * STRIPES_PER_SHARD).min(n).max(1);
         let mut of = vec![0u16; n];
         let mut local = vec![0u32; n];
-        let base = n / shards;
-        let extra = n % shards;
+        let mut next_local = vec![0u32; shards];
+        let (base, extra) = (n / stripes, n % stripes);
         let mut cursor = 0usize;
-        for s in 0..shards {
-            let len = base + usize::from(s < extra);
-            for (i, &node) in order[cursor..cursor + len].iter().enumerate() {
+        for j in 0..stripes {
+            let s = j % shards;
+            let len = base + usize::from(j < extra);
+            for &node in &order[cursor..cursor + len] {
                 of[node as usize] = s as u16;
-                local[node as usize] = i as u32;
+                local[node as usize] = next_local[s];
+                next_local[s] += 1;
             }
             cursor += len;
         }
@@ -153,8 +211,6 @@ pub(crate) struct SimNode {
     /// Next packet sequence; packet ids are `(id << 32) | seq`, which stays
     /// below 2⁵³ (JSON-number safe) for any feasible run.
     pub next_packet_seq: u32,
-    /// Next timer instance id (uniqueness scope: this node).
-    pub next_tid: u64,
     pub agents: FastHashMap<Port, Box<dyn crate::sim::Agent>>,
 }
 
@@ -187,8 +243,6 @@ pub(crate) struct Shard {
     /// which beats a `(packet, node)` hash set (~20 bytes per entry) unless
     /// the flood reaches fewer than ~1/160 of the shard's nodes.
     pub flood_seen: FastHashMap<PacketId, Box<[u64]>>,
-    /// Live timer instances per `(node, port, token)`.
-    pub active_timers: FastHashMap<(u16, Port, u64), FastHashSet<u64>>,
     /// Emitted protocol events with their `(reference time, global key)`;
     /// merged across shards in key order when drained.
     pub protocol_events: Vec<(SimTime, u64, ProtocolEvent)>,
@@ -208,6 +262,10 @@ pub(crate) struct Shard {
     pub obs_windows_published: u64,
     pub obs_barrier_ns_published: u64,
     pub obs_depth_published: [u64; DEPTH_BUCKETS],
+    /// Test hook: `spin_loop` hints this shard burns before each window,
+    /// so a test can make one shard lag the others.
+    #[cfg(test)]
+    pub lag_spins: u32,
 }
 
 impl Shard {
@@ -221,7 +279,6 @@ impl Shard {
             stats: SimStats::default(),
             events_executed: 0,
             flood_seen: FastHashMap::default(),
-            active_timers: FastHashMap::default(),
             protocol_events: Vec::new(),
             crossings_out: 0,
             windows: 0,
@@ -232,6 +289,8 @@ impl Shard {
             obs_windows_published: 0,
             obs_barrier_ns_published: 0,
             obs_depth_published: [0; DEPTH_BUCKETS],
+            #[cfg(test)]
+            lag_spins: 0,
         }
     }
 
@@ -243,23 +302,140 @@ impl Shard {
     }
 }
 
-/// Shared control block of one parallel window run.
-struct WindowCtrl {
-    barrier: Barrier,
-    /// Per-shard minimum pending event time (nanos; `u64::MAX` = idle).
-    mins: Vec<AtomicU64>,
-    /// Current window end in nanos (leader-written between barriers).
-    end: AtomicU64,
-    /// 0 = exclusive window, 1 = inclusive (final window up to a deadline),
-    /// 2 = done.
-    mode: AtomicU64,
-    /// Total events processed across all shards (storm-guard budget).
-    total: AtomicU64,
+/// Spin iterations a barrier waiter spends before it parks: about 85 µs on
+/// the 2-vCPU host of DESIGN.md §12. A 16× longer spin gained nothing at
+/// 2 shards there.
+const SPINS: u32 = 4096;
+
+/// Every this many spin iterations the waiter yields its core instead of
+/// hinting. With more shards than cores the shard it waits for may be
+/// runnable on the same core; yielding cut the 4-shard flood on 2 cores
+/// from 376 to 337 ms (12 of 12 pairs) and left 2 shards unchanged.
+const YIELD_EVERY: u32 = 256;
+
+/// A sense-reversing barrier that spins, then parks.
+///
+/// Each arrival decrements `remaining`; the last one resets it and bumps
+/// `generation`, which releases the others. A waiter spins on
+/// `generation` for `SPINS` iterations, then registers in `parked` and sleeps
+/// on the condvar; the releaser takes the mutex and notifies only when
+/// `parked` is non-zero. The waiter increments `parked` before it checks
+/// `generation` again, and the releaser bumps `generation` before it reads
+/// `parked` (both sequentially consistent), so at least one of them sees
+/// the other: no wake-up is lost.
+///
+/// Memory ordering: every arrival's decrement is a release on
+/// `remaining`, the last arrival's an acquire, and its `generation` bump
+/// a release that every waiter acquires, so everything any thread wrote
+/// before the barrier is visible to every thread after it.
+struct SpinBarrier {
+    n: usize,
+    remaining: AtomicUsize,
+    generation: AtomicUsize,
+    parked: AtomicUsize,
+    lock: Mutex<()>,
+    wake: Condvar,
 }
 
-const MODE_EXCLUSIVE: u64 = 0;
-const MODE_INCLUSIVE: u64 = 1;
-const MODE_DONE: u64 = 2;
+impl SpinBarrier {
+    fn new(n: usize) -> Self {
+        Self {
+            n,
+            remaining: AtomicUsize::new(n),
+            generation: AtomicUsize::new(0),
+            parked: AtomicUsize::new(0),
+            lock: Mutex::new(()),
+            wake: Condvar::new(),
+        }
+    }
+
+    fn wait(&self) {
+        // The generation cannot move before this thread arrives.
+        let generation = self.generation.load(Ordering::Acquire);
+        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+            // No waiter touches `remaining` again before the bump below.
+            self.remaining.store(self.n, Ordering::Relaxed);
+            self.generation
+                .store(generation.wrapping_add(1), Ordering::SeqCst);
+            if self.parked.load(Ordering::SeqCst) > 0 {
+                drop(self.lock.lock().expect("barrier poisoned"));
+                self.wake.notify_all();
+            }
+            return;
+        }
+        for i in 1..=SPINS {
+            if self.generation.load(Ordering::Acquire) != generation {
+                return;
+            }
+            if i % YIELD_EVERY == 0 {
+                std::thread::yield_now();
+            } else {
+                std::hint::spin_loop();
+            }
+        }
+        let mut guard = self.lock.lock().expect("barrier poisoned");
+        self.parked.fetch_add(1, Ordering::SeqCst);
+        while self.generation.load(Ordering::SeqCst) == generation {
+            guard = self.wake.wait(guard).expect("barrier poisoned");
+        }
+        self.parked.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// What each shard publishes before barrier A.
+struct Slot {
+    /// Earliest pending event time in nanos; `u64::MAX` when idle.
+    min: AtomicU64,
+    /// Events this shard executed so far in this run.
+    executed: AtomicU64,
+}
+
+/// The decision every shard takes alone from the same slots.
+enum Window {
+    /// Process every event before `end`, or through `end` when `inclusive`
+    /// (the last window before a deadline).
+    Run {
+        end: SimTime,
+        inclusive: bool,
+    },
+    Done,
+}
+
+/// Decides the next window from the published slots: done when every shard
+/// is idle, the budget is spent or the earliest event lies past the
+/// deadline; otherwise one lookahead from the earliest event, cut at the
+/// deadline.
+fn decide(
+    slots: &[Slot],
+    lookahead: SimDuration,
+    deadline: Option<SimTime>,
+    budget: u64,
+) -> Window {
+    let min = slots
+        .iter()
+        .map(|s| s.min.load(Ordering::Relaxed))
+        .min()
+        .unwrap_or(u64::MAX);
+    let executed: u64 = slots
+        .iter()
+        .map(|s| s.executed.load(Ordering::Relaxed))
+        .sum();
+    let past_deadline = deadline.is_some_and(|d| min > d.as_nanos());
+    if min == u64::MAX || executed >= budget || past_deadline {
+        return Window::Done;
+    }
+    let open_end = min.saturating_add(lookahead.as_nanos());
+    match deadline {
+        Some(d) if open_end > d.as_nanos() => Window::Run {
+            end: d,
+            inclusive: true,
+        },
+        _ => Window::Run {
+            end: SimTime::from_nanos(open_end),
+            inclusive: false,
+        },
+    }
+}
 
 /// Runs shards in parallel windows of `lookahead` until `deadline` (if
 /// `Some`) or until globally idle, whichever comes first, with `budget`
@@ -287,86 +463,200 @@ where
         lookahead > SimDuration::ZERO,
         "parallel run needs lookahead"
     );
-    let n = shards.len();
-    let ctrl = WindowCtrl {
-        barrier: Barrier::new(n),
-        mins: (0..n).map(|_| AtomicU64::new(u64::MAX)).collect(),
-        end: AtomicU64::new(0),
-        mode: AtomicU64::new(MODE_EXCLUSIVE),
-        total: AtomicU64::new(0),
-    };
-    let ctrl = &ctrl;
+    let barrier = &SpinBarrier::new(shards.len());
+    let slots: &[Slot] = &shards
+        .iter()
+        .map(|_| Slot {
+            min: AtomicU64::new(u64::MAX),
+            executed: AtomicU64::new(0),
+        })
+        .collect::<Vec<_>>();
     let drain = &drain;
     let process = &process;
     std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(n);
         for shard in shards.iter_mut() {
-            handles.push(scope.spawn(move || {
+            scope.spawn(move || {
                 let wait = |shard: &mut Shard| {
                     if obs {
                         let t0 = std::time::Instant::now();
-                        ctrl.barrier.wait();
+                        barrier.wait();
                         shard.barrier_wait_ns += t0.elapsed().as_nanos() as u64;
                     } else {
-                        ctrl.barrier.wait();
+                        barrier.wait();
                     }
                 };
+                let slot = &slots[shard.id];
+                let mut executed = 0;
                 loop {
-                    // Phase 1: all sends of the previous window are complete
-                    // (we are past its trailing barrier), so drain inbound
-                    // mail and publish this shard's minimum pending time.
+                    // Every push of the previous window happened before its
+                    // barrier B, and no shard reads a slot again before
+                    // this shard's barrier A.
                     drain(shard);
                     let min = shard.queue.peek_time().map_or(u64::MAX, |t| t.as_nanos());
-                    ctrl.mins[shard.id].store(min, Ordering::Relaxed);
-                    wait(shard);
-                    // Phase 2: the leader picks the next window.
-                    if shard.id == 0 {
-                        let m = ctrl
-                            .mins
-                            .iter()
-                            .map(|a| a.load(Ordering::Relaxed))
-                            .min()
-                            .unwrap_or(u64::MAX);
-                        let over_budget = ctrl.total.load(Ordering::Relaxed) >= budget;
-                        let past_deadline =
-                            deadline.is_some_and(|d| m != u64::MAX && m > d.as_nanos());
-                        if m == u64::MAX || over_budget || past_deadline {
-                            ctrl.mode.store(MODE_DONE, Ordering::Relaxed);
-                        } else {
-                            let open_end = m.saturating_add(lookahead.as_nanos());
-                            match deadline {
-                                Some(d) if open_end > d.as_nanos() => {
-                                    ctrl.end.store(d.as_nanos(), Ordering::Relaxed);
-                                    ctrl.mode.store(MODE_INCLUSIVE, Ordering::Relaxed);
-                                }
-                                _ => {
-                                    ctrl.end.store(open_end, Ordering::Relaxed);
-                                    ctrl.mode.store(MODE_EXCLUSIVE, Ordering::Relaxed);
-                                }
-                            }
-                        }
+                    slot.min.store(min, Ordering::Relaxed);
+                    slot.executed.store(executed, Ordering::Relaxed);
+                    wait(shard); // A
+                    #[cfg(test)]
+                    for _ in 0..shard.lag_spins {
+                        std::hint::spin_loop();
                     }
-                    wait(shard);
-                    // Phase 3: everyone reads the decision and processes.
-                    let mode = ctrl.mode.load(Ordering::Relaxed);
-                    if mode == MODE_DONE {
+                    let Window::Run { end, inclusive } = decide(slots, lookahead, deadline, budget)
+                    else {
                         break;
-                    }
-                    let end = SimTime::from_nanos(ctrl.end.load(Ordering::Relaxed));
-                    let n = process(shard, end, mode == MODE_INCLUSIVE);
-                    if n > 0 {
-                        ctrl.total.fetch_add(n, Ordering::Relaxed);
-                    }
+                    };
+                    executed += process(shard, end, inclusive);
                     shard.windows += 1;
-                    // Trailing barrier: no shard may drain mail (phase 1 of
-                    // the next round) while another is still pushing.
-                    wait(shard);
+                    wait(shard); // B
                 }
-            }));
-        }
-        for h in handles {
-            h.join().expect("shard worker panicked");
+            });
         }
     });
-    ctrl.total.load(Ordering::Relaxed)
+    slots
+        .iter()
+        .map(|s| s.executed.load(Ordering::Relaxed))
+        .sum()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::rng::derive_rng;
+    use proptest::prelude::*;
+
+    /// The topology a case draws: a grid, a chain or a random-geometric
+    /// graph (sparse enough at large `spread` to leave isolated nodes).
+    fn topology(kind: u8, a: usize, b: usize, spread: f64, seed: u64) -> Topology {
+        match kind {
+            0 => Topology::grid(a, b),
+            1 => Topology::chain(a * b),
+            _ => Topology::random_geometric(
+                a * b,
+                spread * (a * b) as f64,
+                1.0,
+                &mut derive_rng(seed, "topology"),
+            ),
+        }
+    }
+
+    /// Node ids in the `(x, y, id)` order the stripes are cut from.
+    fn spatial_order(t: &Topology) -> Vec<NodeId> {
+        let mut order: Vec<NodeId> = t.nodes().collect();
+        order.sort_by(|&a, &b| {
+            let (ax, ay) = t.position(a);
+            let (bx, by) = t.position(b);
+            ax.total_cmp(&bx).then(ay.total_cmp(&by)).then(a.cmp(&b))
+        });
+        order
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// On generated grids, chains and random-geometric graphs at 1–8
+        /// shards: every node has exactly one owner; each shard's local
+        /// indices are dense and follow the `(x, y, id)` order; the map
+        /// is a pure function of `(topology, shards)`; the stripe count
+        /// is clamped to the node count, so every shard owns a node when
+        /// there are at least as many nodes as shards; and the shards'
+        /// sizes differ by at most one stripe's worth of nodes.
+        #[test]
+        fn every_node_has_one_owner_and_dense_local_indices(
+            kind in 0u8..3,
+            a in 1usize..24,
+            b in 1usize..24,
+            spread in 0.1f64..1.0,
+            seed in 0u64..1_000,
+            shards in 1usize..9,
+        ) {
+            let t = topology(kind, a, b, spread, seed);
+            let n = t.len();
+            let map = ShardMap::new(&t, shards);
+            let s = shards.min(n);
+            prop_assert_eq!(map.shard_count(), s);
+            prop_assert_eq!(map.node_count(), n);
+
+            let order = spatial_order(&t);
+            let mut owned = vec![0usize; n];
+            let mut sizes = Vec::with_capacity(s);
+            for shard in 0..s {
+                let nodes = map.nodes_of(shard);
+                sizes.push(nodes.len());
+                for (i, &node) in nodes.iter().enumerate() {
+                    owned[node.0 as usize] += 1;
+                    prop_assert_eq!(map.shard_of(node), shard);
+                    prop_assert_eq!(map.local_index(node), i);
+                }
+                let in_order: Vec<NodeId> = order
+                    .iter()
+                    .copied()
+                    .filter(|&node| map.shard_of(node) == shard)
+                    .collect();
+                prop_assert_eq!(&nodes, &in_order, "shard {} is not in (x, y, id) order", shard);
+            }
+            prop_assert!(owned.iter().all(|&k| k == 1), "{:?}", owned);
+
+            let stripes = (s * STRIPES_PER_SHARD).min(n).max(1);
+            let runs = 1 + order
+                .windows(2)
+                .filter(|w| map.shard_of(w[0]) != map.shard_of(w[1]))
+                .count();
+            prop_assert!(runs <= stripes, "{} runs from {} stripes", runs, stripes);
+            prop_assert!(sizes.iter().all(|&k| k > 0), "{:?}", sizes);
+            let (base, per_shard) = (n / stripes, stripes / s);
+            let spread_bound = base + per_shard + 1;
+            let (lo, hi) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
+            prop_assert!(hi - lo <= spread_bound, "{:?}", sizes);
+
+            let again = ShardMap::new(&t, shards);
+            prop_assert_eq!(&again.of, &map.of);
+            prop_assert_eq!(&again.local, &map.local);
+        }
+    }
+
+    #[test]
+    fn an_empty_topology_gets_one_empty_shard() {
+        let map = ShardMap::new(&Topology::chain(0), 4);
+        assert_eq!(map.shard_count(), 1);
+        assert!(map.nodes_of(0).is_empty());
+    }
+
+    #[test]
+    fn stripes_are_dealt_round_robin() {
+        // A 16-node chain at 2 shards: 8 stripes of 2 nodes, alternating.
+        let map = ShardMap::new(&Topology::chain(16), 2);
+        let owners: Vec<usize> = (0..16).map(|i| map.shard_of(NodeId(i))).collect();
+        assert_eq!(owners, [0, 0, 1, 1, 0, 0, 1, 1, 0, 0, 1, 1, 0, 0, 1, 1]);
+        // Fewer nodes than stripes: one node per stripe.
+        let map = ShardMap::new(&Topology::chain(5), 2);
+        let owners: Vec<usize> = (0..5).map(|i| map.shard_of(NodeId(i))).collect();
+        assert_eq!(owners, [0, 1, 0, 1, 0]);
+    }
+
+    #[test]
+    fn the_barrier_holds_every_thread_until_the_last_arrives() {
+        // Each round, every thread bumps the counter before the barrier and
+        // reads it after: all of them must see all of the round's bumps.
+        const THREADS: usize = 3;
+        const ROUNDS: usize = 200;
+        let barrier = SpinBarrier::new(THREADS);
+        let count = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (barrier, count) = (&barrier, &count);
+                scope.spawn(move || {
+                    for round in 0..ROUNDS {
+                        count.fetch_add(1, Ordering::Relaxed);
+                        // Make some rounds park: one thread arrives late.
+                        if round % 7 == t {
+                            std::thread::sleep(std::time::Duration::from_micros(200));
+                        }
+                        barrier.wait();
+                        assert!(count.load(Ordering::Relaxed) >= (round + 1) * THREADS);
+                        barrier.wait();
+                    }
+                });
+            }
+        });
+        assert_eq!(count.load(Ordering::Relaxed), ROUNDS * THREADS);
+    }
 }

@@ -195,7 +195,6 @@ pub(crate) enum Ev {
         node: NodeId,
         port: Port,
         token: u64,
-        tid: u64,
     },
 }
 
@@ -321,8 +320,10 @@ impl SimulatorConfig {
 }
 
 /// Nodes one shard must own before another shard pays for its thread,
-/// barriers and mailbox traffic. Measured on the flood and unicast grids
-/// of DESIGN.md §12: 1 024 nodes gain at 2 shards, 100 nodes do not.
+/// barriers and mailbox traffic. Measured on the grids of DESIGN.md §12
+/// (2-vCPU host, 12 alternating pairs against one shard): 2 shards take
+/// 24k unicasts on 1 024 nodes from 345 to 167 ms and the 10 000-node
+/// flood from 498 to 327 ms; 100 nodes gain nothing.
 const NODES_PER_SHARD: usize = 512;
 
 /// The shard count the simulator picks for `nodes` nodes on `cores` cores:
@@ -417,12 +418,11 @@ impl Shard {
                 self.handle_flood_transit(ctx, mail, packet, from, to)
             }
             Ev::Deliver { packet, at } => self.deliver(ctx, mail, &packet, at),
-            Ev::Timer {
-                node,
-                port,
-                token,
-                tid,
-            } => self.handle_timer(ctx, mail, node, port, token, tid),
+            Ev::Timer { node, port, token } => {
+                self.dispatch(ctx, mail, node, port, |agent, actx| {
+                    agent.on_timer(actx, token)
+                })
+            }
         }
         true
     }
@@ -490,59 +490,13 @@ impl Shard {
                     payload,
                 } => self.process_send(ctx, mail, node, dst, p, payload),
                 Action::SetTimer { delay, token } => {
-                    let (tid, key) = {
-                        let n = self.node_mut(ctx, node);
-                        let tid = n.next_tid;
-                        n.next_tid += 1;
-                        (tid, n.next_key())
-                    };
-                    self.active_timers
-                        .entry((node.0, port, token))
-                        .or_default()
-                        .insert(tid);
+                    let key = self.node_mut(ctx, node).next_key();
                     let due = self.time + delay;
                     // Timers fire at the arming node, so this is always a
                     // local enqueue; `schedule_ev` keeps the routing uniform.
-                    self.schedule_ev(
-                        ctx,
-                        mail,
-                        due,
-                        key,
-                        Ev::Timer {
-                            node,
-                            port,
-                            token,
-                            tid,
-                        },
-                    );
+                    self.schedule_ev(ctx, mail, due, key, Ev::Timer { node, port, token });
                 }
             }
-        }
-    }
-
-    fn handle_timer(
-        &mut self,
-        ctx: &SimCtx,
-        mail: &MailboxGrid<Ev>,
-        node: NodeId,
-        port: Port,
-        token: u64,
-        tid: u64,
-    ) {
-        let key = (node.0, port, token);
-        let live = match self.active_timers.get_mut(&key) {
-            Some(set) => set.remove(&tid),
-            None => false,
-        };
-        if let Some(set) = self.active_timers.get(&key) {
-            if set.is_empty() {
-                self.active_timers.remove(&key);
-            }
-        }
-        if live {
-            self.dispatch(ctx, mail, node, port, |agent, actx| {
-                agent.on_timer(actx, token)
-            });
         }
     }
 
@@ -970,7 +924,6 @@ impl Simulator {
                     channel_rng: derive_rng_indexed(cfg.seed, "channel", i as u64),
                     next_seq: 0,
                     next_packet_seq: 0,
-                    next_tid: 0,
                     agents: FastHashMap::default(),
                 })
             })
@@ -1644,7 +1597,6 @@ impl Simulator {
             // pin its peak allocation for the rest of a campaign.
             sh.queue.shrink_to_fit();
             sh.flood_seen.clear();
-            sh.active_timers.clear();
             sh.protocol_events.clear();
             sh.time = sh.time.max(epoch);
             for n in &mut sh.nodes {
@@ -1659,7 +1611,6 @@ impl Simulator {
                 n.channel_rng = derive_rng_indexed(run_seed, "channel", i);
                 n.next_seq = 0;
                 n.next_packet_seq = 0;
-                n.next_tid = 0;
             }
         }
         self.time = self.time.max(epoch);
@@ -2079,6 +2030,101 @@ mod tests {
         assert!(per_shard.iter().all(|&n| n > 0), "{per_shard:?}");
         assert!(s.mailbox_crossings() > 0);
         assert_eq!(s.pending_events(), 0);
+    }
+
+    /// A sink at every node of a `side`×`side` grid.
+    fn grid_with_sinks(side: usize, link_model: LinkModel, shards: usize) -> Simulator {
+        struct Sink;
+        impl Agent for Sink {
+            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+                self
+            }
+        }
+        let cfg = SimulatorConfig {
+            link_model,
+            ..SimulatorConfig::perfect_clocks(3)
+        }
+        .with_shards(shards);
+        let mut s = Simulator::new(Topology::grid(side, side), cfg);
+        for n in 0..(side * side) as u16 {
+            s.install_agent(NodeId(n), 9, Box::new(Sink));
+        }
+        s
+    }
+
+    /// Floods from a corner, or sends unicasts between spread-out pairs
+    /// over the default lossy link model; returns the simulator run dry.
+    fn lag_workload(flood: bool, shards: usize, lagging: Option<usize>) -> Simulator {
+        let mut s = if flood {
+            grid_with_sinks(16, quiet_model(), shards)
+        } else {
+            grid_with_sinks(12, LinkModel::default(), shards)
+        };
+        if let Some(k) = lagging {
+            s.shards[k].lag_spins = 2_000;
+        }
+        if flood {
+            for _ in 0..4 {
+                s.send_from(NodeId(0), 9, Destination::Multicast, Payload::from("f"));
+            }
+        } else {
+            for i in 0..120u16 {
+                let (from, to) = (i * 37 % 144, (i * 53 + 11) % 144);
+                s.send_from(
+                    NodeId(from),
+                    9,
+                    Destination::Unicast(NodeId(to)),
+                    Payload::from("u"),
+                );
+            }
+        }
+        s.run_until_idle(u64::MAX);
+        s
+    }
+
+    /// One shard of four spins before every window, so the others reach
+    /// each barrier first and a slot or mailbox that was rewritten too
+    /// early would show. The outcome must still be the serial one.
+    #[test]
+    fn a_lagging_shard_stays_bit_exact_with_the_serial_run() {
+        for flood in [true, false] {
+            let serial = lag_workload(flood, 1, None);
+            for lagging in 0..4 {
+                let s = lag_workload(flood, 4, Some(lagging));
+                let what = format!("flood {flood}, shard {lagging} lagging");
+                assert_eq!(s.state_digest(), serial.state_digest(), "{what}");
+                assert_eq!(s.events_executed(), serial.events_executed(), "{what}");
+                assert_eq!(s.stats(), serial.stats(), "{what}");
+                assert_eq!(
+                    s.events_per_shard().iter().sum::<u64>(),
+                    serial.events_executed(),
+                    "{what}"
+                );
+                assert!(s.mailbox_crossings() > 0, "{what}");
+            }
+        }
+    }
+
+    /// A small `run_until_idle` budget stops after exactly the budget on one
+    /// queue and at the end of the window that reaches it on 2 and 4
+    /// shards; the window ends do not depend on the partition, so both
+    /// shard counts stop after the same number of events.
+    #[test]
+    fn a_small_budget_cuts_off_at_the_same_count() {
+        let stop = |shards: usize| {
+            let mut s = grid_with_sinks(16, quiet_model(), shards);
+            for _ in 0..4 {
+                s.send_from(NodeId(0), 9, Destination::Multicast, Payload::from("f"));
+            }
+            let executed = s.run_until_idle(1_500);
+            assert_eq!(executed, s.events_executed(), "{shards} shards");
+            (executed, s.pending_events(), s.state_digest())
+        };
+        let (executed, pending, _) = stop(1);
+        assert_eq!((executed, pending), (1_500, 205));
+        let two = stop(2);
+        assert_eq!((two.0, two.1), (1_567, 208));
+        assert_eq!(stop(4), two);
     }
 
     #[test]

@@ -178,7 +178,19 @@ impl DatasetBuilder {
     }
 
     /// Ingests one `(experiment id, package)` pair.
-    pub fn add_package(mut self, experiment: &str, db: &Database) -> Result<Self, QueryError> {
+    pub fn add_package(self, experiment: &str, db: &Database) -> Result<Self, QueryError> {
+        self.add_tables(experiment, db, |_| true)
+    }
+
+    /// Ingests only the tables of one package that `keep` accepts. A
+    /// reader that scans two tables then copies no others (the `Packets`
+    /// capture blobs above all).
+    pub(crate) fn add_tables(
+        mut self,
+        experiment: &str,
+        db: &Database,
+        keep: impl Fn(&str) -> bool,
+    ) -> Result<Self, QueryError> {
         let exp_index = self.dataset.experiments.len();
         self.dataset.experiments.push(experiment.to_string());
         let parts = ingest_package(
@@ -188,6 +200,7 @@ impl DatasetBuilder {
             experiment,
             exp_index,
             db,
+            keep,
         )?;
         self.dataset.partitions.extend(parts);
         Ok(self)
@@ -199,8 +212,9 @@ impl DatasetBuilder {
     }
 }
 
-/// Splits one package into partitions, interning strings into `pool` and
-/// checking `schemas` for cross-package consistency. Shared by the
+/// Splits the tables of one package that `keep` accepts into partitions,
+/// interning strings into `pool` and checking `schemas` for cross-package
+/// consistency. Shared by the
 /// in-memory [`DatasetBuilder`], the streaming spill builder and the
 /// incremental standing-query layer, so all three produce byte-identical
 /// slabs for the same rows.
@@ -211,12 +225,13 @@ pub(crate) fn ingest_package(
     experiment: &str,
     exp_index: usize,
     db: &Database,
+    keep: impl Fn(&str) -> bool,
 ) -> Result<Vec<Partition>, QueryError> {
     // Partition key → table name → slabs; BTreeMap keeps keys in
     // ascending order with the meta (None) partition first, which is
     // `ORDER BY RunID` in the SQL order (NULL first).
     let mut parts: BTreeMap<Option<i64>, BTreeMap<String, ColumnTable>> = BTreeMap::new();
-    for name in db.table_names() {
+    for name in db.table_names().into_iter().filter(|&n| keep(n)) {
         let table = db.table(name)?;
         let schema = TableSchema {
             names: table.columns().iter().map(|c| c.name.clone()).collect(),

@@ -130,6 +130,7 @@ impl StandingQuery {
             experiment,
             exp_index,
             db,
+            |_| true,
         )?;
         // The plan context depends only on the scanned table's schema,
         // which the ingest above may have just introduced.

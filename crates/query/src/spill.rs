@@ -419,6 +419,7 @@ impl SpillBuilder {
             experiment,
             exp_index,
             db,
+            |_| true,
         )?;
         let written = parts.len();
         for p in parts {

@@ -91,7 +91,9 @@ pub fn build_warehouse(packages: &[(&str, &Database)]) -> Result<Database, Query
                 info.ee_version.into(),
             ],
         )?;
-        let ds = Dataset::from_database(db)?;
+        let ds = Dataset::builder()
+            .add_tables("default", db, |t| matches!(t, "Events" | "RunInfos"))?
+            .build();
         // Node dimension: every node appearing in RunInfos.
         let run_infos = ds
             .scan("RunInfos")

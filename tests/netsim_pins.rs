@@ -208,11 +208,11 @@ fn flood_grid100x100_1mpkts_serial_and_4shards() {
     );
 
     let split = sim.events_per_shard();
-    assert_eq!(split, [361_673, 368_324, 368_604, 366_662]);
+    assert_eq!(split, [362_075, 368_252, 368_471, 366_465]);
     assert_eq!(
         split.iter().sum::<u64>(),
         sharded.events,
         "per-shard events must sum to the total"
     );
-    assert_eq!(sim.mailbox_crossings(), 21_877);
+    assert_eq!(sim.mailbox_crossings(), 111_766);
 }
