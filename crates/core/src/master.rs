@@ -37,9 +37,9 @@ use excovery_rpc::{
 };
 use excovery_sd::{Architecture, SdConfig};
 use excovery_store::level2::Level2Store;
-use excovery_store::records::{EventRow, ExperimentInfo, PacketRow, RunInfoRow};
+use excovery_store::records::{ExperimentInfo, RunInfoRow};
 use excovery_store::schema::{create_level3_database, EE_VERSION};
-use excovery_store::{Database, JsonValue, SqlValue};
+use excovery_store::{CellRef, Database, JsonValue, SqlValue};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -574,7 +574,7 @@ impl ExperiMaster {
         method: &str,
         params: &[Value],
     ) -> Result<Vec<Value>, EngineError> {
-        let phase_timer = self.phase_timer(format!("fan_out:{method}"));
+        let phase_timer = self.phase_timer(|| format!("fan_out:{method}"));
         let calls: Vec<NodeCall> = nodes
             .iter()
             .map(|pid| NodeCall {
@@ -617,12 +617,14 @@ impl ExperiMaster {
             .collect()
     }
 
-    /// Starts timing one master phase when observability is on.
-    fn phase_timer(
+    /// Starts timing one master phase when observability is on; `span`
+    /// names it, and is not called when obs is off.
+    fn phase_timer<S: Into<Cow<'static, str>>>(
         &self,
-        span: impl Into<Cow<'static, str>>,
+        span: impl FnOnce() -> S,
     ) -> Option<excovery_obs::span::SpanTimer> {
-        excovery_obs::enabled().then(|| excovery_obs::span::SpanTimer::start(&self.obs_clock, span))
+        excovery_obs::enabled()
+            .then(|| excovery_obs::span::SpanTimer::start(&self.obs_clock, span()))
     }
 
     /// Ends a [`Self::phase_timer`]: records its span and observes its
@@ -768,7 +770,7 @@ impl ExperiMaster {
         l2.put_experiment("master", "topology_after.json", topo_after.as_bytes())
             .map_err(|e| EngineError::Storage(e.to_string()))?;
 
-        let packaging = self.phase_timer("package");
+        let packaging = self.phase_timer(|| "package");
         let database = self.package(l2)?;
         self.finish_phase(packaging, "package");
         // Tear the node side down everywhere (concurrently, like the other
@@ -1077,7 +1079,7 @@ impl ExperiMaster {
         }
 
         let mut packets_total = 0;
-        let staging = self.phase_timer("l2_captures");
+        let staging = self.phase_timer(|| "l2_captures");
         {
             let mut sim = self.sim.lock();
             let src_id = |node: NodeId| match self.binding.platform_id(node) {
@@ -1219,6 +1221,8 @@ impl ExperiMaster {
                 )
             })
             .collect();
+        // One `Parameter` cell buffer for every event row.
+        let mut parameter = String::new();
 
         for run_id in l2
             .run_ids()
@@ -1270,18 +1274,23 @@ impl ExperiMaster {
                 .ok_or_else(|| bad_events(l2codec::EVENTS, "missing"))?;
             let events = l2codec::decode_events(raw)
                 .map_err(|e| bad_events(l2codec::EVENTS, &e.to_string()))?;
-            for (e, params) in events.iter() {
-                let offset = sync.get(e.node).copied().unwrap_or(0);
-                EventRow {
-                    run_id,
-                    node_id: e.node.to_string(),
-                    common_time_ns: e.local_time_ns as i64 - offset,
-                    event_type: e.name.to_string(),
-                    parameter: EventRow::encode_params(params),
-                }
-                .insert(&mut db)
-                .map_err(|er| EngineError::Storage(er.to_string()))?;
-            }
+            // Rows of `Events` and `Packets` borrow their cells from the
+            // record: nothing is copied but into the tables.
+            db.insert_cells("Events", |insert| {
+                events.iter().try_for_each(|(e, params)| {
+                    let offset = sync.get(e.node).copied().unwrap_or(0);
+                    parameter.clear();
+                    push_params(&mut parameter, params);
+                    insert(&[
+                        CellRef::Int(run_id as i64),
+                        CellRef::Text(e.node),
+                        CellRef::Int(e.local_time_ns as i64 - offset),
+                        CellRef::Text(e.name),
+                        CellRef::Text(&parameter),
+                    ])
+                })
+            })
+            .map_err(|er| EngineError::Storage(er.to_string()))?;
             // Custom (plugin) measurements -> ExtraRunMeasurements; only
             // runs whose plugins recorded something have the entry.
             if record.get("_plugins", "measurements.json").is_some() {
@@ -1325,17 +1334,18 @@ impl ExperiMaster {
                 }
                 let captures = l2codec::decode_captures(raw).map_err(|e| bad(e.to_string()))?;
                 let offset = sync.get(node).copied().unwrap_or(0);
-                for c in captures {
-                    PacketRow {
-                        run_id,
-                        node_id: node.to_string(),
-                        common_time_ns: c.local_time_ns as i64 - offset,
-                        src_node_id: c.src.to_string(),
-                        data: c.wire.to_vec(),
-                    }
-                    .insert(&mut db)
-                    .map_err(|e| EngineError::Storage(e.to_string()))?;
-                }
+                db.insert_cells("Packets", |insert| {
+                    captures.iter().try_for_each(|c| {
+                        insert(&[
+                            CellRef::Int(run_id as i64),
+                            CellRef::Text(node),
+                            CellRef::Int(c.local_time_ns as i64 - offset),
+                            CellRef::Text(c.src),
+                            CellRef::Blob(c.wire),
+                        ])
+                    })
+                })
+                .map_err(|e| EngineError::Storage(e.to_string()))?;
             }
             for (pid, content) in managed.iter().zip(&mut logs) {
                 if let Some(segment) = record.get(pid, "node_log.txt") {
@@ -1349,6 +1359,20 @@ impl ExperiMaster {
                 .map_err(|e| EngineError::Storage(e.to_string()))?;
         }
         Ok(db)
+    }
+}
+
+/// Appends event parameters to `out` in the flat `Parameter` form of
+/// [`excovery_store::records::EventRow::encode_params`]: `key=value` pairs
+/// joined by `;`.
+fn push_params(out: &mut String, params: &[(&str, &str)]) {
+    for (i, (k, v)) in params.iter().enumerate() {
+        if i > 0 {
+            out.push(';');
+        }
+        out.push_str(k);
+        out.push('=');
+        out.push_str(v);
     }
 }
 
@@ -1519,7 +1543,7 @@ mod tests {
     use excovery_analysis::ExperimentDataset;
     use excovery_desc::ExperimentDescription;
     use excovery_netsim::link::LinkModel;
-    use excovery_store::CellRef;
+    use excovery_store::records::EventRow;
 
     /// The outcome's package, read back through the one read path.
     fn dataset(outcome: &ExperimentOutcome) -> ExperimentDataset {
@@ -1788,6 +1812,20 @@ mod tests {
 
     fn keep(node: &str, name: &str, data: &[u8]) -> Option<(String, String, Vec<u8>)> {
         Some((node.to_string(), name.to_string(), data.to_vec()))
+    }
+
+    #[test]
+    fn pushed_parameters_are_the_encoded_ones() {
+        let mut out = String::from("stale");
+        for params in [
+            &[][..],
+            &[("role", "SU")],
+            &[("service", "sm-A"), ("stype", "")],
+        ] {
+            out.clear();
+            push_params(&mut out, params);
+            assert_eq!(out, EventRow::encode_params(params));
+        }
     }
 
     #[test]

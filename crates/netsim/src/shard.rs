@@ -85,6 +85,12 @@
 //! condvar, and the releasing thread touches the mutex only when a waiter
 //! parked. While it spins it yields its core now and then, so that with
 //! more shards than cores the shard it waits for gets to run.
+//!
+//! A shard thread whose handler panics poisons the barrier on its way
+//! out: every waiter is released, sees the poison and leaves its loop,
+//! and [`run_windows`] re-raises the panic on the calling thread once all
+//! shard threads have joined. Without it the others would wait for the
+//! dead shard forever, and the run would hang instead of failing.
 
 use crate::capture::CaptureBuffer;
 use crate::event::EventQueue;
@@ -96,7 +102,8 @@ use crate::tagger::Tagger;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
 use excovery_rng::StdRng;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 
 /// Number of log₂ buckets in the mailbox depth histogram.
@@ -328,11 +335,17 @@ const YIELD_EVERY: u32 = 256;
 /// `remaining`, the last arrival's an acquire, and its `generation` bump
 /// a release that every waiter acquires, so everything any thread wrote
 /// before the barrier is visible to every thread after it.
+///
+/// [`Self::poison`] sets `poisoned` before it bumps `generation` and
+/// wakes the parked, so a waiter that sees the bump also sees the poison;
+/// an arrival checks the poison after it reads `generation`, so it either
+/// returns at once or is released by the bump.
 struct SpinBarrier {
     n: usize,
     remaining: AtomicUsize,
     generation: AtomicUsize,
     parked: AtomicUsize,
+    poisoned: AtomicBool,
     lock: Mutex<()>,
     wake: Condvar,
 }
@@ -344,14 +357,20 @@ impl SpinBarrier {
             remaining: AtomicUsize::new(n),
             generation: AtomicUsize::new(0),
             parked: AtomicUsize::new(0),
+            poisoned: AtomicBool::new(false),
             lock: Mutex::new(()),
             wake: Condvar::new(),
         }
     }
 
-    fn wait(&self) {
-        // The generation cannot move before this thread arrives.
-        let generation = self.generation.load(Ordering::Acquire);
+    /// Waits until all `n` threads have arrived; `false` when the barrier
+    /// was poisoned instead, and the caller must stop.
+    fn wait(&self) -> bool {
+        // Unpoisoned, the generation cannot move before this thread arrives.
+        let generation = self.generation.load(Ordering::SeqCst);
+        if self.poisoned.load(Ordering::SeqCst) {
+            return false;
+        }
         if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
             // No waiter touches `remaining` again before the bump below.
             self.remaining.store(self.n, Ordering::Relaxed);
@@ -361,11 +380,11 @@ impl SpinBarrier {
                 drop(self.lock.lock().expect("barrier poisoned"));
                 self.wake.notify_all();
             }
-            return;
+            return !self.poisoned.load(Ordering::SeqCst);
         }
         for i in 1..=SPINS {
             if self.generation.load(Ordering::Acquire) != generation {
-                return;
+                return !self.poisoned.load(Ordering::SeqCst);
             }
             if i % YIELD_EVERY == 0 {
                 std::thread::yield_now();
@@ -379,6 +398,15 @@ impl SpinBarrier {
             guard = self.wake.wait(guard).expect("barrier poisoned");
         }
         self.parked.fetch_sub(1, Ordering::SeqCst);
+        !self.poisoned.load(Ordering::SeqCst)
+    }
+
+    /// Releases every waiter, now and later, with `false`.
+    fn poison(&self) {
+        self.poisoned.store(true, Ordering::SeqCst);
+        self.generation.fetch_add(1, Ordering::SeqCst);
+        drop(self.lock.lock().expect("barrier poisoned"));
+        self.wake.notify_all();
     }
 }
 
@@ -446,6 +474,10 @@ fn decide(
 /// its queue; `process` must drain the shard's queue up to the window end
 /// (exclusive, or inclusive when the flag is set) and return the event
 /// count. Neither closure is allowed to touch any other shard.
+///
+/// A panic in either closure stops every shard at its next barrier and is
+/// re-raised here once all shard threads have joined (the first panic, if
+/// several shards panic).
 pub(crate) fn run_windows<D, P>(
     shards: &mut [Shard],
     lookahead: SimDuration,
@@ -473,21 +505,23 @@ where
         .collect::<Vec<_>>();
     let drain = &drain;
     let process = &process;
+    let panicked = &Mutex::new(None);
     std::thread::scope(|scope| {
         for shard in shards.iter_mut() {
             scope.spawn(move || {
                 let wait = |shard: &mut Shard| {
                     if obs {
                         let t0 = std::time::Instant::now();
-                        barrier.wait();
+                        let passed = barrier.wait();
                         shard.barrier_wait_ns += t0.elapsed().as_nanos() as u64;
+                        passed
                     } else {
-                        barrier.wait();
+                        barrier.wait()
                     }
                 };
                 let slot = &slots[shard.id];
                 let mut executed = 0;
-                loop {
+                let run = std::panic::catch_unwind(AssertUnwindSafe(|| loop {
                     // Every push of the previous window happened before its
                     // barrier B, and no shard reads a slot again before
                     // this shard's barrier A.
@@ -495,7 +529,9 @@ where
                     let min = shard.queue.peek_time().map_or(u64::MAX, |t| t.as_nanos());
                     slot.min.store(min, Ordering::Relaxed);
                     slot.executed.store(executed, Ordering::Relaxed);
-                    wait(shard); // A
+                    if !wait(shard) {
+                        break; // A, poisoned
+                    }
                     #[cfg(test)]
                     for _ in 0..shard.lag_spins {
                         std::hint::spin_loop();
@@ -506,11 +542,24 @@ where
                     };
                     executed += process(shard, end, inclusive);
                     shard.windows += 1;
-                    wait(shard); // B
+                    if !wait(shard) {
+                        break; // B, poisoned
+                    }
+                }));
+                if let Err(payload) = run {
+                    // Nothing panics while holding this lock.
+                    panicked
+                        .lock()
+                        .expect("panic slot poisoned")
+                        .get_or_insert(payload);
+                    barrier.poison();
                 }
             });
         }
     });
+    if let Some(payload) = panicked.lock().expect("panic slot poisoned").take() {
+        std::panic::resume_unwind(payload);
+    }
     slots
         .iter()
         .map(|s| s.executed.load(Ordering::Relaxed))

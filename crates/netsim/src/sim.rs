@@ -516,16 +516,7 @@ impl Shard {
         // allocation-order deterministic per source node (shard-invariant).
         let id = PacketId((u64::from(src.0) << 32) | u64::from(seq));
         let tag = n.tagger.stamp();
-        Packet {
-            id,
-            tag,
-            src,
-            dst,
-            port,
-            size_bytes: Packet::wire_size(&payload),
-            payload,
-            sent_at,
-        }
+        Packet::new(id, tag, src, dst, port, payload, sent_at)
     }
 
     fn capture(&mut self, ctx: &SimCtx, node: NodeId, packet: &Packet, kind: CaptureKind) {
@@ -1620,6 +1611,7 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::AssertUnwindSafe;
     use std::sync::{Arc, Mutex};
 
     /// Test agent that records everything it sees and can auto-reply.
@@ -2103,6 +2095,41 @@ mod tests {
                 assert!(s.mailbox_crossings() > 0, "{what}");
             }
         }
+    }
+
+    /// A handler that panics inside one shard of four fails the run: the
+    /// other shards leave their barrier instead of waiting for the dead
+    /// one, and the panic reaches the caller within a bounded time.
+    #[test]
+    fn a_panicking_shard_fails_the_run_instead_of_hanging_it() {
+        struct Bomb;
+        impl Agent for Bomb {
+            fn on_packet(&mut self, _ctx: &mut AgentCtx, _pkt: &Packet) {
+                panic!("bomb went off");
+            }
+            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+                self
+            }
+        }
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut s = grid_with_sinks(16, quiet_model(), 4);
+            // Far from the corner, so the flood is well under way in every
+            // shard when it arrives.
+            s.install_agent(NodeId(200), 9, Box::new(Bomb));
+            s.send_from(NodeId(0), 9, Destination::Multicast, Payload::from("f"));
+            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| s.run_until_idle(u64::MAX)));
+            let _ = tx.send(outcome.map_err(|payload| {
+                payload
+                    .downcast_ref::<&str>()
+                    .map(|m| m.to_string())
+                    .unwrap_or_default()
+            }));
+        });
+        let outcome = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the sharded run hung after a handler panicked");
+        assert_eq!(outcome, Err("bomb went off".to_string()));
     }
 
     /// A small `run_until_idle` budget stops after exactly the budget on one

@@ -11,13 +11,14 @@
 
 use crate::cache::{CacheChange, ServiceCache};
 use crate::model::{Architecture, Role, SdConfig, ServiceDescription, ServiceType};
-use crate::wire::SdMessage;
+use crate::wire::{Record, SdMessage};
 use excovery_netsim::fasthash::FastHashMap;
 use excovery_netsim::{
     Agent, AgentCtx, Destination, EventParams, NodeId, Packet, Port, SimDuration, SimTime,
 };
 use excovery_rng::Rng;
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// Counters of protocol activity (for tests and the ablation benches).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -42,7 +43,8 @@ pub struct SdStats {
 
 #[derive(Debug, Clone)]
 struct Publication {
-    desc: ServiceDescription,
+    /// The published record, shared with the messages that carry it.
+    desc: Record,
     announces_left: u32,
     next_interval: SimDuration,
     registered: bool,
@@ -63,7 +65,7 @@ enum TimerPurpose {
     ResponseJitter {
         qid: u64,
         to: Option<NodeId>,
-        records: Vec<ServiceDescription>,
+        records: Vec<Record>,
     },
     Probe(ServiceType),
     /// A cache sweep due at this instant.
@@ -192,7 +194,7 @@ impl SdAgent {
     pub(crate) fn start_search(&mut self, ctx: &mut AgentCtx, stype: ServiceType) {
         ctx.emit("sd_start_search", [("stype", stype.0.clone())]);
         // Passively cached records count as discovered immediately.
-        let already: Vec<ServiceDescription> = self
+        let already: Vec<Record> = self
             .cache
             .lookup(&stype, ctx.now())
             .into_iter()
@@ -238,7 +240,7 @@ impl SdAgent {
         self.publications.insert(
             stype.clone(),
             Publication {
-                desc,
+                desc: Arc::new(desc),
                 announces_left: self.cfg.announce_count,
                 next_interval: self.cfg.announce_interval,
                 registered: false,
@@ -270,7 +272,7 @@ impl SdAgent {
         };
         if self.uses_multicast() {
             let goodbye = SdMessage::Announce {
-                record: publication.desc.goodbye(),
+                record: Arc::new(publication.desc.goodbye()),
             };
             ctx.send(Destination::Multicast, self.port, goodbye.encode());
             self.stats.announces_sent += 1;
@@ -306,7 +308,7 @@ impl SdAgent {
         );
         let stype = desc.stype.clone();
         if let Some(p) = self.publications.get_mut(&stype) {
-            p.desc = desc;
+            p.desc = Arc::new(desc);
             p.announces_left = self.cfg.announce_count;
             p.next_interval = self.cfg.announce_interval;
             p.registered = false;
@@ -386,7 +388,7 @@ impl SdAgent {
         let lease_s = (self.cfg.registration_lease.as_millis() / 1000).max(1) as u32;
         let msg = SdMessage::Register {
             rid,
-            record: p.desc.clone(),
+            record: Arc::clone(&p.desc),
             lease_s,
         };
         ctx.send(Destination::Unicast(scm), self.port, msg.encode());
@@ -450,7 +452,7 @@ impl SdAgent {
             crate::model::Architecture::TwoParty | crate::model::Architecture::Hybrid
         ) && self.cfg.probe_before_announce;
         let probe_count = self.cfg.probe_count;
-        p.desc.instance = new.clone();
+        Arc::make_mut(&mut p.desc).instance = new.clone();
         p.announces_left = announce_count;
         p.next_interval = announce_interval;
         p.registered = false;
@@ -474,24 +476,19 @@ impl SdAgent {
         }
     }
 
-    fn absorb_records<R>(&mut self, ctx: &mut AgentCtx, records: R)
-    where
-        R: AsRef<[ServiceDescription]> + IntoIterator<Item = ServiceDescription>,
-    {
-        for r in records.as_ref() {
+    fn absorb_records(&mut self, ctx: &mut AgentCtx, records: &[Record]) {
+        for r in records {
             self.check_name_conflict(ctx, r);
         }
         for r in records {
+            let change = self.cache.merge(r, ctx.now());
             if !self.searches.contains_key(&r.stype) {
-                // No event reports the change, so the cache keeps the
-                // decoded record itself.
-                self.cache.merge_owned(r, ctx.now());
-                continue;
+                continue; // no event reports the change
             }
-            match self.cache.merge(&r, ctx.now()) {
-                CacheChange::Added => self.emit_service_event(ctx, "sd_service_add", &r),
-                CacheChange::Updated => self.emit_service_event(ctx, "sd_service_upd", &r),
-                CacheChange::Removed => self.emit_service_event(ctx, "sd_service_del", &r),
+            match change {
+                CacheChange::Added => self.emit_service_event(ctx, "sd_service_add", r),
+                CacheChange::Updated => self.emit_service_event(ctx, "sd_service_upd", r),
+                CacheChange::Removed => self.emit_service_event(ctx, "sd_service_del", r),
                 CacheChange::Refreshed | CacheChange::Ignored => {}
             }
         }
@@ -524,7 +521,7 @@ impl SdAgent {
         } else {
             0
         };
-        let records = vec![p.desc.clone()];
+        let records = vec![Arc::clone(&p.desc)];
         self.arm(
             ctx,
             SimDuration::from_nanos(jitter_ns),
@@ -546,7 +543,7 @@ impl SdAgent {
         if self.role != Some(Role::CacheManager) {
             return;
         }
-        let records: Vec<ServiceDescription> = self
+        let records: Vec<Record> = self
             .registry
             .lookup(stype, ctx.now())
             .into_iter()
@@ -568,9 +565,9 @@ impl SdAgent {
         if self.role != Some(Role::CacheManager) {
             return;
         }
-        let mut leased = record.clone();
+        let mut leased = ServiceDescription::clone(record);
         leased.ttl_s = lease_s;
-        let change = self.registry.merge_owned(leased, ctx.now());
+        let change = self.registry.merge(&Arc::new(leased), ctx.now());
         let event = match change {
             CacheChange::Added => Some("scm_registration_add"),
             CacheChange::Updated => Some("scm_registration_upd"),
@@ -596,9 +593,7 @@ impl SdAgent {
         if self.role != Some(Role::CacheManager) {
             return;
         }
-        let mut goodbye = ServiceDescription::new(instance.to_string(), stype.clone(), NodeId(0));
-        goodbye.ttl_s = 0;
-        if self.registry.merge(&goodbye, SimTime::ZERO) == CacheChange::Removed {
+        if self.registry.remove(stype, instance) {
             ctx.emit("scm_registration_del", [("service", instance.to_string())]);
         }
     }
@@ -634,21 +629,33 @@ impl SdAgent {
 
 impl Agent for SdAgent {
     fn on_packet(&mut self, ctx: &mut AgentCtx, pkt: &Packet) {
-        let Some(msg) = SdMessage::decode(pkt.payload.as_bytes()) else {
+        // Every receiver of a flooded packet shares one decode. A slot that
+        // another protocol filled leaves this agent a local decode.
+        let local;
+        let msg = match pkt.view(SdMessage::decode) {
+            Some(shared) => shared,
+            None => {
+                local = SdMessage::decode(pkt.payload.as_bytes());
+                &local
+            }
+        };
+        let Some(msg) = msg else {
             return; // garbage is dropped, as a real stack would
         };
         match msg {
-            SdMessage::Query { qid, stype, known } => self.handle_query(ctx, qid, &stype, &known),
+            SdMessage::Query { qid, stype, known } => self.handle_query(ctx, *qid, stype, known),
             SdMessage::Response { qid: _, records } => self.absorb_records(ctx, records),
-            SdMessage::Announce { record } => self.absorb_records(ctx, [record]),
-            SdMessage::ScmAdvert { scm } => self.handle_scm_advert(ctx, scm),
+            SdMessage::Announce { record } => {
+                self.absorb_records(ctx, std::slice::from_ref(record))
+            }
+            SdMessage::ScmAdvert { scm } => self.handle_scm_advert(ctx, *scm),
             SdMessage::Register {
                 rid,
                 record,
                 lease_s,
-            } => self.handle_register(ctx, rid, &record, lease_s, pkt.src),
+            } => self.handle_register(ctx, *rid, record, *lease_s, pkt.src),
             SdMessage::RegisterAck { rid } => {
-                if let Some(pending) = self.pending_regs.remove(&rid) {
+                if let Some(pending) = self.pending_regs.remove(rid) {
                     if let Some(p) = self.publications.get_mut(&pending.stype) {
                         p.registered = true;
                     }
@@ -658,10 +665,10 @@ impl Agent for SdAgent {
                 }
             }
             SdMessage::Deregister { instance, stype } => {
-                self.handle_deregister(ctx, &instance, &stype)
+                self.handle_deregister(ctx, instance, stype)
             }
             SdMessage::DirectedQuery { qid, stype } => {
-                self.handle_directed_query(ctx, qid, &stype, pkt.src)
+                self.handle_directed_query(ctx, *qid, stype, pkt.src)
             }
         }
     }
@@ -679,7 +686,7 @@ impl Agent for SdAgent {
                     return;
                 }
                 p.announces_left -= 1;
-                let record = p.desc.clone();
+                let record = Arc::clone(&p.desc);
                 let interval = p.next_interval;
                 p.next_interval = p.next_interval.mul_f64(2.0);
                 let more = p.announces_left > 0;
@@ -1113,6 +1120,115 @@ mod tests {
             .unwrap();
         // Queries at ~0.02, 1.02, 3.02, 7.02, 15.02 s → 5 within 16 s.
         assert_eq!(queries, 5, "exponential backoff schedule");
+    }
+
+    /// A lossless 3×3 grid with an SD agent and an SU role at every node.
+    fn grid_of_users() -> Simulator {
+        let cfg = SimulatorConfig {
+            link_model: LinkModel {
+                base_loss: 0.0,
+                ..LinkModel::default()
+            },
+            ..SimulatorConfig::perfect_clocks(21)
+        };
+        let mut sim = Simulator::new(excovery_netsim::topology::Topology::grid(3, 3), cfg);
+        for n in 0..9 {
+            install(&mut sim, n, SdConfig::two_party());
+            sd_command(&mut sim, NodeId(n), SdCommand::Init(Role::ServiceUser));
+        }
+        let _ = events(&mut sim);
+        sim
+    }
+
+    fn decodes() -> u64 {
+        crate::wire::tests::DECODES.with(|n| n.get())
+    }
+
+    #[test]
+    fn a_flooded_announcement_is_decoded_once_for_every_receiver() {
+        let mut sim = grid_of_users();
+        let record = Arc::new(ServiceDescription::new("sm-A", http(), NodeId(0)));
+        let before = decodes();
+        sim.send_from(
+            NodeId(0),
+            SD_PORT,
+            Destination::Multicast,
+            SdMessage::Announce { record }.encode().into(),
+        );
+        sim.run_for(SimDuration::from_secs(1));
+        assert_eq!(sim.stats().delivered, 8);
+        assert_eq!(decodes() - before, 1, "one decode for eight receivers");
+        // Every receiver cached the record: a search reports it at once.
+        for n in 1..9 {
+            sd_command(&mut sim, NodeId(n), SdCommand::StartSearch(http()));
+        }
+        let evts = events(&mut sim);
+        for n in 1..9 {
+            assert!(names_on(&evts, n).contains(&"sd_service_add"), "node {n}");
+        }
+    }
+
+    #[test]
+    fn garbage_is_decoded_once_and_dropped_by_every_receiver() {
+        let mut sim = grid_of_users();
+        let before = decodes();
+        for garbage in [&b"ANN|no;record"[..], b"\xff\xfe|", b"QRY|1|t|%C3%A9|0|"] {
+            sim.send_from(
+                NodeId(4),
+                SD_PORT,
+                Destination::Multicast,
+                garbage.to_vec().into(),
+            );
+        }
+        sim.run_for(SimDuration::from_secs(1));
+        assert_eq!(sim.stats().delivered, 3 * 8);
+        assert_eq!(decodes() - before, 3, "one decode per packet");
+        assert!(events(&mut sim).is_empty());
+    }
+
+    /// A protocol that reads SD packets its own way, filling their slots
+    /// with its own view. Counts the packets it heard and those whose
+    /// slot it filled.
+    struct Foreign {
+        counts: Arc<std::sync::Mutex<(usize, usize)>>,
+    }
+
+    impl Agent for Foreign {
+        fn on_packet(&mut self, _ctx: &mut AgentCtx, pkt: &Packet) {
+            let mut counts = self.counts.lock().unwrap();
+            counts.0 += 1;
+            if pkt.view(|bytes| bytes.len()).is_some() {
+                counts.1 += 1;
+            }
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    #[test]
+    fn a_slot_of_another_protocol_falls_back_to_a_local_decode() {
+        // The middle node of the chain hears every packet first.
+        let mut sim = quiet_sim(3, 22);
+        install(&mut sim, 0, SdConfig::two_party());
+        let counts = Arc::new(std::sync::Mutex::new((0, 0)));
+        let foreign = Foreign {
+            counts: Arc::clone(&counts),
+        };
+        sim.install_agent(NodeId(1), SD_PORT, Box::new(foreign));
+        install(&mut sim, 2, SdConfig::two_party());
+        sd_command(&mut sim, NodeId(0), SdCommand::Init(Role::ServiceManager));
+        sd_command(&mut sim, NodeId(2), SdCommand::Init(Role::ServiceUser));
+        sd_command(&mut sim, NodeId(0), publish_cmd("sm-A", 0));
+        sd_command(&mut sim, NodeId(2), SdCommand::StartSearch(http()));
+        sim.run_for(SimDuration::from_secs(3));
+        let evts = events(&mut sim);
+        // Every SD packet crossed the foreign node first, so both SD
+        // agents only ever decoded local copies.
+        let (heard, filled) = *counts.lock().unwrap();
+        assert!(heard > 0);
+        assert_eq!(filled, heard);
+        assert!(names_on(&evts, 2).contains(&"sd_service_add"), "{evts:?}");
     }
 
     #[test]

@@ -7,16 +7,21 @@
 //!
 //! Records are kept per service type, then per instance name, so a
 //! received record is looked up by its borrowed `(type, instance)` without
-//! building an owned key. Beside them the cache keeps the expiry instant of
-//! every record as an ordered multiset, so the earliest deadline is read in
-//! O(log n) and a sweep with nothing due touches no record. The maps are
-//! hashed deterministically; every listing is sorted before it is returned.
+//! building an owned key. A record is shared, not copied: the cache keeps
+//! a reference to the decoded record, which is also its key, so merging a
+//! new or changed instance costs a reference count and a refresh costs
+//! nothing. Beside them the cache keeps the expiry instant of every record
+//! as an ordered multiset, so the earliest deadline is read in O(log n)
+//! and a sweep with nothing due touches no record. The maps are hashed
+//! deterministically; every listing is sorted before it is returned.
 
 use crate::model::{ServiceDescription, ServiceType};
 use excovery_netsim::fasthash::FastHashMap;
 use excovery_netsim::{SimDuration, SimTime};
-use std::borrow::Cow;
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Outcome of merging a record into the cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,10 +38,29 @@ pub(crate) enum CacheChange {
     Ignored,
 }
 
+/// A stored record as its own key: it hashes and compares as its
+/// instance name, so the map finds it by a borrowed `&str`.
 #[derive(Debug, Clone)]
-struct Entry {
-    desc: ServiceDescription,
-    expires: SimTime,
+struct Keyed(Arc<ServiceDescription>);
+
+impl Hash for Keyed {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.instance.as_str().hash(state);
+    }
+}
+
+impl PartialEq for Keyed {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.instance == other.0.instance
+    }
+}
+
+impl Eq for Keyed {}
+
+impl Borrow<str> for Keyed {
+    fn borrow(&self) -> &str {
+        &self.0.instance
+    }
 }
 
 /// TTL-aware service cache.
@@ -46,8 +70,9 @@ struct Entry {
 /// already hide it, [`Self::len`] still counts it.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ServiceCache {
-    /// Entries by service type, then by instance name.
-    entries: FastHashMap<ServiceType, FastHashMap<String, Entry>>,
+    /// Records by service type, then by instance name, each with its
+    /// expiry instant.
+    entries: FastHashMap<ServiceType, FastHashMap<Keyed, SimTime>>,
     /// The expiry instant of every entry, with its multiplicity.
     expiries: BTreeMap<SimTime, u32>,
 }
@@ -61,30 +86,14 @@ impl ServiceCache {
     /// Merges a received record, returning what changed.
     ///
     /// A record with TTL 0 (a goodbye) removes the instance; any other
-    /// record (re)sets its expiry to `now` plus its TTL. Key strings are
-    /// cloned only when the instance is new.
-    pub(crate) fn merge(&mut self, desc: &ServiceDescription, now: SimTime) -> CacheChange {
-        self.merge_record(Cow::Borrowed(desc), now)
-    }
-
-    /// [`Self::merge`] for a record the caller has no further use for: a
-    /// new or changed instance stores it instead of a clone.
-    pub(crate) fn merge_owned(&mut self, desc: ServiceDescription, now: SimTime) -> CacheChange {
-        self.merge_record(Cow::Owned(desc), now)
-    }
-
-    fn merge_record(&mut self, desc: Cow<'_, ServiceDescription>, now: SimTime) -> CacheChange {
+    /// record (re)sets its expiry to `now` plus its TTL. A new or changed
+    /// instance stores a reference to `desc`; a refresh stores nothing.
+    pub(crate) fn merge(&mut self, desc: &Arc<ServiceDescription>, now: SimTime) -> CacheChange {
         if desc.is_goodbye() {
-            let removed = self
-                .entries
-                .get_mut(&desc.stype)
-                .and_then(|by_name| by_name.remove(desc.instance.as_str()));
-            return match removed {
-                Some(e) => {
-                    unindex(&mut self.expiries, e.expires);
-                    CacheChange::Removed
-                }
-                None => CacheChange::Ignored,
+            return if self.remove(&desc.stype, &desc.instance) {
+                CacheChange::Removed
+            } else {
+                CacheChange::Ignored
             };
         }
         let expires = now + SimDuration::from_secs(u64::from(desc.ttl_s));
@@ -92,43 +101,55 @@ impl ServiceCache {
             Some(by_name) => by_name,
             None => self.entries.entry(desc.stype.clone()).or_default(),
         };
-        let Some(e) = by_name.get_mut(desc.instance.as_str()) else {
-            let entry = Entry {
-                desc: desc.into_owned(),
-                expires,
-            };
-            by_name.insert(entry.desc.instance.clone(), entry);
+        let instance = desc.instance.as_str();
+        let Some((Keyed(old), &old_expires)) = by_name.get_key_value(instance) else {
+            by_name.insert(Keyed(Arc::clone(desc)), expires);
             index(&mut self.expiries, expires);
             return CacheChange::Added;
         };
-        let old = std::mem::replace(&mut e.expires, expires);
-        if old != expires {
-            unindex(&mut self.expiries, old);
+        let content_changed = old.service_port != desc.service_port
+            || old.attributes != desc.attributes
+            || old.provider != desc.provider;
+        if old_expires != expires {
+            unindex(&mut self.expiries, old_expires);
             index(&mut self.expiries, expires);
         }
-        let content_changed = e.desc.service_port != desc.service_port
-            || e.desc.attributes != desc.attributes
-            || e.desc.provider != desc.provider;
         if content_changed {
-            e.desc = desc.into_owned();
+            // The record is the key: an equal key would stay, so replace it.
+            by_name.remove(instance);
+            by_name.insert(Keyed(Arc::clone(desc)), expires);
             CacheChange::Updated
         } else {
+            *by_name.get_mut(instance).expect("found above") = expires;
             CacheChange::Refreshed
         }
     }
 
+    /// Drops the instance `instance` of `stype`; false if it was not
+    /// stored.
+    pub(crate) fn remove(&mut self, stype: &ServiceType, instance: &str) -> bool {
+        let removed = self
+            .entries
+            .get_mut(stype)
+            .and_then(|by_name| by_name.remove(instance));
+        if let Some(expires) = removed {
+            unindex(&mut self.expiries, expires);
+        }
+        removed.is_some()
+    }
+
     /// Removes the entries whose expiry instant is at or before `now`,
     /// returning their descriptions sorted by (type, instance).
-    pub(crate) fn expire(&mut self, now: SimTime) -> Vec<ServiceDescription> {
+    pub(crate) fn expire(&mut self, now: SimTime) -> Vec<Arc<ServiceDescription>> {
         let mut lapsed = Vec::new();
         if self.next_expiry().is_none_or(|next| next > now) {
             return lapsed;
         }
         for by_name in self.entries.values_mut() {
-            by_name.retain(|_, e| {
-                let keep = e.expires > now;
+            by_name.retain(|Keyed(desc), &mut expires| {
+                let keep = expires > now;
                 if !keep {
-                    lapsed.push(e.desc.clone());
+                    lapsed.push(Arc::clone(desc));
                 }
                 keep
             });
@@ -144,14 +165,18 @@ impl ServiceCache {
     }
 
     /// Live records of a service type, sorted by instance name.
-    pub(crate) fn lookup(&self, stype: &ServiceType, now: SimTime) -> Vec<&ServiceDescription> {
-        let mut out: Vec<&ServiceDescription> = self
+    pub(crate) fn lookup(
+        &self,
+        stype: &ServiceType,
+        now: SimTime,
+    ) -> Vec<&Arc<ServiceDescription>> {
+        let mut out: Vec<&Arc<ServiceDescription>> = self
             .entries
             .get(stype)
             .into_iter()
-            .flat_map(FastHashMap::values)
-            .filter(|e| e.expires > now)
-            .map(|e| &e.desc)
+            .flatten()
+            .filter(|(_, &expires)| expires > now)
+            .map(|(Keyed(desc), _)| desc)
             .collect();
         out.sort_by(|a, b| a.instance.cmp(&b.instance));
         out
@@ -166,13 +191,13 @@ impl ServiceCache {
             .entries
             .get(stype)
             .into_iter()
-            .flat_map(FastHashMap::values)
-            .filter(|e| {
-                let total = SimDuration::from_secs(u64::from(e.desc.ttl_s));
-                let remaining = e.expires.saturating_since(now);
+            .flatten()
+            .filter(|(Keyed(desc), expires)| {
+                let total = SimDuration::from_secs(u64::from(desc.ttl_s));
+                let remaining = expires.saturating_since(now);
                 remaining.as_nanos() * 2 > total.as_nanos()
             })
-            .map(|e| e.desc.instance.clone())
+            .map(|(Keyed(desc), _)| desc.instance.clone())
             .collect();
         out.sort();
         out
@@ -215,10 +240,10 @@ mod tests {
         SimTime::from_nanos(s * 1_000_000_000)
     }
 
-    fn desc(name: &str, ttl: u32) -> ServiceDescription {
+    fn desc(name: &str, ttl: u32) -> Arc<ServiceDescription> {
         let mut d = ServiceDescription::new(name, ServiceType::new("_http._tcp"), NodeId(1));
         d.ttl_s = ttl;
-        d
+        Arc::new(d)
     }
 
     #[test]
@@ -232,12 +257,31 @@ mod tests {
     }
 
     #[test]
+    fn a_merge_stores_a_reference_and_a_refresh_stores_nothing() {
+        let mut c = ServiceCache::new();
+        let http = ServiceType::new("_http._tcp");
+        let first = desc("a", 10);
+        assert_eq!(c.merge(&first, t(0)), CacheChange::Added);
+        assert!(Arc::ptr_eq(c.lookup(&http, t(1))[0], &first));
+        let same = desc("a", 10);
+        assert_eq!(c.merge(&same, t(5)), CacheChange::Refreshed);
+        assert_eq!(Arc::strong_count(&same), 1, "a refresh keeps no reference");
+        assert!(Arc::ptr_eq(c.lookup(&http, t(6))[0], &first));
+        let mut changed = desc("a", 10);
+        Arc::make_mut(&mut changed).service_port = 8080;
+        assert_eq!(c.merge(&changed, t(6)), CacheChange::Updated);
+        assert!(Arc::ptr_eq(c.lookup(&http, t(7))[0], &changed));
+        assert_eq!(Arc::strong_count(&first), 1, "the old record is let go");
+        assert_eq!(c.next_expiry(), Some(t(16)));
+    }
+
+    #[test]
     fn refresh_vs_update() {
         let mut c = ServiceCache::new();
         c.merge(&desc("a", 10), t(0));
         assert_eq!(c.merge(&desc("a", 10), t(5)), CacheChange::Refreshed);
         let mut changed = desc("a", 10);
-        changed.service_port = 8080;
+        Arc::make_mut(&mut changed).service_port = 8080;
         assert_eq!(c.merge(&changed, t(6)), CacheChange::Updated);
     }
 
@@ -314,7 +358,7 @@ mod tests {
     fn types_are_kept_apart_and_listed_in_order() {
         let mut c = ServiceCache::new();
         let mut ipp = desc("a", 10);
-        ipp.stype = ServiceType::new("_ipp._tcp");
+        Arc::make_mut(&mut ipp).stype = ServiceType::new("_ipp._tcp");
         c.merge(&ipp, t(0));
         c.merge(&desc("b", 20), t(0));
         c.merge(&desc("a", 20), t(0));

@@ -12,9 +12,12 @@
 
 use crate::model::{ServiceDescription, ServiceType};
 use excovery_netsim::NodeId;
+use std::sync::Arc;
 
-/// A service record as carried on the wire.
-pub(crate) type Record = ServiceDescription;
+/// A service record as carried on the wire. Shared: every receiver of a
+/// flooded packet reads the one decoded message, and a cache that keeps a
+/// record keeps a reference to it instead of a copy.
+pub(crate) type Record = Arc<ServiceDescription>;
 
 /// Messages of both SD protocols.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -93,19 +96,26 @@ fn esc(s: &str) -> String {
     out
 }
 
+/// Inverts [`esc`]. An escape `esc` never writes (another byte, lower-case
+/// hex, a cut-off `%`) makes the field malformed.
 fn unesc(s: &str) -> Option<String> {
     let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '%' {
-            out.push(c);
-            continue;
-        }
-        let hi = chars.next()?;
-        let lo = chars.next()?;
-        let byte = u8::from_str_radix(&format!("{hi}{lo}"), 16).ok()?;
-        out.push(byte as char);
+    let mut rest = s;
+    while let Some(at) = rest.find('%') {
+        out.push_str(&rest[..at]);
+        out.push(match rest.as_bytes().get(at + 1..at + 3)? {
+            b"25" => '%',
+            b"7C" => '|',
+            b"2C" => ',',
+            b"3B" => ';',
+            b"3D" => '=',
+            b"0A" => '\n',
+            _ => return None,
+        });
+        // The escape is three ASCII bytes, so this is a char boundary.
+        rest = &rest[at + 3..];
     }
+    out.push_str(rest);
     Some(out)
 }
 
@@ -128,6 +138,10 @@ fn encode_record(r: &Record) -> String {
 }
 
 fn decode_record(s: &str) -> Option<Record> {
+    decode_description(s).map(Arc::new)
+}
+
+fn decode_description(s: &str) -> Option<ServiceDescription> {
     let mut parts = s.splitn(6, ';');
     let instance = unesc(parts.next()?)?;
     let stype = ServiceType::new(unesc(parts.next()?)?);
@@ -142,7 +156,7 @@ fn decode_record(s: &str) -> Option<Record> {
             attributes.push((unesc(k)?, unesc(v)?));
         }
     }
-    Some(Record {
+    Some(ServiceDescription {
         instance,
         stype,
         provider,
@@ -193,6 +207,8 @@ impl SdMessage {
     /// Decodes a message from payload bytes; `None` on any malformation
     /// (robust parsers drop garbage silently, like real SDP stacks).
     pub fn decode(bytes: &[u8]) -> Option<Self> {
+        #[cfg(test)]
+        tests::DECODES.with(|n| n.set(n.get() + 1));
         let text = std::str::from_utf8(bytes).ok()?;
         let (tag, rest) = text.split_once('|')?;
         match tag {
@@ -267,8 +283,13 @@ impl SdMessage {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    thread_local! {
+        /// Calls of [`SdMessage::decode`] on this thread.
+        pub(crate) static DECODES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
 
     fn record() -> Record {
         let mut r = ServiceDescription::new(
@@ -282,7 +303,7 @@ mod tests {
             ("duplex".into(), "yes".into()),
         ];
         r.ttl_s = 120;
-        r
+        Arc::new(r)
     }
 
     fn roundtrip(m: SdMessage) {
@@ -314,7 +335,7 @@ mod tests {
         });
         roundtrip(SdMessage::Announce { record: record() });
         roundtrip(SdMessage::Announce {
-            record: record().goodbye(),
+            record: Arc::new(record().goodbye()),
         });
         roundtrip(SdMessage::ScmAdvert {
             scm: NodeId(65_000),
@@ -338,7 +359,7 @@ mod tests {
     #[test]
     fn record_without_attributes_roundtrips() {
         let mut r = record();
-        r.attributes.clear();
+        Arc::make_mut(&mut r).attributes.clear();
         roundtrip(SdMessage::Announce { record: r });
     }
 
@@ -364,6 +385,19 @@ mod tests {
         assert_eq!(unesc("a%7Cb%2Cc%3Bd%25e%3Df").unwrap(), "a|b,c;d%e=f");
         assert_eq!(unesc("%zz"), None, "bad hex digits");
         assert_eq!(unesc("%7"), None, "truncated escape");
+        assert_eq!(unesc("%"), None, "bare percent");
+    }
+
+    #[test]
+    fn only_the_escapes_the_encoder_writes_decode() {
+        assert_eq!(unesc("caf\u{e9} %0A").unwrap(), "caf\u{e9} \n");
+        assert_eq!(esc("caf\u{e9}\n"), "caf\u{e9}%0A");
+        // UTF-8 bytes escaped one by one were never written: no Latin-1
+        // "Ã©" out of "%C3%A9".
+        assert_eq!(unesc("%C3%A9"), None);
+        assert_eq!(unesc("%41"), None, "a byte that needs no escape");
+        assert_eq!(unesc("%7c"), None, "lower-case hex");
+        assert_eq!(unesc("%2"), None);
     }
 
     #[test]

@@ -1,17 +1,20 @@
 //! Property tests for the SD wire codec: every message round-trips, and
-//! arbitrary bytes never panic the decoder.
+//! arbitrary bytes, cut-off encodings and flipped bytes never panic the
+//! decoder.
 
 use excovery_netsim::NodeId;
 use excovery_sd::model::{ServiceDescription, ServiceType};
 use excovery_sd::SdMessage;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn text() -> impl Strategy<Value = String> {
-    // Includes the codec's separator characters on purpose.
-    "[ -~]{0,20}"
+    // Printable ASCII, which holds the codec's separators and `%`, plus a
+    // newline and two-, three- and four-byte UTF-8.
+    "[ -~\n%¡-ÿΑ-Ρ一-丿😀-🙏]{0,20}"
 }
 
-fn record_strategy() -> impl Strategy<Value = ServiceDescription> {
+fn record_strategy() -> impl Strategy<Value = Arc<ServiceDescription>> {
     (
         text(),
         text(),
@@ -20,16 +23,16 @@ fn record_strategy() -> impl Strategy<Value = ServiceDescription> {
         any::<u32>(),
         prop::collection::vec((text(), text()), 0..4),
     )
-        .prop_map(
-            |(instance, stype, node, port, ttl, attributes)| ServiceDescription {
+        .prop_map(|(instance, stype, node, port, ttl, attributes)| {
+            Arc::new(ServiceDescription {
                 instance,
                 stype: ServiceType::new(stype),
                 provider: NodeId(node),
                 service_port: port,
                 attributes,
                 ttl_s: ttl,
-            },
-        )
+            })
+        })
 }
 
 fn message_strategy() -> impl Strategy<Value = SdMessage> {
@@ -79,6 +82,16 @@ proptest! {
     #[test]
     fn decoder_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..200)) {
         let _ = SdMessage::decode(&bytes);
+    }
+
+    /// Every strict prefix of a valid encoding decodes without panicking,
+    /// however it cuts a field, an escape or a multi-byte character.
+    #[test]
+    fn prefixes_never_panic(msg in message_strategy()) {
+        let bytes = msg.encode();
+        for end in 0..bytes.len() {
+            let _ = SdMessage::decode(&bytes[..end]);
+        }
     }
 
     /// Mutating one byte of a valid encoding never panics either.

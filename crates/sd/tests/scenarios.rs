@@ -336,3 +336,46 @@ fn probing_disabled_keeps_original_latency() {
     let evts = sim.drain_protocol_events();
     assert!(names_on(&evts, 1).contains(&"sd_service_add"), "{evts:?}");
 }
+
+/// A wide two-party flood: 40 SMs on an 8×8 grid and an SU at every other
+/// node, so every announcement and response is one shared packet decoded
+/// by whichever receiver comes first, on whichever shard owns it. The run
+/// must not depend on the shard count: the simulator state digest, the
+/// executed events and the whole protocol-event stream agree at 1, 2 and
+/// 4 shards.
+#[test]
+fn a_wide_flood_runs_alike_on_one_two_and_four_shards() {
+    let run = |shards: usize| {
+        let cfg = SimulatorConfig::default().with_seed(5).with_shards(shards);
+        let mut sim = Simulator::new(Topology::grid(8, 8), cfg);
+        for node in 0..64 {
+            install(&mut sim, node, SdConfig::two_party());
+            let sm = node % 8 < 5;
+            let role = if sm {
+                Role::ServiceManager
+            } else {
+                Role::ServiceUser
+            };
+            sd_command(&mut sim, NodeId(node), SdCommand::Init(role));
+            if sm {
+                sd_command(&mut sim, NodeId(node), publish(&format!("sm-{node}"), node));
+            } else {
+                sd_command(&mut sim, NodeId(node), SdCommand::StartSearch(http()));
+            }
+        }
+        sim.run_for(SimDuration::from_secs(5));
+        let events = sim.drain_protocol_events();
+        (sim.state_digest(), sim.events_executed(), events)
+    };
+    let serial = run(1);
+    let adds = serial
+        .2
+        .iter()
+        .filter(|e| e.name.as_str() == "sd_service_add")
+        .count();
+    assert!(adds >= 24 * 30, "only {adds} discoveries");
+    for shards in [2, 4] {
+        let sharded = run(shards);
+        assert!(sharded == serial, "{shards} shards diverged");
+    }
+}

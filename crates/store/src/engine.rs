@@ -13,7 +13,9 @@
 //!
 //! A [`Table`] stores its rows column by column. [`Table::insert`] takes
 //! an owned [`Row`], checks it and scatters it into one typed vector per
-//! column, and [`Table::column`] lends a whole column as a
+//! column; [`Database::insert_cells`] does the same with rows of borrowed
+//! cells, for writers whose text and bytes already live in a buffer of
+//! their own. [`Table::column`] lends a whole column as a
 //! [`ColumnRef`] whose cells are [`CellRef`]s. Bytes per cell, before
 //! vector slack:
 //!
@@ -755,22 +757,38 @@ impl Table {
     /// Inserts a row after checking arity and types; a row that fails
     /// either check leaves the table as it was.
     pub fn insert(&mut self, row: Row) -> Result<(), StoreError> {
-        if row.len() != self.columns.len() {
+        self.push_row(row.len(), row.iter().map(SqlValue::as_cell))
+    }
+
+    /// [`Self::insert`] for a row of borrowed cells: text and blobs are
+    /// copied once, from the caller's buffers into the column arenas.
+    pub(crate) fn insert_cells(&mut self, row: &[CellRef<'_>]) -> Result<(), StoreError> {
+        self.push_row(row.len(), row.iter().copied())
+    }
+
+    /// Appends the `arity` cells of `row` as one row, checked as
+    /// [`Self::insert`] documents.
+    #[inline]
+    fn push_row<'c>(
+        &mut self,
+        arity: usize,
+        row: impl Iterator<Item = CellRef<'c>>,
+    ) -> Result<(), StoreError> {
+        if arity != self.columns.len() {
             return Err(err(format!(
-                "arity mismatch: {} values for {} columns",
-                row.len(),
+                "arity mismatch: {arity} values for {} columns",
                 self.columns.len()
             )));
         }
         let columns = self.cells.iter_mut().zip(&self.columns);
-        for (c, (value, (cells, column))) in row.iter().zip(columns).enumerate() {
+        for (c, (cell, (cells, column))) in row.zip(columns).enumerate() {
             // Integers are most cells of most tables: pushed in line.
-            let pushed = match (&mut cells.data, value) {
-                (Data::Integer(values), SqlValue::Int(v)) => {
-                    values.push(*v);
+            let pushed = match (&mut cells.data, cell) {
+                (Data::Integer(values), CellRef::Int(v)) => {
+                    values.push(v);
                     Ok(())
                 }
-                _ => cells.push(self.len, value.as_cell(), column),
+                _ => cells.push(self.len, cell, column),
             };
             if let Err(e) = pushed {
                 for cells in &mut self.cells[..c] {
@@ -851,6 +869,23 @@ impl Database {
     /// Inserts a row into a named table.
     pub fn insert(&mut self, table: &str, row: Row) -> Result<(), StoreError> {
         self.table_mut(table)?.insert(row)
+    }
+
+    /// Inserts rows of borrowed cells into a named table, looked up once.
+    /// `fill` gets a sink and calls it with one row per call; the sink
+    /// checks the row as [`Table::insert`] does and copies its text and
+    /// blob cells straight into the columns, so no owned row is built.
+    /// `fill`'s result is returned; the rows it inserted before an error
+    /// stay.
+    pub fn insert_cells(
+        &mut self,
+        table: &str,
+        fill: impl FnOnce(
+            &mut dyn FnMut(&[CellRef<'_>]) -> Result<(), StoreError>,
+        ) -> Result<(), StoreError>,
+    ) -> Result<(), StoreError> {
+        let table = self.table_mut(table)?;
+        fill(&mut |row| table.insert_cells(row))
     }
 
     /// Table names, sorted.
@@ -1190,6 +1225,76 @@ mod tests {
         let row = t.rows().next().unwrap();
         assert!(matches!(row.get(1), CellRef::Real(v) if v.to_bits() == (-0.0f64).to_bits()));
         assert_eq!(t.rows().nth(1).unwrap().get(1), CellRef::Int(-4));
+    }
+
+    #[test]
+    fn borrowed_cells_insert_as_owned_rows_do() {
+        let columns = || {
+            vec![
+                Column::new("s", ColumnType::Text),
+                Column::new("r", ColumnType::Real),
+                Column::new("b", ColumnType::Blob),
+                Column::new("k", ColumnType::Integer),
+            ]
+        };
+        let rows = [
+            [
+                CellRef::Text("ab"),
+                CellRef::Int(3),
+                CellRef::Blob(&[1, 2]),
+                CellRef::Int(-7),
+            ],
+            [
+                CellRef::Null,
+                CellRef::Real(0.5),
+                CellRef::Null,
+                CellRef::Null,
+            ],
+        ];
+        let (mut owned, mut borrowed) = (Database::new(), Database::new());
+        for db in [&mut owned, &mut borrowed] {
+            db.create_table("t", columns()).unwrap();
+        }
+        for row in &rows {
+            owned
+                .insert("t", row.iter().copied().map(CellRef::to_owned).collect())
+                .unwrap();
+        }
+        borrowed
+            .insert_cells("t", |insert| rows.iter().try_for_each(|row| insert(row)))
+            .unwrap();
+        assert_eq!(borrowed, owned);
+        assert_eq!(borrowed.encode().unwrap(), owned.encode().unwrap());
+
+        // A refused row leaves the table as it was, the rows before it stay,
+        // and the error is the result.
+        let before = borrowed.clone();
+        let e = borrowed
+            .insert_cells("t", |insert| {
+                insert(&rows[0])?;
+                insert(&[
+                    CellRef::Text("x"),
+                    CellRef::Int(1),
+                    CellRef::Null,
+                    CellRef::Text("k"),
+                ])?;
+                insert(&rows[1])
+            })
+            .unwrap_err();
+        assert_eq!(
+            e.0,
+            "type mismatch in column 'k': Text value, expected Integer"
+        );
+        let t = borrowed.table("t").unwrap();
+        assert_eq!(t.len(), 3);
+        assert_eq!(
+            t.rows().take(2).collect::<Vec<_>>(),
+            before.table("t").unwrap().rows().collect::<Vec<_>>()
+        );
+        assert_eq!(t.row(2), before.table("t").unwrap().row(0));
+        let arity = borrowed.insert_cells("t", |insert| insert(&[CellRef::Null]));
+        assert!(arity.unwrap_err().0.starts_with("arity mismatch: 1 values"));
+        assert!(borrowed.insert_cells("missing", |_| Ok(())).is_err());
     }
 
     impl Table {
