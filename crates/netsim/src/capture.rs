@@ -6,7 +6,7 @@
 //! deriving statistical connection parameters during later analysis
 //! (§IV-B2).
 
-use crate::packet::{Destination, PacketId, Payload, Port};
+use crate::packet::{Destination, Packet, PacketId, Payload, Port};
 use crate::sim::NodeId;
 use crate::time::SimTime;
 
@@ -43,6 +43,29 @@ pub struct CaptureRecord {
     pub payload: Payload,
     /// How the packet was observed.
     pub kind: CaptureKind,
+}
+
+impl CaptureRecord {
+    /// `node`'s observation of `packet` at its local time `local_time`.
+    #[inline]
+    pub(crate) fn of(
+        node: NodeId,
+        local_time: SimTime,
+        packet: &Packet,
+        kind: CaptureKind,
+    ) -> Self {
+        Self {
+            node,
+            local_time,
+            packet_id: packet.id,
+            tag: packet.tag,
+            src: packet.src,
+            dst: packet.dst,
+            port: packet.port,
+            payload: packet.payload.clone(),
+            kind,
+        }
+    }
 }
 
 /// Per-node capture buffer — the node's "temporary storage" (§IV-B5).

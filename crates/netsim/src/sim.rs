@@ -51,8 +51,9 @@ use crate::tagger::Tagger;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{RoutingTable, Topology};
 use excovery_rng::{Rng, StdRng};
+use std::any::Any;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Index of a node in the topology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -108,6 +109,24 @@ enum Action {
     },
 }
 
+/// Values every agent of one simulator shares, at most one of each type
+/// (see [`AgentCtx::shared`]). It lives as long as its simulator: a reset
+/// between runs keeps it.
+#[derive(Default)]
+pub(crate) struct SharedValues(Mutex<Vec<Arc<dyn Any + Send + Sync>>>);
+
+impl SharedValues {
+    fn get<T: Any + Default + Send + Sync>(&self) -> Arc<T> {
+        let mut values = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(found) = values.iter().find(|v| v.as_ref().is::<T>()) {
+            return Arc::clone(found).downcast().expect("checked above");
+        }
+        let made = Arc::new(T::default());
+        values.push(Arc::clone(&made) as Arc<dyn Any + Send + Sync>);
+        made
+    }
+}
+
 /// The interface through which agents act on the simulated world.
 pub struct AgentCtx<'a> {
     now: SimTime,
@@ -116,6 +135,7 @@ pub struct AgentCtx<'a> {
     actions: Vec<Action>,
     events: Vec<ProtocolEvent>,
     rng: &'a mut StdRng,
+    shared: &'a SharedValues,
 }
 
 impl<'a> AgentCtx<'a> {
@@ -160,6 +180,15 @@ impl<'a> AgentCtx<'a> {
     /// Seeded per-node randomness for protocol jitter (reproducible).
     pub fn rng(&mut self) -> &mut StdRng {
         self.rng
+    }
+
+    /// The simulator's one value of type `T`, made with `T::default()` on
+    /// first use: state that every agent of this simulator shares, on
+    /// every shard, such as a protocol's table of interned names. It lives
+    /// as long as the simulator, so nothing outlives the simulator that
+    /// made it. Each call takes a lock; an agent keeps the handle.
+    pub fn shared<T: Any + Default + Send + Sync>(&self) -> Arc<T> {
+        self.shared.get()
     }
 }
 
@@ -340,6 +369,7 @@ pub(crate) struct SimCtx<'a> {
     pub routing: &'a RoutingTable,
     pub map: &'a ShardMap,
     pub link_load: &'a LinkLoad,
+    pub shared: &'a SharedValues,
 }
 
 // ---- per-shard event handlers ------------------------------------------
@@ -417,7 +447,9 @@ impl Shard {
             Ev::FloodTransit { packet, from, to } => {
                 self.handle_flood_transit(ctx, mail, packet, from, to)
             }
-            Ev::Deliver { packet, at } => self.deliver(ctx, mail, &packet, at),
+            Ev::Deliver { packet, at } => {
+                self.deliver(ctx, mail, &packet, at, CaptureKind::Received)
+            }
             Ev::Timer { node, port, token } => {
                 self.dispatch(ctx, mail, node, port, |agent, actx| {
                     agent.on_timer(actx, token)
@@ -473,11 +505,28 @@ impl Shard {
             actions: Vec::new(),
             events: Vec::new(),
             rng,
+            shared: ctx.shared,
         };
         f(agent.as_mut(), &mut actx);
         let AgentCtx {
             actions, events, ..
         } = actx;
+        self.apply(ctx, mail, node, port, actions, events);
+    }
+
+    /// Records the protocol events an agent at `(node, port)` emitted and
+    /// carries out the actions it requested, in order.
+    #[inline]
+    fn apply(
+        &mut self,
+        ctx: &SimCtx,
+        mail: &MailboxGrid<Ev>,
+        node: NodeId,
+        port: Port,
+        actions: Vec<Action>,
+        events: Vec<ProtocolEvent>,
+    ) {
+        let now = self.time;
         for pe in events {
             let key = self.node_mut(ctx, node).next_key();
             self.protocol_events.push((now, key, pe));
@@ -523,17 +572,8 @@ impl Shard {
         let now = self.time;
         let n = self.node_mut(ctx, node);
         let local_time = n.clock.local_time(now);
-        n.captures.record(CaptureRecord {
-            node,
-            local_time,
-            packet_id: packet.id,
-            tag: packet.tag,
-            src: packet.src,
-            dst: packet.dst,
-            port: packet.port,
-            payload: packet.payload.clone(),
-            kind,
-        });
+        n.captures
+            .record(CaptureRecord::of(node, local_time, packet, kind));
     }
 
     pub(crate) fn process_send(
@@ -579,7 +619,7 @@ impl Shard {
             Destination::Unicast(final_dst) => {
                 if final_dst == src {
                     // Loopback: deliver immediately without touching the medium.
-                    self.deliver(ctx, mail, &packet, src);
+                    self.deliver(ctx, mail, &packet, src, CaptureKind::Received);
                     return;
                 }
                 let Some(path) = ctx.routing.path(src, final_dst) else {
@@ -680,7 +720,7 @@ impl Shard {
                     let due = self.time + extra_delay;
                     self.schedule_ev(ctx, mail, due, key, Ev::Deliver { packet, at: to });
                 }
-                Verdict::Pass { .. } => self.deliver(ctx, mail, &packet, to),
+                Verdict::Pass { .. } => self.deliver(ctx, mail, &packet, to, CaptureKind::Received),
             }
         } else {
             // Relay: a node with a downed interface cannot forward.
@@ -815,13 +855,8 @@ impl Shard {
             }
             Verdict::Pass { .. } => true,
         };
-        let subscribed = self.node(ctx, to).agents.contains_key(&packet.port);
         if deliverable {
-            if subscribed {
-                self.deliver(ctx, mail, &packet, to);
-            } else {
-                self.capture(ctx, to, &packet, CaptureKind::Forwarded);
-            }
+            self.deliver(ctx, mail, &packet, to, CaptureKind::Forwarded);
         }
         // Relaying continues regardless of local subscription, unless the
         // node's radio is down. Note a Receive-dropped packet was still
@@ -834,13 +869,52 @@ impl Shard {
         }
     }
 
-    fn deliver(&mut self, ctx: &SimCtx, mail: &MailboxGrid<Ev>, packet: &Packet, at: NodeId) {
-        self.capture(ctx, at, packet, CaptureKind::Received);
-        if self.node(ctx, at).agents.contains_key(&packet.port) {
-            self.stats.delivered += 1;
-            self.dispatch(ctx, mail, at, packet.port, |agent, actx| {
-                agent.on_packet(actx, packet)
-            });
+    /// Captures `packet` at `at` and hands it to the agent on its port,
+    /// looking that agent up once. A node without one captures the packet
+    /// as `unheard`: forwarded by a flood, received at a unicast's end.
+    fn deliver(
+        &mut self,
+        ctx: &SimCtx,
+        mail: &MailboxGrid<Ev>,
+        packet: &Packet,
+        at: NodeId,
+        unheard: CaptureKind,
+    ) {
+        let now = self.time;
+        let SimNode {
+            agents,
+            clock,
+            rng,
+            captures,
+            ..
+        } = self.node_mut(ctx, at);
+        let local_now = clock.local_time(now);
+        let agent = agents.get_mut(&packet.port);
+        let kind = match agent {
+            Some(_) => CaptureKind::Received,
+            None => unheard,
+        };
+        captures.record(CaptureRecord::of(at, local_now, packet, kind));
+        let Some(agent) = agent else {
+            return;
+        };
+        let mut actx = AgentCtx {
+            now,
+            local_now,
+            node: at,
+            actions: Vec::new(),
+            events: Vec::new(),
+            rng,
+            shared: ctx.shared,
+        };
+        agent.on_packet(&mut actx, packet);
+        let AgentCtx {
+            actions, events, ..
+        } = actx;
+        self.stats.delivered += 1;
+        // Most deliveries (a record merged, a refresh) request nothing.
+        if !(actions.is_empty() && events.is_empty()) {
+            self.apply(ctx, mail, at, packet.port, actions, events);
         }
     }
 }
@@ -873,6 +947,8 @@ pub struct Simulator {
     lookahead: SimDuration,
     time: SimTime,
     link_load: LinkLoad,
+    /// What the agents share ([`AgentCtx::shared`]).
+    shared: SharedValues,
     /// Stats already published to the observability registry, so
     /// [`Simulator::publish_obs`] emits monotone counter deltas.
     obs_published: SimStats,
@@ -940,6 +1016,7 @@ impl Simulator {
             shards,
             time: SimTime::ZERO,
             link_load: LinkLoad::new(),
+            shared: SharedValues::default(),
             obs_published: SimStats::default(),
             obs_published_events: 0,
         }
@@ -982,6 +1059,7 @@ impl Simulator {
             routing,
             map,
             link_load,
+            shared,
             ..
         } = self;
         let ctx = SimCtx {
@@ -989,6 +1067,7 @@ impl Simulator {
             routing,
             map,
             link_load,
+            shared,
         };
         let shard = &mut shards[map.shard_of(node)];
         shard.time = shard.time.max(time);
@@ -1202,6 +1281,7 @@ impl Simulator {
             routing,
             map,
             link_load,
+            shared,
             ..
         } = self;
         let ctx = SimCtx {
@@ -1209,6 +1289,7 @@ impl Simulator {
             routing,
             map,
             link_load,
+            shared,
         };
         let shard = &mut shards[map.shard_of(node)];
         shard.time = shard.time.max(time);
@@ -1306,6 +1387,7 @@ impl Simulator {
             routing,
             map,
             link_load,
+            shared,
             time,
             lookahead,
             ..
@@ -1315,6 +1397,7 @@ impl Simulator {
             routing,
             map,
             link_load,
+            shared,
         };
         if shards.len() == 1 {
             // Single shard: every event is local; the mailbox can only hold
@@ -1362,6 +1445,7 @@ impl Simulator {
             routing,
             map,
             link_load,
+            shared,
             time,
             lookahead,
             ..
@@ -1371,6 +1455,7 @@ impl Simulator {
             routing,
             map,
             link_load,
+            shared,
         };
         let executed = if shards.len() == 1 {
             Self::drain_mail(shards, mail);

@@ -8,16 +8,24 @@
 //! `sd_service_add`, `sd_service_del`, `sd_service_upd`,
 //! `sd_start_publish`, `sd_stop_publish`, `scm_started`, `scm_found`,
 //! `scm_registration_add`, `scm_registration_del`, `scm_registration_upd`.
+//!
+//! The agent keys its state by the interned ids of [`crate::names`]:
+//! publications and searches are short vectors in the order they started,
+//! the caches are indexed by record id. Whatever the agent does for
+//! several of them at once (exit, a newly found SCM) it does in that
+//! order, so the packets and events it makes follow the commands, never a
+//! hash order.
 
 use crate::cache::{CacheChange, ServiceCache};
 use crate::model::{Architecture, Role, SdConfig, ServiceDescription, ServiceType};
-use crate::wire::{Record, SdMessage};
+use crate::names::{Names, RecordId, StypeId};
+use crate::wire::{Heard, Record, SdMessage};
 use excovery_netsim::fasthash::FastHashMap;
 use excovery_netsim::{
     Agent, AgentCtx, Destination, EventParams, NodeId, Packet, Port, SimDuration, SimTime,
 };
 use excovery_rng::Rng;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Counters of protocol activity (for tests and the ablation benches).
@@ -43,6 +51,8 @@ pub struct SdStats {
 
 #[derive(Debug, Clone)]
 struct Publication {
+    /// The id of the published type.
+    id: StypeId,
     /// The published record, shared with the messages that carry it.
     desc: Record,
     announces_left: u32,
@@ -55,41 +65,42 @@ struct Publication {
 
 #[derive(Debug, Clone)]
 struct Search {
+    /// The id of the searched type.
+    id: StypeId,
+    stype: ServiceType,
     current_interval: SimDuration,
 }
 
 #[derive(Debug, Clone)]
 enum TimerPurpose {
-    Announce(ServiceType),
-    QueryRetry(ServiceType),
+    Announce(StypeId),
+    QueryRetry(StypeId),
     ResponseJitter {
         qid: u64,
         to: Option<NodeId>,
         records: Vec<Record>,
     },
-    Probe(ServiceType),
+    Probe(StypeId),
     /// A cache sweep due at this instant.
     CacheExpiry(SimTime),
     ScmAdvert,
     RegRetry(u64),
-    RegRefresh(ServiceType),
-}
-
-#[derive(Debug, Clone)]
-struct PendingReg {
-    stype: ServiceType,
+    RegRefresh(StypeId),
 }
 
 /// The service-discovery agent; install on a node's SD port.
 pub struct SdAgent {
     cfg: SdConfig,
     role: Option<Role>,
-    publications: HashMap<ServiceType, Publication>,
-    searches: HashMap<ServiceType, Search>,
+    /// At most one per type, in the order they started.
+    publications: Vec<Publication>,
+    /// At most one per type, in the order they started.
+    searches: Vec<Search>,
     cache: ServiceCache,
     registry: ServiceCache,
     scm_known: Option<NodeId>,
-    pending_regs: HashMap<u64, PendingReg>,
+    /// The type of every registration awaiting its ack, by registration id.
+    pending_regs: FastHashMap<u64, StypeId>,
     next_qid: u64,
     next_rid: u64,
     next_timer_token: u64,
@@ -99,6 +110,11 @@ pub struct SdAgent {
     timers: FastHashMap<u64, TimerPurpose>,
     /// Due instants of the pending [`TimerPurpose::CacheExpiry`] timers.
     expiry_timers: BTreeSet<SimTime>,
+    /// The last due instant found pending in `expiry_timers`, while it
+    /// still is.
+    armed_expiry: Option<SimTime>,
+    /// The simulator's table of interned names, fetched on install.
+    names: Option<Arc<Names>>,
     port: Port,
     stats: SdStats,
 }
@@ -110,17 +126,19 @@ impl SdAgent {
         Self {
             cfg,
             role: None,
-            publications: HashMap::new(),
-            searches: HashMap::new(),
+            publications: Vec::new(),
+            searches: Vec::new(),
             cache: ServiceCache::new(),
             registry: ServiceCache::new(),
             scm_known: None,
-            pending_regs: HashMap::new(),
+            pending_regs: FastHashMap::default(),
             next_qid: 1,
             next_rid: 1,
             next_timer_token: 1,
             timers: FastHashMap::default(),
             expiry_timers: BTreeSet::new(),
+            armed_expiry: None,
+            names: None,
             port,
             stats: SdStats::default(),
         }
@@ -153,6 +171,21 @@ impl SdAgent {
         )
     }
 
+    /// The simulator's name table.
+    fn names(&self) -> &Names {
+        self.names
+            .as_ref()
+            .expect("fetched when the agent was installed")
+    }
+
+    fn publication_mut(&mut self, stype: StypeId) -> Option<&mut Publication> {
+        self.publications.iter_mut().find(|p| p.id == stype)
+    }
+
+    fn searching(&self, stype: StypeId) -> bool {
+        self.searches.iter().any(|s| s.id == stype)
+    }
+
     // ---- SD actions (paper §V) -------------------------------------------
 
     /// `Init SD`: establishes the node's role; SCMs announce themselves.
@@ -167,20 +200,20 @@ impl SdAgent {
         ctx.emit("sd_init_done", [("role", role.as_str())]);
     }
 
-    /// `Exit SD`: stops the role, all searches and publications; emits
-    /// `sd_exit_done`. The node must re-init to participate again.
+    /// `Exit SD`: stops the role, all publications and searches, each in
+    /// the order it started; emits `sd_exit_done`. The node must re-init
+    /// to participate again.
     pub(crate) fn sd_exit(&mut self, ctx: &mut AgentCtx) {
-        let published: Vec<ServiceType> = self.publications.keys().cloned().collect();
-        for st in published {
-            self.stop_publish(ctx, &st);
+        while !self.publications.is_empty() {
+            self.end_publication(ctx, 0);
         }
-        let searches: Vec<ServiceType> = self.searches.keys().cloned().collect();
-        for st in searches {
-            self.stop_search(ctx, &st);
+        while !self.searches.is_empty() {
+            self.end_search(ctx, 0);
         }
         // Drop timers by forgetting their purposes; stale fires are ignored.
         self.timers.clear();
         self.expiry_timers.clear();
+        self.armed_expiry = None;
         self.role = None;
         self.scm_known = None;
         self.cache.clear();
@@ -193,36 +226,46 @@ impl SdAgent {
     /// Emits `sd_start_search`, then `sd_service_add` per discovery.
     pub(crate) fn start_search(&mut self, ctx: &mut AgentCtx, stype: ServiceType) {
         ctx.emit("sd_start_search", [("stype", stype.0.clone())]);
+        let id = self.names().stype(&stype);
         // Passively cached records count as discovered immediately.
         let already: Vec<Record> = self
             .cache
-            .lookup(&stype, ctx.now())
+            .lookup(id, ctx.now())
             .into_iter()
             .cloned()
             .collect();
         for d in already {
             self.emit_service_event(ctx, "sd_service_add", &d);
         }
-        self.searches.insert(
-            stype.clone(),
-            Search {
-                current_interval: self.cfg.query_interval,
-            },
-        );
+        let search = Search {
+            id,
+            stype,
+            current_interval: self.cfg.query_interval,
+        };
+        match self.searches.iter_mut().find(|s| s.id == id) {
+            Some(running) => *running = search,
+            None => self.searches.push(search),
+        }
         self.arm(
             ctx,
             self.cfg.first_query_delay,
-            TimerPurpose::QueryRetry(stype),
+            TimerPurpose::QueryRetry(id),
         );
     }
 
     /// `Stop searching`. Emits `sd_stop_search`.
     pub(crate) fn stop_search(&mut self, ctx: &mut AgentCtx, stype: &ServiceType) {
-        if self.searches.remove(stype).is_some() {
-            self.timers
-                .retain(|_, p| !matches!(p, TimerPurpose::QueryRetry(st) if st == stype));
-            ctx.emit("sd_stop_search", [("stype", stype.0.clone())]);
+        if let Some(at) = self.searches.iter().position(|s| s.stype == *stype) {
+            self.end_search(ctx, at);
         }
+    }
+
+    /// Ends the search at position `at` of `searches`.
+    fn end_search(&mut self, ctx: &mut AgentCtx, at: usize) {
+        let search = self.searches.remove(at);
+        self.timers
+            .retain(|_, p| !matches!(p, TimerPurpose::QueryRetry(id) if *id == search.id));
+        ctx.emit("sd_stop_search", [("stype", search.stype.0)]);
     }
 
     /// `Start publishing`: publishes a service instance. Emits
@@ -235,63 +278,75 @@ impl SdAgent {
                 ("stype", desc.stype.0.clone()),
             ],
         );
-        let stype = desc.stype.clone();
+        let id = self.names().stype(&desc.stype);
         let probing = self.cfg.probe_before_announce && self.uses_multicast();
-        self.publications.insert(
-            stype.clone(),
-            Publication {
-                desc: Arc::new(desc),
-                announces_left: self.cfg.announce_count,
-                next_interval: self.cfg.announce_interval,
-                registered: false,
-                probes_left: if probing { self.cfg.probe_count } else { 0 },
-            },
-        );
+        let publication = Publication {
+            id,
+            desc: Arc::new(desc),
+            announces_left: self.cfg.announce_count,
+            next_interval: self.cfg.announce_interval,
+            registered: false,
+            probes_left: if probing { self.cfg.probe_count } else { 0 },
+        };
+        match self.publication_mut(id) {
+            Some(running) => *running = publication,
+            None => self.publications.push(publication),
+        }
         if self.uses_multicast() {
             if probing {
                 // Establish name uniqueness before announcing.
-                self.arm(ctx, SimDuration::ZERO, TimerPurpose::Probe(stype.clone()));
+                self.arm(ctx, SimDuration::ZERO, TimerPurpose::Probe(id));
             } else {
                 self.arm(
                     ctx,
                     self.cfg.first_announce_delay,
-                    TimerPurpose::Announce(stype.clone()),
+                    TimerPurpose::Announce(id),
                 );
             }
         }
         if self.uses_directory() && self.scm_known.is_some() {
-            self.register_publication(ctx, &stype);
+            self.register_publication(ctx, id);
         }
     }
 
     /// `Stop publishing`: gracefully stops, sending goodbye announcements
     /// and SCM deregistrations. Emits `sd_stop_publish`.
     pub(crate) fn stop_publish(&mut self, ctx: &mut AgentCtx, stype: &ServiceType) {
-        let Some(publication) = self.publications.remove(stype) else {
-            return;
-        };
+        if let Some(at) = self
+            .publications
+            .iter()
+            .position(|p| p.desc.stype == *stype)
+        {
+            self.end_publication(ctx, at);
+        }
+    }
+
+    /// Ends the publication at position `at` of `publications`.
+    fn end_publication(&mut self, ctx: &mut AgentCtx, at: usize) {
+        let publication = self.publications.remove(at);
+        let desc = &publication.desc;
         if self.uses_multicast() {
             let goodbye = SdMessage::Announce {
-                record: Arc::new(publication.desc.goodbye()),
+                record: Arc::new(desc.goodbye()),
             };
             ctx.send(Destination::Multicast, self.port, goodbye.encode());
             self.stats.announces_sent += 1;
         }
         if let (true, Some(scm)) = (self.uses_directory(), self.scm_known) {
             let msg = SdMessage::Deregister {
-                instance: publication.desc.instance.clone(),
-                stype: stype.clone(),
+                instance: desc.instance.clone(),
+                stype: desc.stype.clone(),
             };
             ctx.send(Destination::Unicast(scm), self.port, msg.encode());
         }
         self.timers.retain(|_, p| {
-            !matches!(p, TimerPurpose::Announce(st) | TimerPurpose::RegRefresh(st) if st == stype)
+            !matches!(p, TimerPurpose::Announce(id) | TimerPurpose::RegRefresh(id) if *id == publication.id)
         });
         ctx.emit(
             "sd_stop_publish",
             [
-                ("service", publication.desc.instance.clone()),
-                ("stype", stype.0.clone()),
+                ("service", desc.instance.clone()),
+                ("stype", desc.stype.0.clone()),
             ],
         );
     }
@@ -306,24 +361,23 @@ impl SdAgent {
                 ("stype", desc.stype.0.clone()),
             ],
         );
-        let stype = desc.stype.clone();
-        if let Some(p) = self.publications.get_mut(&stype) {
-            p.desc = Arc::new(desc);
-            p.announces_left = self.cfg.announce_count;
-            p.next_interval = self.cfg.announce_interval;
-            p.registered = false;
-        } else {
+        let Some(p) = self
+            .publications
+            .iter_mut()
+            .find(|p| p.desc.stype == desc.stype)
+        else {
             return;
-        }
+        };
+        let id = p.id;
+        p.desc = Arc::new(desc);
+        p.announces_left = self.cfg.announce_count;
+        p.next_interval = self.cfg.announce_interval;
+        p.registered = false;
         if self.uses_multicast() {
-            self.arm(
-                ctx,
-                SimDuration::ZERO,
-                TimerPurpose::Announce(stype.clone()),
-            );
+            self.arm(ctx, SimDuration::ZERO, TimerPurpose::Announce(id));
         }
         if self.uses_directory() && self.scm_known.is_some() {
-            self.register_publication(ctx, &stype);
+            self.register_publication(ctx, id);
         }
     }
 
@@ -345,11 +399,11 @@ impl SdAgent {
         ctx.send(Destination::Multicast, self.port, msg.encode());
     }
 
-    fn send_query(&mut self, ctx: &mut AgentCtx, stype: &ServiceType) {
+    fn send_query(&mut self, ctx: &mut AgentCtx, id: StypeId, stype: &ServiceType) {
         if self.uses_multicast() {
             let qid = self.alloc_qid(ctx);
             let known = if self.cfg.known_answer_suppression {
-                self.cache.known_answers(stype, ctx.now())
+                self.cache.known_answers(id, ctx.now())
             } else {
                 Vec::new()
             };
@@ -378,9 +432,9 @@ impl SdAgent {
         qid
     }
 
-    fn register_publication(&mut self, ctx: &mut AgentCtx, stype: &ServiceType) {
+    fn register_publication(&mut self, ctx: &mut AgentCtx, stype: StypeId) {
         let Some(scm) = self.scm_known else { return };
-        let Some(p) = self.publications.get(stype) else {
+        let Some(p) = self.publications.iter().find(|p| p.id == stype) else {
             return;
         };
         let rid = self.next_rid;
@@ -393,12 +447,7 @@ impl SdAgent {
         };
         ctx.send(Destination::Unicast(scm), self.port, msg.encode());
         self.stats.registrations_sent += 1;
-        self.pending_regs.insert(
-            rid,
-            PendingReg {
-                stype: stype.clone(),
-            },
-        );
+        self.pending_regs.insert(rid, stype);
         self.arm(
             ctx,
             self.cfg.registration_retry,
@@ -417,6 +466,10 @@ impl SdAgent {
         if let Some(next) = self.cache.next_expiry() {
             let delay = next.saturating_since(ctx.now()) + SimDuration::from_millis(1);
             let due = ctx.now() + delay;
+            if self.armed_expiry == Some(due) {
+                return; // the usual case: the minimum has not moved
+            }
+            self.armed_expiry = Some(due);
             if self.expiry_timers.insert(due) {
                 self.arm(ctx, delay, TimerPurpose::CacheExpiry(due));
             }
@@ -426,11 +479,17 @@ impl SdAgent {
     /// Detects a name conflict: another provider claims an instance name
     /// we are publishing. Resolves by renaming (mDNS appends a counter),
     /// emitting `sd_name_conflict`, and restarting the establish cycle.
-    fn check_name_conflict(&mut self, ctx: &mut AgentCtx, record: &ServiceDescription) {
+    fn check_name_conflict(
+        &mut self,
+        ctx: &mut AgentCtx,
+        record: &ServiceDescription,
+        id: RecordId,
+    ) {
         if record.is_goodbye() || record.provider == ctx.node() {
             return;
         }
-        let Some(p) = self.publications.get_mut(&record.stype) else {
+        let node = ctx.node();
+        let Some(p) = self.publications.iter_mut().find(|p| p.id == id.stype) else {
             return;
         };
         if p.desc.instance != record.instance || p.desc.provider == record.provider {
@@ -438,51 +497,53 @@ impl SdAgent {
         }
         // Tie-break: the lexicographically greater (instance, node) yields
         // — deterministic, so exactly one side renames.
-        let ours = (p.desc.instance.clone(), ctx.node().0);
-        let theirs = (record.instance.clone(), record.provider.0);
+        let ours = (p.desc.instance.as_str(), node.0);
+        let theirs = (record.instance.as_str(), record.provider.0);
         if ours < theirs {
             return; // we keep the name; the other side renames
         }
         let old = p.desc.instance.clone();
-        let new = format!("{old}-{}", ctx.node().0 + 2);
-        let announce_count = self.cfg.announce_count;
-        let announce_interval = self.cfg.announce_interval;
-        let probing = matches!(
-            self.cfg.architecture,
-            crate::model::Architecture::TwoParty | crate::model::Architecture::Hybrid
-        ) && self.cfg.probe_before_announce;
-        let probe_count = self.cfg.probe_count;
+        let new = format!("{old}-{}", node.0 + 2);
+        let probing = self.cfg.probe_before_announce
+            && matches!(
+                self.cfg.architecture,
+                Architecture::TwoParty | Architecture::Hybrid
+            );
         Arc::make_mut(&mut p.desc).instance = new.clone();
-        p.announces_left = announce_count;
-        p.next_interval = announce_interval;
+        p.announces_left = self.cfg.announce_count;
+        p.next_interval = self.cfg.announce_interval;
         p.registered = false;
-        p.probes_left = if probing { probe_count } else { 0 };
+        p.probes_left = if probing { self.cfg.probe_count } else { 0 };
         self.stats.name_conflicts += 1;
-        let stype = record.stype.clone();
         ctx.emit(
             "sd_name_conflict",
-            [("old", old), ("new", new), ("stype", stype.0.clone())],
+            [
+                ("old", old),
+                ("new", new),
+                ("stype", record.stype.0.clone()),
+            ],
         );
         if self.uses_multicast() {
             if probing {
-                self.arm(ctx, SimDuration::ZERO, TimerPurpose::Probe(stype));
+                self.arm(ctx, SimDuration::ZERO, TimerPurpose::Probe(id.stype));
             } else {
                 self.arm(
                     ctx,
                     self.cfg.first_announce_delay,
-                    TimerPurpose::Announce(stype),
+                    TimerPurpose::Announce(id.stype),
                 );
             }
         }
     }
 
-    fn absorb_records(&mut self, ctx: &mut AgentCtx, records: &[Record]) {
-        for r in records {
-            self.check_name_conflict(ctx, r);
+    /// Merges received records, whose ids are `ids`, into the cache.
+    fn absorb_records(&mut self, ctx: &mut AgentCtx, records: &[Record], ids: &[RecordId]) {
+        for (r, &id) in records.iter().zip(ids) {
+            self.check_name_conflict(ctx, r, id);
         }
-        for r in records {
-            let change = self.cache.merge(r, ctx.now());
-            if !self.searches.contains_key(&r.stype) {
+        for (r, &id) in records.iter().zip(ids) {
+            let change = self.cache.merge(id, r, ctx.now());
+            if !self.searching(id.stype) {
                 continue; // no event reports the change
             }
             match change {
@@ -495,16 +556,10 @@ impl SdAgent {
         self.rearm_cache_expiry(ctx);
     }
 
-    fn handle_query(
-        &mut self,
-        ctx: &mut AgentCtx,
-        qid: u64,
-        stype: &ServiceType,
-        known: &[String],
-    ) {
+    fn handle_query(&mut self, ctx: &mut AgentCtx, qid: u64, stype: StypeId, known: &[String]) {
         // Only publishing SMs answer multicast queries; SCMs answer only
         // directed queries (three-party discovery is directed by design).
-        let Some(p) = self.publications.get(stype) else {
+        let Some(p) = self.publications.iter().find(|p| p.id == stype) else {
             return;
         };
         if p.probes_left > 0 {
@@ -537,7 +592,7 @@ impl SdAgent {
         &mut self,
         ctx: &mut AgentCtx,
         qid: u64,
-        stype: &ServiceType,
+        stype: StypeId,
         from: NodeId,
     ) {
         if self.role != Some(Role::CacheManager) {
@@ -559,6 +614,7 @@ impl SdAgent {
         ctx: &mut AgentCtx,
         rid: u64,
         record: &ServiceDescription,
+        id: RecordId,
         lease_s: u32,
         from: NodeId,
     ) {
@@ -567,7 +623,7 @@ impl SdAgent {
         }
         let mut leased = ServiceDescription::clone(record);
         leased.ttl_s = lease_s;
-        let change = self.registry.merge(&Arc::new(leased), ctx.now());
+        let change = self.registry.merge(id, &Arc::new(leased), ctx.now());
         let event = match change {
             CacheChange::Added => Some("scm_registration_add"),
             CacheChange::Updated => Some("scm_registration_upd"),
@@ -589,11 +645,11 @@ impl SdAgent {
         );
     }
 
-    fn handle_deregister(&mut self, ctx: &mut AgentCtx, instance: &str, stype: &ServiceType) {
+    fn handle_deregister(&mut self, ctx: &mut AgentCtx, instance: &str, id: RecordId) {
         if self.role != Some(Role::CacheManager) {
             return;
         }
-        if self.registry.remove(stype, instance) {
+        if self.registry.remove(id) {
             ctx.emit("scm_registration_del", [("service", instance.to_string())]);
         }
     }
@@ -606,20 +662,21 @@ impl SdAgent {
             self.scm_known = Some(scm);
             ctx.emit("scm_found", [("scm", scm.to_string())]);
             // Register any publications now that a directory exists.
-            let stypes: Vec<ServiceType> = self
+            let unregistered: Vec<StypeId> = self
                 .publications
                 .iter()
-                .filter(|(_, p)| !p.registered)
-                .map(|(st, _)| st.clone())
+                .filter(|p| !p.registered)
+                .map(|p| p.id)
                 .collect();
-            for st in stypes {
-                self.register_publication(ctx, &st);
+            for id in unregistered {
+                self.register_publication(ctx, id);
             }
             // Fire directed queries for ongoing searches immediately.
-            let searching: Vec<ServiceType> = self.searches.keys().cloned().collect();
-            for st in searching {
+            let searching: Vec<ServiceType> =
+                self.searches.iter().map(|s| s.stype.clone()).collect();
+            for stype in searching {
                 let qid = self.alloc_qid(ctx);
-                let msg = SdMessage::DirectedQuery { qid, stype: st };
+                let msg = SdMessage::DirectedQuery { qid, stype };
                 ctx.send(Destination::Unicast(scm), self.port, msg.encode());
                 self.stats.directed_queries_sent += 1;
             }
@@ -628,47 +685,70 @@ impl SdAgent {
 }
 
 impl Agent for SdAgent {
-    fn on_packet(&mut self, ctx: &mut AgentCtx, pkt: &Packet) {
-        // Every receiver of a flooded packet shares one decode. A slot that
-        // another protocol filled leaves this agent a local decode.
-        let local;
-        let msg = match pkt.view(SdMessage::decode) {
-            Some(shared) => shared,
+    /// Fetches the simulator's name table and sizes the cache for the
+    /// records it holds: from the second run of an experiment on, every
+    /// record, so the cache does not grow in steps. Every receiver of a
+    /// packet reads ids from the one shared decode, so an agent interns
+    /// in the table of the simulator it runs in, and in no other.
+    fn on_start(&mut self, ctx: &mut AgentCtx) {
+        let names = ctx.shared::<Names>();
+        match &self.names {
+            Some(mine) => assert!(
+                Arc::ptr_eq(mine, &names),
+                "an SD agent serves one simulator"
+            ),
             None => {
-                local = SdMessage::decode(pkt.payload.as_bytes());
-                &local
+                self.cache.reserve(names.records());
+                self.names = Some(names);
+            }
+        }
+    }
+
+    fn on_packet(&mut self, ctx: &mut AgentCtx, pkt: &Packet) {
+        // Every receiver of a flooded packet shares one decode, with its
+        // names interned. A slot that another protocol filled leaves this
+        // agent a local decode.
+        let names = self.names();
+        let local;
+        let heard = match pkt.view(|bytes| Heard::decode(bytes, names)) {
+            Some(Some(shared)) => shared,
+            Some(None) => return, // garbage is dropped, as a real stack would
+            None => {
+                local = Heard::decode(pkt.payload.as_bytes(), names);
+                let Some(local) = &local else {
+                    return;
+                };
+                local
             }
         };
-        let Some(msg) = msg else {
-            return; // garbage is dropped, as a real stack would
-        };
-        match msg {
-            SdMessage::Query { qid, stype, known } => self.handle_query(ctx, *qid, stype, known),
-            SdMessage::Response { qid: _, records } => self.absorb_records(ctx, records),
+        let ids = &heard.records;
+        match &heard.msg {
+            SdMessage::Query { qid, known, .. } => {
+                self.handle_query(ctx, *qid, heard.query_type(), known)
+            }
+            SdMessage::Response { qid: _, records } => self.absorb_records(ctx, records, ids),
             SdMessage::Announce { record } => {
-                self.absorb_records(ctx, std::slice::from_ref(record))
+                self.absorb_records(ctx, std::slice::from_ref(record), ids)
             }
             SdMessage::ScmAdvert { scm } => self.handle_scm_advert(ctx, *scm),
             SdMessage::Register {
                 rid,
                 record,
                 lease_s,
-            } => self.handle_register(ctx, *rid, record, *lease_s, pkt.src),
+            } => self.handle_register(ctx, *rid, record, ids[0], *lease_s, pkt.src),
             SdMessage::RegisterAck { rid } => {
-                if let Some(pending) = self.pending_regs.remove(rid) {
-                    if let Some(p) = self.publications.get_mut(&pending.stype) {
+                if let Some(stype) = self.pending_regs.remove(rid) {
+                    if let Some(p) = self.publication_mut(stype) {
                         p.registered = true;
                     }
                     // Refresh before the lease expires.
                     let refresh = self.cfg.registration_lease.mul_f64(0.5);
-                    self.arm(ctx, refresh, TimerPurpose::RegRefresh(pending.stype));
+                    self.arm(ctx, refresh, TimerPurpose::RegRefresh(stype));
                 }
             }
-            SdMessage::Deregister { instance, stype } => {
-                self.handle_deregister(ctx, instance, stype)
-            }
-            SdMessage::DirectedQuery { qid, stype } => {
-                self.handle_directed_query(ctx, *qid, stype, pkt.src)
+            SdMessage::Deregister { instance, .. } => self.handle_deregister(ctx, instance, ids[0]),
+            SdMessage::DirectedQuery { qid, .. } => {
+                self.handle_directed_query(ctx, *qid, heard.query_type(), pkt.src)
             }
         }
     }
@@ -679,7 +759,7 @@ impl Agent for SdAgent {
         };
         match purpose {
             TimerPurpose::Announce(stype) => {
-                let Some(p) = self.publications.get_mut(&stype) else {
+                let Some(p) = self.publication_mut(stype) else {
                     return;
                 };
                 if p.announces_left == 0 {
@@ -700,16 +780,22 @@ impl Agent for SdAgent {
                     self.arm(ctx, interval, TimerPurpose::Announce(stype));
                 }
             }
-            TimerPurpose::QueryRetry(stype) => {
-                if !self.searches.contains_key(&stype) {
+            TimerPurpose::QueryRetry(id) => {
+                let Some(s) = self.searches.iter().find(|s| s.id == id) else {
                     return;
-                }
-                self.send_query(ctx, &stype);
-                let s = self.searches.get_mut(&stype).unwrap();
+                };
+                let stype = s.stype.clone();
+                self.send_query(ctx, id, &stype);
+                let backoff = self.cfg.query_backoff;
+                let max = self.cfg.max_query_interval;
+                let s = self
+                    .searches
+                    .iter_mut()
+                    .find(|s| s.id == id)
+                    .expect("found above");
                 let interval = s.current_interval;
-                let next = s.current_interval.mul_f64(self.cfg.query_backoff);
-                s.current_interval = next.min(self.cfg.max_query_interval);
-                self.arm(ctx, interval, TimerPurpose::QueryRetry(stype));
+                s.current_interval = s.current_interval.mul_f64(backoff).min(max);
+                self.arm(ctx, interval, TimerPurpose::QueryRetry(id));
             }
             TimerPurpose::ResponseJitter { qid, to, records } => {
                 let dst = match to {
@@ -724,7 +810,7 @@ impl Agent for SdAgent {
                 self.stats.responses_sent += 1;
             }
             TimerPurpose::Probe(stype) => {
-                let Some(p) = self.publications.get_mut(&stype) else {
+                let Some(p) = self.publication_mut(stype) else {
                     return;
                 };
                 if p.probes_left == 0 {
@@ -732,10 +818,11 @@ impl Agent for SdAgent {
                 }
                 p.probes_left -= 1;
                 let remaining = p.probes_left;
+                let query_type = p.desc.stype.clone();
                 let qid = self.alloc_qid(ctx);
                 let msg = SdMessage::Query {
                     qid,
-                    stype: stype.clone(),
+                    stype: query_type,
                     known: Vec::new(),
                 };
                 ctx.send(Destination::Multicast, self.port, msg.encode());
@@ -753,9 +840,12 @@ impl Agent for SdAgent {
             }
             TimerPurpose::CacheExpiry(due) => {
                 self.expiry_timers.remove(&due);
+                if self.armed_expiry == Some(due) {
+                    self.armed_expiry = None;
+                }
                 let lapsed = self.cache.expire(ctx.now());
                 for d in lapsed {
-                    if self.searches.contains_key(&d.stype) {
+                    if self.searches.iter().any(|s| s.stype == d.stype) {
                         self.emit_service_event(ctx, "sd_service_del", &d);
                     }
                 }
@@ -768,14 +858,14 @@ impl Agent for SdAgent {
                 }
             }
             TimerPurpose::RegRetry(rid) => {
-                if let Some(pending) = self.pending_regs.remove(&rid) {
+                if let Some(stype) = self.pending_regs.remove(&rid) {
                     // Not acked in time: re-register from scratch.
-                    self.register_publication(ctx, &pending.stype);
+                    self.register_publication(ctx, stype);
                 }
             }
             TimerPurpose::RegRefresh(stype) => {
-                if self.publications.contains_key(&stype) {
-                    self.register_publication(ctx, &stype);
+                if self.publications.iter().any(|p| p.id == stype) {
+                    self.register_publication(ctx, stype);
                 }
             }
         }
@@ -1229,6 +1319,16 @@ mod tests {
         assert!(heard > 0);
         assert_eq!(filled, heard);
         assert!(names_on(&evts, 2).contains(&"sd_service_add"), "{evts:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "an SD agent serves one simulator")]
+    fn an_agent_moved_to_another_simulator_is_refused() {
+        let mut first = quiet_sim(1, 23);
+        install(&mut first, 0, SdConfig::two_party());
+        let agent = first.remove_agent(NodeId(0), SD_PORT).unwrap();
+        let mut second = quiet_sim(1, 23);
+        second.install_agent(NodeId(0), SD_PORT, agent);
     }
 
     #[test]

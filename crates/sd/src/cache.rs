@@ -5,22 +5,19 @@
 //! outgoing queries, and reports add/remove/update transitions so the agent
 //! can emit `sd_service_add` / `sd_service_del` / `sd_service_upd` events.
 //!
-//! Records are kept per service type, then per instance name, so a
-//! received record is looked up by its borrowed `(type, instance)` without
-//! building an owned key. A record is shared, not copied: the cache keeps
-//! a reference to the decoded record, which is also its key, so merging a
-//! new or changed instance costs a reference count and a refresh costs
-//! nothing. Beside them the cache keeps the expiry instant of every record
-//! as an ordered multiset, so the earliest deadline is read in O(log n)
-//! and a sweep with nothing due touches no record. The maps are hashed
-//! deterministically; every listing is sorted before it is returned.
+//! Records are kept in slots indexed by their interned [`RecordId`], so a
+//! received record is found by indexing, not by hashing its type and
+//! instance name. A record is shared, not copied: the cache keeps a
+//! reference to the decoded record, so merging a new or changed instance
+//! costs a reference count and a refresh costs nothing. Beside the slots
+//! the cache keeps the expiry instant of every record in a sorted vector
+//! with repeats, so the earliest deadline is its first element and a sweep
+//! with nothing due touches no record. Ids decide no order: every listing
+//! is sorted by type and instance name before it is returned.
 
-use crate::model::{ServiceDescription, ServiceType};
-use excovery_netsim::fasthash::FastHashMap;
+use crate::model::ServiceDescription;
+use crate::names::{RecordId, StypeId};
 use excovery_netsim::{SimDuration, SimTime};
-use std::borrow::Borrow;
-use std::collections::BTreeMap;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Outcome of merging a record into the cache.
@@ -38,43 +35,25 @@ pub(crate) enum CacheChange {
     Ignored,
 }
 
-/// A stored record as its own key: it hashes and compares as its
-/// instance name, so the map finds it by a borrowed `&str`.
+/// A stored record with its type and expiry instant.
 #[derive(Debug, Clone)]
-struct Keyed(Arc<ServiceDescription>);
-
-impl Hash for Keyed {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.0.instance.as_str().hash(state);
-    }
-}
-
-impl PartialEq for Keyed {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.instance == other.0.instance
-    }
-}
-
-impl Eq for Keyed {}
-
-impl Borrow<str> for Keyed {
-    fn borrow(&self) -> &str {
-        &self.0.instance
-    }
+struct Entry {
+    desc: Arc<ServiceDescription>,
+    stype: StypeId,
+    expires: SimTime,
 }
 
 /// TTL-aware service cache.
 ///
 /// An entry stays stored after its expiry instant until [`Self::expire`]
-/// sweeps it; [`Self::lookup`], [`Self::known_answers`] and [`Self::all`]
-/// already hide it, [`Self::len`] still counts it.
+/// sweeps it; [`Self::lookup`] and [`Self::known_answers`] already hide
+/// it, [`Self::next_expiry`] still reports it.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ServiceCache {
-    /// Records by service type, then by instance name, each with its
-    /// expiry instant.
-    entries: FastHashMap<ServiceType, FastHashMap<Keyed, SimTime>>,
-    /// The expiry instant of every entry, with its multiplicity.
-    expiries: BTreeMap<SimTime, u32>,
+    /// Records by [`RecordId::index`]; `None` where none is stored.
+    slots: Vec<Option<Entry>>,
+    /// The expiry instant of every entry, ascending, with repeats.
+    expiries: Vec<SimTime>,
 }
 
 impl ServiceCache {
@@ -83,57 +62,65 @@ impl ServiceCache {
         Self::default()
     }
 
-    /// Merges a received record, returning what changed.
+    /// Makes room for `records` records, so that storing them does not
+    /// grow the cache step by step.
+    pub(crate) fn reserve(&mut self, records: usize) {
+        self.slots.reserve(records.saturating_sub(self.slots.len()));
+        self.expiries
+            .reserve(records.saturating_sub(self.expiries.len()));
+    }
+
+    /// Merges a received record whose id is `id`, returning what changed.
     ///
     /// A record with TTL 0 (a goodbye) removes the instance; any other
     /// record (re)sets its expiry to `now` plus its TTL. A new or changed
     /// instance stores a reference to `desc`; a refresh stores nothing.
-    pub(crate) fn merge(&mut self, desc: &Arc<ServiceDescription>, now: SimTime) -> CacheChange {
-        if desc.is_goodbye() {
-            return if self.remove(&desc.stype, &desc.instance) {
+    pub(crate) fn merge(
+        &mut self,
+        id: RecordId,
+        desc: &Arc<ServiceDescription>,
+        now: SimTime,
+    ) -> CacheChange {
+        if desc.ttl_s == 0 {
+            return if self.remove(id) {
                 CacheChange::Removed
             } else {
                 CacheChange::Ignored
             };
         }
         let expires = now + SimDuration::from_secs(u64::from(desc.ttl_s));
-        let by_name = match self.entries.get_mut(&desc.stype) {
-            Some(by_name) => by_name,
-            None => self.entries.entry(desc.stype.clone()).or_default(),
-        };
-        let instance = desc.instance.as_str();
-        let Some((Keyed(old), &old_expires)) = by_name.get_key_value(instance) else {
-            by_name.insert(Keyed(Arc::clone(desc)), expires);
+        let i = id.index();
+        if i >= self.slots.len() {
+            self.slots.resize_with(i + 1, || None);
+        }
+        let Some(entry) = &mut self.slots[i] else {
+            self.slots[i] = Some(Entry {
+                desc: Arc::clone(desc),
+                stype: id.stype,
+                expires,
+            });
             index(&mut self.expiries, expires);
             return CacheChange::Added;
         };
+        let old = &entry.desc;
         let content_changed = old.service_port != desc.service_port
             || old.attributes != desc.attributes
             || old.provider != desc.provider;
-        if old_expires != expires {
-            unindex(&mut self.expiries, old_expires);
-            index(&mut self.expiries, expires);
-        }
+        reindex(&mut self.expiries, entry.expires, expires);
+        entry.expires = expires;
         if content_changed {
-            // The record is the key: an equal key would stay, so replace it.
-            by_name.remove(instance);
-            by_name.insert(Keyed(Arc::clone(desc)), expires);
+            entry.desc = Arc::clone(desc);
             CacheChange::Updated
         } else {
-            *by_name.get_mut(instance).expect("found above") = expires;
             CacheChange::Refreshed
         }
     }
 
-    /// Drops the instance `instance` of `stype`; false if it was not
-    /// stored.
-    pub(crate) fn remove(&mut self, stype: &ServiceType, instance: &str) -> bool {
-        let removed = self
-            .entries
-            .get_mut(stype)
-            .and_then(|by_name| by_name.remove(instance));
-        if let Some(expires) = removed {
-            unindex(&mut self.expiries, expires);
+    /// Drops the record `id`; false if it was not stored.
+    pub(crate) fn remove(&mut self, id: RecordId) -> bool {
+        let removed = self.slots.get_mut(id.index()).and_then(Option::take);
+        if let Some(entry) = &removed {
+            unindex(&mut self.expiries, entry.expires);
         }
         removed.is_some()
     }
@@ -142,41 +129,34 @@ impl ServiceCache {
     /// returning their descriptions sorted by (type, instance).
     pub(crate) fn expire(&mut self, now: SimTime) -> Vec<Arc<ServiceDescription>> {
         let mut lapsed = Vec::new();
-        if self.next_expiry().is_none_or(|next| next > now) {
+        let due = self.expiries.partition_point(|&at| at <= now);
+        if due == 0 {
             return lapsed;
         }
-        for by_name in self.entries.values_mut() {
-            by_name.retain(|Keyed(desc), &mut expires| {
-                let keep = expires > now;
-                if !keep {
-                    lapsed.push(Arc::clone(desc));
-                }
-                keep
-            });
-        }
-        while let Some(entry) = self.expiries.first_entry() {
-            if *entry.key() > now {
-                break;
+        for slot in &mut self.slots {
+            if slot.as_ref().is_some_and(|entry| entry.expires <= now) {
+                lapsed.push(slot.take().expect("checked above").desc);
             }
-            entry.remove();
         }
+        self.expiries.drain(..due);
         lapsed.sort_by(|a, b| (&a.stype, &a.instance).cmp(&(&b.stype, &b.instance)));
         lapsed
     }
 
-    /// Live records of a service type, sorted by instance name.
-    pub(crate) fn lookup(
-        &self,
-        stype: &ServiceType,
-        now: SimTime,
-    ) -> Vec<&Arc<ServiceDescription>> {
-        let mut out: Vec<&Arc<ServiceDescription>> = self
-            .entries
-            .get(stype)
-            .into_iter()
+    /// The stored entries of a service type, in slot order.
+    fn of_type(&self, stype: StypeId) -> impl Iterator<Item = &Entry> {
+        self.slots
+            .iter()
             .flatten()
-            .filter(|(_, &expires)| expires > now)
-            .map(|(Keyed(desc), _)| desc)
+            .filter(move |entry| entry.stype == stype)
+    }
+
+    /// Live records of a service type, sorted by instance name.
+    pub(crate) fn lookup(&self, stype: StypeId, now: SimTime) -> Vec<&Arc<ServiceDescription>> {
+        let mut out: Vec<&Arc<ServiceDescription>> = self
+            .of_type(stype)
+            .filter(|entry| entry.expires > now)
+            .map(|entry| &entry.desc)
             .collect();
         out.sort_by(|a, b| a.instance.cmp(&b.instance));
         out
@@ -186,18 +166,15 @@ impl ServiceCache {
     /// live records of `stype` whose remaining TTL exceeds half the
     /// original (RFC 6762 §7.1 — records nearing expiry are not
     /// suppressed).
-    pub(crate) fn known_answers(&self, stype: &ServiceType, now: SimTime) -> Vec<String> {
+    pub(crate) fn known_answers(&self, stype: StypeId, now: SimTime) -> Vec<String> {
         let mut out: Vec<String> = self
-            .entries
-            .get(stype)
-            .into_iter()
-            .flatten()
-            .filter(|(Keyed(desc), expires)| {
-                let total = SimDuration::from_secs(u64::from(desc.ttl_s));
-                let remaining = expires.saturating_since(now);
+            .of_type(stype)
+            .filter(|entry| {
+                let total = SimDuration::from_secs(u64::from(entry.desc.ttl_s));
+                let remaining = entry.expires.saturating_since(now);
                 remaining.as_nanos() * 2 > total.as_nanos()
             })
-            .map(|(Keyed(desc), _)| desc.instance.clone())
+            .map(|entry| entry.desc.instance.clone())
             .collect();
         out.sort();
         out
@@ -206,35 +183,92 @@ impl ServiceCache {
     /// The earliest expiry instant of any stored entry, swept or not (to
     /// arm the expiry timer).
     pub(crate) fn next_expiry(&self) -> Option<SimTime> {
-        self.expiries.keys().next().copied()
+        self.expiries.first().copied()
     }
 
-    /// Drops everything.
+    /// Drops everything, with the room it took: a node that leaves SD
+    /// keeps no cache-sized buffers.
     pub(crate) fn clear(&mut self) {
-        self.entries.clear();
-        self.expiries.clear();
+        *self = Self::new();
     }
 }
 
-/// Adds one occurrence of `at` to an expiry multiset.
-fn index(expiries: &mut BTreeMap<SimTime, u32>, at: SimTime) {
-    *expiries.entry(at).or_insert(0) += 1;
+/// Adds one occurrence of `at` to a sorted expiry multiset.
+fn index(expiries: &mut Vec<SimTime>, at: SimTime) {
+    let i = expiries.partition_point(|&t| t <= at);
+    expiries.insert(i, at);
 }
 
-/// Drops one occurrence of `at` from an expiry multiset.
-fn unindex(expiries: &mut BTreeMap<SimTime, u32>, at: SimTime) {
-    if let Some(n) = expiries.get_mut(&at) {
-        *n -= 1;
-        if *n == 0 {
-            expiries.remove(&at);
-        }
+/// Drops one occurrence of `at` from a sorted expiry multiset.
+fn unindex(expiries: &mut Vec<SimTime>, at: SimTime) {
+    if let Ok(i) = expiries.binary_search(&at) {
+        expiries.remove(i);
+    }
+}
+
+/// Replaces one occurrence of `old` in a sorted expiry multiset by `new`,
+/// shifting only the instants between them.
+fn reindex(expiries: &mut [SimTime], old: SimTime, new: SimTime) {
+    let Ok(i) = expiries.binary_search(&old) else {
+        return;
+    };
+    if new > old {
+        let j = expiries.partition_point(|&t| t <= new);
+        expiries[i..j].rotate_left(1);
+        expiries[j - 1] = new;
+    } else if new < old {
+        let j = expiries.partition_point(|&t| t <= new);
+        expiries[j..=i].rotate_right(1);
+        expiries[j] = new;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::ServiceType;
+    use crate::names::Names;
     use excovery_netsim::NodeId;
+    use std::ops::{Deref, DerefMut};
+
+    /// A cache that interns the names of what it is given.
+    #[derive(Default)]
+    struct Cache {
+        cache: ServiceCache,
+        names: Names,
+    }
+
+    impl Cache {
+        fn new() -> Self {
+            Self::default()
+        }
+
+        fn merge(&mut self, d: &Arc<ServiceDescription>, now: SimTime) -> CacheChange {
+            let id = self.names.record(&d.stype, &d.instance);
+            self.cache.merge(id, d, now)
+        }
+
+        fn lookup(&self, stype: &ServiceType, now: SimTime) -> Vec<&Arc<ServiceDescription>> {
+            self.cache.lookup(self.names.stype(stype), now)
+        }
+
+        fn known_answers(&self, stype: &ServiceType, now: SimTime) -> Vec<String> {
+            self.cache.known_answers(self.names.stype(stype), now)
+        }
+    }
+
+    impl Deref for Cache {
+        type Target = ServiceCache;
+        fn deref(&self) -> &ServiceCache {
+            &self.cache
+        }
+    }
+
+    impl DerefMut for Cache {
+        fn deref_mut(&mut self) -> &mut ServiceCache {
+            &mut self.cache
+        }
+    }
 
     fn t(s: u64) -> SimTime {
         SimTime::from_nanos(s * 1_000_000_000)
@@ -248,7 +282,7 @@ mod tests {
 
     #[test]
     fn add_then_lookup() {
-        let mut c = ServiceCache::new();
+        let mut c = Cache::new();
         assert_eq!(c.merge(&desc("a", 10), t(0)), CacheChange::Added);
         let found = c.lookup(&ServiceType::new("_http._tcp"), t(5));
         assert_eq!(found.len(), 1);
@@ -258,7 +292,7 @@ mod tests {
 
     #[test]
     fn a_merge_stores_a_reference_and_a_refresh_stores_nothing() {
-        let mut c = ServiceCache::new();
+        let mut c = Cache::new();
         let http = ServiceType::new("_http._tcp");
         let first = desc("a", 10);
         assert_eq!(c.merge(&first, t(0)), CacheChange::Added);
@@ -277,7 +311,7 @@ mod tests {
 
     #[test]
     fn refresh_vs_update() {
-        let mut c = ServiceCache::new();
+        let mut c = Cache::new();
         c.merge(&desc("a", 10), t(0));
         assert_eq!(c.merge(&desc("a", 10), t(5)), CacheChange::Refreshed);
         let mut changed = desc("a", 10);
@@ -287,7 +321,7 @@ mod tests {
 
     #[test]
     fn goodbye_removes() {
-        let mut c = ServiceCache::new();
+        let mut c = Cache::new();
         c.merge(&desc("a", 10), t(0));
         assert_eq!(c.merge(&desc("a", 0), t(1)), CacheChange::Removed);
         assert_eq!(c.next_expiry(), None);
@@ -296,7 +330,7 @@ mod tests {
 
     #[test]
     fn expiry_sweep() {
-        let mut c = ServiceCache::new();
+        let mut c = Cache::new();
         c.merge(&desc("a", 10), t(0));
         c.merge(&desc("b", 100), t(0));
         assert!(c.expire(t(5)).is_empty());
@@ -308,7 +342,7 @@ mod tests {
 
     #[test]
     fn lookup_hides_expired_before_sweep() {
-        let mut c = ServiceCache::new();
+        let mut c = Cache::new();
         c.merge(&desc("a", 10), t(0));
         assert!(c.lookup(&ServiceType::new("_http._tcp"), t(11)).is_empty());
         assert_eq!(c.next_expiry(), Some(t(10)), "not swept yet");
@@ -316,7 +350,7 @@ mod tests {
 
     #[test]
     fn known_answer_half_ttl_rule() {
-        let mut c = ServiceCache::new();
+        let mut c = Cache::new();
         c.merge(&desc("fresh", 100), t(0));
         c.merge(&desc("stale", 10), t(0));
         // At t=6, "stale" has 4 s of 10 left (<half) and must not be listed;
@@ -327,7 +361,7 @@ mod tests {
 
     #[test]
     fn next_expiry_is_minimum() {
-        let mut c = ServiceCache::new();
+        let mut c = Cache::new();
         assert_eq!(c.next_expiry(), None);
         c.merge(&desc("a", 50), t(0));
         c.merge(&desc("b", 20), t(0));
@@ -336,7 +370,7 @@ mod tests {
 
     #[test]
     fn expiry_index_follows_refresh_goodbye_and_sweep() {
-        let mut c = ServiceCache::new();
+        let mut c = Cache::new();
         c.merge(&desc("a", 10), t(0));
         c.merge(&desc("b", 10), t(0));
         c.merge(&desc("c", 30), t(0));
@@ -356,7 +390,7 @@ mod tests {
 
     #[test]
     fn types_are_kept_apart_and_listed_in_order() {
-        let mut c = ServiceCache::new();
+        let mut c = Cache::new();
         let mut ipp = desc("a", 10);
         Arc::make_mut(&mut ipp).stype = ServiceType::new("_ipp._tcp");
         c.merge(&ipp, t(0));

@@ -24,13 +24,14 @@
 //! surface the paper's events (`sd_init_done`, `sd_service_add`, …) via the
 //! simulator's protocol-event stream.
 
-pub mod agent;
+mod agent;
 mod cache;
 mod control;
-pub mod model;
+mod model;
+mod names;
 mod wire;
 
-pub use agent::SdAgent;
+pub use agent::{SdAgent, SdStats};
 pub use control::{sd_command, SdCommand};
 pub use model::{Architecture, Role, SdConfig, ServiceDescription, ServiceType};
 pub use wire::SdMessage;

@@ -11,6 +11,7 @@
 //! request/response association the authors patched into Avahi (§VI-A).
 
 use crate::model::{ServiceDescription, ServiceType};
+use crate::names::{Names, RecordId, StypeId};
 use excovery_netsim::NodeId;
 use std::sync::Arc;
 
@@ -78,6 +79,55 @@ pub enum SdMessage {
         /// The service type searched for.
         stype: ServiceType,
     },
+}
+
+/// A decoded message with the interned ids of the names it carries: the
+/// value every receiver of a packet shares.
+#[derive(Debug)]
+pub(crate) struct Heard {
+    /// The message itself.
+    pub(crate) msg: SdMessage,
+    /// The ids of its records, in order: the records of a response, the
+    /// one record of an announcement or registration, the instance a
+    /// deregistration names.
+    pub(crate) records: Vec<RecordId>,
+    /// The searched type of a query or directed query.
+    stype: Option<StypeId>,
+}
+
+impl Heard {
+    /// Decodes a message and interns its names in `names`, all under one
+    /// lock; `None` on garbage, as [`SdMessage::decode`].
+    pub(crate) fn decode(bytes: &[u8], names: &Names) -> Option<Self> {
+        let msg = SdMessage::decode(bytes)?;
+        let (records, stype) = names.with(|t| match &msg {
+            SdMessage::Query { stype, .. } | SdMessage::DirectedQuery { stype, .. } => {
+                (Vec::new(), Some(t.stype(stype)))
+            }
+            SdMessage::Response { records, .. } => (
+                records
+                    .iter()
+                    .map(|r| t.record(&r.stype, &r.instance))
+                    .collect(),
+                None,
+            ),
+            SdMessage::Announce { record } | SdMessage::Register { record, .. } => {
+                (vec![t.record(&record.stype, &record.instance)], None)
+            }
+            SdMessage::Deregister { instance, stype } => (vec![t.record(stype, instance)], None),
+            SdMessage::ScmAdvert { .. } | SdMessage::RegisterAck { .. } => (Vec::new(), None),
+        });
+        Some(Self {
+            msg,
+            records,
+            stype,
+        })
+    }
+
+    /// The id of the searched type of a query or directed query.
+    pub(crate) fn query_type(&self) -> StypeId {
+        self.stype.expect("a query is decoded with its type's id")
+    }
 }
 
 fn esc(s: &str) -> String {

@@ -3,8 +3,8 @@
 //! decoder.
 
 use excovery_netsim::NodeId;
-use excovery_sd::model::{ServiceDescription, ServiceType};
 use excovery_sd::SdMessage;
+use excovery_sd::{ServiceDescription, ServiceType};
 use proptest::prelude::*;
 use std::sync::Arc;
 

@@ -34,9 +34,9 @@ use excovery::netsim::{NodeId, SimDuration};
 use excovery::obs::par::run_indexed;
 use excovery::query::{col, lit};
 use excovery::rpc::ChaosOptions;
-use excovery::sd::agent::SdAgent;
 use excovery::sd::{
-    sd_command, Role, SdCommand, SdConfig, SdMessage, ServiceDescription, ServiceType, SD_PORT,
+    sd_command, Role, SdAgent, SdCommand, SdConfig, SdMessage, ServiceDescription, ServiceType,
+    SD_PORT,
 };
 use excovery::store::records::ExperimentInfo;
 use excovery::store::schema::{render_table1, verify_schema};

@@ -72,10 +72,10 @@ const L2_ROOT: &str = "target/cost-pins-l2";
 /// `(what, allocations, bytes)`: one execution per golden preset at seed
 /// 1, one of [`wide`], then the ingest and the scan of [`fact_packages`].
 const PINS: [(&str, u64, u64); 6] = [
-    ("grid_default", 3385, 379_534),
-    ("wired_lan", 3385, 379_462),
-    ("lossy_mesh", 3369, 376_047),
-    ("multi_sm24_grid5x5", 10_559, 1_823_766),
+    ("grid_default", 3369, 375_923),
+    ("wired_lan", 3369, 375_851),
+    ("lossy_mesh", 3361, 373_398),
+    ("multi_sm24_grid5x5", 10_476, 1_819_761),
     ("dataset_ingest", 853, 492_962),
     ("group_by_scan", 70, 5_599),
 ];

@@ -7,7 +7,9 @@
 //! A run is a function of its arguments alone: no source under
 //! `crates/*/src` or `src/` reads or sets an environment variable, so a
 //! worker count or a memory budget is a flag or a parameter, never a
-//! setting inherited from the shell.
+//! setting inherited from the shell. And no map or set in the simulator
+//! or the SD agents hashes with the standard library's randomly keyed
+//! hasher, so their iteration orders depend on this repository alone.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -288,4 +290,64 @@ fn the_environment_check_sees_a_read() {
                   fn temp() -> PathBuf { std::env::temp_dir() }\n";
     let lines: Vec<usize> = environment_access(source).iter().map(|h| h.0).collect();
     assert_eq!(lines, [4, 6, 7, 8]);
+}
+
+/// The lines of a Rust source that name the standard library's
+/// `HashMap`, `HashSet` or `RandomState`, whose hasher takes a random key
+/// per map, by line number; comment lines are skipped. `FastHashMap`, the
+/// deterministically hashed alias, does not count.
+fn randomly_keyed_maps(source: &str) -> Vec<(usize, &str)> {
+    let named = |line: &str, word: &str| {
+        line.match_indices(word).any(|(at, _)| {
+            let before = line[..at].chars().next_back();
+            !before.is_some_and(|c| c.is_alphanumeric() || c == '_')
+        })
+    };
+    source
+        .lines()
+        .enumerate()
+        .map(|(i, line)| (i + 1, line.trim()))
+        .filter(|(_, line)| !line.starts_with("//"))
+        .filter(|(_, line)| {
+            ["HashMap", "HashSet", "RandomState"]
+                .iter()
+                .any(|word| named(line, word))
+        })
+        .collect()
+}
+
+#[test]
+fn the_simulator_and_the_agents_hash_deterministically() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut sources = Vec::new();
+    for krate in ["netsim", "sd"] {
+        rust_sources(&root.join("crates").join(krate).join("src"), &mut sources);
+    }
+    assert!(sources.len() > 20, "sources not found: {sources:?}");
+    let mut hits = Vec::new();
+    // The alias itself is built on `std::collections::HashMap`.
+    for path in sources.iter().filter(|p| !p.ends_with("fasthash.rs")) {
+        let text = fs::read_to_string(path).expect("source is readable");
+        for (line, code) in randomly_keyed_maps(&text) {
+            let path = path.strip_prefix(root).unwrap_or(path);
+            hits.push(format!("{}:{line}: {code}", path.display()));
+        }
+    }
+    assert!(
+        hits.is_empty(),
+        "randomly keyed maps; use `FastHashMap`, a `BTreeMap` or a vector:\n  {}",
+        hits.join("\n  ")
+    );
+}
+
+#[test]
+fn the_map_check_sees_a_randomly_keyed_map() {
+    let source = "//! A `HashMap` in a doc comment only.\n\
+                  use std::collections::{BTreeSet, HashMap};\n\
+                  use excovery_netsim::fasthash::FastHashMap;\n\
+                  struct A { by_id: FastHashMap<u64, u32>, my_HashMap: u8 }\n\
+                  fn seen() -> std::collections::HashSet<u64> { Default::default() }\n\
+                  type S = std::hash::RandomState;\n";
+    let lines: Vec<usize> = randomly_keyed_maps(source).iter().map(|h| h.0).collect();
+    assert_eq!(lines, [2, 5, 6]);
 }
