@@ -7,8 +7,9 @@
 //! before any run is spent.
 
 use excovery_rpc::RpcError;
+use excovery_store::StoreError;
 
-/// Error produced by [`ExperiMaster`](crate::master::ExperiMaster).
+/// Error produced by [`ExperiMaster`](crate::ExperiMaster).
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum EngineError {
@@ -94,6 +95,13 @@ impl std::fmt::Display for EngineError {
 }
 
 impl std::error::Error for EngineError {}
+
+/// Level-2 and level-3 failures keep the store's message.
+impl From<StoreError> for EngineError {
+    fn from(err: StoreError) -> Self {
+        EngineError::Storage(err.to_string())
+    }
+}
 
 /// Downstream code (CLI, examples, harnesses) runs in `Result<_, String>`
 /// contexts; keep `?` working there.

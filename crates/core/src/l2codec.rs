@@ -39,11 +39,13 @@
 //!
 //! The small per-run entries (`sync.json`, `start.json`, `outcome.json`,
 //! the plugins' `measurements.json`) stay JSON through the in-tree
-//! `excovery_store::JsonValue` codec.
+//! `excovery_store::JsonValue` codec. Every node and entry name of the
+//! level-2 layout is a constant here: the run loop writes a record, and
+//! packaging and resume read it back, by the same names.
 
 use crate::error::EngineError;
 use crate::event_log::RecordedEvent;
-use crate::master::RunOutcome;
+use crate::RunOutcome;
 use excovery_netsim::capture::{CaptureKind, CaptureRecord};
 use excovery_netsim::{NodeId, SimDuration};
 use excovery_store::level2::RunRecord;
@@ -53,13 +55,30 @@ use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
 
-/// Level-2 entry name of a node's packet captures for one run.
-pub(crate) const CAPTURES: &str = "captures.bin";
-/// The JSON entry builds before the binary codec wrote in its place.
-pub(crate) const LEGACY_CAPTURES: &str = "captures.json";
-/// Level-2 entry name (under `_master`) of a run's event list.
+// The level-2 layout. A run's record holds `_master/{events.bin,
+// sync.json, start.json, outcome.json}`, `<node>/{captures.bin,
+// node_log.txt}` per managed node, `_plugins/measurements.json` when a
+// plugin recorded one and `_obs/summary.jsonl` when obs is on. The
+// experiment entries are `master/topology_{before,after}.json` and
+// `_obs/snapshot.jsonl`. `package` reads only the names it knows, so the
+// `_obs` entries never reach level 3.
+pub(crate) const MASTER: &str = "_master";
 pub(crate) const EVENTS: &str = "events.bin";
-/// The JSON entry builds before the binary event codec wrote in its place.
+pub(crate) const SYNC: &str = "sync.json";
+pub(crate) const START: &str = "start.json";
+pub(crate) const OUTCOME: &str = "outcome.json";
+pub(crate) const CAPTURES: &str = "captures.bin";
+pub(crate) const NODE_LOG: &str = "node_log.txt";
+pub(crate) const PLUGINS: &str = "_plugins";
+pub(crate) const MEASUREMENTS: &str = "measurements.json";
+pub(crate) const OBS: &str = "_obs";
+pub(crate) const OBS_SUMMARY: &str = "summary.jsonl";
+pub(crate) const OBS_SNAPSHOT: &str = "snapshot.jsonl";
+pub(crate) const TOPOLOGY_NODE: &str = "master";
+pub(crate) const TOPOLOGIES: [&str; 2] = ["topology_before.json", "topology_after.json"];
+/// The JSON entries builds before the binary codecs wrote in place of
+/// [`CAPTURES`] and [`EVENTS`].
+pub(crate) const LEGACY_CAPTURES: &str = "captures.json";
 pub(crate) const LEGACY_EVENTS: &str = "events.json";
 
 const MAGIC: &[u8; 4] = b"EXCP";
@@ -73,19 +92,6 @@ const MIN_CAPTURE_LEN: usize = 8 + 2 + 2 + 1 + 4 + 2;
 const MIN_EVENT_LEN: usize = 8 + 8 + 2 + 2 + 2;
 /// Key length + value length.
 const MIN_PARAM_LEN: usize = 2 + 4;
-
-/// Per-node packet capture in the JSON shape `excovery l2 … --json`
-/// prints.
-#[derive(Debug, Clone)]
-struct CaptureSer {
-    local_time_ns: u64,
-    src: String,
-    port: u16,
-    kind: String,
-    /// 16-bit tagger id stamped by the sending node (§VI-A).
-    tag: u16,
-    data: Vec<u8>,
-}
 
 /// One capture of a `captures.bin` entry, borrowed from it.
 #[derive(Debug, Clone, PartialEq)]
@@ -456,18 +462,27 @@ pub(crate) fn decode_events(entry: &[u8]) -> Result<Events<'_>, EntryError> {
 pub fn captures_json(entry: &[u8]) -> Result<String, EngineError> {
     let captures =
         decode_captures(entry).map_err(|e| EngineError::Storage(format!("{CAPTURES}: {e}")))?;
-    let ser: Vec<CaptureSer> = captures
-        .iter()
-        .map(|c| CaptureSer {
-            local_time_ns: c.local_time_ns,
-            src: c.src.to_string(),
-            port: c.port,
-            kind: kind_name(c.kind).to_string(),
-            tag: u16::from_be_bytes([c.wire[0], c.wire[1]]),
-            data: c.wire[2..].to_vec(),
-        })
-        .collect();
-    Ok(captures_to_json(&ser).to_string())
+    let doc = JsonValue::Array(
+        captures
+            .iter()
+            .map(|c| {
+                // The tagger id stamped by the sending node (§VI-A).
+                let tag = u16::from_be_bytes([c.wire[0], c.wire[1]]);
+                JsonValue::Object(vec![
+                    (
+                        "local_time_ns".into(),
+                        JsonValue::Int(c.local_time_ns as i64),
+                    ),
+                    ("src".into(), JsonValue::str(c.src)),
+                    ("port".into(), JsonValue::Int(c.port as i64)),
+                    ("kind".into(), JsonValue::str(kind_name(c.kind))),
+                    ("tag".into(), JsonValue::Int(tag as i64)),
+                    ("data".into(), JsonValue::bytes(&c.wire[2..])),
+                ])
+            })
+            .collect(),
+    );
+    Ok(doc.to_string())
 }
 
 /// Renders the `events.bin` entry of run `run_id` as the `events.json`
@@ -503,6 +518,17 @@ pub fn events_json(entry: &[u8], run_id: u64) -> Result<String, EngineError> {
     Ok(doc.to_string())
 }
 
+/// A level-2 entry that cannot be staged or read back, named by run,
+/// node and entry.
+pub(crate) fn entry_error(
+    run_id: u64,
+    node: &str,
+    name: &str,
+    what: impl fmt::Display,
+) -> EngineError {
+    EngineError::Storage(format!("run {run_id}: {node}/{name}: {what}"))
+}
+
 /// The JSON entry `name` of `node` in a sealed run, decoded by `from`.
 /// A missing entry, bytes that are not JSON and JSON of the wrong shape
 /// are each a storage error naming the run and the entry.
@@ -513,7 +539,7 @@ pub(crate) fn read_json<T>(
     name: &str,
     from: impl FnOnce(&JsonValue) -> Option<T>,
 ) -> Result<T, EngineError> {
-    let fail = |what: &str| EngineError::Storage(format!("run {run_id}: {node}/{name}: {what}"));
+    let fail = |what: &str| entry_error(run_id, node, name, what);
     let raw = record.get(node, name).ok_or_else(|| fail("missing"))?;
     let text = std::str::from_utf8(raw).map_err(|_| fail("not UTF-8"))?;
     let json = JsonValue::parse(text).map_err(|e| fail(&format!("not JSON: {e}")))?;
@@ -610,27 +636,6 @@ pub(crate) fn outcome_from_json(v: &JsonValue) -> Option<RunOutcome> {
         packets: v.get("packets")?.as_u64()? as usize,
         duration: SimDuration::from_nanos(v.get("duration_ns")?.as_u64()?),
     })
-}
-
-fn captures_to_json(captures: &[CaptureSer]) -> JsonValue {
-    JsonValue::Array(
-        captures
-            .iter()
-            .map(|c| {
-                JsonValue::Object(vec![
-                    (
-                        "local_time_ns".into(),
-                        JsonValue::Int(c.local_time_ns as i64),
-                    ),
-                    ("src".into(), JsonValue::str(&c.src)),
-                    ("port".into(), JsonValue::Int(c.port as i64)),
-                    ("kind".into(), JsonValue::str(&c.kind)),
-                    ("tag".into(), JsonValue::Int(c.tag as i64)),
-                    ("data".into(), JsonValue::bytes(&c.data)),
-                ])
-            })
-            .collect(),
-    )
 }
 
 #[cfg(test)]

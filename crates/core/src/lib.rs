@@ -2,7 +2,7 @@
 //!
 //! The ExCovery execution engine (paper §IV, §VI).
 //!
-//! The [`master::ExperiMaster`] drives experiments from an abstract
+//! The [`ExperiMaster`] drives experiments from an abstract
 //! description: it generates the treatment plan, initializes the
 //! participating nodes, executes each run's processes (experiment, fault
 //! injection and environment manipulation) with the four flow-control
@@ -17,7 +17,8 @@
 //! The paper's execution concepts map as follows:
 //!
 //! * experiment/run lifecycle (`experiment_init`, `run_init`, `run_exit`,
-//!   `experiment_exit`) — [`master`],
+//!   `experiment_exit`) — [`ExperiMaster`] (the private `master` module:
+//!   `config`, `run`, `package`, `outcome`, `ctx`),
 //! * process descriptions and flow control — [`interp`],
 //! * fault injection envelopes (duration/rate/randomseed) — [`faults`],
 //! * event recording and `wait_for_event` matching — `event_log`
@@ -25,7 +26,7 @@
 //! * actor-to-node resolution (abstract nodes → platform nodes → simulator
 //!   nodes) — [`binding`],
 //! * crash recovery by resuming aborted runs — the level-2 run journal
-//!   consulted by [`master`],
+//!   consulted by [`ExperiMaster::execute`],
 //! * the level-2 entries each run stages, binary packet captures among
 //!   them — [`l2codec`].
 
@@ -35,7 +36,7 @@ mod event_log;
 pub mod faults;
 pub mod interp;
 pub mod l2codec;
-pub mod master;
+mod master;
 pub mod nodemanager;
 pub mod scenarios;
 
@@ -43,4 +44,5 @@ pub use binding::PlatformBinding;
 pub use error::EngineError;
 pub use event_log::EventLog;
 pub use excovery_rpc::RetryPolicy;
-pub use master::{EngineConfig, ExperiMaster, ExperimentOutcome, TransportKind};
+pub use master::config::{EngineConfig, EngineConfigBuilder, TransportKind};
+pub use master::{ctx::PluginCtx, outcome::ExperimentOutcome, outcome::RunOutcome, ExperiMaster};

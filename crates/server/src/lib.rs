@@ -22,7 +22,7 @@
 //!   resubmitting the same key returns the original [`excovery_rpc::JobId`].
 //! * `scheduler` ([`Scheduler`]) — the fair-share scheduler. Each tick gives every
 //!   tenant with runnable work at least one *slice* (a bounded number of
-//!   runs executed by a resuming [`excovery_core::master::ExperiMaster`]),
+//!   runs executed by a resuming [`excovery_core::ExperiMaster`]),
 //!   interleaved round-robin and executed on the campaign worker pool.
 //!   Because every run is journalled in level 2 and outcomes are
 //!   resume-invariant, a server killed mid-campaign resumes bit-exactly:

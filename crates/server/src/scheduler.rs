@@ -24,7 +24,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use excovery_core::master::{EngineConfig, ExperiMaster};
+use excovery_core::{EngineConfig, ExperiMaster};
 use excovery_desc::xmlio;
 use excovery_obs::par::{resolve_workers, run_indexed};
 use excovery_obs::sync::Mutex;

@@ -146,15 +146,15 @@ const ALLOWLIST: &[(&str, &str)] = &[
         "returned by `verify_all`, which the CLI's `verify` verb prints",
     ),
     (
-        "crates/core/src/master.rs: pub struct EngineConfigBuilder",
+        "crates/core/src/master/config.rs: pub struct EngineConfigBuilder",
         "returned by `EngineConfig::builder`",
     ),
     (
-        "crates/core/src/master.rs: pub struct PluginCtx<'a>",
+        "crates/core/src/master/ctx.rs: pub struct PluginCtx<'a>",
         "argument of the callback `ExperiMaster::register_plugin` takes",
     ),
     (
-        "crates/core/src/master.rs: pub struct RunOutcome",
+        "crates/core/src/master/outcome.rs: pub struct RunOutcome",
         "element of the public `ExperimentOutcome::runs`",
     ),
     (
