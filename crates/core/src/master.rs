@@ -37,6 +37,7 @@ use excovery_netsim::rng::derive_seed;
 use excovery_netsim::traffic::TrafficGenerator;
 use excovery_netsim::{NodeId, SimTime, Simulator};
 use excovery_obs::sync::Mutex;
+use excovery_obs::Histogram;
 use excovery_rpc::{
     ChaosOptions, NodeCall, Reactor, ReactorEndpoint, RpcError, ServerRegistry, TcpRpcServer, Value,
 };
@@ -109,6 +110,48 @@ pub struct ExperiMaster {
     cbr_flows: Vec<(NodeId, u16)>,
     fault_windows: Vec<FaultWindow>,
     run_measurements: Vec<(String, String, Vec<u8>)>,
+    /// The histograms the phase timers and fan-outs observe into, each
+    /// resolved from the registry once per master on first use.
+    obs_handles: Mutex<ObsHandles>,
+}
+
+/// `master_phase_duration_ns` by phase and `master_node_call_duration_ns`
+/// by node, so a timer that ends neither builds a series key nor takes
+/// the registry lock.
+#[derive(Default)]
+struct ObsHandles {
+    phases: HashMap<String, Histogram>,
+    node_calls: HashMap<String, Histogram>,
+}
+
+impl ObsHandles {
+    fn phase(&mut self, phase: &str) -> &Histogram {
+        resolve(&mut self.phases, "master_phase_duration_ns", "phase", phase)
+    }
+
+    fn node_call(&mut self, node: &str) -> &Histogram {
+        resolve(
+            &mut self.node_calls,
+            "master_node_call_duration_ns",
+            "node",
+            node,
+        )
+    }
+}
+
+/// The histogram `name{label = value}` from `cache`, resolved from the
+/// registry on first use.
+fn resolve<'a>(
+    cache: &'a mut HashMap<String, Histogram>,
+    name: &str,
+    label: &str,
+    value: &str,
+) -> &'a Histogram {
+    if !cache.contains_key(value) {
+        let resolved = excovery_obs::global().histogram(name, &[(label, value)]);
+        cache.insert(value.to_string(), resolved);
+    }
+    &cache[value]
 }
 
 impl ExperiMaster {
@@ -195,6 +238,7 @@ impl ExperiMaster {
             cbr_flows: Vec::new(),
             fault_windows: Vec::new(),
             run_measurements: Vec::new(),
+            obs_handles: Mutex::new(ObsHandles::default()),
         })
     }
 
@@ -284,13 +328,11 @@ impl ExperiMaster {
         let outcomes = self.reactor.lock().dispatch(calls, &self.cfg.retry);
         for o in &outcomes {
             self.control_retries.fetch_add(o.retries, Ordering::Relaxed);
-            if excovery_obs::enabled() {
-                excovery_obs::global()
-                    .histogram(
-                        "master_node_call_duration_ns",
-                        &[("node", o.node_id.as_str())],
-                    )
-                    .observe(o.duration_ns);
+        }
+        if excovery_obs::enabled() {
+            let mut handles = self.obs_handles.lock();
+            for o in &outcomes {
+                handles.node_call(&o.node_id).observe(o.duration_ns);
             }
         }
         self.finish_phase(phase_timer, method);
@@ -325,9 +367,7 @@ impl ExperiMaster {
     fn finish_phase(&self, timer: Option<excovery_obs::span::SpanTimer>, phase: &str) {
         if let Some(timer) = timer {
             let dur = timer.finish(obs_clock(), excovery_obs::global_tracer());
-            excovery_obs::global()
-                .histogram("master_phase_duration_ns", &[("phase", phase)])
-                .observe(dur);
+            self.obs_handles.lock().phase(phase).observe(dur);
         }
     }
 

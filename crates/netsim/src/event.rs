@@ -84,14 +84,20 @@ impl<T> EventQueue<T> {
     /// Removes and returns the earliest event, if any.
     #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
-        let Reverse((due, _, slot)) = self.heap.pop()?;
+        self.pop_keyed().map(|(due, _, payload)| (due, payload))
+    }
+
+    /// Removes and returns the earliest event with its ordering key.
+    #[inline]
+    pub(crate) fn pop_keyed(&mut self) -> Option<(SimTime, u64, T)> {
+        let Reverse((due, key, slot)) = self.heap.pop()?;
         debug_assert!((slot as usize) < self.slots.len(), "slot out of bounds");
         let payload = self.slots[slot as usize]
             .take()
             .expect("heap entry without payload");
         self.free.push(slot);
         self.debug_check_invariants();
-        Some((due, payload))
+        Some((due, key, payload))
     }
 
     /// Time of the earliest pending event.
@@ -117,13 +123,15 @@ impl<T> EventQueue<T> {
         self.free.clear();
     }
 
-    /// Releases excess capacity accumulated by event storms. Called from
-    /// `Simulator::reset_for_run` so a single pathological run does not pin
-    /// its peak allocation for the rest of a campaign.
-    pub(crate) fn shrink_to_fit(&mut self) {
-        self.heap.shrink_to_fit();
-        self.slots.shrink_to_fit();
-        self.free.shrink_to_fit();
+    /// Releases capacity beyond `capacity` events accumulated by event
+    /// storms. Called from `Simulator::reset_for_run` with the construction
+    /// capacity, so a single pathological run does not pin its peak
+    /// allocation for the rest of a campaign while the next run starts
+    /// with the room the first one had.
+    pub(crate) fn shrink_to(&mut self, capacity: usize) {
+        self.heap.shrink_to(capacity);
+        self.slots.shrink_to(capacity);
+        self.free.shrink_to(capacity);
     }
 
     /// Slot-reuse invariant: every slot is either on the heap or on the
@@ -185,9 +193,25 @@ mod tests {
         q.schedule_with_key(SimTime::from_nanos(1), 4, 1);
         q.schedule_with_key(SimTime::from_nanos(2), 5, 2);
         q.clear();
-        q.shrink_to_fit();
+        q.shrink_to(1);
         assert_eq!(q.len(), 0);
         assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn shrinking_keeps_the_construction_capacity() {
+        let mut q = EventQueue::with_capacity(16);
+        for i in 0..100u64 {
+            q.schedule_with_key(SimTime::from_nanos(i), i, i);
+        }
+        q.clear();
+        q.shrink_to(16);
+        // The storm's room is released, the construction's kept.
+        assert!(q.heap.capacity() >= 16 && q.heap.capacity() < 100);
+        assert!(q.slots.capacity() >= 16 && q.slots.capacity() < 100);
+        assert_eq!(q.pop_keyed(), None);
+        q.schedule_with_key(SimTime::from_nanos(3), 7, 0);
+        assert_eq!(q.pop_keyed(), Some((SimTime::from_nanos(3), 7, 0)));
     }
 
     #[test]

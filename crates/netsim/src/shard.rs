@@ -43,15 +43,17 @@
 //! Each shard thread runs the same loop, and no shard leads:
 //!
 //! 1. Drain the mail sent to this shard in the previous window, then write
-//!    this shard's minimum pending time and its running event count into
-//!    its own slot of the control block.
+//!    this shard's minimum pending time (queue head or suppressed-transit
+//!    ledger, whichever is earlier) and its running event count into its
+//!    own slot of the control block.
 //! 2. Barrier A.
 //! 3. Read every slot and decide: the global minimum `W` (or idle), the
 //!    window end (`W + L`, or the deadline, inclusive, when that comes
 //!    first), and whether the budget is spent. Every shard reads the same
 //!    slots, so every shard takes the same decision; all of them stop
 //!    together when it says done.
-//! 4. Process the window, pushing cross-shard events into mailboxes.
+//! 4. Process the window, pushing cross-shard events into mailboxes, and
+//!    settle the ledger entries the window's end has passed.
 //! 5. Barrier B.
 //!
 //! Why the window is safe: every mailbox push of window `k` happens
@@ -108,6 +110,14 @@ use std::sync::{Condvar, Mutex};
 
 /// Number of log₂ buckets in the mailbox depth histogram.
 pub(crate) const DEPTH_BUCKETS: usize = 16;
+
+/// Events a shard's queue has room for from construction on, and keeps
+/// room for across `Simulator::reset_for_run`: steady state holds at most
+/// a few events per node in flight.
+pub(crate) const QUEUE_CAPACITY: usize = 256;
+
+/// Smallest ledger length at which `Shard::suppress` settles past entries.
+pub(crate) const SETTLE_AT: usize = 1024;
 
 /// Stripes dealt to each shard (see the module docs). On the flood and
 /// unicast grids of DESIGN.md §12 at 2 shards, 8 tied with 4 on the flood
@@ -250,6 +260,29 @@ pub(crate) struct Shard {
     /// which beats a `(packet, node)` hash set (~20 bytes per entry) unless
     /// the flood reaches fewer than ~1/160 of the shard's nodes.
     pub flood_seen: FastHashMap<PacketId, Box<[u64]>>,
+    /// The suppressed-transit ledger: `(due, key, node)` of every flood
+    /// transit that `flood_from` did not queue because its target, a node
+    /// of this shard, had already seen the packet when it was sent. Each
+    /// is a duplicate that is counted (settled) once the clock passes it.
+    pub suppressed: Vec<(SimTime, u64, NodeId)>,
+    /// Earliest `due` in `suppressed`, in nanos; `u64::MAX` when empty.
+    pub suppressed_min: u64,
+    /// Ledger length at which `suppress` settles the entries already in
+    /// the past, so a long serial run holds only the transits in flight.
+    pub settle_at: usize,
+    /// While set, a suppressed transit is queued as a payload-less
+    /// `Ev::Duplicate` instead of entering the ledger: an event budget
+    /// that counts every event is close, or shards merge at zero
+    /// lookahead.
+    pub fold: bool,
+    /// `(time, key)` of the last event popped from `queue`; ledger entries
+    /// before it are duplicates the serial order has already passed.
+    pub last_popped: (SimTime, u64),
+    /// End of the parallel window being processed (`ZERO` outside one);
+    /// read only by the lookahead assertion in `suppress`.
+    pub window_end: SimTime,
+    /// Flood transits suppressed at send time.
+    pub suppressed_total: u64,
     /// Emitted protocol events with their `(reference time, global key)`;
     /// merged across shards in key order when drained.
     pub protocol_events: Vec<(SimTime, u64, ProtocolEvent)>,
@@ -269,6 +302,7 @@ pub(crate) struct Shard {
     pub obs_windows_published: u64,
     pub obs_barrier_ns_published: u64,
     pub obs_depth_published: [u64; DEPTH_BUCKETS],
+    pub obs_suppressed_published: u64,
     /// Test hook: `spin_loop` hints this shard burns before each window,
     /// so a test can make one shard lag the others.
     #[cfg(test)]
@@ -280,12 +314,18 @@ impl Shard {
         Self {
             id,
             nodes: Vec::new(),
-            // Steady state holds at most a few events per node in flight.
-            queue: EventQueue::with_capacity(256),
+            queue: EventQueue::with_capacity(QUEUE_CAPACITY),
             time: SimTime::ZERO,
             stats: SimStats::default(),
             events_executed: 0,
             flood_seen: FastHashMap::default(),
+            suppressed: Vec::new(),
+            suppressed_min: u64::MAX,
+            settle_at: SETTLE_AT,
+            fold: false,
+            last_popped: (SimTime::ZERO, 0),
+            window_end: SimTime::ZERO,
+            suppressed_total: 0,
             protocol_events: Vec::new(),
             crossings_out: 0,
             windows: 0,
@@ -296,9 +336,20 @@ impl Shard {
             obs_windows_published: 0,
             obs_barrier_ns_published: 0,
             obs_depth_published: [0; DEPTH_BUCKETS],
+            obs_suppressed_published: 0,
             #[cfg(test)]
             lag_spins: 0,
         }
+    }
+
+    /// Time of this shard's earliest pending event, queued or in the
+    /// suppressed-transit ledger, in nanos; `u64::MAX` when idle.
+    #[inline]
+    pub(crate) fn next_due(&self) -> u64 {
+        self.queue
+            .peek_time()
+            .map_or(u64::MAX, |t| t.as_nanos())
+            .min(self.suppressed_min)
     }
 
     /// Records a mailbox drain depth into the log₂ histogram.
@@ -412,7 +463,8 @@ impl SpinBarrier {
 
 /// What each shard publishes before barrier A.
 struct Slot {
-    /// Earliest pending event time in nanos; `u64::MAX` when idle.
+    /// Earliest pending event time in nanos, suppressed transits in the
+    /// ledger included; `u64::MAX` when idle.
     min: AtomicU64,
     /// Events this shard executed so far in this run.
     executed: AtomicU64,
@@ -472,8 +524,9 @@ fn decide(
 ///
 /// `drain` must move every mailbox event destined for the given shard into
 /// its queue; `process` must drain the shard's queue up to the window end
-/// (exclusive, or inclusive when the flag is set) and return the event
-/// count. Neither closure is allowed to touch any other shard.
+/// (exclusive, or inclusive when the flag is set), settle the ledger
+/// entries due by the same end, and return the event count, settled
+/// entries included. Neither closure is allowed to touch any other shard.
 ///
 /// A panic in either closure stops every shard at its next barrier and is
 /// re-raised here once all shard threads have joined (the first panic, if
@@ -521,12 +574,20 @@ where
                 };
                 let slot = &slots[shard.id];
                 let mut executed = 0;
+                // Nanos every pending event is due at or after: the last
+                // window's end, one past it when the window was inclusive.
+                let mut floor = 0;
                 let run = std::panic::catch_unwind(AssertUnwindSafe(|| loop {
                     // Every push of the previous window happened before its
                     // barrier B, and no shard reads a slot again before
                     // this shard's barrier A.
                     drain(shard);
-                    let min = shard.queue.peek_time().map_or(u64::MAX, |t| t.as_nanos());
+                    let min = shard.next_due();
+                    debug_assert!(
+                        min >= floor,
+                        "shard {} holds an event at {min} ns, before its last window's end",
+                        shard.id
+                    );
                     slot.min.store(min, Ordering::Relaxed);
                     slot.executed.store(executed, Ordering::Relaxed);
                     if !wait(shard) {
@@ -541,6 +602,7 @@ where
                         break;
                     };
                     executed += process(shard, end, inclusive);
+                    floor = end.as_nanos().saturating_add(u64::from(inclusive));
                     shard.windows += 1;
                     if !wait(shard) {
                         break; // B, poisoned

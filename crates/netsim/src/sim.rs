@@ -15,7 +15,10 @@
 //!   jittered per-hop delay plus serialization time.
 //! * **Multicast/Broadcast** packets flood the mesh with per-packet
 //!   duplicate suppression, the standard mesh multicast approximation; each
-//!   link crossing draws loss and delay independently.
+//!   link crossing draws loss and delay independently. A transit to a node
+//!   of the sender's shard that has already seen the packet never enters
+//!   the event queue: it is counted as the duplicate it would be once the
+//!   clock passes its due (DESIGN.md §8).
 //!
 //! Fault injection ([`FilterRule`]) is evaluated at the originator
 //! (transmit direction) and the final receiver (receive direction); an
@@ -46,7 +49,7 @@ use crate::mailbox::MailboxGrid;
 use crate::packet::{Destination, Packet, PacketId, Payload, Port};
 use crate::params::{EventName, EventParams};
 use crate::rng::derive_rng_indexed;
-use crate::shard::{run_windows, Shard, ShardMap, SimNode};
+use crate::shard::{run_windows, Shard, ShardMap, SimNode, QUEUE_CAPACITY, SETTLE_AT};
 use crate::tagger::Tagger;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{RoutingTable, Topology};
@@ -225,6 +228,10 @@ pub(crate) enum Ev {
         port: Port,
         token: u64,
     },
+    /// A flood transit to `at` that was known to be a duplicate when it
+    /// was sent, queued without its packet because an event budget that
+    /// counts every event is close (see `Shard::fold_ledger`).
+    Duplicate { at: NodeId },
 }
 
 impl Ev {
@@ -233,7 +240,7 @@ impl Ev {
     pub(crate) fn node(&self) -> NodeId {
         match self {
             Ev::UnicastTransit { to, .. } | Ev::FloodTransit { to, .. } => *to,
-            Ev::Deliver { at, .. } => *at,
+            Ev::Deliver { at, .. } | Ev::Duplicate { at } => *at,
             Ev::Timer { node, .. } => *node,
         }
     }
@@ -430,11 +437,12 @@ impl Shard {
 
     /// Pops and executes the earliest event of this shard's queue.
     pub(crate) fn process_one(&mut self, ctx: &SimCtx, mail: &MailboxGrid<Ev>) -> bool {
-        let Some((due, ev)) = self.queue.pop() else {
+        let Some((due, key, ev)) = self.queue.pop_keyed() else {
             return false;
         };
         debug_assert!(due >= self.time, "time must be monotone per shard");
         self.time = due;
+        self.last_popped = (due, key);
         self.events_executed += 1;
         match ev {
             Ev::UnicastTransit {
@@ -455,13 +463,15 @@ impl Shard {
                     agent.on_timer(actx, token)
                 })
             }
+            Ev::Duplicate { .. } => self.stats.duplicates += 1,
         }
         true
     }
 
     /// Drains this shard's queue through the window `[.., end)` (or
-    /// `[.., end]` when `inclusive`); returns the number of events
-    /// executed. The conservative-window workhorse.
+    /// `[.., end]` when `inclusive`) and settles the suppressed transits
+    /// due in it; returns the number of events executed, settled ones
+    /// included. The conservative-window workhorse.
     pub(crate) fn process_window(
         &mut self,
         ctx: &SimCtx,
@@ -469,16 +479,113 @@ impl Shard {
         end: SimTime,
         inclusive: bool,
     ) -> u64 {
-        let mut n = 0;
+        let before = self.events_executed;
+        self.window_end = end;
         while let Some(t) = self.queue.peek_time() {
             let in_window = if inclusive { t <= end } else { t < end };
             if !in_window {
                 break;
             }
             self.process_one(ctx, mail);
-            n += 1;
         }
-        n
+        self.window_end = SimTime::ZERO;
+        self.settle(end, inclusive);
+        self.events_executed - before
+    }
+
+    /// Bit `j` is set when `neighbors[j]` is a node of this shard that has
+    /// already seen the flooded `packet`: a transit to it can only arrive
+    /// as a duplicate. One bitset lookup per fan-out; a neighbour past the
+    /// 64th is never marked, so its transit is queued as before.
+    fn seen_neighbours(&self, ctx: &SimCtx, packet: PacketId, neighbors: &[NodeId]) -> u64 {
+        let Some(seen) = self.flood_seen.get(&packet) else {
+            return 0;
+        };
+        let mut mask = 0;
+        for (j, &nb) in neighbors.iter().take(64).enumerate() {
+            if ctx.map.shard_of(nb) == self.id {
+                let i = ctx.map.local_index(nb);
+                if seen[i / 64] & (1 << (i % 64)) != 0 {
+                    mask |= 1 << j;
+                }
+            }
+        }
+        mask
+    }
+
+    /// Takes a flood transit to `at`, due at `(due, key)`, that can only
+    /// arrive as a duplicate: into the ledger, or into the queue as an
+    /// `Ev::Duplicate` while `fold` is set. A ledger that reaches
+    /// `settle_at` entries settles those already in the past, and the
+    /// mark doubles.
+    fn suppress(&mut self, due: SimTime, key: u64, at: NodeId) {
+        // The lookahead guarantee settlement rests on: a transit sent in
+        // a window is due no earlier than the window's end.
+        debug_assert!(
+            due >= self.window_end,
+            "transit due {due} inside its window (end {})",
+            self.window_end
+        );
+        self.suppressed_total += 1;
+        if self.fold {
+            self.queue.schedule_with_key(due, key, Ev::Duplicate { at });
+            return;
+        }
+        self.suppressed.push((due, key, at));
+        self.suppressed_min = self.suppressed_min.min(due.as_nanos());
+        if self.suppressed.len() >= self.settle_at {
+            // Strictly before the running event, so before every event the
+            // queue still holds: the serial order has passed these.
+            self.settle(self.time, false);
+            self.settle_at = (2 * self.suppressed.len()).max(SETTLE_AT);
+        }
+    }
+
+    /// Settles the ledger entries due before `end` (through `end` when
+    /// `inclusive`): each counts as the executed duplicate it stands for
+    /// and moves the clock to its due, as the popped transit did.
+    pub(crate) fn settle(&mut self, end: SimTime, inclusive: bool) {
+        if self.suppressed_min > end.as_nanos()
+            || (!inclusive && self.suppressed_min == end.as_nanos())
+        {
+            return;
+        }
+        let (mut settled, mut time, mut min) = (0, self.time, u64::MAX);
+        self.suppressed.retain(|&(due, _, _)| {
+            let passed = if inclusive { due <= end } else { due < end };
+            if passed {
+                settled += 1;
+                time = time.max(due);
+            } else {
+                min = min.min(due.as_nanos());
+            }
+            !passed
+        });
+        self.events_executed += settled;
+        self.stats.duplicates += settled;
+        self.time = time;
+        self.suppressed_min = min;
+    }
+
+    /// Makes the ledger exact per event, for a loop that counts an event
+    /// budget one event at a time: entries the last popped event has
+    /// passed are settled, every other one is queued as an
+    /// `Ev::Duplicate` under its own key, and until `fold` is cleared new
+    /// suppressions go to the queue the same way.
+    pub(crate) fn fold_ledger(&mut self) {
+        self.fold = true;
+        let last = self.last_popped;
+        let mut settled = 0;
+        for (due, key, at) in std::mem::take(&mut self.suppressed) {
+            if (due, key) < last {
+                settled += 1;
+            } else {
+                self.queue.schedule_with_key(due, key, Ev::Duplicate { at });
+            }
+        }
+        self.events_executed += settled;
+        self.stats.duplicates += settled;
+        self.suppressed_min = u64::MAX;
     }
 
     /// Runs `f` on the agent at `(node, port)` with a fresh context, then
@@ -787,11 +894,11 @@ impl Shard {
         came_from: Option<NodeId>,
         extra_delay: SimDuration,
     ) {
-        // Shared adjacency slice from the routing cache — no per-fan-out
-        // copy; the Arc clone detaches the borrow from the routing table.
-        let neighbors = Arc::clone(ctx.routing.neighbors(at));
+        // Borrowed from the read-only routing cache, not from the shard.
+        let neighbors: &[NodeId] = ctx.routing.neighbors(at);
         let ser = ctx.cfg.link_model.serialization_delay(packet.size_bytes);
-        for &nb in neighbors.iter() {
+        let seen = self.seen_neighbours(ctx, packet.id, neighbors);
+        for (j, &nb) in neighbors.iter().enumerate() {
             if Some(nb) == came_from {
                 continue;
             }
@@ -809,6 +916,13 @@ impl Shard {
             };
             let delay = ctx.cfg.link_model.jittered(base, jitter_draw) + ser + extra_delay;
             let due = self.time + delay;
+            // Seen bits are set only by this shard and never cleared within
+            // a run, so this transit would arrive as a duplicate. The draws
+            // and the key above stay exactly as if it were queued.
+            if j < 64 && seen & (1 << j) != 0 {
+                self.suppress(due, key, nb);
+                continue;
+            }
             self.schedule_ev(
                 ctx,
                 mail,
@@ -1334,6 +1448,10 @@ impl Simulator {
         deadline: Option<SimTime>,
         budget: u64,
     ) -> u64 {
+        // Every event is counted as it runs, suppressed transits too.
+        for sh in shards.iter_mut() {
+            sh.fold_ledger();
+        }
         let mut executed = 0;
         while executed < budget {
             Self::drain_mail(shards, mail);
@@ -1345,6 +1463,9 @@ impl Simulator {
             }
             shards[s].process_one(ctx, mail);
             executed += 1;
+        }
+        for sh in shards.iter_mut() {
+            sh.fold = false;
         }
         // Invariant on exit: mailboxes were drained after the last
         // processed event, so every pending event sits in a shard queue.
@@ -1407,6 +1528,7 @@ impl Simulator {
             while shard.queue.peek_time().is_some_and(|t| t <= deadline) {
                 shard.process_one(&ctx, mail);
             }
+            shard.settle(deadline, true);
         } else if lookahead.as_nanos() == 0 {
             Self::run_serial_merged(shards, mail, &ctx, Some(deadline), u64::MAX);
         } else {
@@ -1460,11 +1582,25 @@ impl Simulator {
         let executed = if shards.len() == 1 {
             Self::drain_mail(shards, mail);
             let shard = &mut shards[0];
-            let mut n = 0;
-            while n < max_events && shard.process_one(&ctx, mail) {
-                n += 1;
+            let start = shard.events_executed;
+            loop {
+                // Once the ledger could hold the event that spends the
+                // budget, count every event as it runs.
+                let pending = shard.suppressed.len() as u64;
+                if !shard.fold
+                    && (shard.events_executed - start).saturating_add(pending) >= max_events
+                {
+                    shard.fold_ledger();
+                }
+                if shard.events_executed - start >= max_events || !shard.process_one(&ctx, mail) {
+                    break;
+                }
             }
-            n
+            // Run dry below the budget (a folded ledger is empty): the
+            // unsuppressed run would have popped every transit left here.
+            shard.settle(SimTime::from_nanos(u64::MAX), true);
+            shard.fold = false;
+            shard.events_executed - start
         } else if lookahead.as_nanos() == 0 {
             Self::run_serial_merged(shards, mail, &ctx, None, max_events)
         } else {
@@ -1496,7 +1632,11 @@ impl Simulator {
     /// Number of pending events (diagnostics), including any still in
     /// cross-shard mailboxes.
     pub fn pending_events(&self) -> usize {
-        self.shards.iter().map(|s| s.queue.len()).sum::<usize>() + self.mail.pending()
+        self.shards
+            .iter()
+            .map(|s| s.queue.len() + s.suppressed.len())
+            .sum::<usize>()
+            + self.mail.pending()
     }
 
     /// Total queued events executed since construction (diagnostics;
@@ -1614,6 +1754,9 @@ impl Simulator {
             reg.counter("netsim_shard_windows_total", &labels)
                 .add(sh.windows - sh.obs_windows_published);
             sh.obs_windows_published = sh.windows;
+            reg.counter("netsim_flood_suppressed_total", &labels)
+                .add(sh.suppressed_total - sh.obs_suppressed_published);
+            sh.obs_suppressed_published = sh.suppressed_total;
             reg.counter("netsim_barrier_wait_ns_total", &labels)
                 .add(sh.barrier_wait_ns - sh.obs_barrier_ns_published);
             sh.obs_barrier_ns_published = sh.barrier_wait_ns;
@@ -1671,7 +1814,12 @@ impl Simulator {
             sh.queue.clear();
             // Release event-storm capacity: one pathological run must not
             // pin its peak allocation for the rest of a campaign.
-            sh.queue.shrink_to_fit();
+            sh.queue.shrink_to(QUEUE_CAPACITY);
+            sh.suppressed.clear();
+            sh.suppressed.shrink_to(QUEUE_CAPACITY);
+            sh.suppressed_min = u64::MAX;
+            sh.settle_at = SETTLE_AT;
+            sh.last_popped = (SimTime::ZERO, 0);
             sh.flood_seen.clear();
             sh.protocol_events.clear();
             sh.time = sh.time.max(epoch);
@@ -2237,6 +2385,42 @@ mod tests {
         let two = stop(2);
         assert_eq!((two.0, two.1), (1_567, 208));
         assert_eq!(stop(4), two);
+    }
+
+    /// Cutting a flood at every budget and then running it dry gives the
+    /// unbudgeted total and digest: on one queue each cut folds the
+    /// suppressed-transit ledger at a different point, and the cut itself
+    /// must stop after exactly the budget; on two shards the cut falls on
+    /// a window's end, with unsettled transits left in the ledger.
+    #[test]
+    fn every_budget_cut_resumes_to_the_unbudgeted_run() {
+        let flood = |shards: usize| {
+            let mut s = grid_with_sinks(5, LinkModel::default(), shards);
+            for src in [0, 12, 24] {
+                s.send_from(NodeId(src), 9, Destination::Multicast, Payload::from("f"));
+            }
+            s.send_from(NodeId(7), 9, Destination::Broadcast, Payload::from("b"));
+            s
+        };
+        for shards in [1, 2] {
+            let mut whole = flood(shards);
+            let total = whole.run_until_idle(u64::MAX);
+            assert!(whole.stats().duplicates > 0);
+            for budget in 1..=total {
+                let mut s = flood(shards);
+                let cut = s.run_until_idle(budget);
+                if shards == 1 {
+                    assert_eq!(cut, budget, "budget {budget}");
+                }
+                assert_eq!(cut, s.events_executed(), "budget {budget}");
+                let rest = s.run_until_idle(u64::MAX);
+                let what = format!("{shards} shards, budget {budget}");
+                assert_eq!(cut + rest, total, "{what}");
+                assert_eq!(s.pending_events(), 0, "{what}");
+                assert_eq!(s.stats(), whole.stats(), "{what}");
+                assert_eq!(s.state_digest(), whole.state_digest(), "{what}");
+            }
+        }
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Property tests for the simulator substrate: determinism over random
-//! workloads and shard counts, topology invariants, cached routes against
-//! a fresh BFS, tagger stream reconstruction, and the event queue's
-//! ordering contract against a `BTreeMap` model.
+//! workloads and shard counts, exact counts under flood duplicate
+//! suppression at every deadline and budget, topology invariants, cached
+//! routes against a fresh BFS, tagger stream reconstruction, and the event
+//! queue's ordering contract against a `BTreeMap` model.
 
 use excovery_netsim::event::EventQueue;
-use excovery_netsim::sim::{SimStats, Simulator, SimulatorConfig};
+use excovery_netsim::sim::{Agent, SimStats, Simulator, SimulatorConfig};
 use excovery_netsim::tagger::{analyze_stream, Tagger};
-use excovery_netsim::time::SimTime;
+use excovery_netsim::time::{SimDuration, SimTime};
 use excovery_netsim::topology::{RoutingTable, Topology};
 use excovery_netsim::{Destination, NodeId, Payload};
 use proptest::prelude::*;
@@ -73,6 +74,111 @@ fn run_workload(
         })
         .collect();
     (sim.stats(), caps)
+}
+
+/// Counts a delivery without sending anything.
+struct Sink;
+
+impl Agent for Sink {
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
+/// A `side`×`side` grid under the default lossy link model, a sink on
+/// every node.
+fn sink_grid(side: usize, seed: u64, shards: usize) -> Simulator {
+    let cfg = SimulatorConfig::default()
+        .with_seed(seed)
+        .with_shards(shards);
+    let mut sim = Simulator::new(Topology::grid(side, side), cfg);
+    for n in 0..(side * side) as u16 {
+        sim.install_agent(NodeId(n), 9, Box::new(Sink));
+    }
+    sim
+}
+
+/// Sends `(src, kind)` packets: multicast, broadcast or unicast to a node
+/// derived from the same draw.
+fn send_mix(sim: &mut Simulator, sends: &[(u16, u8)]) {
+    let n = sim.node_count() as u16;
+    for &(src, kind) in sends {
+        let src = NodeId(src % n);
+        let dst = match kind % 3 {
+            0 => Destination::Multicast,
+            1 => Destination::Broadcast,
+            _ => Destination::Unicast(NodeId(u16::from(kind).wrapping_mul(97) % n)),
+        };
+        sim.send_from(src, 9, dst, Payload::from("p"));
+    }
+}
+
+/// Everything a caller can count between two calls.
+fn observed(sim: &Simulator) -> (u64, usize, SimStats, SimTime, u64) {
+    (
+        sim.events_executed(),
+        sim.pending_events(),
+        sim.stats(),
+        sim.now(),
+        sim.state_digest(),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Flood transits suppressed at send time change no count a caller
+    /// can observe. A grid of 8–40 per side, so 2 and 4 shards cut it
+    /// into several stripes each, gets a drawn mix of multicasts,
+    /// broadcasts and unicasts before each of an increasing sequence of
+    /// deadlines, then more sends and one budgeted `run_until_idle`. After every deadline
+    /// 1, 2 and 4 shards agree on events, pending events, stats, clock
+    /// and digest; the budgeted call stops after exactly
+    /// `min(budget, remaining)` events on one shard and at the same window
+    /// end on 2 and 4; run dry afterwards, all equal the unbudgeted run.
+    #[test]
+    fn suppression_is_exact_at_every_deadline_and_budget(
+        side in 8usize..41,
+        seed in any::<u64>(),
+        steps in prop::collection::vec(
+            (prop::collection::vec((any::<u16>(), any::<u8>()), 0..4), 0u64..12_000),
+            1..5,
+        ),
+        last in prop::collection::vec((any::<u16>(), any::<u8>()), 1..4),
+        permille in 0u64..1_001,
+    ) {
+        // The last is the unbudgeted reference.
+        let mut sims: Vec<Simulator> =
+            [1, 2, 4, 1].iter().map(|&k| sink_grid(side, seed, k)).collect();
+        for (sends, micros) in &steps {
+            for sim in &mut sims {
+                send_mix(sim, sends);
+                let deadline = sim.now() + SimDuration::from_micros(*micros);
+                sim.run_until(deadline);
+            }
+            let serial = observed(&sims[0]);
+            prop_assert_eq!(observed(&sims[1]), serial, "2 shards, side {}", side);
+            prop_assert_eq!(observed(&sims[2]), serial, "4 shards, side {}", side);
+        }
+        for sim in &mut sims {
+            send_mix(sim, &last);
+        }
+        let remaining = sims[3].run_until_idle(u64::MAX);
+        // A budget short of the remaining events, as often as not.
+        let budget = remaining * permille / 800;
+        let cut = sims[0].run_until_idle(budget);
+        prop_assert_eq!(cut, budget.min(remaining), "side {}", side);
+        let two = sims[1].run_until_idle(budget);
+        let four = sims[2].run_until_idle(budget);
+        prop_assert_eq!(two, four);
+        prop_assert!(two >= cut, "{} < {}", two, cut);
+        prop_assert_eq!(observed(&sims[1]), observed(&sims[2]));
+        let whole = observed(&sims[3]);
+        for (sim, shards) in sims.iter_mut().zip([1, 2, 4]) {
+            sim.run_until_idle(u64::MAX);
+            prop_assert_eq!(observed(sim), whole.clone(), "{} shards, side {}", shards, side);
+        }
+    }
 }
 
 proptest! {

@@ -72,10 +72,10 @@ const L2_ROOT: &str = "target/cost-pins-l2";
 /// `(what, allocations, bytes)`: one execution per golden preset at seed
 /// 1, one of [`wide`], then the ingest and the scan of [`fact_packages`].
 const PINS: [(&str, u64, u64); 6] = [
-    ("grid_default", 3369, 375_923),
-    ("wired_lan", 3369, 375_851),
-    ("lossy_mesh", 3361, 373_398),
-    ("multi_sm24_grid5x5", 10_476, 1_819_761),
+    ("grid_default", 3355, 364_899),
+    ("wired_lan", 3355, 364_827),
+    ("lossy_mesh", 3346, 362_182),
+    ("multi_sm24_grid5x5", 10_469, 1_777_169),
     ("dataset_ingest", 853, 492_962),
     ("group_by_scan", 70, 5_599),
 ];

@@ -9,6 +9,14 @@
 //! means the simulator's observable outcome changed. Wall times of the same paths are measured
 //! by the `benchmark/` crate (`netsim.flood_run_ms`,
 //! `netsim.unicast_run_ms`, `obs.overhead_share`), not here.
+//!
+//! The one exception is `netsim_flood_suppressed_total{shard}`, the flood
+//! transits each shard found at send time to target a node that had
+//! already seen the packet and so never queued. It depends on the shard
+//! count by design: only a neighbour on the sender's own shard can be
+//! checked, so a transit across a stripe edge is always queued and arrives
+//! as an ordinary duplicate. The floods pin it per shard count, so a change
+//! that stops suppressing fails here instead of only losing time.
 
 use excovery::netsim::rng::derive_seed_indexed;
 use excovery::netsim::sim::{Simulator, SimulatorConfig};
@@ -16,6 +24,11 @@ use excovery::netsim::topology::Topology;
 use excovery::netsim::{Agent, Destination, NodeId, Payload};
 use excovery::obs::par::run_indexed;
 use excovery::obs::ObsConfig;
+use std::sync::Mutex;
+
+/// Held by every test that switches the process-global observability
+/// registry on, so none switches it off under another's publish.
+static OBS: Mutex<()> = Mutex::new(());
 
 /// Shard counts every small workload runs at; each must hit the same pin.
 const SHARDS: [usize; 3] = [1, 2, 4];
@@ -147,6 +160,33 @@ fn flood(side: usize, seed: u64, shards: usize, sends: u64, max_events: u64) -> 
     (sim, events)
 }
 
+/// Flood transits each shard of `sim` suppressed at send time, as
+/// `publish_obs` reports them.
+fn suppressed_per_shard(sim: &mut Simulator, shards: usize) -> Vec<u64> {
+    let reg = excovery::obs::global();
+    let read = || -> Vec<u64> {
+        (0..shards)
+            .map(|i| {
+                reg.counter(
+                    "netsim_flood_suppressed_total",
+                    &[("shard", &i.to_string())],
+                )
+                .value()
+            })
+            .collect()
+    };
+    let _obs = OBS.lock().unwrap_or_else(|e| e.into_inner());
+    let before = read();
+    ObsConfig::on().install();
+    sim.publish_obs();
+    ObsConfig::off().install();
+    read()
+        .iter()
+        .zip(before)
+        .map(|(after, b)| after - b)
+        .collect()
+}
+
 /// The observability layer is invisible: the same unicast with the
 /// registry on and the batch publish included equals the plain run field
 /// for field. The registry is process-global, so it is switched on and
@@ -156,6 +196,7 @@ fn unicast_4hops_1000pkts_obs_off_and_on() {
     for shards in SHARDS {
         let plain = unicast_4hops(1, shards, false);
         assert_eq!(plain, UNICAST_4HOPS_1000PKTS, "{shards} shards");
+        let _obs = OBS.lock().unwrap_or_else(|e| e.into_inner());
         ObsConfig::on().install();
         let obs_on = unicast_4hops(1, shards, true);
         ObsConfig::off().install();
@@ -165,11 +206,17 @@ fn unicast_4hops_1000pkts_obs_off_and_on() {
 
 #[test]
 fn flood_grid5x5_1000pkts() {
-    for shards in SHARDS {
-        let (sim, events) = flood(5, 2, shards, 1_000, 10_000_000);
+    let suppressed: [&[u64]; 3] = [&[15_823], &[4_725, 5_630], &[1_086, 655, 418, 374]];
+    for (shards, suppressed) in SHARDS.into_iter().zip(suppressed) {
+        let (mut sim, events) = flood(5, 2, shards, 1_000, 10_000_000);
         assert_eq!(
             Pin::of(&sim, events),
             FLOOD_GRID5X5_1000PKTS,
+            "{shards} shards"
+        );
+        assert_eq!(
+            suppressed_per_shard(&mut sim, shards),
+            suppressed,
             "{shards} shards"
         );
     }
@@ -193,14 +240,20 @@ fn campaign_unicast_8reps_serial_and_parallel() {
 
 /// The sharded executor's contract on its headline workload: the 4-shard
 /// flood is bit-identical to the single-queue flood, and its per-shard
-/// event split and cross-shard mailbox traffic are themselves pinned.
+/// event split, cross-shard mailbox traffic and send-time suppressions
+/// are themselves pinned.
 #[test]
 fn flood_grid100x100_1mpkts_serial_and_4shards() {
-    let (serial, serial_events) = flood(100, 4, 1, 50, 4_000_000);
+    let (mut serial, serial_events) = flood(100, 4, 1, 50, 4_000_000);
+    assert_eq!(suppressed_per_shard(&mut serial, 1), [485_151]);
     let serial = Pin::of(&serial, serial_events);
     assert_eq!(serial, FLOOD_GRID100X100_1MPKTS, "1 shard");
 
-    let (sim, events) = flood(100, 4, 4, 50, 4_000_000);
+    let (mut sim, events) = flood(100, 4, 4, 50, 4_000_000);
+    assert_eq!(
+        suppressed_per_shard(&mut sim, 4),
+        [110_442, 112_065, 112_651, 113_068]
+    );
     let sharded = Pin::of(&sim, events);
     assert_eq!(
         sharded, serial,
