@@ -37,22 +37,46 @@
 //! the entry. Decoding checks every length against the entry and returns
 //! a typed error — never a panic — for anything else.
 //!
+//! A local time is at most `i64::MAX` ns, the range of a level-3 time
+//! cell: the encoders refuse a later one and the decoders reject it, so a
+//! flipped high bit is an error, not a negative common time.
+//!
 //! The small per-run entries (`sync.json`, `start.json`, `outcome.json`,
 //! the plugins' `measurements.json`) stay JSON through the in-tree
-//! `excovery_store::JsonValue` codec. Every node and entry name of the
-//! level-2 layout is a constant here: the run loop writes a record, and
-//! packaging and resume read it back, by the same names.
+//! `excovery_store::JsonValue` codec. So do the observability entries,
+//! `_obs/summary.jsonl` per run and `_obs/snapshot.jsonl` per experiment
+//! (`obs_jsonl`): one JSON object per line, the registry's counters,
+//! gauges and histograms in its order, then the drained spans in
+//! recording order:
+//!
+//! ```text
+//! {"type":"counter","name":"rpc_calls_total","labels":{"transport":"tcp"},"value":7}
+//! {"type":"gauge","name":"queue_depth","labels":{},"value":-2}
+//! {"type":"histogram","name":"latency_ns","labels":{},"count":3,"sum":1006,"buckets":[[1,2],[9,1]]}
+//! {"type":"span","name":"phase:run_init","start_ns":100,"end_ns":150}
+//! ```
+//!
+//! Histogram `buckets` entries are `[bucket_index, count]` pairs; the
+//! value range of index `i` is `[2^i, 2^(i+1))` (see
+//! `excovery_obs::metrics::bucket_upper_bound`). A count or time above
+//! `i64::MAX` is written as `i64::MAX`. Nothing in the engine reads these
+//! entries back.
+//!
+//! Every node and entry name of the level-2 layout is a constant here: the
+//! run loop writes a record, and packaging and resume read it back, by the
+//! same names.
 
 use crate::error::EngineError;
 use crate::event_log::RecordedEvent;
 use crate::RunOutcome;
 use excovery_netsim::capture::{CaptureKind, CaptureRecord};
 use excovery_netsim::{NodeId, SimDuration};
+use excovery_obs::{Snapshot, SpanRecord};
 use excovery_store::level2::RunRecord;
 use excovery_store::JsonValue;
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::ops::Range;
 
 // The level-2 layout. A run's record holds `_master/{events.bin,
@@ -172,6 +196,11 @@ pub(crate) enum EntryError {
     },
     /// A length does not fit its field.
     TooLong(&'static str),
+    /// The local time of record `record` is above `i64::MAX` ns.
+    TimeOutOfRange {
+        record: u32,
+        ns: u64,
+    },
 }
 
 impl fmt::Display for EntryError {
@@ -195,6 +224,9 @@ impl fmt::Display for EntryError {
                 write!(f, "event {seq} belongs to run {run_id}")
             }
             EntryError::TooLong(what) => write!(f, "{what} exceeds the entry format"),
+            EntryError::TimeOutOfRange { record, ns } => {
+                write!(f, "record {record}: local time {ns} ns exceeds i64::MAX")
+            }
         }
     }
 }
@@ -230,6 +262,14 @@ fn new_entry(
     Ok(out)
 }
 
+/// `ns` as the local time of record `record`: at most `i64::MAX`.
+fn local_time(ns: u64, record: u32) -> Result<u64, EntryError> {
+    match i64::try_from(ns) {
+        Ok(_) => Ok(ns),
+        Err(_) => Err(EntryError::TimeOutOfRange { record, ns }),
+    }
+}
+
 /// Appends `text` after its length as a `u16`.
 fn put_str16(out: &mut Vec<u8>, text: &str, what: &'static str) -> Result<(), EntryError> {
     let len = u16::try_from(text.len()).map_err(|_| EntryError::TooLong(what))?;
@@ -247,10 +287,11 @@ pub(crate) fn encode_captures<'a>(
     let payload: usize = records.iter().map(|c| c.payload.len()).sum();
     let capacity = HEADER_LEN + records.len() * (MIN_CAPTURE_LEN + 8) + payload;
     let mut out = new_entry(MAGIC, records.len(), "capture count", capacity)?;
-    for c in records {
+    for (i, c) in records.iter().enumerate() {
         let wire_len = u32::try_from(2 + c.payload.len())
             .map_err(|_| EntryError::TooLong("capture payload"))?;
-        out.extend_from_slice(&c.local_time.as_nanos().to_le_bytes());
+        let time = local_time(c.local_time.as_nanos(), i as u32)?;
+        out.extend_from_slice(&time.to_le_bytes());
         put_str16(&mut out, &src_id(c.src), "source id")?;
         out.extend_from_slice(&c.port.to_le_bytes());
         out.push(kind_byte(c.kind));
@@ -276,7 +317,7 @@ pub(crate) fn encode_events(events: &[RecordedEvent], run_id: u64) -> Result<Vec
         })
         .sum();
     let mut out = new_entry(EVENTS_MAGIC, events.len(), "event count", HEADER_LEN + text)?;
-    for e in events {
+    for (i, e) in events.iter().enumerate() {
         if e.run_id != run_id {
             return Err(EntryError::ForeignRun {
                 seq: e.seq,
@@ -286,7 +327,7 @@ pub(crate) fn encode_events(events: &[RecordedEvent], run_id: u64) -> Result<Vec
         let params =
             u16::try_from(e.params.len()).map_err(|_| EntryError::TooLong("parameter count"))?;
         out.extend_from_slice(&e.seq.to_le_bytes());
-        out.extend_from_slice(&e.local_time_ns.to_le_bytes());
+        out.extend_from_slice(&local_time(e.local_time_ns, i as u32)?.to_le_bytes());
         put_str16(&mut out, &e.node, "node id")?;
         put_str16(&mut out, &e.name, "event name")?;
         out.extend_from_slice(&params.to_le_bytes());
@@ -386,7 +427,7 @@ pub(crate) fn decode_captures(entry: &[u8]) -> Result<Vec<Capture<'_>>, EntryErr
     let mut captures = Vec::with_capacity(capacity);
     for capture in 0..declared {
         r.more(declared, capture)?;
-        let local_time_ns = r.u64()?;
+        let local_time_ns = local_time(r.u64()?, capture)?;
         let src_len = r.u16()?;
         let src = r.text(usize::from(src_len), capture)?;
         let port = r.u16()?;
@@ -430,7 +471,7 @@ pub(crate) fn decode_events(entry: &[u8]) -> Result<Events<'_>, EntryError> {
     for event in 0..declared {
         r.more(declared, event)?;
         let seq = r.u64()?;
-        let local_time_ns = r.u64()?;
+        let local_time_ns = local_time(r.u64()?, event)?;
         let node_len = r.u16()?;
         let node = r.text(usize::from(node_len), event)?;
         let name_len = r.u16()?;
@@ -638,11 +679,81 @@ pub(crate) fn outcome_from_json(v: &JsonValue) -> Option<RunOutcome> {
     })
 }
 
+/// A count or nanosecond time of an `_obs` entry. One above `i64::MAX`
+/// (292 years of nanoseconds) is written as `i64::MAX`: obs must never
+/// fail or change a run.
+fn obs_int(value: u64) -> JsonValue {
+    JsonValue::Int(i64::try_from(value).unwrap_or(i64::MAX))
+}
+
+/// One kind of `_obs` line: a JSON object whose keys, `type` first, are
+/// made once and whose values are replaced line by line.
+struct ObsLine<const N: usize>(JsonValue);
+
+impl<const N: usize> ObsLine<N> {
+    fn new(kind: &str, keys: [&str; N]) -> Self {
+        let members = keys.map(|key| (key.to_string(), JsonValue::Null));
+        let head = ("type".to_string(), JsonValue::str(kind));
+        let members = [head].into_iter().chain(members).collect();
+        ObsLine(JsonValue::Object(members))
+    }
+
+    /// Appends the line whose members after `type` hold `values`.
+    fn write(&mut self, out: &mut String, values: [JsonValue; N]) {
+        if let JsonValue::Object(members) = &mut self.0 {
+            for ((_, slot), value) in members[1..].iter_mut().zip(values) {
+                *slot = value;
+            }
+        }
+        // Writing into a `String` cannot fail.
+        let _ = writeln!(out, "{}", self.0);
+    }
+}
+
+/// Renders a registry snapshot and drained spans as an `_obs` entry: one
+/// JSON object per line, in the layout the module doc shows.
+pub(crate) fn obs_jsonl(snapshot: Snapshot, spans: Vec<SpanRecord>) -> String {
+    use JsonValue::{Array, Int, Object, Str};
+    let labels = |labels: Vec<(String, String)>| {
+        Object(labels.into_iter().map(|(k, v)| (k, Str(v))).collect())
+    };
+    let mut out = String::new();
+    let mut line = ObsLine::new("counter", ["name", "labels", "value"]);
+    for c in snapshot.counters {
+        line.write(&mut out, [Str(c.name), labels(c.labels), obs_int(c.value)]);
+    }
+    let mut line = ObsLine::new("gauge", ["name", "labels", "value"]);
+    for g in snapshot.gauges {
+        line.write(&mut out, [Str(g.name), labels(g.labels), Int(g.value)]);
+    }
+    let mut line = ObsLine::new("histogram", ["name", "labels", "count", "sum", "buckets"]);
+    for h in snapshot.histograms {
+        let (count, sum) = (obs_int(h.value.count), obs_int(h.value.sum));
+        let buckets = h.value.buckets.iter();
+        let buckets = buckets.map(|&(i, n)| Array(vec![obs_int(i as u64), obs_int(n)]));
+        let values = [
+            Str(h.name),
+            labels(h.labels),
+            count,
+            sum,
+            Array(buckets.collect()),
+        ];
+        line.write(&mut out, values);
+    }
+    let mut line = ObsLine::new("span", ["name", "start_ns", "end_ns"]);
+    for s in spans {
+        let name = Str(s.name.into_owned());
+        line.write(&mut out, [name, obs_int(s.start_ns), obs_int(s.end_ns)]);
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use excovery_netsim::packet::{Destination, PacketId, Payload};
     use excovery_netsim::SimTime;
+    use excovery_obs::{HistogramSnapshot, MetricValue};
     use proptest::prelude::*;
 
     fn record(t: u64, src: u16, port: u16, kind: u8, tag: u16, payload: Vec<u8>) -> CaptureRecord {
@@ -671,10 +782,13 @@ mod tests {
         }
     }
 
+    /// The latest local time an entry holds.
+    const LATEST: u64 = i64::MAX as u64;
+
     fn records_strategy() -> impl Strategy<Value = Vec<CaptureRecord>> {
         prop::collection::vec(
             (
-                any::<u64>(),
+                any::<u64>().prop_map(|t| t & LATEST),
                 0u16..5,
                 any::<u16>(),
                 any::<u8>(),
@@ -802,7 +916,11 @@ mod tests {
             prop::collection::vec((text, text), 1..4),
             prop::collection::vec((text, text), many..many + 8),
         ];
-        let time = prop_oneof![Just(0u64), Just(u64::MAX), any::<u64>()];
+        let time = prop_oneof![
+            Just(0u64),
+            Just(LATEST),
+            any::<u64>().prop_map(|t| t & LATEST)
+        ];
         prop::collection::vec(
             (any::<u64>(), text, time, text, params).prop_map(|(seq, node, t, name, params)| {
                 RecordedEvent {
@@ -991,6 +1109,150 @@ mod tests {
         let mut huge = one[..kind_at + 1].to_vec();
         huge.extend_from_slice(&u32::MAX.to_le_bytes());
         assert_eq!(decode_captures(&huge), Err(EntryError::Truncated));
+    }
+
+    #[test]
+    fn local_times_above_i64_max_are_refused_and_rejected() {
+        let late = |t| record(t, 2, 53, 1, 7, vec![]);
+        let events = |t| [event(1, "n", 0, "e", &[]), event(2, "n", t, "e", &[])];
+        let refused = Some(EntryError::TimeOutOfRange {
+            record: 1,
+            ns: LATEST + 1,
+        });
+        assert_eq!(
+            encode_captures(&[late(0), late(LATEST + 1)], name).err(),
+            refused
+        );
+        assert_eq!(encode_events(&events(LATEST + 1), RUN).err(), refused);
+        // Bit 63 of the second record's time: the header, the first record
+        // (time 8, source "t9-2" 2 + 4, port 2, kind 1, wire 4 + 2; or time
+        // 8, sequence number 8, "n" 2 + 1, "e" 2 + 1, parameters 2) and,
+        // in an event, the second's sequence number come before it.
+        let flip = |mut entry: Vec<u8>, time_at: usize| {
+            entry[time_at + 7] ^= 0x80;
+            entry
+        };
+        let captures = flip(
+            encode_captures(&[late(0), late(LATEST)], name).unwrap(),
+            9 + 23,
+        );
+        let events = flip(encode_events(&events(LATEST), RUN).unwrap(), 9 + 24 + 8);
+        let rejected = Err(EntryError::TimeOutOfRange {
+            record: 1,
+            ns: u64::MAX,
+        });
+        assert_eq!(decode_captures(&captures).map(|_| ()), rejected);
+        assert_eq!(decode_events(&events).map(|_| ()), rejected);
+    }
+
+    /// Registry and spans of the `_obs` fixture: two labelled counters, a
+    /// label value with every character JSON escapes, a negative gauge, a
+    /// labelled histogram, a span and an event.
+    fn obs_fixture() -> (Snapshot, Vec<SpanRecord>) {
+        excovery_obs::set_enabled(true);
+        let reg = excovery_obs::Registry::new();
+        reg.counter("rpc_calls_total", &[("transport", "tcp")])
+            .add(7);
+        reg.counter("rpc_calls_total", &[("transport", "memory")])
+            .add(2);
+        reg.counter("odd_total", &[("v", "a\"b\\c\nd\te")]).inc();
+        reg.gauge("queue_depth", &[]).set(-5);
+        let h = reg.histogram("latency_ns", &[("phase", "exit")]);
+        for v in [1u64, 3, 900, 70_000] {
+            h.observe(v);
+        }
+        let tracer = excovery_obs::Tracer::new(8);
+        tracer.record_span("phase:run_init", 100, 150);
+        tracer.record_event("engine:packaged", 900);
+        (reg.snapshot(), tracer.drain())
+    }
+
+    /// The bytes of the `_obs` entries are pinned: the literal is what the
+    /// observability crate's own JSONL exporter wrote for this fixture
+    /// before the renderer moved here. Each line parses back to its values.
+    #[test]
+    fn obs_entries_keep_their_bytes_and_parse_back() {
+        let (snapshot, spans) = obs_fixture();
+        let text = obs_jsonl(snapshot.clone(), spans.clone());
+        assert_eq!(
+            text,
+            "{\"type\":\"counter\",\"name\":\"odd_total\",\"labels\":{\"v\":\"a\\\"b\\\\c\\nd\\te\"},\"value\":1}\n\
+             {\"type\":\"counter\",\"name\":\"rpc_calls_total\",\"labels\":{\"transport\":\"memory\"},\"value\":2}\n\
+             {\"type\":\"counter\",\"name\":\"rpc_calls_total\",\"labels\":{\"transport\":\"tcp\"},\"value\":7}\n\
+             {\"type\":\"gauge\",\"name\":\"queue_depth\",\"labels\":{},\"value\":-5}\n\
+             {\"type\":\"histogram\",\"name\":\"latency_ns\",\"labels\":{\"phase\":\"exit\"},\"count\":4,\"sum\":70904,\"buckets\":[[0,1],[1,1],[9,1],[16,1]]}\n\
+             {\"type\":\"span\",\"name\":\"phase:run_init\",\"start_ns\":100,\"end_ns\":150}\n\
+             {\"type\":\"span\",\"name\":\"engine:packaged\",\"start_ns\":900,\"end_ns\":900}\n"
+        );
+
+        /// A metric of one parsed line (a span has no labels), with `value`.
+        fn metric<T>(line: &JsonValue, value: T) -> MetricValue<T> {
+            let labels = line.get("labels").and_then(JsonValue::as_object);
+            let labels = labels.unwrap_or_default().iter();
+            MetricValue {
+                name: line.get("name").and_then(JsonValue::as_str).unwrap().into(),
+                labels: labels
+                    .map(|(k, v)| (k.clone(), v.as_str().unwrap().into()))
+                    .collect(),
+                value,
+            }
+        }
+        let (mut back, mut back_spans) = (Snapshot::default(), Vec::new());
+        for text in text.lines() {
+            let line = JsonValue::parse(text).unwrap();
+            let int = |key: &str| line.get(key).and_then(JsonValue::as_u64).unwrap();
+            match line.get("type").and_then(JsonValue::as_str).unwrap() {
+                "counter" => back.counters.push(metric(&line, int("value"))),
+                "gauge" => back
+                    .gauges
+                    .push(metric(&line, line.get("value").unwrap().as_i64().unwrap())),
+                "histogram" => {
+                    let buckets = line.get("buckets").and_then(JsonValue::as_array).unwrap();
+                    let pair = |b: &JsonValue| {
+                        b.as_array()
+                            .unwrap()
+                            .iter()
+                            .map(|n| n.as_u64().unwrap())
+                            .collect::<Vec<_>>()
+                    };
+                    let value = HistogramSnapshot {
+                        count: int("count"),
+                        sum: int("sum"),
+                        buckets: buckets
+                            .iter()
+                            .map(|b| (pair(b)[0] as usize, pair(b)[1]))
+                            .collect(),
+                    };
+                    back.histograms.push(metric(&line, value));
+                }
+                "span" => back_spans.push(SpanRecord {
+                    name: metric(&line, ()).name.into(),
+                    start_ns: int("start_ns"),
+                    end_ns: int("end_ns"),
+                }),
+                other => panic!("unknown line type {other}"),
+            }
+        }
+        assert_eq!(back, snapshot);
+        assert_eq!(back_spans, spans);
+        assert_eq!(back.counters[0].labels[0].1, "a\"b\\c\nd\te");
+    }
+
+    #[test]
+    fn obs_values_above_i64_max_are_written_as_i64_max() {
+        let span = SpanRecord {
+            name: "long".into(),
+            start_ns: u64::MAX,
+            end_ns: u64::MAX,
+        };
+        let line = obs_jsonl(Snapshot::default(), vec![span]);
+        let max = i64::MAX;
+        assert_eq!(
+            line,
+            format!(
+                "{{\"type\":\"span\",\"name\":\"long\",\"start_ns\":{max},\"end_ns\":{max}}}\n"
+            )
+        );
     }
 
     #[test]

@@ -516,7 +516,7 @@ impl ExperiMaster {
         if excovery_obs::enabled() {
             let rendering = self.phase_timer(|| "obs_summary");
             let spans = excovery_obs::global_tracer().drain();
-            let snapshot = excovery_obs::jsonl::render(&excovery_obs::global().snapshot(), &spans);
+            let snapshot = l2codec::obs_jsonl(excovery_obs::global().snapshot(), spans);
             l2.put_experiment(l2codec::OBS, l2codec::OBS_SNAPSHOT, snapshot.as_bytes())?;
             self.finish_phase(rendering, "obs_summary");
         }

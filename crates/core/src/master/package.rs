@@ -7,7 +7,7 @@ use crate::l2codec::{self, read_json};
 use excovery_store::level2::Level2Store;
 use excovery_store::records::{ExperimentInfo, RunInfoRow};
 use excovery_store::schema::{create_level3_database, EE_VERSION};
-use excovery_store::{CellRef, Database, JsonValue, SqlValue};
+use excovery_store::{CellRef, Database, JsonValue, SqlValue, StoreError};
 use std::collections::HashMap;
 
 impl ExperiMaster {
@@ -120,12 +120,19 @@ impl ExperiMaster {
             db.insert_cells("Events", |insert| {
                 events.iter().try_for_each(|(e, params)| {
                     let offset = sync.get(e.node).copied().unwrap_or(0);
+                    let time = common_time(
+                        e.local_time_ns,
+                        offset,
+                        run_id,
+                        l2codec::MASTER,
+                        l2codec::EVENTS,
+                    )?;
                     parameter.clear();
                     push_params(&mut parameter, params);
                     insert(&[
                         CellRef::Int(run_id as i64),
                         CellRef::Text(e.node),
-                        CellRef::Int(e.local_time_ns as i64 - offset),
+                        CellRef::Int(time),
                         CellRef::Text(e.name),
                         CellRef::Text(&parameter),
                     ])
@@ -176,10 +183,11 @@ impl ExperiMaster {
                 let offset = sync.get(node).copied().unwrap_or(0);
                 db.insert_cells("Packets", |insert| {
                     captures.iter().try_for_each(|c| {
+                        let time = common_time(c.local_time_ns, offset, run_id, node, file)?;
                         insert(&[
                             CellRef::Int(run_id as i64),
                             CellRef::Text(node),
-                            CellRef::Int(c.local_time_ns as i64 - offset),
+                            CellRef::Int(time),
                             CellRef::Text(c.src),
                             CellRef::Blob(c.wire),
                         ])
@@ -198,6 +206,24 @@ impl ExperiMaster {
         }
         Ok(db)
     }
+}
+
+/// A local time on the common time base: its node's clock offset taken
+/// off. The decoders hold local times to `i64::MAX`, so only an offset
+/// from a damaged `sync.json` overflows; that is an error naming the run
+/// and the entry (`node`/`entry`) the time came from.
+fn common_time(
+    local_ns: u64,
+    offset: i64,
+    run_id: u64,
+    node: &str,
+    entry: &str,
+) -> Result<i64, StoreError> {
+    (local_ns as i64).checked_sub(offset).ok_or_else(|| {
+        StoreError(format!(
+            "run {run_id}: {node}/{entry}: local time {local_ns} ns minus clock offset {offset} ns overflows"
+        ))
+    })
 }
 
 /// Appends event parameters to `out` in the flat `Parameter` form of
@@ -405,12 +431,22 @@ mod tests {
             let cut = n == node && name == l2codec::CAPTURES;
             keep(n, name, &data[..data.len() - usize::from(cut)])
         };
+        // Bit 63 of the first capture's local time, the last of its 8 bytes:
+        // no time on the common base, in a dev build or a release one.
+        let flipped = |n: &str, name: &str, data: &[u8]| {
+            let mut data = data.to_vec();
+            if n == node && name == l2codec::CAPTURES {
+                data[9 + 7] ^= 0x80;
+            }
+            keep(n, name, &data)
+        };
         for (damage, entry) in [
             (
                 &truncated as &dyn Fn(&str, &str, &[u8]) -> _,
                 l2codec::CAPTURES,
             ),
             (&legacy, l2codec::LEGACY_CAPTURES),
+            (&flipped, l2codec::CAPTURES),
         ] {
             let msg = repackage(&desc, &l2_root, &with_entry(&entries, damage))
                 .expect_err("a run without its packets is not packaged")
@@ -420,6 +456,34 @@ mod tests {
                 "{msg}"
             );
         }
+        std::fs::remove_dir_all(&l2_root).ok();
+    }
+
+    #[test]
+    fn package_refuses_a_clock_offset_no_local_time_can_take_off() {
+        let (desc, l2_root, entries, _) = sealed_single_run();
+        let skewed = |n: &str, name: &str, data: &[u8]| {
+            if name != l2codec::SYNC {
+                return keep(n, name, data);
+            }
+            let json = JsonValue::parse(std::str::from_utf8(data).unwrap()).unwrap();
+            let mut offsets = l2codec::sync_from_json(&json).unwrap();
+            offsets.values_mut().for_each(|offset| *offset = i64::MIN);
+            keep(
+                n,
+                name,
+                l2codec::sync_to_json(&offsets).to_string().as_bytes(),
+            )
+        };
+        let e = repackage(&desc, &l2_root, &with_entry(&entries, skewed))
+            .expect_err("no event time is on the common base");
+        let msg = e.to_string();
+        assert!(
+            matches!(e, EngineError::Storage(_))
+                && msg.contains("run 0: _master/events.bin: ")
+                && msg.contains("overflows"),
+            "{msg}"
+        );
         std::fs::remove_dir_all(&l2_root).ok();
     }
 

@@ -313,7 +313,7 @@ impl ExperiMaster {
             reg.histogram("master_run_sim_duration_ns", &[])
                 .observe(run_end.saturating_since(run_start).as_nanos());
             let spans = excovery_obs::global_tracer().drain();
-            let summary = excovery_obs::jsonl::render(&reg.snapshot(), &spans);
+            let summary = l2codec::obs_jsonl(reg.snapshot(), spans);
             stage(l2codec::OBS, l2codec::OBS_SUMMARY, summary.as_bytes())?;
         }
         self.finish_phase(rendering, "obs_summary");

@@ -11,6 +11,7 @@
 use excovery_core::EngineConfig;
 use excovery_desc::process::{EventSelector, ProcessAction};
 use excovery_desc::ExperimentDescription;
+use excovery_store::JsonValue;
 
 pub const SEEDS: [u64; 3] = [1, 7, 1914];
 
@@ -46,4 +47,16 @@ pub fn desc(seed: u64) -> ExperimentDescription {
     ];
     d.seed = seed;
     d
+}
+
+/// The lines of an `_obs` level-2 entry whose `type` is `kind`
+/// (`counter`, `gauge`, `histogram` or `span`). Every line of the entry
+/// must parse as a JSON document.
+#[allow(dead_code)] // only the obs tests read `_obs` entries
+pub fn obs_lines(entry: &[u8], kind: &str) -> Vec<JsonValue> {
+    let text = std::str::from_utf8(entry).expect("an _obs entry is UTF-8");
+    text.lines()
+        .map(|line| JsonValue::parse(line).unwrap_or_else(|e| panic!("{e}: {line}")))
+        .filter(|line| line.get("type").and_then(JsonValue::as_str) == Some(kind))
+        .collect()
 }

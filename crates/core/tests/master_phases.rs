@@ -13,8 +13,8 @@
 mod golden;
 
 use excovery_core::{EngineConfig, ExperiMaster};
-use excovery_obs::span::SpanRecord;
 use excovery_store::level2::Level2Store;
+use excovery_store::JsonValue;
 use std::collections::BTreeSet;
 
 /// Every phase of an execution that starts fresh and removes its level 2:
@@ -53,10 +53,26 @@ fn phase_labels() -> BTreeSet<String> {
         .collect()
 }
 
-/// The spans of a JSONL summary, sorted by start; each must end before
+/// A span of an `_obs` entry.
+#[derive(Debug)]
+struct Span {
+    name: String,
+    start_ns: u64,
+    end_ns: u64,
+}
+
+/// The spans of an `_obs` entry, sorted by start; each must end before
 /// the next one starts.
-fn assert_disjoint(jsonl: &[u8], what: &str) -> Vec<SpanRecord> {
-    let (_, mut spans) = excovery_obs::jsonl::parse(std::str::from_utf8(jsonl).unwrap()).unwrap();
+fn assert_disjoint(jsonl: &[u8], what: &str) -> Vec<Span> {
+    let field = |line: &JsonValue, key: &str| line.get(key).and_then(JsonValue::as_u64).unwrap();
+    let mut spans: Vec<Span> = golden::obs_lines(jsonl, "span")
+        .iter()
+        .map(|line| Span {
+            name: line.get("name").and_then(JsonValue::as_str).unwrap().into(),
+            start_ns: field(line, "start_ns"),
+            end_ns: field(line, "end_ns"),
+        })
+        .collect();
     spans.sort_by_key(|s| s.start_ns);
     for pair in spans.windows(2) {
         assert!(

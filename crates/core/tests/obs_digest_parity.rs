@@ -10,8 +10,10 @@
 //! only ever flipped on, never raced against a concurrently running
 //! disabled-state assertion.
 
+#[allow(dead_code)] // the golden table itself is checked elsewhere
+mod golden;
+
 use excovery_core::{EngineConfig, ExperiMaster, ExperimentOutcome, RetryPolicy};
-use excovery_desc::process::{EventSelector, ProcessAction};
 use excovery_desc::ExperimentDescription;
 use excovery_netsim::link::LinkModel;
 use excovery_netsim::sim::SimulatorConfig;
@@ -19,25 +21,11 @@ use excovery_netsim::topology::Topology;
 use excovery_netsim::SimDuration;
 use excovery_rpc::ChaosOptions;
 use excovery_store::level2::Level2Store;
+use excovery_store::JsonValue;
 use std::path::PathBuf;
 
 /// Shard counts run beside the single-shard reference.
 const MORE_SHARDS: [usize; 2] = [2, 4];
-
-fn desc_with_seed(reps: u64, seed: u64) -> ExperimentDescription {
-    let mut d = ExperimentDescription::paper_two_party_sd(reps);
-    d.factors
-        .factors
-        .retain(|f| f.id != "fact_bw" && f.id != "fact_pairs");
-    d.env_processes[0].actions = vec![
-        ProcessAction::EventFlag {
-            value: "ready_to_init".into(),
-        },
-        ProcessAction::WaitForEvent(EventSelector::named("done")),
-    ];
-    d.seed = seed;
-    d
-}
 
 fn unique_root(tag: &str) -> PathBuf {
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -83,12 +71,8 @@ fn chaos_config(tag: &str, chaos: &ChaosOptions, shards: usize) -> EngineConfig 
 /// simulator shards.
 fn plain_and_chaos_digests(seed: u64, chaos: &ChaosOptions, shards: usize) -> [u64; 2] {
     [
-        execute(desc_with_seed(2, seed), base_config("plain", shards)).digest(),
-        execute(
-            desc_with_seed(2, seed),
-            chaos_config("chaos", chaos, shards),
-        )
-        .digest(),
+        execute(golden::desc(seed), base_config("plain", shards)).digest(),
+        execute(golden::desc(seed), chaos_config("chaos", chaos, shards)).digest(),
     ]
 }
 
@@ -102,12 +86,9 @@ fn digest_is_identical_with_observability_on_and_off() {
     let chaos = ChaosOptions::flaky(0xC0FFEE, 0.4, 60);
 
     // ---- baselines, observability disabled ----------------------------
-    let off_plain = execute(desc_with_seed(2, seed), base_config("off-plain", 1));
+    let off_plain = execute(golden::desc(seed), base_config("off-plain", 1));
     assert!(off_plain.runs.iter().all(|r| r.completed));
-    let off_chaos = execute(
-        desc_with_seed(2, seed),
-        chaos_config("off-chaos", &chaos, 1),
-    );
+    let off_chaos = execute(golden::desc(seed), chaos_config("off-chaos", &chaos, 1));
     assert!(off_chaos.control_retries > 0, "chaos was never exercised");
     assert_eq!(off_plain.digest(), off_chaos.digest());
     for shards in MORE_SHARDS {
@@ -122,13 +103,13 @@ fn digest_is_identical_with_observability_on_and_off() {
     excovery_obs::ObsConfig::on().install();
     let mut on_cfg = base_config("on-plain", 1);
     on_cfg.keep_l2 = true;
-    let on_plain = execute(desc_with_seed(2, seed), on_cfg);
+    let on_plain = execute(golden::desc(seed), on_cfg);
     assert_eq!(
         on_plain.digest(),
         off_plain.digest(),
         "enabling observability changed the packaged results"
     );
-    let on_chaos = execute(desc_with_seed(2, seed), chaos_config("on-chaos", &chaos, 1));
+    let on_chaos = execute(golden::desc(seed), chaos_config("on-chaos", &chaos, 1));
     assert_eq!(
         on_chaos.digest(),
         off_plain.digest(),
@@ -195,20 +176,26 @@ fn digest_is_identical_with_observability_on_and_off() {
             "run {run}: missing _obs/summary.jsonl"
         );
         let raw = l2.get_run(run, "_obs", "summary.jsonl").unwrap();
-        let (s, _spans) = excovery_obs::jsonl::parse(std::str::from_utf8(&raw).unwrap()).unwrap();
-        assert!(!s.counters.is_empty());
-        summaries.push(s);
+        assert!(!golden::obs_lines(&raw, "counter").is_empty());
+        summaries.push(raw);
     }
     // The level-2 cost of a run is pinned: each summary is taken just
     // before its run seals, so run 1's minus run 0's is the seal of run 0
     // and nothing else — one record, one journal line.
+    let field = |line: &JsonValue, key: &str| line.get(key).and_then(JsonValue::as_u64).unwrap();
     let between_summaries = |name: &str, labels: &[(&str, &str)]| {
-        let at = |s: &excovery_obs::Snapshot| {
-            let labelled = |c: &&excovery_obs::MetricValue<u64>| {
-                let have = c.labels.iter().map(|(k, v)| (k.as_str(), v.as_str()));
-                c.name == name && have.eq(labels.iter().copied())
+        let at = |summary: &[u8]| {
+            let labelled = |c: &&JsonValue| {
+                let have = c.get("labels").and_then(JsonValue::as_object).unwrap();
+                let have = have.iter().map(|(k, v)| (k.as_str(), v.as_str().unwrap()));
+                c.get("name").and_then(JsonValue::as_str) == Some(name)
+                    && have.eq(labels.iter().copied())
             };
-            s.counters.iter().find(labelled).map_or(0, |c| c.value)
+            let counters = golden::obs_lines(summary, "counter");
+            counters
+                .iter()
+                .find(labelled)
+                .map_or(0, |c| field(c, "value"))
         };
         at(&summaries[1]) - at(&summaries[0])
     };
@@ -217,15 +204,18 @@ fn digest_is_identical_with_observability_on_and_off() {
         2
     );
     assert_eq!(between_summaries("store_journal_commits_total", &[]), 1);
-    let seals = |s: &excovery_obs::Snapshot| {
-        s.histograms
+    let seals = |summary: &[u8]| {
+        golden::obs_lines(summary, "histogram")
             .iter()
-            .find(|h| h.name == "store_run_seal_duration_ns")
-            .map_or(0, |h| h.value.count)
+            .find(|h| {
+                h.get("name").and_then(JsonValue::as_str) == Some("store_run_seal_duration_ns")
+            })
+            .map_or(0, |h| field(h, "count"))
     };
     assert_eq!((seals(&summaries[0]), seals(&summaries[1])), (0, 1));
+    // Every line of the experiment snapshot parses too.
     let raw = l2.get_experiment("_obs", "snapshot.jsonl").unwrap();
-    excovery_obs::jsonl::parse(std::str::from_utf8(&raw).unwrap()).unwrap();
+    golden::obs_lines(&raw, "counter");
 
     std::fs::remove_dir_all(&on_plain.l2_root).ok();
 

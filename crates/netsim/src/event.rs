@@ -105,12 +105,6 @@ impl<T> EventQueue<T> {
         self.heap.peek().map(|&Reverse((due, _, _))| due)
     }
 
-    /// `(time, key)` of the earliest pending event — the merge cursor the
-    /// sharded simulator compares across shard queues.
-    pub(crate) fn peek(&self) -> Option<(SimTime, u64)> {
-        self.heap.peek().map(|&Reverse((due, key, _))| (due, key))
-    }
-
     /// Number of pending events.
     pub(crate) fn len(&self) -> usize {
         self.heap.len()
@@ -179,10 +173,8 @@ mod tests {
     fn peek_time_matches_next_pop() {
         let mut q = EventQueue::new();
         assert_eq!(q.peek_time(), None);
-        assert_eq!(q.peek(), None);
         q.schedule_with_key(SimTime::from_nanos(42), 7, ());
         assert_eq!(q.peek_time(), Some(SimTime::from_nanos(42)));
-        assert_eq!(q.peek(), Some((SimTime::from_nanos(42), 7)));
         q.pop();
         assert_eq!(q.len(), 0);
     }

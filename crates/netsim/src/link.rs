@@ -86,7 +86,8 @@ impl LinkModel {
     /// simulator uses it as the conservative lookahead: an event processed
     /// at time `t` cannot schedule a cross-shard arrival earlier than
     /// `t + min_transit_delay()` (see `crate::shard`). A zero value (a
-    /// degenerate model) disables windowed parallelism.
+    /// degenerate model) leaves no window, so the simulator runs it on one
+    /// shard.
     pub(crate) fn min_transit_delay(&self) -> SimDuration {
         self.base_delay.mul_f64((1.0 - self.jitter_frac).max(0.0))
     }

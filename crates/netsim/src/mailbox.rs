@@ -3,8 +3,7 @@
 //! Every event that one shard schedules onto a node owned by another shard
 //! travels through a per-(source-shard, destination-shard) mailbox instead
 //! of touching the foreign event queue directly. Mailboxes are drained at
-//! the top of each parallel window (or immediately after each event in
-//! serial merged execution); either way the carried `(time, key)` pair —
+//! the top of each parallel window; the carried `(time, key)` pair —
 //! the same global ordering key used inside every
 //! [`crate::event::EventQueue`] — fully determines where the event sorts,
 //! so delivery *batching* never changes delivery *order*.

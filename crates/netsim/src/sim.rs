@@ -292,7 +292,9 @@ pub struct SimulatorConfig {
     /// default) lets the simulator choose: topologies below
     /// `2 × NODES_PER_SHARD` (1 024) nodes run serially, larger ones on
     /// one shard per 512 nodes, at most one per available core. Any other
-    /// value is used as given, clamped to the node count. The outcome is
+    /// value is used as given, clamped to the node count. A link model
+    /// whose minimum transit delay is zero leaves no window to run in
+    /// parallel, so it runs on one shard whatever is asked. The outcome is
     /// bit-exact for every shard count; only wall time differs.
     pub shards: usize,
 }
@@ -338,10 +340,12 @@ impl SimulatorConfig {
     }
 
     /// The shard count a simulator over `node_count` nodes will actually
-    /// use: the configured count, or [`auto_shards`] when `0`, clamped to
-    /// `[1, node_count]`.
+    /// use: 1 under a zero lookahead, else the configured count, or
+    /// [`auto_shards`] when `0`, clamped to `[1, node_count]`.
     pub(crate) fn resolved_shards(&self, node_count: usize) -> usize {
-        let requested = if self.shards != 0 {
+        let requested = if self.link_model.min_transit_delay() == SimDuration::ZERO {
+            1
+        } else if self.shards != 0 {
             self.shards
         } else if node_count < 2 * NODES_PER_SHARD {
             // Decided before the core count is read: that lookup touches
@@ -1057,7 +1061,7 @@ pub struct Simulator {
     shards: Vec<Shard>,
     mail: MailboxGrid<Ev>,
     /// Conservative window width: the link model's minimum transit delay.
-    /// Zero (a degenerate model) forces serial-merged execution.
+    /// Never zero with more than one shard ([`SimulatorConfig::shards`]).
     lookahead: SimDuration,
     time: SimTime,
     link_load: LinkLoad,
@@ -1423,55 +1427,6 @@ impl Simulator {
         }
     }
 
-    /// Index of the shard holding the globally earliest `(time, key)`
-    /// event, if any. Keys are globally unique, so the order is total.
-    fn earliest(shards: &[Shard]) -> Option<usize> {
-        let mut best: Option<((SimTime, u64), usize)> = None;
-        for (i, sh) in shards.iter().enumerate() {
-            if let Some(tk) = sh.queue.peek() {
-                if best.is_none_or(|(b, _)| tk < b) {
-                    best = Some((tk, i));
-                }
-            }
-        }
-        best.map(|(_, i)| i)
-    }
-
-    /// Serial-merged execution: one event at a time across all shard
-    /// queues, in global `(time, key)` order — the reference semantics the
-    /// parallel path must reproduce, and the fallback when the lookahead
-    /// is zero. Returns the number of events executed.
-    fn run_serial_merged(
-        shards: &mut [Shard],
-        mail: &MailboxGrid<Ev>,
-        ctx: &SimCtx,
-        deadline: Option<SimTime>,
-        budget: u64,
-    ) -> u64 {
-        // Every event is counted as it runs, suppressed transits too.
-        for sh in shards.iter_mut() {
-            sh.fold_ledger();
-        }
-        let mut executed = 0;
-        while executed < budget {
-            Self::drain_mail(shards, mail);
-            let Some(s) = Self::earliest(shards) else {
-                break;
-            };
-            if deadline.is_some_and(|d| shards[s].queue.peek_time().expect("peeked above") > d) {
-                break;
-            }
-            shards[s].process_one(ctx, mail);
-            executed += 1;
-        }
-        for sh in shards.iter_mut() {
-            sh.fold = false;
-        }
-        // Invariant on exit: mailboxes were drained after the last
-        // processed event, so every pending event sits in a shard queue.
-        executed
-    }
-
     /// Parallel windowed execution (see `shard::run_windows`).
     #[allow(clippy::too_many_arguments)]
     fn run_parallel(
@@ -1529,8 +1484,6 @@ impl Simulator {
                 shard.process_one(&ctx, mail);
             }
             shard.settle(deadline, true);
-        } else if lookahead.as_nanos() == 0 {
-            Self::run_serial_merged(shards, mail, &ctx, Some(deadline), u64::MAX);
         } else {
             Self::run_parallel(
                 shards,
@@ -1601,8 +1554,6 @@ impl Simulator {
             shard.settle(SimTime::from_nanos(u64::MAX), true);
             shard.fold = false;
             shard.events_executed - start
-        } else if lookahead.as_nanos() == 0 {
-            Self::run_serial_merged(shards, mail, &ctx, None, max_events)
         } else {
             Self::run_parallel(shards, mail, &ctx, *lookahead, None, max_events, obs)
         };
@@ -2255,6 +2206,31 @@ mod tests {
         assert!(per_shard.iter().all(|&n| n > 0), "{per_shard:?}");
         assert!(s.mailbox_crossings() > 0);
         assert_eq!(s.pending_events(), 0);
+    }
+
+    /// With a zero minimum transit delay no window can run in parallel:
+    /// the simulator runs on one shard whatever is asked, with the
+    /// single-shard outcome.
+    #[test]
+    fn zero_lookahead_runs_on_one_shard() {
+        let instant = LinkModel {
+            base_delay: SimDuration::ZERO,
+            ..quiet_model()
+        };
+        let flood = |shards| {
+            let mut s = grid_with_sinks(4, instant.clone(), shards);
+            s.send_from(NodeId(0), 9, Destination::Multicast, Payload::from("q"));
+            s.run_until_idle(100_000);
+            s
+        };
+        let (one, four) = (flood(1), flood(4));
+        assert_eq!(four.shard_count(), 1);
+        assert_eq!(four.state_digest(), one.state_digest());
+        assert!(
+            !four.captures(NodeId(15)).is_empty(),
+            "the flood crossed the grid"
+        );
+        assert_eq!(four.pending_events(), 0);
     }
 
     /// A sink at every node of a `side`×`side` grid.

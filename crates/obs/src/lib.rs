@@ -3,9 +3,11 @@
 //! The paper's framework records *everything relevant to an experiment*
 //! (§IV-B: node-local events, captures, clock offsets) — this crate gives
 //! the reproduction the same property at runtime: counters, latency
-//! histograms, phase spans, and exporters to look at them, across both
-//! the control plane (master ↔ NodeManager RPC) and the data plane (the
-//! deterministic network simulator).
+//! histograms, phase spans, and a Prometheus exporter to look at them,
+//! across both the control plane (master ↔ NodeManager RPC) and the data
+//! plane (the deterministic network simulator). The engine writes the
+//! snapshots and spans into level 2 itself (`excovery_core::l2codec`);
+//! this crate records and owns no file format.
 //!
 //! Three rules keep the layer compatible with the workspace's determinism
 //! contract (DESIGN.md §6):
@@ -43,7 +45,6 @@
 //! assert!(text.contains("demo_calls_total{transport=\"memory\"} 1"));
 //! ```
 
-pub mod jsonl;
 pub mod metrics;
 pub mod par;
 pub mod prometheus;

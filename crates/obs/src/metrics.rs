@@ -247,7 +247,8 @@ pub struct MetricValue<T> {
 }
 
 /// A point-in-time copy of every series in a registry, in deterministic
-/// (sorted) order — the unit both exporters consume.
+/// (sorted) order: what the Prometheus exporter and the engine's `_obs`
+/// level-2 entries are rendered from.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Snapshot {
     /// All counters.

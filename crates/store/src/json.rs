@@ -133,33 +133,33 @@ impl JsonValue {
 
     fn write<S: Sink + ?Sized>(&self, out: &mut S) {
         match self {
-            JsonValue::Null => out.put(b"null"),
-            JsonValue::Bool(true) => out.put(b"true"),
-            JsonValue::Bool(false) => out.put(b"false"),
+            JsonValue::Null => out.put_str("null"),
+            JsonValue::Bool(true) => out.put_str("true"),
+            JsonValue::Bool(false) => out.put_str("false"),
             JsonValue::Int(i) => write_i64(out, *i),
             JsonValue::Float(f) => write_f64(out, *f),
             JsonValue::Str(s) => write_str(out, s),
             JsonValue::Array(items) => {
-                out.put(b"[");
+                out.put_str("[");
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.put(b",");
+                        out.put_str(",");
                     }
                     item.write(out);
                 }
-                out.put(b"]");
+                out.put_str("]");
             }
             JsonValue::Object(members) => {
-                out.put(b"{");
+                out.put_str("{");
                 for (i, (k, v)) in members.iter().enumerate() {
                     if i > 0 {
-                        out.put(b",");
+                        out.put_str(",");
                     }
                     write_str(out, k);
-                    out.put(b":");
+                    out.put_str(":");
                     v.write(out);
                 }
-                out.put(b"}");
+                out.put_str("}");
             }
         }
     }
@@ -217,9 +217,15 @@ impl fmt::Display for JsonValue {
 // ---- writer ------------------------------------------------------------------
 
 /// Where the writer puts its output. Every chunk it is handed is UTF-8:
-/// ASCII, or a piece of a `&str` cut next to an ASCII byte.
+/// ASCII, or a piece of a `&str` cut next to an ASCII byte. Text it
+/// holds as a `&str` goes through [`Sink::put_str`], so a formatter takes
+/// it without checking it again.
 pub(crate) trait Sink {
     fn put(&mut self, chunk: &[u8]);
+
+    fn put_str(&mut self, chunk: &str) {
+        self.put(chunk.as_bytes());
+    }
 }
 
 impl Sink for Vec<u8> {
@@ -237,9 +243,12 @@ struct FmtSink<'a, 'b> {
 
 impl Sink for FmtSink<'_, '_> {
     fn put(&mut self, chunk: &[u8]) {
+        self.put_str(std::str::from_utf8(chunk).expect("the writer hands out UTF-8 only"));
+    }
+
+    fn put_str(&mut self, chunk: &str) {
         if self.result.is_ok() {
-            let text = std::str::from_utf8(chunk).expect("the writer hands out UTF-8 only");
-            self.result = self.f.write_str(text);
+            self.result = self.f.write_str(chunk);
         }
     }
 }
@@ -247,7 +256,7 @@ impl Sink for FmtSink<'_, '_> {
 /// Writes `s` as a JSON string literal.
 pub(crate) fn write_str<S: Sink + ?Sized>(out: &mut S, s: &str) {
     const HEX: &[u8; 16] = b"0123456789abcdef";
-    out.put(b"\"");
+    out.put_str("\"");
     let bytes = s.as_bytes();
     let mut start = 0;
     for (i, &b) in bytes.iter().enumerate() {
@@ -271,12 +280,12 @@ pub(crate) fn write_str<S: Sink + ?Sized>(out: &mut S, s: &str) {
             }
             _ => continue,
         };
-        out.put(&bytes[start..i]);
+        out.put_str(&s[start..i]);
         out.put(escaped);
         start = i + 1;
     }
-    out.put(&bytes[start..]);
-    out.put(b"\"");
+    out.put_str(&s[start..]);
+    out.put_str("\"");
 }
 
 /// Writes an integer in decimal.

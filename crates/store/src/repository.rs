@@ -55,44 +55,43 @@ impl Repository {
         Database::load(&self.path_of(id))
     }
 
-    /// Lists stored experiments with their metadata, sorted by id.
-    pub fn index(&self) -> Result<Vec<RepoEntry>, StoreError> {
-        let mut out = Vec::new();
+    /// The ids of the stored packages, sorted.
+    fn ids(&self) -> Result<Vec<String>, StoreError> {
+        let mut ids = Vec::new();
         for entry in fs::read_dir(&self.root).map_err(|e| StoreError(format!("list: {e}")))? {
-            let entry = entry.map_err(|e| StoreError(e.to_string()))?;
-            let path = entry.path();
-            if path.extension().and_then(|e| e.to_str()) != Some("expdb") {
-                continue;
+            let path = entry.map_err(|e| StoreError(e.to_string()))?.path();
+            if path.extension().and_then(|e| e.to_str()) == Some("expdb") {
+                let id = path.file_stem().unwrap_or_default().to_string_lossy();
+                ids.push(id.into_owned());
             }
-            let id = path
-                .file_stem()
-                .unwrap_or_default()
-                .to_string_lossy()
-                .into_owned();
-            let db = Database::load(&path)?;
-            let info = ExperimentInfo::read(&db)?;
-            out.push(RepoEntry {
-                id,
-                name: info.name,
-                comment: info.comment,
-            });
         }
-        out.sort_by(|a, b| a.id.cmp(&b.id));
-        Ok(out)
+        ids.sort();
+        Ok(ids)
     }
 
-    /// Runs `f` over every stored experiment, collecting the results —
-    /// the cross-experiment analysis the paper's level 4 is for.
+    /// Lists stored experiments with their metadata, sorted by id.
+    pub fn index(&self) -> Result<Vec<RepoEntry>, StoreError> {
+        self.map_experiments(|id, db| {
+            let info = ExperimentInfo::read(db)?;
+            Ok(RepoEntry {
+                id: id.to_string(),
+                name: info.name,
+                comment: info.comment,
+            })
+        })
+    }
+
+    /// Runs `f` over every stored experiment in id order, loading each
+    /// package once, and collects the results — the cross-experiment
+    /// analysis the paper's level 4 is for.
     pub fn map_experiments<T>(
         &self,
         mut f: impl FnMut(&str, &Database) -> Result<T, StoreError>,
     ) -> Result<Vec<T>, StoreError> {
-        let mut out = Vec::new();
-        for entry in self.index()? {
-            let db = self.load(&entry.id)?;
-            out.push(f(&entry.id, &db)?);
-        }
-        Ok(out)
+        self.ids()?
+            .iter()
+            .map(|id| f(id, &self.load(id)?))
+            .collect()
     }
 }
 
