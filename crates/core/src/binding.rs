@@ -15,12 +15,16 @@ use excovery_desc::process::{InstanceSelector, NodeSelector};
 use excovery_desc::ExperimentDescription;
 use excovery_netsim::NodeId;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Fixed mapping between platform node ids and simulator nodes.
 #[derive(Debug, Clone)]
 pub struct PlatformBinding {
     by_platform_id: HashMap<String, NodeId>,
-    by_sim_node: HashMap<NodeId, String>,
+    /// The platform id of simulator node `i` at index `i`: the platform's
+    /// nodes are bound to `0..n`. Shared, so an event names its node
+    /// without copying the id.
+    by_sim_node: Vec<Arc<str>>,
     by_abstract: HashMap<String, String>,
 }
 
@@ -37,14 +41,14 @@ impl PlatformBinding {
             ));
         }
         let mut by_platform_id = HashMap::new();
-        let mut by_sim_node = HashMap::new();
+        let mut by_sim_node = Vec::new();
         let mut by_abstract = HashMap::new();
         for (i, node) in spec.all_nodes().enumerate() {
             let sim = NodeId(i as u16);
             if by_platform_id.insert(node.id.clone(), sim).is_some() {
                 return Err(format!("duplicate platform node id '{}'", node.id));
             }
-            by_sim_node.insert(sim, node.id.clone());
+            by_sim_node.push(Arc::from(node.id.as_str()));
             if let Some(a) = &node.abstract_id {
                 by_abstract.insert(a.clone(), node.id.clone());
             }
@@ -63,7 +67,12 @@ impl PlatformBinding {
 
     /// Platform id of a simulator node (unmanaged nodes have none).
     pub(crate) fn platform_id(&self, node: NodeId) -> Option<&str> {
-        self.by_sim_node.get(&node).map(String::as_str)
+        self.shared_platform_id(node).map(|id| &**id)
+    }
+
+    /// The same id as [`Self::platform_id`], as the shared string.
+    pub(crate) fn shared_platform_id(&self, node: NodeId) -> Option<&Arc<str>> {
+        self.by_sim_node.get(usize::from(node.0))
     }
 
     /// Platform id realizing an abstract node.
@@ -71,18 +80,17 @@ impl PlatformBinding {
         self.by_abstract.get(abstract_id).map(String::as_str)
     }
 
-    /// All managed platform ids (actors then environment nodes).
+    /// All managed platform ids (actors then environment nodes), in the
+    /// order of their simulator nodes.
     pub(crate) fn managed_platform_ids(&self) -> Vec<&str> {
-        let mut ids: Vec<(&NodeId, &String)> = self.by_sim_node.iter().collect();
-        ids.sort_by_key(|(n, _)| n.0);
-        ids.into_iter().map(|(_, s)| s.as_str()).collect()
+        self.by_sim_node.iter().map(|id| &**id).collect()
     }
 
-    /// All managed simulator nodes, ascending.
+    /// All managed simulator nodes, ascending: `0..n`.
     pub(crate) fn managed_sim_nodes(&self) -> Vec<NodeId> {
-        let mut nodes: Vec<NodeId> = self.by_sim_node.keys().copied().collect();
-        nodes.sort();
-        nodes
+        (0..self.by_sim_node.len())
+            .map(|i| NodeId(i as u16))
+            .collect()
     }
 }
 

@@ -8,7 +8,8 @@
 
 use crate::binding::ResolvedActors;
 use excovery_desc::process::EventSelector;
-use excovery_netsim::SimTime;
+use excovery_netsim::{EventName, EventParams, SimTime};
+use std::sync::Arc;
 
 /// One recorded event.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -18,14 +19,15 @@ pub(crate) struct RecordedEvent {
     /// Run the event belongs to.
     pub run_id: u64,
     /// Platform id of the node the event occurred on (`master` for
-    /// master-originated lifecycle events).
-    pub node: String,
+    /// master-originated lifecycle events), shared with the binding that
+    /// names the node.
+    pub node: Arc<str>,
     /// Local clock reading at the node, nanoseconds.
     pub local_time_ns: u64,
-    /// Event name.
-    pub name: String,
-    /// Event parameters.
-    pub params: Vec<(String, String)>,
+    /// Event name; a literal of the emitting agent is not copied.
+    pub name: EventName,
+    /// Event parameters, as the simulator or the master emitted them.
+    pub params: EventParams,
 }
 
 /// Append-only event list for one run.
@@ -45,17 +47,17 @@ impl EventLog {
     pub(crate) fn record(
         &mut self,
         run_id: u64,
-        node: impl Into<String>,
+        node: Arc<str>,
         local_time: SimTime,
-        name: impl Into<String>,
-        params: Vec<(String, String)>,
+        name: impl Into<EventName>,
+        params: EventParams,
     ) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.events.push(RecordedEvent {
             seq,
             run_id,
-            node: node.into(),
+            node,
             local_time_ns: local_time.as_nanos(),
             name: name.into(),
             params,
@@ -139,7 +141,7 @@ impl EventLog {
             .map(|sel| actors.select_platform_ids(sel));
 
         let origin_ok =
-            |e: &RecordedEvent, allowed: &[String]| allowed.iter().any(|a| a == &e.node);
+            |e: &RecordedEvent, allowed: &[String]| allowed.iter().any(|a| **a == *e.node);
         let param_matches =
             |e: &RecordedEvent, node_id: &str| e.params.iter().any(|(_, v)| v == node_id);
 
@@ -150,7 +152,8 @@ impl EventLog {
                     return false;
                 }
                 if selector.require_all {
-                    from.iter().all(|f| candidates.iter().any(|e| &e.node == f))
+                    from.iter()
+                        .all(|f| candidates.iter().any(|e| *e.node == **f))
                 } else {
                     candidates.iter().any(|e| origin_ok(e, from))
                 }
@@ -210,8 +213,8 @@ mod tests {
     #[test]
     fn record_assigns_increasing_seq() {
         let mut log = EventLog::new();
-        let s0 = log.record(0, "n0", t(5), "a", vec![]);
-        let s1 = log.record(0, "n0", t(3), "b", vec![]);
+        let s0 = log.record(0, "n0".into(), t(5), "a", EventParams::new());
+        let s1 = log.record(0, "n0".into(), t(3), "b", EventParams::new());
         assert!(s1 > s0);
         assert_eq!(log.len(), 2);
         assert_eq!(log.events()[0].name, "a");
@@ -223,7 +226,13 @@ mod tests {
         let actors = actors();
         let sel = EventSelector::named("ready_to_init");
         assert!(!log.satisfied(&sel, 0, &actors));
-        log.record(0, "master", t(1), "ready_to_init", vec![]);
+        log.record(
+            0,
+            "master".into(),
+            t(1),
+            "ready_to_init",
+            EventParams::new(),
+        );
         assert!(log.satisfied(&sel, 0, &actors));
     }
 
@@ -231,12 +240,12 @@ mod tests {
     fn marker_hides_earlier_events() {
         let mut log = EventLog::new();
         let actors = actors();
-        log.record(0, "master", t(1), "done", vec![]);
+        log.record(0, "master".into(), t(1), "done", EventParams::new());
         let marker = log.marker();
         let sel = EventSelector::named("done");
         assert!(log.satisfied(&sel, 0, &actors));
         assert!(!log.satisfied(&sel, marker, &actors));
-        log.record(0, "master", t(2), "done", vec![]);
+        log.record(0, "master".into(), t(2), "done", EventParams::new());
         assert!(log.satisfied(&sel, marker, &actors));
     }
 
@@ -246,9 +255,21 @@ mod tests {
         let actors = actors();
         // actor0 instance -> platform id t9-157
         let sel = EventSelector::named("sd_start_publish").from_nodes(NodeSelector::all("actor0"));
-        log.record(0, "t9-105", t(1), "sd_start_publish", vec![]);
+        log.record(
+            0,
+            "t9-105".into(),
+            t(1),
+            "sd_start_publish",
+            EventParams::new(),
+        );
         assert!(!log.satisfied(&sel, 0, &actors), "wrong origin");
-        log.record(0, "t9-157", t(2), "sd_start_publish", vec![]);
+        log.record(
+            0,
+            "t9-157".into(),
+            t(2),
+            "sd_start_publish",
+            EventParams::new(),
+        );
         assert!(log.satisfied(&sel, 0, &actors));
     }
 
@@ -263,10 +284,10 @@ mod tests {
             .with_param(NodeSelector::all("actor0"));
         log.record(
             0,
-            "t9-105",
+            "t9-105".into(),
             t(1),
             "sd_service_add",
-            vec![("service".into(), "someone-else".into())],
+            EventParams::from([("service", "someone-else")]),
         );
         assert!(
             !log.satisfied(&sel, 0, &actors),
@@ -274,10 +295,10 @@ mod tests {
         );
         log.record(
             0,
-            "t9-105",
+            "t9-105".into(),
             t(2),
             "sd_service_add",
-            vec![("service".into(), "t9-157".into())],
+            EventParams::from([("service", "t9-157")]),
         );
         assert!(log.satisfied(&sel, 0, &actors));
     }
@@ -292,10 +313,10 @@ mod tests {
         // Right params but emitted by the SM itself, not the SU.
         log.record(
             0,
-            "t9-157",
+            "t9-157".into(),
             t(1),
             "sd_service_add",
-            vec![("service".into(), "t9-157".into())],
+            EventParams::from([("service", "t9-157")]),
         );
         assert!(!log.satisfied(&sel, 0, &actors));
     }
@@ -304,7 +325,7 @@ mod tests {
     fn unknown_actor_selector_never_satisfies() {
         let mut log = EventLog::new();
         let actors = actors();
-        log.record(0, "t9-157", t(1), "x", vec![]);
+        log.record(0, "t9-157".into(), t(1), "x", EventParams::new());
         let sel = EventSelector::named("x").from_nodes(NodeSelector::all("ghost"));
         assert!(!log.satisfied(&sel, 0, &actors));
     }
@@ -316,14 +337,14 @@ mod tests {
         let mut veteran = EventLog::new();
         for r in 0..2 {
             veteran.align_for_run(r);
-            veteran.record(r, "n", t(1), "e", vec![]);
+            veteran.record(r, "n".into(), t(1), "e", EventParams::new());
         }
         veteran.align_for_run(2);
         let mut fresh = EventLog::new();
         fresh.align_for_run(2);
         assert_eq!(
-            veteran.record(2, "n", t(2), "e", vec![]),
-            fresh.record(2, "n", t(2), "e", vec![]),
+            veteran.record(2, "n".into(), t(2), "e", EventParams::new()),
+            fresh.record(2, "n".into(), t(2), "e", EventParams::new()),
         );
         // Alignment never moves the counter backwards.
         let mut log = EventLog::new();
@@ -337,11 +358,11 @@ mod tests {
     fn clear_keeps_seq_monotone() {
         let mut log = EventLog::new();
         let actors = actors();
-        log.record(0, "n", t(1), "e", vec![]);
+        log.record(0, "n".into(), t(1), "e", EventParams::new());
         let marker = log.marker();
         log.clear();
         assert!(log.events().is_empty());
-        let s = log.record(1, "n", t(2), "e", vec![]);
+        let s = log.record(1, "n".into(), t(2), "e", EventParams::new());
         assert!(s >= marker, "sequence must not restart");
         assert!(log.satisfied(&EventSelector::named("e"), marker, &actors));
     }

@@ -21,6 +21,7 @@ use excovery_desc::process::{EventSelector, ProcessAction, ValueRef};
 use excovery_netsim::{SimDuration, SimTime};
 use excovery_rpc::Value;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Execution state of one process.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,8 +57,8 @@ pub struct ProcessInstance {
     pub platform_id: Option<String>,
     /// Role string (`SM`, `SU`, `SCM`) for `sd_init`, from the actor name.
     pub role: Option<String>,
-    /// The action sequence.
-    pub actions: Vec<ProcessAction>,
+    /// The action sequence, shared by every instance of the process.
+    pub actions: Arc<[ProcessAction]>,
     /// Program counter.
     pub pc: usize,
     /// Current state.
@@ -74,17 +75,29 @@ impl ProcessInstance {
         label: impl Into<String>,
         platform_id: Option<String>,
         role: Option<String>,
-        actions: Vec<ProcessAction>,
+        actions: impl Into<Arc<[ProcessAction]>>,
     ) -> Self {
         Self {
             label: label.into(),
             platform_id,
             role,
-            actions,
+            actions: actions.into(),
             pc: 0,
             state: ProcState::Ready,
             marker: 0,
             fault_handles: HashMap::new(),
+        }
+    }
+
+    /// Makes the process ready to run from its first action again, its
+    /// events considered from `marker` on and no fault handle open: what
+    /// a new run needs of an instance an earlier run left behind.
+    pub(crate) fn reset(&mut self, marker: u64) {
+        self.pc = 0;
+        self.state = ProcState::Ready;
+        self.marker = marker;
+        for handles in self.fault_handles.values_mut() {
+            handles.clear();
         }
     }
 
@@ -168,10 +181,11 @@ pub fn step(proc: &mut ProcessInstance, ctx: &mut dyn ExecCtx) -> bool {
             proc.state = ProcState::Done;
             return progressed;
         }
-        let action = proc.actions[proc.pc].clone();
+        let actions = Arc::clone(&proc.actions);
+        let action = &actions[proc.pc];
         proc.pc += 1;
         progressed = true;
-        if let Err(e) = execute(proc, &action, ctx) {
+        if let Err(e) = execute(proc, action, ctx) {
             proc.state = ProcState::Failed(format!("{}: action {}: {e}", proc.label, proc.pc - 1));
             return progressed;
         }
@@ -244,47 +258,45 @@ fn execute(
             let resolved = resolve_params(params, ctx)?;
             // Fault actions first: they exist on node processes only.
             if let Some(parsed) = parse_fault_invoke(name, &resolved) {
-                let pid = proc
-                    .platform_id
-                    .clone()
+                let ProcessInstance {
+                    platform_id,
+                    fault_handles,
+                    ..
+                } = proc;
+                let pid = platform_id
+                    .as_deref()
                     .ok_or("fault actions require a node-bound process")?;
                 return match parsed? {
                     FaultInvoke::Start(fault) => {
                         match fault.envelope.activation_window(ctx.now()) {
-                            Some(window) => ctx.schedule_fault(&pid, &fault, window),
+                            Some(window) => ctx.schedule_fault(pid, &fault, window),
                             None => {
                                 let handle = ctx
-                                    .call_node(&pid, "fault_start", vec![fault.spec.clone()])?
+                                    .call_node(pid, "fault_start", vec![fault.spec.clone()])?
                                     .as_int()
                                     .ok_or("fault_start returned no handle")?;
-                                proc.fault_handles
-                                    .entry(fault.kind.clone())
-                                    .or_default()
-                                    .push(handle);
+                                match fault_handles.get_mut(&fault.kind) {
+                                    Some(open) => open.push(handle),
+                                    None => {
+                                        fault_handles.insert(fault.kind.clone(), vec![handle]);
+                                    }
+                                }
                                 Ok(())
                             }
                         }
                     }
                     FaultInvoke::Stop(kind) => {
-                        let handle = proc
-                            .fault_handles
+                        let handle = fault_handles
                             .get_mut(&kind)
                             .and_then(Vec::pop)
                             .ok_or_else(|| format!("no active '{kind}' fault to stop"))?;
-                        ctx.call_node(
-                            proc.platform_id.as_deref().unwrap(),
-                            "fault_stop",
-                            vec![Value::Int(handle)],
-                        )?;
+                        ctx.call_node(pid, "fault_stop", vec![Value::Int(handle)])?;
                         Ok(())
                     }
                 };
             }
             match &proc.platform_id {
-                Some(pid) => {
-                    let pid = pid.clone();
-                    invoke_node_action(proc, &pid, name, &resolved, ctx)
-                }
+                Some(pid) => invoke_node_action(proc, pid, name, &resolved, ctx),
                 None => ctx.env_invoke(name, &resolved),
             }
         }

@@ -42,8 +42,11 @@
 //! flipped high bit is an error, not a negative common time.
 //!
 //! The small per-run entries (`sync.json`, `start.json`, `outcome.json`,
-//! the plugins' `measurements.json`) stay JSON through the in-tree
-//! `excovery_store::JsonValue` codec. So do the observability entries,
+//! the plugins' `measurements.json`) stay JSON, read back through the
+//! in-tree `excovery_store::JsonValue` codec; the three every run writes
+//! are rendered straight into one buffer with that codec's string
+//! escaper (`write_sync`, `write_start`, `write_outcome`). The
+//! observability entries are JSON too through `JsonValue`,
 //! `_obs/summary.jsonl` per run and `_obs/snapshot.jsonl` per experiment
 //! (`obs_jsonl`): one JSON object per line, the registry's counters,
 //! gauges and histograms in its order, then the drained spans in
@@ -73,10 +76,11 @@ use excovery_netsim::capture::{CaptureKind, CaptureRecord};
 use excovery_netsim::{NodeId, SimDuration};
 use excovery_obs::{Snapshot, SpanRecord};
 use excovery_store::level2::RunRecord;
-use excovery_store::JsonValue;
+use excovery_store::{write_json_str, JsonValue};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
+use std::io::Write as _;
 use std::ops::Range;
 
 // The level-2 layout. A run's record holds `_master/{events.bin,
@@ -324,14 +328,14 @@ pub(crate) fn encode_events(events: &[RecordedEvent], run_id: u64) -> Result<Vec
                 run_id: e.run_id,
             });
         }
-        let params =
-            u16::try_from(e.params.len()).map_err(|_| EntryError::TooLong("parameter count"))?;
+        let params = u16::try_from(e.params.iter().count())
+            .map_err(|_| EntryError::TooLong("parameter count"))?;
         out.extend_from_slice(&e.seq.to_le_bytes());
         out.extend_from_slice(&local_time(e.local_time_ns, i as u32)?.to_le_bytes());
         put_str16(&mut out, &e.node, "node id")?;
         put_str16(&mut out, &e.name, "event name")?;
         out.extend_from_slice(&params.to_le_bytes());
-        for (key, value) in &e.params {
+        for (key, value) in e.params.iter() {
             put_str16(&mut out, key, "parameter key")?;
             let len =
                 u32::try_from(value.len()).map_err(|_| EntryError::TooLong("parameter value"))?;
@@ -594,13 +598,36 @@ pub(crate) fn read_json<T>(
 // crash-resume, which replays packaging over a prior tree) has no
 // dependency on an external serializer.
 
-pub(crate) fn sync_to_json(offsets: &HashMap<String, i64>) -> JsonValue {
-    let mut pairs: Vec<(String, JsonValue)> = offsets
-        .iter()
-        .map(|(pid, off)| (pid.clone(), JsonValue::Int(*off)))
-        .collect();
-    pairs.sort_by(|a, b| a.0.cmp(&b.0));
-    JsonValue::Object(pairs)
+// The three small entries every run writes, `sync.json`, `start.json` and
+// `outcome.json`, are rendered straight into a buffer, byte for byte the
+// document a `JsonValue` tree of the same members prints (the tests keep
+// that tree as the oracle); they are read back through `JsonValue`.
+
+/// Appends an integer member value.
+fn put_int(out: &mut Vec<u8>, value: i64) {
+    // Writing into a vector cannot fail.
+    let _ = write!(out, "{value}");
+}
+
+/// Renders `sync.json`: every node's clock offset in ns, keyed by
+/// platform id in ascending order (`offsets` is sorted in place).
+pub(crate) fn write_sync(out: &mut Vec<u8>, offsets: &mut [(&str, i64)]) {
+    offsets.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    out.push(b'{');
+    for (i, (pid, offset)) in offsets.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        write_json_str(out, pid);
+        out.push(b':');
+        put_int(out, *offset);
+    }
+    out.push(b'}');
+}
+
+/// Renders `start.json`: the run's start on the reference clock, ns.
+pub(crate) fn write_start(out: &mut Vec<u8>, start_ns: u64) {
+    put_int(out, start_ns as i64);
 }
 
 pub(crate) fn sync_from_json(v: &JsonValue) -> Option<HashMap<String, i64>> {
@@ -638,27 +665,33 @@ pub(crate) fn measurements_from_json(v: &JsonValue) -> Option<Vec<(String, Strin
         .collect()
 }
 
-/// Serialized form of a [`RunOutcome`] as journalled to level 2 (entry
+/// Renders a [`RunOutcome`] as journalled to level 2 (entry
 /// `_master`/`outcome.json` of the run's sealed record), so a resumed
 /// master can restore the summaries of runs it never executed and
 /// [`crate::ExperimentOutcome::digest`] stays crash-invariant.
-pub(crate) fn outcome_to_json(o: &RunOutcome) -> JsonValue {
-    JsonValue::Object(vec![
-        ("run_id".into(), JsonValue::Int(o.run_id as i64)),
-        ("replicate".into(), JsonValue::Int(o.replicate as i64)),
-        ("treatment_key".into(), JsonValue::str(&o.treatment_key)),
-        ("completed".into(), JsonValue::Bool(o.completed)),
-        (
-            "failures".into(),
-            JsonValue::Array(o.failures.iter().map(JsonValue::str).collect()),
-        ),
-        ("events".into(), JsonValue::Int(o.events as i64)),
-        ("packets".into(), JsonValue::Int(o.packets as i64)),
-        (
-            "duration_ns".into(),
-            JsonValue::Int(o.duration.as_nanos() as i64),
-        ),
-    ])
+pub(crate) fn write_outcome(out: &mut Vec<u8>, o: &RunOutcome) {
+    out.extend_from_slice(b"{\"run_id\":");
+    put_int(out, o.run_id as i64);
+    out.extend_from_slice(b",\"replicate\":");
+    put_int(out, o.replicate as i64);
+    out.extend_from_slice(b",\"treatment_key\":");
+    write_json_str(out, &o.treatment_key);
+    out.extend_from_slice(b",\"completed\":");
+    out.extend_from_slice(if o.completed { b"true" } else { b"false" });
+    out.extend_from_slice(b",\"failures\":[");
+    for (i, failure) in o.failures.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        write_json_str(out, failure);
+    }
+    out.extend_from_slice(b"],\"events\":");
+    put_int(out, o.events as i64);
+    out.extend_from_slice(b",\"packets\":");
+    put_int(out, o.packets as i64);
+    out.extend_from_slice(b",\"duration_ns\":");
+    put_int(out, o.duration.as_nanos() as i64);
+    out.push(b'}');
 }
 
 pub(crate) fn outcome_from_json(v: &JsonValue) -> Option<RunOutcome> {
@@ -860,19 +893,22 @@ mod tests {
                     JsonValue::Object(vec![
                         ("seq".into(), JsonValue::Int(e.seq as i64)),
                         ("run_id".into(), JsonValue::Int(e.run_id as i64)),
-                        ("node".into(), JsonValue::str(&e.node)),
+                        ("node".into(), JsonValue::str(&*e.node)),
                         (
                             "local_time_ns".into(),
                             JsonValue::Int(e.local_time_ns as i64),
                         ),
-                        ("name".into(), JsonValue::str(&e.name)),
+                        ("name".into(), JsonValue::str(e.name.as_str())),
                         (
                             "params".into(),
                             JsonValue::Array(
                                 e.params
                                     .iter()
                                     .map(|(k, v)| {
-                                        JsonValue::Array(vec![JsonValue::str(k), JsonValue::str(v)])
+                                        JsonValue::Array(vec![
+                                            JsonValue::str(k.as_str()),
+                                            JsonValue::str(v.as_str()),
+                                        ])
                                     })
                                     .collect(),
                             ),
@@ -886,13 +922,15 @@ mod tests {
     const RUN: u64 = 3;
 
     fn event(seq: u64, node: &str, t: u64, name: &str, params: &[(&str, &str)]) -> RecordedEvent {
+        let params: Vec<(String, String)> =
+            params.iter().map(|&(k, v)| (k.into(), v.into())).collect();
         RecordedEvent {
             seq,
             run_id: RUN,
             node: node.into(),
             local_time_ns: t,
-            name: name.into(),
-            params: params.iter().map(|&(k, v)| (k.into(), v.into())).collect(),
+            name: name.to_string().into(),
+            params: params.into(),
         }
     }
 
@@ -926,10 +964,10 @@ mod tests {
                 RecordedEvent {
                     seq,
                     run_id: RUN,
-                    node,
+                    node: node.into(),
                     local_time_ns: t,
-                    name,
-                    params,
+                    name: name.into(),
+                    params: params.into(),
                 }
             }),
             0..events,
@@ -1274,5 +1312,88 @@ mod tests {
         );
         let e = captures_json(&entry[..entry.len() - 1]).unwrap_err();
         assert!(e.to_string().contains("captures.bin: truncated"), "{e}");
+    }
+
+    /// `sync.json` as the tree it was built as: the oracle of
+    /// [`write_sync`].
+    fn sync_to_json(offsets: &[(&str, i64)]) -> JsonValue {
+        let mut pairs: Vec<(String, JsonValue)> = offsets
+            .iter()
+            .map(|(pid, off)| (pid.to_string(), JsonValue::Int(*off)))
+            .collect();
+        pairs.sort_by(|a, b| a.0.cmp(&b.0));
+        JsonValue::Object(pairs)
+    }
+
+    /// `outcome.json` as the tree it was built as: the oracle of
+    /// [`write_outcome`].
+    fn outcome_to_json(o: &RunOutcome) -> JsonValue {
+        JsonValue::Object(vec![
+            ("run_id".into(), JsonValue::Int(o.run_id as i64)),
+            ("replicate".into(), JsonValue::Int(o.replicate as i64)),
+            ("treatment_key".into(), JsonValue::str(&o.treatment_key)),
+            ("completed".into(), JsonValue::Bool(o.completed)),
+            (
+                "failures".into(),
+                JsonValue::Array(o.failures.iter().map(JsonValue::str).collect()),
+            ),
+            ("events".into(), JsonValue::Int(o.events as i64)),
+            ("packets".into(), JsonValue::Int(o.packets as i64)),
+            (
+                "duration_ns".into(),
+                JsonValue::Int(o.duration.as_nanos() as i64),
+            ),
+        ])
+    }
+
+    #[test]
+    fn run_entries_render_the_bytes_of_their_json_trees() {
+        let mut out = Vec::new();
+        let mut offsets = [
+            ("t9-157", -5),
+            ("a\"b\\c\nd\te", i64::MIN),
+            ("t9-105", i64::MAX),
+            ("\u{1}x\u{7f}é", 0),
+        ];
+        let oracle = sync_to_json(&offsets).to_string();
+        write_sync(&mut out, &mut offsets);
+        assert_eq!(String::from_utf8(out.clone()).unwrap(), oracle);
+        let parsed = sync_from_json(&JsonValue::parse(&oracle).unwrap()).unwrap();
+        assert_eq!(parsed.len(), offsets.len());
+        assert!(offsets.iter().all(|(pid, off)| parsed[*pid] == *off));
+
+        for start in [0, 1, 42_000_000_000, i64::MAX as u64] {
+            out.clear();
+            write_start(&mut out, start);
+            assert_eq!(out, JsonValue::Int(start as i64).to_string().into_bytes());
+        }
+
+        let failed = RunOutcome {
+            run_id: 7,
+            replicate: 3,
+            treatment_key: "fact_loss=0.2|note=\"a\\b\"".into(),
+            completed: false,
+            failures: vec![
+                "actor1[0]@t9-105: run timeout".into(),
+                "tab\there\u{1f}\r\n".into(),
+            ],
+            events: 12,
+            packets: 0,
+            duration: SimDuration::from_nanos(123_456),
+        };
+        let completed = RunOutcome {
+            run_id: u64::from(u32::MAX),
+            completed: true,
+            failures: Vec::new(),
+            ..failed.clone()
+        };
+        for outcome in [failed, completed] {
+            out.clear();
+            write_outcome(&mut out, &outcome);
+            let oracle = outcome_to_json(&outcome).to_string();
+            assert_eq!(String::from_utf8(out.clone()).unwrap(), oracle);
+            let parsed = outcome_from_json(&JsonValue::parse(&oracle).unwrap());
+            assert_eq!(parsed, Some(outcome));
+        }
     }
 }

@@ -30,7 +30,6 @@ use crate::l2codec::{self, read_json};
 use crate::nodemanager::{NodeManager, SharedSim};
 use config::{EngineConfig, TransportKind};
 use ctx::PluginFn;
-use excovery_desc::plan::Treatment;
 use excovery_desc::validate::validate_strict;
 use excovery_desc::ExperimentDescription;
 use excovery_netsim::rng::derive_seed;
@@ -39,12 +38,14 @@ use excovery_netsim::{NodeId, SimTime, Simulator};
 use excovery_obs::sync::Mutex;
 use excovery_obs::Histogram;
 use excovery_rpc::{
-    ChaosOptions, NodeCall, Reactor, ReactorEndpoint, RpcError, ServerRegistry, TcpRpcServer, Value,
+    ChaosOptions, IdemKey, NodeCall, Reactor, ReactorEndpoint, RpcError, ServerRegistry,
+    TcpRpcServer, Value,
 };
 use excovery_sd::{Architecture, SdConfig};
 use excovery_store::level2::Level2Store;
 use excovery_store::JsonValue;
 use outcome::ExperimentOutcome;
+use run::CompiledProcesses;
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -56,6 +57,8 @@ use std::time::Duration;
 /// stopped by the run loop at the window's boundaries.
 struct FaultWindow {
     platform_id: String,
+    /// The node's reactor link.
+    link: usize,
     spec: Value,
     start: SimTime,
     stop: SimTime,
@@ -95,17 +98,24 @@ pub struct ExperiMaster {
     /// lock only because [`Self::fan_out`] takes `&self`; dispatches never
     /// overlap).
     reactor: Mutex<Reactor>,
+    /// Platform ids of the managed nodes, the target of every lifecycle
+    /// fan-out; the node at index `i` is reactor link `i`.
+    managed: Vec<String>,
     /// Idempotency-key sequence; each logical call draws one number.
     call_seq: AtomicU64,
     /// Control-channel retries performed (reported in the outcome).
     control_retries: AtomicU64,
     log: EventLog,
     plugins: HashMap<String, PluginFn>,
+    /// The process sets built for this execution, one per distinct actor
+    /// resolution; a run resets the one its treatment resolves to.
+    compiled: Vec<CompiledProcesses>,
+    /// The buffer the small per-run level-2 entries are rendered into.
+    entry_buf: Vec<u8>,
     // per-run state
     run_id: u64,
     replicate: u64,
-    treatment: Treatment,
-    actors: ResolvedActors,
+    actors: Arc<ResolvedActors>,
     traffic: Option<TrafficGenerator>,
     cbr_flows: Vec<(NodeId, u16)>,
     fault_windows: Vec<FaultWindow>,
@@ -185,6 +195,7 @@ impl ExperiMaster {
             })
         };
         let mut reactor = Reactor::new();
+        let mut managed = Vec::new();
         for node in binding.managed_sim_nodes() {
             let pid = binding.platform_id(node).unwrap().to_string();
             let registry = Arc::new(Mutex::new(NodeManager::registry(
@@ -214,8 +225,9 @@ impl ExperiMaster {
                     }
                 }
             };
-            let chaos = node_chaos(&pid);
-            reactor.add_node(pid, endpoint, chaos);
+            let link = reactor.add_node(endpoint, node_chaos(&pid));
+            debug_assert_eq!(link, usize::from(node.0), "links follow the node order");
+            managed.push(pid);
         }
         Ok(Self {
             desc,
@@ -226,14 +238,16 @@ impl ExperiMaster {
             tcp_addrs,
             tcp_registries,
             reactor: Mutex::new(reactor),
+            managed,
             call_seq: AtomicU64::new(0),
             control_retries: AtomicU64::new(0),
             log: EventLog::new(),
             plugins: HashMap::new(),
+            compiled: Vec::new(),
+            entry_buf: Vec::new(),
             run_id: 0,
             replicate: 0,
-            treatment: Treatment::from_assignments(std::iter::empty()),
-            actors: ResolvedActors::default(),
+            actors: Arc::default(),
             traffic: None,
             cbr_flows: Vec::new(),
             fault_windows: Vec::new(),
@@ -267,6 +281,13 @@ impl ExperiMaster {
             .collect()
     }
 
+    /// The reactor link of the NodeManager of `pid`, if it has one: the
+    /// platform's nodes are bound to simulator nodes `0..n` and added to
+    /// the reactor in that order.
+    fn link(&self, pid: &str) -> Option<usize> {
+        self.binding.sim_node(pid).map(|node| usize::from(node.0))
+    }
+
     /// One logical in-run call to one node: a reactor dispatch of one,
     /// under the same chaos schedule and retry policy as a fan-out.
     ///
@@ -276,14 +297,14 @@ impl ExperiMaster {
     /// executing twice. Only errors [`RpcError::is_retryable`] classifies
     /// as transient are retried; a node rejecting the call (fault, codec)
     /// fails immediately.
-    fn retry_call(&self, pid: &str, method: &str, params: Vec<Value>) -> Result<Value, RpcError> {
+    fn retry_call(&self, link: usize, method: &str, params: &[Value]) -> Result<Value, RpcError> {
         let call = NodeCall {
-            node_id: pid.to_string(),
-            method: method.to_string(),
+            link,
+            method,
             params,
             idem_key: Some(self.next_idem_key()),
         };
-        let mut outcomes = self.reactor.lock().dispatch(vec![call], &self.cfg.retry);
+        let mut outcomes = self.reactor.lock().dispatch(&[call], &self.cfg.retry);
         let outcome = outcomes.pop().expect("one outcome per call");
         self.control_retries
             .fetch_add(outcome.retries, Ordering::Relaxed);
@@ -291,52 +312,46 @@ impl ExperiMaster {
     }
 
     /// Draws the idempotency key (`run:epoch:seq`) of the next logical call.
-    fn next_idem_key(&self) -> String {
-        format!(
-            "{}:{}:{}",
-            self.run_id,
-            self.cfg.epoch,
-            self.call_seq.fetch_add(1, Ordering::Relaxed)
-        )
+    fn next_idem_key(&self) -> IdemKey {
+        IdemKey {
+            run: self.run_id,
+            epoch: self.cfg.epoch,
+            seq: self.call_seq.fetch_add(1, Ordering::Relaxed),
+        }
     }
 
-    /// Dispatches one lifecycle procedure to every node in `nodes` and
-    /// waits for all of them (the per-phase barrier). Every per-node call
-    /// is idempotent (key `run:epoch:seq`, drawn in `nodes` order) and
-    /// retried under the engine [`RetryPolicy`]; the whole fan-out runs on
-    /// this thread in the [`Reactor`], every node's link multiplexed.
+    /// Dispatches one lifecycle procedure to every managed node and waits
+    /// for all of them (the per-phase barrier). Every per-node call is
+    /// idempotent (key `run:epoch:seq`, drawn in node order) and retried
+    /// under the engine [`RetryPolicy`]; the whole fan-out runs on this
+    /// thread in the [`Reactor`], every node's link multiplexed, and every
+    /// call borrows the one `params`.
     ///
-    /// Results come back in `nodes` order; so does error reporting — the
+    /// Results come back in node order; so does error reporting — the
     /// first failing node in that deterministic order wins, regardless of
     /// which link finished first.
-    fn fan_out(
-        &self,
-        nodes: &[String],
-        method: &str,
-        params: &[Value],
-    ) -> Result<Vec<Value>, EngineError> {
+    fn fan_out(&self, method: &str, params: &[Value]) -> Result<Vec<Value>, EngineError> {
         let phase_timer = self.phase_timer(|| format!("fan_out:{method}"));
-        let calls: Vec<NodeCall> = nodes
-            .iter()
-            .map(|pid| NodeCall {
-                node_id: pid.clone(),
-                method: method.to_string(),
-                params: params.to_vec(),
+        let calls: Vec<NodeCall> = (0..self.managed.len())
+            .map(|link| NodeCall {
+                link,
+                method,
+                params,
                 idem_key: Some(self.next_idem_key()),
             })
             .collect();
-        let outcomes = self.reactor.lock().dispatch(calls, &self.cfg.retry);
+        let outcomes = self.reactor.lock().dispatch(&calls, &self.cfg.retry);
         for o in &outcomes {
             self.control_retries.fetch_add(o.retries, Ordering::Relaxed);
         }
         if excovery_obs::enabled() {
             let mut handles = self.obs_handles.lock();
-            for o in &outcomes {
-                handles.node_call(&o.node_id).observe(o.duration_ns);
+            for (pid, o) in self.managed.iter().zip(&outcomes) {
+                handles.node_call(pid).observe(o.duration_ns);
             }
         }
         self.finish_phase(phase_timer, method);
-        nodes
+        self.managed
             .iter()
             .zip(outcomes)
             .map(|(pid, o)| {
@@ -374,7 +389,9 @@ impl ExperiMaster {
     /// Test hook: platform ids of all connected NodeManagers, sorted.
     #[doc(hidden)]
     pub fn node_ids(&self) -> Vec<String> {
-        self.reactor.lock().node_ids()
+        let mut ids = self.managed.clone();
+        ids.sort();
+        ids
     }
 
     /// Test hook: shuts down a node's live TCP server, simulating a node
@@ -464,6 +481,9 @@ impl ExperiMaster {
         l2_root: PathBuf,
     ) -> Result<ExperimentOutcome, EngineError> {
         // ---- experiment_init -------------------------------------------------
+        // Process sets are built per execution: a failed one may have kept
+        // a set its run had taken.
+        self.compiled.clear();
         let participants = self.binding.managed_sim_nodes();
         self.stage_topology(l2, &participants, l2codec::TOPOLOGIES[0])?;
 
@@ -509,7 +529,7 @@ impl ExperiMaster {
         self.finish_phase(packaging, "package");
         // Tear the node side down everywhere (concurrently, like the other
         // lifecycle phases).
-        self.fan_out(&self.managed_ids(), "experiment_exit", &[])?;
+        self.fan_out("experiment_exit", &[])?;
         // End-of-experiment observability snapshot, persisted alongside the
         // run journal. `package` reads experiment entries by exact name
         // (the topologies), so an `_obs` entry is digest-safe.
@@ -527,13 +547,6 @@ impl ExperiMaster {
             l2_root,
             control_retries: self.control_retries.load(Ordering::Relaxed),
         })
-    }
-
-    /// Platform ids of the managed nodes, the fan-out target of every
-    /// lifecycle phase.
-    fn managed_ids(&self) -> Vec<String> {
-        let managed = self.binding.managed_platform_ids();
-        managed.iter().map(|s| s.to_string()).collect()
     }
 
     /// Measures the hop matrix of `participants` and stages it as the

@@ -5,9 +5,10 @@ use super::{ExperiMaster, FaultWindow};
 use crate::faults::ParsedFault;
 use crate::interp::ExecCtx;
 use excovery_desc::factors::LevelValue;
+use excovery_desc::plan::Treatment;
 use excovery_desc::process::{EventSelector, ValueRef};
 use excovery_netsim::traffic::{PairChoice, TrafficGenerator, TrafficSpec};
-use excovery_netsim::{SimTime, Simulator};
+use excovery_netsim::{EventParams, SimTime, Simulator};
 use excovery_rpc::Value;
 use std::collections::HashMap;
 
@@ -45,6 +46,8 @@ pub(crate) type PluginFn =
 /// [`ExecCtx`] implementation delegating to the master.
 pub(super) struct MasterCtx<'a> {
     pub(super) master: &'a mut ExperiMaster,
+    /// The treatment of the run being executed.
+    pub(super) treatment: &'a Treatment,
 }
 
 impl ExecCtx for MasterCtx<'_> {
@@ -58,7 +61,7 @@ impl ExecCtx for MasterCtx<'_> {
 
     fn resolve(&self, v: &ValueRef) -> Option<LevelValue> {
         v.resolve(
-            &self.master.treatment,
+            self.treatment,
             &self.master.desc.factors.replication.id,
             self.master.replicate,
         )
@@ -76,11 +79,11 @@ impl ExecCtx for MasterCtx<'_> {
         method: &str,
         params: Vec<Value>,
     ) -> Result<Value, String> {
-        if self.master.binding.sim_node(platform_id).is_none() {
+        let Some(link) = self.master.link(platform_id) else {
             return Err(format!("no NodeManager for '{platform_id}'"));
-        }
+        };
         self.master
-            .retry_call(platform_id, method, params)
+            .retry_call(link, method, &params)
             .map_err(|e| e.to_string())
     }
 
@@ -166,7 +169,8 @@ impl ExecCtx for MasterCtx<'_> {
     }
 
     fn emit_master_event(&mut self, name: &str) {
-        self.master.record_master_event(name, vec![]);
+        self.master
+            .record_master_event(name.to_string(), EventParams::new());
     }
 
     fn schedule_fault(
@@ -175,8 +179,13 @@ impl ExecCtx for MasterCtx<'_> {
         fault: &ParsedFault,
         window: (SimTime, SimTime),
     ) -> Result<(), String> {
+        let link = self
+            .master
+            .link(platform_id)
+            .ok_or_else(|| format!("no NodeManager for '{platform_id}'"))?;
         self.master.fault_windows.push(FaultWindow {
             platform_id: platform_id.to_string(),
+            link,
             spec: fault.spec.clone(),
             start: window.0,
             stop: window.1,

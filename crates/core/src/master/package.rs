@@ -467,13 +467,12 @@ mod tests {
                 return keep(n, name, data);
             }
             let json = JsonValue::parse(std::str::from_utf8(data).unwrap()).unwrap();
-            let mut offsets = l2codec::sync_from_json(&json).unwrap();
-            offsets.values_mut().for_each(|offset| *offset = i64::MIN);
-            keep(
-                n,
-                name,
-                l2codec::sync_to_json(&offsets).to_string().as_bytes(),
-            )
+            let offsets = l2codec::sync_from_json(&json).unwrap();
+            let mut skewed: Vec<(&str, i64)> =
+                offsets.keys().map(|pid| (pid.as_str(), i64::MIN)).collect();
+            let mut entry = Vec::new();
+            l2codec::write_sync(&mut entry, &mut skewed);
+            keep(n, name, &entry)
         };
         let e = repackage(&desc, &l2_root, &with_entry(&entries, skewed))
             .expect_err("no event time is on the common base");

@@ -9,29 +9,62 @@ use crate::binding::ResolvedActors;
 use crate::error::EngineError;
 use crate::interp::{self, ProcState, ProcessInstance};
 use crate::l2codec;
-use excovery_desc::plan::RunSpec;
-use excovery_netsim::{NodeId, SimDuration, SimTime};
+use excovery_desc::factors::LevelValue;
+use excovery_desc::plan::{RunSpec, Treatment};
+use excovery_desc::ExperimentDescription;
+use excovery_netsim::{EventName, EventParams, NodeId, SimDuration, SimTime};
 use excovery_rpc::Value;
 use excovery_store::level2::Level2Store;
-use excovery_store::JsonValue;
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
 
 /// Master reaction quantum: the longest simulated step the run loop takes
 /// while waiting on events.
 const QUANTUM: SimDuration = SimDuration::from_millis(20);
 
+/// The process set of one actor resolution, built once per execution and
+/// reset by every run whose treatment resolves the actors the same way.
+pub(super) struct CompiledProcesses {
+    /// The level of every node process's `nodes_factor` in the treatment,
+    /// in process order: all a resolution depends on.
+    levels: Vec<Option<LevelValue>>,
+    actors: Arc<ResolvedActors>,
+    /// Taken by the run that executes them, and put back after it.
+    procs: Vec<ProcessInstance>,
+}
+
+/// The treatment's level of every node process's `nodes_factor`, the
+/// input of [`ResolvedActors::resolve`] besides the fixed description and
+/// binding.
+fn resolution_levels<'a>(
+    desc: &'a ExperimentDescription,
+    treatment: &'a Treatment,
+) -> impl Iterator<Item = Option<&'a LevelValue>> {
+    desc.node_processes
+        .iter()
+        .filter_map(|p| p.nodes_factor.as_deref())
+        .map(|factor| treatment.level(factor))
+}
+
+/// The node name of the master's own events, shared by all of them.
+fn master_node() -> Arc<str> {
+    static MASTER: OnceLock<Arc<str>> = OnceLock::new();
+    Arc::clone(MASTER.get_or_init(|| Arc::from("master")))
+}
+
 impl ExperiMaster {
-    /// Instantiates the process set of one run.
-    fn instantiate_processes(&self) -> Vec<ProcessInstance> {
+    /// Instantiates the process set of `actors`: one instance per node an
+    /// actor process resolves to, then the environment processes.
+    fn instantiate_processes(&self, actors: &ResolvedActors) -> Vec<ProcessInstance> {
         let mut procs = Vec::new();
         for p in &self.desc.node_processes {
-            for (i, (_, platform, _)) in self.actors.instances(&p.actor_id).iter().enumerate() {
+            let actions: Arc<[_]> = p.actions.clone().into();
+            for (i, (_, platform, _)) in actors.instances(&p.actor_id).iter().enumerate() {
                 procs.push(ProcessInstance::new(
                     format!("{}[{}]@{}", p.actor_id, i, platform),
                     Some(platform.clone()),
                     p.name.clone(),
-                    p.actions.clone(),
+                    Arc::clone(&actions),
                 ));
             }
         }
@@ -46,21 +79,48 @@ impl ExperiMaster {
         procs
     }
 
+    /// Resolves the actors of `treatment` and takes the process set they
+    /// run, building both on the first run that resolves this way. Returns
+    /// the set's place, where [`Self::execute_run`] puts it back.
+    fn take_processes(
+        &mut self,
+        treatment: &Treatment,
+    ) -> Result<(usize, Vec<ProcessInstance>), EngineError> {
+        let desc = &self.desc;
+        let found = self.compiled.iter().position(|c| {
+            let levels = c.levels.iter().map(Option::as_ref);
+            levels.eq(resolution_levels(desc, treatment))
+        });
+        let at = match found {
+            Some(at) => at,
+            None => {
+                let actors = ResolvedActors::resolve(&self.desc, treatment, &self.binding)
+                    .map_err(EngineError::Run)?;
+                let procs = self.instantiate_processes(&actors);
+                let levels = resolution_levels(&self.desc, treatment)
+                    .map(Option::<&LevelValue>::cloned)
+                    .collect();
+                self.compiled.push(CompiledProcesses {
+                    levels,
+                    actors: Arc::new(actors),
+                    procs,
+                });
+                self.compiled.len() - 1
+            }
+        };
+        self.actors = Arc::clone(&self.compiled[at].actors);
+        Ok((at, std::mem::take(&mut self.compiled[at].procs)))
+    }
+
     fn drain_events(&mut self) {
         let drained = self.sim.lock().drain_protocol_events();
         for e in drained {
-            let pid = self
-                .binding
-                .platform_id(e.node)
-                .map(str::to_string)
-                .unwrap_or_else(|| e.node.to_string());
-            self.log.record(
-                self.run_id,
-                pid,
-                e.local_time,
-                e.name,
-                e.params.into_string_pairs(),
-            );
+            let node = match self.binding.shared_platform_id(e.node) {
+                Some(pid) => Arc::clone(pid),
+                None => Arc::from(e.node.to_string()),
+            };
+            self.log
+                .record(self.run_id, node, e.local_time, e.name, e.params);
         }
     }
 
@@ -71,7 +131,7 @@ impl ExperiMaster {
         for w in &mut windows {
             if w.handle.is_none() && now >= w.start && now < w.stop {
                 let v = self
-                    .retry_call(&w.platform_id, "fault_start", vec![w.spec.clone()])
+                    .retry_call(w.link, "fault_start", std::slice::from_ref(&w.spec))
                     .map_err(|e| EngineError::from_rpc(w.platform_id.clone(), e))?;
                 w.handle = v.as_int();
             }
@@ -92,7 +152,7 @@ impl ExperiMaster {
     /// Stops a windowed fault if it was started.
     fn stop_fault(&self, w: &FaultWindow) -> Result<(), EngineError> {
         if let Some(h) = w.handle {
-            self.retry_call(&w.platform_id, "fault_stop", vec![Value::Int(h)])
+            self.retry_call(w.link, "fault_stop", &[Value::Int(h)])
                 .map_err(|e| EngineError::from_rpc(w.platform_id.clone(), e))?;
         }
         Ok(())
@@ -102,11 +162,12 @@ impl ExperiMaster {
     /// which it returns.
     pub(super) fn record_master_event(
         &mut self,
-        name: &str,
-        params: Vec<(String, String)>,
+        name: impl Into<EventName>,
+        params: EventParams,
     ) -> SimTime {
         let now = self.sim.lock().now();
-        self.log.record(self.run_id, "master", now, name, params);
+        self.log
+            .record(self.run_id, master_node(), now, name, params);
         now
     }
 
@@ -138,9 +199,7 @@ impl ExperiMaster {
         let preparing = self.phase_timer(|| "run_prepare");
         self.run_id = run.run_id;
         self.replicate = run.replicate;
-        self.treatment = run.treatment.clone();
-        self.actors = ResolvedActors::resolve(&self.desc, &run.treatment, &self.binding)
-            .map_err(EngineError::Run)?;
+        let (compiled, mut procs) = self.take_processes(&run.treatment)?;
         self.traffic = None;
         self.cbr_flows.clear();
         self.fault_windows.clear();
@@ -152,22 +211,21 @@ impl ExperiMaster {
         self.log.clear();
         self.log.align_for_run(run.run_id);
         let run_start = self.sim.lock().now();
-        let managed = self.managed_ids();
         self.finish_phase(preparing, "run_prepare");
 
         // Each preparation procedure fans out to all nodes concurrently,
         // with a barrier between the phases: no node enters
         // `experiment_init` before every node finished `run_init`.
-        self.fan_out(&managed, "run_init", &[])?;
-        self.fan_out(&managed, "experiment_init", &[])?;
+        self.fan_out("run_init", &[])?;
+        self.fan_out("experiment_init", &[])?;
         // Preliminary measurement: clock offset against the reference
         // (paper §IV-B3, stored as RunInfos.TimeDiff).
-        let measured = self.fan_out(&managed, "measure_sync", &[])?;
+        let measured = self.fan_out("measure_sync", &[])?;
 
         // ---- execution ---------------------------------------------------------
         let executing = self.phase_timer(|| "run_execute");
-        let mut sync_offsets: HashMap<String, i64> = HashMap::new();
-        for (pid, m) in managed.iter().zip(measured) {
+        let mut sync_offsets: Vec<i64> = Vec::with_capacity(measured.len());
+        for (pid, m) in self.managed.iter().zip(measured) {
             let offset: i64 = m
                 .member("offset_ns")
                 .and_then(Value::as_str)
@@ -176,29 +234,30 @@ impl ExperiMaster {
                     node: pid.clone(),
                     detail: "measure_sync returned no offset".into(),
                 })?;
-            sync_offsets.insert(pid.clone(), offset);
+            sync_offsets.push(offset);
         }
-        self.record_master_event("run_init", vec![("run".into(), run.run_id.to_string())]);
+        let run_param = || EventParams::from([("run", run.run_id.to_string())]);
+        self.record_master_event("run_init", run_param());
 
-        let mut procs = self.instantiate_processes();
-        // Flow control must only consider events of *this* run: stamp every
-        // process's initial marker at the current log position (run_init
-        // resets the environment, §IV-C1).
+        // Flow control must only consider events of *this* run: every
+        // process starts at its first action with its marker at the
+        // current log position (run_init resets the environment, §IV-C1).
         let run_marker = self.log.marker();
         for p in &mut procs {
-            p.marker = run_marker;
+            p.reset(run_marker);
         }
         let deadline = run_start + self.cfg.run_timeout;
         loop {
             // Step processes until quiescent.
             loop {
                 let mut any = false;
-                let mut taken = std::mem::take(&mut procs);
-                for p in &mut taken {
-                    let mut ctx = MasterCtx { master: self };
+                for p in &mut procs {
+                    let mut ctx = MasterCtx {
+                        master: self,
+                        treatment: &run.treatment,
+                    };
                     any |= interp::step(p, &mut ctx);
                 }
-                procs = taken;
                 self.drain_events();
                 if !any {
                     break;
@@ -245,25 +304,39 @@ impl ExperiMaster {
             self.stop_fault(&w)?;
         }
         self.finish_phase(cleaning, "run_cleanup");
-        self.fan_out(&managed, "run_exit", &[])?;
+        self.fan_out("run_exit", &[])?;
 
         // ---- collection into level 2 ---------------------------------------------
         let staging = self.phase_timer(|| "l2_stage");
         self.drain_events();
-        let run_end =
-            self.record_master_event("run_exit", vec![("run".into(), run.run_id.to_string())]);
+        let run_end = self.record_master_event("run_exit", run_param());
         let events = l2codec::encode_events(self.log.events(), run.run_id)
             .map_err(|e| l2codec::entry_error(run.run_id, l2codec::MASTER, l2codec::EVENTS, e))?;
-        let stage = |node: &str, name: &str, data: &[u8]| l2.put_run(run.run_id, node, name, data);
-        stage(l2codec::MASTER, l2codec::EVENTS, &events)?;
-        let sync = l2codec::sync_to_json(&sync_offsets).to_string();
-        stage(l2codec::MASTER, l2codec::SYNC, sync.as_bytes())?;
-        let start = JsonValue::Int(run_start.as_nanos() as i64).to_string();
-        stage(l2codec::MASTER, l2codec::START, start.as_bytes())?;
+        l2.put_run(run.run_id, l2codec::MASTER, l2codec::EVENTS, events)?;
+        // `sync.json` and `start.json` are rendered into the one buffer
+        // the master keeps for its small entries.
+        let mut offsets: Vec<(&str, i64)> = self
+            .managed
+            .iter()
+            .map(String::as_str)
+            .zip(sync_offsets)
+            .collect();
+        let buf = &mut self.entry_buf;
+        buf.clear();
+        l2codec::write_sync(buf, &mut offsets);
+        l2.put_run(run.run_id, l2codec::MASTER, l2codec::SYNC, buf.as_slice())?;
+        buf.clear();
+        l2codec::write_start(buf, run_start.as_nanos());
+        l2.put_run(run.run_id, l2codec::MASTER, l2codec::START, buf.as_slice())?;
         // Plugin measurements get their separate storage location (§IV-B5).
         if !self.run_measurements.is_empty() {
             let ms = l2codec::measurements_to_json(&self.run_measurements).to_string();
-            stage(l2codec::PLUGINS, l2codec::MEASUREMENTS, ms.as_bytes())?;
+            l2.put_run(
+                run.run_id,
+                l2codec::PLUGINS,
+                l2codec::MEASUREMENTS,
+                ms.into_bytes(),
+            )?;
         }
         self.finish_phase(staging, "l2_stage");
 
@@ -275,13 +348,12 @@ impl ExperiMaster {
                 Some(pid) => Cow::Borrowed(pid),
                 None => Cow::Owned(node.to_string()),
             };
-            for pid in &managed {
-                let node = self.binding.sim_node(pid).unwrap();
-                let captures = sim.drain_captures(node);
+            for (link, pid) in self.managed.iter().enumerate() {
+                let captures = sim.drain_captures(NodeId(link as u16));
                 packets_total += captures.len();
                 let entry = l2codec::encode_captures(&captures, src_id)
                     .map_err(|e| l2codec::entry_error(run.run_id, pid, l2codec::CAPTURES, e))?;
-                stage(pid, l2codec::CAPTURES, &entry)?;
+                l2.put_run(run.run_id, pid, l2codec::CAPTURES, entry)?;
             }
         }
         self.finish_phase(staging, "l2_captures");
@@ -293,11 +365,15 @@ impl ExperiMaster {
         // marker lands can be resumed by a fresh incarnation — with
         // fresh, empty NodeManagers — and the packaged Logs still cover
         // every run, byte-identically.
-        let segments = self.fan_out(&managed, "collect_log", &[Value::Bool(true)])?;
+        let segments = self.fan_out("collect_log", &[Value::Bool(true)])?;
         let staging = self.phase_timer(|| "l2_node_logs");
-        for (pid, segment) in managed.iter().zip(segments) {
-            let segment = segment.as_str().map(str::to_string).unwrap_or_default();
-            stage(pid, l2codec::NODE_LOG, segment.as_bytes())?;
+        for (pid, segment) in self.managed.iter().zip(segments) {
+            // The segment the NodeManager handed over is staged as it is.
+            let segment = match segment {
+                Value::String(text) => text.into_bytes(),
+                _ => Vec::new(),
+            };
+            l2.put_run(run.run_id, pid, l2codec::NODE_LOG, segment)?;
         }
         self.finish_phase(staging, "l2_node_logs");
         // Per-run observability summary: flush the data plane's batched
@@ -314,7 +390,12 @@ impl ExperiMaster {
                 .observe(run_end.saturating_since(run_start).as_nanos());
             let spans = excovery_obs::global_tracer().drain();
             let summary = l2codec::obs_jsonl(reg.snapshot(), spans);
-            stage(l2codec::OBS, l2codec::OBS_SUMMARY, summary.as_bytes())?;
+            l2.put_run(
+                run.run_id,
+                l2codec::OBS,
+                l2codec::OBS_SUMMARY,
+                summary.into_bytes(),
+            )?;
         }
         self.finish_phase(rendering, "obs_summary");
 
@@ -326,6 +407,7 @@ impl ExperiMaster {
                 _ => None,
             })
             .collect();
+        self.compiled[compiled].procs = procs;
         let outcome = RunOutcome {
             run_id: run.run_id,
             replicate: run.replicate,
@@ -339,8 +421,15 @@ impl ExperiMaster {
         // The summary is staged before the seal, so it is inside the
         // record the journal confirms: a run is only "complete" once a
         // resumed master can restore its outcome without re-executing it.
-        let summary = l2codec::outcome_to_json(&outcome).to_string();
-        stage(l2codec::MASTER, l2codec::OUTCOME, summary.as_bytes())?;
+        let buf = &mut self.entry_buf;
+        buf.clear();
+        l2codec::write_outcome(buf, &outcome);
+        l2.put_run(
+            run.run_id,
+            l2codec::MASTER,
+            l2codec::OUTCOME,
+            buf.as_slice(),
+        )?;
         l2.mark_run_complete(run.run_id)?;
         self.finish_phase(sealing, "l2_seal");
         Ok(outcome)

@@ -20,6 +20,7 @@ use excovery_sd::{
     sd_command, Role, SdAgent, SdCommand, SdConfig, ServiceDescription, ServiceType, SD_PORT,
 };
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// Shared handle to the simulated platform.
@@ -69,29 +70,28 @@ impl NodeManager {
             let sim = Arc::clone(&sim);
             let log = Arc::clone(&log);
             let pid = pid.clone();
-            reg.set_observer(move |call| {
+            reg.set_observer(move |method, params| {
                 // Procedure names form a fixed vocabulary (the registry
                 // below), so the label stays low-cardinality.
                 if excovery_obs::enabled() {
                     excovery_obs::global()
-                        .counter(
-                            "nodemanager_calls_total",
-                            &[("method", call.method.as_str())],
-                        )
+                        .counter("nodemanager_calls_total", &[("method", method)])
                         .inc();
                 }
-                if call.method == "collect_log" {
+                if method == "collect_log" {
                     return;
                 }
                 let local = {
                     let s = sim.lock();
                     s.clock(node).local_time(s.now())
                 };
-                log.lock().push_str(&format!(
-                    "[{local}] {pid} <- {}({} params)\n",
-                    call.method,
-                    call.params.len()
-                ));
+                // The line goes straight into the segment. Writing into a
+                // string cannot fail.
+                let _ = writeln!(
+                    log.lock(),
+                    "[{local}] {pid} <- {method}({} params)",
+                    params.len()
+                );
             });
         }
         {

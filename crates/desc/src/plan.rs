@@ -59,7 +59,7 @@ pub struct Treatment {
 
 impl Treatment {
     /// Creates a treatment from explicit assignments.
-    pub fn from_assignments(assignments: impl IntoIterator<Item = (String, Level)>) -> Self {
+    pub(crate) fn from_assignments(assignments: impl IntoIterator<Item = (String, Level)>) -> Self {
         Self {
             assignments: assignments.into_iter().collect(),
         }

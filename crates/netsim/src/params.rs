@@ -152,18 +152,6 @@ impl EventParams {
             .filter_map(|p| p.as_ref())
             .chain(self.spill.iter())
     }
-
-    /// Converts into owned `(String, String)` pairs (the storage format of
-    /// the experiment event log — a cold path).
-    pub fn into_string_pairs(self) -> Vec<(String, String)> {
-        let EventParams { inline, spill } = self;
-        inline
-            .into_iter()
-            .flatten()
-            .chain(spill)
-            .map(|(k, v)| (k.into_string(), v.into_string()))
-            .collect()
-    }
 }
 
 impl<K: Into<EventStr>, V: Into<EventStr>, const N: usize> From<[(K, V); N]> for EventParams {
@@ -231,19 +219,21 @@ mod tests {
         assert_eq!(p.spill.len(), 3);
         let keys: Vec<&str> = p.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(keys, ["k0", "k1", "k2", "k3", "k4", "k5"]);
-        assert_eq!(
-            p.into_string_pairs(),
-            (0..6)
-                .map(|i| (format!("k{i}"), format!("v{i}")))
-                .collect::<Vec<_>>()
-        );
+        let pairs: Vec<(&str, &str)> = p.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
+        let want: Vec<(String, String)> =
+            (0..6).map(|i| (format!("k{i}"), format!("v{i}"))).collect();
+        assert!(pairs
+            .iter()
+            .zip(&want)
+            .all(|(got, want)| got.0 == want.0 && got.1 == want.1));
+        assert_eq!(pairs.len(), want.len());
     }
 
     #[test]
     fn empty_params() {
         let p = EventParams::new();
         assert_eq!(p.iter().count(), 0);
-        assert!(p.into_string_pairs().is_empty());
+        assert_eq!(p, EventParams::default());
     }
 
     #[test]

@@ -286,6 +286,11 @@ pub(crate) struct Shard {
     /// Emitted protocol events with their `(reference time, global key)`;
     /// merged across shards in key order when drained.
     pub protocol_events: Vec<(SimTime, u64, ProtocolEvent)>,
+    /// Empty lists lent to every agent callback's `AgentCtx` and taken
+    /// back drained, so a callback that arms a timer, sends or emits
+    /// reuses their capacity instead of allocating two vectors.
+    pub spare_actions: Vec<crate::sim::Action>,
+    pub spare_events: Vec<ProtocolEvent>,
     /// Events this shard pushed into cross-shard mailboxes.
     pub crossings_out: u64,
     /// Parallel windows this shard participated in.
@@ -327,6 +332,8 @@ impl Shard {
             window_end: SimTime::ZERO,
             suppressed_total: 0,
             protocol_events: Vec::new(),
+            spare_actions: Vec::new(),
+            spare_events: Vec::new(),
             crossings_out: 0,
             windows: 0,
             barrier_wait_ns: 0,

@@ -100,7 +100,7 @@ pub struct ProtocolEvent {
 }
 
 /// What an agent asked the simulator to do during a callback.
-enum Action {
+pub(crate) enum Action {
     Send {
         dst: Destination,
         port: Port,
@@ -592,8 +592,9 @@ impl Shard {
         self.suppressed_min = u64::MAX;
     }
 
-    /// Runs `f` on the agent at `(node, port)` with a fresh context, then
-    /// applies the actions the agent requested.
+    /// Runs `f` on the agent at `(node, port)` with a context that
+    /// borrows the shard's spare action and event lists, then applies the
+    /// actions the agent requested.
     pub(crate) fn dispatch(
         &mut self,
         ctx: &SimCtx,
@@ -603,30 +604,54 @@ impl Shard {
         f: impl FnOnce(&mut dyn Agent, &mut AgentCtx),
     ) {
         let now = self.time;
+        let (actions, events) = self.lend_lists();
         let SimNode {
             agents, clock, rng, ..
         } = self.node_mut(ctx, node);
         let Some(agent) = agents.get_mut(&port) else {
+            self.return_lists(actions, events);
             return;
         };
         let mut actx = AgentCtx {
             now,
             local_now: clock.local_time(now),
             node,
-            actions: Vec::new(),
-            events: Vec::new(),
+            actions,
+            events,
             rng,
             shared: ctx.shared,
         };
         f(agent.as_mut(), &mut actx);
         let AgentCtx {
-            actions, events, ..
+            mut actions,
+            mut events,
+            ..
         } = actx;
-        self.apply(ctx, mail, node, port, actions, events);
+        self.apply(ctx, mail, node, port, &mut actions, &mut events);
+        self.return_lists(actions, events);
+    }
+
+    /// The shard's spare action and event lists, empty, for one agent
+    /// callback: a callback allocates only where it outgrows them.
+    #[inline]
+    fn lend_lists(&mut self) -> (Vec<Action>, Vec<ProtocolEvent>) {
+        (
+            std::mem::take(&mut self.spare_actions),
+            std::mem::take(&mut self.spare_events),
+        )
+    }
+
+    /// Takes back the lists [`Self::lend_lists`] lent, drained.
+    #[inline]
+    fn return_lists(&mut self, actions: Vec<Action>, events: Vec<ProtocolEvent>) {
+        debug_assert!(actions.is_empty() && events.is_empty());
+        self.spare_actions = actions;
+        self.spare_events = events;
     }
 
     /// Records the protocol events an agent at `(node, port)` emitted and
-    /// carries out the actions it requested, in order.
+    /// carries out the actions it requested, in order, draining both
+    /// lists.
     #[inline]
     fn apply(
         &mut self,
@@ -634,15 +659,15 @@ impl Shard {
         mail: &MailboxGrid<Ev>,
         node: NodeId,
         port: Port,
-        actions: Vec<Action>,
-        events: Vec<ProtocolEvent>,
+        actions: &mut Vec<Action>,
+        events: &mut Vec<ProtocolEvent>,
     ) {
         let now = self.time;
-        for pe in events {
+        for pe in events.drain(..) {
             let key = self.node_mut(ctx, node).next_key();
             self.protocol_events.push((now, key, pe));
         }
-        for action in actions {
+        for action in actions.drain(..) {
             match action {
                 Action::Send {
                     dst,
@@ -999,6 +1024,7 @@ impl Shard {
         unheard: CaptureKind,
     ) {
         let now = self.time;
+        let (actions, events) = self.lend_lists();
         let SimNode {
             agents,
             clock,
@@ -1014,26 +1040,30 @@ impl Shard {
         };
         captures.record(CaptureRecord::of(at, local_now, packet, kind));
         let Some(agent) = agent else {
+            self.return_lists(actions, events);
             return;
         };
         let mut actx = AgentCtx {
             now,
             local_now,
             node: at,
-            actions: Vec::new(),
-            events: Vec::new(),
+            actions,
+            events,
             rng,
             shared: ctx.shared,
         };
         agent.on_packet(&mut actx, packet);
         let AgentCtx {
-            actions, events, ..
+            mut actions,
+            mut events,
+            ..
         } = actx;
         self.stats.delivered += 1;
         // Most deliveries (a record merged, a refresh) request nothing.
         if !(actions.is_empty() && events.is_empty()) {
-            self.apply(ctx, mail, at, packet.port, actions, events);
+            self.apply(ctx, mail, at, packet.port, &mut actions, &mut events);
         }
+        self.return_lists(actions, events);
     }
 }
 

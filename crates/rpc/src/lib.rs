@@ -13,7 +13,8 @@
 //! The `value` and `message` modules implement the XML-RPC wire format
 //! (values, method calls, responses, faults) on top of `excovery-xml`, and
 //! [`ServerRegistry`] is the NodeManager's side of it: procedures plus
-//! idempotent, at-most-once dispatch keyed by a trailing `__idem` struct.
+//! idempotent, at-most-once dispatch keyed by an [`IdemKey`] (on the wire,
+//! a trailing `__idem` struct).
 //!
 //! Every client reaches a registry through one path, the [`Reactor`]:
 //! each of the master's lifecycle fan-outs and in-run calls is a
@@ -52,5 +53,5 @@ pub use job::{
 pub use message::{Fault, MethodCall, MethodResponse};
 pub use reactor::{DispatchOutcome, NodeCall, NodeProxy, Reactor, ReactorEndpoint, RetryPolicy};
 pub use tcp::{TcpOptions, TcpRpcServer, TcpTransport};
-pub use transport::{Channel, ServerRegistry};
+pub use transport::{Channel, IdemKey, ServerRegistry};
 pub use value::Value;

@@ -59,16 +59,7 @@ impl MethodCall {
 
     /// Serializes to the XML wire form.
     pub fn to_xml(&self) -> String {
-        let mut root = Element::new("methodCall");
-        root.push(Element::with_text("methodName", self.method.clone()));
-        let mut params = Element::new("params");
-        for p in &self.params {
-            let mut param = Element::new("param");
-            param.push(p.to_element());
-            params.push(param);
-        }
-        root.push(params);
-        excovery_xml::to_string(&Document::with_declaration(root))
+        call_xml(&self.method, &self.params)
     }
 
     /// Parses from the XML wire form.
@@ -96,6 +87,21 @@ impl MethodCall {
         }
         Ok(Self { method, params })
     }
+}
+
+/// The XML wire form of a call of `method` with `params`, the bytes
+/// [`MethodCall::to_xml`] writes, for a caller that holds the parts.
+pub(crate) fn call_xml<'a>(method: &str, params: impl IntoIterator<Item = &'a Value>) -> String {
+    let mut root = Element::new("methodCall");
+    root.push(Element::with_text("methodName", method));
+    let mut list = Element::new("params");
+    for p in params {
+        let mut param = Element::new("param");
+        param.push(p.to_element());
+        list.push(param);
+    }
+    root.push(list);
+    excovery_xml::to_string(&Document::with_declaration(root))
 }
 
 impl MethodResponse {

@@ -13,13 +13,14 @@
 //! response — so a phase costs the same whether it reaches 2 nodes or
 //! 1,000, and a single call is a dispatch of one.
 //!
-//! Every NodeManager has exactly one link, and each call travels on it as
-//! an ordinary single-method frame. A keyed call (the master's) carries a
-//! trailing `{__idem: key}` struct and is replayed, not re-executed, by
-//! the server; an unkeyed call (a [`NodeProxy`]'s) carries exactly the
-//! caller's parameters. In-memory links skip the XML wire format entirely
-//! and dispatch against the registry, which is safe because
-//! idempotency/dedup live in `ServerRegistry::dispatch` itself.
+//! Every NodeManager has exactly one link. A keyed call (the master's)
+//! is replayed, not re-executed, by the server; an unkeyed call (a
+//! [`NodeProxy`]'s) carries exactly the caller's parameters. On a TCP link
+//! a call travels as an ordinary single-method frame, its key as a
+//! trailing `{__idem: "run:epoch:seq"}` struct. In-memory links skip the
+//! XML wire format entirely and hand the registry the method, the key and
+//! the borrowed parameters, which is safe because idempotency/dedup live
+//! in the registry itself.
 //!
 //! Chaos and retry live here too. Each chaos-enabled node has one position
 //! in its seeded schedule ([`crate::chaos`]), advanced once per attempt;
@@ -39,12 +40,11 @@
 
 use crate::chaos::{ChaosOptions, FaultAction, NodeSchedule};
 use crate::error::RpcError;
-use crate::message::{MethodCall, MethodResponse};
+use crate::message::{call_xml, MethodResponse};
 use crate::tcp::{TcpOptions, TcpTransport, MAX_FRAME_BYTES};
-use crate::transport::{Channel, ClientObs, ServerRegistry, IDEMPOTENCY_MEMBER};
+use crate::transport::{Channel, ClientObs, IdemKey, ServerRegistry, IDEMPOTENCY_MEMBER};
 use crate::value::Value;
 use excovery_obs::sync::Mutex;
-use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -130,34 +130,38 @@ impl RetryPolicy {
     }
 }
 
-/// One logical control call: target node, method, parameters and the
+/// One logical control call: target link, method, parameters and the
 /// optional idempotency key reused across every retry of this call.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NodeCall {
-    /// Platform id of the target NodeManager.
-    pub node_id: String,
+///
+/// A call borrows what it carries. A memory link hands the method, the
+/// parameters and the key to the registry as they are; only a TCP link
+/// encodes them, with the key as a trailing `{__idem: "run:epoch:seq"}`
+/// struct.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct NodeCall<'a> {
+    /// The target NodeManager's link, as [`Reactor::add_node`] numbered it.
+    pub link: usize,
     /// Procedure name.
-    pub method: String,
-    /// Parameters, without the trailing idempotency struct.
-    pub params: Vec<Value>,
-    /// Idempotency key (the master's `{run_id}:{epoch}:{seq}`). A keyed
-    /// response is cached server-side, so a retry replays it; `None`
-    /// sends the bare parameters, and such a call is dispatched with
+    pub method: &'a str,
+    /// Parameters, without the idempotency key.
+    pub params: &'a [Value],
+    /// Idempotency key. A keyed call is executed at most once per key, so
+    /// a retry of a call whose response was lost replays it; `None` sends
+    /// the bare parameters, and such a call is dispatched with
     /// [`RetryPolicy::none`] because a retry could execute it twice.
-    pub idem_key: Option<String>,
+    pub idem_key: Option<IdemKey>,
 }
 
 /// Result of one [`NodeCall`] after retries, aligned with the input order
 /// of [`Reactor::dispatch`].
 #[derive(Debug)]
 pub struct DispatchOutcome {
-    /// Platform id the call was addressed to.
-    pub node_id: String,
     /// Final result after the retry budget.
     pub result: Result<Value, RpcError>,
     /// Transient failures absorbed by retry for this call.
     pub retries: u64,
-    /// Wall time from dispatch start to this call's completion.
+    /// Wall time from dispatch start to this call's completion, measured
+    /// only while observability records (0 otherwise).
     pub duration_ns: u64,
 }
 
@@ -178,7 +182,12 @@ struct NodeLink {
 /// schedule, driven by [`Reactor::dispatch`] on the caller's thread.
 pub struct Reactor {
     nodes: Vec<NodeLink>,
-    index: HashMap<String, usize>,
+    // The per-dispatch state, kept between dispatches so that a call
+    // allocates only for what it carries: one entry per call, one busy
+    // flag per link, and the wire ops in flight.
+    states: Vec<CallState>,
+    busy: Vec<bool>,
+    ops: Vec<WireOp>,
 }
 
 enum Phase {
@@ -196,7 +205,6 @@ struct CallState {
     attempts: u32,
     retries: u64,
     backoff: Duration,
-    started: Instant,
     duration_ns: u64,
     phase: Phase,
 }
@@ -212,7 +220,12 @@ struct WireOp {
     /// The call's chaos verdict: only the wire-reaching `Pass`,
     /// `DropResponse` and `Delay` occur here.
     verdict: FaultAction,
-    call: MethodCall,
+    /// The exchange on a TCP link; a memory op has none.
+    wire: Option<Exchange>,
+}
+
+/// One framed request and its response on a TCP link.
+struct Exchange {
     frame: Vec<u8>,
     sent: usize,
     /// Response bytes: the first `received` are read, the rest is room
@@ -227,17 +240,38 @@ struct WireOp {
 
 enum Step {
     Pending,
-    Done(Result<MethodResponse, RpcError>),
+    /// The exchange ended: the response, or `None` where a memory link
+    /// knew it was lost and the registry recorded it instead.
+    Done(Result<Option<MethodResponse>, RpcError>),
 }
 
-fn finish(state: &mut CallState, result: Result<Value, RpcError>) {
-    state.duration_ns = state.started.elapsed().as_nanos() as u64;
+/// The clock of one dispatch sweep, read on first use: a sweep over
+/// memory links with no timer pending reads none.
+#[derive(Default)]
+struct SweepClock(Option<Instant>);
+
+impl SweepClock {
+    fn now(&mut self) -> Instant {
+        *self.0.get_or_insert_with(Instant::now)
+    }
+}
+
+fn finish(state: &mut CallState, started: Option<Instant>, result: Result<Value, RpcError>) {
+    if let Some(t0) = started {
+        state.duration_ns = t0.elapsed().as_nanos() as u64;
+    }
     state.phase = Phase::Done(result);
 }
 
 /// One attempt failed: retry retryable errors while budget remains,
 /// otherwise the error is final.
-fn fail_attempt(state: &mut CallState, method: &str, err: RpcError, retry: &RetryPolicy) {
+fn fail_attempt(
+    state: &mut CallState,
+    started: Option<Instant>,
+    method: &str,
+    err: RpcError,
+    retry: &RetryPolicy,
+) {
     state.attempts += 1;
     if err.is_retryable() && state.attempts < retry.max_attempts.max(1) {
         state.retries += 1;
@@ -249,34 +283,37 @@ fn fail_attempt(state: &mut CallState, method: &str, err: RpcError, retry: &Retr
         state.phase = Phase::Waiting(Instant::now() + state.backoff);
         state.backoff = state.backoff.saturating_mul(2).min(retry.backoff_max);
     } else {
-        finish(state, Err(err));
+        finish(state, started, Err(err));
     }
 }
 
 fn settle_attempt(
     state: &mut CallState,
+    started: Option<Instant>,
     method: &str,
     result: Result<Value, RpcError>,
     retry: &RetryPolicy,
 ) {
     match result {
-        Ok(v) => finish(state, Ok(v)),
-        Err(e) => fail_attempt(state, method, e, retry),
+        Ok(v) => finish(state, started, Ok(v)),
+        Err(e) => fail_attempt(state, started, method, e, retry),
     }
 }
 
 fn apply_verdict(
     state: &mut CallState,
+    started: Option<Instant>,
     method: &str,
     verdict: FaultAction,
-    result: Result<Value, RpcError>,
+    response: Option<MethodResponse>,
     retry: &RetryPolicy,
 ) {
-    match verdict {
+    match (verdict, response) {
         // The server executed; only the response is lost. The retry will
         // replay the recorded response under the same idempotency key.
-        FaultAction::DropResponse => fail_attempt(
+        (FaultAction::DropResponse, _) => fail_attempt(
             state,
+            started,
             method,
             RpcError::Timeout {
                 method: method.to_string(),
@@ -284,13 +321,16 @@ fn apply_verdict(
             },
             retry,
         ),
-        FaultAction::Delay(ms) => {
+        (FaultAction::Delay(ms), Some(response)) => {
             state.phase = Phase::Delayed {
                 until: Instant::now() + Duration::from_millis(ms),
-                result,
+                result: response_to_result(response),
             }
         }
-        _ => settle_attempt(state, method, result, retry),
+        (_, Some(response)) => {
+            settle_attempt(state, started, method, response_to_result(response), retry)
+        }
+        (_, None) => unreachable!("only a dropped response stays with the registry"),
     }
 }
 
@@ -323,13 +363,44 @@ fn decode_frame(in_buf: &[u8], obs: &ClientObs) -> Option<Step> {
     }
     obs.add_bytes_received(len);
     Some(Step::Done(match std::str::from_utf8(&in_buf[4..4 + len]) {
-        Ok(xml) => MethodResponse::from_xml(xml).map_err(|e| RpcError::Codec(e.to_string())),
+        Ok(xml) => MethodResponse::from_xml(xml)
+            .map(Some)
+            .map_err(|e| RpcError::Codec(e.to_string())),
         Err(_) => Err(RpcError::Codec("response frame is not UTF-8".into())),
     }))
 }
 
+/// The framed request of `call`: its parameters, then the key as the
+/// trailing `{__idem: "run:epoch:seq"}` struct if it has one. The key
+/// becomes text here and nowhere else.
+fn encode_request(call: &NodeCall) -> Result<Vec<u8>, RpcError> {
+    let key = call.idem_key.map(|key| {
+        Value::Struct(vec![(
+            IDEMPOTENCY_MEMBER.into(),
+            Value::String(key.to_string()),
+        )])
+    });
+    let xml = call_xml(call.method, call.params.iter().chain(&key));
+    if xml.len() as u64 > u64::from(MAX_FRAME_BYTES) {
+        return Err(RpcError::Codec(format!(
+            "request frame of {} bytes exceeds the {MAX_FRAME_BYTES}-byte cap",
+            xml.len()
+        )));
+    }
+    let mut frame = Vec::with_capacity(4 + xml.len());
+    frame.extend_from_slice(&(xml.len() as u32).to_be_bytes());
+    frame.extend_from_slice(xml.as_bytes());
+    Ok(frame)
+}
+
 /// Advances one wire op as far as it can go without blocking.
-fn step_op(link: &mut Link, obs: &ClientObs, op: &mut WireOp, now: Instant) -> Step {
+fn step_op(
+    link: &mut Link,
+    obs: &ClientObs,
+    op: &mut WireOp,
+    call: &NodeCall,
+    clock: &mut SweepClock,
+) -> Step {
     // Ops of one sweep are stepped in turn and a memory op completes in
     // its first step, so its latency starts here, not when the op was made.
     if op.started.is_none() {
@@ -341,84 +412,85 @@ fn step_op(link: &mut Link, obs: &ClientObs, op: &mut WireOp, now: Instant) -> S
             "server closed the connection mid-call".into(),
         ))
     };
-    match link {
-        Link::Memory(registry) => Step::Done(Ok(registry.lock().dispatch(&op.call))),
-        Link::Tcp(tcp) => {
-            if now >= op.deadline {
-                return failed(RpcError::Timeout {
-                    method: op.call.method.clone(),
-                    after_ms: tcp.opts.call_timeout.as_millis() as u64,
-                });
+    let (tcp, ex) = match (link, &mut op.wire) {
+        (Link::Memory(registry), _) => {
+            let mut registry = registry.lock();
+            return Step::Done(Ok(if op.verdict == FaultAction::DropResponse {
+                registry.dispatch_lost(call.method, call.params, call.idem_key);
+                None
+            } else {
+                Some(registry.dispatch(call.method, call.params, call.idem_key))
+            }));
+        }
+        (Link::Tcp(tcp), Some(ex)) => (tcp, ex),
+        (Link::Tcp(_), None) => unreachable!("a TCP op carries its exchange"),
+    };
+    let now = clock.now();
+    if now >= ex.deadline {
+        return failed(RpcError::Timeout {
+            method: call.method.to_string(),
+            after_ms: tcp.opts.call_timeout.as_millis() as u64,
+        });
+    }
+    if tcp.stream.is_none() {
+        if now < ex.next_connect_at {
+            return Step::Pending;
+        }
+        match tcp.open() {
+            Ok(s) => tcp.stream = Some(s),
+            Err(e) => {
+                ex.connect_attempts += 1;
+                if ex.connect_attempts >= tcp.opts.max_connect_attempts.max(1) {
+                    return failed(tcp.unreachable(ex.connect_attempts, e));
+                }
+                ex.next_connect_at = now + ex.connect_backoff;
+                ex.connect_backoff = ex
+                    .connect_backoff
+                    .saturating_mul(2)
+                    .min(tcp.opts.backoff_max);
+                return Step::Pending;
             }
-            if tcp.stream.is_none() {
-                if now < op.next_connect_at {
-                    return Step::Pending;
-                }
-                match tcp.open() {
-                    Ok(s) => tcp.stream = Some(s),
-                    Err(e) => {
-                        op.connect_attempts += 1;
-                        if op.connect_attempts >= tcp.opts.max_connect_attempts.max(1) {
-                            return failed(tcp.unreachable(op.connect_attempts, e));
-                        }
-                        op.next_connect_at = now + op.connect_backoff;
-                        op.connect_backoff = op
-                            .connect_backoff
-                            .saturating_mul(2)
-                            .min(tcp.opts.backoff_max);
-                        return Step::Pending;
-                    }
-                }
-            }
-            let addr = tcp.addr;
-            let s = tcp.stream.as_mut().expect("stream just ensured");
-            while op.sent < op.frame.len() {
-                match s.write(&op.frame[op.sent..]) {
-                    Ok(0) => return closed(),
-                    Ok(n) => {
-                        op.sent += n;
-                        if op.sent == op.frame.len() {
-                            obs.add_bytes_sent(op.frame.len() - 4);
-                        }
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => return Step::Pending,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(e) => {
-                        return failed(RpcError::Disconnected(format!("write to {addr}: {e}")))
-                    }
-                }
-            }
-            loop {
-                // Header first, then the rest of the frame in one buffer:
-                // a large response lands in as few reads as the socket
-                // allows. `decode_frame` has refused an oversized header
-                // before its length sizes the buffer.
-                let want = frame_size(&op.in_buf[..op.received]).unwrap_or(4);
-                if op.in_buf.len() < want {
-                    op.in_buf.resize(want, 0);
-                }
-                match s.read(&mut op.in_buf[op.received..want]) {
-                    Ok(0) => return closed(),
-                    Ok(n) => {
-                        op.received += n;
-                        if let Some(step) = decode_frame(&op.in_buf[..op.received], obs) {
-                            return step;
-                        }
-                    }
-                    Err(e)
-                        if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut =>
-                    {
-                        break
-                    }
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(e) => {
-                        return failed(RpcError::Disconnected(format!("read from {addr}: {e}")))
-                    }
-                }
-            }
-            Step::Pending
         }
     }
+    let addr = tcp.addr;
+    let s = tcp.stream.as_mut().expect("stream just ensured");
+    while ex.sent < ex.frame.len() {
+        match s.write(&ex.frame[ex.sent..]) {
+            Ok(0) => return closed(),
+            Ok(n) => {
+                ex.sent += n;
+                if ex.sent == ex.frame.len() {
+                    obs.add_bytes_sent(ex.frame.len() - 4);
+                }
+            }
+            Err(e) if e.kind() == ErrorKind::WouldBlock => return Step::Pending,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => return failed(RpcError::Disconnected(format!("write to {addr}: {e}"))),
+        }
+    }
+    loop {
+        // Header first, then the rest of the frame in one buffer: a large
+        // response lands in as few reads as the socket allows.
+        // `decode_frame` has refused an oversized header before its length
+        // sizes the buffer.
+        let want = frame_size(&ex.in_buf[..ex.received]).unwrap_or(4);
+        if ex.in_buf.len() < want {
+            ex.in_buf.resize(want, 0);
+        }
+        match s.read(&mut ex.in_buf[ex.received..want]) {
+            Ok(0) => return closed(),
+            Ok(n) => {
+                ex.received += n;
+                if let Some(step) = decode_frame(&ex.in_buf[..ex.received], obs) {
+                    return step;
+                }
+            }
+            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => break,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => return failed(RpcError::Disconnected(format!("read from {addr}: {e}"))),
+        }
+    }
+    Step::Pending
 }
 
 impl Reactor {
@@ -426,18 +498,17 @@ impl Reactor {
     pub fn new() -> Self {
         Self {
             nodes: Vec::new(),
-            index: HashMap::new(),
+            states: Vec::new(),
+            busy: Vec::new(),
+            ops: Vec::new(),
         }
     }
 
-    /// Registers a NodeManager's link with an optional per-node chaos
-    /// schedule (drawn once per attempt).
-    pub fn add_node(
-        &mut self,
-        node_id: impl Into<String>,
-        endpoint: ReactorEndpoint,
-        chaos: Option<ChaosOptions>,
-    ) {
+    /// Adds a NodeManager's link with an optional per-node chaos schedule
+    /// (drawn once per attempt) and returns its number, the
+    /// [`NodeCall::link`] of every call to that node. Links are numbered
+    /// from 0 in the order they are added.
+    pub fn add_node(&mut self, endpoint: ReactorEndpoint, chaos: Option<ChaosOptions>) -> usize {
         let (link, transport) = match endpoint {
             ReactorEndpoint::Memory(registry) => (Link::Memory(registry), "memory"),
             ReactorEndpoint::Tcp { addr, opts } => {
@@ -451,57 +522,41 @@ impl Reactor {
             obs: ClientObs::new(transport),
             chaos: chaos.map(NodeSchedule::new),
         });
-        self.index.insert(node_id.into(), self.nodes.len() - 1);
+        self.nodes.len() - 1
     }
 
-    /// Nodes this reactor can reach, sorted.
-    pub fn node_ids(&self) -> Vec<String> {
-        let mut ids: Vec<String> = self.index.keys().cloned().collect();
-        ids.sort();
-        ids
-    }
-
-    /// Builds the wire op for call `index` on link `n`: the single-method
-    /// frame, keyed if the call is (encoded only for TCP links).
+    /// Builds the wire op for call `index` on link `n`: on a TCP link, its
+    /// single-method frame, keyed if the call is.
     fn make_op(
-        &self,
+        node: &NodeLink,
         n: usize,
         index: usize,
         verdict: FaultAction,
         c: &NodeCall,
-        now: Instant,
+        clock: &mut SweepClock,
     ) -> Result<WireOp, RpcError> {
-        let mut params = c.params.clone();
-        if let Some(key) = &c.idem_key {
-            params.push(Value::Struct(vec![(
-                IDEMPOTENCY_MEMBER.into(),
-                Value::str(key.clone()),
-            )]));
-        }
-        let call = MethodCall::new(c.method.clone(), params);
-        let link = &self.nodes[n].link;
-        let (frame, deadline, connect_backoff) = match link {
-            // Memory ops complete synchronously on the next step; the
-            // deadline is never consulted.
-            Link::Memory(_) => (Vec::new(), now + Duration::from_secs(3600), Duration::ZERO),
+        let wire = match &node.link {
+            Link::Memory(_) => None,
             Link::Tcp(TcpTransport { opts, .. }) => {
-                let xml = call.to_xml();
-                if xml.len() as u64 > u64::from(MAX_FRAME_BYTES) {
-                    return Err(RpcError::Codec(format!(
-                        "request frame of {} bytes exceeds the {MAX_FRAME_BYTES}-byte cap",
-                        xml.len()
-                    )));
-                }
-                let mut frame = Vec::with_capacity(4 + xml.len());
-                frame.extend_from_slice(&(xml.len() as u32).to_be_bytes());
-                frame.extend_from_slice(xml.as_bytes());
-                (frame, now + opts.call_timeout, opts.backoff_initial)
+                let now = clock.now();
+                Some(Exchange {
+                    frame: encode_request(c)?,
+                    sent: 0,
+                    in_buf: Vec::new(),
+                    received: 0,
+                    deadline: now + opts.call_timeout,
+                    connect_attempts: 0,
+                    connect_backoff: opts.backoff_initial,
+                    next_connect_at: now,
+                })
             }
         };
         if excovery_obs::enabled() {
-            let label = self.nodes[n].obs.transport;
             excovery_obs::global()
-                .counter("rpc_reactor_wire_ops_total", &[("link", label)])
+                .counter(
+                    "rpc_reactor_wire_ops_total",
+                    &[("link", node.obs.transport)],
+                )
                 .inc();
         }
         Ok(WireOp {
@@ -509,15 +564,7 @@ impl Reactor {
             started: None,
             index,
             verdict,
-            call,
-            frame,
-            sent: 0,
-            in_buf: Vec::new(),
-            received: 0,
-            deadline,
-            connect_attempts: 0,
-            connect_backoff,
-            next_connect_at: now,
+            wire,
         })
     }
 
@@ -526,61 +573,55 @@ impl Reactor {
     /// sweep services every link that is ready and the loop waits only
     /// when no link, backoff or delay gate can progress: on the socket of
     /// a lone call awaiting its response, else in sleeps of ≤ 1 ms.
-    pub fn dispatch(&mut self, calls: Vec<NodeCall>, retry: &RetryPolicy) -> Vec<DispatchOutcome> {
-        let started = Instant::now();
-        if excovery_obs::enabled() {
+    pub fn dispatch(&mut self, calls: &[NodeCall], retry: &RetryPolicy) -> Vec<DispatchOutcome> {
+        // The dispatch's start is read only for the durations obs reports.
+        let started = excovery_obs::enabled().then(Instant::now);
+        if started.is_some() {
             excovery_obs::global()
                 .counter("rpc_reactor_dispatches_total", &[])
                 .inc();
         }
-        let mut states: Vec<CallState> = calls
-            .iter()
-            .map(|_| CallState {
-                attempts: 0,
-                retries: 0,
-                backoff: retry.backoff_initial,
-                started,
-                duration_ns: 0,
-                phase: Phase::Ready,
-            })
-            .collect();
-        // Each call's link, resolved once per dispatch.
-        let links: Vec<Option<usize>> = calls
-            .iter()
-            .map(|c| self.index.get(&c.node_id).copied())
-            .collect();
-        for (i, call) in calls.iter().enumerate() {
-            if links[i].is_none() {
-                finish(
-                    &mut states[i],
-                    Err(RpcError::Io(format!(
-                        "no NodeManager for '{}'",
-                        call.node_id
-                    ))),
-                );
+        let Reactor {
+            nodes,
+            states,
+            busy,
+            ops,
+        } = self;
+        states.clear();
+        states.extend(calls.iter().map(|_| CallState {
+            attempts: 0,
+            retries: 0,
+            backoff: retry.backoff_initial,
+            duration_ns: 0,
+            phase: Phase::Ready,
+        }));
+        busy.clear();
+        busy.resize(nodes.len(), false);
+        for (state, call) in states.iter_mut().zip(calls) {
+            if call.link >= nodes.len() {
+                let err = RpcError::Io(format!("no NodeManager on link {}", call.link));
+                finish(state, started, Err(err));
             }
         }
-        let mut ops: Vec<WireOp> = Vec::new();
-        let mut busy = vec![false; self.nodes.len()];
 
         loop {
             let mut progressed = false;
-            let now = Instant::now();
+            let mut clock = SweepClock::default();
 
             // Expired timers: backoffs become ready, delay gates deliver.
-            for i in 0..states.len() {
-                match &states[i].phase {
-                    Phase::Waiting(until) if now >= *until => {
-                        states[i].phase = Phase::Ready;
+            for (state, call) in states.iter_mut().zip(calls) {
+                match &state.phase {
+                    Phase::Waiting(until) if clock.now() >= *until => {
+                        state.phase = Phase::Ready;
                         progressed = true;
                     }
-                    Phase::Delayed { until, .. } if now >= *until => {
+                    Phase::Delayed { until, .. } if clock.now() >= *until => {
                         let Phase::Delayed { result, .. } =
-                            std::mem::replace(&mut states[i].phase, Phase::Ready)
+                            std::mem::replace(&mut state.phase, Phase::Ready)
                         else {
                             unreachable!()
                         };
-                        settle_attempt(&mut states[i], &calls[i].method, result, retry);
+                        settle_attempt(state, started, call.method, result, retry);
                         progressed = true;
                     }
                     _ => {}
@@ -591,23 +632,25 @@ impl Reactor {
             // is idle draws its chaos verdict (see [`NodeSchedule::draw`])
             // and, if that lets it reach the wire, goes in flight. One op
             // per link, so a second call to a busy node waits a sweep.
-            for i in 0..calls.len() {
-                let Some(n) = links[i] else { continue };
-                if busy[n] || !matches!(states[i].phase, Phase::Ready) {
+            for (i, call) in calls.iter().enumerate() {
+                let n = call.link;
+                let state = &mut states[i];
+                if !matches!(state.phase, Phase::Ready) || busy[n] {
                     continue;
                 }
                 progressed = true;
-                let verdict = match &mut self.nodes[n].chaos {
-                    Some(schedule) => schedule.draw(&calls[i].method),
+                let node = &mut nodes[n];
+                let verdict = match &mut node.chaos {
+                    Some(schedule) => schedule.draw(call.method),
                     None => Ok(FaultAction::Pass),
                 };
-                match verdict.and_then(|v| self.make_op(n, i, v, &calls[i], now)) {
+                match verdict.and_then(|v| Self::make_op(node, n, i, v, call, &mut clock)) {
                     Ok(op) => {
-                        states[i].phase = Phase::InFlight;
+                        state.phase = Phase::InFlight;
                         busy[n] = true;
                         ops.push(op);
                     }
-                    Err(err) => fail_attempt(&mut states[i], &calls[i].method, err, retry),
+                    Err(err) => fail_attempt(state, started, call.method, err, retry),
                 }
             }
 
@@ -615,8 +658,10 @@ impl Reactor {
             let mut k = 0;
             while k < ops.len() {
                 let n = ops[k].node;
-                let node = &mut self.nodes[n];
-                let Step::Done(result) = step_op(&mut node.link, &node.obs, &mut ops[k], now)
+                let call = &calls[ops[k].index];
+                let node = &mut nodes[n];
+                let Step::Done(result) =
+                    step_op(&mut node.link, &node.obs, &mut ops[k], call, &mut clock)
                 else {
                     k += 1;
                     continue;
@@ -625,11 +670,10 @@ impl Reactor {
                 busy[n] = false;
                 progressed = true;
                 node.obs.observe_call(op.started, &result);
-                let (i, method) = (op.index, &calls[op.index].method);
+                let state = &mut states[op.index];
                 match result {
                     Ok(response) => {
-                        let result = response_to_result(response);
-                        apply_verdict(&mut states[i], method, op.verdict, result, retry);
+                        apply_verdict(state, started, call.method, op.verdict, response, retry)
                     }
                     Err(err) => {
                         // Like TcpTransport: a failed exchange poisons the
@@ -637,7 +681,7 @@ impl Reactor {
                         if let Link::Tcp(t) = &mut node.link {
                             t.stream = None;
                         }
-                        fail_attempt(&mut states[i], method, err, retry);
+                        fail_attempt(state, started, call.method, err, retry);
                     }
                 }
             }
@@ -658,10 +702,14 @@ impl Reactor {
                 // nothing else can progress before then. Anything else
                 // polls.
                 let awaiting = match ops.as_slice() {
-                    [op] if op.sent == op.frame.len() => match &self.nodes[op.node].link {
+                    [WireOp {
+                        node,
+                        wire: Some(ex),
+                        ..
+                    }] if ex.sent == ex.frame.len() => match &nodes[*node].link {
                         Link::Tcp(TcpTransport {
                             stream: Some(s), ..
-                        }) => Some((s, op.deadline)),
+                        }) => Some((s, ex.deadline)),
                         _ => None,
                     },
                     _ => None,
@@ -673,7 +721,10 @@ impl Reactor {
                         wait_readable(s, wake.saturating_duration_since(now).max(MIN_PAUSE));
                     }
                     None => {
-                        let wake = ops.iter().flat_map(|op| [op.deadline, op.next_connect_at]);
+                        let wake = ops
+                            .iter()
+                            .filter_map(|op| op.wire.as_ref())
+                            .flat_map(|ex| [ex.deadline, ex.next_connect_at]);
                         let pause = wake
                             .chain(timer)
                             .min()
@@ -684,15 +735,13 @@ impl Reactor {
             }
         }
 
-        calls
-            .into_iter()
-            .zip(states)
-            .map(|(call, state)| {
+        states
+            .drain(..)
+            .map(|state| {
                 let Phase::Done(result) = state.phase else {
                     unreachable!("dispatch loop exited with work pending")
                 };
                 DispatchOutcome {
-                    node_id: call.node_id,
                     result,
                     retries: state.retries,
                     duration_ns: state.duration_ns,
@@ -737,11 +786,10 @@ impl NodeProxy {
     /// Creates a proxy for `node_id` over an in-memory [`Channel`] or an
     /// open [`TcpTransport`].
     pub fn new(node_id: impl Into<String>, endpoint: impl Into<ReactorEndpoint>) -> Self {
-        let node_id = node_id.into();
         let mut reactor = Reactor::new();
-        reactor.add_node(node_id.clone(), endpoint.into(), None);
+        reactor.add_node(endpoint.into(), None);
         Self {
-            node_id,
+            node_id: node_id.into(),
             reactor: Mutex::new(reactor),
         }
     }
@@ -750,15 +798,12 @@ impl NodeProxy {
     /// duration of the call.
     pub fn call(&self, method: &str, params: Vec<Value>) -> Result<Value, RpcError> {
         let call = NodeCall {
-            node_id: self.node_id.clone(),
-            method: method.to_string(),
-            params,
+            link: 0,
+            method,
+            params: &params,
             idem_key: None,
         };
-        let mut outcomes = self
-            .reactor
-            .lock()
-            .dispatch(vec![call], &RetryPolicy::none());
+        let mut outcomes = self.reactor.lock().dispatch(&[call], &RetryPolicy::none());
         outcomes.pop().expect("one outcome per call").result
     }
 }
@@ -783,12 +828,20 @@ mod tests {
         Arc::new(Mutex::new(reg))
     }
 
-    fn call(node: &str, seq: u64) -> NodeCall {
+    fn key(seq: u64) -> Option<IdemKey> {
+        Some(IdemKey {
+            run: 0,
+            epoch: 0,
+            seq,
+        })
+    }
+
+    fn call(link: usize, seq: u64) -> NodeCall<'static> {
         NodeCall {
-            node_id: node.into(),
-            method: "run_init".into(),
-            params: vec![],
-            idem_key: Some(format!("0:0:{seq}")),
+            link,
+            method: "run_init",
+            params: &[],
+            idem_key: key(seq),
         }
     }
 
@@ -797,44 +850,27 @@ mod tests {
         let mut reactor = Reactor::new();
         let counts: Vec<Arc<AtomicU64>> = (0..3).map(|_| Arc::new(AtomicU64::new(0))).collect();
         for (i, count) in counts.iter().enumerate() {
-            reactor.add_node(
-                format!("p{i}"),
-                ReactorEndpoint::Memory(counting_registry(Arc::clone(count), i as i32 * 10)),
-                None,
-            );
+            let registry = counting_registry(Arc::clone(count), i as i32 * 10);
+            assert_eq!(reactor.add_node(ReactorEndpoint::Memory(registry), None), i);
         }
-        let calls = vec![call("p2", 1), call("p0", 2), call("p1", 3)];
-        let outcomes = reactor.dispatch(calls, &RetryPolicy::default());
-        let got: Vec<(String, Value)> = outcomes
-            .into_iter()
-            .map(|o| (o.node_id, o.result.unwrap()))
-            .collect();
-        assert_eq!(
-            got,
-            vec![
-                ("p2".to_string(), Value::Int(20)),
-                ("p0".to_string(), Value::Int(0)),
-                ("p1".to_string(), Value::Int(10)),
-            ]
-        );
+        let calls = [call(2, 1), call(0, 2), call(1, 3)];
+        let outcomes = reactor.dispatch(&calls, &RetryPolicy::default());
+        let got: Vec<Value> = outcomes.into_iter().map(|o| o.result.unwrap()).collect();
+        assert_eq!(got, vec![Value::Int(20), Value::Int(0), Value::Int(10)]);
         assert!(counts.iter().all(|c| c.load(Ordering::Relaxed) == 1));
     }
 
     #[test]
-    fn unknown_nodes_fail_without_touching_known_ones() {
+    fn unknown_links_fail_without_touching_known_ones() {
         let mut reactor = Reactor::new();
         let count = Arc::new(AtomicU64::new(0));
         reactor.add_node(
-            "p0",
             ReactorEndpoint::Memory(counting_registry(Arc::clone(&count), 0)),
             None,
         );
-        let outcomes = reactor.dispatch(
-            vec![call("ghost", 1), call("p0", 2)],
-            &RetryPolicy::default(),
-        );
+        let outcomes = reactor.dispatch(&[call(5, 1), call(0, 2)], &RetryPolicy::default());
         match &outcomes[0].result {
-            Err(RpcError::Io(msg)) => assert!(msg.contains("ghost")),
+            Err(RpcError::Io(msg)) => assert!(msg.contains("link 5"), "{msg}"),
             other => panic!("{other:?}"),
         }
         assert!(outcomes[1].result.is_ok());
@@ -851,11 +887,10 @@ mod tests {
         let count = Arc::new(AtomicU64::new(0));
         let mut reactor = Reactor::new();
         reactor.add_node(
-            "p0",
             ReactorEndpoint::Memory(counting_registry(Arc::clone(&count), 0)),
             Some(schedule.clone()),
         );
-        let outcomes = reactor.dispatch(vec![call("p0", 1)], &RetryPolicy::default());
+        let outcomes = reactor.dispatch(&[call(0, 1)], &RetryPolicy::default());
         assert_eq!(outcomes[0].result.as_ref().unwrap(), &Value::Int(0));
         assert_eq!(outcomes[0].retries, 1);
         assert_eq!(count.load(Ordering::Relaxed), 1);
@@ -864,11 +899,10 @@ mod tests {
         // chaos wording.
         let mut reactor = Reactor::new();
         reactor.add_node(
-            "p0",
             ReactorEndpoint::Memory(counting_registry(Arc::new(AtomicU64::new(0)), 0)),
             Some(schedule),
         );
-        let outcomes = reactor.dispatch(vec![call("p0", 2)], &RetryPolicy::none());
+        let outcomes = reactor.dispatch(&[call(0, 2)], &RetryPolicy::none());
         match &outcomes[0].result {
             Err(RpcError::Disconnected(msg)) => {
                 assert!(msg.contains("chaos: node crashed"), "{msg}");
@@ -882,7 +916,6 @@ mod tests {
         let count = Arc::new(AtomicU64::new(0));
         let mut reactor = Reactor::new();
         reactor.add_node(
-            "p0",
             ReactorEndpoint::Memory(counting_registry(Arc::clone(&count), 0)),
             Some(ChaosOptions {
                 crash_windows: vec![(2, 5)],
@@ -891,7 +924,7 @@ mod tests {
         );
         let outcomes: Vec<bool> = (0..7)
             .map(|seq| {
-                let outcome = reactor.dispatch(vec![call("p0", seq)], &RetryPolicy::none());
+                let outcome = reactor.dispatch(&[call(0, seq)], &RetryPolicy::none());
                 outcome[0].result.is_ok()
             })
             .collect();
@@ -917,21 +950,55 @@ mod tests {
             .find(|s| crate::chaos::fault_at(&forced(*s), 0) == FaultAction::DropResponse)
             .expect("some seed yields DropResponse first");
         let count = Arc::new(AtomicU64::new(0));
+        let registry = counting_registry(Arc::clone(&count), 0);
         let mut reactor = Reactor::new();
         reactor.add_node(
-            "p0",
-            ReactorEndpoint::Memory(counting_registry(Arc::clone(&count), 0)),
+            ReactorEndpoint::Memory(Arc::clone(&registry)),
             Some(forced(seed)),
         );
         // The server executes, but the caller sees a timeout.
-        let lost = reactor.dispatch(vec![call("p0", 1)], &RetryPolicy::none());
+        let lost = reactor.dispatch(&[call(0, 1)], &RetryPolicy::none());
         assert!(matches!(lost[0].result, Err(RpcError::Timeout { .. })));
         assert_eq!(count.load(Ordering::Relaxed), 1);
         // The retry reuses the key: the recorded response is replayed and
         // the procedure does not run again.
-        let replayed = reactor.dispatch(vec![call("p0", 1)], &RetryPolicy::none());
+        let replayed = reactor.dispatch(&[call(0, 1)], &RetryPolicy::none());
         assert_eq!(replayed[0].result.as_ref().unwrap(), &Value::Int(0));
         assert_eq!(count.load(Ordering::Relaxed), 1);
+        // The reactor holds the replayed response now; the registry keeps
+        // nothing for a delivered call.
+        let delivered = reactor.dispatch(&[call(0, 2)], &RetryPolicy::none());
+        assert_eq!(delivered[0].result.as_ref().unwrap(), &Value::Int(0));
+        assert_eq!(count.load(Ordering::Relaxed), 2);
+        assert_eq!(registry.lock().recorded(), 0);
+    }
+
+    #[test]
+    fn a_keyed_tcp_request_keeps_its_bytes() {
+        // The frame earlier releases sent for this call: a server keys its
+        // response cache by the key's text, so that text must not drift.
+        const FRAME: &[u8] = b"\x00\x00\x01\x34<methodCall><methodName>sd_update_publication\
+</methodName><params><param><value><string>_exp._tcp</string></value></param><param>\
+<value><int>80</int></value></param><param><value><struct><member><name>__idem</name>\
+<value><string>3:1:42</string></value></member></struct></value></param></params>\
+</methodCall>";
+        let params = [Value::str("_exp._tcp"), Value::Int(80)];
+        let call = NodeCall {
+            link: 0,
+            method: "sd_update_publication",
+            params: &params,
+            idem_key: Some(IdemKey {
+                run: 3,
+                epoch: 1,
+                seq: 42,
+            }),
+        };
+        let frame = encode_request(&call).unwrap();
+        assert_eq!(
+            String::from_utf8_lossy(&frame),
+            String::from_utf8_lossy(FRAME)
+        );
+        assert_eq!(frame, FRAME);
     }
 
     #[test]

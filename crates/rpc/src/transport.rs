@@ -19,7 +19,7 @@ use crate::message::{Fault, MethodCall, MethodResponse};
 use crate::value::Value;
 use excovery_obs::sync::Mutex;
 use excovery_obs::{Counter, Histogram};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
@@ -91,8 +91,9 @@ impl ClientObs {
 /// A procedure handler.
 pub(crate) type Handler = Box<dyn FnMut(&[Value]) -> Result<Value, Fault> + Send>;
 
-/// Observer invoked for every dispatched call (wire tracing, node logs).
-pub(crate) type CallObserver = Box<dyn FnMut(&MethodCall) + Send>;
+/// Observer invoked with the method and parameters of every executed call
+/// (wire tracing, node logs).
+pub(crate) type CallObserver = Box<dyn FnMut(&str, &[Value]) + Send>;
 
 /// Reserved name of the trailing struct parameter carrying a caller-chosen
 /// idempotency key. A client that retries a call reuses the key, and the
@@ -104,13 +105,42 @@ pub(crate) const IDEMPOTENCY_MEMBER: &str = "__idem";
 /// first. Far larger than any plausible retry window.
 const IDEMPOTENCY_CACHE_CAP: usize = 4096;
 
+/// The idempotency key of one logical master call: its run, the master's
+/// epoch and the call's sequence number. A retry reuses it. It becomes
+/// the text `run:epoch:seq` only in a TCP frame; a memory link hands it
+/// to the registry as it is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct IdemKey {
+    /// Run the call belongs to.
+    pub run: u64,
+    /// Epoch of the master incarnation that made it.
+    pub epoch: u64,
+    /// The call's number in the master's sequence.
+    pub seq: u64,
+}
+
+impl std::fmt::Display for IdemKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}:{}:{}", self.run, self.epoch, self.seq)
+    }
+}
+
+/// What the response cache is keyed by: the key of a memory link's call,
+/// or a key's text as a TCP frame carried it. A registry is reached by
+/// one kind of link, so the two never name the same call.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum CacheKey {
+    Call(IdemKey),
+    Text(Box<str>),
+}
+
 /// Registry of procedures exposed by one server (NodeManager).
 pub struct ServerRegistry {
     handlers: HashMap<String, Handler>,
     observer: Option<CallObserver>,
-    /// Response cache keyed by idempotency key, with FIFO eviction order.
-    idem_cache: HashMap<String, MethodResponse>,
-    idem_order: std::collections::VecDeque<String>,
+    /// Recorded responses by idempotency key, with FIFO eviction order.
+    idem_cache: HashMap<CacheKey, MethodResponse>,
+    idem_order: VecDeque<CacheKey>,
     obs_dispatches: Counter,
     obs_idem_replays: Counter,
 }
@@ -122,26 +152,25 @@ impl Default for ServerRegistry {
             handlers: HashMap::new(),
             observer: None,
             idem_cache: HashMap::new(),
-            idem_order: std::collections::VecDeque::new(),
+            idem_order: VecDeque::new(),
             obs_dispatches: reg.counter("rpc_server_dispatches_total", &[]),
             obs_idem_replays: reg.counter("rpc_server_idem_replays_total", &[]),
         }
     }
 }
 
-/// Splits a trailing `{__idem: key}` struct parameter off a call, if
-/// present. Returns the key and the call as the handler must see it.
-fn split_idempotency(call: &MethodCall) -> Option<(String, MethodCall)> {
-    let (Value::Struct(members), params) = call.params.split_last()? else {
-        return None;
-    };
-    match members.as_slice() {
-        [(name, Value::String(key))] if name == IDEMPOTENCY_MEMBER => Some((
-            key.clone(),
-            MethodCall::new(call.method.clone(), params.to_vec()),
-        )),
-        _ => None,
+/// Splits a trailing `{__idem: key}` struct parameter off a call's
+/// parameters, if present: the parameters the handler must see, and the
+/// key.
+fn split_idempotency(params: &[Value]) -> (&[Value], Option<CacheKey>) {
+    if let Some((Value::Struct(members), rest)) = params.split_last() {
+        if let [(name, Value::String(key))] = members.as_slice() {
+            if name == IDEMPOTENCY_MEMBER {
+                return (rest, Some(CacheKey::Text(key.as_str().into())));
+            }
+        }
     }
+    (params, None)
 }
 
 impl ServerRegistry {
@@ -159,9 +188,11 @@ impl ServerRegistry {
         self.handlers.insert(name.into(), Box::new(handler));
     }
 
-    /// Installs an observer invoked with every dispatched call — the hook
-    /// NodeManagers use to keep their raw action log (`Logs` table).
-    pub fn set_observer(&mut self, f: impl FnMut(&MethodCall) + Send + 'static) {
+    /// Installs an observer invoked with the method and the parameters of
+    /// every executed call — the hook NodeManagers use to keep their raw
+    /// action log (`Logs` table). A replayed response is not an execution
+    /// and is not observed.
+    pub fn set_observer(&mut self, f: impl FnMut(&str, &[Value]) + Send + 'static) {
         self.observer = Some(Box::new(f));
     }
 
@@ -172,43 +203,74 @@ impl ServerRegistry {
         names
     }
 
-    /// Dispatches a parsed call. The XML-RPC introspection convention
-    /// `system.listMethods` is answered built-in. A panicking handler is
-    /// contained server-side and reported as an internal fault, so the
-    /// registry (and every lock guarding it) stays usable afterwards.
+    /// Dispatches a call of a memory link whose caller receives the
+    /// response. The parameters are borrowed from the caller and the key
+    /// is not part of them.
     ///
-    /// A call carrying a trailing `{__idem: key}` struct parameter is
-    /// dispatched **at most once** per key: the response is recorded, and
-    /// a repeat of the same key replays it without invoking the handler or
-    /// the observer — a retried call that already executed (its response
-    /// was lost in transit) leaves no second trace in the node's action
-    /// log. The key parameter is stripped before the handler sees the
-    /// arguments.
-    pub(crate) fn dispatch(&mut self, call: &MethodCall) -> MethodResponse {
-        let Some((key, stripped)) = split_idempotency(call) else {
-            return self.dispatch_inner(call);
-        };
-        if let Some(replay) = self.idem_cache.get(&key) {
-            self.obs_idem_replays.inc();
-            return replay.clone();
+    /// A keyed call is dispatched **at most once** per key: if its
+    /// response was recorded (an earlier attempt's response was lost, see
+    /// [`Self::dispatch_lost`]), that response is replayed without
+    /// invoking the handler or the observer, and it leaves the cache —
+    /// the reactor holds it now, and a retry only follows a lost
+    /// response. Otherwise the call executes and nothing is recorded.
+    pub(crate) fn dispatch(
+        &mut self,
+        method: &str,
+        params: &[Value],
+        key: Option<IdemKey>,
+    ) -> MethodResponse {
+        if let Some(key) = key {
+            let key = CacheKey::Call(key);
+            if let Some(replay) = self.idem_cache.remove(&key) {
+                if let Some(at) = self.idem_order.iter().rposition(|k| *k == key) {
+                    self.idem_order.remove(at);
+                }
+                self.obs_idem_replays.inc();
+                return replay;
+            }
         }
-        let response = self.dispatch_inner(&stripped);
+        self.execute(method, params)
+    }
+
+    /// Dispatches a call of a memory link whose response will never reach
+    /// the caller (a chaos `DropResponse` verdict): it executes unless its
+    /// key already has a recorded response, and a keyed response is
+    /// recorded, so the retry under the same key replays it.
+    pub(crate) fn dispatch_lost(&mut self, method: &str, params: &[Value], key: Option<IdemKey>) {
+        let Some(key) = key else {
+            self.execute(method, params);
+            return;
+        };
+        let key = CacheKey::Call(key);
+        if self.idem_cache.contains_key(&key) {
+            self.obs_idem_replays.inc();
+            return;
+        }
+        let response = self.execute(method, params);
+        self.record(key, response);
+    }
+
+    /// Remembers the response of `key`, evicting the oldest beyond the cap.
+    fn record(&mut self, key: CacheKey, response: MethodResponse) {
         if self.idem_order.len() >= IDEMPOTENCY_CACHE_CAP {
             if let Some(evicted) = self.idem_order.pop_front() {
                 self.idem_cache.remove(&evicted);
             }
         }
         self.idem_order.push_back(key.clone());
-        self.idem_cache.insert(key, response.clone());
-        response
+        self.idem_cache.insert(key, response);
     }
 
-    fn dispatch_inner(&mut self, call: &MethodCall) -> MethodResponse {
+    /// Runs the procedure. The XML-RPC introspection convention
+    /// `system.listMethods` is answered built-in. A panicking handler is
+    /// contained server-side and reported as an internal fault, so the
+    /// registry (and every lock guarding it) stays usable afterwards.
+    fn execute(&mut self, method: &str, params: &[Value]) -> MethodResponse {
         self.obs_dispatches.inc();
         if let Some(observer) = &mut self.observer {
-            observer(call);
+            observer(method, params);
         }
-        if call.method == "system.listMethods" {
+        if method == "system.listMethods" {
             let names = self
                 .method_names()
                 .into_iter()
@@ -216,19 +278,18 @@ impl ServerRegistry {
                 .collect::<Vec<_>>();
             return MethodResponse::Success(Value::Array(names));
         }
-        match self.handlers.get_mut(&call.method) {
+        match self.handlers.get_mut(method) {
             None => MethodResponse::Fault(Fault::new(
                 FAULT_NO_SUCH_METHOD,
-                format!("no such method: {}", call.method),
+                format!("no such method: {method}"),
             )),
-            Some(h) => match catch_unwind(AssertUnwindSafe(|| h(&call.params))) {
+            Some(h) => match catch_unwind(AssertUnwindSafe(|| h(params))) {
                 Ok(Ok(v)) => MethodResponse::Success(v),
                 Ok(Err(f)) => MethodResponse::Fault(f),
                 Err(panic) => MethodResponse::Fault(Fault::new(
                     FAULT_INTERNAL_ERROR,
                     format!(
-                        "handler '{}' panicked: {}",
-                        call.method,
+                        "handler '{method}' panicked: {}",
                         panic_message(panic.as_ref())
                     ),
                 )),
@@ -239,14 +300,38 @@ impl ServerRegistry {
     /// Handles a raw XML request and produces a raw XML response — the full
     /// wire path of a real XML-RPC endpoint (the TCP server's and
     /// [`Channel::call`]'s).
+    ///
+    /// A call carrying a trailing `{__idem: key}` struct parameter is
+    /// dispatched **at most once** per key. The server cannot know whether
+    /// a response it wrote reached the client, so it records every keyed
+    /// response, serializes it from the cache, and a repeat of the same
+    /// key replays it without invoking the handler or the observer — a
+    /// retried call that already executed leaves no second trace in the
+    /// node's action log. The key parameter is stripped before the handler
+    /// sees the arguments.
     pub(crate) fn handle_wire(&mut self, request_xml: &str) -> String {
-        match MethodCall::from_xml(request_xml) {
+        let call = match MethodCall::from_xml(request_xml) {
+            Ok(call) => call,
             Err(e) => {
-                MethodResponse::Fault(Fault::new(FAULT_PARSE_ERROR, format!("parse error: {e}")))
-                    .to_xml()
+                return MethodResponse::Fault(Fault::new(
+                    FAULT_PARSE_ERROR,
+                    format!("parse error: {e}"),
+                ))
+                .to_xml()
             }
-            Ok(call) => self.dispatch(&call).to_xml(),
+        };
+        let (params, key) = split_idempotency(&call.params);
+        let Some(key) = key else {
+            return self.execute(&call.method, params).to_xml();
+        };
+        if let Some(replay) = self.idem_cache.get(&key) {
+            self.obs_idem_replays.inc();
+            return replay.to_xml();
         }
+        let response = self.execute(&call.method, params);
+        let xml = response.to_xml();
+        self.record(key, response);
+        xml
     }
 }
 
@@ -303,6 +388,13 @@ mod tests {
     use super::*;
     use crate::reactor::NodeProxy;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    impl ServerRegistry {
+        /// Responses the cache holds.
+        pub(crate) fn recorded(&self) -> usize {
+            self.idem_cache.len()
+        }
+    }
 
     /// `params` plus the trailing `{__idem: key}` struct of a keyed call.
     fn keyed(mut params: Vec<Value>, key: &str) -> Vec<Value> {
@@ -391,7 +483,7 @@ mod tests {
         let seen = Arc::new(Mutex::new(Vec::new()));
         let s2 = Arc::clone(&seen);
         let mut reg = echo_registry();
-        reg.set_observer(move |call| s2.lock().push(call.method.clone()));
+        reg.set_observer(move |method, _| s2.lock().push(method.to_string()));
         let ch = Channel::new(reg);
         ch.call("echo", vec![]).unwrap();
         let _ = ch.call("nope", vec![]);
@@ -457,7 +549,7 @@ mod tests {
         let s2 = Arc::clone(&seen);
         let mut reg = ServerRegistry::new();
         reg.register("echo", |params| Ok(Value::Array(params.to_vec())));
-        reg.set_observer(move |call| s2.lock().push(call.params.len()));
+        reg.set_observer(move |_, params| s2.lock().push(params.len()));
         let ch = Channel::new(reg);
         let first = ch.call("echo", keyed(vec![Value::Int(7)], "k")).unwrap();
         // The handler never sees the trailing key struct.

@@ -9,7 +9,7 @@
 
 use excovery_obs::sync::Mutex;
 use excovery_rpc::{
-    fault_at, ChaosOptions, FaultAction, NodeCall, Reactor, ReactorEndpoint, RetryPolicy,
+    fault_at, ChaosOptions, FaultAction, IdemKey, NodeCall, Reactor, ReactorEndpoint, RetryPolicy,
     ServerRegistry, TcpOptions, TcpRpcServer, Value,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -29,27 +29,45 @@ fn counting_registry() -> (Arc<Mutex<ServerRegistry>>, Arc<AtomicUsize>) {
     (Arc::new(Mutex::new(reg)), executed)
 }
 
-/// A reactor with one node, `n0`, behind `endpoint` and the schedule `opts`.
+/// A reactor with one node, link 0, behind `endpoint` and the schedule
+/// `opts`.
 fn one_node(endpoint: ReactorEndpoint, opts: ChaosOptions) -> Reactor {
     let mut reactor = Reactor::new();
-    reactor.add_node("n0", endpoint, Some(opts));
+    reactor.add_node(endpoint, Some(opts));
     reactor
 }
 
-/// One logical call to `n0` whose parameter is its own idempotency key.
-fn ping(key: &str) -> Vec<NodeCall> {
-    vec![NodeCall {
-        node_id: "n0".into(),
-        method: "ping".into(),
-        params: vec![Value::str(key)],
-        idem_key: Some(key.into()),
-    }]
+/// Idempotency key number `seq` of run 0, epoch 0.
+fn key(seq: u64) -> IdemKey {
+    IdemKey {
+        run: 0,
+        epoch: 0,
+        seq,
+    }
 }
 
-/// Dispatches one logical call under `retry` and returns its value,
-/// failing on any error left once the budget is spent.
-fn call_until_ok(reactor: &mut Reactor, key: &str, retry: &RetryPolicy) -> Value {
-    let outcome = reactor.dispatch(ping(key), retry).remove(0);
+/// Dispatches one logical call to link 0, keyed `seq`, whose parameter
+/// is `param`.
+fn ping(
+    reactor: &mut Reactor,
+    seq: u64,
+    param: &Value,
+    retry: &RetryPolicy,
+) -> excovery_rpc::DispatchOutcome {
+    let call = NodeCall {
+        link: 0,
+        method: "ping",
+        params: std::slice::from_ref(param),
+        idem_key: Some(key(seq)),
+    };
+    reactor.dispatch(&[call], retry).remove(0)
+}
+
+/// Dispatches one logical call under `retry` whose parameter is its own
+/// key's text and returns its value, failing on any error left once the
+/// budget is spent.
+fn call_until_ok(reactor: &mut Reactor, seq: u64, retry: &RetryPolicy) -> Value {
+    let outcome = ping(reactor, seq, &Value::str(key(seq).to_string()), retry);
     match outcome.result {
         Ok(v) => v,
         Err(e) => panic!(
@@ -74,8 +92,8 @@ fn same_seed_injects_the_pure_fault_schedule() {
             let mut reactor = one_node(ReactorEndpoint::Memory(reg), opts.clone());
             (0..96)
                 .map(|i| {
-                    let outcome = reactor.dispatch(ping(&format!("k{i}")), &RetryPolicy::none());
-                    outcome[0].result.is_ok()
+                    let outcome = ping(&mut reactor, i, &Value::Int(0), &RetryPolicy::none());
+                    outcome.result.is_ok()
                 })
                 .collect()
         })
@@ -111,8 +129,8 @@ fn idempotent_retry_executes_each_logical_call_once() {
     let (reg, executed) = counting_registry();
     let mut reactor = one_node(ReactorEndpoint::Memory(reg), opts);
     for logical in 0..10 {
-        let key = format!("0:0:{logical}");
-        assert_eq!(call_until_ok(&mut reactor, &key, &retry), Value::str(&key));
+        let text = Value::str(key(logical).to_string());
+        assert_eq!(call_until_ok(&mut reactor, logical, &retry), text);
     }
     assert_eq!(
         executed.load(Ordering::SeqCst),
@@ -136,8 +154,8 @@ fn crash_window_is_survivable_with_sufficient_budget() {
     };
     let (reg, executed) = counting_registry();
     let mut reactor = one_node(ReactorEndpoint::Memory(reg), opts);
-    call_until_ok(&mut reactor, "a", &RetryPolicy::none()); // call #0: passes
-    call_until_ok(&mut reactor, "b", &budget); // calls #1..: rides out the window
+    call_until_ok(&mut reactor, 0, &RetryPolicy::none()); // call #0: passes
+    call_until_ok(&mut reactor, 1, &budget); // calls #1..: rides out the window
     assert_eq!(executed.load(Ordering::SeqCst), 2);
 }
 
@@ -159,8 +177,8 @@ fn chaos_and_dedup_compose_over_tcp() {
     };
     let mut reactor = one_node(endpoint, opts);
     for logical in 0..6 {
-        let key = format!("tcp:{logical}");
-        assert_eq!(call_until_ok(&mut reactor, &key, &retry), Value::str(&key));
+        let text = Value::str(key(logical).to_string());
+        assert_eq!(call_until_ok(&mut reactor, logical, &retry), text);
     }
     assert_eq!(executed.load(Ordering::SeqCst), 6);
     server.shutdown();

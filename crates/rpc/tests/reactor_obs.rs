@@ -9,8 +9,8 @@
 
 use excovery_obs::sync::Mutex;
 use excovery_rpc::{
-    NodeCall, Reactor, ReactorEndpoint, RetryPolicy, ServerRegistry, TcpOptions, TcpRpcServer,
-    Value,
+    IdemKey, NodeCall, Reactor, ReactorEndpoint, RetryPolicy, ServerRegistry, TcpOptions,
+    TcpRpcServer, Value,
 };
 use std::sync::Arc;
 
@@ -32,6 +32,15 @@ fn registry() -> Arc<Mutex<ServerRegistry>> {
     Arc::new(Mutex::new(reg))
 }
 
+/// Idempotency key number `seq` of run 0, epoch 0.
+fn key(seq: usize) -> IdemKey {
+    IdemKey {
+        run: 0,
+        epoch: 0,
+        seq: seq as u64,
+    }
+}
+
 /// `(calls, latency samples, bytes sent, bytes received)` of one label.
 fn series(transport: &str) -> [u64; 4] {
     let reg = excovery_obs::global();
@@ -50,13 +59,13 @@ fn dispatch_delta(transport: &str, mut reactor: Reactor) -> [u64; 4] {
     let before = series(transport);
     let calls: Vec<NodeCall> = (0..CALLS)
         .map(|i| NodeCall {
-            node_id: format!("n{i}"),
-            method: "run_init".into(),
-            params: vec![],
-            idem_key: Some(format!("0:0:{i}")),
+            link: i,
+            method: "run_init",
+            params: &[],
+            idem_key: Some(key(i)),
         })
         .collect();
-    let outcomes = reactor.dispatch(calls, &RetryPolicy::none());
+    let outcomes = reactor.dispatch(&calls, &RetryPolicy::none());
     assert!(outcomes.iter().all(|o| o.result.is_ok()), "{outcomes:?}");
     let after = series(transport);
     [0, 1, 2, 3].map(|k| after[k] - before[k])
@@ -68,8 +77,8 @@ fn every_reactor_call_lands_in_the_client_series_of_its_transport() {
     excovery_obs::set_enabled(true);
 
     let mut memory = Reactor::new();
-    for i in 0..CALLS {
-        memory.add_node(format!("n{i}"), ReactorEndpoint::Memory(registry()), None);
+    for _ in 0..CALLS {
+        memory.add_node(ReactorEndpoint::Memory(registry()), None);
     }
     let [calls, latencies, sent, received] = dispatch_delta("memory", memory);
     assert_eq!((calls, latencies), (CALLS as u64, CALLS as u64));
@@ -80,12 +89,12 @@ fn every_reactor_call_lands_in_the_client_series_of_its_transport() {
         .map(|_| TcpRpcServer::bind("127.0.0.1:0", registry()).unwrap())
         .collect();
     let mut tcp = Reactor::new();
-    for (i, server) in servers.iter().enumerate() {
+    for server in &servers {
         let endpoint = ReactorEndpoint::Tcp {
             addr: server.local_addr(),
             opts: TcpOptions::default(),
         };
-        tcp.add_node(format!("n{i}"), endpoint, None);
+        tcp.add_node(endpoint, None);
     }
     let [calls, latencies, sent, received] = dispatch_delta("tcp", tcp);
     assert_eq!((calls, latencies), (CALLS as u64, CALLS as u64));
@@ -112,7 +121,7 @@ fn a_thousand_node_flat_dispatch_answers_in_input_order() {
             other => panic!("run_init got {other:?}"),
         });
         let endpoint = ReactorEndpoint::Memory(Arc::new(Mutex::new(reg)));
-        reactor.add_node(format!("n{i:04}"), endpoint, None);
+        reactor.add_node(endpoint, None);
     }
     let wire_ops = || {
         excovery_obs::global()
@@ -122,17 +131,18 @@ fn a_thousand_node_flat_dispatch_answers_in_input_order() {
     let before = wire_ops();
     // Calls run against registration order, so an answer landing in the
     // wrong slot cannot pass.
+    let params = [Value::Int(7)];
     let calls: Vec<NodeCall> = (0..NODES)
         .rev()
         .map(|i| NodeCall {
-            node_id: format!("n{i:04}"),
-            method: "run_init".into(),
-            params: vec![Value::Int(7)],
-            idem_key: Some(format!("0:0:{i}")),
+            link: i,
+            method: "run_init",
+            params: &params,
+            idem_key: Some(key(i)),
         })
         .collect();
     let answers: Vec<Value> = reactor
-        .dispatch(calls, &RetryPolicy::none())
+        .dispatch(&calls, &RetryPolicy::none())
         .into_iter()
         .map(|o| o.result.expect("run_init failed"))
         .collect();

@@ -162,7 +162,7 @@ fn non_utf8_request_is_refused_without_dispatch() {
             e2.fetch_add(1, Ordering::SeqCst);
             Ok(Value::Array(params.to_vec()))
         });
-        r.set_observer(move |_| {
+        r.set_observer(move |_, _| {
             o2.fetch_add(1, Ordering::SeqCst);
         });
         r
@@ -200,7 +200,7 @@ fn blocking_client_calls_carry_no_idempotency_key() {
         r.register("bump", move |_| {
             Ok(Value::Int(e2.fetch_add(1, Ordering::SeqCst) as i32))
         });
-        r.set_observer(move |call| s2.lock().push(call.params.clone()));
+        r.set_observer(move |_, params| s2.lock().push(params.to_vec()));
         r
     };
     let server = TcpRpcServer::bind("127.0.0.1:0", shared(registry())).unwrap();
@@ -312,30 +312,30 @@ fn tcp_fanout_beats_serial_dispatch_on_eight_nodes() {
             addr: server.local_addr(),
             opts: TcpOptions::default(),
         };
-        reactor.add_node(format!("node{i}"), endpoint, None);
+        reactor.add_node(endpoint, None);
         servers.push(server);
     }
-    let calls = || -> Vec<NodeCall> {
-        (0..NODES)
-            .map(|i| NodeCall {
-                node_id: format!("node{i}"),
-                method: "slow_ping".into(),
-                params: Vec::new(),
-                idem_key: None,
-            })
-            .collect()
-    };
+    let calls: Vec<NodeCall> = (0..NODES)
+        .map(|link| NodeCall {
+            link,
+            method: "slow_ping",
+            params: &[],
+            idem_key: None,
+        })
+        .collect();
     let retry = RetryPolicy::none();
 
     let serial_start = Instant::now();
-    for call in calls() {
-        let outcome = reactor.dispatch(vec![call], &retry).remove(0);
+    for call in &calls {
+        let outcome = reactor
+            .dispatch(std::slice::from_ref(call), &retry)
+            .remove(0);
         outcome.result.unwrap();
     }
     let serial = serial_start.elapsed();
 
     let fanout_start = Instant::now();
-    let outcomes = reactor.dispatch(calls(), &retry);
+    let outcomes = reactor.dispatch(&calls, &retry);
     let fanout = fanout_start.elapsed();
     for (i, outcome) in outcomes.into_iter().enumerate() {
         assert_eq!(outcome.result.unwrap(), Value::Int(i as i32));
@@ -372,15 +372,15 @@ fn connect_to_nothing_reports_disconnected_after_backoff() {
     }
     // A lazily connecting link gives up the same way.
     let mut reactor = Reactor::new();
-    reactor.add_node("n0", ReactorEndpoint::Tcp { addr, opts }, None);
+    reactor.add_node(ReactorEndpoint::Tcp { addr, opts }, None);
     let call = NodeCall {
-        node_id: "n0".into(),
-        method: "ping".into(),
-        params: Vec::new(),
+        link: 0,
+        method: "ping",
+        params: &[],
         idem_key: None,
     };
     match reactor
-        .dispatch(vec![call], &RetryPolicy::none())
+        .dispatch(&[call], &RetryPolicy::none())
         .remove(0)
         .result
     {

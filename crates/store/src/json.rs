@@ -253,6 +253,13 @@ impl Sink for FmtSink<'_, '_> {
     }
 }
 
+/// Appends `s` to `out` as a JSON string literal, escaped exactly as
+/// [`JsonValue`] writes one: for a caller that renders a small document
+/// straight into a buffer instead of building a tree.
+pub fn write_json_str(out: &mut Vec<u8>, s: &str) {
+    write_str(out, s);
+}
+
 /// Writes `s` as a JSON string literal.
 pub(crate) fn write_str<S: Sink + ?Sized>(out: &mut S, s: &str) {
     const HEX: &[u8; 16] = b"0123456789abcdef";

@@ -57,6 +57,7 @@
 //! two files are tolerated, and cut off by the next seal.
 
 use crate::engine::{atomic_write, StoreError};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fs;
 use std::io::{ErrorKind, Read, Seek, SeekFrom, Write};
@@ -337,19 +338,19 @@ impl Level2Store {
 
     /// Stages a per-run measurement/log for a node; it reaches the disk
     /// when [`Self::mark_run_complete`] seals the run. Putting the same
-    /// `(node, name)` again replaces the staged bytes.
-    pub fn put_run(
+    /// `(node, name)` again replaces the staged bytes. Bytes handed over
+    /// as an owned vector are staged without a copy.
+    pub fn put_run<'a>(
         &self,
         run_id: u64,
         node: &str,
         name: &str,
-        data: &[u8],
+        data: impl Into<Cow<'a, [u8]>>,
     ) -> Result<(), StoreError> {
-        self.state()?
-            .staged
-            .entry(run_id)
-            .or_default()
-            .insert((node.to_string(), name.to_string()), data.to_vec());
+        self.state()?.staged.entry(run_id).or_default().insert(
+            (node.to_string(), name.to_string()),
+            data.into().into_owned(),
+        );
         Ok(())
     }
 

@@ -30,6 +30,6 @@ pub use engine::{
     atomic_write, CellRef, Column, ColumnRef, ColumnType, Database, Row, SqlValue, StoreError,
     Table,
 };
-pub use json::JsonValue;
+pub use json::{write_json_str, JsonValue};
 pub use records::{EventRow, ExperimentInfo, PacketRow, RunInfoRow};
 pub use repository::Repository;

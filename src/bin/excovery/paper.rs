@@ -823,6 +823,8 @@ fn tagger_validation(_: u64, _: usize) -> Result<(), String> {
         "{:<14} {:>12} {:>12} {:>10}",
         "base_loss", "expected", "estimated", "sources"
     );
+    // (expected, estimated) of every row, for the closing comparison.
+    let mut rows = Vec::new();
     for &loss in &[0.0f64, 0.1, 0.2, 0.3, 0.4] {
         let mut desc = load_sweep(&[2], &[200], 1, 4242);
         for env in &mut desc.env_processes {
@@ -911,8 +913,17 @@ fn tagger_validation(_: u64, _: usize) -> Result<(), String> {
             "{loss:<14} {expected:>12.4} {estimated:>12.4} {:>10}",
             best.len()
         );
+        rows.push((expected, estimated));
     }
-    println!("\nthe estimate tracks the configured base loss one-for-one (constant slope);");
+    let rise = |pick: fn(&(f64, f64)) -> f64| match (rows.first(), rows.last()) {
+        (Some(first), Some(last)) => pick(last) - pick(first),
+        _ => f64::NAN,
+    };
+    println!(
+        "\nover the sweep the estimate rises {:.3} where the expected loss rises {:.3};",
+        rise(|r| r.1),
+        rise(|r| r.0)
+    );
     println!("the remaining offset is path loss: tag gaps measure the whole source→observer");
     println!("path (>= 1 hop, under heterogeneous per-link load), not a single link.");
     Ok(())

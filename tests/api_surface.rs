@@ -143,7 +143,7 @@ const ALLOWLIST: &[(&str, &str)] = &[
     ),
     (
         "crates/analysis/src/verify.rs: pub struct Inconsistency",
-        "returned by `verify_all`, which the CLI's `verify` verb prints",
+        "returned by `verify_all`, whose findings `excovery report` prints",
     ),
     (
         "crates/core/src/master/config.rs: pub struct EngineConfigBuilder",

@@ -1,7 +1,9 @@
 //! Exact cost pins: the heap allocations and the bytes they request for
-//! one `ExperiMaster::execute` of each golden preset at seed 1 and of one
+//! one `ExperiMaster::execute` of each golden preset at seed 1, of one
 //! wide run (24 SMs and an SU on a 5×5 grid, where the SD agents' caches
-//! carry the weight), and for the query layer's two halves over a small
+//! carry the weight) and of the benchmark's `cs1_long` campaign (200 short
+//! runs, where the control plane and the run loop carry it), and for the
+//! query layer's two halves over a small
 //! fact warehouse: ingesting its packages into a `Dataset`, and one
 //! group-by scan of it at one worker. All are read from a counting global
 //! allocator.
@@ -20,7 +22,7 @@
 #[path = "../crates/core/tests/golden/mod.rs"]
 mod golden;
 
-use excovery_core::scenarios::multi_sm;
+use excovery_core::scenarios::{loss_sweep, multi_sm};
 use excovery_core::{EngineConfig, ExperiMaster};
 use excovery_desc::ExperimentDescription;
 use excovery_netsim::topology::Topology;
@@ -70,12 +72,14 @@ static COUNTING: Counting = Counting;
 const L2_ROOT: &str = "target/cost-pins-l2";
 
 /// `(what, allocations, bytes)`: one execution per golden preset at seed
-/// 1, one of [`wide`], then the ingest and the scan of [`fact_packages`].
-const PINS: [(&str, u64, u64); 6] = [
-    ("grid_default", 3355, 364_899),
-    ("wired_lan", 3355, 364_827),
-    ("lossy_mesh", 3346, 362_182),
-    ("multi_sm24_grid5x5", 10_469, 1_777_169),
+/// 1, one of [`wide`], one of [`cs1_long`], then the ingest and the scan
+/// of [`fact_packages`].
+const PINS: [(&str, u64, u64); 7] = [
+    ("grid_default", 1638, 217_880),
+    ("wired_lan", 1638, 217_832),
+    ("lossy_mesh", 1633, 215_789),
+    ("multi_sm24_grid5x5", 4791, 1_225_345),
+    ("cs1_long", 60_264, 8_189_321),
     ("dataset_ingest", 853, 492_962),
     ("group_by_scan", 70, 5_599),
 ];
@@ -110,6 +114,15 @@ fn wide() -> (ExperimentDescription, EngineConfig) {
         .topology(Topology::grid(5, 5))
         .build();
     (multi_sm(24, "two-party", false, 1, SEEDS[0]), cfg)
+}
+
+/// The benchmark's `cs1_long` campaign: the CS-1 loss sweep, 50
+/// replications of four loss levels, on the 3×3 default grid.
+fn cs1_long() -> (ExperimentDescription, EngineConfig) {
+    (
+        loss_sweep(&[0.0, 0.2, 0.4, 0.6], 50, 1),
+        EngineConfig::grid_default(),
+    )
 }
 
 /// Eight run packages (two experiments of four runs, 500 facts each) with
@@ -193,6 +206,11 @@ fn allocation_costs_are_pinned() {
         cost(desc, cfg)
     });
     got.push(("multi_sm24_grid5x5", allocations, bytes));
+    let (allocations, bytes) = agreed("cs1_long", || {
+        let (desc, cfg) = cs1_long();
+        cost(desc, cfg)
+    });
+    got.push(("cs1_long", allocations, bytes));
     let packages = fact_packages();
     let (allocations, bytes) = agreed("dataset_ingest", || measure(|| ingest(&packages)).0);
     got.push(("dataset_ingest", allocations, bytes));
