@@ -45,4 +45,6 @@ pub use error::EngineError;
 pub use event_log::EventLog;
 pub use excovery_rpc::RetryPolicy;
 pub use master::config::{EngineConfig, EngineConfigBuilder, TransportKind};
-pub use master::{ctx::PluginCtx, outcome::ExperimentOutcome, outcome::RunOutcome, ExperiMaster};
+pub use master::{
+    ctx::PluginCtx, outcome::ExperimentOutcome, outcome::RunOutcome, session::Session, ExperiMaster,
+};

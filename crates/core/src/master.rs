@@ -13,20 +13,21 @@
 //! clean-up → `run_exit`)* → `experiment_exit`, with crash recovery by
 //! resuming at the first run the level-2 journal does not confirm.
 //!
-//! Child modules: `config`, `run`, `package`, `outcome` and `ctx`; this
-//! file holds construction, the control channel, the phase timers and
-//! the experiment loop.
+//! Child modules: `config`, `session` (an execution's lifecycle), `run`,
+//! `package`, `outcome` and `ctx`; this file holds construction, the
+//! control channel, the phase timers and [`ExperiMaster::execute`].
 
 pub(crate) mod config;
 pub(crate) mod ctx;
 pub(crate) mod outcome;
 mod package;
 mod run;
+pub(crate) mod session;
 
 use crate::binding::{PlatformBinding, ResolvedActors};
 use crate::error::EngineError;
 use crate::event_log::EventLog;
-use crate::l2codec::{self, read_json};
+use crate::l2codec;
 use crate::nodemanager::{NodeManager, SharedSim};
 use config::{EngineConfig, TransportKind};
 use ctx::PluginFn;
@@ -45,10 +46,9 @@ use excovery_sd::{Architecture, SdConfig};
 use excovery_store::level2::Level2Store;
 use excovery_store::JsonValue;
 use outcome::ExperimentOutcome;
-use run::CompiledProcesses;
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -65,19 +65,23 @@ struct FaultWindow {
     handle: Option<i32>,
 }
 
-/// The controlling entity executing experiments.
+/// The controlling entity executing experiments: [`Self::execute`] runs
+/// one whole, or [`Self::open`] steps through it.
 ///
 /// ```
 /// use excovery_core::{EngineConfig, ExperiMaster};
 /// use excovery_desc::ExperimentDescription;
+/// use excovery_store::level2::Level2Store;
 ///
 /// let desc = ExperimentDescription::paper_two_party_sd(1);
-/// let mut cfg = EngineConfig::grid_default();
-/// cfg.max_runs = Some(1);
-/// let mut master = ExperiMaster::new(desc, cfg)?;
-/// let outcome = master.execute()?;
-/// assert!(outcome.runs[0].completed);
+/// let mut master = ExperiMaster::new(desc, EngineConfig::grid_default())?;
+/// let root = std::env::temp_dir().join(format!("excovery-doc-{}", std::process::id()));
+/// let l2 = Level2Store::open(root)?;
+/// let mut session = master.open(&l2)?;
+/// assert!(session.step(1)?[0].completed); // run 0, sealed in level 2
+/// let outcome = session.finish()?; // packages the runs sealed so far
 /// assert!(!outcome.database.table("Events").unwrap().is_empty());
+/// l2.destroy()?;
 /// # Ok::<(), excovery_core::EngineError>(())
 /// ```
 pub struct ExperiMaster {
@@ -85,15 +89,8 @@ pub struct ExperiMaster {
     cfg: EngineConfig,
     sim: SharedSim,
     binding: Arc<PlatformBinding>,
-    /// Running TCP servers when `cfg.transport` is [`TransportKind::Tcp`]
-    /// (one per node; dropping them stops the accept loops).
-    tcp_servers: HashMap<String, TcpRpcServer>,
-    /// Bound address of each node's TCP server (for reviving a halted one
-    /// on the same port).
-    tcp_addrs: HashMap<String, std::net::SocketAddr>,
-    /// The registry behind each TCP server, shared so a halted node can be
-    /// revived with its state (including the idempotency cache) intact.
-    tcp_registries: HashMap<String, Arc<Mutex<ServerRegistry>>>,
+    /// Each node's TCP server by platform id ([`TransportKind::Tcp`] only).
+    tcp_nodes: HashMap<String, TcpNode>,
     /// The one dispatcher every master→NodeManager call rides (behind a
     /// lock only because [`Self::fan_out`] takes `&self`; dispatches never
     /// overlap).
@@ -107,9 +104,6 @@ pub struct ExperiMaster {
     control_retries: AtomicU64,
     log: EventLog,
     plugins: HashMap<String, PluginFn>,
-    /// The process sets built for this execution, one per distinct actor
-    /// resolution; a run resets the one its treatment resolves to.
-    compiled: Vec<CompiledProcesses>,
     /// The buffer the small per-run level-2 entries are rendered into.
     entry_buf: Vec<u8>,
     // per-run state
@@ -123,6 +117,15 @@ pub struct ExperiMaster {
     /// The histograms the phase timers and fan-outs observe into, each
     /// resolved from the registry once per master on first use.
     obs_handles: Mutex<ObsHandles>,
+}
+
+/// A node's loopback TCP server: a halted one is revived on the same
+/// address with the same registry (and so the same idempotency cache).
+struct TcpNode {
+    addr: std::net::SocketAddr,
+    registry: Arc<Mutex<ServerRegistry>>,
+    /// `None` while halted; dropping it stops the accept loop.
+    server: Option<TcpRpcServer>,
 }
 
 /// `master_phase_duration_ns` by phase and `master_node_call_duration_ns`
@@ -182,9 +185,7 @@ impl ExperiMaster {
                 _ => SdConfig::two_party(),
             }
         });
-        let mut tcp_servers = HashMap::new();
-        let mut tcp_addrs = HashMap::new();
-        let mut tcp_registries = HashMap::new();
+        let mut tcp_nodes = HashMap::new();
         // Each node's control channel draws its own fault schedule, seeded
         // from the campaign chaos seed and the platform id — replaying the
         // campaign seed replays every node's schedule.
@@ -216,9 +217,12 @@ impl ExperiMaster {
                         detail: format!("bind: {e}"),
                     })?;
                     let addr = server.local_addr();
-                    tcp_addrs.insert(pid.clone(), addr);
-                    tcp_servers.insert(pid.clone(), server);
-                    tcp_registries.insert(pid.clone(), registry);
+                    let node = TcpNode {
+                        addr,
+                        registry,
+                        server: Some(server),
+                    };
+                    tcp_nodes.insert(pid.clone(), node);
                     ReactorEndpoint::Tcp {
                         addr,
                         opts: cfg.tcp.clone(),
@@ -234,16 +238,13 @@ impl ExperiMaster {
             cfg,
             sim,
             binding,
-            tcp_servers,
-            tcp_addrs,
-            tcp_registries,
+            tcp_nodes,
             reactor: Mutex::new(reactor),
             managed,
             call_seq: AtomicU64::new(0),
             control_retries: AtomicU64::new(0),
             log: EventLog::new(),
             plugins: HashMap::new(),
-            compiled: Vec::new(),
             entry_buf: Vec::new(),
             run_id: 0,
             replicate: 0,
@@ -272,10 +273,8 @@ impl ExperiMaster {
         self.node_ids()
             .into_iter()
             .map(|pid| {
-                let endpoint = match self.tcp_addrs.get(&pid) {
-                    Some(addr) => format!("tcp://{addr}"),
-                    None => "memory".to_string(),
-                };
+                let tcp = self.tcp_nodes.get(&pid);
+                let endpoint = tcp.map_or("memory".into(), |n| format!("tcp://{}", n.addr));
                 (pid, endpoint)
             })
             .collect()
@@ -399,14 +398,8 @@ impl ExperiMaster {
     /// server (memory transport, or already halted).
     #[doc(hidden)]
     pub fn halt_node_server(&mut self, pid: &str) -> bool {
-        match self.tcp_servers.remove(pid) {
-            Some(server) => {
-                server.shutdown();
-                drop(server);
-                true
-            }
-            None => false,
-        }
+        let halted = self.tcp_nodes.get_mut(pid).and_then(|n| n.server.take());
+        halted.inspect(TcpRpcServer::shutdown).is_some()
     }
 
     /// Test hook: restarts a halted node's TCP server on its original
@@ -414,18 +407,17 @@ impl ExperiMaster {
     /// crash. The reactor's link reconnects on its next call.
     #[doc(hidden)]
     pub fn revive_node_server(&mut self, pid: &str) -> Result<(), EngineError> {
-        let addr = *self
-            .tcp_addrs
-            .get(pid)
+        let node = self
+            .tcp_nodes
+            .get_mut(pid)
             .ok_or_else(|| EngineError::Config(format!("'{pid}' never had a TCP server")))?;
-        let registry = Arc::clone(self.tcp_registries.get(pid).expect("registry kept"));
         // The OS may hold the port briefly after shutdown; rebinding the
         // same address is bounded-retried.
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
         loop {
-            match TcpRpcServer::bind(addr, Arc::clone(&registry)) {
+            match TcpRpcServer::bind(node.addr, Arc::clone(&node.registry)) {
                 Ok(server) => {
-                    self.tcp_servers.insert(pid.to_string(), server);
+                    node.server = Some(server);
                     return Ok(());
                 }
                 Err(_) if std::time::Instant::now() < deadline => {
@@ -434,14 +426,15 @@ impl ExperiMaster {
                 Err(e) => {
                     return Err(EngineError::Transport {
                         node: pid.to_string(),
-                        detail: format!("revive bind {addr}: {e}"),
+                        detail: format!("revive bind {}: {e}", node.addr),
                     })
                 }
             }
         }
     }
 
-    /// Executes the complete experiment and packages the results.
+    /// Executes the complete experiment and packages the results: a
+    /// session over the level-2 root, stepped by [`EngineConfig::max_runs`].
     pub fn execute(&mut self) -> Result<ExperimentOutcome, EngineError> {
         // The default level-2 root must be unique per execution: concurrent
         // experiments (parallel sweeps) would otherwise interleave their
@@ -464,7 +457,11 @@ impl ExperiMaster {
                 .map_err(|e| EngineError::Storage(format!("clear level-2 root: {e}")))?;
         }
         let l2 = Level2Store::open(&l2_root)?;
-        let outcome = self.execute_in(&l2, l2_root);
+        let runs = self.cfg.max_runs.unwrap_or(u64::MAX);
+        let outcome = self.open(&l2).and_then(|mut session| {
+            session.step(runs)?;
+            session.finish()
+        });
         // A failed execution keeps an explicit root (it is what `resume`
         // continues from); a defaulted one has no name anyone could resume.
         if !self.cfg.keep_l2 && (outcome.is_ok() || self.cfg.l2_root.is_none()) {
@@ -472,81 +469,7 @@ impl ExperiMaster {
             l2.destroy().ok();
             self.finish_phase(destroying, "l2_destroy");
         }
-        outcome
-    }
-
-    fn execute_in(
-        &mut self,
-        l2: &Level2Store,
-        l2_root: PathBuf,
-    ) -> Result<ExperimentOutcome, EngineError> {
-        // ---- experiment_init -------------------------------------------------
-        // Process sets are built per execution: a failed one may have kept
-        // a set its run had taken.
-        self.compiled.clear();
-        let participants = self.binding.managed_sim_nodes();
-        self.stage_topology(l2, &participants, l2codec::TOPOLOGIES[0])?;
-
-        let plan = self.desc.plan();
-        let total = plan.runs.len() as u64;
-        let first = if self.cfg.resume {
-            l2.first_incomplete_run(total)?
-        } else {
-            0
-        };
-        let last = self
-            .cfg
-            .max_runs
-            .map(|m| (first + m).min(total))
-            .unwrap_or(total);
-
-        // Restore the summaries of runs completed by earlier incarnations:
-        // the outcome vector of a resumed campaign must equal the
-        // uninterrupted one (the digest covers it).
-        let restoring = self.phase_timer(|| "resume_restore");
-        let mut outcomes = Vec::new();
-        for run_id in 0..first {
-            let record = l2.load_run(run_id)?;
-            outcomes.push(read_json(
-                &record,
-                run_id,
-                l2codec::MASTER,
-                l2codec::OUTCOME,
-                l2codec::outcome_from_json,
-            )?);
-        }
-        self.finish_phase(restoring, "resume_restore");
-        for run in &plan.runs[first as usize..last as usize] {
-            let outcome = self.execute_run(run, l2)?;
-            outcomes.push(outcome);
-        }
-
-        // ---- experiment_exit -------------------------------------------------
-        self.stage_topology(l2, &participants, l2codec::TOPOLOGIES[1])?;
-
-        let packaging = self.phase_timer(|| "package");
-        let database = self.package(l2)?;
-        self.finish_phase(packaging, "package");
-        // Tear the node side down everywhere (concurrently, like the other
-        // lifecycle phases).
-        self.fan_out("experiment_exit", &[])?;
-        // End-of-experiment observability snapshot, persisted alongside the
-        // run journal. `package` reads experiment entries by exact name
-        // (the topologies), so an `_obs` entry is digest-safe.
-        if excovery_obs::enabled() {
-            let rendering = self.phase_timer(|| "obs_summary");
-            let spans = excovery_obs::global_tracer().drain();
-            let snapshot = l2codec::obs_jsonl(excovery_obs::global().snapshot(), spans);
-            l2.put_experiment(l2codec::OBS, l2codec::OBS_SNAPSHOT, snapshot.as_bytes())?;
-            self.finish_phase(rendering, "obs_summary");
-        }
-        Ok(ExperimentOutcome {
-            database,
-            runs: outcomes,
-            restored_runs: first,
-            l2_root,
-            control_retries: self.control_retries.load(Ordering::Relaxed),
-        })
+        outcome.map(|outcome| ExperimentOutcome { l2_root, ..outcome })
     }
 
     /// Measures the hop matrix of `participants` and stages it as the
@@ -585,8 +508,8 @@ impl ExperiMaster {
 
 impl Drop for ExperiMaster {
     fn drop(&mut self) {
-        for s in self.tcp_servers.values() {
-            s.shutdown();
+        for server in self.tcp_nodes.values().filter_map(|n| n.server.as_ref()) {
+            server.shutdown();
         }
     }
 }
@@ -634,6 +557,7 @@ mod tests {
     use excovery_netsim::topology::Topology;
     use excovery_netsim::SimDuration;
     use excovery_rpc::RetryPolicy;
+    use std::path::PathBuf;
 
     /// The outcome's package, read back through the one read path.
     pub(super) fn dataset(outcome: &ExperimentOutcome) -> ExperimentDataset {

@@ -75,11 +75,11 @@ pub struct EngineConfig {
     /// Resume an aborted experiment at the first run its level-2 journal does
     /// not confirm.
     pub resume: bool,
-    /// Execute at most `n` runs, counted from the first run this
-    /// execution executes: run 0, or on `resume` the first run the
-    /// journal does not confirm. Runs restored from the journal do not
-    /// count. (The server's slices compute `n` as if it counted from run
-    /// 0; ROADMAP item 4.)
+    /// `ExperiMaster::execute` steps its session by `n` runs (`None`: all
+    /// that are left), counted from the first run this execution executes:
+    /// run 0, or on `resume` the first run the journal does not confirm.
+    /// Runs restored from the journal do not count. (The server's slices
+    /// compute `n` as if it counted from run 0; ROADMAP item 4.)
     pub max_runs: Option<u64>,
     /// Control-channel backend between master and NodeManagers.
     pub transport: TransportKind,

@@ -40,7 +40,8 @@ pub struct ExperimentOutcome {
     /// metadata like [`Self::control_retries`]: excluded from
     /// [`Self::digest`].
     pub restored_runs: u64,
-    /// Level-2 root used (removed unless `keep_l2`).
+    /// Level-2 root `execute` used (removed unless `keep_l2`); empty from
+    /// [`crate::Session::finish`], whose caller opened the store.
     pub l2_root: PathBuf,
     /// Control-channel retries the master performed. Chaos leaves its
     /// trace here — and **only** here: the experiment data must not

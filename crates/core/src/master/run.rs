@@ -22,7 +22,7 @@ use std::sync::{Arc, OnceLock};
 /// while waiting on events.
 const QUANTUM: SimDuration = SimDuration::from_millis(20);
 
-/// The process set of one actor resolution, built once per execution and
+/// The process set of one actor resolution, built once per session and
 /// reset by every run whose treatment resolves the actors the same way.
 pub(super) struct CompiledProcesses {
     /// The level of every node process's `nodes_factor` in the treatment,
@@ -80,14 +80,15 @@ impl ExperiMaster {
     }
 
     /// Resolves the actors of `treatment` and takes the process set they
-    /// run, building both on the first run that resolves this way. Returns
-    /// the set's place, where [`Self::execute_run`] puts it back.
+    /// run from `compiled`, building both on first use. Returns the set's
+    /// place, where [`Self::execute_run`] puts it back.
     fn take_processes(
         &mut self,
         treatment: &Treatment,
+        compiled: &mut Vec<CompiledProcesses>,
     ) -> Result<(usize, Vec<ProcessInstance>), EngineError> {
         let desc = &self.desc;
-        let found = self.compiled.iter().position(|c| {
+        let found = compiled.iter().position(|c| {
             let levels = c.levels.iter().map(Option::as_ref);
             levels.eq(resolution_levels(desc, treatment))
         });
@@ -100,16 +101,16 @@ impl ExperiMaster {
                 let levels = resolution_levels(&self.desc, treatment)
                     .map(Option::<&LevelValue>::cloned)
                     .collect();
-                self.compiled.push(CompiledProcesses {
+                compiled.push(CompiledProcesses {
                     levels,
                     actors: Arc::new(actors),
                     procs,
                 });
-                self.compiled.len() - 1
+                compiled.len() - 1
             }
         };
-        self.actors = Arc::clone(&self.compiled[at].actors);
-        Ok((at, std::mem::take(&mut self.compiled[at].procs)))
+        self.actors = Arc::clone(&compiled[at].actors);
+        Ok((at, std::mem::take(&mut compiled[at].procs)))
     }
 
     fn drain_events(&mut self) {
@@ -194,12 +195,13 @@ impl ExperiMaster {
         &mut self,
         run: &RunSpec,
         l2: &Level2Store,
+        compiled: &mut Vec<CompiledProcesses>,
     ) -> Result<RunOutcome, EngineError> {
         // ---- preparation (run_init) ------------------------------------------
         let preparing = self.phase_timer(|| "run_prepare");
         self.run_id = run.run_id;
         self.replicate = run.replicate;
-        let (compiled, mut procs) = self.take_processes(&run.treatment)?;
+        let (set, mut procs) = self.take_processes(&run.treatment, compiled)?;
         self.traffic = None;
         self.cbr_flows.clear();
         self.fault_windows.clear();
@@ -407,7 +409,7 @@ impl ExperiMaster {
                 _ => None,
             })
             .collect();
-        self.compiled[compiled].procs = procs;
+        compiled[set].procs = procs;
         let outcome = RunOutcome {
             run_id: run.run_id,
             replicate: run.replicate,

@@ -20,7 +20,7 @@ use excovery_netsim::topology::Topology;
 use excovery_netsim::SimDuration;
 use excovery_rpc::ChaosOptions;
 use excovery_store::level2::Level2Store;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// The paper's two-party SD experiment, trimmed for test speed (no
 /// traffic factors) and reseeded per scenario.
@@ -189,16 +189,61 @@ fn kill_and_resume_reproduces_the_incomplete_runs_exactly() {
     let first_half = execute(desc_with_seed(4, seed), cfg);
     assert_eq!(first_half.runs.len(), 2);
 
+    assert_resumes_to_the_reference(desc_with_seed(4, seed), &chaos, &root, &reference);
+    std::fs::remove_dir_all(&reference.l2_root).ok();
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// A master that dies for real, after its session sealed 2 runs and
+/// before `finish` staged, packaged or told a node anything more, is
+/// resumed to the uninterrupted execution just the same.
+#[test]
+fn a_session_dropped_without_finish_resumes_to_the_reference() {
+    let seed = 77u64;
+    let chaos = ChaosOptions::flaky(0xFEED, 0.5, 50);
+    let mut ref_cfg = base_config("ref-dropped");
+    ref_cfg.keep_l2 = true;
+    let reference = execute(desc_with_seed(4, seed), ref_cfg);
+
+    let root = unique_root("dropped");
+    let mut cfg = base_config("dropped");
+    cfg.chaos = Some(chaos.clone());
+    cfg.retry = ample_retry(&chaos);
+    let mut master = ExperiMaster::new(desc_with_seed(4, seed), cfg).unwrap();
+    let l2 = Level2Store::open(&root).unwrap();
+    let mut session = master.open(&l2).unwrap();
+    assert_eq!(session.step(2).unwrap().len(), 2);
+    drop(session);
+    drop(master);
+    let after = l2.get_experiment("master", "topology_after.json");
+    assert!(after.is_err(), "finish never ran");
+    drop(l2);
+
+    assert_resumes_to_the_reference(desc_with_seed(4, seed), &chaos, &root, &reference);
+    std::fs::remove_dir_all(&reference.l2_root).ok();
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// Resumes the campaign a killed master left in `root` under a fresh
+/// epoch, and checks that it executed exactly runs 2 and 3 and ended
+/// equal to `reference`: the run summaries, every table, the digest and
+/// every level-2 entry.
+fn assert_resumes_to_the_reference(
+    desc: ExperimentDescription,
+    chaos: &ChaosOptions,
+    root: &Path,
+    reference: &ExperimentOutcome,
+) {
     // Resumed master: fresh epoch, so its idempotency keys cannot collide
     // with responses recorded for its predecessor.
     let mut cfg = base_config("resumed");
-    cfg.l2_root = Some(root.clone());
+    cfg.l2_root = Some(root.to_path_buf());
     cfg.resume = true;
     cfg.keep_l2 = true;
     cfg.epoch = 1;
     cfg.chaos = Some(chaos.clone());
-    cfg.retry = ample_retry(&chaos);
-    let resumed = execute(desc_with_seed(4, seed), cfg);
+    cfg.retry = ample_retry(chaos);
+    let resumed = execute(desc, cfg);
 
     // Only the incomplete runs were executed — nothing re-ran after the
     // journal confirmed it. The summaries of the two pre-crash runs
@@ -229,7 +274,7 @@ fn kill_and_resume_reproduces_the_incomplete_runs_exactly() {
     // The level-2 stores hold identical per-run entries, and every run is
     // journalled complete.
     let ref_l2 = Level2Store::open(&reference.l2_root).unwrap();
-    let res_l2 = Level2Store::open(&root).unwrap();
+    let res_l2 = Level2Store::open(root).unwrap();
     assert_eq!(res_l2.run_ids().unwrap(), vec![0, 1, 2, 3]);
     for run in 0..4 {
         assert!(res_l2.is_run_complete(run).unwrap());
@@ -247,9 +292,6 @@ fn kill_and_resume_reproduces_the_incomplete_runs_exactly() {
         }
     }
     assert_eq!(res_l2.journal_runs().unwrap(), vec![0, 1, 2, 3]);
-
-    std::fs::remove_dir_all(&reference.l2_root).ok();
-    std::fs::remove_dir_all(&root).ok();
 }
 
 /// Damaged level-2 state reaches the caller of `execute` as a storage

@@ -3,7 +3,8 @@
 //! the documented `master_phase_duration_ns{phase}` labels (DESIGN.md
 //! §10), and the spans each run's summary drains never overlap, also
 //! across two executions in one process. The second is an order
-//! property, not a timing bound.
+//! property, not a timing bound. A session stepped run by run records
+//! the same phases, all but `l2_destroy`, which `execute` owns.
 //!
 //! The obs flag and the span ring are process-global, so this file holds
 //! one test.
@@ -15,7 +16,7 @@ mod golden;
 use excovery_core::{EngineConfig, ExperiMaster};
 use excovery_store::level2::Level2Store;
 use excovery_store::JsonValue;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Every phase of an execution that starts fresh and removes its level 2:
 /// the lifecycle fan-outs, then the stretches between them.
@@ -42,14 +43,30 @@ const PHASES: [&str; 18] = [
 
 /// The `phase` labels of `master_phase_duration_ns` recorded so far.
 fn phase_labels() -> BTreeSet<String> {
+    phase_counts().into_keys().collect()
+}
+
+/// How often each `phase` of `master_phase_duration_ns` was observed.
+fn phase_counts() -> BTreeMap<String, u64> {
     let snapshot = excovery_obs::global().snapshot();
     snapshot
         .histograms
         .iter()
         .filter(|h| h.name == "master_phase_duration_ns")
-        .flat_map(|h| &h.labels)
-        .filter(|(key, _)| key == "phase")
-        .map(|(_, phase)| phase.clone())
+        .flat_map(|h| h.labels.iter().map(|label| (label, h.value.count)))
+        .filter(|((key, _), _)| key == "phase")
+        .map(|((_, phase), count)| (phase.clone(), count))
+        .collect()
+}
+
+/// The phases observed since `before` was counted.
+fn phases_since(before: &BTreeMap<String, u64>) -> BTreeSet<String> {
+    let count = |phase: &String| before.get(phase).copied().unwrap_or(0);
+    let after = phase_counts();
+    after
+        .into_iter()
+        .filter(|(p, n)| *n > count(p))
+        .map(|(p, _)| p)
         .collect()
 }
 
@@ -126,5 +143,27 @@ fn every_stretch_of_execute_is_one_disjoint_phase() {
     }
     let snapshot = l2.get_experiment("_obs", "snapshot.jsonl").unwrap();
     assert_disjoint(&snapshot, "experiment snapshot");
+    l2.destroy().unwrap();
+
+    // The same description as a session, stepped one run at a time.
+    let before = phase_counts();
+    let mut master = ExperiMaster::new(golden::desc(golden::SEEDS[0]), preset()).unwrap();
+    let l2 = Level2Store::open(&root).unwrap();
+    let mut session = master.open(&l2).unwrap();
+    for run in 0..2 {
+        assert_eq!(session.step(1).unwrap()[0].run_id, run);
+    }
+    let stepped = session.finish().unwrap();
+    assert_eq!(stepped.digest(), removed.digest());
+    let mut recorded = all.clone();
+    recorded.remove("l2_destroy");
+    assert_eq!(phases_since(&before), recorded, "the session's phases");
+    for run in 0..2 {
+        let summary = l2.get_run(run, "_obs", "summary.jsonl").unwrap();
+        let spans = assert_disjoint(&summary, &format!("stepped run {run}"));
+        assert!(spans.len() >= 10, "stepped run {run} drained {spans:?}");
+    }
+    let snapshot = l2.get_experiment("_obs", "snapshot.jsonl").unwrap();
+    assert_disjoint(&snapshot, "stepped experiment snapshot");
     l2.destroy().unwrap();
 }

@@ -4,10 +4,12 @@
 //!
 //! Each study prints its artifact to stdout; with no `--reps` the output
 //! is byte for byte `results/<study>.txt`, which `tests/paper_results.rs`
-//! checks. The case studies that fan independent experiments out (CS-1,
-//! CS-3, CS-8) do so through [`run_indexed`] on `--workers` threads
-//! (`0`, the default, = available parallelism); results come back in
-//! job order, so the output is the same at every worker count.
+//! checks. The case studies made of independent experiments or cells
+//! (CS-1 and CS-3 to CS-8) run them through [`run_indexed`] on
+//! `--workers` threads (`0`, the default, = available parallelism);
+//! results come back in job order, so the output is the same at every
+//! worker count. CS-2 and the table and figure studies run one
+//! experiment each, or none, and ignore the option.
 
 use super::Args;
 use excovery::analysis::model::ResponsivenessModel;
@@ -562,30 +564,36 @@ fn cs3_responsiveness_hops(reps: u64, workers: usize) -> Result<(), String> {
 
 /// **CS-4**: two-party vs three-party vs hybrid with growing numbers of
 /// SMs: where centralization pays off. Half the replications per cell.
-fn cs4_architecture_compare(reps: u64, _: usize) -> Result<(), String> {
+fn cs4_architecture_compare(reps: u64, workers: usize) -> Result<(), String> {
     let reps = (reps / 2).max(5);
     println!("CS-4: architecture comparison ({reps} replications/cell)\n");
     println!(
         "{:<14} {:>5} {:>10} {:>12} {:>12} {:>10}",
         "architecture", "n_sm", "R(2s,k=n)", "tx/run", "relays/run", "R(30s)"
     );
-    for &n_sm in &[1usize, 2, 4, 8] {
-        for arch in ["two-party", "three-party", "hybrid"] {
-            let with_scm = arch != "two-party";
-            let desc = multi_sm(n_sm, arch, with_scm, reps, 20264);
-            let mut master = ExperiMaster::new(desc, on(Topology::grid(4, 3)))?;
-            let outcome = master.execute()?;
-            let stats = master.simulator().lock().stats();
-            let curve = responsiveness_curve(&episodes(&outcome)?, n_sm, &[2.0, 30.0]);
-            let runs = outcome.runs.len() as f64;
-            println!(
-                "{arch:<14} {n_sm:>5} {:>10.3} {:>12.1} {:>12.1} {:>10.3}",
-                curve[0].probability,
-                stats.sent as f64 / runs,
-                stats.forwarded as f64 / runs,
-                curve[1].probability,
-            );
-        }
+    let cells: Vec<(usize, &str)> = [1usize, 2, 4, 8]
+        .into_iter()
+        .flat_map(|n_sm| ["two-party", "three-party", "hybrid"].map(|arch| (n_sm, arch)))
+        .collect();
+    let rows = run_indexed(workers, cells.len(), |i| -> Result<String, String> {
+        let (n_sm, arch) = cells[i];
+        let with_scm = arch != "two-party";
+        let desc = multi_sm(n_sm, arch, with_scm, reps, 20264);
+        let mut master = ExperiMaster::new(desc, on(Topology::grid(4, 3)))?;
+        let outcome = master.execute()?;
+        let stats = master.simulator().lock().stats();
+        let curve = responsiveness_curve(&episodes(&outcome)?, n_sm, &[2.0, 30.0]);
+        let runs = outcome.runs.len() as f64;
+        Ok(format!(
+            "{arch:<14} {n_sm:>5} {:>10.3} {:>12.1} {:>12.1} {:>10.3}",
+            curve[0].probability,
+            stats.sent as f64 / runs,
+            stats.forwarded as f64 / runs,
+            curve[1].probability,
+        ))
+    });
+    for row in rows {
+        println!("{}", row?);
     }
     println!("\nshape: directed discovery amortizes the SCM as SMs grow; the flood cost");
     println!("of two-party grows with responders while three-party queries stay unicast.");
@@ -595,23 +603,30 @@ fn cs4_architecture_compare(reps: u64, _: usize) -> Result<(), String> {
 /// **CS-5**: ablation of the SDP's query retransmission backoff (paper
 /// §VI) under heavy injected loss: constant retry recovers fastest but
 /// floods the medium; aggressive backoff is cheap but late.
-fn cs5_ablation_backoff(reps: u64, _: usize) -> Result<(), String> {
+fn cs5_ablation_backoff(reps: u64, workers: usize) -> Result<(), String> {
     println!("CS-5: query-backoff ablation at 75% message loss ({reps} replications/setting)\n");
     println!("{}", curve_header());
-    let mut costs = Vec::new();
-    for &backoff in &[1.0f64, 1.5, 2.0, 3.0] {
+    let backoffs = [1.0f64, 1.5, 2.0, 3.0];
+    // Each setting's curve row and its transmissions per run.
+    let settings = run_indexed(workers, backoffs.len(), |i| -> Result<_, String> {
         let desc = loss_sweep(&[0.75], reps, 20265);
         let mut cfg = on(Topology::chain(2));
         cfg.sd_config = Some(SdConfig {
-            query_backoff: backoff,
+            query_backoff: backoffs[i],
             ..SdConfig::two_party()
         });
         let mut master = ExperiMaster::new(desc, cfg)?;
         let outcome = master.execute()?;
         let stats = master.simulator().lock().stats();
         let curve = responsiveness_curve(&episodes(&outcome)?, 1, &DEADLINES_S);
-        println!("{}", curve_row(&format!("backoff={backoff}"), &curve));
-        costs.push((backoff, stats.sent as f64 / outcome.runs.len() as f64));
+        let row = curve_row(&format!("backoff={}", backoffs[i]), &curve);
+        Ok((row, stats.sent as f64 / outcome.runs.len() as f64))
+    });
+    let mut costs = Vec::new();
+    for (backoff, setting) in backoffs.into_iter().zip(settings) {
+        let (row, cost) = setting?;
+        println!("{row}");
+        costs.push((backoff, cost));
     }
     println!("\nnetwork cost (transmissions per run):");
     for (backoff, cost) in costs {
@@ -622,7 +637,7 @@ fn cs5_ablation_backoff(reps: u64, _: usize) -> Result<(), String> {
 
 /// **CS-6**: the closed-form responsiveness model overlaid on the
 /// measured R(d) of the hop-distance scenario at several per-link losses.
-fn cs6_model_vs_experiment(reps: u64, _: usize) -> Result<(), String> {
+fn cs6_model_vs_experiment(reps: u64, workers: usize) -> Result<(), String> {
     fn cells(values: impl Iterator<Item = f64>) -> String {
         values.map(|v| format!("{v:>7.3}")).collect()
     }
@@ -637,15 +652,19 @@ fn cs6_model_vs_experiment(reps: u64, _: usize) -> Result<(), String> {
             .map(|d| format!("{d:>7}"))
             .collect::<String>()
     );
-    for &(hops, loss) in &[(1u32, 0.1f64), (1, 0.3), (3, 0.1), (3, 0.3), (5, 0.2)] {
+    let configs = [(1u32, 0.1f64), (1, 0.3), (3, 0.1), (3, 0.3), (5, 0.2)];
+    let outcomes = run_indexed(workers, configs.len(), |i| -> Outcome {
+        let (hops, loss) = configs[i];
         let desc = hop_distance(reps, 20_266 + hops as u64);
         // The model assumes fixed per-link loss: the scenario has no
         // background traffic to drive the load term, and the model absorbs
         // the jitter it keeps as mean delay.
         let mut cfg = on(chain_between_actors(hops as usize));
         cfg.sim.link_model.base_loss = loss;
-        let outcome = ExperiMaster::new(desc, cfg)?.execute()?;
-        let measured = responsiveness_curve(&episodes(&outcome)?, 1, &deadlines);
+        Ok(ExperiMaster::new(desc, cfg)?.execute()?)
+    });
+    for (&(hops, loss), outcome) in configs.iter().zip(outcomes) {
+        let measured = responsiveness_curve(&episodes(&outcome?)?, 1, &deadlines);
         let model = ResponsivenessModel::new(hops, loss);
         let label = format!("h={hops} p={loss}");
         println!(
@@ -720,31 +739,38 @@ fn cs7_cell(n_sus: u16, suppression: bool, seed: u64) -> (u64, u64, u64) {
 /// **CS-7**: ablation of known-answer suppression (RFC 6762 §7.1), the
 /// cache-driven traffic reduction of paper §III-A. One seed per ten
 /// replications.
-fn cs7_ablation_suppression(reps: u64, _: usize) -> Result<(), String> {
+fn cs7_ablation_suppression(reps: u64, workers: usize) -> Result<(), String> {
     let seeds = (reps / 10).max(3);
     println!("CS-7: known-answer suppression ablation ({seeds} seeds, 60 s continuous search)\n");
     println!(
         "{:<8} {:<12} {:>12} {:>12} {:>12}",
         "SUs", "suppression", "responses", "suppressed", "discoveries"
     );
-    for &n_sus in &[1u16, 4, 8] {
-        for &supp in &[true, false] {
-            let (mut resp, mut suppd, mut disc) = (0, 0, 0);
-            for seed in 0..seeds {
-                let (r, s, d) = cs7_cell(n_sus, supp, 1000 + seed);
-                resp += r;
-                suppd += s;
-                disc += d;
-            }
-            println!(
-                "{:<8} {:<12} {:>12.1} {:>12.1} {:>12.1}",
-                n_sus,
-                supp,
-                resp as f64 / seeds as f64,
-                suppd as f64 / seeds as f64,
-                disc as f64 / seeds as f64
-            );
+    let settings: Vec<(u16, bool)> = [1u16, 4, 8]
+        .into_iter()
+        .flat_map(|n_sus| [(n_sus, true), (n_sus, false)])
+        .collect();
+    // One job per setting and seed, the seeds of a setting contiguous.
+    let n_seeds = seeds as usize;
+    let cells = run_indexed(workers, settings.len() * n_seeds, |i| {
+        let (n_sus, supp) = settings[i / n_seeds];
+        cs7_cell(n_sus, supp, 1000 + (i % n_seeds) as u64)
+    });
+    for (&(n_sus, supp), cells) in settings.iter().zip(cells.chunks(n_seeds)) {
+        let (mut resp, mut suppd, mut disc) = (0, 0, 0);
+        for &(r, s, d) in cells {
+            resp += r;
+            suppd += s;
+            disc += d;
         }
+        println!(
+            "{:<8} {:<12} {:>12.1} {:>12.1} {:>12.1}",
+            n_sus,
+            supp,
+            resp as f64 / seeds as f64,
+            suppd as f64 / seeds as f64,
+            disc as f64 / seeds as f64
+        );
     }
     println!("\nshape: suppression cuts the SM's response load as SUs (and their caches)");
     println!("grow, at identical discovery counts — the cache earns its keep.");

@@ -3,9 +3,9 @@
 //! exactly those files plus `cs8_chaos_recovery`, whose output carries
 //! wall times and is checked by its own verdict line instead.
 //!
-//! The case studies that fan out over `--workers` threads (CS-1, CS-3 and
-//! CS-8) are also run at 1 and 4 workers, against the same files and the
-//! same verdict line. Re-bless an intended change with
+//! The case studies that fan out over `--workers` threads (CS-1 and CS-3
+//! to CS-8) are also run at 1 and 4 workers, against the same files and
+//! the same verdict line. Re-bless an intended change with
 //! `EXCOVERY_BLESS=1 cargo test --test paper_results`.
 
 use std::path::{Path, PathBuf};
@@ -16,7 +16,14 @@ const TIMED_STUDY: &str = "cs8_chaos_recovery";
 
 /// The studies with a `results/` file that fan experiments out over
 /// `--workers` threads.
-const FAN_OUT_STUDIES: [&str; 2] = ["cs1_responsiveness_loss", "cs3_responsiveness_hops"];
+const FAN_OUT_STUDIES: [&str; 6] = [
+    "cs1_responsiveness_loss",
+    "cs3_responsiveness_hops",
+    "cs4_architecture_compare",
+    "cs5_ablation_backoff",
+    "cs6_model_vs_experiment",
+    "cs7_ablation_suppression",
+];
 
 /// The explicit worker counts the fan-out studies also run at.
 const WORKER_COUNTS: [&str; 2] = ["1", "4"];
